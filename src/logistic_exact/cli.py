@@ -131,13 +131,14 @@ def _run_compare(params):
     bits = _get(params, "bits", 53)
     threshold = _get(params, "threshold", 0.01)
     forms = params.get("forms") or ()
-    oracle_bits = params.get("oracle_bits")
-    resolved = oracle_bits if oracle_bits is not None else \
-        map_standard.resolve_oracle_bits(steps, bits)
+    ref_policy = map_standard._oracle_policy(steps, bits, params.get("oracle_bits"))
+    resolved = ref_policy.significand_bits
+    working = PrecisionPolicy(bits)
     p = map_standard.MapParams(r, x0)
     reports = []
 
-    def pack(label, method, rep):
+    def pack(label, method, traj):
+        rep = map_standard.compare_trajectories(traj, ref, threshold)
         reports.append({
             "label": label,
             "method": method,
@@ -149,12 +150,13 @@ def _run_compare(params):
             "per_step_abs_error": list(rep.per_step_abs_error),
         })
 
-    pack("iterated", METHOD_ITERATED,
-         map_standard.iteration_divergence(p, steps, bits, threshold, resolved))
+    it = map_standard.iterate(p, steps, working)
+    ref = map_standard.oracle(p, steps, ref_policy)  # shared by every report
+    pack("iterated", METHOD_ITERATED, it)
     for name in forms:
         variant = map_standard.ClosedForm(name)
         pack(name, f"closed-form:{name}",
-             map_standard.divergence_analysis(p, variant, steps, bits, threshold, resolved))
+             map_standard.closed_form_trajectory(p, steps, variant, working))
     config = {"subcommand": "compare", "r": r, "x0": x0, "steps": steps,
               "bits": bits, "threshold": threshold, "forms": list(forms),
               "oracle_bits": resolved}

@@ -10,8 +10,15 @@ quickly outgrows any fixed significand, so the scaled angle is formed
 exactly (a pure exponent shift), reduced mod 2*pi with magnitude-aware
 guard bits, and only then passed to the cosine.  Working precision is the
 caller's choice, which is exactly what makes the divergence experiments
-possible: a 53-bit policy behaves like an IEEE double device, a budgeted
-policy behaves like an exact oracle.
+possible: a budgeted policy behaves like an exact oracle, and a 53-bit
+policy shows how fast the closed form loses its bits at double precision.
+
+A 53-bit policy is not a model of an IEEE double device evaluating the same
+formula with libm.  The pipeline rounds the reduced angle to 53 bits before
+the cosine, whereas libm reduces its argument exactly.  Over 200 seeds of
+the ``simple`` form and n <= 60, only about half of the samples (6,563 of
+12,200) equal ``0.5 + math.cos(math.ldexp(math.acos(x0 - 0.5), n))`` bit for
+bit, and the median first mismatch is at n = 3.
 """
 
 import math
@@ -139,16 +146,7 @@ def centered_step(y, r):
     return -r * y * y + (r / 4 - 0.5)
 
 
-def closed_form(p: MapParams, n: int, variant: ClosedForm,
-                policy: PrecisionPolicy = DOUBLE) -> mpf:
-    """Evaluate one closed form at step n under the given precision policy.
-
-    The angle pipeline is: arccos at working precision, exact scaling by
-    2^n (exponent shift; the (-2)^n sign is applied separately), reduction
-    mod 2*pi, then the final cosine.  Raises ValueError when p.r does not
-    match the variant and DomainError when the seed leaves the arccos
-    domain.
-    """
+def _check_closed_form(p: MapParams, n: int, variant: ClosedForm) -> None:
     if not isinstance(n, int) or n < 0:
         raise ValueError("n must be a non-negative integer")
     if p.r != variant.required_r:
@@ -159,37 +157,82 @@ def closed_form(p: MapParams, n: int, variant: ClosedForm,
         raise DomainError(
             f"seed {p.x0!r} outside [{domain[0]:g}, {domain[1]:g}] "
             f"(arccos domain of variant {variant.value!r})")
+
+
+_HALF = mpf(0.5)
+
+
+def _phase(p: MapParams, variant: ClosedForm) -> mpf:
+    """The step-independent part of a closed form, at the working precision:
+    the base 1 - 2*x0 for r2, the arccos for r4 and simple, and
+    pi - 3*arccos(1/2 - x0) for table1."""
+    x0 = mpf(p.x0)
+    if variant is ClosedForm.R2_POWER:
+        return 1 - 2 * x0
+    if variant is ClosedForm.R4_COSINE:
+        return mp.acos(1 - 2 * x0)
+    if variant is ClosedForm.RM2_DIRECT:
+        return mp.acos(x0 - _HALF)
+    return mp.pi - 3 * mp.acos(_HALF - x0)
+
+
+def _sample(variant: ClosedForm, phase: mpf, n: int, bits: int) -> mpf:
+    """The closed form at step n from its phase, at the working precision.
+
+    For r2 the caller passes the base already squared n times; for the
+    cosine forms the angle is scaled by 2^n here and reduced mod 2*pi.
+    """
+    if variant is ClosedForm.R2_POWER:
+        return (1 - phase) / 2
+    if variant is ClosedForm.R4_COSINE:
+        return (1 - mp.cos(reduce_mod_2pi(mp.ldexp(phase, n), bits))) / 2
+    if variant is ClosedForm.RM2_DIRECT:
+        return _HALF + mp.cos(reduce_mod_2pi(mp.ldexp(phase, n), bits))
+    scaled = mp.ldexp(phase, n)
+    if n % 2 == 1:
+        scaled = -scaled
+    return _HALF - mp.cos(reduce_mod_2pi((mp.pi - scaled) / 3, bits))
+
+
+def closed_form(p: MapParams, n: int, variant: ClosedForm,
+                policy: PrecisionPolicy = DOUBLE) -> mpf:
+    """Evaluate one closed form at step n under the given precision policy.
+
+    The angle pipeline is: arccos at working precision, exact scaling by
+    2^n (exponent shift; the (-2)^n sign is applied separately), reduction
+    mod 2*pi, then the final cosine.  The r2 form squares its base n times.
+    Raises ValueError when p.r does not match the variant and DomainError
+    when the seed leaves the arccos domain.
+    """
+    _check_closed_form(p, n, variant)
     bits = policy.significand_bits
     with workprec(bits):
-        x0 = mpf(p.x0)
-        half = mpf(1) / 2
+        phase = _phase(p, variant)
         if variant is ClosedForm.R2_POWER:
-            b = 1 - 2 * x0
             for _ in range(n):
-                b = b * b
-            return (1 - b) / 2
-        if variant is ClosedForm.R4_COSINE:
-            theta = mp.acos(1 - 2 * x0)
-            angle = reduce_mod_2pi(mp.ldexp(theta, n), bits)
-            return (1 - mp.cos(angle)) / 2
-        if variant is ClosedForm.RM2_DIRECT:
-            theta = mp.acos(x0 - half)
-            angle = reduce_mod_2pi(mp.ldexp(theta, n), bits)
-            return half + mp.cos(angle)
-        # RM2_COMPOSED
-        phi = mp.pi - 3 * mp.acos(half - x0)
-        scaled = mp.ldexp(phi, n)
-        if n % 2 == 1:
-            scaled = -scaled
-        angle = reduce_mod_2pi((mp.pi - scaled) / 3, bits)
-        return half - mp.cos(angle)
+                phase = phase * phase
+        return _sample(variant, phase, n, bits)
 
 
 def closed_form_trajectory(p: MapParams, n: int, variant: ClosedForm,
                            policy: PrecisionPolicy = DOUBLE) -> Trajectory:
-    """Trajectory of a closed form over steps 0..n."""
-    samples = tuple((k, closed_form(p, k, variant, policy)) for k in range(n + 1))
-    return Trajectory(f"{METHOD_CLOSED_FORM}:{variant.value}", samples, policy)
+    """Trajectory of a closed form over steps 0..n.
+
+    Every sample equals ``closed_form(p, k, variant, policy)``; the arccos
+    is taken once per trajectory, and the r2 base is squared once per step
+    and carried forward.
+    """
+    _check_closed_form(p, n, variant)
+    bits = policy.significand_bits
+    squares = variant is ClosedForm.R2_POWER
+    samples = []
+    with workprec(bits):
+        phase = _phase(p, variant)
+        for k in range(n + 1):
+            samples.append((k, _sample(variant, phase, k, bits)))
+            if squares:
+                phase = phase * phase
+    return Trajectory(f"{METHOD_CLOSED_FORM}:{variant.value}", tuple(samples), policy)
 
 
 @dataclass(frozen=True)
@@ -269,41 +312,55 @@ def resolve_oracle_bits(n_max: int, working_bits: int) -> int:
     return max(precision_budget(n_max, 1.0, DOUBLE), working_bits + 64)
 
 
+def _oracle_policy(n_max: int, working_bits: int,
+                   oracle_bits: int | None) -> PrecisionPolicy:
+    """Oracle policy for a divergence run: ``oracle_bits`` if given, else
+    resolve_oracle_bits.  Raises ValueError when an explicit oracle is no
+    more precise than the method under test."""
+    if oracle_bits is None:
+        return PrecisionPolicy(resolve_oracle_bits(n_max, working_bits))
+    if oracle_bits <= working_bits:
+        raise ValueError(f"oracle bits ({oracle_bits}) must exceed the working "
+                         f"precision ({working_bits} bits)")
+    return PrecisionPolicy(oracle_bits)
+
+
 def divergence_analysis(p: MapParams, variant: ClosedForm, n_max: int,
                         working_bits: int, threshold: float,
                         oracle_bits: int | None = None) -> DivergenceReport:
     """Compare a closed form evaluated at ``working_bits`` (including all of
     its angle arithmetic) against the budgeted-precision oracle iteration.
 
-    At 53 working bits this reproduces what a double-precision device does
-    to the closed form: about one significand bit dies per step, so the
-    orbit visibly leaves the oracle after a few dozen steps.
+    At 53 working bits about one significand bit dies per step, so the
+    orbit visibly leaves the oracle after a few dozen steps.  This is the
+    mpmath pipeline at 53 bits, not libm on doubles: the two disagree from
+    the first few steps on (see the module docstring).  Raises ValueError
+    when ``oracle_bits`` does not exceed ``working_bits``.
     """
-    working = PrecisionPolicy(working_bits)
-    cf = closed_form_trajectory(p, n_max, variant, working)
-    bits = oracle_bits if oracle_bits is not None else resolve_oracle_bits(n_max, working_bits)
-    ref = oracle(p, n_max, PrecisionPolicy(bits))
-    return compare_trajectories(cf, ref, threshold)
+    ref_policy = _oracle_policy(n_max, working_bits, oracle_bits)
+    cf = closed_form_trajectory(p, n_max, variant, PrecisionPolicy(working_bits))
+    return compare_trajectories(cf, oracle(p, n_max, ref_policy), threshold)
 
 
 def iteration_divergence(p: MapParams, n_max: int, working_bits: int,
                          threshold: float,
                          oracle_bits: int | None = None) -> DivergenceReport:
     """Same experiment for plain iteration at ``working_bits``."""
-    working = PrecisionPolicy(working_bits)
-    it = iterate(p, n_max, working)
-    bits = oracle_bits if oracle_bits is not None else resolve_oracle_bits(n_max, working_bits)
-    ref = oracle(p, n_max, PrecisionPolicy(bits))
-    return compare_trajectories(it, ref, threshold)
+    ref_policy = _oracle_policy(n_max, working_bits, oracle_bits)
+    it = iterate(p, n_max, PrecisionPolicy(working_bits))
+    return compare_trajectories(it, oracle(p, n_max, ref_policy), threshold)
 
 
 def prng_bits(x0: float, count: int, burn_in: int = 0) -> tuple:
     """Bits from the chaotic r=4 orbit: one per step, set when x > 1/2.
 
     Runs at plain double precision, discards ``burn_in`` steps first, and is
-    fully deterministic.  Orbits that land exactly on 0, 1 or 3/4 are stuck
-    on a fixed point; that is fatal for bit output, so it raises
-    DegeneracyError (pick a different seed) instead of looping silently.
+    fully deterministic.  Each step loses about one bit of the seed, so past
+    about 53 steps the bits come from a pseudo-orbit: the rounded orbit has
+    left the exact orbit of ``x0``, whose bits it no longer reproduces.
+    Orbits that land exactly on 0, 1 or 3/4 are stuck on a fixed point; that
+    is fatal for bit output, so it raises DegeneracyError (pick a different
+    seed) instead of looping silently.
     """
     if not (math.isfinite(x0) and 0.0 < x0 < 1.0):
         raise DomainError("seed must lie strictly inside (0, 1)")

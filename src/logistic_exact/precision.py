@@ -16,6 +16,19 @@ import math
 from dataclasses import dataclass
 
 from mpmath import mp, mpf, workprec
+from mpmath.libmp import (
+    finf,
+    fnan,
+    fninf,
+    fzero,
+    mpf_ge,
+    mpf_mod,
+    mpf_pi,
+    mpf_pos,
+    mpf_shift,
+    mpf_sub,
+    round_nearest,
+)
 
 METHOD_ITERATED = "iterated"
 METHOD_ORACLE = "oracle"
@@ -73,27 +86,27 @@ def reduce_mod_2pi(angle, bits: int = 53) -> mpf:
 
     pi is evaluated with enough guard bits to absorb the magnitude of the
     argument, so the reduction stays accurate for angles as large as 2^60
-    times a unit-scale phase.  Accepts float, int or mpf.
+    times a unit-scale phase.  Accepts float, int or mpf; the argument is
+    taken exactly, never rounded first.
+
+    The arithmetic runs on mpmath's raw libmp values (round to nearest),
+    which skips the context bookkeeping of two ``workprec`` scopes per call.
     """
-    if not mp.isfinite(angle):
+    x = angle._mpf_ if isinstance(angle, mpf) else mp.convert(angle)._mpf_
+    if x in (finf, fninf, fnan):
         raise ValueError("angle must be finite")
-    if angle == 0:
+    if x == fzero:
         return mpf(0)
-    extra = max(0, int(mp.mag(angle))) + _REDUCE_GUARD_BITS
-    with workprec(bits + extra):
-        x = angle if isinstance(angle, mpf) else mpf(angle)
-        two_pi = 2 * mp.pi
-        r = mp.fmod(x, two_pi)
-        if r < 0:
-            r += two_pi
-    with workprec(bits):
-        r = +r
-        two_pi = 2 * mp.pi
-        while r >= two_pi:
-            r -= two_pi
-        while r < 0:
-            r += two_pi
-    return r
+    _, _, exp, bc = x
+    wp = bits + max(0, exp + bc) + _REDUCE_GUARD_BITS
+    # mpf_mod by a positive modulus is never negative, but rounding can
+    # carry the remainder up to 2*pi, and 2*pi at ``bits`` may be smaller
+    two_pi = mpf_shift(mpf_pi(wp, round_nearest), 1)
+    r = mpf_pos(mpf_mod(x, two_pi, wp, round_nearest), bits, round_nearest)
+    two_pi = mpf_shift(mpf_pi(bits, round_nearest), 1)
+    if mpf_ge(r, two_pi):
+        r = mpf_sub(r, two_pi, bits, round_nearest)
+    return mp.make_mpf(r)
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -95,6 +96,49 @@ class TestCompareCommand:
                         "--steps", "5", "--format", "csv"], capsys)
         assert {r[1] for r in rows} == {"iterated", "simple"}
         assert all(r[2] == "abs-error" for r in rows)
+
+    def test_oracle_no_finer_than_method_exits_2(self, capsys):
+        for oracle_bits in ("53", "40"):
+            assert main(["compare", "--r", "-2", "--x0", "0.9", "--steps", "10",
+                         "--oracle-bits", oracle_bits]) == 2
+            assert "oracle bits" in capsys.readouterr().err
+        assert main(["compare", "--r", "-2", "--x0", "0.9", "--steps", "10",
+                     "--bits", "100", "--oracle-bits", "100"]) == 2
+        assert main(["compare", "--r", "-2", "--x0", "0.9", "--steps", "10",
+                     "--bits", "100", "--oracle-bits", "101"]) == 0
+
+    def test_one_oracle_serves_every_report(self, monkeypatch, capsys):
+        calls = []
+        real_oracle = map_standard.oracle
+
+        def counting_oracle(*args, **kwargs):
+            calls.append(args)
+            return real_oracle(*args, **kwargs)
+
+        monkeypatch.setattr(map_standard, "oracle", counting_oracle)
+        assert main(["compare", "--r", "-2", "--x0", "0.9",
+                     "--form", "table1", "--form", "simple"]) == 0
+        assert len(calls) == 1
+        doc = json.loads(capsys.readouterr().out)
+        assert [rep["label"] for rep in doc["reports"]] == ["iterated", "table1", "simple"]
+
+
+# SHA-256 of whole artifacts, captured before the closed-form trajectory and
+# the angle reduction were rewritten; both rewrites must keep every byte.
+GOLDEN_SHA256 = [
+    (["compare", "--r", "-2", "--x0", "0.9", "--form", "table1", "--form", "simple"],
+     "c57e476735943d7177a857f2b0aab06ce0361c69b570f4a0c343f6e81cd06c85"),
+    (["map3", "--r", "2", "--x0", "0.7", "--steps", "200", "--bits", "264",
+      "--form", "r2"],
+     "23f30c9937776367299b5164d76f77e6a9a50ea4db2aa13f9bb57dc704b8c996"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", GOLDEN_SHA256, ids=["compare", "map3-r2"])
+def test_golden_artifacts(argv, digest, capsys):
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("ascii")).hexdigest() == digest
 
 
 class TestRngCommand:

@@ -158,6 +158,48 @@ class TestClosedForm:
         assert traj.indices == (0, 1, 2, 3)
 
 
+class TestTrajectoryMatchesSingleStep:
+    """closed_form_trajectory hoists the arccos and carries the r2 base
+    forward; each sample must still be the single-step closed form, bit for
+    bit."""
+
+    N = 120
+
+    @pytest.mark.parametrize("variant,x0", [
+        (ClosedForm.R2_POWER, 0.3),
+        (ClosedForm.R2_POWER, 0.85),  # negative base 1 - 2*x0
+        (ClosedForm.R4_COSINE, 0.3),
+        (ClosedForm.RM2_COMPOSED, 0.9),
+        (ClosedForm.RM2_DIRECT, -0.3),
+    ])
+    @pytest.mark.parametrize("budgeted", [False, True])
+    def test_every_sample(self, variant, x0, budgeted):
+        p = MapParams(variant.required_r, x0)
+        policy = budgeted_policy(self.N) if budgeted else DOUBLE
+        traj = closed_form_trajectory(p, self.N, variant, policy)
+        assert traj.indices == tuple(range(self.N + 1))
+        for k, value in traj.samples:
+            assert value._mpf_ == closed_form(p, k, variant, policy)._mpf_, k
+
+    @pytest.mark.parametrize("variant", list(ClosedForm))
+    def test_n0_identity(self, variant):
+        for x0 in random_seeds(variant, 5):
+            p = MapParams(variant.required_r, x0)
+            for policy in (DOUBLE, budgeted_policy(0)):
+                traj = closed_form_trajectory(p, 0, variant, policy)
+                assert traj.indices == (0,)
+                assert traj.values[0]._mpf_ == closed_form(p, 0, variant, policy)._mpf_
+                assert float(traj.values[0]) == pytest.approx(x0, abs=1e-15)
+
+    def test_validates_like_single_step(self):
+        with pytest.raises(ValueError):
+            closed_form_trajectory(MapParams(3.0, 0.5), 1, ClosedForm.R4_COSINE)
+        with pytest.raises(ValueError):
+            closed_form_trajectory(MapParams(4.0, 0.5), -1, ClosedForm.R4_COSINE)
+        with pytest.raises(DomainError):
+            closed_form_trajectory(MapParams(-2.0, 1.6), 1, ClosedForm.RM2_COMPOSED)
+
+
 class TestForwardInvariance:
     def test_rm2_interval(self):
         policy = PrecisionPolicy(256)
@@ -249,6 +291,17 @@ class TestDivergence:
         b = divergence_analysis(p, ClosedForm.RM2_DIRECT, 60, 53, 0.01,
                                 oracle_bits=512)
         assert a.first_divergent_index == b.first_divergent_index is not None
+
+    @pytest.mark.parametrize("oracle_bits", [40, 53])
+    def test_oracle_no_finer_than_method_is_rejected(self, oracle_bits):
+        p = MapParams(-2.0, 0.9)
+        with pytest.raises(ValueError, match="oracle bits"):
+            divergence_analysis(p, ClosedForm.RM2_DIRECT, 60, 53, 0.01,
+                                oracle_bits=oracle_bits)
+        with pytest.raises(ValueError, match="oracle bits"):
+            iteration_divergence(p, 60, 53, 0.01, oracle_bits=oracle_bits)
+        with pytest.raises(ValueError, match="oracle bits"):
+            iteration_divergence(p, 60, 128, 0.01, oracle_bits=128)
 
 
 class TestPrng:

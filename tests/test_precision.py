@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -113,8 +114,9 @@ class TestReduceMod2Pi:
         assert err < 2.0 ** -(workbits - 70)
 
     def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            reduce_mod_2pi(math.inf, 53)
+        for angle in (math.inf, -math.inf, math.nan, mp.inf, mp.nan):
+            with pytest.raises(ValueError):
+                reduce_mod_2pi(angle, 53)
 
     @settings(max_examples=60, deadline=None)
     @given(x=st.floats(-10.0, 10.0), k=st.integers(-2**60, 2**60))
@@ -125,6 +127,66 @@ class TestReduceMod2Pi:
         a = reduce_mod_2pi(x, bits)
         b = reduce_mod_2pi(shifted, bits)
         assert circle_distance(a, b, bits) < 2.0 ** (8 - bits)
+
+
+def reference_reduce_mod_2pi(angle, bits=53):
+    """The context-based reduction that the libmp version must reproduce."""
+    if not mp.isfinite(angle):
+        raise ValueError("angle must be finite")
+    if angle == 0:
+        return mpf(0)
+    extra = max(0, int(mp.mag(angle))) + 20
+    with workprec(bits + extra):
+        x = angle if isinstance(angle, mpf) else mpf(angle)
+        two_pi = 2 * mp.pi
+        r = mp.fmod(x, two_pi)
+        if r < 0:
+            r += two_pi
+    with workprec(bits):
+        r = +r
+        two_pi = 2 * mp.pi
+        while r >= two_pi:
+            r -= two_pi
+        while r < 0:
+            r += two_pi
+    return r
+
+
+def regression_angles():
+    """(angle, bits) pairs covering the closed forms' angle shapes and plain inputs."""
+    rng = random.Random(2009)
+    cases = []
+    for bits in (53, 64, 120, 300, 1100):
+        stride = 1 if bits <= 120 else bits // 150
+        with workprec(bits):
+            thetas = [mp.acos(mpf(rng.uniform(-1, 1))) for _ in range(3)]
+            phi = mp.pi - 3 * mp.acos(mpf(rng.uniform(-1, 1)))
+            for n in range(0, bits + 51, stride):
+                for theta in thetas:
+                    cases.append((mp.ldexp(theta, n), bits))
+                    cases.append((-mp.ldexp(theta, n), bits))
+                scaled = mp.ldexp(phi, n)
+                cases.append(((mp.pi - scaled) / 3, bits))
+                cases.append(((mp.pi + scaled) / 3, bits))
+        for _ in range(40):
+            cases.append((math.ldexp(rng.uniform(-1, 1), rng.randint(-60, 1000)), bits))
+            cases.append((rng.randint(-2 ** 200, 2 ** 200), bits))
+        cases += [(v, bits) for v in (2 ** 80, -2 ** 80, 1e300, -1e300, 7, -1, 0.0, 0)]
+        with workprec(bits + 2000):
+            # more bits than bits + extra: the reduction must see all of them
+            cases.append((mp.ldexp(mp.acos(mpf("0.3")), 40), bits))
+            cases.append((-mp.ldexp(mp.acos(mpf("0.3")), bits), bits))
+    return cases
+
+
+class TestReduceMod2PiRegression:
+    def test_matches_context_based_reference(self):
+        cases = regression_angles()
+        assert len(cases) >= 5000
+        mismatches = [(angle, bits) for angle, bits in cases
+                      if reduce_mod_2pi(angle, bits)._mpf_
+                      != reference_reduce_mod_2pi(angle, bits)._mpf_]
+        assert mismatches == []
 
 
 class TestTrajectory:
