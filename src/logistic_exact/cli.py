@@ -4,8 +4,11 @@ Subcommands: ``ode`` (closed-form curves of the growth equation), ``map3``
 (quadratic map iteration / closed forms), ``map4`` (backward-coupled map),
 ``compare`` (round-off divergence reports against the oracle), ``figure``
 (presets 1-3 reproducing the reference parameter sets), and ``rng`` (chaos
-bits).  Output is CSV (default), JSON (default for ``compare``), or a
-minimal dependency-free SVG line chart.
+bits).  The runners return labelled library ``Trajectory`` values (``compare``
+returns divergence reports), and the emitters read method, precision and
+samples from them.  Output is CSV (default), JSON (default for ``compare``),
+or a minimal dependency-free SVG line chart.  Library warnings are printed
+as ``warning:`` lines on stderr.
 
 Exit codes: 0 success, 2 usage/validation problems, 3 mathematical
 domain/pole errors raised by the core modules.
@@ -15,6 +18,7 @@ import argparse
 import json
 import math
 import sys
+import warnings
 from dataclasses import dataclass, field
 
 from mpmath import mp
@@ -22,16 +26,13 @@ from mpmath.libmp import repr_dps
 
 from . import continuous, map_riccati, map_standard
 from .errors import DegeneracyError, DomainError, EscapeError, PoleError
-from .precision import (
-    METHOD_ITERATED,
-    METHOD_ODE_CLOSED_FORM,
-    PrecisionPolicy,
-)
+from .precision import DOUBLE, METHOD_ITERATED, PrecisionPolicy, Trajectory
 
 FIGURE_PRESETS = {
     "1": {"r": 1.7, "x0": 0.11, "gammas": (0.14, 0.15, 0.17, 0.25),
           "t_end": 10.0, "dt": 0.02},
-    "2": {"r": -2.0, "x0": 0.9, "steps": 60, "bits": 53},
+    "2": {"r": -2.0, "x0": 0.9, "steps": 60, "bits": 53,
+          "forms": ("table1", "simple")},
     "3": {"r": 1.73, "x0": 0.333, "gammas": (0.5, 1.0, 2.0, 5.0, 10.0),
           "steps": 50},
 }
@@ -47,14 +48,6 @@ class RunConfig:
     parameters: dict = field(default_factory=dict)
     output_format: str = "csv"
     output_path: str = "-"
-
-
-@dataclass
-class _Series:
-    label: str
-    method: str
-    bits: int
-    samples: list
 
 
 def _require_finite(name, value):
@@ -73,17 +66,12 @@ def _run_ode(params):
     r, x0 = params["r"], params["x0"]
     t_end = _get(params, "t_end", 10.0)
     dt = _get(params, "dt", 0.02)
-    if not (dt > 0 and t_end >= dt):
-        raise ValueError("need 0 < dt <= t_end")
     gammas = sorted(params.get("gammas") or ())
     p = continuous.ContinuousParams(r, x0)
-    ts = [k * dt for k in range(int(round(t_end / dt)) + 1)]
-    series = [_Series("particular", METHOD_ODE_CLOSED_FORM, 53,
-                      [(t, continuous.particular_solution(t, p)) for t in ts])]
+    series = [("particular", continuous.grid_trajectory(p, t_end, dt))]
     for g in gammas:
         shift = continuous.RiccatiShift(g)
-        series.append(_Series(f"gamma={g!r}", METHOD_ODE_CLOSED_FORM, 53,
-                              [(t, continuous.general_solution(t, p, shift)) for t in ts]))
+        series.append((f"gamma={g!r}", continuous.grid_trajectory(p, t_end, dt, shift)))
     config = {"subcommand": "ode", "r": r, "x0": x0, "gammas": list(gammas),
               "t_end": t_end, "dt": dt}
     return {"config": config, "series": series}
@@ -96,12 +84,10 @@ def _run_map3(params):
     forms = params.get("forms") or ()
     policy = PrecisionPolicy(bits)
     p = map_standard.MapParams(r, x0)
-    traj = map_standard.iterate(p, steps, policy)
-    series = [_Series("iterated", traj.method_tag, bits, list(traj.samples))]
+    series = [("iterated", map_standard.iterate(p, steps, policy))]
     for name in forms:
-        variant = map_standard.ClosedForm(name)
-        ct = map_standard.closed_form_trajectory(p, steps, variant, policy)
-        series.append(_Series(name, ct.method_tag, bits, list(ct.samples)))
+        series.append((name, map_standard.closed_form_trajectory(
+            p, steps, map_standard.ClosedForm(name), policy)))
     config = {"subcommand": "map3", "r": r, "x0": x0, "steps": steps,
               "bits": bits, "forms": list(forms)}
     return {"config": config, "series": series}
@@ -112,14 +98,11 @@ def _run_map4(params):
     steps = params["steps"]
     gammas = sorted(params.get("gammas") or ())
     p = map_riccati.RiccatiMapParams(r, x0)
-    traj = map_riccati.iterate(p, steps)
-    series = [_Series("iterated", traj.method_tag, 53, list(traj.samples))]
-    pt = map_riccati.particular_trajectory(p, steps)
-    series.append(_Series("particular", pt.method_tag, 53, list(pt.samples)))
+    series = [("iterated", map_riccati.iterate(p, steps)),
+              ("particular", map_riccati.particular_trajectory(p, steps))]
     coeffs = map_riccati.coefficients(p, steps) if steps > 0 else None
-    for g in gammas:
-        gt = map_riccati.general_trajectory(p, g, steps, coeffs)
-        series.append(_Series(f"gamma={g!r}", gt.method_tag, 53, list(gt.samples)))
+    series += [(f"gamma={g!r}", map_riccati.general_trajectory(p, g, steps, coeffs))
+               for g in gammas]
     config = {"subcommand": "map4", "r": r, "x0": x0, "steps": steps,
               "gammas": list(gammas)}
     return {"config": config, "series": series}
@@ -168,7 +151,7 @@ def _run_rng(params):
     count = params["count"]
     burn_in = _get(params, "burn_in", 0)
     bits = map_standard.prng_bits(x0, count, burn_in)
-    series = [_Series("bits", "prng", 53, list(enumerate(bits)))]
+    series = [("bits", Trajectory("prng", tuple(enumerate(bits)), DOUBLE))]
     config = {"subcommand": "rng", "x0": x0, "count": count, "burn_in": burn_in}
     return {"config": config, "series": series}
 
@@ -176,31 +159,10 @@ def _run_rng(params):
 def _run_figure(params):
     which = params["which"]
     preset = FIGURE_PRESETS[which]
-    if which == "1":
-        doc = _run_ode({"r": preset["r"], "x0": preset["x0"],
-                        "gammas": preset["gammas"], "t_end": preset["t_end"],
-                        "dt": preset["dt"]})
-    elif which == "2":
+    doc = {"1": _run_ode, "2": _run_map3, "3": _run_map4}[which](preset)
+    if which == "2":
         p = map_standard.MapParams(preset["r"], preset["x0"])
-        steps, bits = preset["steps"], preset["bits"]
-        policy = PrecisionPolicy(bits)
-        series = []
-        it = map_standard.iterate(p, steps, policy)
-        series.append(_Series("iterated", it.method_tag, bits, list(it.samples)))
-        for variant in (map_standard.ClosedForm.RM2_COMPOSED,
-                        map_standard.ClosedForm.RM2_DIRECT):
-            ct = map_standard.closed_form_trajectory(p, steps, variant, policy)
-            series.append(_Series(variant.value, ct.method_tag, bits, list(ct.samples)))
-        ref = map_standard.oracle(p, steps)
-        series.append(_Series("oracle", ref.method_tag,
-                              ref.precision.significand_bits, list(ref.samples)))
-        doc = {"config": {"subcommand": "map3", "r": preset["r"], "x0": preset["x0"],
-                          "steps": steps, "bits": bits,
-                          "forms": ["table1", "simple"]},
-               "series": series}
-    else:
-        doc = _run_map4({"r": preset["r"], "x0": preset["x0"],
-                         "gammas": preset["gammas"], "steps": preset["steps"]})
+        doc["series"].append(("oracle", map_standard.oracle(p, preset["steps"])))
     doc["config"] = {"subcommand": "figure", "which": which,
                      "preset": doc["config"]}
     return doc
@@ -245,10 +207,11 @@ def _json_value(v, bits):
 def _render_csv(doc):
     lines = ["index_or_time,series,method,value"]
     if "series" in doc:
-        for s in doc["series"]:
-            for i, v in s.samples:
-                lines.append(f"{_format_index(i)},{s.label},{s.method},"
-                             f"{_format_value(v, s.bits)}")
+        for label, traj in doc["series"]:
+            bits = traj.precision.significand_bits
+            for i, v in traj.samples:
+                lines.append(f"{_format_index(i)},{label},{traj.method_tag},"
+                             f"{_format_value(v, bits)}")
     else:
         for rep in doc["reports"]:
             for i, e in enumerate(rep["per_step_abs_error"]):
@@ -260,12 +223,13 @@ def _render_json(doc):
     obj = {"config": doc["config"]}
     if "series" in doc:
         obj["series"] = [{
-            "label": s.label,
-            "method": s.method,
-            "precision_bits": s.bits,
+            "label": label,
+            "method": traj.method_tag,
+            "precision_bits": traj.precision.significand_bits,
             "samples": [[_json_value(i, 53) if isinstance(i, (int, float)) else i,
-                         _json_value(v, s.bits)] for i, v in s.samples],
-        } for s in doc["series"]]
+                         _json_value(v, traj.precision.significand_bits)]
+                        for i, v in traj.samples],
+        } for label, traj in doc["series"]]
     else:
         obj["reports"] = doc["reports"]
     return json.dumps(obj, indent=2) + "\n"
@@ -277,8 +241,8 @@ _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd",
 
 def _svg_series(doc):
     if "series" in doc:
-        return [(s.label, [(float(i), float(v)) for i, v in s.samples])
-                for s in doc["series"]]
+        return [(label, [(float(i), float(v)) for i, v in traj.samples])
+                for label, traj in doc["series"]]
     return [(rep["label"],
              [(float(i), e) for i, e in enumerate(rep["per_step_abs_error"])])
             for rep in doc["reports"]]
@@ -433,29 +397,24 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-_PARAM_KEYS = {
-    "ode": ("r", "x0", "gammas", "t_end", "dt"),
-    "map3": ("r", "x0", "steps", "bits", "forms"),
-    "map4": ("r", "x0", "steps", "gammas"),
-    "compare": ("r", "x0", "steps", "bits", "threshold", "forms", "oracle_bits"),
-    "figure": ("which",),
-    "rng": ("x0", "count", "burn_in"),
-}
-
-
 def parse_args(argv=None) -> RunConfig:
-    ns = build_parser().parse_args(argv)
-    params = {k: getattr(ns, k) for k in _PARAM_KEYS[ns.subcommand]}
-    return RunConfig(ns.subcommand, params, ns.format, ns.out)
+    params = vars(build_parser().parse_args(argv))
+    subcommand, fmt, out = (params.pop(k) for k in ("subcommand", "format", "out"))
+    return RunConfig(subcommand, params, fmt, out)
 
 
 def main(argv=None) -> int:
     config = parse_args(argv)
-    try:
-        return run(config)
-    except (PoleError, DomainError, EscapeError, DegeneracyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    error = None
+    with warnings.catch_warnings(record=True) as caught:
+        try:
+            code = run(config)
+        except (PoleError, DomainError, EscapeError, DegeneracyError) as exc:
+            code, error = 3, exc
+        except ValueError as exc:
+            code, error = 2, exc
+    for message in dict.fromkeys(str(w.message) for w in caught):
+        print(f"warning: {message}", file=sys.stderr)
+    if error is not None:
+        print(f"error: {error}", file=sys.stderr)
+    return code

@@ -4,7 +4,8 @@ The equation is a constant-coefficient Riccati equation, so one known
 solution generates the whole family: every member is the basic sigmoid
 restarted from a shifted initial value gamma*x0/(gamma - x0).  All
 evaluation funnels through a single kernel for 1/(1 + c*exp(-r*t)); a
-classical Runge-Kutta integrator provides the independent cross-check.
+classical Runge-Kutta integrator provides the independent cross-check, on
+the same time grid as ``grid_trajectory``.
 
 The ODE side is not chaotic, so double precision is the default; pass a
 PrecisionPolicy for high-precision cross-checks.
@@ -17,12 +18,15 @@ from dataclasses import dataclass
 from mpmath import mp, mpf, workprec
 
 from .errors import DomainError, EscapeError, PoleError
-from .precision import DOUBLE, METHOD_ODE_RK4, PrecisionPolicy, Trajectory
+from .precision import (DOUBLE, METHOD_ODE_CLOSED_FORM, METHOD_ODE_RK4,
+                        PrecisionPolicy, Trajectory)
 
 # |denominator| below this counts as a true blow-up rather than underflow noise
 POLE_EPS = 1e-300
 _EXP_OVERFLOW = 709.0
 _ESCAPE_BOUND = 1e100
+# Largest time grid a trajectory may sample; bigger grids are refused up front
+MAX_GRID_POINTS = 10**7
 
 
 @dataclass(frozen=True)
@@ -164,6 +168,33 @@ def general_solution_correction_form(t: float, p: ContinuousParams,
         return x1 * (1 + 1 / inner)
 
 
+def _grid_steps(t_end: float, dt: float) -> int:
+    """Steps n of the grid k*dt, k = 0..n, ending at t_end; checked before allocating."""
+    if not (math.isfinite(t_end) and math.isfinite(dt) and 0 < dt <= t_end):
+        raise ValueError("need 0 < dt <= t_end")
+    steps = t_end / dt
+    if not steps + 1 <= MAX_GRID_POINTS:  # also catches t_end/dt overflowing to inf
+        raise ValueError(f"a grid of {steps + 1:g} points exceeds the limit of "
+                         f"{MAX_GRID_POINTS} grid points")
+    return int(round(steps))
+
+
+def grid_trajectory(p: ContinuousParams, t_end: float, dt: float,
+                    shift: RiccatiShift | None = None) -> Trajectory:
+    """Closed-form trajectory sampled at t = k*dt, on the grid of ``rk4_oracle``.
+
+    The particular solution, or the general-solution member selected by
+    ``shift``, evaluated point by point in double precision.
+    """
+    n = _grid_steps(t_end, dt)
+    if shift is None:
+        samples = tuple((k * dt, particular_solution(k * dt, p)) for k in range(n + 1))
+    else:
+        samples = tuple((k * dt, general_solution(k * dt, p, shift))
+                        for k in range(n + 1))
+    return Trajectory(METHOD_ODE_CLOSED_FORM, samples, DOUBLE)
+
+
 def rk4_oracle(p: ContinuousParams, t_end: float, dt: float) -> Trajectory:
     """Classical fourth-order Runge-Kutta trajectory sampled at multiples of dt.
 
@@ -172,11 +203,9 @@ def rk4_oracle(p: ContinuousParams, t_end: float, dt: float) -> Trajectory:
     |r|*dt < 0.1 keeps the integrator comfortably inside its stability
     region.
     """
-    if not (math.isfinite(t_end) and math.isfinite(dt) and 0 < dt <= t_end):
-        raise ValueError("need 0 < dt <= t_end")
+    n = _grid_steps(t_end, dt)
     if abs(p.r) * dt >= 0.1:
         raise ValueError("|r|*dt must stay below 0.1 for a trustworthy step")
-    n = int(round(t_end / dt))
     r = p.r
     x = p.x0
     samples = [(0.0, x)]

@@ -114,9 +114,9 @@ class Trajectory:
     """An ordered (index-or-time, value) series plus how it was produced.
 
     ``method_tag`` is one of the METHOD_* constants, optionally suffixed with
-    a variant, e.g. ``"closed-form:simple"``.  Values may be floats or mpf at
-    the declared precision; producers raise instead of emitting non-finite
-    samples, and this constructor enforces that.
+    a variant, e.g. ``"closed-form:simple"``.  Values may be ints, floats or
+    mpf at the declared precision; producers raise instead of emitting
+    non-finite samples, and this constructor enforces that.
     """
 
     method_tag: str
@@ -126,15 +126,19 @@ class Trajectory:
     def __post_init__(self):
         if not self.method_tag:
             raise ValueError("method_tag must be non-empty")
-        samples = tuple((i, v) for i, v in self.samples)
+        samples = tuple(self.samples)  # the same object when already a tuple
         if not samples:
             raise ValueError("a trajectory needs at least one sample")
+        if set(map(type, samples)) != {tuple}:
+            samples = tuple((i, v) for i, v in samples)
         prev = None
         for i, v in samples:
             if prev is not None and not i > prev:
                 raise ValueError("sample indices/times must be strictly increasing")
             prev = i
-            if not mp.isfinite(v):
+            # mp.isfinite would convert a native number to mpf first, which is slow
+            if not (math.isfinite(v) if isinstance(v, float)
+                    else isinstance(v, int) or mp.isfinite(v)):
                 raise ValueError(f"non-finite value at index {i!r}")
         object.__setattr__(self, "samples", samples)
 

@@ -66,6 +66,33 @@ class TestOdeCommand:
         assert main(["ode", "--r", "1.7", "--x0", "0.11", "--dt", "-0.5"]) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("r,x0,t_end,dt", [("1", "0.2", "1e300", "1e-300"),
+                                               ("1.7", "0.11", "1e9", "1e-9")])
+    def test_huge_grid_is_refused_before_evaluating(self, r, x0, t_end, dt,
+                                                    monkeypatch, capsys):
+        def never(*args, **kwargs):
+            raise AssertionError("evaluated a point of a grid that should be refused")
+
+        monkeypatch.setattr(continuous, "particular_solution", never)
+        assert main(["ode", "--r", r, "--x0", x0, "--t-end", t_end, "--dt", dt]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and "grid points" in captured.err
+
+    def test_low_gamma_warnings_are_diagnostic_lines(self, capsys):
+        argv = ["ode", "--r", "1.7", "--x0", "0.11", "--gamma", "0.08",
+                "--gamma", "0.05", "--t-end", "1", "--dt", "0.25"]
+        for _ in range(2):  # every run reports its warnings, not only the first
+            assert main(argv) == 0
+            captured = capsys.readouterr()
+            # stdout holds the artifact alone; its digest predates the diagnostic lines
+            assert hashlib.sha256(captured.out.encode("ascii")).hexdigest() == (
+                "15a2b089a529af96f79f4a7cb90774d837dfa327a629ad913c975b34a3f86d67")
+            lines = captured.err.splitlines()
+            assert len(lines) == 2
+            assert all(line.startswith("warning: gamma=0.0") for line in lines)
+            assert "0.05" in lines[0] and "0.08" in lines[1]
+
 
 class TestMap4Command:
     def test_series(self, capsys):
@@ -124,17 +151,44 @@ class TestCompareCommand:
 
 
 # SHA-256 of whole artifacts, captured before the closed-form trajectory and
-# the angle reduction were rewritten; both rewrites must keep every byte.
+# the angle reduction were rewritten, and (figures, ode, map4, rng) before the
+# CLI's series moved onto the library Trajectory; every rewrite keeps every byte.
 GOLDEN_SHA256 = [
     (["compare", "--r", "-2", "--x0", "0.9", "--form", "table1", "--form", "simple"],
      "c57e476735943d7177a857f2b0aab06ce0361c69b570f4a0c343f6e81cd06c85"),
     (["map3", "--r", "2", "--x0", "0.7", "--steps", "200", "--bits", "264",
       "--form", "r2"],
      "23f30c9937776367299b5164d76f77e6a9a50ea4db2aa13f9bb57dc704b8c996"),
+    (["figure", "1"], "212a775a3c840bd3d8e7f7e3b624c5bbbfd2779b064b2e57c9d5471b9efcfc02"),
+    (["figure", "1", "--format", "json"],
+     "f3625c31c2db65ccb3745a2b5eacbd216677ac639171a008c479a0b5d127d192"),
+    (["figure", "1", "--format", "svg"],
+     "fff304be014d64b86c8084e108f5b0735386d0e8ff26ce1d16d2425b388727b4"),
+    (["figure", "2"], "a8f3627ada28c8f8e8df0763598e5a61793720a9ca0f6a5f6d7846f332f5fe2a"),
+    (["figure", "2", "--format", "json"],
+     "d0e0669a589391a9e31ad5a75f76fdbbfe603e9df8c7d2671f7db59cd2a25657"),
+    (["figure", "2", "--format", "svg"],
+     "3d6c7c90b4fd2a0be0ad53269332b5294ec5d54503bc8723560ffffd1dd07920"),
+    (["figure", "3"], "4c5d7c5285086611cb4d7b5d84e5bbea4001a2b0735a2b33916907660055d704"),
+    (["figure", "3", "--format", "json"],
+     "4fe28d7e5c43514b7e437c191d491848a7891bbcdc224a442121178a66078686"),
+    (["figure", "3", "--format", "svg"],
+     "c384d680c99312f72f642e9b1630dde3ad79a39352c100751ab0a7f35df7c268"),
+    (["ode", "--r", "1.7", "--x0", "0.11", "--gamma", "0.25", "--gamma", "0.14",
+      "--t-end", "2", "--dt", "0.05"],
+     "b3f5ea734aa197a0d3d59c5e07a072b42d7ef6d147d503f467858945cdcd75b8"),
+    (["map4", "--r", "1.73", "--x0", "0.333", "--steps", "40", "--gamma", "5",
+      "--gamma", "0.5", "--format", "json"],
+     "949f617f6b289e268d0713a63920563426a84f2246e4198d40a291e96ead8755"),
+    (["rng", "--x0", "0.3", "--count", "5000", "--burn-in", "7", "--format", "json"],
+     "14afd9cb7988ab406a1468398950b8f20c8792791200f97a135024bf5b52d719"),
 ]
+GOLDEN_IDS = ["compare", "map3-r2"] + [f"figure{w}-{f}" for w in "123"
+                                       for f in ("csv", "json", "svg")] + [
+    "ode-gammas", "map4-gammas-json", "rng-json"]
 
 
-@pytest.mark.parametrize("argv,digest", GOLDEN_SHA256, ids=["compare", "map3-r2"])
+@pytest.mark.parametrize("argv,digest", GOLDEN_SHA256, ids=GOLDEN_IDS)
 def test_golden_artifacts(argv, digest, capsys):
     assert main(argv) == 0
     out = capsys.readouterr().out

@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from logistic_exact import continuous
 from logistic_exact.continuous import (
+    MAX_GRID_POINTS,
     ContinuousParams,
     GammaRangeWarning,
     RiccatiShift,
@@ -12,11 +14,12 @@ from logistic_exact.continuous import (
     gamma_lower_bound,
     general_solution,
     general_solution_correction_form,
+    grid_trajectory,
     particular_solution,
     rk4_oracle,
 )
 from logistic_exact.errors import DomainError, PoleError
-from logistic_exact.precision import PrecisionPolicy
+from logistic_exact.precision import PrecisionPolicy, compare_trajectories
 
 FIG1 = ContinuousParams(r=1.7, x0=0.11)
 FIG1_GAMMAS = (0.14, 0.15, 0.17, 0.25)
@@ -207,6 +210,60 @@ class TestRk4Oracle:
             rk4_oracle(FIG1, 1.0, 2.0)  # dt > t_end
         with pytest.raises(ValueError):
             rk4_oracle(ContinuousParams(100.0, 0.1), 1.0, 0.01)  # |r|*dt too big
+
+
+class TestGridTrajectory:
+    def test_samples_are_the_pointwise_closed_forms(self):
+        traj = grid_trajectory(FIG1, 10.0, 0.02)
+        assert traj.method_tag == "ode-closed-form"
+        assert traj.precision.significand_bits == 53
+        assert len(traj) == 501
+        assert all(v == particular_solution(t, FIG1) for t, v in traj.samples)
+        for g in FIG1_GAMMAS:
+            shift = RiccatiShift(g)
+            traj = grid_trajectory(FIG1, 10.0, 0.02, shift)
+            assert all(v == general_solution(t, FIG1, shift) for t, v in traj.samples)
+
+    @pytest.mark.parametrize("t_end,dt", [(10.0, 0.02), (1.0, 0.3), (0.25, 0.25), (7.0, 0.07)])
+    def test_same_grid_as_rk4(self, t_end, dt):
+        p = ContinuousParams(0.3, 0.11)
+        assert grid_trajectory(p, t_end, dt).indices == rk4_oracle(p, t_end, dt).indices
+
+    def test_compares_with_rk4(self):
+        rep = compare_trajectories(grid_trajectory(FIG1, 10.0, 0.02),
+                                   rk4_oracle(FIG1, 10.0, 0.02), 1e-6)
+        assert rep.first_divergent_index is None
+        assert rep.max_error < 1e-8
+        # a family member is the particular solution restarted from a shifted seed
+        shift = RiccatiShift(0.25)
+        shifted = ContinuousParams(FIG1.r, effective_initial_condition(FIG1, shift))
+        rep = compare_trajectories(grid_trajectory(FIG1, 10.0, 0.02, shift),
+                                   rk4_oracle(shifted, 10.0, 0.02), 1e-6)
+        assert rep.max_error < 1e-8
+
+    def test_bad_grid(self):
+        for t_end, dt in ((1.0, 2.0), (1.0, 0.0), (1.0, -0.5), (math.inf, 0.1),
+                          (1.0, math.nan)):
+            with pytest.raises(ValueError):
+                grid_trajectory(FIG1, t_end, dt)
+            with pytest.raises(ValueError):
+                rk4_oracle(FIG1, t_end, dt)
+
+    def test_huge_grid_refused_before_evaluating(self, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("evaluated a point of a grid that should be refused")
+
+        monkeypatch.setattr(continuous, "particular_solution", never)
+        monkeypatch.setattr(continuous, "general_solution", never)
+        for t_end, dt in ((1e300, 1e-300), (1e9, 1e-9), (float(MAX_GRID_POINTS), 1.0)):
+            for shift in (None, RiccatiShift(0.25)):
+                with pytest.raises(ValueError, match="grid points"):
+                    grid_trajectory(FIG1, t_end, dt, shift)
+        with pytest.raises(ValueError, match="grid points"):
+            rk4_oracle(FIG1, 1e300, 1e-300)
+        # the largest grid allowed holds MAX_GRID_POINTS points
+        with pytest.raises(AssertionError):
+            grid_trajectory(FIG1, MAX_GRID_POINTS - 1.0, 1.0)
 
 
 class TestParams:

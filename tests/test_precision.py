@@ -199,14 +199,42 @@ class TestTrajectory:
     def test_rejects_non_increasing(self):
         with pytest.raises(ValueError):
             Trajectory("iterated", ((0, 0.5), (0, 1.0)), DOUBLE)
+        with pytest.raises(ValueError):
+            Trajectory("iterated", ((0, 0.5), (1, 0.5), (1, 0.5)), DOUBLE)
+        with pytest.raises(ValueError):
+            Trajectory("iterated", ((0.5, 0.5), (0.25, 1.0)), DOUBLE)
 
     def test_rejects_non_finite(self):
+        for bad in (math.inf, -math.inf, math.nan, mpf("inf"), mpf("-inf"), mpf("nan")):
+            with pytest.raises(ValueError):
+                Trajectory("iterated", ((0, 0.5), (1, bad)), DOUBLE)
+
+    def test_accepts_ints_and_finite_mpf(self):
+        samples = ((0, 0), (1, 1), (2, 10**400), (3, -(10**400)), (4, mpf("1e100000")))
+        t = Trajectory("prng", samples, DOUBLE)
+        assert t.values == (0, 1, 10**400, -(10**400), mpf("1e100000"))
+
+    def test_pairs_become_tuples(self):
+        t = Trajectory("iterated", [[0, 0.5], [1, 1.0]], DOUBLE)
+        assert t.samples == ((0, 0.5), (1, 1.0))
+        assert type(t.samples) is tuple
+        assert all(type(s) is tuple for s in t.samples)
+        pairs = ((0, 0.5), (1, 1.0))
+        assert Trajectory("iterated", pairs, DOUBLE).samples is pairs  # not rebuilt
+        generated = Trajectory("iterated", ((k, 0.5) for k in range(3)), DOUBLE)
+        assert generated.samples == ((0, 0.5), (1, 0.5), (2, 0.5))
+
+    def test_rejects_samples_that_are_not_pairs(self):
         with pytest.raises(ValueError):
-            Trajectory("iterated", ((0, 0.5), (1, math.nan)), DOUBLE)
+            Trajectory("iterated", ((0, 0.5), (1, 1.0, 2.0)), DOUBLE)
+        with pytest.raises(ValueError):
+            Trajectory("iterated", ((0, 0.5), (1,)), DOUBLE)
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             Trajectory("iterated", (), DOUBLE)
+        with pytest.raises(ValueError):
+            Trajectory("", ((0, 0.5),), DOUBLE)
 
 
 def _traj(values, bits=53, start=0):
