@@ -15,6 +15,7 @@ domain/pole errors raised by the core modules.
 """
 
 import argparse
+import itertools
 import json
 import math
 import sys
@@ -100,9 +101,7 @@ def _run_map4(params):
     p = map_riccati.RiccatiMapParams(r, x0)
     series = [("iterated", map_riccati.iterate(p, steps)),
               ("particular", map_riccati.particular_trajectory(p, steps))]
-    coeffs = map_riccati.coefficients(p, steps) if steps > 0 else None
-    series += [(f"gamma={g!r}", map_riccati.general_trajectory(p, g, steps, coeffs))
-               for g in gammas]
+    series += [(f"gamma={g!r}", map_riccati.general_trajectory(p, g, steps)) for g in gammas]
     config = {"subcommand": "map4", "r": r, "x0": x0, "steps": steps,
               "gammas": list(gammas)}
     return {"config": config, "series": series}
@@ -204,21 +203,30 @@ def _json_value(v, bits):
     return mp.nstr(v, repr_dps(bits))
 
 
+def _joined(render):
+    """``render`` as one string, joined in batches: no list of every row or token."""
+    def text(doc):
+        chunks = render(doc)
+        return "".join(iter(lambda: "".join(itertools.islice(chunks, 4096)), ""))
+    return text
+
+
+@_joined
 def _render_csv(doc):
-    lines = ["index_or_time,series,method,value"]
+    yield "index_or_time,series,method,value\n"
     if "series" in doc:
         for label, traj in doc["series"]:
             bits = traj.precision.significand_bits
             for i, v in traj.samples:
-                lines.append(f"{_format_index(i)},{label},{traj.method_tag},"
-                             f"{_format_value(v, bits)}")
+                yield (f"{_format_index(i)},{label},{traj.method_tag},"
+                       f"{_format_value(v, bits)}\n")
     else:
         for rep in doc["reports"]:
             for i, e in enumerate(rep["per_step_abs_error"]):
-                lines.append(f"{i},{rep['label']},abs-error,{e!r}")
-    return "\n".join(lines) + "\n"
+                yield f"{i},{rep['label']},abs-error,{e!r}\n"
 
 
+@_joined
 def _render_json(doc):
     obj = {"config": doc["config"]}
     if "series" in doc:
@@ -232,7 +240,8 @@ def _render_json(doc):
         } for label, traj in doc["series"]]
     else:
         obj["reports"] = doc["reports"]
-    return json.dumps(obj, indent=2) + "\n"
+    # json.dumps(obj, indent=2) uses this encoder too, but lists every token first
+    return itertools.chain(json.JSONEncoder(indent=2).iterencode(obj), ["\n"])
 
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd",

@@ -17,12 +17,10 @@ from dataclasses import dataclass
 
 from mpmath import mp, mpf, workprec
 
-from .errors import DomainError, EscapeError, PoleError
+from .errors import POLE_EPS, DomainError, EscapeError, PoleError
 from .precision import (DOUBLE, METHOD_ODE_CLOSED_FORM, METHOD_ODE_RK4,
                         PrecisionPolicy, Trajectory)
 
-# |denominator| below this counts as a true blow-up rather than underflow noise
-POLE_EPS = 1e-300
 _EXP_OVERFLOW = 709.0
 _ESCAPE_BOUND = 1e100
 # Largest time grid a trajectory may sample; bigger grids are refused up front

@@ -1,4 +1,7 @@
-"""Exception types shared across the library."""
+"""Exception types and the pole threshold shared across the library."""
+
+# |denominator| below this counts as a true blow-up rather than underflow noise
+POLE_EPS = 1e-300
 
 
 class DomainError(ValueError):

@@ -4,14 +4,14 @@ Solving the implicit step for x' gives the Moebius map
 x' = x*(1+r)/(1 + r*x), so unlike the quadratic map there is no chaos and
 double precision suffices throughout.  The map inherits the ODE's whole
 solution structure: a sigmoid-like particular solution with e^r replaced by
-(1+r), and a one-parameter general family built from cumulative products of
-step coefficients.
+(1+r), and a one-parameter general family in which gamma only shifts the
+seed to x0 + 1/gamma, cross-checked by cumulative products of step coefficients.
 """
 
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, EscapeError, PoleError
+from .errors import POLE_EPS, DomainError, EscapeError, PoleError
 from .precision import (
     DOUBLE,
     METHOD_CLOSED_FORM,
@@ -19,7 +19,6 @@ from .precision import (
     Trajectory,
 )
 
-POLE_EPS = 1e-300
 _PRODUCT_GUARD = 1e300
 
 
@@ -128,14 +127,14 @@ def coefficients(p: RiccatiMapParams, n_max: int) -> RiccatiCoefficients:
 
 def general_solution(p: RiccatiMapParams, gamma: float, n: int,
                      coeffs: RiccatiCoefficients | None = None) -> float:
-    """The one-parameter family member
+    """The family member picked by gamma: as in the continuous case, gamma
+    only shifts the seed, so this is the particular solution from x0 + 1/gamma.
+
+    Passing ``coeffs`` selects the independent cross-check instead, O(n) per
+    sample and raising EscapeError when its product leaves the guarded range
+    (an empty product is 1, an empty sum 0):
 
         x_n + prod(1/g_k, k<n) / (gamma + sum(prod(1/g_j, j<=k) * h_k, k<n))
-
-    with the empty product equal to 1 and the empty sum equal to 0, so n=0
-    yields x0 + 1/gamma: as in the continuous case, gamma shifts the initial
-    condition.  ``coeffs`` computed once per (r, x0) may be shared across
-    gamma sweeps.
     """
     if not isinstance(n, int) or n < 0:
         raise ValueError("n must be a non-negative integer")
@@ -143,8 +142,13 @@ def general_solution(p: RiccatiMapParams, gamma: float, n: int,
         raise DomainError("gamma must be finite and nonzero")
     _check_closed_form_params(p)
     if coeffs is None:
-        coeffs = coefficients(p, n) if n > 0 else RiccatiCoefficients((), ())
-    elif len(coeffs.g) < n:
+        seed = p.x0 + 1.0 / gamma
+        if not math.isfinite(seed):
+            raise PoleError("gamma is too close to 0: the shifted seed x0 + 1/gamma overflows")
+        if n == 0 or seed == 0:  # seed 0 is the fixed point x = 0, not a closed-form seed
+            return seed
+        return particular_solution(RiccatiMapParams(p.r, seed), n)
+    if len(coeffs.g) < n:
         raise ValueError(f"coefficients cover {len(coeffs.g)} steps, need {n}")
     running = 1.0  # prod_{j<=k} 1/g_j while summing, equals prod_{k<n} 1/g_k at the end
     acc = 0.0
@@ -167,11 +171,7 @@ def particular_trajectory(p: RiccatiMapParams, n: int) -> Trajectory:
     return Trajectory(f"{METHOD_CLOSED_FORM}:particular", samples, DOUBLE)
 
 
-def general_trajectory(p: RiccatiMapParams, gamma: float, n: int,
-                       coeffs: RiccatiCoefficients | None = None) -> Trajectory:
-    """Trajectory of the general solution over steps 0..n (coefficients are
-    computed once and reused across the steps)."""
-    if coeffs is None and n > 0:
-        coeffs = coefficients(p, n)
-    samples = tuple((k, general_solution(p, gamma, k, coeffs)) for k in range(n + 1))
+def general_trajectory(p: RiccatiMapParams, gamma: float, n: int) -> Trajectory:
+    """Trajectory of the general solution over steps 0..n."""
+    samples = tuple((k, general_solution(p, gamma, k)) for k in range(n + 1))
     return Trajectory(f"{METHOD_CLOSED_FORM}:general", samples, DOUBLE)

@@ -3,6 +3,7 @@ import math
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mpmath import mpf, workprec
 
 from logistic_exact import continuous
 from logistic_exact.errors import DomainError, EscapeError, PoleError
@@ -168,6 +169,69 @@ class TestGeneralSolution:
         with pytest.raises(ValueError):
             general_solution(FIG3, 1.0, 5, cs)
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.floats(0.05, 5.0),
+           st.floats(0.05, 0.95),
+           st.floats(0.3, 50.0),
+           st.integers(1, 50))
+    def test_shifted_seed_agrees_with_product_route(self, r, x0, gamma, n):
+        p = RiccatiMapParams(r, x0)
+        cs = coefficients(p, n)
+        for k in range(n + 1):
+            primary = general_solution(p, gamma, k)
+            assert abs(primary - general_solution(p, gamma, k, cs)) <= 1e-12
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.floats(0.05, 5.0),
+           st.floats(0.05, 0.95),
+           st.floats(0.3, 50.0),
+           st.integers(1, 50))
+    def test_shifted_seed_satisfies_recurrence(self, r, x0, gamma, n):
+        p = RiccatiMapParams(r, x0)
+        xn = general_solution(p, gamma, n)
+        xn1 = general_solution(p, gamma, n + 1)
+        residual = (xn1 - xn) - r * xn * (1.0 - xn1)
+        assert abs(residual) < 1e-10
+
+    def test_shifted_seed_within_4_ulp_of_400_bit_member(self):
+        # the member exactly: the particular solution from x0 + 1/gamma, with
+        # r, x0 and gamma taken as the doubles they are
+        worst = 0.0
+        for r in (0.5, 1.0, 1.73, 3.0):
+            for x0 in (0.11, 0.333, 0.7):
+                p = RiccatiMapParams(r, x0)
+                for gamma in (0.5, 1.0, 2.0, 5.0, 10.0):
+                    for n in range(61):
+                        got = general_solution(p, gamma, n)
+                        with workprec(400):
+                            seed = mpf(x0) + 1 / mpf(gamma)
+                            want = 1 / (1 + (1 / seed - 1) * (1 + mpf(r)) ** (-n))
+                            err = abs(mpf(got) - want) / math.ulp(float(want))
+                        worst = max(worst, float(err))
+        assert worst <= 4.0
+
+    def test_huge_shifted_seed_at_n0(self):
+        # 1/s - 1 rounds to -1 for a shifted seed |s| >= 2**53; n = 0 must not hit that pole
+        assert general_solution(FIG3, 1e-17, 0) == FIG3.x0 + 1e17
+        assert general_solution(FIG3, 1e-17, 1) == pytest.approx(2.73 / 1.73, rel=1e-15)
+
+    def test_zero_shifted_seed_is_the_zero_orbit(self):
+        p = RiccatiMapParams(1.0, 0.5)
+        assert general_trajectory(p, -2.0, 20).values == (0.0,) * 21
+
+    def test_overflowing_shift_is_a_pole(self):
+        for n in (0, 5):
+            with pytest.raises(PoleError, match="overflows"):
+                general_solution(FIG3, 5e-324, n)
+
+    def test_validation_order(self):
+        with pytest.raises(DomainError, match="gamma"):
+            general_solution(RiccatiMapParams(-1.0, 0.0), 0.0, 1)
+        with pytest.raises(DomainError, match="r = -1"):
+            general_solution(RiccatiMapParams(-1.0, 0.0), 2.0, 1)
+        with pytest.raises(DomainError, match="x0 != 0"):
+            general_solution(RiccatiMapParams(1.0, 0.0), 2.0, 1)  # shifted seed 0.5
+
 
 class TestTrajectories:
     def test_particular_trajectory_tags(self):
@@ -179,3 +243,11 @@ class TestTrajectories:
         traj = general_trajectory(FIG3, 2.0, 12)
         for n, v in traj.samples:
             assert v == general_solution(FIG3, 2.0, n)
+
+    def test_general_trajectory_needs_no_coefficients(self, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("the coefficient products were computed")
+
+        monkeypatch.setattr("logistic_exact.map_riccati.coefficients", never)
+        traj = general_trajectory(FIG3, 2.0, 10_000)
+        assert len(traj) == 10_001 and abs(traj.values[-1] - 1.0) < 1e-15
