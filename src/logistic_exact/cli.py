@@ -40,6 +40,10 @@ FIGURE_PRESETS = {
 
 _FORM_CHOICES = tuple(v.value for v in map_standard.ClosedForm)
 
+# A series may hold no more samples than an ode grid may have points, and no
+# more significand bits in all than this; larger ones would exhaust memory.
+MAX_SERIES_BITS = 2**33
+
 
 @dataclass
 class RunConfig:
@@ -59,6 +63,16 @@ def _require_finite(name, value):
 def _get(params, key, default):
     value = params.get(key)
     return default if value is None else value
+
+
+def _check_series(samples, bits=53):
+    """Refuse a series too large to hold, before any of it is evaluated."""
+    if samples > continuous.MAX_GRID_POINTS:
+        raise ValueError(f"a series of {samples} samples exceeds the limit of "
+                         f"{continuous.MAX_GRID_POINTS} samples")
+    if samples * bits > MAX_SERIES_BITS:
+        raise ValueError(f"{samples} samples of {bits} bits exceed the limit of "
+                         f"{MAX_SERIES_BITS} significand bits per series")
 
 
 # ---------------------------------------------------------------- runners
@@ -84,6 +98,7 @@ def _run_map3(params):
     bits = _get(params, "bits", 53)
     forms = params.get("forms") or ()
     policy = PrecisionPolicy(bits)
+    _check_series(steps + 1, bits)
     p = map_standard.MapParams(r, x0)
     series = [("iterated", map_standard.iterate(p, steps, policy))]
     for name in forms:
@@ -98,6 +113,7 @@ def _run_map4(params):
     r, x0 = params["r"], params["x0"]
     steps = params["steps"]
     gammas = sorted(params.get("gammas") or ())
+    _check_series(steps + 1)
     p = map_riccati.RiccatiMapParams(r, x0)
     series = [("iterated", map_riccati.iterate(p, steps)),
               ("particular", map_riccati.particular_trajectory(p, steps))]
@@ -115,6 +131,7 @@ def _run_compare(params):
     forms = params.get("forms") or ()
     ref_policy = map_standard._oracle_policy(steps, bits, params.get("oracle_bits"))
     resolved = ref_policy.significand_bits
+    _check_series(steps + 1, resolved)  # the oracle, the largest series
     working = PrecisionPolicy(bits)
     p = map_standard.MapParams(r, x0)
     reports = []
@@ -149,6 +166,7 @@ def _run_rng(params):
     x0 = params["x0"]
     count = params["count"]
     burn_in = _get(params, "burn_in", 0)
+    _check_series(count)
     bits = map_standard.prng_bits(x0, count, burn_in)
     series = [("bits", Trajectory("prng", tuple(enumerate(bits)), DOUBLE))]
     config = {"subcommand": "rng", "x0": x0, "count": count, "burn_in": burn_in}

@@ -84,14 +84,18 @@ def _check_closed_form_params(p: RiccatiMapParams):
 
 
 def particular_solution(p: RiccatiMapParams, n: int) -> float:
-    """The sigmoid analogue 1/(1 + (1/x0 - 1)*(1+r)^-n).
+    """The sigmoid analogue 1/(1 + (1/x0 - 1)*(1+r)^-n); x0 itself at n = 0.
 
     Agrees with ``iterate`` exactly in exact arithmetic; the discrete
-    counterpart of the ODE solution with e^r replaced by (1+r).
+    counterpart of the ODE solution with e^r replaced by (1+r).  Returning the
+    seed at n = 0 keeps huge seeds (|x0| from about 2^53 on), for which
+    1/x0 - 1 rounds to -1, off the formula's false pole there.
     """
     if not isinstance(n, int) or n < 0:
         raise ValueError("n must be a non-negative integer")
     _check_closed_form_params(p)
+    if n == 0:
+        return float(p.x0)
     c = 1.0 / p.x0 - 1.0
     if c == 0.0:
         return 1.0
@@ -145,7 +149,7 @@ def general_solution(p: RiccatiMapParams, gamma: float, n: int,
         seed = p.x0 + 1.0 / gamma
         if not math.isfinite(seed):
             raise PoleError("gamma is too close to 0: the shifted seed x0 + 1/gamma overflows")
-        if n == 0 or seed == 0:  # seed 0 is the fixed point x = 0, not a closed-form seed
+        if seed == 0:  # the fixed point x = 0, not a closed-form seed
             return seed
         return particular_solution(RiccatiMapParams(p.r, seed), n)
     if len(coeffs.g) < n:

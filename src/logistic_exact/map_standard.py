@@ -27,6 +27,25 @@ from enum import Enum
 from typing import Callable
 
 from mpmath import mp, mpf, workprec
+from mpmath.libmp import (
+    fhalf,
+    fone,
+    from_float,
+    from_int,
+    ftwo,
+    mpf_abs,
+    mpf_acos,
+    mpf_add,
+    mpf_cos,
+    mpf_div,
+    mpf_gt,
+    mpf_mul,
+    mpf_mul_int,
+    mpf_neg,
+    mpf_shift,
+    mpf_sub,
+    round_nearest,
+)
 
 from .errors import DegeneracyError, DomainError, EscapeError
 from .precision import (
@@ -37,6 +56,8 @@ from .precision import (
     DivergenceReport,
     PrecisionPolicy,
     Trajectory,
+    _pi,
+    _raw_mpf,
     budgeted_policy,
     compare_trajectories,
     precision_budget,
@@ -112,21 +133,28 @@ _SEED_DOMAIN = {
 def iterate(p: MapParams, n: int, policy: PrecisionPolicy = DOUBLE) -> Trajectory:
     """Samples 0..n of the exact recurrence at the policy's precision.
 
-    A 53-bit policy reproduces IEEE double arithmetic step for step.  Raises
+    Each step is ``r * x * (1 - x)`` rounded to nearest at the policy's
+    significand width, on raw libmp values.  A 53-bit policy rounds like IEEE
+    doubles but has an unbounded exponent, so it matches the float recurrence
+    only while the orbit stays in the normal range of doubles: for
+    ``MapParams(0.5, 0.3)``, whose orbit decays towards 0, the first mismatch
+    is at step 1023, where the doubles have gone subnormal.  Raises
     EscapeError with the offending index if the orbit passes 1e100.
     """
     if not isinstance(n, int) or n < 0:
         raise ValueError("n must be a non-negative integer")
-    with workprec(policy.significand_bits):
-        r = mpf(p.r)
-        x = mpf(p.x0)
-        samples = [(0, x)]
-        for k in range(1, n + 1):
-            x = r * x * (1 - x)
-            if abs(x) > ESCAPE_BOUND:
-                raise EscapeError(f"orbit escaped past {ESCAPE_BOUND:g} at step {k}",
-                                  index=k)
-            samples.append((k, x))
+    bits = policy.significand_bits
+    rnd = round_nearest
+    r = _raw_mpf(p.r, bits)
+    x = _raw_mpf(p.x0, bits)
+    bound = from_float(ESCAPE_BOUND)
+    make = mp.make_mpf
+    samples = [(0, make(x))]
+    for k in range(1, n + 1):
+        x = mpf_mul(mpf_mul(r, x, bits, rnd), mpf_sub(fone, x, bits, rnd), bits, rnd)
+        if mpf_gt(mpf_abs(x), bound):
+            raise EscapeError(f"orbit escaped past {ESCAPE_BOUND:g} at step {k}", index=k)
+        samples.append((k, make(x)))
     return Trajectory(METHOD_ITERATED, tuple(samples), policy)
 
 
@@ -159,39 +187,48 @@ def _check_closed_form(p: MapParams, n: int, variant: ClosedForm) -> None:
             f"(arccos domain of variant {variant.value!r})")
 
 
-_HALF = mpf(0.5)
+_THREE = from_int(3)
+
+# The closed forms below run on raw libmp values, each operation rounded to
+# nearest at ``bits``: the same calls, in the same order, that the mpf
+# expressions in the comments make under ``workprec(bits)``.
 
 
-def _phase(p: MapParams, variant: ClosedForm) -> mpf:
-    """The step-independent part of a closed form, at the working precision:
+def _phase(p: MapParams, variant: ClosedForm, bits: int) -> tuple:
+    """The step-independent part of a closed form, raw at ``bits``:
     the base 1 - 2*x0 for r2, the arccos for r4 and simple, and
     pi - 3*arccos(1/2 - x0) for table1."""
-    x0 = mpf(p.x0)
-    if variant is ClosedForm.R2_POWER:
-        return 1 - 2 * x0
-    if variant is ClosedForm.R4_COSINE:
-        return mp.acos(1 - 2 * x0)
-    if variant is ClosedForm.RM2_DIRECT:
-        return mp.acos(x0 - _HALF)
-    return mp.pi - 3 * mp.acos(_HALF - x0)
+    rnd = round_nearest
+    x0 = _raw_mpf(p.x0, bits)
+    if variant is ClosedForm.RM2_DIRECT:  # acos(x0 - 1/2)
+        return mpf_acos(mpf_sub(x0, fhalf, bits, rnd), bits, rnd)
+    if variant is ClosedForm.RM2_COMPOSED:  # pi - 3*acos(1/2 - x0)
+        acos = mpf_acos(mpf_sub(fhalf, x0, bits, rnd), bits, rnd)
+        return mpf_sub(_pi(bits), mpf_mul_int(acos, 3, bits, rnd), bits, rnd)
+    base = mpf_sub(fone, mpf_mul_int(x0, 2, bits, rnd), bits, rnd)  # 1 - 2*x0
+    return base if variant is ClosedForm.R2_POWER else mpf_acos(base, bits, rnd)
 
 
-def _sample(variant: ClosedForm, phase: mpf, n: int, bits: int) -> mpf:
-    """The closed form at step n from its phase, at the working precision.
+def _sample(variant: ClosedForm, phase: tuple, n: int, bits: int) -> tuple:
+    """The closed form at step n from its raw phase, raw at ``bits``.
 
     For r2 the caller passes the base already squared n times; for the
     cosine forms the angle is scaled by 2^n here and reduced mod 2*pi.
     """
-    if variant is ClosedForm.R2_POWER:
-        return (1 - phase) / 2
-    if variant is ClosedForm.R4_COSINE:
-        return (1 - mp.cos(reduce_mod_2pi(mp.ldexp(phase, n), bits))) / 2
-    if variant is ClosedForm.RM2_DIRECT:
-        return _HALF + mp.cos(reduce_mod_2pi(mp.ldexp(phase, n), bits))
-    scaled = mp.ldexp(phase, n)
-    if n % 2 == 1:
-        scaled = -scaled
-    return _HALF - mp.cos(reduce_mod_2pi((mp.pi - scaled) / 3, bits))
+    rnd = round_nearest
+    if variant is ClosedForm.R2_POWER:  # (1 - base) / 2
+        return mpf_div(mpf_sub(fone, phase, bits, rnd), ftwo, bits, rnd)
+    angle = mpf_shift(phase, n)  # ldexp(phase, n)
+    if variant is ClosedForm.RM2_COMPOSED:  # (pi - (-2)^n * phase) / 3
+        if n % 2 == 1:
+            angle = mpf_neg(angle, bits, rnd)
+        angle = mpf_div(mpf_sub(_pi(bits), angle, bits, rnd), _THREE, bits, rnd)
+    c = mpf_cos(reduce_mod_2pi(mp.make_mpf(angle), bits)._mpf_, bits, rnd)
+    if variant is ClosedForm.R4_COSINE:  # (1 - c) / 2
+        return mpf_div(mpf_sub(fone, c, bits, rnd), ftwo, bits, rnd)
+    if variant is ClosedForm.RM2_DIRECT:  # 1/2 + c
+        return mpf_add(fhalf, c, bits, rnd)
+    return mpf_sub(fhalf, c, bits, rnd)  # table1: 1/2 - c
 
 
 def closed_form(p: MapParams, n: int, variant: ClosedForm,
@@ -206,12 +243,11 @@ def closed_form(p: MapParams, n: int, variant: ClosedForm,
     """
     _check_closed_form(p, n, variant)
     bits = policy.significand_bits
-    with workprec(bits):
-        phase = _phase(p, variant)
-        if variant is ClosedForm.R2_POWER:
-            for _ in range(n):
-                phase = phase * phase
-        return _sample(variant, phase, n, bits)
+    phase = _phase(p, variant, bits)
+    if variant is ClosedForm.R2_POWER:
+        for _ in range(n):
+            phase = mpf_mul(phase, phase, bits, round_nearest)
+    return mp.make_mpf(_sample(variant, phase, n, bits))
 
 
 def closed_form_trajectory(p: MapParams, n: int, variant: ClosedForm,
@@ -225,13 +261,13 @@ def closed_form_trajectory(p: MapParams, n: int, variant: ClosedForm,
     _check_closed_form(p, n, variant)
     bits = policy.significand_bits
     squares = variant is ClosedForm.R2_POWER
+    make = mp.make_mpf
+    phase = _phase(p, variant, bits)
     samples = []
-    with workprec(bits):
-        phase = _phase(p, variant)
-        for k in range(n + 1):
-            samples.append((k, _sample(variant, phase, k, bits)))
-            if squares:
-                phase = phase * phase
+    for k in range(n + 1):
+        samples.append((k, make(_sample(variant, phase, k, bits))))
+        if squares:
+            phase = mpf_mul(phase, phase, bits, round_nearest)
     return Trajectory(f"{METHOD_CLOSED_FORM}:{variant.value}", tuple(samples), policy)
 
 

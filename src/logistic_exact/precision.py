@@ -14,13 +14,15 @@ prefer processes over threads.
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
-from mpmath import mp, mpf, workprec
+from mpmath import mp, mpf
 from mpmath.libmp import (
     finf,
     fnan,
     fninf,
     fzero,
+    mpf_abs,
     mpf_ge,
     mpf_mod,
     mpf_pi,
@@ -28,6 +30,7 @@ from mpmath.libmp import (
     mpf_shift,
     mpf_sub,
     round_nearest,
+    to_float,
 )
 
 METHOD_ITERATED = "iterated"
@@ -37,6 +40,7 @@ METHOD_ODE_CLOSED_FORM = "ode-closed-form"
 METHOD_ODE_RK4 = "ode-rk4"
 
 _REDUCE_GUARD_BITS = 20
+_NON_FINITE = (finf, fninf, fnan)
 
 
 @dataclass(frozen=True)
@@ -81,6 +85,13 @@ def budgeted_policy(n_steps: int, bits_lost_per_step: float = 1.0,
                            policy.baseline_bits)
 
 
+@lru_cache(maxsize=1024)
+def _pi(prec: int) -> tuple:
+    """pi, raw, rounded to nearest at ``prec`` bits: ``mpf_pi`` re-rounds its
+    cached digits on every call, which costs more than the lookup here."""
+    return mpf_pi(prec, round_nearest)
+
+
 def reduce_mod_2pi(angle, bits: int = 53) -> mpf:
     """Reduce ``angle`` into [0, 2*pi) at ``bits`` of precision.
 
@@ -93,7 +104,7 @@ def reduce_mod_2pi(angle, bits: int = 53) -> mpf:
     which skips the context bookkeeping of two ``workprec`` scopes per call.
     """
     x = angle._mpf_ if isinstance(angle, mpf) else mp.convert(angle)._mpf_
-    if x in (finf, fninf, fnan):
+    if x in _NON_FINITE:
         raise ValueError("angle must be finite")
     if x == fzero:
         return mpf(0)
@@ -101,12 +112,23 @@ def reduce_mod_2pi(angle, bits: int = 53) -> mpf:
     wp = bits + max(0, exp + bc) + _REDUCE_GUARD_BITS
     # mpf_mod by a positive modulus is never negative, but rounding can
     # carry the remainder up to 2*pi, and 2*pi at ``bits`` may be smaller
-    two_pi = mpf_shift(mpf_pi(wp, round_nearest), 1)
+    two_pi = mpf_shift(_pi(wp), 1)
     r = mpf_pos(mpf_mod(x, two_pi, wp, round_nearest), bits, round_nearest)
-    two_pi = mpf_shift(mpf_pi(bits, round_nearest), 1)
+    two_pi = mpf_shift(_pi(bits), 1)
     if mpf_ge(r, two_pi):
         r = mpf_sub(r, two_pi, bits, round_nearest)
     return mp.make_mpf(r)
+
+
+def _raw_mpf(value, bits: int) -> tuple:
+    """``value`` as a raw libmp value, converted as ``mpf(value)`` converts it
+    under ``workprec(bits)``: rounded to ``bits``, to nearest.
+
+    The per-step loops of the library run on such raw values with the libmp
+    calls that mpf arithmetic makes, at the same precision and rounding, so
+    their results are bit for bit those of the mpf expressions.
+    """
+    return mpf(value, prec=bits, rounding=round_nearest)._mpf_
 
 
 @dataclass(frozen=True)
@@ -136,9 +158,14 @@ class Trajectory:
             if prev is not None and not i > prev:
                 raise ValueError("sample indices/times must be strictly increasing")
             prev = i
-            # mp.isfinite would convert a native number to mpf first, which is slow
-            if not (math.isfinite(v) if isinstance(v, float)
-                    else isinstance(v, int) or mp.isfinite(v)):
+            # mp.isfinite is slow: it converts native numbers to mpf first
+            if isinstance(v, float):
+                finite = math.isfinite(v)
+            elif isinstance(v, mpf):
+                finite = v._mpf_ not in _NON_FINITE
+            else:
+                finite = isinstance(v, int) or mp.isfinite(v)
+            if not finite:
                 raise ValueError(f"non-finite value at index {i!r}")
         object.__setattr__(self, "samples", samples)
 
@@ -193,21 +220,21 @@ def compare_trajectories(a: Trajectory, b: Trajectory,
     """Report the absolute per-step differences of two trajectories.
 
     The trajectories must be sampled on the identical index set.  The
-    subtraction is carried out at the higher of the two precisions; the
-    report stores the differences as doubles.
+    subtraction is carried out 10 bits above the higher of the two
+    precisions, on raw libmp values; the report stores the differences as
+    doubles.
     """
     if len(a.samples) != len(b.samples):
         raise ValueError(
             f"trajectories have different lengths ({len(a.samples)} vs {len(b.samples)})")
-    for (ia, _), (ib, _) in zip(a.samples, b.samples):
+    bits = max(a.precision.significand_bits, b.precision.significand_bits) + 10
+    errors = []
+    for (ia, va), (ib, vb) in zip(a.samples, b.samples):
         if ia != ib:
             raise ValueError(
                 f"trajectory index sets differ (first mismatch: {ia!r} vs {ib!r})")
-    bits = max(a.precision.significand_bits, b.precision.significand_bits) + 10
-    errors = []
-    with workprec(bits):
-        for (_, va), (_, vb) in zip(a.samples, b.samples):
-            xa = va if isinstance(va, mpf) else mpf(va)
-            xb = vb if isinstance(vb, mpf) else mpf(vb)
-            errors.append(float(abs(xa - xb)))
+        xa = va._mpf_ if isinstance(va, mpf) else _raw_mpf(va, bits)
+        xb = vb._mpf_ if isinstance(vb, mpf) else _raw_mpf(vb, bits)
+        errors.append(to_float(mpf_abs(mpf_sub(xa, xb, bits, round_nearest)),
+                               rnd=round_nearest))
     return DivergenceReport.from_errors(errors, threshold)

@@ -4,9 +4,9 @@ import json
 import pytest
 from mpmath import mpf, workprec
 
-from logistic_exact import cli, continuous, map_standard
+from logistic_exact import cli, continuous, map_riccati, map_standard
 from logistic_exact.cli import FIGURE_PRESETS, RunConfig, main, run
-from logistic_exact.precision import PrecisionPolicy
+from logistic_exact.precision import DivergenceReport, PrecisionPolicy
 
 
 def rows_of(csv_text):
@@ -114,6 +114,12 @@ class TestMap4Command:
         assert len(rows) == 3 * 10_001
 
 
+    def test_huge_seed_has_no_pole_at_n0(self, capsys):
+        rows = run_csv(["map4", "--r", "1", "--x0", "1e17", "--steps", "3"], capsys)
+        particular = [r[3] for r in rows if r[1] == "particular"]
+        assert particular[:2] == ["1e+17", "2.0"]
+
+
 class TestCompareCommand:
     def test_emits_three_reports(self, capsys):
         assert main(["compare", "--r", "-2", "--x0", "0.9", "--form", "table1",
@@ -157,6 +163,55 @@ class TestCompareCommand:
         assert len(calls) == 1
         doc = json.loads(capsys.readouterr().out)
         assert [rep["label"] for rep in doc["reports"]] == ["iterated", "table1", "simple"]
+
+
+class TestSeriesLimits:
+    """Series that would exhaust memory are refused before any evaluation."""
+
+    @pytest.fixture(autouse=True)
+    def no_evaluation(self, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("evaluated a series that should be refused")
+
+        for name in ("iterate", "oracle", "closed_form_trajectory", "prng_bits"):
+            monkeypatch.setattr(map_standard, name, never)
+        for name in ("iterate", "particular_trajectory", "general_trajectory"):
+            monkeypatch.setattr(map_riccati, name, never)
+
+    @pytest.mark.parametrize("argv", [
+        ["map3", "--r", "4", "--x0", "0.3", "--steps", "1000000000"],
+        ["map3", "--r", "4", "--x0", "0.3", "--steps", "10000000", "--form", "r4"],
+        ["map4", "--r", "1.73", "--x0", "0.333", "--steps", "10000000"],
+        ["compare", "--r", "-2", "--x0", "0.9", "--steps", "1000000000"],
+        ["rng", "--x0", "0.3", "--count", "1000000000"],
+        ["rng", "--x0", "0.3", "--count", "10000001"],
+    ])
+    def test_too_many_samples(self, argv, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and "10000000 samples" in captured.err
+
+    @pytest.mark.parametrize("extra", [
+        ["--steps", "100000"],  # the default oracle: 100,001 samples of 100,064 bits
+        ["--steps", "60", "--oracle-bits", str(2**33 // 61 + 1)],
+    ])
+    def test_oracle_too_large(self, extra, capsys):
+        assert main(["compare", "--r", "-2", "--x0", "0.9"] + extra) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and "significand bits" in captured.err
+
+    def test_largest_oracle_is_admitted(self, monkeypatch, capsys):
+        sizes = []
+        monkeypatch.setattr(map_standard, "oracle",
+                            lambda p, n, policy: sizes.append((n, policy.significand_bits)))
+        monkeypatch.setattr(map_standard, "iterate", lambda *args: None)
+        monkeypatch.setattr(map_standard, "compare_trajectories",
+                            lambda a, b, threshold: DivergenceReport.from_errors([], threshold))
+        assert main(["compare", "--r", "-2", "--x0", "0.9", "--steps", "60",
+                     "--oracle-bits", str(2**33 // 61)]) == 0
+        assert sizes == [(60, 2**33 // 61)]
 
 
 # SHA-256 of whole artifacts, captured before the closed-form trajectory and

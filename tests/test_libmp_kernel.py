@@ -1,0 +1,229 @@
+"""The per-step loops run on raw libmp values; they must equal, bit for bit,
+the mpf-context loops they replaced.  The reference functions below are those
+loops: mpf arithmetic inside ``workprec`` scopes."""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from mpmath import mp, mpf, workprec
+
+from logistic_exact.errors import EscapeError
+from logistic_exact.map_standard import (
+    ESCAPE_BOUND,
+    ClosedForm,
+    MapParams,
+    closed_form,
+    closed_form_trajectory,
+    iterate,
+)
+from logistic_exact.precision import (
+    DOUBLE,
+    PrecisionPolicy,
+    Trajectory,
+    budgeted_policy,
+    compare_trajectories,
+    reduce_mod_2pi,
+)
+
+# ------------------------------------------------------------ references
+
+_HALF = mpf(0.5)
+
+
+def reference_iterate(p, n, policy):
+    """Samples 0..n, or the EscapeError the loop raises."""
+    with workprec(policy.significand_bits):
+        r = mpf(p.r)
+        x = mpf(p.x0)
+        samples = [(0, x)]
+        for k in range(1, n + 1):
+            x = r * x * (1 - x)
+            if abs(x) > ESCAPE_BOUND:
+                raise EscapeError(f"orbit escaped past {ESCAPE_BOUND:g} at step {k}",
+                                  index=k)
+            samples.append((k, x))
+    return samples
+
+
+def reference_phase(p, variant):
+    x0 = mpf(p.x0)
+    if variant is ClosedForm.R2_POWER:
+        return 1 - 2 * x0
+    if variant is ClosedForm.R4_COSINE:
+        return mp.acos(1 - 2 * x0)
+    if variant is ClosedForm.RM2_DIRECT:
+        return mp.acos(x0 - _HALF)
+    return mp.pi - 3 * mp.acos(_HALF - x0)
+
+
+def reference_sample(variant, phase, n, bits):
+    if variant is ClosedForm.R2_POWER:
+        return (1 - phase) / 2
+    if variant is ClosedForm.R4_COSINE:
+        return (1 - mp.cos(reduce_mod_2pi(mp.ldexp(phase, n), bits))) / 2
+    if variant is ClosedForm.RM2_DIRECT:
+        return _HALF + mp.cos(reduce_mod_2pi(mp.ldexp(phase, n), bits))
+    scaled = mp.ldexp(phase, n)
+    if n % 2 == 1:
+        scaled = -scaled
+    return _HALF - mp.cos(reduce_mod_2pi((mp.pi - scaled) / 3, bits))
+
+
+def reference_closed_form(p, n, variant, policy):
+    bits = policy.significand_bits
+    with workprec(bits):
+        phase = reference_phase(p, variant)
+        if variant is ClosedForm.R2_POWER:
+            for _ in range(n):
+                phase = phase * phase
+        return reference_sample(variant, phase, n, bits)
+
+
+def reference_closed_form_trajectory(p, n, variant, policy):
+    bits = policy.significand_bits
+    samples = []
+    with workprec(bits):
+        phase = reference_phase(p, variant)
+        for k in range(n + 1):
+            samples.append((k, reference_sample(variant, phase, k, bits)))
+            if variant is ClosedForm.R2_POWER:
+                phase = phase * phase
+    return samples
+
+
+def reference_errors(a, b):
+    bits = max(a.precision.significand_bits, b.precision.significand_bits) + 10
+    errors = []
+    with workprec(bits):
+        for (_, va), (_, vb) in zip(a.samples, b.samples):
+            xa = va if isinstance(va, mpf) else mpf(va)
+            xb = vb if isinstance(vb, mpf) else mpf(vb)
+            errors.append(float(abs(xa - xb)))
+    return errors
+
+
+def raw(samples):
+    return [(k, v._mpf_) for k, v in samples]
+
+
+POLICIES = [DOUBLE, budgeted_policy(120)]
+
+# ------------------------------------------------------------- iterate
+
+rates = st.one_of(st.floats(-4.0, 6.0), st.integers(-4, 6))
+seeds = st.one_of(st.floats(-1.0, 2.0), st.integers(-2, 3))
+
+
+class TestIterateKernel:
+    @settings(max_examples=150, deadline=None)
+    @given(rates, seeds, st.integers(0, 200), st.sampled_from(POLICIES))
+    def test_equals_mpf_loop(self, r, x0, n, policy):
+        p = MapParams(r, x0)
+        try:
+            want = reference_iterate(p, n, policy)
+        except EscapeError as err:
+            with pytest.raises(EscapeError) as got:
+                iterate(p, n, policy)
+            assert got.value.index == err.index
+            assert str(got.value) == str(err)
+            return
+        assert raw(iterate(p, n, policy).samples) == raw(want)
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    @pytest.mark.parametrize("r,x0", [(5.0, 5.0), (4.5, 0.5), (-3.0, -0.2)])
+    def test_escape_index(self, r, x0, policy):
+        p = MapParams(r, x0)
+        with pytest.raises(EscapeError) as want:
+            reference_iterate(p, 500, policy)
+        with pytest.raises(EscapeError) as got:
+            iterate(p, 500, policy)
+        assert got.value.index == want.value.index is not None
+
+
+# -------------------------------------------------------- closed forms
+
+_DOMAINS = {
+    ClosedForm.R2_POWER: (-2.0, 3.0),
+    ClosedForm.R4_COSINE: (0.0, 1.0),
+    ClosedForm.RM2_COMPOSED: (-0.5, 1.5),
+    ClosedForm.RM2_DIRECT: (-0.5, 1.5),
+}
+
+
+@st.composite
+def closed_form_cases(draw):
+    variant = draw(st.sampled_from(list(ClosedForm)))
+    x0 = draw(st.floats(*_DOMAINS[variant]))
+    return MapParams(variant.required_r, x0), variant
+
+
+class TestClosedFormKernel:
+    @settings(max_examples=120, deadline=None)
+    @given(closed_form_cases(), st.integers(0, 150), st.sampled_from(POLICIES))
+    def test_trajectory_equals_mpf_loop(self, case, n, policy):
+        p, variant = case
+        got = closed_form_trajectory(p, n, variant, policy)
+        assert raw(got.samples) == raw(reference_closed_form_trajectory(p, n, variant, policy))
+
+    @settings(max_examples=120, deadline=None)
+    @given(closed_form_cases(), st.integers(0, 150), st.sampled_from(POLICIES))
+    def test_single_step_equals_mpf_expression(self, case, n, policy):
+        p, variant = case
+        got = closed_form(p, n, variant, policy)
+        assert got._mpf_ == reference_closed_form(p, n, variant, policy)._mpf_
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    @pytest.mark.parametrize("variant", list(ClosedForm))
+    def test_every_form_over_a_long_run(self, variant, policy):
+        lo, hi = _DOMAINS[variant]
+        for x0 in (lo, 0.3 * lo + 0.7 * hi, hi):
+            p = MapParams(variant.required_r, x0)
+            got = closed_form_trajectory(p, 250, variant, policy)
+            assert raw(got.samples) == raw(
+                reference_closed_form_trajectory(p, 250, variant, policy))
+
+
+# ------------------------------------------------------------- compare
+
+@st.composite
+def sample_pairs(draw):
+    """One step of two trajectories: a float, int or mpf on each side."""
+    base = draw(st.floats(-1e6, 1e6))
+    kind = draw(st.sampled_from(["float", "int", "big", "mpf"]))
+    other = "big" if kind == "big" else draw(st.sampled_from(["float", "int", "mpf"]))
+    delta = draw(st.floats(-1.0, 1.0))
+
+    def make(kind, v, bits):
+        if kind == "float":
+            return v
+        if kind == "int":
+            return int(v)
+        if kind == "big":
+            return 10**400 + int(v * 1e6)
+        with workprec(bits):
+            return mpf(v) / 3  # more significand bits than a double holds
+
+    bits = draw(st.integers(53, 300))
+    return make(kind, base, bits), make(other, base + delta, bits)
+
+
+class TestCompareKernel:
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(sample_pairs(), min_size=1, max_size=12),
+           st.integers(53, 300), st.integers(53, 300))
+    def test_equals_mpf_loop(self, pairs, bits_a, bits_b):
+        a = Trajectory("a", tuple((k, va) for k, (va, _) in enumerate(pairs)),
+                       PrecisionPolicy(bits_a))
+        b = Trajectory("b", tuple((k, vb) for k, (_, vb) in enumerate(pairs)),
+                       PrecisionPolicy(bits_b))
+        got = compare_trajectories(a, b, 0.5).per_step_abs_error
+        assert list(got) == reference_errors(a, b)
+
+    def test_big_ints_are_rounded_as_mpf_rounds_them(self):
+        # 10**400 and 10**400 + 1 differ in the last of 1,329 bits; at 63 bits
+        # both round to the same value, at 1,400 bits they do not
+        for bits, expected in ((53, 0.0), (1390, 1.0)):
+            a = Trajectory("a", ((0, 10**400),), PrecisionPolicy(bits))
+            b = Trajectory("b", ((0, 10**400 + 1),), PrecisionPolicy(bits))
+            got = compare_trajectories(a, b, 0.5).per_step_abs_error
+            assert list(got) == reference_errors(a, b) == [expected]

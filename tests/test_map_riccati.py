@@ -47,6 +47,14 @@ class TestParticularSolution:
     def test_n0(self):
         assert particular_solution(FIG3, 0) == pytest.approx(0.333, abs=1e-16)
 
+    def test_n0_is_the_seed(self):
+        # 1/x0 - 1 rounds to -1 for huge seeds, a false pole of the formula at n = 0
+        for x0 in (0.333, 0.411148, 1e17, -2.0**53, 3):
+            got = particular_solution(RiccatiMapParams(1.0, x0), 0)
+            assert got == x0 and isinstance(got, float)
+        p = RiccatiMapParams(1.0, 1e17)
+        assert particular_solution(p, 1) == iterate(p, 1).values[1] == 2.0
+
     def test_small_case(self):
         p = RiccatiMapParams(1.0, 0.5)
         assert particular_solution(p, 2) == 0.8

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -66,6 +67,17 @@ class TestIterate:
         with pytest.raises(EscapeError) as err:
             iterate(MapParams(5.0, 5.0), 50)
         assert err.value.index is not None
+
+    def test_53_bits_leaves_the_float_recurrence_where_doubles_go_subnormal(self):
+        # mpf's exponent is unbounded; a double's is not
+        traj = iterate(MapParams(0.5, 0.3), 1100)
+        x = 0.3
+        for k, v in traj.samples:
+            if float(v) != x:
+                break
+            x = 0.5 * x * (1.0 - x)
+        assert k == 1023
+        assert 0.0 < x < sys.float_info.min  # the double has gone subnormal
 
 
 class TestCenteredStep:
