@@ -15,6 +15,7 @@ domain/pole errors raised by the core modules.
 """
 
 import argparse
+import functools
 import itertools
 import json
 import math
@@ -150,7 +151,8 @@ def _run_compare(params):
         })
 
     it = map_standard.iterate(p, steps, working)
-    ref = map_standard.oracle(p, steps, ref_policy)  # shared by every report
+    ref = map_standard._divergence_reference(  # shared by every report
+        p, steps, bits, params.get("oracle_bits"), ref_policy, forms)
     pack("iterated", METHOD_ITERATED, it)
     for name in forms:
         variant = map_standard.ClosedForm(name)
@@ -424,8 +426,13 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()  # once per process: building costs more than parsing
+
+
 def parse_args(argv=None) -> RunConfig:
-    params = vars(build_parser().parse_args(argv))
+    params = vars(_parser().parse_args(argv))
     subcommand, fmt, out = (params.pop(k) for k in ("subcommand", "format", "out"))
     return RunConfig(subcommand, params, fmt, out)
 

@@ -149,6 +149,22 @@ class TestCompareCommand:
         assert main(["compare", "--r", "-2", "--x0", "0.9", "--steps", "10",
                      "--bits", "100", "--oracle-bits", "101"]) == 0
 
+    def test_oracle_below_the_step_budget_warns(self, capsys):
+        argv = ["compare", "--r", "-2", "--x0", "0.9", "--steps", "60",
+                "--oracle-bits", "60"]
+        for _ in range(2):  # every run reports it, not only the first
+            assert main(argv) == 0
+            captured = capsys.readouterr()
+            # the same artifact as before the warning was added
+            assert hashlib.sha256(captured.out.encode("ascii")).hexdigest() == (
+                "3cf2d5391ecff594a3a52078d42affb015b7f52decb2aa808f9264bf8c706953")
+            assert captured.err.splitlines() == [
+                "warning: oracle bits (60) are below the budget of one bit per step "
+                "plus 64 (124 bits for 60 steps); the oracle may have left the orbit "
+                "before the last step"]
+        assert main(argv[:-1] + ["124"]) == 0
+        assert capsys.readouterr().err == ""
+
     def test_one_oracle_serves_every_report(self, monkeypatch, capsys):
         calls = []
         real_oracle = map_standard.oracle
@@ -163,6 +179,28 @@ class TestCompareCommand:
         assert len(calls) == 1
         doc = json.loads(capsys.readouterr().out)
         assert [rep["label"] for rep in doc["reports"]] == ["iterated", "table1", "simple"]
+
+
+class TestParseArgs:
+    def test_parser_is_built_once(self, monkeypatch):
+        cli.parse_args(["figure", "1"])
+        monkeypatch.setattr(cli, "build_parser", None)  # would fail if called
+        assert cli.parse_args(["figure", "2"]).parameters == {"which": "2"}
+
+    def test_repeated_options_give_independent_lists(self):
+        first = cli.parse_args(["compare", "--r", "-2", "--x0", "0.9",
+                                "--form", "table1", "--form", "simple"])
+        second = cli.parse_args(["compare", "--r", "-2", "--x0", "0.9", "--form", "simple"])
+        assert first.parameters["forms"] == ["table1", "simple"]
+        assert second.parameters["forms"] == ["simple"]
+        first.parameters["forms"].append("r4")
+        assert cli.parse_args(["compare", "--r", "4", "--x0", "0.3"]).parameters["forms"] is None
+        a = cli.parse_args(["map4", "--r", "1.73", "--x0", "0.333", "--steps", "5",
+                            "--gamma", "2"])
+        b = cli.parse_args(["map4", "--r", "1.73", "--x0", "0.333", "--steps", "5",
+                            "--gamma", "0.5", "--gamma", "5"])
+        assert (a.parameters["gammas"], b.parameters["gammas"]) == ([2.0], [0.5, 5.0])
+        assert a.parameters["gammas"] is not b.parameters["gammas"]
 
 
 class TestSeriesLimits:

@@ -1,6 +1,7 @@
 import math
 import random
 import sys
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -24,7 +25,12 @@ from logistic_exact.map_standard import (
     prng_bits,
     shifted_cosine_pair,
 )
-from logistic_exact.precision import DOUBLE, PrecisionPolicy, budgeted_policy
+from logistic_exact.precision import (
+    DOUBLE,
+    PrecisionPolicy,
+    budgeted_policy,
+    compare_trajectories,
+)
 
 SEED_RANGES = {
     ClosedForm.R2_POWER: (0.02, 0.98),
@@ -314,6 +320,20 @@ class TestDivergence:
             iteration_divergence(p, 60, 53, 0.01, oracle_bits=oracle_bits)
         with pytest.raises(ValueError, match="oracle bits"):
             iteration_divergence(p, 60, 128, 0.01, oracle_bits=128)
+
+
+    def test_oracle_below_the_step_budget_warns(self):
+        p = MapParams(-2.0, 0.9)
+        with pytest.warns(UserWarning, match=r"oracle bits \(60\) are below the budget"):
+            rep = iteration_divergence(p, 60, 53, 0.01, oracle_bits=60)
+        assert rep == compare_trajectories(iterate(p, 60), oracle(p, 60, PrecisionPolicy(60)),
+                                           0.01)
+        with pytest.warns(UserWarning, match=r"\(124 bits for 60 steps\)"):
+            divergence_analysis(p, ClosedForm.RM2_DIRECT, 60, 53, 0.01, oracle_bits=123)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            iteration_divergence(p, 60, 53, 0.01, oracle_bits=124)
+            iteration_divergence(p, 60, 53, 0.01)
 
 
 class TestPrng:
