@@ -150,6 +150,13 @@ _SEED_DOMAIN = {
 }
 
 
+def _step(r: tuple, x: tuple, bits: int) -> tuple:
+    """One map step ``r * x * (1 - x)`` on raw values, each operation rounded
+    to nearest at ``bits``."""
+    rnd = round_nearest
+    return mpf_mul(mpf_mul(r, x, bits, rnd), mpf_sub(fone, x, bits, rnd), bits, rnd)
+
+
 def iterate(p: MapParams, n: int, policy: PrecisionPolicy = DOUBLE) -> Trajectory:
     """Samples 0..n of the exact recurrence at the policy's precision.
 
@@ -164,14 +171,13 @@ def iterate(p: MapParams, n: int, policy: PrecisionPolicy = DOUBLE) -> Trajector
     if not isinstance(n, int) or n < 0:
         raise ValueError("n must be a non-negative integer")
     bits = policy.significand_bits
-    rnd = round_nearest
     r = _raw_mpf(p.r, bits)
     x = _raw_mpf(p.x0, bits)
     bound = from_float(ESCAPE_BOUND)
     make = mp.make_mpf
     samples = [(0, make(x))]
     for k in range(1, n + 1):
-        x = mpf_mul(mpf_mul(r, x, bits, rnd), mpf_sub(fone, x, bits, rnd), bits, rnd)
+        x = _step(r, x, bits)
         if mpf_gt(mpf_abs(x), bound):
             raise EscapeError(f"orbit escaped past {ESCAPE_BOUND:g} at step {k}", index=k)
         samples.append((k, make(x)))
@@ -193,56 +199,52 @@ def oracle(p: MapParams, n: int, policy: PrecisionPolicy | None = None) -> Traje
     return Trajectory(METHOD_ORACLE, base.samples, policy)
 
 
-# The doubling maps and their invariant seed intervals.  With the phase phi
-# (arccos(1 - 2*x0) / (2*pi) at r = 4, arccos(x0 - 1/2) / (2*pi) at r = -2) and
-# t_k = frac(2^k * phi), x_k is (1 - cos(2*pi*t_k)) / 2, or 1/2 + cos(2*pi*t_k).
-_PHASE_INTERVAL = {4.0: (0.0, 1.0), -2.0: (-0.5, 1.5)}
-_PHASE_GUARD_BITS = 75  # bits of a phase sample beyond the method under test
-# Steps from which phase_oracle at 53 working bits takes less time than the
-# iterated oracle of the same budget (both maps, pure-Python mpmath).
+# The cosine form whose phase phase_oracle reads, by map parameter.  With the
+# phase phi (arccos(1 - 2*x0) / (2*pi) at r = 4, arccos(x0 - 1/2) / (2*pi) at
+# r = -2) and t_k = frac(2^k * phi), x_k is (1 - cos(2*pi*t_k)) / 2, or
+# 1/2 + cos(2*pi*t_k).
+_PHASE_FORM = {4.0: ClosedForm.R4_COSINE, -2.0: ClosedForm.RM2_DIRECT}
+_PHASE_BITS = DOUBLE.significand_bits + 75  # bits of a phase sample
+# Steps from which phase_oracle takes less time than the iterated oracle of
+# the same budget (both maps, 53 working bits, pure-Python mpmath).
 _PHASE_MIN_STEPS = 2600
 
 
-def phase_oracle(p: MapParams, n: int, working_bits: int = 53,
-                 policy: PrecisionPolicy | None = None) -> Trajectory:
+def phase_oracle(p: MapParams, n: int) -> Trajectory:
     """Samples 0..n of the r = 4 or r = -2 orbit, read off the binary digits
-    of its phase once iteration at ``working_bits`` has lost the orbit.
+    of its phase once iteration at 53 bits has lost the orbit.
 
     The phase phi (arccos(1 - 2*x0) / (2*pi) at r = 4, arccos(x0 - 1/2) /
     (2*pi) at r = -2) is taken once and held as one integer of n + P + 32
-    bits, with P = working_bits + 75.  Sample k is then a shift and a mask,
+    bits, with P = 53 + 75 = 128.  Sample k is then a shift and a mask,
     which give the top P bits of t = frac(2^k * phi), and one cosine at
     P + 10 bits: x_k = (1 - cos(2*pi*t)) / 2 at r = 4, 1/2 + cos(2*pi*t) at
     r = -2.  Such a sample is good to about 2^-P absolute, at the last step
     as at the first, and costs a shift and a short cosine instead of a
     multiplication at the full budget.
 
-    While an iteration at ``working_bits`` still follows the orbit to within
-    2^-32, its error at a step is a small difference whose double can need
-    the reference below 2^-P: near a fixed point, or from a seed within an
-    ulp of a rational phase, the rounded orbit stays within 2^-100 of the
-    exact one for many steps, and at step 1 the difference can be an exact
+    While a 53-bit iteration still follows the orbit to within 2^-32, its
+    error at a step is a small difference whose double can need the
+    reference below 2^-P: near a fixed point, or from a seed within an ulp
+    of a rational phase, the rounded orbit stays within 2^-100 of the exact
+    one for many steps, and at step 1 the difference can be an exact
     rounding tie.  Those samples come from the budgeted iteration itself,
     exactly as in ``oracle``.  They include x0 and x1, and every sample of
     an orbit with a rational phase (x0 in {0, 1/4, 1/2, 3/4, 1} at r = 4, in
     {-1/2, 0, 1/2, 1, 3/2} at r = -2), which the iteration follows exactly.
 
-    The trajectory is tagged ``oracle`` with ``policy`` (default: the budget
-    of one bit per step plus 64), at whose width the iteration runs and
-    compare_trajectories compares; the phase is held at more than that
-    width.  Raises ValueError for r other than 4 or -2 and DomainError for a
-    seed outside [0, 1] (r = 4) or [-1/2, 3/2] (r = -2).
+    The trajectory is tagged ``oracle`` with the budget of one bit per step
+    plus 64, at whose width the iteration runs and compare_trajectories
+    compares; the phase is held at more than that width.  Raises ValueError
+    for r other than 4 or -2 and DomainError for a seed outside [0, 1]
+    (r = 4) or [-1/2, 3/2] (r = -2).
     """
-    if not isinstance(n, int) or n < 0:
-        raise ValueError("n must be a non-negative integer")
-    interval = _PHASE_INTERVAL.get(p.r)
-    if interval is None:
+    variant = _PHASE_FORM.get(p.r)
+    if variant is None:
         raise ValueError(f"the phase evaluator needs r=4 or r=-2, got r={p.r!r}")
-    if not interval[0] <= p.x0 <= interval[1]:
-        raise DomainError(f"seed {p.x0!r} outside the invariant interval "
-                          f"[{interval[0]:g}, {interval[1]:g}] of r={p.r:g}")
-    policy = policy if policy is not None else budgeted_policy(n)
-    bits, wb = policy.significand_bits, working_bits
+    _check_closed_form(p, n, variant)
+    policy = budgeted_policy(n)
+    bits, wb = policy.significand_bits, DOUBLE.significand_bits
     rnd = round_nearest
     make = mp.make_mpf
     r = _raw_mpf(p.r, bits)
@@ -251,18 +253,17 @@ def phase_oracle(p: MapParams, n: int, working_bits: int = 53,
     samples = [(0, make(x))]
     k = 0
     while k < n and mpf_lt(mpf_abs(mpf_sub(x, y, 64, rnd)), near):
-        k += 1  # x as in oracle(), y as in iterate() at working_bits
-        x = mpf_mul(mpf_mul(r, x, bits, rnd), mpf_sub(fone, x, bits, rnd), bits, rnd)
-        y = mpf_mul(mpf_mul(r, y, wb, rnd), mpf_sub(fone, y, wb, rnd), wb, rnd)
+        k += 1  # x as in oracle(), y as in iterate() at 53 bits
+        x, y = _step(r, x, bits), _step(r, y, wb)
         samples.append((k, make(x)))
     if k < n:
-        prec = working_bits + _PHASE_GUARD_BITS
+        prec = _PHASE_BITS
         wp = prec + 10
         width = n + prec + 32
-        x0 = _raw_mpf(p.x0, 53)
-        if p.r == 4:  # phi = arccos(1 - 2*x0) / (2*pi), the argument exact
+        x0 = _raw_mpf(p.x0, wb)
+        if variant is ClosedForm.R4_COSINE:  # arccos(1 - 2*x0), the argument exact
             arg = mpf_sub(fone, mpf_shift(x0, 1), 0)
-        else:  # phi = arccos(x0 - 1/2) / (2*pi)
+        else:  # arccos(x0 - 1/2)
             arg = mpf_sub(x0, fhalf, 0)
         phase_wp = width + 10
         phi = mpf_div(mpf_acos(arg, phase_wp, rnd), mpf_shift(mpf_pi(phase_wp, rnd), 1),
@@ -274,7 +275,7 @@ def phase_oracle(p: MapParams, n: int, working_bits: int = 53,
             # the top prec bits of frac(2^k * phi), rounded
             t = (((digits >> (width - k - prec - 1)) + 1) >> 1) & mask
             c = mpf_cos(mpf_mul(from_man_exp(t, -prec), two_pi, wp, rnd), wp, rnd)
-            if p.r == 4:  # (1 - c) / 2
+            if variant is ClosedForm.R4_COSINE:  # (1 - c) / 2
                 x = mpf_shift(mpf_sub(fone, c, wp, rnd), -1)
             else:  # 1/2 + c
                 x = mpf_add(fhalf, c, wp, rnd)
@@ -293,11 +294,16 @@ def _check_closed_form(p: MapParams, n: int, variant: ClosedForm) -> None:
     if p.r != variant.required_r:
         raise ValueError(
             f"variant {variant.value!r} requires r={variant.required_r:g}, got r={p.r!r}")
-    domain = variant.seed_domain
-    if domain is not None and not domain[0] <= p.x0 <= domain[1]:
+    if not _in_seed_domain(p.x0, variant):
+        lo, hi = variant.seed_domain
         raise DomainError(
-            f"seed {p.x0!r} outside [{domain[0]:g}, {domain[1]:g}] "
+            f"seed {p.x0!r} outside [{lo:g}, {hi:g}] "
             f"(arccos domain of variant {variant.value!r})")
+
+
+def _in_seed_domain(x0: float, variant: ClosedForm) -> bool:
+    domain = variant.seed_domain
+    return domain is None or domain[0] <= x0 <= domain[1]
 
 
 _THREE = from_int(3)
@@ -491,11 +497,11 @@ def _divergence_reference(p: MapParams, n_max: int, working_bits: int,
     invariant interval and at least _PHASE_MIN_STEPS steps, where it is the
     cheaper of the two; every other run iterates the oracle.
     """
-    interval = _PHASE_INTERVAL.get(p.r)
-    if (not forms and oracle_bits is None and working_bits == 53
-            and n_max >= _PHASE_MIN_STEPS and interval is not None
-            and interval[0] <= p.x0 <= interval[1]):
-        return phase_oracle(p, n_max, working_bits, policy)
+    variant = _PHASE_FORM.get(p.r)
+    if (not forms and oracle_bits is None and working_bits == DOUBLE.significand_bits
+            and n_max >= _PHASE_MIN_STEPS and variant is not None
+            and _in_seed_domain(p.x0, variant)):
+        return phase_oracle(p, n_max)
     return oracle(p, n_max, policy)
 
 

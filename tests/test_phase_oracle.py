@@ -17,7 +17,6 @@ from logistic_exact.map_standard import (
     iteration_divergence,
     oracle,
     phase_oracle,
-    resolve_oracle_bits,
 )
 from logistic_exact.precision import METHOD_ORACLE, PrecisionPolicy, compare_trajectories
 
@@ -31,11 +30,11 @@ def check_against_iterated_oracle(p, n):
     they differ by no more than the two references do, which is at most
     2^(k - B + 4), or the iterated oracle's own distance from the orbit,
     plus 2^-(P - 2)."""
-    budget = resolve_oracle_bits(n, 53)
-    policy = PrecisionPolicy(budget)
     it = iterate(p, n)
-    a = oracle(p, n, policy)
-    b = phase_oracle(p, n, 53, policy)
+    a = oracle(p, n)
+    b = phase_oracle(p, n)
+    policy = a.precision
+    budget = policy.significand_bits
     true = oracle(p, n, PrecisionPolicy(2 * budget))
     ea = compare_trajectories(it, a, 0.01).per_step_abs_error
     eb = compare_trajectories(it, b, 0.01).per_step_abs_error
@@ -70,8 +69,7 @@ class TestPhaseOracle:
         # the 53-bit iteration follows these orbits exactly, so every sample
         # is the budgeted iteration's, and so is every report
         p = MapParams(r, x0)
-        policy = PrecisionPolicy(resolve_oracle_bits(N, 53))
-        a, b = oracle(p, N, policy), phase_oracle(p, N, 53, policy)
+        a, b = oracle(p, N), phase_oracle(p, N)
         assert [v._mpf_ for v in b.values] == [v._mpf_ for v in a.values]
         it = iterate(p, N)
         assert (compare_trajectories(it, b, 0.01).per_step_abs_error
@@ -93,9 +91,9 @@ class TestPhaseOracle:
     def test_validation(self):
         with pytest.raises(ValueError, match="r=4 or r=-2"):
             phase_oracle(MapParams(3.9, 0.3), 10)
-        with pytest.raises(DomainError, match="invariant interval"):
+        with pytest.raises(DomainError, match=r"outside \[0, 1\]"):
             phase_oracle(MapParams(4.0, 1.2), 10)
-        with pytest.raises(DomainError, match="invariant interval"):
+        with pytest.raises(DomainError, match=r"outside \[-0.5, 1.5\]"):
             phase_oracle(MapParams(-2.0, -0.6), 10)
         with pytest.raises(ValueError, match="non-negative"):
             phase_oracle(MapParams(4.0, 0.3), -1)
