@@ -259,9 +259,20 @@ class TestSeriesLimits:
 # coupled map's general solution moved onto the shifted seed x0 + 1/gamma: their
 # gamma values moved by at most 8.9e-16 (2.2e-16 in these artifacts), and
 # test_shifted_seed_within_4_ulp_of_400_bit_member pins the new values.
+# compare-csv, compare-svg and compare-phase (an iteration-only run whose
+# reference is read off the phase digits) were captured before compare became a
+# caller of map_standard.divergence_reports.
 GOLDEN_SHA256 = [
     (["compare", "--r", "-2", "--x0", "0.9", "--form", "table1", "--form", "simple"],
      "c57e476735943d7177a857f2b0aab06ce0361c69b570f4a0c343f6e81cd06c85"),
+    (["compare", "--r", "-2", "--x0", "0.9", "--form", "table1", "--form", "simple",
+      "--format", "csv"],
+     "d5b5aec5ece9d1686d3d90900004e8f73c0789ba3002b73100071af166805c4d"),
+    (["compare", "--r", "-2", "--x0", "0.9", "--form", "table1", "--form", "simple",
+      "--format", "svg"],
+     "dcd8943311401e5ad1586e3e93731d71996fe227c42a9804ec57a0a71cd6d416"),
+    (["compare", "--r", "4", "--x0", "0.3", "--steps", "2600"],
+     "e99e2e3b6bb1f160491eaeda5248618ace2c60c93a0c339530c31f6fc869610d"),
     (["map3", "--r", "2", "--x0", "0.7", "--steps", "200", "--bits", "264",
       "--form", "r2"],
      "23f30c9937776367299b5164d76f77e6a9a50ea4db2aa13f9bb57dc704b8c996"),
@@ -289,7 +300,7 @@ GOLDEN_SHA256 = [
     (["rng", "--x0", "0.3", "--count", "5000", "--burn-in", "7", "--format", "json"],
      "14afd9cb7988ab406a1468398950b8f20c8792791200f97a135024bf5b52d719"),
 ]
-GOLDEN_IDS = ["compare", "map3-r2"] + [f"figure{w}-{f}" for w in "123"
+GOLDEN_IDS = ["compare", "compare-csv", "compare-svg", "compare-phase", "map3-r2"] + [f"figure{w}-{f}" for w in "123"
                                        for f in ("csv", "json", "svg")] + [
     "ode-gammas", "map4-gammas-json", "rng-json"]
 
