@@ -4,11 +4,12 @@ Subcommands: ``ode`` (closed-form curves of the growth equation), ``map3``
 (quadratic map iteration / closed forms), ``map4`` (backward-coupled map),
 ``compare`` (round-off divergence reports against the oracle), ``figure``
 (presets 1-3 reproducing the reference parameter sets), and ``rng`` (chaos
-bits).  The runners return labelled library ``Trajectory`` values (``compare``
-returns divergence reports), and the emitters read method, precision and
-samples from them.  Output is CSV (default), JSON (default for ``compare``),
-or a minimal dependency-free SVG line chart.  Library warnings are printed
-as ``warning:`` lines on stderr.
+bits).  The runners return labelled library ``Trajectory`` values, and
+``compare`` emits the labelled library ``DivergenceReport`` values of
+``map_standard.divergence_reports``; the emitters read method, precision,
+samples and errors from them.  Output is CSV (default), JSON (default for
+``compare``), or a minimal dependency-free SVG line chart.  Library warnings
+are printed as ``warning:`` lines on stderr.
 
 Exit codes: 0 success, 2 usage/validation problems, 3 mathematical
 domain/pole errors raised by the core modules.
@@ -42,8 +43,11 @@ FIGURE_PRESETS = {
 _FORM_CHOICES = tuple(v.value for v in map_standard.ClosedForm)
 
 # A series may hold no more samples than an ode grid may have points, and no
-# more significand bits in all than this; larger ones would exhaust memory.
+# more significand bits in all than MAX_SERIES_BITS; larger ones would exhaust
+# memory.  Its values may be no wider than MAX_BITS: set-up alone (one arccos)
+# takes 0.55 s at 2^16 bits and 2.1 s at 2^17 on mpmath's pure-Python backend.
 MAX_SERIES_BITS = 2**33
+MAX_BITS = 2**16
 
 
 @dataclass
@@ -67,13 +71,17 @@ def _get(params, key, default):
 
 
 def _check_series(samples, bits=53):
-    """Refuse a series too large to hold, before any of it is evaluated."""
+    """Refuse a series too large to hold or too wide to set up, before any of
+    it is evaluated."""
     if samples > continuous.MAX_GRID_POINTS:
         raise ValueError(f"a series of {samples} samples exceeds the limit of "
                          f"{continuous.MAX_GRID_POINTS} samples")
     if samples * bits > MAX_SERIES_BITS:
         raise ValueError(f"{samples} samples of {bits} bits exceed the limit of "
                          f"{MAX_SERIES_BITS} significand bits per series")
+    if bits > MAX_BITS:
+        raise ValueError(f"values of {bits} bits exceed the limit of {MAX_BITS} "
+                         "significand bits per value")
 
 
 # ---------------------------------------------------------------- runners
@@ -130,34 +138,11 @@ def _run_compare(params):
     bits = _get(params, "bits", 53)
     threshold = _get(params, "threshold", 0.01)
     forms = params.get("forms") or ()
-    ref_policy = map_standard._oracle_policy(steps, bits, params.get("oracle_bits"))
-    resolved = ref_policy.significand_bits
+    oracle_bits = params.get("oracle_bits")
+    resolved = map_standard.oracle_policy(steps, bits, oracle_bits).significand_bits
     _check_series(steps + 1, resolved)  # the oracle, the largest series
-    working = PrecisionPolicy(bits)
     p = map_standard.MapParams(r, x0)
-    reports = []
-
-    def pack(label, method, traj):
-        rep = map_standard.compare_trajectories(traj, ref, threshold)
-        reports.append({
-            "label": label,
-            "method": method,
-            "working_bits": bits,
-            "oracle_bits": resolved,
-            "threshold": rep.threshold,
-            "first_divergent_index": rep.first_divergent_index,
-            "max_error": rep.max_error,
-            "per_step_abs_error": list(rep.per_step_abs_error),
-        })
-
-    it = map_standard.iterate(p, steps, working)
-    ref = map_standard._divergence_reference(  # shared by every report
-        p, steps, bits, params.get("oracle_bits"), ref_policy, forms)
-    pack("iterated", METHOD_ITERATED, it)
-    for name in forms:
-        variant = map_standard.ClosedForm(name)
-        pack(name, f"closed-form:{name}",
-             map_standard.closed_form_trajectory(p, steps, variant, working))
+    reports = map_standard.divergence_reports(p, steps, bits, threshold, forms, oracle_bits)
     config = {"subcommand": "compare", "r": r, "x0": x0, "steps": steps,
               "bits": bits, "threshold": threshold, "forms": list(forms),
               "oracle_bits": resolved}
@@ -241,9 +226,9 @@ def _render_csv(doc):
                 yield (f"{_format_index(i)},{label},{traj.method_tag},"
                        f"{_format_value(v, bits)}\n")
     else:
-        for rep in doc["reports"]:
-            for i, e in enumerate(rep["per_step_abs_error"]):
-                yield f"{i},{rep['label']},abs-error,{e!r}\n"
+        for label, rep in doc["reports"]:
+            for i, e in enumerate(rep.per_step_abs_error):
+                yield f"{i},{label},abs-error,{e!r}\n"
 
 
 @_joined
@@ -259,7 +244,17 @@ def _render_json(doc):
                         for i, v in traj.samples],
         } for label, traj in doc["series"]]
     else:
-        obj["reports"] = doc["reports"]
+        config = doc["config"]
+        obj["reports"] = [{
+            "label": label,
+            "method": label if label == METHOD_ITERATED else f"closed-form:{label}",
+            "working_bits": config["bits"],
+            "oracle_bits": config["oracle_bits"],
+            "threshold": rep.threshold,
+            "first_divergent_index": rep.first_divergent_index,
+            "max_error": rep.max_error,
+            "per_step_abs_error": rep.per_step_abs_error,
+        } for label, rep in doc["reports"]]
     # json.dumps(obj, indent=2) uses this encoder too, but lists every token first
     return itertools.chain(json.JSONEncoder(indent=2).iterencode(obj), ["\n"])
 
@@ -272,9 +267,8 @@ def _svg_series(doc):
     if "series" in doc:
         return [(label, [(float(i), float(v)) for i, v in traj.samples])
                 for label, traj in doc["series"]]
-    return [(rep["label"],
-             [(float(i), e) for i, e in enumerate(rep["per_step_abs_error"])])
-            for rep in doc["reports"]]
+    return [(label, [(float(i), e) for i, e in enumerate(rep.per_step_abs_error)])
+            for label, rep in doc["reports"]]
 
 
 def _render_svg(doc):

@@ -20,7 +20,9 @@ the ``simple`` form and n <= 60, only about half of the samples (6,563 of
 12,200) equal ``0.5 + math.cos(math.ldexp(math.acos(x0 - 0.5), n))`` bit for
 bit, and the median first mismatch is at n = 3.
 
-Divergence runs compare against a reference orbit.  ``oracle`` iterates the
+``divergence_reports`` is the one divergence entry point: it compares plain
+iteration and any closed forms at a working width against one reference
+orbit, and the CLI's ``compare`` emits its reports.  ``oracle`` iterates the
 map at the budget B of one bit per step plus 64; at step k it is good to
 about 2^(k - B) absolute, so to about 61 bits at the last step (fewer on
 orbits that linger near the repelling fixed point 3/2 of r = -2, which
@@ -461,84 +463,73 @@ def conjugacy_solution(pair: ConjugacyPair, r: float, x0: float, n: int,
         return (1 - value) / 2
 
 
-def resolve_oracle_bits(n_max: int, working_bits: int) -> int:
-    """Oracle precision for a divergence run: the step budget, but never less
-    than 64 bits above the method under test."""
-    return max(precision_budget(n_max, 1.0, DOUBLE), working_bits + 64)
-
-
-def _oracle_policy(n_max: int, working_bits: int,
-                   oracle_bits: int | None) -> PrecisionPolicy:
-    """Oracle policy for a divergence run: ``oracle_bits`` if given, else
-    resolve_oracle_bits.  Raises ValueError when an explicit oracle is no
-    more precise than the method under test, and warns when it is below the
-    budget of one bit per step plus 64."""
+def oracle_policy(n_max: int, working_bits: int,
+                  oracle_bits: int | None) -> PrecisionPolicy:
+    """Oracle policy for a divergence run: ``oracle_bits`` if given, else the
+    budget of one bit per step plus 64, but never less than 64 bits above
+    the method under test.  Raises ValueError when an explicit oracle is no
+    more precise than the method under test."""
     if oracle_bits is None:
-        return PrecisionPolicy(resolve_oracle_bits(n_max, working_bits))
+        return PrecisionPolicy(max(precision_budget(n_max), working_bits + 64))
     if oracle_bits <= working_bits:
         raise ValueError(f"oracle bits ({oracle_bits}) must exceed the working "
                          f"precision ({working_bits} bits)")
-    budget = precision_budget(n_max, 1.0, DOUBLE)
-    if oracle_bits < budget:
-        warnings.warn(f"oracle bits ({oracle_bits}) are below the budget of one bit "
-                      f"per step plus 64 ({budget} bits for {n_max} steps); the "
-                      "oracle may have left the orbit before the last step")
     return PrecisionPolicy(oracle_bits)
 
 
-def _divergence_reference(p: MapParams, n_max: int, working_bits: int,
-                         oracle_bits: int | None, policy: PrecisionPolicy,
-                         forms=()) -> Trajectory:
-    """The reference of a divergence run at ``policy``.
+def divergence_reports(p: MapParams, n_max: int, working_bits: int, threshold: float,
+                       forms=(), oracle_bits: int | None = None) -> list:
+    """Plain iteration and each closed form in ``forms``, all evaluated at
+    ``working_bits`` (a closed form including all of its angle arithmetic),
+    against one reference at ``oracle_policy(n_max, working_bits,
+    oracle_bits)``: ``phase_oracle`` where the module docstring says so,
+    else ``oracle``.  Returns ``(label, DivergenceReport)`` pairs:
+    ``"iterated"`` first, then each form's value in the order given.
 
-    phase_oracle serves only an iteration-only run (no closed form in
-    ``forms``: a closed form is never checked against a closed form) with
-    the default oracle, 53 working bits, r = 4 or -2, a seed in the map's
-    invariant interval and at least _PHASE_MIN_STEPS steps, where it is the
-    cheaper of the two; every other run iterates the oracle.
+    Every form's r and seed are checked before anything is evaluated, and
+    the iteration runs before the reference, so an orbit that escapes builds
+    none.  An explicit ``oracle_bits`` below the budget of one bit per step
+    plus 64 draws a warning.  At 53 working bits about one significand bit
+    dies per step, so the orbit visibly leaves the oracle after a few dozen
+    steps; this is the mpmath pipeline at 53 bits, not libm on doubles.
     """
-    variant = _PHASE_FORM.get(p.r)
-    if (not forms and oracle_bits is None and working_bits == DOUBLE.significand_bits
-            and n_max >= _PHASE_MIN_STEPS and variant is not None
-            and _in_seed_domain(p.x0, variant)):
-        return phase_oracle(p, n_max)
-    return oracle(p, n_max, policy)
+    ref_policy = oracle_policy(n_max, working_bits, oracle_bits)
+    budget = precision_budget(n_max)
+    if ref_policy.significand_bits < budget:
+        warnings.warn(f"oracle bits ({oracle_bits}) are below the budget of one bit "
+                      f"per step plus 64 ({budget} bits for {n_max} steps); the "
+                      "oracle may have left the orbit before the last step")
+    variants = [ClosedForm(form) for form in forms]
+    for variant in variants:
+        _check_closed_form(p, n_max, variant)
+    working = PrecisionPolicy(working_bits)
+    it = iterate(p, n_max, working)
+    phase = _PHASE_FORM.get(p.r)
+    if (not variants and oracle_bits is None and working_bits == DOUBLE.significand_bits
+            and n_max >= _PHASE_MIN_STEPS and phase is not None
+            and _in_seed_domain(p.x0, phase)):
+        ref = phase_oracle(p, n_max)
+    else:
+        ref = oracle(p, n_max, ref_policy)
+    reports = [(METHOD_ITERATED, compare_trajectories(it, ref, threshold))]
+    for variant in variants:
+        cf = closed_form_trajectory(p, n_max, variant, working)
+        reports.append((variant.value, compare_trajectories(cf, ref, threshold)))
+    return reports
 
 
 def divergence_analysis(p: MapParams, variant: ClosedForm, n_max: int,
                         working_bits: int, threshold: float,
                         oracle_bits: int | None = None) -> DivergenceReport:
-    """Compare a closed form evaluated at ``working_bits`` (including all of
-    its angle arithmetic) against the budgeted-precision oracle iteration.
-
-    At 53 working bits about one significand bit dies per step, so the
-    orbit visibly leaves the oracle after a few dozen steps.  This is the
-    mpmath pipeline at 53 bits, not libm on doubles: the two disagree from
-    the first few steps on (see the module docstring).  Raises ValueError
-    when ``oracle_bits`` does not exceed ``working_bits``.
-    """
-    ref_policy = _oracle_policy(n_max, working_bits, oracle_bits)
-    cf = closed_form_trajectory(p, n_max, variant, PrecisionPolicy(working_bits))
-    return compare_trajectories(cf, oracle(p, n_max, ref_policy), threshold)
+    """The report of closed form ``variant`` from ``divergence_reports``."""
+    return divergence_reports(p, n_max, working_bits, threshold, (variant,), oracle_bits)[1][1]
 
 
 def iteration_divergence(p: MapParams, n_max: int, working_bits: int,
                          threshold: float,
                          oracle_bits: int | None = None) -> DivergenceReport:
-    """Same experiment for plain iteration at ``working_bits``.
-
-    With the default oracle, 53 working bits, r = 4 or -2, a seed in the
-    map's invariant interval and at least 2,600 steps, the reference is
-    ``phase_oracle`` at the same budget: there it takes less time than the
-    iterated oracle, and it is good to about 2^-128 at every step where the
-    iterated oracle has about 61 bits left at the last one.  The reports
-    equal the iterated oracle's up to 64 steps before the end (see the
-    module docstring).  Every other run compares against ``oracle``.
-    """
-    ref_policy = _oracle_policy(n_max, working_bits, oracle_bits)
-    it = iterate(p, n_max, PrecisionPolicy(working_bits))
-    ref = _divergence_reference(p, n_max, working_bits, oracle_bits, ref_policy)
-    return compare_trajectories(it, ref, threshold)
+    """The report of plain iteration from ``divergence_reports``."""
+    return divergence_reports(p, n_max, working_bits, threshold, (), oracle_bits)[0][1]
 
 
 def prng_bits(x0: float, count: int, burn_in: int = 0) -> tuple:

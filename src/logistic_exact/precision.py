@@ -45,44 +45,33 @@ _NON_FINITE = (finf, fninf, fnan)
 
 @dataclass(frozen=True)
 class PrecisionPolicy:
-    """Significand width for a computation plus the safety margin used by budgets."""
+    """Significand width for a computation."""
 
     significand_bits: int
-    baseline_bits: int = 64
 
     def __post_init__(self):
         if not isinstance(self.significand_bits, int) or self.significand_bits < 53:
             raise ValueError("significand_bits must be an integer >= 53 (native double)")
-        if not isinstance(self.baseline_bits, int) or self.baseline_bits < 1:
-            raise ValueError("baseline_bits must be a positive integer")
 
 
 DOUBLE = PrecisionPolicy(53)
 
 
-def precision_budget(n_steps: int, bits_lost_per_step: float,
-                     policy: PrecisionPolicy = DOUBLE) -> int:
-    """Working precision that keeps ``policy.baseline_bits`` of headroom after
-    ``n_steps`` iterations each losing ``bits_lost_per_step`` bits.
+def precision_budget(n_steps: int) -> int:
+    """Working precision for ``n_steps`` chaotic steps: one bit lost per step
+    plus a 64-bit margin, ``n_steps + 64``.
 
-    Returns ``ceil(n_steps * bits_lost_per_step) + baseline``, floored at 53.
+    One bit per step matches the angle-doubling maps, where each iteration
+    amplifies input error by a factor of about two.
     """
     if not isinstance(n_steps, int) or n_steps < 0:
         raise ValueError("n_steps must be a non-negative integer")
-    if not math.isfinite(bits_lost_per_step) or bits_lost_per_step < 0:
-        raise ValueError("bits_lost_per_step must be finite and non-negative")
-    return max(53, math.ceil(n_steps * bits_lost_per_step) + policy.baseline_bits)
+    return n_steps + 64
 
 
-def budgeted_policy(n_steps: int, bits_lost_per_step: float = 1.0,
-                    policy: PrecisionPolicy = DOUBLE) -> PrecisionPolicy:
-    """Policy whose significand is the budget for ``n_steps`` chaotic steps.
-
-    The default of one bit per step matches the angle-doubling maps, where
-    each iteration amplifies input error by a factor of about two.
-    """
-    return PrecisionPolicy(precision_budget(n_steps, bits_lost_per_step, policy),
-                           policy.baseline_bits)
+def budgeted_policy(n_steps: int) -> PrecisionPolicy:
+    """Policy whose significand is the budget for ``n_steps`` chaotic steps."""
+    return PrecisionPolicy(precision_budget(n_steps))
 
 
 @lru_cache(maxsize=1024)
@@ -185,15 +174,13 @@ class Trajectory:
 class DivergenceReport:
     """Per-step absolute errors between two trajectories.
 
-    ``first_divergent_index`` is the smallest position whose error exceeds
-    ``threshold`` (None if none does); ``max_error`` is the largest error.
-    Both are validated against ``per_step_abs_error`` on construction.
+    ``first_divergent_index`` (the smallest position whose error exceeds
+    ``threshold``, None if none does) and ``max_error`` (the largest error,
+    0.0 when there are none) are derived from the errors.
     """
 
     per_step_abs_error: tuple
-    first_divergent_index: int | None
     threshold: float
-    max_error: float
 
     def __post_init__(self):
         if not self.threshold > 0:
@@ -202,17 +189,15 @@ class DivergenceReport:
         object.__setattr__(self, "per_step_abs_error", errors)
         if any(e < 0 or not math.isfinite(e) for e in errors):
             raise ValueError("per-step errors must be finite and non-negative")
-        if errors and self.max_error != max(errors):
-            raise ValueError("max_error does not equal the largest per-step error")
-        expected = next((i for i, e in enumerate(errors) if e > self.threshold), None)
-        if self.first_divergent_index != expected:
-            raise ValueError("first_divergent_index does not match the threshold")
 
-    @classmethod
-    def from_errors(cls, errors, threshold: float) -> "DivergenceReport":
-        errors = tuple(float(e) for e in errors)
-        first = next((i for i, e in enumerate(errors) if e > threshold), None)
-        return cls(errors, first, float(threshold), max(errors) if errors else 0.0)
+    @property
+    def first_divergent_index(self) -> int | None:
+        return next((i for i, e in enumerate(self.per_step_abs_error) if e > self.threshold),
+                    None)
+
+    @property
+    def max_error(self) -> float:
+        return max(self.per_step_abs_error, default=0.0)
 
 
 def compare_trajectories(a: Trajectory, b: Trajectory,
@@ -237,4 +222,4 @@ def compare_trajectories(a: Trajectory, b: Trajectory,
         xb = vb._mpf_ if isinstance(vb, mpf) else _raw_mpf(vb, bits)
         errors.append(to_float(mpf_abs(mpf_sub(xa, xb, bits, round_nearest)),
                                rnd=round_nearest))
-    return DivergenceReport.from_errors(errors, threshold)
+    return DivergenceReport(errors, float(threshold))

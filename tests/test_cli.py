@@ -180,6 +180,20 @@ class TestCompareCommand:
         doc = json.loads(capsys.readouterr().out)
         assert [rep["label"] for rep in doc["reports"]] == ["iterated", "table1", "simple"]
 
+    def test_impossible_form_is_refused_before_evaluating(self, monkeypatch, capsys):
+        def never(*args, **kwargs):
+            raise AssertionError("evaluated a run that should be refused")
+
+        for name in ("oracle", "phase_oracle", "iterate"):
+            monkeypatch.setattr(map_standard, name, never)
+        assert main(["compare", "--r", "3.9", "--x0", "0.3", "--steps", "8000",
+                     "--form", "r4"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "requires r=4" in captured.err
+        assert main(["compare", "--r", "4", "--x0", "1.5", "--steps", "8000",
+                     "--form", "r4"]) == 3
+        assert "outside [0, 1]" in capsys.readouterr().err
+
 
 class TestParseArgs:
     def test_parser_is_built_once(self, monkeypatch):
@@ -240,16 +254,32 @@ class TestSeriesLimits:
         assert captured.out == ""
         assert captured.err.startswith("error:") and "significand bits" in captured.err
 
+    @pytest.mark.parametrize("argv", [
+        ["map3", "--r", "4", "--x0", "0.3", "--steps", "2", "--bits", "2000000",
+         "--form", "r4"],
+        ["compare", "--r", "-2", "--x0", "0.9", "--steps", "60",
+         "--oracle-bits", str(cli.MAX_BITS + 1)],
+        ["compare", "--r", "-2", "--x0", "0.9", "--steps", "70000"],  # the default oracle
+    ])
+    def test_too_wide(self, argv, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and f"limit of {cli.MAX_BITS}" in captured.err
+
     def test_largest_oracle_is_admitted(self, monkeypatch, capsys):
         sizes = []
         monkeypatch.setattr(map_standard, "oracle",
                             lambda p, n, policy: sizes.append((n, policy.significand_bits)))
         monkeypatch.setattr(map_standard, "iterate", lambda *args: None)
         monkeypatch.setattr(map_standard, "compare_trajectories",
-                            lambda a, b, threshold: DivergenceReport.from_errors([], threshold))
-        assert main(["compare", "--r", "-2", "--x0", "0.9", "--steps", "60",
-                     "--oracle-bits", str(2**33 // 61)]) == 0
-        assert sizes == [(60, 2**33 // 61)]
+                            lambda a, b, threshold: DivergenceReport((), threshold))
+        # the widest values, and the most significand bits in all
+        steps = cli.MAX_SERIES_BITS // cli.MAX_BITS - 1
+        for n in (60, steps):
+            assert main(["compare", "--r", "-2", "--x0", "0.9", "--steps", str(n),
+                         "--oracle-bits", str(cli.MAX_BITS)]) == 0
+        assert sizes == [(60, cli.MAX_BITS), (steps, cli.MAX_BITS)]
 
 
 # SHA-256 of whole artifacts, captured before the closed-form trajectory and
@@ -300,8 +330,8 @@ GOLDEN_SHA256 = [
     (["rng", "--x0", "0.3", "--count", "5000", "--burn-in", "7", "--format", "json"],
      "14afd9cb7988ab406a1468398950b8f20c8792791200f97a135024bf5b52d719"),
 ]
-GOLDEN_IDS = ["compare", "compare-csv", "compare-svg", "compare-phase", "map3-r2"] + [f"figure{w}-{f}" for w in "123"
-                                       for f in ("csv", "json", "svg")] + [
+GOLDEN_IDS = ["compare", "compare-csv", "compare-svg", "compare-phase", "map3-r2"] + [
+    f"figure{w}-{f}" for w in "123" for f in ("csv", "json", "svg")] + [
     "ode-gammas", "map4-gammas-json", "rng-json"]
 
 

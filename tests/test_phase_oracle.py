@@ -13,12 +13,18 @@ from logistic_exact.cli import main
 from logistic_exact.errors import DomainError, EscapeError
 from logistic_exact.map_standard import (
     MapParams,
+    divergence_reports,
     iterate,
     iteration_divergence,
     oracle,
     phase_oracle,
 )
-from logistic_exact.precision import METHOD_ORACLE, PrecisionPolicy, compare_trajectories
+from logistic_exact.precision import (
+    DOUBLE,
+    METHOD_ORACLE,
+    PrecisionPolicy,
+    compare_trajectories,
+)
 
 P = 53 + 75  # bits of a phase sample at 53 working bits
 N = map_standard._PHASE_MIN_STEPS
@@ -143,7 +149,7 @@ class TestRouting:
         assert main(argv) == 0
         assert calls == ["oracle"]
 
-    def test_seed_outside_the_interval(self, calls, capsys):
+    def test_seed_outside_the_interval(self, calls, monkeypatch, capsys):
         p = MapParams(-2.0, 1.6)
         with pytest.raises(EscapeError) as escape:
             iterate(p, N)
@@ -151,9 +157,14 @@ class TestRouting:
         err = capsys.readouterr().err
         assert err.startswith("error:") and f"at step {escape.value.index}" in err
         assert calls == []  # the 53-bit iteration escapes before any reference
+
         # had it not, the iterated oracle would have been the reference
+        def bounded_at_53_bits(q, n, policy=DOUBLE):
+            return iterate(MapParams(-2.0, 0.9) if policy == DOUBLE else q, n, policy)
+
+        monkeypatch.setattr(map_standard, "iterate", bounded_at_53_bits)
         with pytest.raises(EscapeError):
-            map_standard._divergence_reference(p, N, 53, None, PrecisionPolicy(N + 64))
+            divergence_reports(p, N, 53, 0.01)
         assert calls == ["oracle"]
 
     def test_iteration_divergence(self, calls):

@@ -30,39 +30,30 @@ def circle_distance(a, b, bits):
 class TestPrecisionPolicy:
     def test_defaults(self):
         assert DOUBLE.significand_bits == 53
-        assert DOUBLE.baseline_bits == 64
 
     @pytest.mark.parametrize("bits", [52, 0, -1])
     def test_rejects_sub_double(self, bits):
         with pytest.raises(ValueError):
             PrecisionPolicy(bits)
 
-    def test_rejects_bad_baseline(self):
-        with pytest.raises(ValueError):
-            PrecisionPolicy(64, 0)
-
 
 class TestPrecisionBudget:
     def test_zero_steps_is_baseline(self):
-        assert precision_budget(0, 1.0, PrecisionPolicy(53, 64)) == 64
+        assert precision_budget(0) == 64
+        assert budgeted_policy(0) == PrecisionPolicy(64)
 
     def test_hundred_steps(self):
-        assert precision_budget(100, 1.0, PrecisionPolicy(53, 64)) == 164
-
-    def test_floor_at_53(self):
-        assert precision_budget(0, 0.0, PrecisionPolicy(53, 1)) == 53
+        assert precision_budget(100) == 164
+        assert budgeted_policy(100) == PrecisionPolicy(164)
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
-            precision_budget(-1, 1.0)
-        with pytest.raises(ValueError):
-            precision_budget(3, -0.5)
+            precision_budget(-1)
 
-    @given(n1=st.integers(0, 10_000), dn=st.integers(0, 10_000),
-           b1=st.floats(0, 8), db=st.floats(0, 8))
-    def test_monotone(self, n1, dn, b1, db):
-        lo = precision_budget(n1, b1)
-        hi = precision_budget(n1 + dn, b1 + db)
+    @given(n1=st.integers(0, 10_000), dn=st.integers(0, 10_000))
+    def test_monotone(self, n1, dn):
+        lo = precision_budget(n1)
+        hi = precision_budget(n1 + dn)
         assert hi >= lo
 
     def test_budgeted_oracles_agree(self):
@@ -287,15 +278,35 @@ class TestCompareTrajectories:
 
 
 class TestDivergenceReport:
+    # the summary is derived from the errors, so no inconsistent one can be
+    # passed in, and none can be set afterwards
     def test_validates_max_error(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             DivergenceReport((0.1, 0.2), None, 1.0, 0.3)
+        rep = DivergenceReport((0.1, 0.2), 1.0)
+        assert rep.max_error == 0.2
+        with pytest.raises(AttributeError):
+            rep.max_error = 0.3
 
     def test_validates_first_index(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             DivergenceReport((0.1, 2.0), None, 1.0, 2.0)
+        rep = DivergenceReport((0.1, 2.0), 1.0)
+        assert rep.first_divergent_index == 1
+        with pytest.raises(AttributeError):
+            rep.first_divergent_index = None
 
     def test_from_errors(self):
-        rep = DivergenceReport.from_errors([0.0, 0.005, 0.02, 0.5], 0.01)
+        rep = DivergenceReport([0.0, 0.005, 0.02, 0.5], 0.01)
+        assert rep.per_step_abs_error == (0.0, 0.005, 0.02, 0.5)
         assert rep.first_divergent_index == 2
         assert rep.max_error == 0.5
+        assert DivergenceReport([], 0.01).max_error == 0.0
+
+    def test_rejects_bad_threshold_and_errors(self):
+        for threshold in (0.0, -1.0, math.nan):
+            with pytest.raises(ValueError, match="threshold"):
+                DivergenceReport((0.1,), threshold)
+        for errors in ((-0.1,), (math.inf,), (math.nan,)):
+            with pytest.raises(ValueError, match="finite and non-negative"):
+                DivergenceReport(errors, 1.0)
