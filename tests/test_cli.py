@@ -291,7 +291,11 @@ class TestSeriesLimits:
 # test_shifted_seed_within_4_ulp_of_400_bit_member pins the new values.
 # compare-csv, compare-svg and compare-phase (an iteration-only run whose
 # reference is read off the phase digits) were captured before compare became a
-# caller of map_standard.divergence_reports.
+# caller of map_standard.divergence_reports.  compare-long, compare-periodic-200
+# (a periodic window at 200 working bits), compare-forms-long, map3-long and
+# map3-subnormal (whose orbit leaves the normal doubles near step 1023) were
+# captured before the reference of a long compare run narrowed with the steps
+# left and 53-bit iteration moved onto doubles.
 GOLDEN_SHA256 = [
     (["compare", "--r", "-2", "--x0", "0.9", "--form", "table1", "--form", "simple"],
      "c57e476735943d7177a857f2b0aab06ce0361c69b570f4a0c343f6e81cd06c85"),
@@ -329,10 +333,23 @@ GOLDEN_SHA256 = [
      "a6c2a83a89a9a3d2abbf281c05aabd8519af2fce2fd40e378b6c6b42b32ebb4b"),
     (["rng", "--x0", "0.3", "--count", "5000", "--burn-in", "7", "--format", "json"],
      "14afd9cb7988ab406a1468398950b8f20c8792791200f97a135024bf5b52d719"),
+    (["compare", "--r", "3.9", "--x0", "0.3", "--steps", "1500", "--format", "csv"],
+     "4be80a4611e0060cfc7655290857d10e156f055189556c979e2c644a6a4d1481"),
+    (["compare", "--r", "3.83", "--x0", "0.3", "--steps", "1000", "--bits", "200",
+      "--format", "csv"],
+     "e42f670298e3f94b1bfbcfb0938b64eeb0029aefc3fd387634e20fb20c0ca822"),
+    (["compare", "--r", "-2", "--x0", "0.9", "--steps", "400", "--form", "table1",
+      "--form", "simple", "--format", "csv"],
+     "4735cd14b5d56fb51817f102bd7f5667c7295f40087da54221078dfc2ce5544e"),
+    (["map3", "--r", "3.7", "--x0", "0.3", "--steps", "3000"],
+     "2971f8413b257f4c0dc0ba5bd6a6b86e38879114da54189ca744073ac46d659e"),
+    (["map3", "--r", "0.5", "--x0", "0.3", "--steps", "1100", "--format", "json"],
+     "41c2a28a000c6939484f58f36b8f2a8506d8707b020a4527f1dcc8392e3ecca6"),
 ]
 GOLDEN_IDS = ["compare", "compare-csv", "compare-svg", "compare-phase", "map3-r2"] + [
     f"figure{w}-{f}" for w in "123" for f in ("csv", "json", "svg")] + [
-    "ode-gammas", "map4-gammas-json", "rng-json"]
+    "ode-gammas", "map4-gammas-json", "rng-json", "compare-long", "compare-periodic-200",
+    "compare-forms-long", "map3-long", "map3-subnormal"]
 
 
 @pytest.mark.parametrize("argv,digest", GOLDEN_SHA256, ids=GOLDEN_IDS)
