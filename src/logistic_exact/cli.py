@@ -90,7 +90,7 @@ def _run_ode(params):
     r, x0 = params["r"], params["x0"]
     t_end = _get(params, "t_end", 10.0)
     dt = _get(params, "dt", 0.02)
-    gammas = sorted(params.get("gammas") or ())
+    gammas = sorted(set(params.get("gammas") or ()))  # one series per value
     p = continuous.ContinuousParams(r, x0)
     series = [("particular", continuous.grid_trajectory(p, t_end, dt))]
     for g in gammas:
@@ -121,7 +121,7 @@ def _run_map3(params):
 def _run_map4(params):
     r, x0 = params["r"], params["x0"]
     steps = params["steps"]
-    gammas = sorted(params.get("gammas") or ())
+    gammas = sorted(set(params.get("gammas") or ()))  # one series per value
     _check_series(steps + 1)
     p = map_riccati.RiccatiMapParams(r, x0)
     series = [("iterated", map_riccati.iterate(p, steps)),

@@ -18,7 +18,11 @@ formula with libm.  The pipeline rounds the reduced angle to 53 bits before
 the cosine, whereas libm reduces its argument exactly.  Over 200 seeds of
 the ``simple`` form and n <= 60, only about half of the samples (6,563 of
 12,200) equal ``0.5 + math.cos(math.ldexp(math.acos(x0 - 0.5), n))`` bit for
-bit, and the median first mismatch is at n = 3.
+bit, and the median first mismatch is at n = 3.  Plain iteration at 53
+bits, by contrast, is the IEEE recurrence: ``iterate`` runs it on Python
+floats, and returns floats, while every product and result is a normal
+double no larger than 1e100, and on libmp from the first step where one is
+not.
 
 ``divergence_reports`` is the one divergence entry point: it compares plain
 iteration and any closed forms at a working width against one reference
@@ -27,21 +31,31 @@ map at the budget B of one bit per step plus 64; at step k it is good to
 about 2^(k - B) absolute, so to about 61 bits at the last step (fewer on
 orbits that linger near the repelling fixed point 3/2 of r = -2, which
 stretches errors by 4 a step: 14 bits fewer for x0 = 3/2 - 2^-52 over 400
-steps).  An iteration-only run (no closed form) at 53 working bits, r = 4 or
-r = -2, with the default oracle, a seed in the map's invariant interval and
-at least 2,600 steps uses ``phase_oracle`` at the same budget instead.  Its
-samples are good to about 2^-128 at every step and cost a shift and a short
-cosine each instead of a B-bit multiplication, about 4x less time at 8,500
-steps.  Its reports equal the iterated oracle's bit for bit up to 64 steps
-before the end, and differ by no more than the two references do after
-that.  The phase evaluator is itself a closed form, so a closed form is
-always checked against the iterated oracle.
+steps).  Unless the oracle's width is given, the reference of a divergence
+run tapers: step k runs at min(B, max(B + 64 - k, w + 128)) bits for
+working width w, as only n - k + 64 bits are still needed at step k.  That
+statement of accuracy holds as it stands, B is still the reported width
+and the widest sample, and the reports are the fixed-width oracle's; the
+run costs about half as much from a few thousand steps on.
+
+An iteration-only run (no closed form) at 53 working bits, r = 4 or r = -2,
+with the default oracle, a seed in the map's invariant interval and at least
+2,600 steps uses ``phase_oracle`` at the same budget instead.  Its samples
+are good to about 2^-128 at every step and cost a shift and a short cosine
+each instead of a multiplication at up to B bits: about 4x less time than
+the fixed-width oracle at 8,500 steps, and about the same as the tapered one
+at 3,600-4,400 steps.  Its reports equal the fixed-width oracle's bit for
+bit up to 64 steps before the end, and differ by no more than the two
+references do after that.  The phase evaluator is itself a closed form, so a
+closed form is always checked against the iterated oracle.
 """
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from enum import Enum
+from itertools import repeat
 from typing import Callable
 
 from mpmath import mp, mpf, workprec
@@ -87,6 +101,7 @@ from .precision import (
 )
 
 ESCAPE_BOUND = 1e100
+_NORMAL_MIN = sys.float_info.min  # the smallest normal double
 
 
 @dataclass(frozen=True)
@@ -152,6 +167,11 @@ _SEED_DOMAIN = {
 }
 
 
+def _check_steps(n: int) -> None:
+    if not isinstance(n, int) or n < 0:
+        raise ValueError("n must be a non-negative integer")
+
+
 def _step(r: tuple, x: tuple, bits: int) -> tuple:
     """One map step ``r * x * (1 - x)`` on raw values, each operation rounded
     to nearest at ``bits``."""
@@ -159,34 +179,68 @@ def _step(r: tuple, x: tuple, bits: int) -> tuple:
     return mpf_mul(mpf_mul(r, x, bits, rnd), mpf_sub(fone, x, bits, rnd), bits, rnd)
 
 
-def iterate(p: MapParams, n: int, policy: PrecisionPolicy = DOUBLE) -> Trajectory:
-    """Samples 0..n of the exact recurrence at the policy's precision.
-
-    Each step is ``r * x * (1 - x)`` rounded to nearest at the policy's
-    significand width, on raw libmp values.  A 53-bit policy rounds like IEEE
-    doubles but has an unbounded exponent, so it matches the float recurrence
-    only while the orbit stays in the normal range of doubles: for
-    ``MapParams(0.5, 0.3)``, whose orbit decays towards 0, the first mismatch
-    is at step 1023, where the doubles have gone subnormal.  Raises
-    EscapeError with the offending index if the orbit passes 1e100.
-    """
-    if not isinstance(n, int) or n < 0:
-        raise ValueError("n must be a non-negative integer")
-    bits = policy.significand_bits
-    r = _raw_mpf(p.r, bits)
-    x = _raw_mpf(p.x0, bits)
+def _orbit(r: tuple, x: tuple, k: int, widths) -> list:
+    """Samples k + 1, k + 2, ... from the raw sample ``x`` at step k: one
+    ``_step`` per entry of ``widths``, at that many bits.  Raises EscapeError
+    with the offending index if the orbit passes 1e100."""
     bound = from_float(ESCAPE_BOUND)
     make = mp.make_mpf
-    samples = [(0, make(x))]
-    for k in range(1, n + 1):
+    samples = []
+    for bits in widths:
+        k += 1
         x = _step(r, x, bits)
         if mpf_gt(mpf_abs(x), bound):
             raise EscapeError(f"orbit escaped past {ESCAPE_BOUND:g} at step {k}", index=k)
         samples.append((k, make(x)))
+    return samples
+
+
+def _double_orbit(r: float, x: float, n: int) -> list:
+    """Samples 0, 1, ... of the orbit on Python floats: up to step n, or up to
+    the step before the first whose product ``r * x`` or result is not a
+    normal double of magnitude at most 1e100.  Up to there IEEE rounding to
+    nearest, ties to even, gives each step the value of ``_step`` at 53 bits."""
+    samples = [(0, x)]
+    for k in range(1, n + 1):
+        rx = r * x
+        x = rx * (1.0 - x)
+        if not (_NORMAL_MIN <= abs(rx) and _NORMAL_MIN <= abs(x) <= ESCAPE_BOUND):
+            break
+        samples.append((k, x))
+    return samples
+
+
+def iterate(p: MapParams, n: int, policy: PrecisionPolicy = DOUBLE) -> Trajectory:
+    """Samples 0..n of the exact recurrence at the policy's precision.
+
+    Each step is ``r * x * (1 - x)`` rounded to nearest at the policy's
+    significand width.  A 53-bit policy rounds like IEEE doubles but has an
+    unbounded exponent.  So it runs on Python floats, and returns floats,
+    while every product and result is a normal double no larger than 1e100;
+    from the first step where one is not (a zero, a subnormal, an overflow or
+    an escape) it runs on raw libmp values and returns mpf.  Every sample is
+    the same number either way, and the mpf ones differ from the float
+    recurrence: for ``MapParams(0.5, 0.3)``, whose orbit decays towards 0,
+    the first mismatch is at step 1023, where the doubles have gone
+    subnormal.  Raises EscapeError with the offending index if the orbit
+    passes 1e100.
+    """
+    _check_steps(n)
+    bits = policy.significand_bits
+    if (bits == DOUBLE.significand_bits and isinstance(p.r, (int, float))
+            and isinstance(p.x0, (int, float))):
+        samples = _double_orbit(float(p.r), float(p.x0) or 0.0, n)  # mpf has no -0
+        x = from_float(samples[-1][1])
+    else:
+        x = _raw_mpf(p.x0, bits)
+        samples = [(0, mp.make_mpf(x))]
+    samples += _orbit(_raw_mpf(p.r, bits), x, len(samples) - 1,
+                      repeat(bits, n + 1 - len(samples)))
     return Trajectory(METHOD_ITERATED, tuple(samples), policy)
 
 
-def oracle(p: MapParams, n: int, policy: PrecisionPolicy | None = None) -> Trajectory:
+def oracle(p: MapParams, n: int, policy: PrecisionPolicy | None = None,
+           taper_to: int | None = None) -> Trajectory:
     """Budgeted-precision iteration used as ground truth.
 
     The default budget assumes one bit lost per step with a 64-bit margin,
@@ -195,10 +249,24 @@ def oracle(p: MapParams, n: int, policy: PrecisionPolicy | None = None) -> Traje
     to about 61 bits at step n.  Iteration-only divergence runs at r = 4 and
     r = -2 from 2,600 steps on use ``phase_oracle`` instead, which is good to
     about 2^-128 at every step and cheaper there (see the module docstring).
+
+    Every step runs at B bits unless ``taper_to`` is given.  Then step k runs
+    at min(B, max(B + 64 - k, taper_to)) bits: 64 steps at B, then one bit
+    fewer per step, never fewer than ``taper_to``.  Only n - k + 64 bits are
+    still needed at step k under the budget rule, so the rounding of step k
+    reaches step j > k as about 2^(j - B - 64), and sample k stays good to
+    about 2^(k - B).  The trajectory is tagged with B, the widest width.
     """
+    _check_steps(n)
     policy = policy if policy is not None else budgeted_policy(n)
-    base = iterate(p, n, policy)
-    return Trajectory(METHOD_ORACLE, base.samples, policy)
+    bits = policy.significand_bits
+    if taper_to is None:
+        widths = repeat(bits, n)
+    else:
+        widths = (min(bits, max(bits + 64 - k, taper_to)) for k in range(1, n + 1))
+    x = _raw_mpf(p.x0, bits)
+    samples = [(0, mp.make_mpf(x))] + _orbit(_raw_mpf(p.r, bits), x, 0, widths)
+    return Trajectory(METHOD_ORACLE, tuple(samples), policy)
 
 
 # The cosine form whose phase phase_oracle reads, by map parameter.  With the
@@ -291,8 +359,7 @@ def centered_step(y, r):
 
 
 def _check_closed_form(p: MapParams, n: int, variant: ClosedForm) -> None:
-    if not isinstance(n, int) or n < 0:
-        raise ValueError("n must be a non-negative integer")
+    _check_steps(n)
     if p.r != variant.required_r:
         raise ValueError(
             f"variant {variant.value!r} requires r={variant.required_r:g}, got r={p.r!r}")
@@ -463,6 +530,11 @@ def conjugacy_solution(pair: ConjugacyPair, r: float, x0: float, n: int,
         return (1 - value) / 2
 
 
+# Bits the tapered reference of a divergence run keeps above the method under
+# test at every step.
+_TAPER_MARGIN = 128
+
+
 def oracle_policy(n_max: int, working_bits: int,
                   oracle_bits: int | None) -> PrecisionPolicy:
     """Oracle policy for a divergence run: ``oracle_bits`` if given, else the
@@ -483,15 +555,17 @@ def divergence_reports(p: MapParams, n_max: int, working_bits: int, threshold: f
     ``working_bits`` (a closed form including all of its angle arithmetic),
     against one reference at ``oracle_policy(n_max, working_bits,
     oracle_bits)``: ``phase_oracle`` where the module docstring says so,
-    else ``oracle``.  Returns ``(label, DivergenceReport)`` pairs:
-    ``"iterated"`` first, then each form's value in the order given.
+    else ``oracle``, tapered to ``working_bits + 128`` unless ``oracle_bits``
+    is given.  Returns ``(label, DivergenceReport)`` pairs: ``"iterated"``
+    first, then each form's value in the order given.
 
     Every form's r and seed are checked before anything is evaluated, and
     the iteration runs before the reference, so an orbit that escapes builds
     none.  An explicit ``oracle_bits`` below the budget of one bit per step
     plus 64 draws a warning.  At 53 working bits about one significand bit
     dies per step, so the orbit visibly leaves the oracle after a few dozen
-    steps; this is the mpmath pipeline at 53 bits, not libm on doubles.
+    steps; the closed forms are the library's pipeline at 53 bits, not libm
+    on doubles.
     """
     ref_policy = oracle_policy(n_max, working_bits, oracle_bits)
     budget = precision_budget(n_max)
@@ -510,7 +584,8 @@ def divergence_reports(p: MapParams, n_max: int, working_bits: int, threshold: f
             and _in_seed_domain(p.x0, phase)):
         ref = phase_oracle(p, n_max)
     else:
-        ref = oracle(p, n_max, ref_policy)
+        taper_to = working_bits + _TAPER_MARGIN if oracle_bits is None else None
+        ref = oracle(p, n_max, ref_policy, taper_to)
     reports = [(METHOD_ITERATED, compare_trajectories(it, ref, threshold))]
     for variant in variants:
         cf = closed_form_trajectory(p, n_max, variant, working)

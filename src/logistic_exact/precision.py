@@ -21,6 +21,7 @@ from mpmath.libmp import (
     finf,
     fnan,
     fninf,
+    from_float,
     fzero,
     mpf_abs,
     mpf_ge,
@@ -200,14 +201,24 @@ class DivergenceReport:
         return max(self.per_step_abs_error, default=0.0)
 
 
+def _exact(value, bits: int) -> tuple:
+    """A sample as a raw libmp value: mpf and float samples exactly (a float
+    has at most 53 bits), any other as ``_raw_mpf(value, bits)``."""
+    if isinstance(value, mpf):
+        return value._mpf_
+    if isinstance(value, float):
+        return from_float(value)
+    return _raw_mpf(value, bits)
+
+
 def compare_trajectories(a: Trajectory, b: Trajectory,
                          threshold: float) -> DivergenceReport:
     """Report the absolute per-step differences of two trajectories.
 
     The trajectories must be sampled on the identical index set.  The
     subtraction is carried out 10 bits above the higher of the two
-    precisions, on raw libmp values; the report stores the differences as
-    doubles.
+    precisions, on raw libmp values (mpf and float samples taken exactly);
+    the report stores the differences as doubles.
     """
     if len(a.samples) != len(b.samples):
         raise ValueError(
@@ -218,8 +229,8 @@ def compare_trajectories(a: Trajectory, b: Trajectory,
         if ia != ib:
             raise ValueError(
                 f"trajectory index sets differ (first mismatch: {ia!r} vs {ib!r})")
-        xa = va._mpf_ if isinstance(va, mpf) else _raw_mpf(va, bits)
-        xb = vb._mpf_ if isinstance(vb, mpf) else _raw_mpf(vb, bits)
+        xa = _exact(va, bits)
+        xb = _exact(vb, bits)
         errors.append(to_float(mpf_abs(mpf_sub(xa, xb, bits, round_nearest)),
                                rnd=round_nearest))
     return DivergenceReport(errors, float(threshold))

@@ -120,6 +120,26 @@ class TestMap4Command:
         assert particular[:2] == ["1e+17", "2.0"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["ode", "--r", "1.7", "--x0", "0.11", "--t-end", "1", "--dt", "0.25"],
+    ["map4", "--r", "1.59", "--x0", "0.36192", "--steps", "5"],
+], ids=["ode", "map4"])
+def test_repeated_gamma_is_one_series(argv, capsys):
+    repeated = ["--gamma", "5.124", "--gamma", "3.21", "--gamma", "5.124"]
+    distinct = ["--gamma", "3.21", "--gamma", "5.124"]
+    assert main(argv + repeated + ["--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    labels = [s["label"] for s in doc["series"]]
+    assert labels[-2:] == ["gamma=3.21", "gamma=5.124"]
+    assert len(labels) == len(set(labels))
+    assert doc["config"]["gammas"] == [3.21, 5.124]
+    for fmt in ("csv", "json", "svg"):
+        assert main(argv + repeated + ["--format", fmt]) == 0
+        once = capsys.readouterr().out
+        assert main(argv + distinct + ["--format", fmt]) == 0
+        assert capsys.readouterr().out == once
+
+
 class TestCompareCommand:
     def test_emits_three_reports(self, capsys):
         assert main(["compare", "--r", "-2", "--x0", "0.9", "--form", "table1",
@@ -270,7 +290,8 @@ class TestSeriesLimits:
     def test_largest_oracle_is_admitted(self, monkeypatch, capsys):
         sizes = []
         monkeypatch.setattr(map_standard, "oracle",
-                            lambda p, n, policy: sizes.append((n, policy.significand_bits)))
+                            lambda p, n, policy, taper_to:
+                            sizes.append((n, policy.significand_bits)))
         monkeypatch.setattr(map_standard, "iterate", lambda *args: None)
         monkeypatch.setattr(map_standard, "compare_trajectories",
                             lambda a, b, threshold: DivergenceReport((), threshold))

@@ -103,7 +103,9 @@ def reference_errors(a, b):
 
 
 def raw(samples):
-    return [(k, v._mpf_) for k, v in samples]
+    """Exact values: an mpf as it is, a float or int converted exactly (an mpf
+    passed to ``mpf`` would be rounded to the context's 53 bits)."""
+    return [(k, v._mpf_ if isinstance(v, mpf) else mpf(v)._mpf_) for k, v in samples]
 
 
 POLICIES = [DOUBLE, budgeted_policy(120)]
@@ -138,6 +140,61 @@ class TestIterateKernel:
         with pytest.raises(EscapeError) as got:
             iterate(p, 500, policy)
         assert got.value.index == want.value.index is not None
+
+
+def double_recurrence(r, x0, n):
+    xs = [float(x0)]
+    for _ in range(n):
+        xs.append(r * xs[-1] * (1.0 - xs[-1]))
+    return xs
+
+
+class TestDoublePath:
+    """53-bit iteration runs on floats while every product and result is a
+    normal double no larger than 1e100, and on libmp from the first step where
+    one is not; either way it equals the mpf loop bit for bit."""
+
+    @pytest.mark.parametrize("r,x0,n,first_mpf", [
+        (0.5, 0.3, 1100, 1020),  # decays: r*x is subnormal from step 1020
+        (4.0, 1.0, 5, 1),  # 1 - x is 0, so x1 is 0
+        (0.0, 0.3, 5, 1),  # r*x is 0
+        (3.9, -0.0, 5, 1),  # a signed zero seed, taken as 0
+        (1e-300, 0.3, 5, 2),  # r*x1 is subnormal
+        (4, 1, 5, 1),  # integer r and x0
+        (-1, 2, 50, None),  # integer r and x0 on the fixed point 2
+        (2**53 + 1, 2.0**-60, 3, None),  # an integer r rounded to 53 bits
+    ], ids=["subnormal-decay", "zero-r4", "zero-r0", "signed-zero", "subnormal-product",
+            "int-zero", "int-fixed-point", "int-rounded"])
+    def test_exits_and_equals_mpf_loop(self, r, x0, n, first_mpf):
+        p = MapParams(r, x0)
+        got = iterate(p, n).samples
+        assert raw(got) == raw(reference_iterate(p, n, DOUBLE))
+        kinds = [isinstance(v, float) for _, v in got]
+        first = first_mpf if first_mpf is not None else n + 1
+        assert kinds == [True] * first + [False] * (n + 1 - first)
+        # the float samples are the float recurrence itself
+        assert [v for _, v in got[:first]] == double_recurrence(float(r), x0, first - 1)
+
+    def test_subnormal_decay_leaves_the_float_recurrence_later(self):
+        p = MapParams(0.5, 0.3)
+        got = [float(v) for v in iterate(p, 1100).values]
+        want = double_recurrence(0.5, 0.3, 1100)
+        assert next(k for k in range(1101) if got[k] != want[k]) == 1023
+
+    @pytest.mark.parametrize("r,x0,index", [
+        (5.0, 5.0, 7),  # a normal double past 1e100
+        (1e300, 1e10, 1),  # r*x overflows
+        (3, 2, 8),  # integer r and x0
+    ])
+    def test_escape(self, r, x0, index):
+        p = MapParams(r, x0)
+        with pytest.raises(EscapeError) as want:
+            reference_iterate(p, 50, DOUBLE)
+        with pytest.raises(EscapeError) as got:
+            iterate(p, 50)
+        assert got.value.index == want.value.index == index
+        assert str(got.value) == str(want.value) == (
+            f"orbit escaped past 1e+100 at step {index}")
 
 
 # -------------------------------------------------------- closed forms

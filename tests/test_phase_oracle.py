@@ -1,5 +1,6 @@
 """The phase-digit evaluator for r = 4 and r = -2, and the reference each
-divergence run takes: the evaluator or the iterated oracle."""
+divergence run takes: the evaluator, or the iterated oracle, tapered unless
+the oracle's width is given."""
 
 import json
 
@@ -17,6 +18,7 @@ from logistic_exact.map_standard import (
     iterate,
     iteration_divergence,
     oracle,
+    oracle_policy,
     phase_oracle,
 )
 from logistic_exact.precision import (
@@ -103,6 +105,108 @@ class TestPhaseOracle:
             phase_oracle(MapParams(-2.0, -0.6), 10)
         with pytest.raises(ValueError, match="non-negative"):
             phase_oracle(MapParams(4.0, 0.3), -1)
+
+
+def check_tapered_reference(p, n, working_bits):
+    """The reports against the tapered reference a divergence run takes equal
+    those against the fixed-width oracle of the same width W, except at a
+    rounding tie; there they differ by no more than 2^(k - W + 4), or the
+    fixed-width oracle's own distance from the orbit, plus two roundings to
+    double.  No tapered sample is wider than W, and none is further from the
+    orbit than that bound."""
+    policy = oracle_policy(n, working_bits, None)
+    width = policy.significand_bits
+    fixed = oracle(p, n, policy)
+    tapered = oracle(p, n, policy, working_bits + 128)
+    it = iterate(p, n, PrecisionPolicy(working_bits))
+    ea = compare_trajectories(it, fixed, 0.01).per_step_abs_error
+    eb = compare_trajectories(it, tapered, 0.01).per_step_abs_error
+    true = oracle(p, n, PrecisionPolicy(2 * width))
+    assert (tapered.method_tag, tapered.precision, tapered.indices) == (
+        METHOD_ORACLE, policy, fixed.indices)
+    with workprec(2 * width + 64):
+        for k in range(n + 1):
+            xa, xb, xt = fixed.samples[k][1], tapered.samples[k][1], true.samples[k][1]
+            assert xb._mpf_[3] <= width, k
+            if k <= 64:  # the first 64 steps run at the full width
+                assert xb._mpf_ == xa._mpf_, k
+            assert abs(xb - xt) <= mpf(2) ** (k - width + 4) + abs(xa - xt), k
+            if eb[k] != ea[k]:
+                bound = (mpf(2) ** (k - width + 4) + abs(xa - xt)
+                         + mpf(2) ** -52 * max(ea[k], eb[k]))  # two roundings to double
+                assert abs(mpf(eb[k]) - mpf(ea[k])) <= bound, k
+
+
+# chaotic, doubling, and periodic windows
+TAPER_RATES = [3.7, 3.9, 4.0, -2.0, 3.83, 3.57, 3.2]
+
+
+@st.composite
+def taper_cases(draw):
+    r = draw(st.sampled_from(TAPER_RATES))
+    x0 = draw(st.floats(-0.5, 1.5) if r == -2.0 else st.floats(0.0, 1.0))
+    return MapParams(r, x0)
+
+
+class TestTaperedReference:
+    @settings(max_examples=20, deadline=None)
+    @given(taper_cases(), st.integers(0, 1500), st.sampled_from([53, 200]))
+    def test_reports_match_the_fixed_width_oracle(self, p, n, working_bits):
+        check_tapered_reference(p, n, working_bits)
+
+    @pytest.mark.parametrize("r,x0,n,working_bits", [
+        (3.9, 0.3, 1500, 53), (3.83, 0.3, 1000, 200), (-2.0, 0.9, 400, 53)])
+    def test_fixed_cases(self, r, x0, n, working_bits):
+        check_tapered_reference(MapParams(r, x0), n, working_bits)
+
+    def test_widths(self):
+        # 64 steps at the full width, then one bit fewer per step down to
+        # 128 bits above the method under test
+        n = 400
+        tapered = oracle(MapParams(3.9, 0.3), n, taper_to=181)
+        width = tapered.precision.significand_bits
+        assert width == n + 64
+        limits = [min(width, max(width + 64 - k, 181)) for k in range(n + 1)]
+        widths = [v._mpf_[3] for v in tapered.values]
+        assert all(w <= limit for w, limit in zip(widths, limits))
+        # a rounded sample is as wide as its step unless it ends in zero bits
+        assert sum(w == limit for w, limit in zip(widths, limits)) > n // 2
+        assert limits[64] == width > limits[65] and limits[346] > 181 == limits[347]
+
+    def test_explicit_oracle_bits_keep_a_fixed_width(self, monkeypatch):
+        seen = []
+        real = map_standard.oracle
+
+        def recording(p, n, policy=None, taper_to=None):
+            seen.append((policy.significand_bits, taper_to))
+            return real(p, n, policy, taper_to)
+
+        monkeypatch.setattr(map_standard, "oracle", recording)
+        p = MapParams(3.9, 0.3)
+        tapered = divergence_reports(p, 300, 53, 0.01)
+        fixed = divergence_reports(p, 300, 53, 0.01, oracle_bits=364)
+        divergence_reports(p, 300, 200, 0.01)
+        divergence_reports(p, 300, 200, 0.01, oracle_bits=1000)
+        assert seen == [(364, 181), (364, None), (364, 328), (1000, None)]
+        assert fixed == tapered
+
+    def test_figure_2_keeps_a_fixed_width(self, calls_with_args, capsys):
+        assert main(["figure", "2"]) == 0
+        assert calls_with_args == [("oracle", 2, {})]  # no taper_to
+
+
+@pytest.fixture
+def calls_with_args(monkeypatch):
+    """(name, positional argument count, keyword arguments) of each oracle call."""
+    seen = []
+    real = map_standard.oracle
+
+    def recording(*args, **kwargs):
+        seen.append(("oracle", len(args), kwargs))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(map_standard, "oracle", recording)
+    return seen
 
 
 @pytest.fixture
