@@ -218,12 +218,12 @@ def iterate(p: MapParams, n: int, policy: PrecisionPolicy = DOUBLE) -> Trajector
     unbounded exponent.  So it runs on Python floats, and returns floats,
     while every product and result is a normal double no larger than 1e100;
     from the first step where one is not (a zero, a subnormal, an overflow or
-    an escape) it runs on raw libmp values and returns mpf.  Every sample is
-    the same number either way, and the mpf ones differ from the float
+    an escape) it runs on raw libmp values and returns mpf.  Either way each
+    sample is the value of the libmp loop, which can then leave the float
     recurrence: for ``MapParams(0.5, 0.3)``, whose orbit decays towards 0,
-    the first mismatch is at step 1023, where the doubles have gone
-    subnormal.  Raises EscapeError with the offending index if the orbit
-    passes 1e100.
+    the loop leaves the floats at step 1020 and the first mismatch is at step
+    1023, where the doubles have gone subnormal.  Raises EscapeError with the
+    offending index if the orbit passes 1e100.
     """
     _check_steps(n)
     bits = policy.significand_bits
@@ -257,8 +257,8 @@ def oracle(p: MapParams, n: int, policy: PrecisionPolicy | None = None,
     reaches step j > k as about 2^(j - B - 64), and sample k stays good to
     about 2^(k - B).  The trajectory is tagged with B, the widest width.
     """
-    _check_steps(n)
     policy = policy if policy is not None else budgeted_policy(n)
+    _check_steps(n)
     bits = policy.significand_bits
     if taper_to is None:
         widths = repeat(bits, n)
