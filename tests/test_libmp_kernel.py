@@ -175,12 +175,6 @@ class TestDoublePath:
         # the float samples are the float recurrence itself
         assert [v for _, v in got[:first]] == double_recurrence(float(r), x0, first - 1)
 
-    def test_subnormal_decay_leaves_the_float_recurrence_later(self):
-        p = MapParams(0.5, 0.3)
-        got = [float(v) for v in iterate(p, 1100).values]
-        want = double_recurrence(0.5, 0.3, 1100)
-        assert next(k for k in range(1101) if got[k] != want[k]) == 1023
-
     @pytest.mark.parametrize("r,x0,index", [
         (5.0, 5.0, 7),  # a normal double past 1e100
         (1e300, 1e10, 1),  # r*x overflows

@@ -173,13 +173,14 @@ class TestTaperedReference:
         assert sum(w == limit for w, limit in zip(widths, limits)) > n // 2
         assert limits[64] == width > limits[65] and limits[346] > 181 == limits[347]
 
-    def test_explicit_oracle_bits_keep_a_fixed_width(self, monkeypatch):
+    def test_explicit_oracle_bits_and_figure_2_keep_a_fixed_width(self, monkeypatch, capsys):
         seen = []
         real = map_standard.oracle
 
         def recording(p, n, policy=None, taper_to=None):
-            seen.append((policy.significand_bits, taper_to))
-            return real(p, n, policy, taper_to)
+            ref = real(p, n, policy, taper_to)
+            seen.append((ref.precision.significand_bits, taper_to))
+            return ref
 
         monkeypatch.setattr(map_standard, "oracle", recording)
         p = MapParams(3.9, 0.3)
@@ -187,26 +188,9 @@ class TestTaperedReference:
         fixed = divergence_reports(p, 300, 53, 0.01, oracle_bits=364)
         divergence_reports(p, 300, 200, 0.01)
         divergence_reports(p, 300, 200, 0.01, oracle_bits=1000)
-        assert seen == [(364, 181), (364, None), (364, 328), (1000, None)]
-        assert fixed == tapered
-
-    def test_figure_2_keeps_a_fixed_width(self, calls_with_args, capsys):
         assert main(["figure", "2"]) == 0
-        assert calls_with_args == [("oracle", 2, {})]  # no taper_to
-
-
-@pytest.fixture
-def calls_with_args(monkeypatch):
-    """(name, positional argument count, keyword arguments) of each oracle call."""
-    seen = []
-    real = map_standard.oracle
-
-    def recording(*args, **kwargs):
-        seen.append(("oracle", len(args), kwargs))
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(map_standard, "oracle", recording)
-    return seen
+        assert seen == [(364, 181), (364, None), (364, 328), (1000, None), (124, None)]
+        assert fixed == tapered
 
 
 @pytest.fixture
