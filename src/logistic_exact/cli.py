@@ -29,7 +29,7 @@ from mpmath.libmp import repr_dps
 
 from . import continuous, map_riccati, map_standard
 from .errors import DegeneracyError, DomainError, EscapeError, PoleError
-from .precision import DOUBLE, METHOD_ITERATED, PrecisionPolicy, Trajectory
+from .precision import DOUBLE, METHOD_CLOSED_FORM, METHOD_ITERATED, PrecisionPolicy, Trajectory
 
 FIGURE_PRESETS = {
     "1": {"r": 1.7, "x0": 0.11, "gammas": (0.14, 0.15, 0.17, 0.25),
@@ -184,10 +184,6 @@ _RUNNERS = {
 
 # --------------------------------------------------------------- emitters
 
-def _format_index(i):
-    return str(i) if isinstance(i, int) else repr(float(i))
-
-
 def _format_value(v, bits):
     """Lossless decimal serialization: shortest round-trip repr for doubles,
     full digit count for high-precision values."""
@@ -216,19 +212,20 @@ def _joined(render):
     return text
 
 
+def _rows(doc):
+    """(label, method, bits, samples) of each series, and of each report's errors by step."""
+    for label, traj in doc.get("series", ()):
+        yield label, traj.method_tag, traj.precision.significand_bits, traj.samples
+    for label, rep in doc.get("reports", ()):
+        yield label, "abs-error", 53, enumerate(rep.per_step_abs_error)
+
+
 @_joined
 def _render_csv(doc):
     yield "index_or_time,series,method,value\n"
-    if "series" in doc:
-        for label, traj in doc["series"]:
-            bits = traj.precision.significand_bits
-            for i, v in traj.samples:
-                yield (f"{_format_index(i)},{label},{traj.method_tag},"
-                       f"{_format_value(v, bits)}\n")
-    else:
-        for label, rep in doc["reports"]:
-            for i, e in enumerate(rep.per_step_abs_error):
-                yield f"{i},{label},abs-error,{e!r}\n"
+    for label, method, bits, samples in _rows(doc):
+        for i, v in samples:
+            yield f"{_format_value(i, 53)},{label},{method},{_format_value(v, bits)}\n"
 
 
 @_joined
@@ -237,17 +234,15 @@ def _render_json(doc):
     if "series" in doc:
         obj["series"] = [{
             "label": label,
-            "method": traj.method_tag,
-            "precision_bits": traj.precision.significand_bits,
-            "samples": [[_json_value(i, 53) if isinstance(i, (int, float)) else i,
-                         _json_value(v, traj.precision.significand_bits)]
-                        for i, v in traj.samples],
-        } for label, traj in doc["series"]]
+            "method": method,
+            "precision_bits": bits,
+            "samples": [[i, _json_value(v, bits)] for i, v in samples],
+        } for label, method, bits, samples in _rows(doc)]
     else:
         config = doc["config"]
         obj["reports"] = [{
             "label": label,
-            "method": label if label == METHOD_ITERATED else f"closed-form:{label}",
+            "method": label if label == METHOD_ITERATED else f"{METHOD_CLOSED_FORM}:{label}",
             "working_bits": config["bits"],
             "oracle_bits": config["oracle_bits"],
             "threshold": rep.threshold,
@@ -263,18 +258,11 @@ _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd",
             "#ff7f0e", "#8c564b", "#17becf", "#7f7f7f")
 
 
-def _svg_series(doc):
-    if "series" in doc:
-        return [(label, [(float(i), float(v)) for i, v in traj.samples])
-                for label, traj in doc["series"]]
-    return [(label, [(float(i), e) for i, e in enumerate(rep.per_step_abs_error)])
-            for label, rep in doc["reports"]]
-
-
 def _render_svg(doc):
     """Minimal line chart: axes, one polyline per series, legend.  Meant for
     eyeballing the curves, not for publication."""
-    named = _svg_series(doc)
+    named = [(label, [(float(i), float(v)) for i, v in samples])
+             for label, _, _, samples in _rows(doc)]
     width, height = 720, 480
     ml, mr, mt, mb = 60, 160, 36, 46
     xs = [x for _, pts in named for x, _ in pts]
@@ -375,15 +363,15 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--x0", type=float, required=True)
     sp.add_argument("--gamma", type=float, action="append", dest="gammas",
                     help="general-solution member (repeatable)")
-    sp.add_argument("--t-end", type=float, default=10.0)
-    sp.add_argument("--dt", type=float, default=0.02)
+    sp.add_argument("--t-end", type=float)
+    sp.add_argument("--dt", type=float)
     common(sp)
 
     sp = sub.add_parser("map3", help="quadratic map x' = r*x*(1-x)")
     sp.add_argument("--r", type=float, required=True)
     sp.add_argument("--x0", type=float, required=True)
     sp.add_argument("--steps", type=int, required=True)
-    sp.add_argument("--bits", type=int, default=53)
+    sp.add_argument("--bits", type=int)
     sp.add_argument("--form", choices=_FORM_CHOICES, action="append",
                     dest="forms", help="closed form to evaluate (repeatable)")
     common(sp)
@@ -400,12 +388,12 @@ def build_parser() -> argparse.ArgumentParser:
                         help="divergence of low-precision methods vs the oracle")
     sp.add_argument("--r", type=float, required=True)
     sp.add_argument("--x0", type=float, required=True)
-    sp.add_argument("--steps", type=int, default=60)
-    sp.add_argument("--bits", type=int, default=53)
-    sp.add_argument("--threshold", type=float, default=0.01)
+    sp.add_argument("--steps", type=int)
+    sp.add_argument("--bits", type=int)
+    sp.add_argument("--threshold", type=float)
     sp.add_argument("--form", choices=_FORM_CHOICES, action="append",
                     dest="forms", help="closed form to compare (repeatable)")
-    sp.add_argument("--oracle-bits", type=int, default=None)
+    sp.add_argument("--oracle-bits", type=int)
     common(sp, default_format="json")
 
     sp = sub.add_parser("figure", help="reference parameter presets 1-3")
@@ -415,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("rng", help="chaos bits from the r=4 orbit")
     sp.add_argument("--x0", type=float, required=True)
     sp.add_argument("--count", type=int, required=True)
-    sp.add_argument("--burn-in", type=int, default=0, dest="burn_in")
+    sp.add_argument("--burn-in", type=int, dest="burn_in")
     common(sp)
     return ap
 

@@ -17,12 +17,11 @@ from dataclasses import dataclass
 
 from mpmath import mp, mpf, workprec
 
-from .errors import POLE_EPS, DomainError, EscapeError, PoleError
+from .errors import ESCAPE_BOUND, POLE_EPS, DomainError, EscapeError, PoleError
 from .precision import (DOUBLE, METHOD_ODE_CLOSED_FORM, METHOD_ODE_RK4,
                         PrecisionPolicy, Trajectory)
 
 _EXP_OVERFLOW = 709.0
-_ESCAPE_BOUND = 1e100
 # Largest time grid a trajectory may sample; bigger grids are refused up front
 MAX_GRID_POINTS = 10**7
 
@@ -216,7 +215,7 @@ def rk4_oracle(p: ContinuousParams, t_end: float, dt: float) -> Trajectory:
         s = x + dt * k3
         k4 = r * s * (1.0 - s)
         x = x + dt * (k1 + 2.0 * (k2 + k3) + k4) / 6.0
-        if not math.isfinite(x) or abs(x) > _ESCAPE_BOUND:
+        if not math.isfinite(x) or abs(x) > ESCAPE_BOUND:
             raise EscapeError(f"integrator state ran away at step {k}", index=k)
         samples.append((k * dt, x))
     return Trajectory(METHOD_ODE_RK4, tuple(samples), DOUBLE)

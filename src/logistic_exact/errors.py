@@ -1,7 +1,15 @@
-"""Exception types and the pole threshold shared across the library."""
+"""Exception types, and the thresholds and step check shared across the library."""
 
 # |denominator| below this counts as a true blow-up rather than underflow noise
 POLE_EPS = 1e-300
+# |state| above this counts as an orbit or integrator that ran away
+ESCAPE_BOUND = 1e100
+
+
+def check_steps(n) -> None:
+    """Refuse a step count ``n`` that is not a non-negative integer."""
+    if not isinstance(n, int) or n < 0:
+        raise ValueError("n must be a non-negative integer")
 
 
 class DomainError(ValueError):

@@ -11,7 +11,8 @@ seed to x0 + 1/gamma, cross-checked by cumulative products of step coefficients.
 import math
 from dataclasses import dataclass
 
-from .errors import POLE_EPS, DomainError, EscapeError, PoleError
+from .errors import POLE_EPS, DomainError, EscapeError, PoleError, check_steps
+from .map_standard import MapParams
 from .precision import (
     DOUBLE,
     METHOD_CLOSED_FORM,
@@ -21,24 +22,10 @@ from .precision import (
 
 _PRODUCT_GUARD = 1e300
 
-
-@dataclass(frozen=True)
-class RiccatiMapParams:
-    """Map parameter r and seed x0.
-
-    r = -1 is accepted here because plain iteration handles it (the orbit is
-    x0, 0, 0, ...), but the closed forms genuinely do not exist there and
-    reject it.
-    """
-
-    r: float
-    x0: float
-
-    def __post_init__(self):
-        if not math.isfinite(self.r):
-            raise DomainError("map parameter r must be finite")
-        if not math.isfinite(self.x0):
-            raise DomainError("seed x0 must be finite")
+# The coupled map takes the quadratic map's parameters, a finite rate r and seed
+# x0.  r = -1 is accepted: plain iteration handles it (the orbit is x0, 0, 0,
+# ...), but the closed forms genuinely do not exist there and reject it.
+RiccatiMapParams = MapParams
 
 
 @dataclass(frozen=True)
@@ -60,8 +47,7 @@ def iterate(p: RiccatiMapParams, n: int) -> Trajectory:
 
     Raises PoleError with the offending index when 1 + r*x vanishes.
     """
-    if not isinstance(n, int) or n < 0:
-        raise ValueError("n must be a non-negative integer")
+    check_steps(n)
     x = p.x0
     samples = [(0, x)]
     for k in range(1, n + 1):
@@ -91,8 +77,7 @@ def particular_solution(p: RiccatiMapParams, n: int) -> float:
     seed at n = 0 keeps huge seeds (|x0| from about 2^53 on), for which
     1/x0 - 1 rounds to -1, off the formula's false pole there.
     """
-    if not isinstance(n, int) or n < 0:
-        raise ValueError("n must be a non-negative integer")
+    check_steps(n)
     _check_closed_form_params(p)
     if n == 0:
         return float(p.x0)
@@ -140,8 +125,7 @@ def general_solution(p: RiccatiMapParams, gamma: float, n: int,
 
         x_n + prod(1/g_k, k<n) / (gamma + sum(prod(1/g_j, j<=k) * h_k, k<n))
     """
-    if not isinstance(n, int) or n < 0:
-        raise ValueError("n must be a non-negative integer")
+    check_steps(n)
     if not math.isfinite(gamma) or gamma == 0:
         raise DomainError("gamma must be finite and nonzero")
     _check_closed_form_params(p)

@@ -42,12 +42,13 @@ An iteration-only run (no closed form) at 53 working bits, r = 4 or r = -2,
 with the default oracle, a seed in the map's invariant interval and at least
 2,600 steps uses ``phase_oracle`` at the same budget instead.  Its samples
 are good to about 2^-128 at every step and cost a shift and a short cosine
-each instead of a multiplication at up to B bits: about 4x less time than
-the fixed-width oracle at 8,500 steps, and about the same as the tapered one
-at 3,600-4,400 steps.  Its reports equal the fixed-width oracle's bit for
-bit up to 64 steps before the end, and differ by no more than the two
-references do after that.  The phase evaluator is itself a closed form, so a
-closed form is always checked against the iterated oracle.
+each instead of a multiplication at up to B bits: about half the time of
+the tapered reference at 8,500 steps, the same at about 4,000 steps, and
+more below that (24 against 17 ms at 2,600 steps).  Its reports equal the
+fixed-width oracle's bit for bit up to 64 steps before the end, and differ
+by no more than the two references do after that.  The phase evaluator is
+itself a closed form, so a closed form is always checked against the
+iterated oracle.
 """
 
 import math
@@ -83,7 +84,7 @@ from mpmath.libmp import (
     to_fixed,
 )
 
-from .errors import DegeneracyError, DomainError, EscapeError
+from .errors import ESCAPE_BOUND, DegeneracyError, DomainError, EscapeError, check_steps
 from .precision import (
     DOUBLE,
     METHOD_CLOSED_FORM,
@@ -100,7 +101,6 @@ from .precision import (
     reduce_mod_2pi,
 )
 
-ESCAPE_BOUND = 1e100
 _NORMAL_MIN = sys.float_info.min  # the smallest normal double
 
 
@@ -143,33 +143,22 @@ class ClosedForm(str, Enum):
 
     @property
     def required_r(self) -> float:
-        return _REQUIRED_R[self]
+        return _FORM_DOMAIN[self][0]
 
     @property
     def seed_domain(self) -> tuple[float, float] | None:
         """Interval of admissible seeds, or None when any real works."""
-        return _SEED_DOMAIN[self]
+        return _FORM_DOMAIN[self][1]
 
 
-_REQUIRED_R = {
-    ClosedForm.R2_POWER: 2.0,
-    ClosedForm.R4_COSINE: 4.0,
-    ClosedForm.RM2_COMPOSED: -2.0,
-    ClosedForm.RM2_DIRECT: -2.0,
+# (r, seed interval) of each form.  The intervals are arccos domains, both
+# forward-invariant under their maps.
+_FORM_DOMAIN = {
+    ClosedForm.R2_POWER: (2.0, None),
+    ClosedForm.R4_COSINE: (4.0, (0.0, 1.0)),
+    ClosedForm.RM2_COMPOSED: (-2.0, (-0.5, 1.5)),
+    ClosedForm.RM2_DIRECT: (-2.0, (-0.5, 1.5)),
 }
-
-# arccos domains; both intervals are forward-invariant under their maps
-_SEED_DOMAIN = {
-    ClosedForm.R2_POWER: None,
-    ClosedForm.R4_COSINE: (0.0, 1.0),
-    ClosedForm.RM2_COMPOSED: (-0.5, 1.5),
-    ClosedForm.RM2_DIRECT: (-0.5, 1.5),
-}
-
-
-def _check_steps(n: int) -> None:
-    if not isinstance(n, int) or n < 0:
-        raise ValueError("n must be a non-negative integer")
 
 
 def _step(r: tuple, x: tuple, bits: int) -> tuple:
@@ -225,7 +214,7 @@ def iterate(p: MapParams, n: int, policy: PrecisionPolicy = DOUBLE) -> Trajector
     1023, where the doubles have gone subnormal.  Raises EscapeError with the
     offending index if the orbit passes 1e100.
     """
-    _check_steps(n)
+    check_steps(n)
     bits = policy.significand_bits
     if (bits == DOUBLE.significand_bits and isinstance(p.r, (int, float))
             and isinstance(p.x0, (int, float))):
@@ -248,7 +237,7 @@ def oracle(p: MapParams, n: int, policy: PrecisionPolicy | None = None,
     sample k is good to about 2^(k - B) absolute at a budget of B bits, so
     to about 61 bits at step n.  Iteration-only divergence runs at r = 4 and
     r = -2 from 2,600 steps on use ``phase_oracle`` instead, which is good to
-    about 2^-128 at every step and cheaper there (see the module docstring).
+    about 2^-128 at every step (see the module docstring for its cost).
 
     Every step runs at B bits unless ``taper_to`` is given.  Then step k runs
     at min(B, max(B + 64 - k, taper_to)) bits: 64 steps at B, then one bit
@@ -258,7 +247,7 @@ def oracle(p: MapParams, n: int, policy: PrecisionPolicy | None = None,
     about 2^(k - B).  The trajectory is tagged with B, the widest width.
     """
     policy = policy if policy is not None else budgeted_policy(n)
-    _check_steps(n)
+    check_steps(n)
     bits = policy.significand_bits
     if taper_to is None:
         widths = repeat(bits, n)
@@ -275,8 +264,8 @@ def oracle(p: MapParams, n: int, policy: PrecisionPolicy | None = None,
 # 1/2 + cos(2*pi*t_k).
 _PHASE_FORM = {4.0: ClosedForm.R4_COSINE, -2.0: ClosedForm.RM2_DIRECT}
 _PHASE_BITS = DOUBLE.significand_bits + 75  # bits of a phase sample
-# Steps from which phase_oracle takes less time than the iterated oracle of
-# the same budget (both maps, 53 working bits, pure-Python mpmath).
+# Steps from which phase_oracle costs no more than the fixed-width oracle; it
+# ties the tapered reference at about 4,000 steps (see the module docstring).
 _PHASE_MIN_STEPS = 2600
 
 
@@ -353,13 +342,8 @@ def phase_oracle(p: MapParams, n: int) -> Trajectory:
     return Trajectory(METHOD_ORACLE, tuple(samples), policy)
 
 
-def centered_step(y, r):
-    """One step in coordinates centered on 1/2: y' = -r*y^2 + (r/4 - 1/2)."""
-    return -r * y * y + (r / 4 - 0.5)
-
-
 def _check_closed_form(p: MapParams, n: int, variant: ClosedForm) -> None:
-    _check_steps(n)
+    check_steps(n)
     if p.r != variant.required_r:
         raise ValueError(
             f"variant {variant.value!r} requires r={variant.required_r:g}, got r={p.r!r}")
@@ -512,8 +496,7 @@ def conjugacy_solution(pair: ConjugacyPair, r: float, x0: float, n: int,
     Raises DomainError identifying whether f_inverse or f failed when the
     seed (or the scaled coordinate) leaves the pair's domain.
     """
-    if not isinstance(n, int) or n < 0:
-        raise ValueError("n must be a non-negative integer")
+    check_steps(n)
     y = 1.0 - 2.0 * x0
     lo, hi = pair.domain
     if not lo <= y <= hi:

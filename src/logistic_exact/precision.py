@@ -34,6 +34,8 @@ from mpmath.libmp import (
     to_float,
 )
 
+from .errors import check_steps
+
 METHOD_ITERATED = "iterated"
 METHOD_ORACLE = "oracle"
 METHOD_CLOSED_FORM = "closed-form"
@@ -65,8 +67,7 @@ def precision_budget(n_steps: int) -> int:
     One bit per step matches the angle-doubling maps, where each iteration
     amplifies input error by a factor of about two.
     """
-    if not isinstance(n_steps, int) or n_steps < 0:
-        raise ValueError("n_steps must be a non-negative integer")
+    check_steps(n_steps)
     return n_steps + 64
 
 

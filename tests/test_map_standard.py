@@ -4,15 +4,13 @@ import sys
 import warnings
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 from mpmath import mpf, workprec
 
+from logistic_exact import map_riccati
 from logistic_exact.errors import DegeneracyError, DomainError, EscapeError
 from logistic_exact.map_standard import (
     ClosedForm,
     MapParams,
-    centered_step,
     closed_form,
     closed_form_trajectory,
     conjugacy_solution,
@@ -22,6 +20,7 @@ from logistic_exact.map_standard import (
     iterate,
     iteration_divergence,
     oracle,
+    phase_oracle,
     prng_bits,
     shifted_cosine_pair,
 )
@@ -30,6 +29,7 @@ from logistic_exact.precision import (
     PrecisionPolicy,
     budgeted_policy,
     compare_trajectories,
+    precision_budget,
 )
 
 SEED_RANGES = {
@@ -84,28 +84,6 @@ class TestIterate:
             x = 0.5 * x * (1.0 - x)
         assert k == 1023
         assert 0.0 < x < sys.float_info.min  # the double has gone subnormal
-
-
-class TestCenteredStep:
-    def test_zero_at_r2(self):
-        assert centered_step(0.0, 2.0) == 0.0
-
-    def test_value(self):
-        assert centered_step(0.4, -2.0) == pytest.approx(-0.68, abs=1e-15)
-
-    @settings(max_examples=100)
-    @given(st.floats(-2.5, 4.0), st.floats(-0.5, 1.5), st.integers(0, 20))
-    def test_consistency_with_map(self, r, x0, n):
-        # the recursion in centered coordinates is the map shifted by 1/2;
-        # checked on the bounded stretch of the orbit, where an absolute
-        # tolerance makes sense (escaping orbits blow past any fixed bound)
-        x = x0
-        for _ in range(n):
-            nxt = r * x * (1.0 - x)
-            if abs(nxt) > 2.0:
-                return
-            assert abs(centered_step(x - 0.5, r) - (nxt - 0.5)) < 1e-12
-            x = nxt
 
 
 class TestClosedForm:
@@ -216,6 +194,29 @@ class TestTrajectoryMatchesSingleStep:
             closed_form_trajectory(MapParams(4.0, 0.5), -1, ClosedForm.R4_COSINE)
         with pytest.raises(DomainError):
             closed_form_trajectory(MapParams(-2.0, 1.6), 1, ClosedForm.RM2_COMPOSED)
+
+
+R4 = MapParams(4.0, 0.3)
+COUPLED = map_riccati.RiccatiMapParams(1.73, 0.333)
+STEP_ENTRY_POINTS = {
+    "iterate": lambda n: iterate(R4, n),
+    "oracle": lambda n: oracle(R4, n),
+    "phase_oracle": lambda n: phase_oracle(R4, n),
+    "closed_form": lambda n: closed_form(R4, n, ClosedForm.R4_COSINE),
+    "closed_form_trajectory": lambda n: closed_form_trajectory(R4, n, ClosedForm.R4_COSINE),
+    "conjugacy_solution": lambda n: conjugacy_solution(cosine_pair(), 4.0, 0.3, n),
+    "map_riccati.iterate": lambda n: map_riccati.iterate(COUPLED, n),
+    "map_riccati.particular_solution": lambda n: map_riccati.particular_solution(COUPLED, n),
+    "map_riccati.general_solution": lambda n: map_riccati.general_solution(COUPLED, 2.0, n),
+    "precision_budget": precision_budget,
+}
+
+
+@pytest.mark.parametrize("n", [-1, 2.0])
+@pytest.mark.parametrize("entry", STEP_ENTRY_POINTS.values(), ids=STEP_ENTRY_POINTS.keys())
+def test_step_count_must_be_a_non_negative_integer(entry, n):
+    with pytest.raises(ValueError, match="non-negative integer"):
+        entry(n)
 
 
 class TestForwardInvariance:
