@@ -351,6 +351,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact solutions of logistic dynamics with "
                     "arbitrary-precision iteration oracles.")
     sub = ap.add_subparsers(dest="subcommand", required=True)
+    r_x0 = argparse.ArgumentParser(add_help=False)  # ode, map3, map4 and compare
+    r_x0.add_argument("--r", type=float, required=True)
+    r_x0.add_argument("--x0", type=float, required=True)
 
     def common(sp, default_format="csv"):
         sp.add_argument("--format", choices=("csv", "json", "svg"),
@@ -358,36 +361,28 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--out", default="-", metavar="PATH",
                         help="output path ('-' for stdout)")
 
-    sp = sub.add_parser("ode", help="closed-form curves of dx/dt = r*x*(1-x)")
-    sp.add_argument("--r", type=float, required=True)
-    sp.add_argument("--x0", type=float, required=True)
+    sp = sub.add_parser("ode", parents=[r_x0], help="closed-form curves of dx/dt = r*x*(1-x)")
     sp.add_argument("--gamma", type=float, action="append", dest="gammas",
                     help="general-solution member (repeatable)")
     sp.add_argument("--t-end", type=float)
     sp.add_argument("--dt", type=float)
     common(sp)
 
-    sp = sub.add_parser("map3", help="quadratic map x' = r*x*(1-x)")
-    sp.add_argument("--r", type=float, required=True)
-    sp.add_argument("--x0", type=float, required=True)
+    sp = sub.add_parser("map3", parents=[r_x0], help="quadratic map x' = r*x*(1-x)")
     sp.add_argument("--steps", type=int, required=True)
     sp.add_argument("--bits", type=int)
     sp.add_argument("--form", choices=_FORM_CHOICES, action="append",
                     dest="forms", help="closed form to evaluate (repeatable)")
     common(sp)
 
-    sp = sub.add_parser("map4", help="backward-coupled map x'-x = r*x*(1-x')")
-    sp.add_argument("--r", type=float, required=True)
-    sp.add_argument("--x0", type=float, required=True)
+    sp = sub.add_parser("map4", parents=[r_x0], help="backward-coupled map x'-x = r*x*(1-x')")
     sp.add_argument("--steps", type=int, required=True)
     sp.add_argument("--gamma", type=float, action="append", dest="gammas",
                     help="general-solution member (repeatable)")
     common(sp)
 
-    sp = sub.add_parser("compare",
+    sp = sub.add_parser("compare", parents=[r_x0],
                         help="divergence of low-precision methods vs the oracle")
-    sp.add_argument("--r", type=float, required=True)
-    sp.add_argument("--x0", type=float, required=True)
     sp.add_argument("--steps", type=int)
     sp.add_argument("--bits", type=int)
     sp.add_argument("--threshold", type=float)

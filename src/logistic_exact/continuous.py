@@ -7,8 +7,8 @@ evaluation funnels through a single kernel for 1/(1 + c*exp(-r*t)); a
 classical Runge-Kutta integrator provides the independent cross-check, on
 the same time grid as ``grid_trajectory``.
 
-The ODE side is not chaotic, so double precision is the default; pass a
-PrecisionPolicy for high-precision cross-checks.
+The ODE side is not chaotic, so every form runs in double precision; only
+``particular_solution`` takes a PrecisionPolicy, for high-precision cross-checks.
 """
 
 import math
@@ -110,15 +110,15 @@ def particular_solution(t: float, p: ContinuousParams,
     return _sigmoid(t, p.r, 1.0 / p.x0 - 1.0, policy)
 
 
-def general_solution(t: float, p: ContinuousParams, shift: RiccatiShift,
-                     policy: PrecisionPolicy | None = None):
+def general_solution(t: float, p: ContinuousParams, shift: RiccatiShift) -> float:
     """Member of the one-parameter solution family selected by ``shift``.
 
     Algebraically this is just the particular solution restarted from
     gamma*x0/(gamma - x0): the free constant only changes the initial
-    condition.  gamma below the admissible lower bound is still evaluated
-    (the formula is defined) but flagged with GammaRangeWarning, since that
-    family member has a pole.
+    condition.  At the admissible lower bound gamma = x0/(1 - x0) that value
+    is 1, so the member is the fixed point x = 1, up to rounding.  gamma
+    below the bound is still evaluated (the formula is defined) but flagged
+    with GammaRangeWarning, since that family member has a pole.
     """
     if p.x0 == 0:
         raise DomainError("general solution requires x0 != 0 (it divides by x0)")
@@ -127,42 +127,31 @@ def general_solution(t: float, p: ContinuousParams, shift: RiccatiShift,
         raise PoleError("gamma equals x0: the effective initial condition diverges")
     if 0.0 < p.x0 < 1.0:
         lb = gamma_lower_bound(p.x0)
-        if g == lb:
-            raise PoleError(
-                f"gamma == x0/(1-x0) == {lb!r} sits on the admissible-range boundary")
         if g < lb:
             warnings.warn(
                 f"gamma={g!r} is below the admissible lower bound {lb!r}; "
                 "the selected trajectory has a pole",
                 GammaRangeWarning, stacklevel=2)
     c = (g - p.x0) / (g * p.x0) - 1.0
-    return _sigmoid(t, p.r, c, policy)
+    return _sigmoid(t, p.r, c, None)
 
 
 def general_solution_correction_form(t: float, p: ContinuousParams,
-                                     shift: RiccatiShift,
-                                     policy: PrecisionPolicy | None = None):
+                                     shift: RiccatiShift) -> float:
     """The same family member written as particular * (1 + 1/(gamma*(exp(r*t)
     + 1/x0 - 1) - 1)).
 
     Kept as an independent algebraic route so the two printed forms can be
     cross-checked numerically; ``general_solution`` is the primary evaluator.
     """
-    x1 = particular_solution(t, p, policy)
-    g = shift.gamma
-    if policy is None:
-        u = p.r * t
-        if u > _EXP_OVERFLOW:
-            return x1  # the correction term has vanished
-        inner = g * (math.exp(u) + 1.0 / p.x0 - 1.0) - 1.0
-        if abs(inner) < POLE_EPS:
-            raise PoleError(f"correction term has a pole at t={t!r}", where=t)
-        return x1 * (1.0 + 1.0 / inner)
-    with workprec(policy.significand_bits):
-        inner = mpf(g) * (mp.exp(mpf(p.r) * mpf(t)) + 1 / mpf(p.x0) - 1) - 1
-        if abs(inner) < POLE_EPS:
-            raise PoleError(f"correction term has a pole at t={t!r}", where=t)
-        return x1 * (1 + 1 / inner)
+    x1 = particular_solution(t, p)
+    u = p.r * t
+    if u > _EXP_OVERFLOW:
+        return x1  # the correction term has vanished
+    inner = shift.gamma * (math.exp(u) + 1.0 / p.x0 - 1.0) - 1.0
+    if abs(inner) < POLE_EPS:
+        raise PoleError(f"correction term has a pole at t={t!r}", where=t)
+    return x1 * (1.0 + 1.0 / inner)
 
 
 def _grid_steps(t_end: float, dt: float) -> int:

@@ -8,9 +8,11 @@ solution structure: a sigmoid-like particular solution with e^r replaced by
 seed to x0 + 1/gamma, cross-checked by cumulative products of step coefficients.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 
+from .continuous import RiccatiShift
 from .errors import POLE_EPS, DomainError, EscapeError, PoleError, check_steps
 from .map_standard import MapParams
 from .precision import (
@@ -94,23 +96,25 @@ def particular_solution(p: RiccatiMapParams, n: int) -> float:
     return 1.0 / den
 
 
+def _particular_series(p: RiccatiMapParams, n: int):
+    """x_0, ..., x_n of the particular solution."""
+    check_steps(n)
+    return (particular_solution(p, k) for k in range(n + 1))
+
+
 def coefficients(p: RiccatiMapParams, n_max: int) -> RiccatiCoefficients:
     """g_n = (r*x_n + 1)/(r*(1 - x_{n+1}) + 1) and h_n = r/(same denominator)
     for n = 0..n_max-1, with x_n the particular solution."""
     if not isinstance(n_max, int) or n_max < 1:
         raise ValueError("n_max must be a positive integer")
-    _check_closed_form_params(p)
     g = []
     h = []
-    xn = particular_solution(p, 0)
-    for n in range(n_max):
-        xn1 = particular_solution(p, n + 1)
+    for n, (xn, xn1) in enumerate(itertools.pairwise(_particular_series(p, n_max))):
         den = p.r * (1.0 - xn1) + 1.0
         if abs(den) < POLE_EPS:
             raise PoleError(f"coefficient denominator vanished at n={n}", where=n)
         g.append((p.r * xn + 1.0) / den)
         h.append(p.r / den)
-        xn = xn1
     return RiccatiCoefficients(tuple(g), tuple(h))
 
 
@@ -126,8 +130,7 @@ def general_solution(p: RiccatiMapParams, gamma: float, n: int,
         x_n + prod(1/g_k, k<n) / (gamma + sum(prod(1/g_j, j<=k) * h_k, k<n))
     """
     check_steps(n)
-    if not math.isfinite(gamma) or gamma == 0:
-        raise DomainError("gamma must be finite and nonzero")
+    RiccatiShift(gamma)  # gamma obeys the rule of the ODE's free constant
     _check_closed_form_params(p)
     if coeffs is None:
         seed = p.x0 + 1.0 / gamma
@@ -155,11 +158,16 @@ def general_solution(p: RiccatiMapParams, gamma: float, n: int,
 
 def particular_trajectory(p: RiccatiMapParams, n: int) -> Trajectory:
     """Trajectory of the particular solution over steps 0..n."""
-    samples = tuple((k, particular_solution(p, k)) for k in range(n + 1))
+    samples = tuple(enumerate(_particular_series(p, n)))
     return Trajectory(f"{METHOD_CLOSED_FORM}:particular", samples, DOUBLE)
 
 
 def general_trajectory(p: RiccatiMapParams, gamma: float, n: int) -> Trajectory:
-    """Trajectory of the general solution over steps 0..n."""
-    samples = tuple((k, general_solution(p, gamma, k)) for k in range(n + 1))
-    return Trajectory(f"{METHOD_CLOSED_FORM}:general", samples, DOUBLE)
+    """Trajectory of the general solution over steps 0..n, from the shifted seed."""
+    check_steps(n)
+    seed = general_solution(p, gamma, 0)  # the member's value at step 0 is x0 + 1/gamma
+    if seed == 0:  # the fixed point x = 0
+        xs = (seed for _ in range(n + 1))
+    else:
+        xs = _particular_series(RiccatiMapParams(p.r, seed), n)
+    return Trajectory(f"{METHOD_CLOSED_FORM}:general", tuple(enumerate(xs)), DOUBLE)

@@ -460,17 +460,16 @@ class ConjugacyPair:
     f_inverse: Callable
     domain: tuple[float, float]
     scale: float | None = None
-    label: str = ""
 
 
 def cosine_pair() -> ConjugacyPair:
     """cos/arccos pair solving the r=4 map (angle doubling)."""
-    return ConjugacyPair(mp.cos, mp.acos, (-1.0, 1.0), scale=2.0, label="cos")
+    return ConjugacyPair(mp.cos, mp.acos, (-1.0, 1.0), scale=2.0)
 
 
 def exponential_pair() -> ConjugacyPair:
     """exp/log pair solving the r=2 map for seeds below 1/2."""
-    return ConjugacyPair(mp.exp, mp.log, (0.0, math.inf), scale=None, label="exp")
+    return ConjugacyPair(mp.exp, mp.log, (0.0, math.inf), scale=None)
 
 
 def shifted_cosine_pair() -> ConjugacyPair:
@@ -486,7 +485,7 @@ def shifted_cosine_pair() -> ConjugacyPair:
     def f_inverse(y):
         return (mp.pi - 3 * mp.acos(y / 2)) / mp.sqrt(3)
 
-    return ConjugacyPair(f, f_inverse, (-2.0, 2.0), scale=None, label="shifted-cos")
+    return ConjugacyPair(f, f_inverse, (-2.0, 2.0), scale=None)
 
 
 def conjugacy_solution(pair: ConjugacyPair, r: float, x0: float, n: int,

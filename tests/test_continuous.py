@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -100,9 +101,12 @@ class TestGeneralSolution:
             assert abs(general_solution(10.0, FIG1, s) - 1.0) < 1e-6
 
     def test_pole_on_range_boundary(self):
+        # gamma == x0/(1-x0) restarts the sigmoid from 1: the member is the fixed point 1
         p = ContinuousParams(1.7, 0.5)
-        with pytest.raises(PoleError):
-            general_solution(1.0, p, RiccatiShift(1.0))  # gamma == x0/(1-x0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for t in (0.0, 1.0, 5.0):
+                assert general_solution(t, p, RiccatiShift(1.0)) == 1.0
 
     def test_gamma_equal_seed_is_pole(self):
         p = ContinuousParams(1.7, 0.11)

@@ -208,6 +208,8 @@ STEP_ENTRY_POINTS = {
     "map_riccati.iterate": lambda n: map_riccati.iterate(COUPLED, n),
     "map_riccati.particular_solution": lambda n: map_riccati.particular_solution(COUPLED, n),
     "map_riccati.general_solution": lambda n: map_riccati.general_solution(COUPLED, 2.0, n),
+    "map_riccati.particular_trajectory": lambda n: map_riccati.particular_trajectory(COUPLED, n),
+    "map_riccati.general_trajectory": lambda n: map_riccati.general_trajectory(COUPLED, 2.0, n),
     "precision_budget": precision_budget,
 }
 
