@@ -19,7 +19,7 @@ from . import cli, continuous, map_riccati, map_standard, precision
 from .continuous import ContinuousParams, GammaRangeWarning, RiccatiShift
 from .errors import DegeneracyError, DomainError, EscapeError, PoleError
 from .map_riccati import RiccatiCoefficients, RiccatiMapParams
-from .map_standard import ClosedForm, ConjugacyPair, MapParams
+from .map_standard import ClosedForm, MapParams
 from .precision import (
     DOUBLE,
     DivergenceReport,
@@ -35,7 +35,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ClosedForm",
-    "ConjugacyPair",
     "ContinuousParams",
     "DegeneracyError",
     "DivergenceReport",

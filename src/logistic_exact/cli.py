@@ -154,6 +154,9 @@ def _run_rng(params):
     count = params["count"]
     burn_in = _get(params, "burn_in", 0)
     _check_series(count)
+    if burn_in + count > continuous.MAX_GRID_POINTS:  # burn-in steps cost as samples do
+        raise ValueError(f"{burn_in} burn-in steps and {count} samples exceed the "
+                         f"limit of {continuous.MAX_GRID_POINTS} steps")
     bits = map_standard.prng_bits(x0, count, burn_in)
     series = [("bits", Trajectory("prng", tuple(enumerate(bits)), DOUBLE))]
     config = {"subcommand": "rng", "x0": x0, "count": count, "burn_in": burn_in}
@@ -184,22 +187,14 @@ _RUNNERS = {
 
 # --------------------------------------------------------------- emitters
 
-def _format_value(v, bits):
-    """Lossless decimal serialization: shortest round-trip repr for doubles,
-    full digit count for high-precision values."""
-    if isinstance(v, int):
-        return str(v)
-    if isinstance(v, float):
-        return repr(v)
-    if bits <= 53:
-        return repr(float(v))
-    return mp.nstr(v, repr_dps(bits))
-
-
-def _json_value(v, bits):
-    if isinstance(v, int):
+def _value(v, bits):
+    """Lossless value for CSV and JSON: ints and floats as they are, a value of
+    at most 53 bits as the double equal to it if there is one, else a string of
+    enough digits to read it back exactly at its width."""
+    if isinstance(v, (int, float)):
         return v
-    if isinstance(v, float) or bits <= 53:
+    _, _, exp, bc = v._mpf_  # v = man * 2^exp, man of bc <= bits bits
+    if bits <= 53 and exp >= -1074 and exp + bc <= 1024:  # the doubles' exponents
         return float(v)
     return mp.nstr(v, repr_dps(bits))
 
@@ -225,7 +220,7 @@ def _render_csv(doc):
     yield "index_or_time,series,method,value\n"
     for label, method, bits, samples in _rows(doc):
         for i, v in samples:
-            yield f"{_format_value(i, 53)},{label},{method},{_format_value(v, bits)}\n"
+            yield f"{i},{label},{method},{_value(v, bits)}\n"
 
 
 @_joined
@@ -236,7 +231,7 @@ def _render_json(doc):
             "label": label,
             "method": method,
             "precision_bits": bits,
-            "samples": [[i, _json_value(v, bits)] for i, v in samples],
+            "samples": [[i, _value(v, bits)] for i, v in samples],
         } for label, method, bits, samples in _rows(doc)]
     else:
         config = doc["config"]

@@ -103,7 +103,8 @@ def particular_solution(t: float, p: ContinuousParams,
     """The sigmoid through x0 at t=0: 1/(1 + (1/x0 - 1)*exp(-r*t)).
 
     Raises PoleError at the blow-up time that exists when x0 lies outside
-    [0, 1] (for r > 0 the denominator then crosses zero).
+    [0, 1] (for r > 0 the denominator then crosses zero), and
+    ``grid_trajectory`` refuses a grid that reaches it.
     """
     if p.x0 == 0:
         raise DomainError("particular solution requires x0 != 0 (it divides by x0)")
@@ -170,9 +171,18 @@ def grid_trajectory(p: ContinuousParams, t_end: float, dt: float,
     """Closed-form trajectory sampled at t = k*dt, on the grid of ``rk4_oracle``.
 
     The particular solution, or the general-solution member selected by
-    ``shift``, evaluated point by point in double precision.
+    ``shift``, evaluated point by point in double precision.  For a seed x0
+    outside (0, 1), a member starting at x_s outside [0, 1] blows up at
+    t* = ln(1 - 1/x_s)/r, and a t* after 0 and up to the last grid point
+    raises PoleError before any sample.  Inside (0, 1) only a gamma below the
+    bound gives a pole, and GammaRangeWarning flags it.
     """
     n = _grid_steps(t_end, dt)
+    if not 0 < p.x0 < 1:
+        xs = p.x0 if shift is None else effective_initial_condition(p, shift)
+        t = 0.0 if 0 <= xs <= 1 else math.log1p(-1.0 / xs) / p.r
+        if 0 < t <= n * dt:
+            raise PoleError(f"solution has a pole at t={t!r}, inside the grid", where=t)
     if shift is None:
         samples = tuple((k * dt, particular_solution(k * dt, p)) for k in range(n + 1))
     else:

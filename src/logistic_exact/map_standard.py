@@ -57,7 +57,6 @@ import warnings
 from dataclasses import dataclass
 from enum import Enum
 from itertools import repeat
-from typing import Callable
 
 from mpmath import mp, mpf, workprec
 from mpmath.libmp import (
@@ -128,8 +127,9 @@ class ClosedForm(str, Enum):
                   seeds in [-1/2, 3/2].  This is the form usually printed in
                   tables of known solutions.
     RM2_DIRECT    x_n = 1/2 + cos(2^n * arccos(x0 - 1/2)); same seed interval,
-                  trigonometrically equal to RM2_COMPOSED but with fewer
-                  operations on the scaled angle.  The arccos argument must
+                  trigonometrically equal to RM2_COMPOSED, with fewer
+                  operations on the scaled angle, which it doubles each step
+                  (RM2_COMPOSED scales it by -2).  The arccos argument must
                   be the centered seed x0 - 1/2: writing it as 1 - 2*x0 by
                   analogy with the r=4 form breaks the n=0 identity (it
                   returns 3/2 - 2*x0 instead of x0) and does not satisfy the
@@ -443,70 +443,43 @@ def closed_form_trajectory(p: MapParams, n: int, variant: ClosedForm,
     return Trajectory(f"{METHOD_CLOSED_FORM}:{variant.value}", tuple(samples), policy)
 
 
-@dataclass(frozen=True)
-class ConjugacyPair:
-    """Function pair turning the map into plain multiplication in conjugated
-    coordinates: x_n = (1 - f(scale^n * f_inverse(1 - 2*x0))) / 2.
-
-    ``domain`` is the closed interval of valid f_inverse arguments (points
-    where f_inverse diverges, such as log at 0, are rejected at evaluation
-    time).  ``scale`` is the per-step multiplier in conjugated coordinates;
-    None means "use the map parameter r".  The plain cosine pair must set
-    scale=2: completing the double-angle identity cos(2t) = 2cos(t)^2 - 1
-    forces angle doubling per step even though the map parameter is 4.
-    """
-
-    f: Callable
-    f_inverse: Callable
-    domain: tuple[float, float]
-    scale: float | None = None
-
-
-def cosine_pair() -> ConjugacyPair:
-    """cos/arccos pair solving the r=4 map (angle doubling)."""
-    return ConjugacyPair(mp.cos, mp.acos, (-1.0, 1.0), scale=2.0)
+# The conjugacy (f, f_inverse, domain, scale) each closed form comes from:
+# x_n = (1 - f(scale^n * f_inverse(1 - 2*x0))) / 2 turns the map into plain
+# multiplication in conjugated coordinates.  ``domain`` is the closed interval
+# of f_inverse arguments; a point where f_inverse diverges, log at 0, is refused
+# at evaluation time.  r4 and simple double an angle although r4's map
+# parameter is 4 (cos(2t) = 2cos(t)^2 - 1); table1 scales by -2, and its
+# f_inverse, found by inverting f, is checked by the round-trip test.
+_CONJUGACY = {
+    ClosedForm.R2_POWER: (mp.exp, mp.log, (0.0, math.inf), 2),  # seeds below 1/2
+    ClosedForm.R4_COSINE: (mp.cos, mp.acos, (-1.0, 1.0), 2),
+    ClosedForm.RM2_COMPOSED: (lambda u: 2 * mp.cos((mp.pi - mp.sqrt(3) * u) / 3),
+                              lambda y: (mp.pi - 3 * mp.acos(y / 2)) / mp.sqrt(3),
+                              (-2.0, 2.0), -2),
+    ClosedForm.RM2_DIRECT: (lambda u: -2 * mp.cos(u), lambda y: mp.acos(-y / 2),
+                            (-2.0, 2.0), 2),
+}
 
 
-def exponential_pair() -> ConjugacyPair:
-    """exp/log pair solving the r=2 map for seeds below 1/2."""
-    return ConjugacyPair(mp.exp, mp.log, (0.0, math.inf), scale=None)
-
-
-def shifted_cosine_pair() -> ConjugacyPair:
-    """2*cos((pi - sqrt(3)*x)/3) pair solving the r=-2 map.
-
-    The inverse, (pi - 3*arccos(y/2))/sqrt(3) on [-2, 2], is obtained by
-    inverting f directly and is verified by the round-trip identity.
-    """
-
-    def f(x):
-        return 2 * mp.cos((mp.pi - mp.sqrt(3) * x) / 3)
-
-    def f_inverse(y):
-        return (mp.pi - 3 * mp.acos(y / 2)) / mp.sqrt(3)
-
-    return ConjugacyPair(f, f_inverse, (-2.0, 2.0), scale=None)
-
-
-def conjugacy_solution(pair: ConjugacyPair, r: float, x0: float, n: int,
+def conjugacy_solution(p: MapParams, n: int, variant: ClosedForm,
                        policy: PrecisionPolicy = DOUBLE) -> mpf:
-    """Evaluate the conjugacy construction at step n.
+    """Closed form ``variant`` at step n by the conjugacy it comes from.
 
-    Raises DomainError identifying whether f_inverse or f failed when the
-    seed (or the scaled coordinate) leaves the pair's domain.
+    Checks n, r and the seed as ``closed_form`` does, then raises DomainError
+    identifying whether f_inverse or f failed when the seed (or the scaled
+    coordinate) leaves the conjugacy's domain.
     """
-    check_steps(n)
-    y = 1.0 - 2.0 * x0
-    lo, hi = pair.domain
+    _check_closed_form(p, n, variant)
+    f, f_inverse, (lo, hi), scale = _CONJUGACY[variant]
+    y = 1.0 - 2.0 * p.x0
     if not lo <= y <= hi:
         raise DomainError(
             f"f_inverse argument {y!r} outside its domain [{lo:g}, {hi:g}]")
     with workprec(policy.significand_bits):
-        phi = pair.f_inverse(1 - 2 * mpf(x0))
+        phi = f_inverse(1 - 2 * mpf(p.x0))
         if not mp.isfinite(phi):
             raise DomainError("f_inverse diverged at the boundary of its domain")
-        multiplier = pair.scale if pair.scale is not None else r
-        value = pair.f(mpf(multiplier) ** n * phi)
+        value = f(mpf(scale) ** n * phi)
         if not mp.isfinite(value):
             raise DomainError("f diverged at the scaled coordinate")
         return (1 - value) / 2

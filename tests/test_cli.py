@@ -47,6 +47,20 @@ class TestMap3Command:
                 assert mpf(row[3]) == expected
 
 
+    def test_values_off_the_doubles_read_back_exactly(self, capsys):
+        # the orbit goes subnormal at step 1020; each value prints as the double
+        # equal to it, else as digits, so both artifacts read back bit for bit
+        argv = ["map3", "--r", "0.5", "--x0", "0.3", "--steps", "1100"]
+        expected = map_standard.iterate(map_standard.MapParams(0.5, 0.3), 1100).values
+        from_csv = [row[3] for row in run_csv(argv, capsys)]
+        assert main(argv + ["--format", "json"]) == 0
+        from_json = [v for _, v in json.loads(capsys.readouterr().out)["series"][0]["samples"]]
+        assert from_csv[-1] == from_json[-1] == "1.2613615312924123e-332"
+        with workprec(53):
+            for values in (from_csv, from_json):
+                assert len(values) == 1101
+                assert all(mpf(v) == x for v, x in zip(values, expected))
+
 class TestOdeCommand:
     def test_round_trip(self, capsys):
         rows = run_csv(["ode", "--r", "1.7", "--x0", "0.11", "--gamma", "0.25",
@@ -78,6 +92,14 @@ class TestOdeCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error:") and "grid points" in captured.err
+
+    @pytest.mark.parametrize("extra,pole", [
+        (["--x0", "-0.5"], "0.646"), (["--x0", "2", "--gamma", "1"], "0.238")])
+    def test_pole_inside_the_grid_exits_3(self, extra, pole, capsys):
+        assert main(["ode", "--r", "1.7", "--t-end", "1", "--dt", "0.05"] + extra) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: solution has a pole at t={pole}")
 
     def test_low_gamma_warnings_are_diagnostic_lines(self, capsys):
         argv = ["ode", "--r", "1.7", "--x0", "0.11", "--gamma", "0.08",
@@ -264,6 +286,14 @@ class TestSeriesLimits:
         assert captured.out == ""
         assert captured.err.startswith("error:") and "10000000 samples" in captured.err
 
+    @pytest.mark.parametrize("burn_in,count", [("100000000000", "1"), ("9999999", "2")])
+    def test_too_many_rng_steps(self, burn_in, count, capsys):
+        assert main(["rng", "--x0", "0.3", "--count", count, "--burn-in", burn_in]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: {burn_in} burn-in steps and {count} samples "
+                                "exceed the limit of 10000000 steps\n")
+
     @pytest.mark.parametrize("extra", [
         ["--steps", "100000"],  # the default oracle: 100,001 samples of 100,064 bits
         ["--steps", "60", "--oracle-bits", str(2**33 // 61 + 1)],
@@ -316,7 +346,10 @@ class TestSeriesLimits:
 # (a periodic window at 200 working bits), compare-forms-long, map3-long and
 # map3-subnormal (whose orbit leaves the normal doubles near step 1023) were
 # captured before the reference of a long compare run narrowed with the steps
-# left and 53-bit iteration moved onto doubles.
+# left and 53-bit iteration moved onto doubles.  map3-subnormal was re-captured
+# when a 53-bit value that no double equals began to print as digits rather
+# than as a rounded double (0.0 at step 1100); its values are pinned by
+# TestMap3Command::test_values_off_the_doubles_read_back_exactly.
 GOLDEN_SHA256 = [
     (["compare", "--r", "-2", "--x0", "0.9", "--form", "table1", "--form", "simple"],
      "c57e476735943d7177a857f2b0aab06ce0361c69b570f4a0c343f6e81cd06c85"),
@@ -365,7 +398,7 @@ GOLDEN_SHA256 = [
     (["map3", "--r", "3.7", "--x0", "0.3", "--steps", "3000"],
      "2971f8413b257f4c0dc0ba5bd6a6b86e38879114da54189ca744073ac46d659e"),
     (["map3", "--r", "0.5", "--x0", "0.3", "--steps", "1100", "--format", "json"],
-     "41c2a28a000c6939484f58f36b8f2a8506d8707b020a4527f1dcc8392e3ecca6"),
+     "61bfcdc185b4778c6197fa77ffc239a42ef304cf18a6f49551cbed8448e69a48"),
 ]
 GOLDEN_IDS = ["compare", "compare-csv", "compare-svg", "compare-phase", "map3-r2"] + [
     f"figure{w}-{f}" for w in "123" for f in ("csv", "json", "svg")] + [
@@ -436,6 +469,19 @@ class TestOutputsAndErrors:
                      "--bits", "100", "--format", "json"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert isinstance(doc["series"][0]["samples"][1][1], str)
+
+    def test_a_value_prints_as_a_double_only_when_one_equals_it(self):
+        # mantissas of 1 to 53 bits whose lowest and top bits straddle the
+        # subnormal and overflow ends of the doubles
+        for bc in (1, 2, 30, 52, 53):
+            for exp in (-1076, -1075, -1074, -1073, -1022 - bc, -1021 - bc,
+                        1023 - bc, 1024 - bc, 1025 - bc):
+                for man in (1 << (bc - 1), (1 << bc) - 1):
+                    v = mpf((man, exp))
+                    shown = cli._value(v, 53)
+                    assert isinstance(shown, float) == (float(v) == v), (man, exp)
+                    with workprec(53):
+                        assert mpf(shown) == v
 
     def test_svg_output(self, capsys):
         assert main(["figure", "3", "--format", "svg"]) == 0

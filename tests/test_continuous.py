@@ -245,6 +245,29 @@ class TestGridTrajectory:
                                    rk4_oracle(shifted, 10.0, 0.02), 1e-6)
         assert rep.max_error < 1e-8
 
+    @pytest.mark.parametrize("r,x0,gamma,x_start", [
+        (1.7, -0.5, None, -0.5), (-1.7, 2.0, None, 2.0), (1.7, 2.0, 1.0, -2.0)])
+    def test_pole_inside_the_grid_is_refused(self, r, x0, gamma, x_start, monkeypatch):
+        p = ContinuousParams(r, x0)
+        shift = None if gamma is None else RiccatiShift(gamma)
+        t_pole = math.log(1.0 - 1.0 / x_start) / r
+        before = grid_trajectory(p, 0.6 * t_pole, 0.01 * t_pole, shift)
+        assert all(math.isfinite(v) for v in before.values)
+
+        def never(*args, **kwargs):
+            raise AssertionError("evaluated a point of a grid that crosses a pole")
+
+        monkeypatch.setattr(continuous, "particular_solution", never)
+        monkeypatch.setattr(continuous, "general_solution", never)
+        with pytest.raises(PoleError) as err:
+            grid_trajectory(p, 1.0, 0.05, shift)
+        assert err.value.where == pytest.approx(t_pole, rel=1e-15)
+
+    @pytest.mark.parametrize("shift", [None, RiccatiShift(0.5)])
+    def test_zero_seed_is_refused(self, shift):
+        with pytest.raises(DomainError, match="requires x0 != 0"):
+            grid_trajectory(ContinuousParams(1.7, 0.0), 1.0, 0.05, shift)
+
     def test_bad_grid(self):
         for t_end, dt in ((1.0, 2.0), (1.0, 0.0), (1.0, -0.5), (math.inf, 0.1),
                           (1.0, math.nan)):

@@ -13,16 +13,14 @@ from logistic_exact.map_standard import (
     MapParams,
     closed_form,
     closed_form_trajectory,
+    _CONJUGACY,
     conjugacy_solution,
-    cosine_pair,
     divergence_analysis,
-    exponential_pair,
     iterate,
     iteration_divergence,
     oracle,
     phase_oracle,
     prng_bits,
-    shifted_cosine_pair,
 )
 from logistic_exact.precision import (
     DOUBLE,
@@ -204,7 +202,7 @@ STEP_ENTRY_POINTS = {
     "phase_oracle": lambda n: phase_oracle(R4, n),
     "closed_form": lambda n: closed_form(R4, n, ClosedForm.R4_COSINE),
     "closed_form_trajectory": lambda n: closed_form_trajectory(R4, n, ClosedForm.R4_COSINE),
-    "conjugacy_solution": lambda n: conjugacy_solution(cosine_pair(), 4.0, 0.3, n),
+    "conjugacy_solution": lambda n: conjugacy_solution(R4, n, ClosedForm.R4_COSINE),
     "map_riccati.iterate": lambda n: map_riccati.iterate(COUPLED, n),
     "map_riccati.particular_solution": lambda n: map_riccati.particular_solution(COUPLED, n),
     "map_riccati.general_solution": lambda n: map_riccati.general_solution(COUPLED, 2.0, n),
@@ -237,52 +235,62 @@ class TestForwardInvariance:
 
 class TestConjugacy:
     def test_cosine_pair_matches_r4_closed_form(self):
-        pair = cosine_pair()
         policy = PrecisionPolicy(128)
         for x0 in (0.1, 0.3, 0.62, 0.97):
             p = MapParams(4.0, x0)
             for n in range(11):
-                a = conjugacy_solution(pair, 4.0, x0, n, policy)
+                a = conjugacy_solution(p, n, ClosedForm.R4_COSINE, policy)
                 b = closed_form(p, n, ClosedForm.R4_COSINE, policy)
                 assert abs(float(a - b)) < 1e-9
 
     def test_exponential_pair_matches_r2_closed_form(self):
-        pair = exponential_pair()
         policy = PrecisionPolicy(128)
         for x0 in (0.05, 0.2, 0.45, -0.3):
             p = MapParams(2.0, x0)
             for n in range(7):
-                a = conjugacy_solution(pair, 2.0, x0, n, policy)
+                a = conjugacy_solution(p, n, ClosedForm.R2_POWER, policy)
                 b = closed_form(p, n, ClosedForm.R2_POWER, policy)
                 assert abs(float(a - b)) < 1e-9
 
     def test_shifted_cosine_pair_matches_iteration(self):
-        pair = shifted_cosine_pair()
         policy = PrecisionPolicy(128)
         p = MapParams(-2.0, 0.9)
         ref = oracle(p, 10)
         for n in range(11):
-            a = conjugacy_solution(pair, -2.0, 0.9, n, policy)
+            a = conjugacy_solution(p, n, ClosedForm.RM2_COMPOSED, policy)
             b = closed_form(p, n, ClosedForm.RM2_COMPOSED, policy)
             with workprec(200):
                 assert abs(a - ref.values[n]) < 1e-8
                 assert abs(a - b) < 1e-8
 
+    def test_angle_doubling_pair_matches_simple_closed_form(self):
+        policy = PrecisionPolicy(128)
+        for x0 in (-0.5, -0.3, 0.25, 0.9, 1.4, 1.5):
+            p = MapParams(-2.0, x0)
+            for n in range(11):
+                a = conjugacy_solution(p, n, ClosedForm.RM2_DIRECT, policy)
+                b = closed_form(p, n, ClosedForm.RM2_DIRECT, policy)
+                assert abs(float(a - b)) < 1e-30  # both good to about 2^(n - 128)
+
     def test_round_trips(self):
         with workprec(64):
-            for pair, lo, hi in ((cosine_pair(), -1.0, 1.0),
-                                 (shifted_cosine_pair(), -2.0, 2.0),
-                                 (exponential_pair(), 0.05, 3.0)):
+            for variant, (f, f_inverse, (lo, hi), _) in _CONJUGACY.items():
+                if variant is ClosedForm.R2_POWER:
+                    lo, hi = 0.05, 3.0  # log diverges at 0 and has no upper end
                 for k in range(41):
                     y = mpf(lo) + (mpf(hi) - mpf(lo)) * k / 40
-                    assert abs(pair.f(pair.f_inverse(y)) - y) < 1e-10
+                    assert abs(f(f_inverse(y)) - y) < 1e-10
 
     def test_exponential_pair_domain(self):
         # 1 - 2*x0 <= 0 leaves the logarithm's domain
+        with pytest.raises(DomainError, match="f_inverse diverged"):
+            conjugacy_solution(MapParams(2.0, 0.5), 3, ClosedForm.R2_POWER)
+        with pytest.raises(DomainError, match="f_inverse argument"):
+            conjugacy_solution(MapParams(2.0, 0.7), 3, ClosedForm.R2_POWER)
         with pytest.raises(DomainError):
-            conjugacy_solution(exponential_pair(), 2.0, 0.5, 3)
-        with pytest.raises(DomainError):
-            conjugacy_solution(cosine_pair(), 4.0, 1.2, 3)
+            conjugacy_solution(MapParams(4.0, 1.2), 3, ClosedForm.R4_COSINE)
+        with pytest.raises(ValueError, match="requires r=4"):
+            conjugacy_solution(MapParams(2.0, 0.3), 3, ClosedForm.R4_COSINE)
 
 
 class TestDivergence:
