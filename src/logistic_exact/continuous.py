@@ -12,6 +12,7 @@ The ODE side is not chaotic, so every form runs in double precision; only
 """
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -22,6 +23,10 @@ from .precision import (DOUBLE, METHOD_ODE_CLOSED_FORM, METHOD_ODE_RK4,
                         PrecisionPolicy, Trajectory)
 
 _EXP_OVERFLOW = 709.0
+_NORMAL_MIN = sys.float_info.min  # the smallest normal double
+# Below about 5.6e-309 in magnitude a start x_s has no reciprocal among the
+# doubles, and the sigmoid would not start at x_s.
+_NO_RECIPROCAL = "1/x_s overflows a double for the start x_s of this solution"
 # Largest time grid a trajectory may sample; bigger grids are refused up front
 MAX_GRID_POINTS = 10**7
 
@@ -104,11 +109,15 @@ def particular_solution(t: float, p: ContinuousParams,
 
     Raises PoleError at the blow-up time that exists when x0 lies outside
     [0, 1] (for r > 0 the denominator then crosses zero), and
-    ``grid_trajectory`` refuses a grid that reaches it.
+    ``grid_trajectory`` refuses a grid that reaches it.  Raises DomainError
+    for x0 = 0 and for an x0 whose reciprocal overflows a double.
     """
     if p.x0 == 0:
         raise DomainError("particular solution requires x0 != 0 (it divides by x0)")
-    return _sigmoid(t, p.r, 1.0 / p.x0 - 1.0, policy)
+    c = 1.0 / p.x0 - 1.0
+    if math.isinf(c):
+        raise DomainError(_NO_RECIPROCAL)
+    return _sigmoid(t, p.r, c, policy)
 
 
 def general_solution(t: float, p: ContinuousParams, shift: RiccatiShift) -> float:
@@ -119,7 +128,9 @@ def general_solution(t: float, p: ContinuousParams, shift: RiccatiShift) -> floa
     condition.  At the admissible lower bound gamma = x0/(1 - x0) that value
     is 1, so the member is the fixed point x = 1, up to rounding.  gamma
     below the bound is still evaluated (the formula is defined) but flagged
-    with GammaRangeWarning, since that family member has a pole.
+    with GammaRangeWarning, since that family member has a pole.  Raises
+    DomainError, as ``particular_solution`` does, when the reciprocal of the
+    start x_s = gamma*x0/(gamma - x0) overflows a double.
     """
     if p.x0 == 0:
         raise DomainError("general solution requires x0 != 0 (it divides by x0)")
@@ -133,7 +144,14 @@ def general_solution(t: float, p: ContinuousParams, shift: RiccatiShift) -> floa
                 f"gamma={g!r} is below the admissible lower bound {lb!r}; "
                 "the selected trajectory has a pole",
                 GammaRangeWarning, stacklevel=2)
-    c = (g - p.x0) / (g * p.x0) - 1.0
+    den = g * p.x0
+    if abs(den) >= _NORMAL_MIN:
+        c = (g - p.x0) / den - 1.0
+    else:  # g*x0 underflows: divide by the larger factor first
+        small, big = sorted((g, p.x0), key=abs)
+        c = (g - p.x0) / big / small - 1.0
+    if not math.isfinite(c):
+        raise DomainError(_NO_RECIPROCAL)
     return _sigmoid(t, p.r, c, None)
 
 

@@ -41,14 +41,13 @@ run costs about half as much from a few thousand steps on.
 An iteration-only run (no closed form) at 53 working bits, r = 4 or r = -2,
 with the default oracle, a seed in the map's invariant interval and at least
 2,600 steps uses ``phase_oracle`` at the same budget instead.  Its samples
-are good to about 2^-128 at every step and cost a shift and a short cosine
-each instead of a multiplication at up to B bits: about half the time of
-the tapered reference at 8,500 steps, the same at about 4,000 steps, and
-more below that (24 against 17 ms at 2,600 steps).  Its reports equal the
-fixed-width oracle's bit for bit up to 64 steps before the end, and differ
-by no more than the two references do after that.  The phase evaluator is
-itself a closed form, so a closed form is always checked against the
-iterated oracle.
+are good to about 2^-128 at every step, and it takes less than half the
+time of the tapered reference from 2,600 steps on (10 against 23 ms at
+2,600 steps, 39 against 237 ms at 8,500, r = 4, on a shared 2-vCPU host).
+Its reports equal the fixed-width oracle's bit for bit up to 64 steps
+before the end, and differ by no more than the two references do after
+that.  The phase evaluator is itself a closed form, so a closed form is
+always checked against the iterated oracle.
 """
 
 import math
@@ -237,7 +236,7 @@ def oracle(p: MapParams, n: int, policy: PrecisionPolicy | None = None,
     sample k is good to about 2^(k - B) absolute at a budget of B bits, so
     to about 61 bits at step n.  Iteration-only divergence runs at r = 4 and
     r = -2 from 2,600 steps on use ``phase_oracle`` instead, which is good to
-    about 2^-128 at every step (see the module docstring for its cost).
+    about 2^-128 at every step.
 
     Every step runs at B bits unless ``taper_to`` is given.  Then step k runs
     at min(B, max(B + 64 - k, taper_to)) bits: 64 steps at B, then one bit
@@ -264,8 +263,9 @@ def oracle(p: MapParams, n: int, policy: PrecisionPolicy | None = None,
 # 1/2 + cos(2*pi*t_k).
 _PHASE_FORM = {4.0: ClosedForm.R4_COSINE, -2.0: ClosedForm.RM2_DIRECT}
 _PHASE_BITS = DOUBLE.significand_bits + 75  # bits of a phase sample
-# Steps from which phase_oracle costs no more than the fixed-width oracle; it
-# ties the tapered reference at about 4,000 steps (see the module docstring).
+_RESEED_STEPS = 64  # a block of this many steps reads the phase digits once
+# Steps from which an iteration-only run takes phase_oracle, which costs less
+# than the tapered reference from about 250 steps on.
 _PHASE_MIN_STEPS = 2600
 
 
@@ -274,13 +274,22 @@ def phase_oracle(p: MapParams, n: int) -> Trajectory:
     of its phase once iteration at 53 bits has lost the orbit.
 
     The phase phi (arccos(1 - 2*x0) / (2*pi) at r = 4, arccos(x0 - 1/2) /
-    (2*pi) at r = -2) is taken once and held as one integer of n + P + 32
-    bits, with P = 53 + 75 = 128.  Sample k is then a shift and a mask,
-    which give the top P bits of t = frac(2^k * phi), and one cosine at
-    P + 10 bits: x_k = (1 - cos(2*pi*t)) / 2 at r = 4, 1/2 + cos(2*pi*t) at
-    r = -2.  Such a sample is good to about 2^-P absolute, at the last step
-    as at the first, and costs a shift and a short cosine instead of a
-    multiplication at the full budget.
+    (2*pi) at r = -2) is taken once and held as one integer of n + P + 96
+    bits, with P = 53 + 75 = 128.  The samples after that come in blocks of
+    64 steps, all at P + 96 bits.  The first sample of a block re-seeds the
+    orbit: a shift and a mask give the top P + 64 bits of t = frac(2^k *
+    phi), rounded, and one cosine gives x_k = (1 - cos(2*pi*t)) / 2 at r = 4,
+    1/2 + cos(2*pi*t) at r = -2.  Every other sample is one ``_step`` from
+    the sample before, so a block costs 63 steps and one cosine.
+
+    A block may lose 63 bits: each step doubles the angle 2*pi*t, and with
+    it the error of the re-seed, which t's rounding puts near 2^-(P + 64).
+    The 64 bits read beyond P cover that, so every sample is good to about
+    2^-P absolute, at the last step as at the first.  The steps round 32
+    bits below the digits read; a sample near an end of the interval
+    stretches its rounding error by 1 / sin(2*pi*t), which still leaves it
+    below the re-seed's error unless the sample lies within about 2^-64 of
+    the end.
 
     While a 53-bit iteration still follows the orbit to within 2^-32, its
     error at a step is a small difference whose double can need the
@@ -316,9 +325,9 @@ def phase_oracle(p: MapParams, n: int) -> Trajectory:
         x, y = _step(r, x, bits), _step(r, y, wb)
         samples.append((k, make(x)))
     if k < n:
-        prec = _PHASE_BITS
-        wp = prec + 10
-        width = n + prec + 32
+        window = _PHASE_BITS + _RESEED_STEPS  # bits a re-seed reads
+        wp = window + 32
+        width = n + wp
         x0 = _raw_mpf(p.x0, wb)
         if variant is ClosedForm.R4_COSINE:  # arccos(1 - 2*x0), the argument exact
             arg = mpf_sub(fone, mpf_shift(x0, 1), 0)
@@ -328,16 +337,19 @@ def phase_oracle(p: MapParams, n: int) -> Trajectory:
         phi = mpf_div(mpf_acos(arg, phase_wp, rnd), mpf_shift(mpf_pi(phase_wp, rnd), 1),
                       phase_wp, rnd)
         digits = to_fixed(phi, width)  # floor(phi * 2^width), phi in [0, 1/2]
-        mask = (1 << prec) - 1
+        mask = (1 << window) - 1
         two_pi = mpf_shift(_pi(wp), 1)
-        for k in range(k + 1, n + 1):
-            # the top prec bits of frac(2^k * phi), rounded
-            t = (((digits >> (width - k - prec - 1)) + 1) >> 1) & mask
-            c = mpf_cos(mpf_mul(from_man_exp(t, -prec), two_pi, wp, rnd), wp, rnd)
-            if variant is ClosedForm.R4_COSINE:  # (1 - c) / 2
-                x = mpf_shift(mpf_sub(fone, c, wp, rnd), -1)
-            else:  # 1/2 + c
-                x = mpf_add(fhalf, c, wp, rnd)
+        start = k + 1
+        for k in range(start, n + 1):
+            if (k - start) % _RESEED_STEPS:
+                x = _step(r, x, wp)
+            else:  # the top window bits of frac(2^k * phi), rounded
+                t = (((digits >> (width - k - window - 1)) + 1) >> 1) & mask
+                c = mpf_cos(mpf_mul(from_man_exp(t, -window), two_pi, wp, rnd), wp, rnd)
+                if variant is ClosedForm.R4_COSINE:  # (1 - c) / 2
+                    x = mpf_shift(mpf_sub(fone, c, wp, rnd), -1)
+                else:  # 1/2 + c
+                    x = mpf_add(fhalf, c, wp, rnd)
             samples.append((k, make(x)))
     return Trajectory(METHOD_ORACLE, tuple(samples), policy)
 

@@ -101,6 +101,15 @@ class TestOdeCommand:
         assert captured.out == ""
         assert captured.err.startswith(f"error: solution has a pole at t={pole}")
 
+    @pytest.mark.parametrize("x0", ["1e-320", "-1e-320"])
+    @pytest.mark.parametrize("extra", [[], ["--gamma", "0.14"]])
+    def test_seed_without_a_reciprocal_exits_3(self, x0, extra, capsys):
+        assert main(["ode", "--r", "1.7", f"--x0={x0}", "--t-end", "1", "--dt", "0.5"]
+                    + extra) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: 1/x_s overflows a double")
+
     def test_low_gamma_warnings_are_diagnostic_lines(self, capsys):
         argv = ["ode", "--r", "1.7", "--x0", "0.11", "--gamma", "0.08",
                 "--gamma", "0.05", "--t-end", "1", "--dt", "0.25"]

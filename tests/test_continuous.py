@@ -61,6 +61,17 @@ class TestParticularSolution:
         with pytest.raises(DomainError):
             particular_solution(1.0, ContinuousParams(1.0, 0.0))
 
+    @pytest.mark.parametrize("x0", [1e-320, -1e-320, 5e-324, -5.5e-309])
+    def test_rejects_a_seed_whose_reciprocal_overflows(self, x0):
+        # the sigmoid would start at 0.0 or -0.0, not at the seed
+        with pytest.raises(DomainError, match="1/x_s overflows"):
+            particular_solution(0.0, ContinuousParams(1.7, x0))
+
+    def test_smallest_seeds_with_a_reciprocal_start_at_themselves(self):
+        for x0 in (5.6e-309, -5.6e-309, 2e-308):
+            assert particular_solution(0.0, ContinuousParams(1.7, x0)) == pytest.approx(
+                x0, rel=1e-12)
+
     def test_pole(self):
         # 1/x0 - 1 rounds to exactly -1 for huge x0, so the denominator is 0 at t=0
         with pytest.raises(PoleError):
@@ -118,6 +129,19 @@ class TestGeneralSolution:
         with pytest.warns(GammaRangeWarning):
             value = general_solution(0.5, p, RiccatiShift(0.119))
         assert math.isfinite(value)
+
+    @pytest.mark.parametrize("x0,gamma", [(1e-320, 0.14), (-1e-320, 0.14), (1e-320, 1e-10),
+                                          (-2.0, 1e-320), (3.0, -5e-324)])
+    def test_rejects_a_start_whose_reciprocal_overflows(self, x0, gamma):
+        # x_s = gamma*x0/(gamma - x0) is below 5.6e-309 in magnitude
+        with pytest.raises(DomainError, match="1/x_s overflows"):
+            general_solution(0.0, ContinuousParams(1.7, x0), RiccatiShift(gamma))
+
+    def test_start_when_gamma_times_x0_underflows(self):
+        # gamma*x0 is 0.0 as a double, yet the member starts at 2e-200
+        p, shift = ContinuousParams(1.7, 1e-200), RiccatiShift(2e-200)
+        assert effective_initial_condition(p, shift) == 0.0
+        assert general_solution(0.0, p, shift) == pytest.approx(2e-200, rel=1e-15)
 
     @settings(max_examples=100, deadline=None)
     @given(admissible, st.floats(0.0, 10.0))
@@ -262,6 +286,13 @@ class TestGridTrajectory:
         with pytest.raises(PoleError) as err:
             grid_trajectory(p, 1.0, 0.05, shift)
         assert err.value.where == pytest.approx(t_pole, rel=1e-15)
+
+    @pytest.mark.parametrize("x0", [1e-320, -1e-320])
+    @pytest.mark.parametrize("shift", [None, RiccatiShift(0.14)])
+    def test_subnormal_seed_is_refused(self, x0, shift):
+        # refused at the first sample, though the pole of -1e-320 lies near t = 433
+        with pytest.raises(DomainError, match="1/x_s overflows"):
+            grid_trajectory(ContinuousParams(1.7, x0), 1000.0, 1.0, shift)
 
     @pytest.mark.parametrize("shift", [None, RiccatiShift(0.5)])
     def test_zero_seed_is_refused(self, shift):

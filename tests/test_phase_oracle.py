@@ -3,6 +3,7 @@ divergence run takes: the evaluator, or the iterated oracle, tapered unless
 the oracle's width is given."""
 
 import json
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -105,6 +106,36 @@ class TestPhaseOracle:
             phase_oracle(MapParams(-2.0, -0.6), 10)
         with pytest.raises(ValueError, match="non-negative"):
             phase_oracle(MapParams(4.0, 0.3), -1)
+
+
+@st.composite
+def phase_seeds(draw):
+    """r = 4 or r = -2 with a seed anywhere in the map's invariant interval."""
+    r = draw(st.sampled_from([4.0, -2.0]))
+    return MapParams(r, draw(st.floats(0.0, 1.0) if r == 4.0 else st.floats(-0.5, 1.5)))
+
+
+class TestReseeding:
+    @pytest.mark.parametrize("r,x0", [(4.0, 0.3), (-2.0, 0.9)])
+    def test_one_cosine_per_64_steps(self, r, x0, monkeypatch):
+        cosines = []
+        real = map_standard.mpf_cos
+
+        def counting(*args):
+            cosines.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(map_standard, "mpf_cos", counting)
+        phase_oracle(MapParams(r, x0), N)
+        assert 0 < len(cosines) <= math.ceil(N / 64) + 1
+
+    @settings(max_examples=20, deadline=None)
+    @given(phase_seeds(), st.integers(200, 700))
+    def test_samples_good_to_2_pow_minus_p_across_blocks(self, p, n):
+        b = phase_oracle(p, n)
+        true = oracle(p, n, PrecisionPolicy(3 * n))
+        with workprec(3 * n + 64):
+            assert max(abs(u - v) for u, v in zip(b.values, true.values)) <= mpf(2) ** (2 - P)
 
 
 def check_tapered_reference(p, n, working_bits):
