@@ -72,13 +72,39 @@ def gamma_lower_bound(x0: float) -> float:
     return x0 / (1.0 - x0)
 
 
+def _reciprocal_start(x0: float, shift: RiccatiShift | None = None) -> float:
+    """1/x_s for the start x_s of the particular solution, or of the family
+    member selected by ``shift``: 1/x0, or (gamma - x0)/(gamma*x0).
+
+    Every form reads its start from here: the sigmoid's constant is 1/x_s - 1
+    and a member starting outside [0, 1] blows up at ln(1 - 1/x_s)/r.
+    Raises DomainError for x0 = 0 and for a start too small for 1/x_s to be a
+    double, and PoleError for gamma = x0.
+    """
+    if x0 == 0:
+        raise DomainError("the solution requires x0 != 0 (it divides by x0)")
+    if shift is None:
+        q = 1.0 / x0
+    else:
+        g = shift.gamma
+        if g == x0:
+            raise PoleError("gamma equals x0: the effective initial condition diverges")
+        den = g * x0
+        if abs(den) >= _NORMAL_MIN:
+            q = (g - x0) / den
+        else:  # g*x0 underflows: divide by the larger factor first
+            small, big = sorted((g, x0), key=abs)
+            q = (g - x0) / big / small
+    if math.isinf(q):
+        raise DomainError(_NO_RECIPROCAL)
+    return q
+
+
 def effective_initial_condition(p: ContinuousParams, shift: RiccatiShift) -> float:
     """Initial value gamma*x0/(gamma - x0) of the family member picked by gamma."""
-    den = shift.gamma - p.x0
-    if den == 0:
-        raise PoleError("gamma equals x0: the effective initial condition diverges")
-    value = shift.gamma * p.x0 / den
-    if not math.isfinite(value):
+    q = _reciprocal_start(p.x0, shift)
+    value = 1.0 / q if q else math.inf
+    if math.isinf(value):
         raise PoleError("gamma is too close to x0: the effective initial condition overflows")
     return value
 
@@ -112,12 +138,7 @@ def particular_solution(t: float, p: ContinuousParams,
     ``grid_trajectory`` refuses a grid that reaches it.  Raises DomainError
     for x0 = 0 and for an x0 whose reciprocal overflows a double.
     """
-    if p.x0 == 0:
-        raise DomainError("particular solution requires x0 != 0 (it divides by x0)")
-    c = 1.0 / p.x0 - 1.0
-    if math.isinf(c):
-        raise DomainError(_NO_RECIPROCAL)
-    return _sigmoid(t, p.r, c, policy)
+    return _sigmoid(t, p.r, _reciprocal_start(p.x0) - 1.0, policy)
 
 
 def general_solution(t: float, p: ContinuousParams, shift: RiccatiShift) -> float:
@@ -132,11 +153,8 @@ def general_solution(t: float, p: ContinuousParams, shift: RiccatiShift) -> floa
     DomainError, as ``particular_solution`` does, when the reciprocal of the
     start x_s = gamma*x0/(gamma - x0) overflows a double.
     """
-    if p.x0 == 0:
-        raise DomainError("general solution requires x0 != 0 (it divides by x0)")
+    c = _reciprocal_start(p.x0, shift) - 1.0
     g = shift.gamma
-    if g == p.x0:
-        raise PoleError("gamma equals x0: the effective initial condition diverges")
     if 0.0 < p.x0 < 1.0:
         lb = gamma_lower_bound(p.x0)
         if g < lb:
@@ -144,14 +162,6 @@ def general_solution(t: float, p: ContinuousParams, shift: RiccatiShift) -> floa
                 f"gamma={g!r} is below the admissible lower bound {lb!r}; "
                 "the selected trajectory has a pole",
                 GammaRangeWarning, stacklevel=2)
-    den = g * p.x0
-    if abs(den) >= _NORMAL_MIN:
-        c = (g - p.x0) / den - 1.0
-    else:  # g*x0 underflows: divide by the larger factor first
-        small, big = sorted((g, p.x0), key=abs)
-        c = (g - p.x0) / big / small - 1.0
-    if not math.isfinite(c):
-        raise DomainError(_NO_RECIPROCAL)
     return _sigmoid(t, p.r, c, None)
 
 
@@ -197,8 +207,8 @@ def grid_trajectory(p: ContinuousParams, t_end: float, dt: float,
     """
     n = _grid_steps(t_end, dt)
     if not 0 < p.x0 < 1:
-        xs = p.x0 if shift is None else effective_initial_condition(p, shift)
-        t = 0.0 if 0 <= xs <= 1 else math.log1p(-1.0 / xs) / p.r
+        q = _reciprocal_start(p.x0, shift)  # x_s is outside [0, 1] for q < 1
+        t = math.log1p(-q) / p.r if q < 1 else 0.0
         if 0 < t <= n * dt:
             raise PoleError(f"solution has a pole at t={t!r}, inside the grid", where=t)
     if shift is None:

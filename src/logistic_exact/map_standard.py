@@ -41,8 +41,9 @@ run costs about half as much from a few thousand steps on.
 An iteration-only run (no closed form) at 53 working bits, r = 4 or r = -2,
 with the default oracle, a seed in the map's invariant interval and at least
 2,600 steps uses ``phase_oracle`` at the same budget instead.  Its samples
-are good to about 2^-128 at every step, and it takes less than half the
-time of the tapered reference from 2,600 steps on (10 against 23 ms at
+are good to about 2^-128 at every step, except in the rest of a 64-step
+block after a sample within about 2^-64 of an end of the interval (see
+``phase_oracle``), and it takes less than half the time of the tapered reference from 2,600 steps on (10 against 23 ms at
 2,600 steps, 39 against 237 ms at 8,500, r = 4, on a shared 2-vCPU host).
 Its reports equal the fixed-width oracle's bit for bit up to 64 steps
 before the end, and differ by no more than the two references do after
@@ -236,7 +237,7 @@ def oracle(p: MapParams, n: int, policy: PrecisionPolicy | None = None,
     sample k is good to about 2^(k - B) absolute at a budget of B bits, so
     to about 61 bits at step n.  Iteration-only divergence runs at r = 4 and
     r = -2 from 2,600 steps on use ``phase_oracle`` instead, which is good to
-    about 2^-128 at every step.
+    about 2^-128 at nearly every step.
 
     Every step runs at B bits unless ``taper_to`` is given.  Then step k runs
     at min(B, max(B + 64 - k, taper_to)) bits: 64 steps at B, then one bit
@@ -289,7 +290,9 @@ def phase_oracle(p: MapParams, n: int) -> Trajectory:
     bits below the digits read; a sample near an end of the interval
     stretches its rounding error by 1 / sin(2*pi*t), which still leaves it
     below the re-seed's error unless the sample lies within about 2^-64 of
-    the end.
+    the end.  At a distance d < 2^-64 from the end, the samples left in its
+    block are good only to about 2^-163 / sqrt(d); an orbit comes that close
+    about once in 5 * 10^9 samples.
 
     While a 53-bit iteration still follows the orbit to within 2^-32, its
     error at a step is a small difference whose double can need the

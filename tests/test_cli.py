@@ -101,6 +101,14 @@ class TestOdeCommand:
         assert captured.out == ""
         assert captured.err.startswith(f"error: solution has a pole at t={pole}")
 
+    def test_pole_of_a_start_whose_product_underflows_exits_3(self, capsys):
+        # gamma*x0 underflows; the member starts near -1e-193 and blows up near t = 261.4
+        assert main(["ode", "--r", "1.7", "--x0=-1e-200", "--gamma=-1.0000001e-200",
+                     "--t-end", "265", "--dt", "1"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: solution has a pole at t=261.")
+
     @pytest.mark.parametrize("x0", ["1e-320", "-1e-320"])
     @pytest.mark.parametrize("extra", [[], ["--gamma", "0.14"]])
     def test_seed_without_a_reciprocal_exits_3(self, x0, extra, capsys):

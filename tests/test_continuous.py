@@ -70,7 +70,7 @@ class TestParticularSolution:
     def test_smallest_seeds_with_a_reciprocal_start_at_themselves(self):
         for x0 in (5.6e-309, -5.6e-309, 2e-308):
             assert particular_solution(0.0, ContinuousParams(1.7, x0)) == pytest.approx(
-                x0, rel=1e-12)
+                x0, rel=1e-12, abs=0)
 
     def test_pole(self):
         # 1/x0 - 1 rounds to exactly -1 for huge x0, so the denominator is 0 at t=0
@@ -140,8 +140,8 @@ class TestGeneralSolution:
     def test_start_when_gamma_times_x0_underflows(self):
         # gamma*x0 is 0.0 as a double, yet the member starts at 2e-200
         p, shift = ContinuousParams(1.7, 1e-200), RiccatiShift(2e-200)
-        assert effective_initial_condition(p, shift) == 0.0
-        assert general_solution(0.0, p, shift) == pytest.approx(2e-200, rel=1e-15)
+        assert effective_initial_condition(p, shift) == pytest.approx(2e-200, rel=1e-15, abs=0)
+        assert general_solution(0.0, p, shift) == pytest.approx(2e-200, rel=1e-15, abs=0)
 
     @settings(max_examples=100, deadline=None)
     @given(admissible, st.floats(0.0, 10.0))
@@ -286,6 +286,20 @@ class TestGridTrajectory:
         with pytest.raises(PoleError) as err:
             grid_trajectory(p, 1.0, 0.05, shift)
         assert err.value.where == pytest.approx(t_pole, rel=1e-15)
+
+    def test_pole_is_found_when_gamma_times_x0_underflows(self, monkeypatch):
+        # x_s is about -1e-193, so the member blows up at ln(1 + 1e193)/1.7
+        p, shift = ContinuousParams(1.7, -1e-200), RiccatiShift(-1.0000001e-200)
+        t_pole = math.log1p(-1.0 / effective_initial_condition(p, shift)) / 1.7
+        assert 261 < t_pole < 262
+
+        def never(*args, **kwargs):
+            raise AssertionError("evaluated a point of a grid that crosses a pole")
+
+        monkeypatch.setattr(continuous, "general_solution", never)
+        with pytest.raises(PoleError) as err:
+            grid_trajectory(p, 265.0, 1.0, shift)
+        assert err.value.where == pytest.approx(t_pole, rel=1e-12)
 
     @pytest.mark.parametrize("x0", [1e-320, -1e-320])
     @pytest.mark.parametrize("shift", [None, RiccatiShift(0.14)])

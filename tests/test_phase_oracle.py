@@ -61,6 +61,14 @@ def check_against_iterated_oracle(p, n):
                 assert abs(mpf(eb[k]) - mpf(ea[k])) <= bound, k
 
 
+def check_good_to_2_pow_minus_p(p, n):
+    """Every sample of the phase evaluator lies within 2^-(P - 2) of a 3n-bit orbit."""
+    b = phase_oracle(p, n)
+    true = oracle(p, n, PrecisionPolicy(3 * n))
+    with workprec(3 * n + 64):
+        assert max(abs(u - v) for u, v in zip(b.values, true.values)) <= mpf(2) ** (2 - P)
+
+
 class TestPhaseOracle:
     @settings(max_examples=15, deadline=None)
     @given(x0=st.floats(0.0, 1.0), n=st.integers(0, 1500))
@@ -90,12 +98,7 @@ class TestPhaseOracle:
     def test_samples_good_to_2_pow_minus_p(self, r, x0):
         # seeds near a fixed point or a rational phase keep the budgeted
         # iteration for as long as the 53-bit orbit follows them
-        p = MapParams(r, x0)
-        n = 400
-        b = phase_oracle(p, n)
-        true = oracle(p, n, PrecisionPolicy(3 * n))
-        with workprec(3 * n + 64):
-            assert max(abs(u - v) for u, v in zip(b.values, true.values)) <= mpf(2) ** (2 - P)
+        check_good_to_2_pow_minus_p(MapParams(r, x0), 400)
 
     def test_validation(self):
         with pytest.raises(ValueError, match="r=4 or r=-2"):
@@ -132,10 +135,7 @@ class TestReseeding:
     @settings(max_examples=20, deadline=None)
     @given(phase_seeds(), st.integers(200, 700))
     def test_samples_good_to_2_pow_minus_p_across_blocks(self, p, n):
-        b = phase_oracle(p, n)
-        true = oracle(p, n, PrecisionPolicy(3 * n))
-        with workprec(3 * n + 64):
-            assert max(abs(u - v) for u, v in zip(b.values, true.values)) <= mpf(2) ** (2 - P)
+        check_good_to_2_pow_minus_p(p, n)
 
 
 def check_tapered_reference(p, n, working_bits):
