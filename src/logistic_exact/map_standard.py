@@ -235,9 +235,12 @@ def oracle(p: MapParams, n: int, policy: PrecisionPolicy | None = None,
     The default budget assumes one bit lost per step with a 64-bit margin,
     which covers both chaotic cases (r=4 and r=-2 double an angle each step):
     sample k is good to about 2^(k - B) absolute at a budget of B bits, so
-    to about 61 bits at step n.  Iteration-only divergence runs at r = 4 and
-    r = -2 from 2,600 steps on use ``phase_oracle`` instead, which is good to
-    about 2^-128 at nearly every step.
+    to about 61 bits at the last step (fewer on orbits that linger near the
+    repelling fixed point 3/2 of r = -2, which stretches errors by 4 a step:
+    14 bits fewer for x0 = 3/2 - 2^-52 over 400 steps).  Iteration-only
+    divergence runs at r = 4 and r = -2 from 2,600 steps on use
+    ``phase_oracle`` instead, which is good to about 2^-128 at nearly every
+    step.
 
     Every step runs at B bits unless ``taper_to`` is given.  Then step k runs
     at min(B, max(B + 64 - k, taper_to)) bits: 64 steps at B, then one bit

@@ -212,14 +212,34 @@ def _exact(value, bits: int) -> tuple:
     return _raw_mpf(value, bits)
 
 
+def _signed(value, bits: int) -> tuple:
+    """A sample, taken as ``_exact`` takes it, as (signed significand, exponent)."""
+    if isinstance(value, float):
+        m, e = math.frexp(value)
+        return int(m * 9007199254740992.0), e - 53  # 2^53
+    sign, man, exp, _ = _exact(value, bits)
+    return (-man if sign else man), exp
+
+
 def compare_trajectories(a: Trajectory, b: Trajectory,
                          threshold: float) -> DivergenceReport:
     """Report the absolute per-step differences of two trajectories.
 
     The trajectories must be sampled on the identical index set.  The
     subtraction is carried out 10 bits above the higher of the two
-    precisions, on raw libmp values (mpf and float samples taken exactly);
-    the report stores the differences as doubles.
+    precisions, ``bits``, on exact values (mpf and float samples taken
+    exactly); the report stores the differences as doubles.
+
+    Each difference is formed as an integer: the significand with the larger
+    exponent is shifted left by the gap, the other subtracted, and the result
+    cut to 55 bits with a sticky bit, which int-to-float rounds to nearest
+    even.  The doubles equal, bit for bit, those of the libmp route
+    (``mpf_sub`` at ``bits``, then ``to_float``), which runs instead for a
+    zero on either side, an exponent gap larger than ``bits`` (an unbounded
+    shift), a difference wider than ``bits`` (which that route rounds twice)
+    and a difference of 2^1023 or more (which it may round to infinity).  A
+    subnormal result needs no fallback: both routes hand the same 53-bit
+    value to ``math.ldexp``.
     """
     if len(a.samples) != len(b.samples):
         raise ValueError(
@@ -230,8 +250,24 @@ def compare_trajectories(a: Trajectory, b: Trajectory,
         if ia != ib:
             raise ValueError(
                 f"trajectory index sets differ (first mismatch: {ia!r} vs {ib!r})")
-        xa = _exact(va, bits)
-        xb = _exact(vb, bits)
-        errors.append(to_float(mpf_abs(mpf_sub(xa, xb, bits, round_nearest)),
-                               rnd=round_nearest))
+        ma, ea = _signed(va, bits)
+        mb, eb = _signed(vb, bits)
+        gap = ea - eb
+        if ma and mb and -bits <= gap <= bits:
+            if gap >= 0:
+                d, e = abs((ma << gap) - mb), eb
+            else:
+                d, e = abs(ma - (mb << -gap)), ea
+            w = d.bit_length()
+            if w <= bits and e + w <= 1023:
+                if w > 55:
+                    e += w - 55
+                    cut = d >> (w - 55)
+                    d = cut | (cut << (w - 55) != d)  # sticky bit
+                # float() of a Python int rounds to nearest even; of gmpy2's mpz
+                # it need not, so the significand goes through int() first
+                errors.append(math.ldexp(float(int(d)), e))
+                continue
+        errors.append(to_float(mpf_abs(mpf_sub(_exact(va, bits), _exact(vb, bits), bits,
+                                               round_nearest)), rnd=round_nearest))
     return DivergenceReport(errors, float(threshold))

@@ -2,10 +2,13 @@
 the mpf-context loops they replaced.  The reference functions below are those
 loops: mpf arithmetic inside ``workprec`` scopes."""
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf, workprec
+from mpmath.libmp import from_man_exp
 
 from logistic_exact.errors import EscapeError
 from logistic_exact.map_standard import (
@@ -258,17 +261,78 @@ def sample_pairs(draw):
     return make(kind, base, bits), make(other, base + delta, bits)
 
 
+def exact_mpf(man, exp):
+    """man * 2^exp as an mpf, exactly (``mpf((man, exp))`` rounds to the context)."""
+    return mp.make_mpf(from_man_exp(man, exp))
+
+
+@st.composite
+def route_pairs(draw):
+    """One step at an edge of the integer route: a zero of either sign, a
+    subnormal float, an mpf sample 1,000-9,000 bits wide, exponents far
+    apart, a difference near 2^-1074, or one ulp either side of a rounding
+    tie at the 55-bit cut."""
+    kind = draw(st.sampled_from(["zero", "subnormal", "wide", "gap", "tiny", "tie"]))
+    sign = draw(st.sampled_from([1, -1]))
+    x = sign * draw(st.floats(0.01, 100.0))
+    if kind == "zero":
+        a = draw(st.sampled_from([0.0, -0.0, 0, mpf(0)]))
+        b = draw(st.sampled_from([x, math.ldexp(sign, -1074), mpf(x) / 3]))
+    elif kind == "subnormal":
+        a = math.ldexp(sign * draw(st.integers(1, 2**52 - 1)), -1074)
+        b = draw(st.one_of(st.just(-a),
+                           st.integers(1, 2**53 - 1).map(lambda m: math.ldexp(m, -1074)),
+                           st.integers(-2**40, 2**40).map(
+                               lambda k: exact_mpf(int(math.ldexp(a, 1100)) + k, -1100))))
+    elif kind == "wide":
+        w = draw(st.integers(1000, 9000))
+        man = draw(st.integers(2**(w - 1), 2**w - 1))
+        exp = draw(st.integers(-w - 3, -w + 3))
+        a = exact_mpf(sign * man, exp)
+        # the float nearest a, or a second wide sample agreeing in its top bits
+        keep = draw(st.integers(0, w))
+        b = draw(st.sampled_from([float(a), exact_mpf(
+            sign * ((man >> keep << keep) | draw(st.integers(0, 2**keep - 1))), exp)]))
+    elif kind == "gap":
+        a = x
+        b = exact_mpf(draw(st.integers(1, 2**200)), draw(st.integers(-12000, -60)))
+    elif kind == "tiny":
+        a = math.ldexp(sign * draw(st.integers(1, 2**53 - 1)), draw(st.integers(-1100, -1020)))
+        delta = draw(st.integers(-2**20, 2**20)) << draw(st.integers(86, 206))
+        b = exact_mpf(int(math.ldexp(a, 1200)) + delta, -1200)  # a + delta * 2^-1200
+    else:  # a tie at the 55-bit cut, exactly or one ulp either side
+        a = x
+        h = draw(st.integers(2**52, 2**53 - 1))
+        t = draw(st.integers(1, 150))
+        d = ((2 * h + 1) << t) + draw(st.sampled_from([-1, 0, 1]))
+        low = math.frexp(a)[1] - 53 - draw(st.integers(0, 60))
+        b = exact_mpf(int(math.ldexp(a, -low)) + draw(st.sampled_from([1, -1])) * d, low)
+    return (a, b) if draw(st.booleans()) else (b, a)
+
+
+def check_against_mpf_loop(pairs, bits_a, bits_b):
+    a = Trajectory("a", tuple((k, va) for k, (va, _) in enumerate(pairs)),
+                   PrecisionPolicy(bits_a))
+    b = Trajectory("b", tuple((k, vb) for k, (_, vb) in enumerate(pairs)),
+                   PrecisionPolicy(bits_b))
+    got = compare_trajectories(a, b, 0.5).per_step_abs_error
+    assert list(got) == reference_errors(a, b)
+    return list(got)
+
+
 class TestCompareKernel:
     @settings(max_examples=150, deadline=None)
     @given(st.lists(sample_pairs(), min_size=1, max_size=12),
            st.integers(53, 300), st.integers(53, 300))
     def test_equals_mpf_loop(self, pairs, bits_a, bits_b):
-        a = Trajectory("a", tuple((k, va) for k, (va, _) in enumerate(pairs)),
-                       PrecisionPolicy(bits_a))
-        b = Trajectory("b", tuple((k, vb) for k, (_, vb) in enumerate(pairs)),
-                       PrecisionPolicy(bits_b))
-        got = compare_trajectories(a, b, 0.5).per_step_abs_error
-        assert list(got) == reference_errors(a, b)
+        check_against_mpf_loop(pairs, bits_a, bits_b)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(route_pairs(), min_size=1, max_size=8),
+           st.one_of(st.integers(53, 300), st.integers(1000, 9100)),
+           st.integers(53, 300))
+    def test_integer_route_edges_equal_mpf_loop(self, pairs, bits_a, bits_b):
+        check_against_mpf_loop(pairs, bits_a, bits_b)
 
     def test_big_ints_are_rounded_as_mpf_rounds_them(self):
         # 10**400 and 10**400 + 1 differ in the last of 1,329 bits; at 63 bits
@@ -278,3 +342,33 @@ class TestCompareKernel:
             b = Trajectory("b", ((0, 10**400 + 1),), PrecisionPolicy(bits))
             got = compare_trajectories(a, b, 0.5).per_step_abs_error
             assert list(got) == reference_errors(a, b) == [expected]
+
+    # 3 + 2^-53 + 2^-70; minus 2.0 that is 1 + 2^-53, a tie at 53 bits, plus 2^-70
+    _TIE_PLUS = exact_mpf(3 * 2**70 + 2**17 + 1, -70)
+
+    @pytest.mark.parametrize("va,vb,bits,expected", [
+        # a zero on either side
+        (0.0, -2.5, 53, 2.5),
+        (mpf(0), -0.0, 53, 0.0),
+        # exponents 200 apart, more than 63 bits: 1 - 2^-200 rounds to 1
+        (1.0, 2.0**-200, 53, 1.0),
+        # at 63 bits mpf_sub rounds the 2^-70 away, and the tie left rounds
+        # to even; at 210 bits the integer route's sticky bit keeps it
+        (_TIE_PLUS, 2.0, 53, 1.0),
+        (_TIE_PLUS, 2.0, 200, 1 + 2.0**-52),
+        # 1.25 * 2^1023, past 2^1023, where rounding up could overflow
+        (1.75 * 2.0**1023, 2.0**1022, 53, 1.25 * 2.0**1023),
+        # 2^-1023, and 2.5 * 2^-1074 rounded to even: subnormal, with no fallback
+        (1.5 * 2.0**-1022, 2.0**-1022, 53, 2.0**-1023),
+        (exact_mpf(3, -1074), exact_mpf(1, -1075), 53, 2.0**-1073),
+    ], ids=["zero", "signed-zero", "gap", "wider-than-bits", "sticky", "huge", "subnormal",
+            "subnormal-tie"])
+    def test_each_branch_equals_mpf_loop(self, va, vb, bits, expected):
+        assert check_against_mpf_loop([(va, vb)], bits, bits) == [expected]
+
+    def test_a_difference_past_the_doubles_is_refused(self):
+        a = Trajectory("a", ((0, 2**1100 + 1),), PrecisionPolicy(2000))
+        b = Trajectory("b", ((0, 1),), PrecisionPolicy(2000))
+        assert reference_errors(a, b) == [math.inf]
+        with pytest.raises(ValueError, match="finite"):
+            compare_trajectories(a, b, 0.5)
