@@ -2,13 +2,12 @@
 
 The equation is a constant-coefficient Riccati equation, so one known
 solution generates the whole family: every member is the basic sigmoid
-restarted from a shifted initial value gamma*x0/(gamma - x0).  All
-evaluation funnels through a single kernel for 1/(1 + c*exp(-r*t)); a
-classical Runge-Kutta integrator provides the independent cross-check, on
-the same time grid as ``grid_trajectory``.
-
-The ODE side is not chaotic, so every form runs in double precision; only
-``particular_solution`` takes a PrecisionPolicy, for high-precision cross-checks.
+restarted from a shifted initial value x_s = gamma*x0/(gamma - x0).  Every
+form resolves 1/x_s once and evaluates 1/(1 + (1/x_s - 1)*exp(-r*t)) with one
+double kernel, whose t = 0 value is the start 1/(1/x_s) itself; a grid resolves
+its start once for all its points.  The ODE side is not chaotic, so double
+precision serves throughout.  A classical Runge-Kutta integrator provides the
+independent cross-check, on the same time grid as ``grid_trajectory``.
 """
 
 import math
@@ -16,11 +15,8 @@ import sys
 import warnings
 from dataclasses import dataclass
 
-from mpmath import mp, mpf, workprec
-
 from .errors import ESCAPE_BOUND, POLE_EPS, DomainError, EscapeError, PoleError
-from .precision import (DOUBLE, METHOD_ODE_CLOSED_FORM, METHOD_ODE_RK4,
-                        PrecisionPolicy, Trajectory)
+from .precision import DOUBLE, METHOD_ODE_CLOSED_FORM, METHOD_ODE_RK4, Trajectory
 
 _EXP_OVERFLOW = 709.0
 _NORMAL_MIN = sys.float_info.min  # the smallest normal double
@@ -90,13 +86,25 @@ def _reciprocal_start(x0: float, shift: RiccatiShift | None = None) -> float:
         if g == x0:
             raise PoleError("gamma equals x0: the effective initial condition diverges")
         den = g * x0
-        if abs(den) >= _NORMAL_MIN:
+        if _NORMAL_MIN <= abs(den) < math.inf:
             q = (g - x0) / den
-        else:  # g*x0 underflows: divide by the larger factor first
+        else:  # g*x0 underflows or overflows: divide by the larger factor first
             small, big = sorted((g, x0), key=abs)
-            q = (g - x0) / big / small
+            diff = g - x0
+            q = (diff / big if math.isfinite(diff) else g / big - x0 / big) / small
     if math.isinf(q):
         raise DomainError(_NO_RECIPROCAL)
+    return q
+
+
+def _member_start(p: ContinuousParams, shift: RiccatiShift | None) -> float:
+    """1/x_s of the particular solution or of the member selected by ``shift``,
+    flagging with GammaRangeWarning a gamma below the admissible lower bound."""
+    q = _reciprocal_start(p.x0, shift)
+    if shift is not None and 0.0 < p.x0 < 1.0 and shift.gamma < gamma_lower_bound(p.x0):
+        warnings.warn(f"gamma={shift.gamma!r} is below the admissible lower bound "
+                      f"{gamma_lower_bound(p.x0)!r}; the selected trajectory has a pole",
+                      GammaRangeWarning, stacklevel=3)  # the caller of a public form
     return q
 
 
@@ -109,28 +117,29 @@ def effective_initial_condition(p: ContinuousParams, shift: RiccatiShift) -> flo
     return value
 
 
-def _sigmoid(t, r, c, policy):
-    """Evaluate 1/(1 + c*exp(-r*t)); ``c`` encodes the initial value."""
-    if policy is None:
-        if c == 0:
-            return 1.0
-        u = -r * t
-        if u > _EXP_OVERFLOW:
-            # exp overflows a double; the formula has decayed onto the x=0 branch
-            return 0.0
-        den = 1.0 + c * math.exp(u)
-        if abs(den) < POLE_EPS:
-            raise PoleError(f"solution has a pole at t={t!r}", where=t)
-        return 1.0 / den
-    with workprec(policy.significand_bits):
-        den = 1 + mpf(c) * mp.exp(-mpf(r) * mpf(t))
-        if abs(den) < POLE_EPS:
-            raise PoleError(f"solution has a pole at t={t!r}", where=t)
-        return 1 / den
+def _sigmoid(t, r, q):
+    """Evaluate 1/(1 + (q - 1)*exp(-r*t)), the sigmoid from the start 1/q.
+
+    At t = 0 it returns the start 1/q itself, as from a start of 2^53 on q - 1
+    rounds to -1 and the formula has a false pole there.  A start that is not
+    a double (q = 0, or 1/q overflows) keeps that pole: 1 + (q - 1) is 0.
+    """
+    if t == 0 and q and math.isfinite(1.0 / q):
+        return 1.0 / q
+    c = q - 1.0
+    if c == 0:
+        return 1.0
+    u = -r * t
+    if u > _EXP_OVERFLOW:
+        # exp overflows a double; the formula has decayed onto the x=0 branch
+        return 0.0
+    den = 1.0 + c * math.exp(u)
+    if abs(den) < POLE_EPS:
+        raise PoleError(f"solution has a pole at t={t!r}", where=t)
+    return 1.0 / den
 
 
-def particular_solution(t: float, p: ContinuousParams,
-                        policy: PrecisionPolicy | None = None):
+def particular_solution(t: float, p: ContinuousParams) -> float:
     """The sigmoid through x0 at t=0: 1/(1 + (1/x0 - 1)*exp(-r*t)).
 
     Raises PoleError at the blow-up time that exists when x0 lies outside
@@ -138,7 +147,7 @@ def particular_solution(t: float, p: ContinuousParams,
     ``grid_trajectory`` refuses a grid that reaches it.  Raises DomainError
     for x0 = 0 and for an x0 whose reciprocal overflows a double.
     """
-    return _sigmoid(t, p.r, _reciprocal_start(p.x0) - 1.0, policy)
+    return _sigmoid(t, p.r, _member_start(p, None))
 
 
 def general_solution(t: float, p: ContinuousParams, shift: RiccatiShift) -> float:
@@ -153,16 +162,7 @@ def general_solution(t: float, p: ContinuousParams, shift: RiccatiShift) -> floa
     DomainError, as ``particular_solution`` does, when the reciprocal of the
     start x_s = gamma*x0/(gamma - x0) overflows a double.
     """
-    c = _reciprocal_start(p.x0, shift) - 1.0
-    g = shift.gamma
-    if 0.0 < p.x0 < 1.0:
-        lb = gamma_lower_bound(p.x0)
-        if g < lb:
-            warnings.warn(
-                f"gamma={g!r} is below the admissible lower bound {lb!r}; "
-                "the selected trajectory has a pole",
-                GammaRangeWarning, stacklevel=2)
-    return _sigmoid(t, p.r, c, None)
+    return _sigmoid(t, p.r, _member_start(p, shift))
 
 
 def general_solution_correction_form(t: float, p: ContinuousParams,
@@ -199,23 +199,21 @@ def grid_trajectory(p: ContinuousParams, t_end: float, dt: float,
     """Closed-form trajectory sampled at t = k*dt, on the grid of ``rk4_oracle``.
 
     The particular solution, or the general-solution member selected by
-    ``shift``, evaluated point by point in double precision.  For a seed x0
+    ``shift``: the start is resolved once, and every point is read off the
+    double kernel from it, the one ``particular_solution`` and
+    ``general_solution`` evaluate a single point with.  For a seed x0
     outside (0, 1), a member starting at x_s outside [0, 1] blows up at
     t* = ln(1 - 1/x_s)/r, and a t* after 0 and up to the last grid point
     raises PoleError before any sample.  Inside (0, 1) only a gamma below the
     bound gives a pole, and GammaRangeWarning flags it.
     """
     n = _grid_steps(t_end, dt)
-    if not 0 < p.x0 < 1:
-        q = _reciprocal_start(p.x0, shift)  # x_s is outside [0, 1] for q < 1
-        t = math.log1p(-q) / p.r if q < 1 else 0.0
+    q = _member_start(p, shift)
+    if not 0 < p.x0 < 1 and q < 1:  # x_s is outside [0, 1]
+        t = math.log1p(-q) / p.r
         if 0 < t <= n * dt:
             raise PoleError(f"solution has a pole at t={t!r}, inside the grid", where=t)
-    if shift is None:
-        samples = tuple((k * dt, particular_solution(k * dt, p)) for k in range(n + 1))
-    else:
-        samples = tuple((k * dt, general_solution(k * dt, p, shift))
-                        for k in range(n + 1))
+    samples = tuple((k * dt, _sigmoid(k * dt, p.r, q)) for k in range(n + 1))
     return Trajectory(METHOD_ODE_CLOSED_FORM, samples, DOUBLE)
 
 

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 
 import pytest
 from mpmath import mpf, workprec
@@ -87,7 +88,7 @@ class TestOdeCommand:
         def never(*args, **kwargs):
             raise AssertionError("evaluated a point of a grid that should be refused")
 
-        monkeypatch.setattr(continuous, "particular_solution", never)
+        monkeypatch.setattr(continuous, "_sigmoid", never)
         assert main(["ode", "--r", r, "--x0", x0, "--t-end", t_end, "--dt", dt]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -108,6 +109,17 @@ class TestOdeCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: solution has a pole at t=261.")
+
+    @pytest.mark.parametrize("argv,label,start", [
+        (["--x0", "1e17"], "particular", "1e+17"),
+        (["--x0", "1e200", "--gamma", "2e200"], "gamma=2e+200", "2e+200")])
+    def test_huge_start_is_no_pole_at_t0(self, argv, label, start, capsys):
+        # 1/x0 - 1 rounds to -1 (the first) and gamma*x0 overflows (the second),
+        # yet each series starts at its x_s and stays finite
+        rows = run_csv(["ode", "--r", "1", "--t-end", "1", "--dt", "0.5"] + argv, capsys)
+        values = [v for _, series, _, v in rows if series == label]
+        assert values[0] == start
+        assert len(values) == 3 and all(math.isfinite(float(v)) for v in values)
 
     @pytest.mark.parametrize("x0", ["1e-320", "-1e-320"])
     @pytest.mark.parametrize("extra", [[], ["--gamma", "0.14"]])

@@ -4,6 +4,7 @@ import warnings
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mpmath import exp, mpf, workprec
 
 from logistic_exact import continuous
 from logistic_exact.continuous import (
@@ -20,7 +21,7 @@ from logistic_exact.continuous import (
     rk4_oracle,
 )
 from logistic_exact.errors import DomainError, PoleError
-from logistic_exact.precision import PrecisionPolicy, compare_trajectories
+from logistic_exact.precision import compare_trajectories
 
 FIG1 = ContinuousParams(r=1.7, x0=0.11)
 FIG1_GAMMAS = (0.14, 0.15, 0.17, 0.25)
@@ -73,13 +74,26 @@ class TestParticularSolution:
                 x0, rel=1e-12, abs=0)
 
     def test_pole(self):
-        # 1/x0 - 1 rounds to exactly -1 for huge x0, so the denominator is 0 at t=0
-        with pytest.raises(PoleError):
-            particular_solution(0.0, ContinuousParams(1.0, 1e308))
+        # 1/x0 - 1 rounds to exactly -1 for huge x0, so the formula's denominator
+        # is 0 at t=0; the kernel returns the start 1/(1/x0) there instead
+        p = ContinuousParams(1.0, 1e308)
+        assert particular_solution(0.0, p) == 1.0 / (1.0 / 1e308)
+        assert math.isfinite(particular_solution(1.0, p))
+
+    @pytest.mark.parametrize("x0,shift", [
+        (1.7976931348623157e308, None),  # 1/(1/x0) overflows
+        (1.7976931348623157e308, RiccatiShift(1.7976931348623155e308)),  # 1/x_s is 0.0
+    ])
+    def test_start_that_is_not_a_double_is_a_pole_at_t0(self, x0, shift):
+        p = ContinuousParams(1.0, x0)
+        with pytest.raises(PoleError) as err:
+            grid_trajectory(p, 1.0, 0.5, shift)
+        assert err.value.where == 0.0
 
     def test_high_precision_path_matches_double(self):
         p = ContinuousParams(1.7, 0.11)
-        hi = particular_solution(2.5, p, PrecisionPolicy(200))
+        with workprec(200):
+            hi = 1 / (1 + (1 / mpf(p.x0) - 1) * exp(-mpf(p.r) * mpf(2.5)))
         lo = particular_solution(2.5, p)
         assert abs(float(hi) - lo) < 1e-15
 
@@ -120,9 +134,14 @@ class TestGeneralSolution:
                 assert general_solution(t, p, RiccatiShift(1.0)) == 1.0
 
     def test_gamma_equal_seed_is_pole(self):
+        # gamma = 0.11 is below the bound too, but the start's own error comes first
         p = ContinuousParams(1.7, 0.11)
-        with pytest.raises(PoleError):
-            general_solution(1.0, p, RiccatiShift(0.11))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PoleError):
+                general_solution(1.0, p, RiccatiShift(0.11))
+            with pytest.raises(PoleError):
+                grid_trajectory(p, 1.0, 0.5, RiccatiShift(0.11))
 
     def test_warns_below_admissible_range(self):
         p = ContinuousParams(1.7, 0.11)
@@ -142,6 +161,15 @@ class TestGeneralSolution:
         p, shift = ContinuousParams(1.7, 1e-200), RiccatiShift(2e-200)
         assert effective_initial_condition(p, shift) == pytest.approx(2e-200, rel=1e-15, abs=0)
         assert general_solution(0.0, p, shift) == pytest.approx(2e-200, rel=1e-15, abs=0)
+
+    @pytest.mark.parametrize("x0,gamma,x_start", [
+        (1e200, 2e200, 2e200), (1e308, -1e308, 5e307)])  # the second: gamma - x0 too
+    def test_start_when_gamma_times_x0_overflows(self, x0, gamma, x_start):
+        p, shift = ContinuousParams(1.0, x0), RiccatiShift(gamma)
+        assert effective_initial_condition(p, shift) == pytest.approx(x_start, rel=1e-15)
+        traj = grid_trajectory(p, 1.0, 0.5, shift)
+        assert traj.values[0] == pytest.approx(x_start, rel=1e-15)
+        assert all(math.isfinite(v) for v in traj.values)
 
     @settings(max_examples=100, deadline=None)
     @given(admissible, st.floats(0.0, 10.0))
@@ -281,8 +309,7 @@ class TestGridTrajectory:
         def never(*args, **kwargs):
             raise AssertionError("evaluated a point of a grid that crosses a pole")
 
-        monkeypatch.setattr(continuous, "particular_solution", never)
-        monkeypatch.setattr(continuous, "general_solution", never)
+        monkeypatch.setattr(continuous, "_sigmoid", never)
         with pytest.raises(PoleError) as err:
             grid_trajectory(p, 1.0, 0.05, shift)
         assert err.value.where == pytest.approx(t_pole, rel=1e-15)
@@ -296,7 +323,7 @@ class TestGridTrajectory:
         def never(*args, **kwargs):
             raise AssertionError("evaluated a point of a grid that crosses a pole")
 
-        monkeypatch.setattr(continuous, "general_solution", never)
+        monkeypatch.setattr(continuous, "_sigmoid", never)
         with pytest.raises(PoleError) as err:
             grid_trajectory(p, 265.0, 1.0, shift)
         assert err.value.where == pytest.approx(t_pole, rel=1e-12)
@@ -325,8 +352,7 @@ class TestGridTrajectory:
         def never(*args, **kwargs):
             raise AssertionError("evaluated a point of a grid that should be refused")
 
-        monkeypatch.setattr(continuous, "particular_solution", never)
-        monkeypatch.setattr(continuous, "general_solution", never)
+        monkeypatch.setattr(continuous, "_sigmoid", never)
         for t_end, dt in ((1e300, 1e-300), (1e9, 1e-9), (float(MAX_GRID_POINTS), 1.0)):
             for shift in (None, RiccatiShift(0.25)):
                 with pytest.raises(ValueError, match="grid points"):
