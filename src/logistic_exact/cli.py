@@ -223,30 +223,54 @@ def _render_csv(doc):
             yield f"{i},{label},{method},{_value(v, bits)}\n"
 
 
+def _json_value(v, bits):
+    """``_value(v, bits)`` as json writes it.  repr is json's text for an int
+    and a finite float, and a Trajectory holds finite values only."""
+    v = _value(v, bits)
+    return json.dumps(v) if isinstance(v, str) else repr(v)
+
+
+def _json_entries(doc):
+    """(fields, list key, items) of each series or report: its scalar fields,
+    then the text of each item of its one list, at that list's fixed depth."""
+    if "series" in doc:
+        for label, method, bits, samples in _rows(doc):
+            yield ({"label": label, "method": method, "precision_bits": bits}, "samples",
+                   (f"\n        [\n          {i!r},\n          {_json_value(v, bits)}\n        ]"
+                    for i, v in samples))
+        return
+    config = doc["config"]
+    for label, rep in doc["reports"]:
+        yield ({"label": label,
+                "method": label if label == METHOD_ITERATED else f"{METHOD_CLOSED_FORM}:{label}",
+                "working_bits": config["bits"],
+                "oracle_bits": config["oracle_bits"],
+                "threshold": rep.threshold,
+                "first_divergent_index": rep.first_divergent_index,
+                "max_error": rep.max_error}, "per_step_abs_error",
+               (f"\n        {e!r}" for e in rep.per_step_abs_error))
+
+
 @_joined
 def _render_json(doc):
-    obj = {"config": doc["config"]}
-    if "series" in doc:
-        obj["series"] = [{
-            "label": label,
-            "method": method,
-            "precision_bits": bits,
-            "samples": [[i, _value(v, bits)] for i, v in samples],
-        } for label, method, bits, samples in _rows(doc)]
-    else:
-        config = doc["config"]
-        obj["reports"] = [{
-            "label": label,
-            "method": label if label == METHOD_ITERATED else f"{METHOD_CLOSED_FORM}:{label}",
-            "working_bits": config["bits"],
-            "oracle_bits": config["oracle_bits"],
-            "threshold": rep.threshold,
-            "first_divergent_index": rep.first_divergent_index,
-            "max_error": rep.max_error,
-            "per_step_abs_error": rep.per_step_abs_error,
-        } for label, rep in doc["reports"]]
-    # json.dumps(obj, indent=2) uses this encoder too, but lists every token first
-    return itertools.chain(json.JSONEncoder(indent=2).iterencode(obj), ["\n"])
+    """The bytes ``json.dumps(obj, indent=2) + "\\n"`` writes for obj, the config
+    and one object per series or report, each value written at its fixed
+    depth: with an indent set, json encodes in pure Python, token by token."""
+    key = "series" if "series" in doc else "reports"
+    # the config is small and nests (a figure's preset): the encoder writes it
+    yield '{\n  "config": ' + json.dumps(doc["config"], indent=2).replace("\n", "\n  ")
+    yield f',\n  "{key}": ['
+    entry = "\n    {"
+    for fields, list_key, items in _json_entries(doc):
+        yield entry + "".join(f'\n      "{k}": {json.dumps(v)},' for k, v in fields.items())
+        yield f'\n      "{list_key}": '
+        opener = "["
+        for item in items:
+            yield opener + item
+            opener = ","
+        yield "[]\n    }" if opener == "[" else "\n      ]\n    }"
+        entry = ",\n    {"
+    yield "]\n}\n" if entry == "\n    {" else "\n  ]\n}\n"
 
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd",

@@ -201,15 +201,14 @@ def grid_trajectory(p: ContinuousParams, t_end: float, dt: float,
     The particular solution, or the general-solution member selected by
     ``shift``: the start is resolved once, and every point is read off the
     double kernel from it, the one ``particular_solution`` and
-    ``general_solution`` evaluate a single point with.  For a seed x0
-    outside (0, 1), a member starting at x_s outside [0, 1] blows up at
-    t* = ln(1 - 1/x_s)/r, and a t* after 0 and up to the last grid point
-    raises PoleError before any sample.  Inside (0, 1) only a gamma below the
-    bound gives a pole, and GammaRangeWarning flags it.
+    ``general_solution`` evaluate a single point with.  One pole rule holds
+    for every seed and either sign of r: a member starting at x_s outside
+    [0, 1] (q = 1/x_s < 1) has one pole, at t* = ln(1 - 1/x_s)/r, and a t*
+    after 0 and up to the last grid point raises PoleError before any sample.
     """
     n = _grid_steps(t_end, dt)
     q = _member_start(p, shift)
-    if not 0 < p.x0 < 1 and q < 1:  # x_s is outside [0, 1]
+    if q < 1:  # x_s is outside [0, 1]
         t = math.log1p(-q) / p.r
         if 0 < t <= n * dt:
             raise PoleError(f"solution has a pole at t={t!r}, inside the grid", where=t)

@@ -297,8 +297,11 @@ class TestGridTrajectory:
                                    rk4_oracle(shifted, 10.0, 0.02), 1e-6)
         assert rep.max_error < 1e-8
 
+    # the last two seeds lie inside (0, 1), with a gamma below the bound
     @pytest.mark.parametrize("r,x0,gamma,x_start", [
-        (1.7, -0.5, None, -0.5), (-1.7, 2.0, None, 2.0), (1.7, 2.0, 1.0, -2.0)])
+        (1.7, -0.5, None, -0.5), (-1.7, 2.0, None, 2.0), (1.7, 2.0, 1.0, -2.0),
+        (1.7, 0.11, 0.08, -0.29333333333333333), (-1.7, 0.9, 2.0, 1.6363636363636362)])
+    @pytest.mark.filterwarnings("ignore::logistic_exact.continuous.GammaRangeWarning")
     def test_pole_inside_the_grid_is_refused(self, r, x0, gamma, x_start, monkeypatch):
         p = ContinuousParams(r, x0)
         shift = None if gamma is None else RiccatiShift(gamma)
