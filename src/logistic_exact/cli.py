@@ -7,9 +7,9 @@ Subcommands: ``ode`` (closed-form curves of the growth equation), ``map3``
 bits).  The runners return labelled library ``Trajectory`` values, and
 ``compare`` emits the labelled library ``DivergenceReport`` values of
 ``map_standard.divergence_reports``; the emitters read method, precision,
-samples and errors from them.  Output is CSV (default), JSON (default for
-``compare``), or a minimal dependency-free SVG line chart.  Library warnings
-are printed as ``warning:`` lines on stderr.
+index and value columns, and errors from them.  Output is CSV (default),
+JSON (default for ``compare``), or a minimal dependency-free SVG line chart.
+Library warnings are printed as ``warning:`` lines on stderr.
 
 Exit codes: 0 success, 2 usage/validation problems, 3 mathematical
 domain/pole errors raised by the core modules.
@@ -158,7 +158,7 @@ def _run_rng(params):
         raise ValueError(f"{burn_in} burn-in steps and {count} samples exceed the "
                          f"limit of {continuous.MAX_GRID_POINTS} steps")
     bits = map_standard.prng_bits(x0, count, burn_in)
-    series = [("bits", Trajectory("prng", tuple(enumerate(bits)), DOUBLE))]
+    series = [("bits", Trajectory("prng", range(count), bits, DOUBLE))]
     config = {"subcommand": "rng", "x0": x0, "count": count, "burn_in": burn_in}
     return {"config": config, "series": series}
 
@@ -199,28 +199,34 @@ def _value(v, bits):
     return mp.nstr(v, repr_dps(bits))
 
 
-def _joined(render):
-    """``render`` as one string, joined in batches: no list of every row or token."""
-    def text(doc):
-        chunks = render(doc)
-        return "".join(iter(lambda: "".join(itertools.islice(chunks, 4096)), ""))
-    return text
-
-
-def _rows(doc):
-    """(label, method, bits, samples) of each series, and of each report's errors by step."""
+def _rows(doc, convert=None):
+    """(label, method, bits, indices, values) of each series, and of each
+    report's errors by step.  A series' values pass through ``convert(v,
+    bits)`` unless one scan of their types finds only ints and floats, which
+    ``_value`` passes through unchanged."""
     for label, traj in doc.get("series", ()):
-        yield label, traj.method_tag, traj.precision.significand_bits, traj.samples
+        bits, values = traj.precision.significand_bits, traj.values
+        if convert is not None and not set(map(type, values)) <= {int, float}:
+            values = map(convert, values, itertools.repeat(bits))
+        yield label, traj.method_tag, bits, traj.indices, values
     for label, rep in doc.get("reports", ()):
-        yield label, "abs-error", 53, enumerate(rep.per_step_abs_error)
+        errors = rep.per_step_abs_error  # floats
+        yield label, "abs-error", 53, range(len(errors)), errors
 
 
-@_joined
+def _batches(fmt, rows):
+    """``fmt % row`` for each row, joined in batches of 4,096 rows: no list of
+    every row's text is held."""
+    return iter(lambda: "".join(map(fmt.__mod__, itertools.islice(rows, 4096))), "")
+
+
 def _render_csv(doc):
-    yield "index_or_time,series,method,value\n"
-    for label, method, bits, samples in _rows(doc):
-        for i, v in samples:
-            yield f"{i},{label},{method},{_value(v, bits)}\n"
+    parts = ["index_or_time,series,method,value\n"]
+    for label, method, _, indices, values in _rows(doc, _value):
+        # %s writes what an f-string field writes: str() of the value
+        fmt = "%s," + f"{label},{method},".replace("%", "%%") + "%s\n"
+        parts += _batches(fmt, zip(indices, values))
+    return "".join(parts)
 
 
 def _json_value(v, bits):
@@ -231,13 +237,14 @@ def _json_value(v, bits):
 
 
 def _json_entries(doc):
-    """(fields, list key, items) of each series or report: its scalar fields,
-    then the text of each item of its one list, at that list's fixed depth."""
+    """(fields, list key, item format, items) of each series or report: its
+    scalar fields, then the format of each item of its one list, at that
+    list's fixed depth, and the items it formats."""
     if "series" in doc:
-        for label, method, bits, samples in _rows(doc):
+        # an int's and a float's str is their repr, as _json_value writes them
+        for label, method, bits, indices, values in _rows(doc, _json_value):
             yield ({"label": label, "method": method, "precision_bits": bits}, "samples",
-                   (f"\n        [\n          {i!r},\n          {_json_value(v, bits)}\n        ]"
-                    for i, v in samples))
+                   ",\n        [\n          %r,\n          %s\n        ]", zip(indices, values))
         return
     config = doc["config"]
     for label, rep in doc["reports"]:
@@ -248,29 +255,32 @@ def _json_entries(doc):
                 "threshold": rep.threshold,
                 "first_divergent_index": rep.first_divergent_index,
                 "max_error": rep.max_error}, "per_step_abs_error",
-               (f"\n        {e!r}" for e in rep.per_step_abs_error))
+               ",\n        %r", iter(rep.per_step_abs_error))
 
 
-@_joined
 def _render_json(doc):
     """The bytes ``json.dumps(obj, indent=2) + "\\n"`` writes for obj, the config
     and one object per series or report, each value written at its fixed
     depth: with an indent set, json encodes in pure Python, token by token."""
     key = "series" if "series" in doc else "reports"
     # the config is small and nests (a figure's preset): the encoder writes it
-    yield '{\n  "config": ' + json.dumps(doc["config"], indent=2).replace("\n", "\n  ")
-    yield f',\n  "{key}": ['
+    parts = ['{\n  "config": ' + json.dumps(doc["config"], indent=2).replace("\n", "\n  "),
+             f',\n  "{key}": [']
     entry = "\n    {"
-    for fields, list_key, items in _json_entries(doc):
-        yield entry + "".join(f'\n      "{k}": {json.dumps(v)},' for k, v in fields.items())
-        yield f'\n      "{list_key}": '
-        opener = "["
-        for item in items:
-            yield opener + item
-            opener = ","
-        yield "[]\n    }" if opener == "[" else "\n      ]\n    }"
+    for fields, list_key, fmt, items in _json_entries(doc):
+        parts.append(entry + "".join(f'\n      "{k}": {json.dumps(v)},' for k, v in fields.items())
+                     + f'\n      "{list_key}": ')
+        batches = _batches(fmt, items)
+        first = next(batches, None)  # each item opens with a comma; the list's first with "["
+        if first is None:
+            parts.append("[]\n    }")
+        else:
+            parts.append("[" + first[1:])
+            parts += batches
+            parts.append("\n      ]\n    }")
         entry = ",\n    {"
-    yield "]\n}\n" if entry == "\n    {" else "\n  ]\n}\n"
+    parts.append("]\n}\n" if entry == "\n    {" else "\n  ]\n}\n")
+    return "".join(parts)
 
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd",
@@ -280,8 +290,8 @@ _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd",
 def _render_svg(doc):
     """Minimal line chart: axes, one polyline per series, legend.  Meant for
     eyeballing the curves, not for publication."""
-    named = [(label, [(float(i), float(v)) for i, v in samples])
-             for label, _, _, samples in _rows(doc)]
+    named = [(label, list(zip(map(float, indices), map(float, values))))
+             for label, _, _, indices, values in _rows(doc)]
     width, height = 720, 480
     ml, mr, mt, mb = 60, 160, 36, 46
     xs = [x for _, pts in named for x, _ in pts]

@@ -11,9 +11,11 @@ independent cross-check, on the same time grid as ``grid_trajectory``.
 """
 
 import math
+import operator
 import sys
 import warnings
 from dataclasses import dataclass
+from itertools import repeat
 
 from .errors import ESCAPE_BOUND, POLE_EPS, DomainError, EscapeError, PoleError
 from .precision import DOUBLE, METHOD_ODE_CLOSED_FORM, METHOD_ODE_RK4, Trajectory
@@ -194,6 +196,11 @@ def _grid_steps(t_end: float, dt: float) -> int:
     return int(round(steps))
 
 
+def _grid_times(n: int, dt: float) -> tuple:
+    """The times k*dt, k = 0..n, of the grid of n steps."""
+    return tuple(map(operator.mul, range(n + 1), repeat(dt)))
+
+
 def grid_trajectory(p: ContinuousParams, t_end: float, dt: float,
                     shift: RiccatiShift | None = None) -> Trajectory:
     """Closed-form trajectory sampled at t = k*dt, on the grid of ``rk4_oracle``.
@@ -212,8 +219,9 @@ def grid_trajectory(p: ContinuousParams, t_end: float, dt: float,
         t = math.log1p(-q) / p.r
         if 0 < t <= n * dt:
             raise PoleError(f"solution has a pole at t={t!r}, inside the grid", where=t)
-    samples = tuple((k * dt, _sigmoid(k * dt, p.r, q)) for k in range(n + 1))
-    return Trajectory(METHOD_ODE_CLOSED_FORM, samples, DOUBLE)
+    ts = _grid_times(n, dt)
+    values = tuple(map(_sigmoid, ts, repeat(p.r), repeat(q)))
+    return Trajectory(METHOD_ODE_CLOSED_FORM, ts, values, DOUBLE)
 
 
 def rk4_oracle(p: ContinuousParams, t_end: float, dt: float) -> Trajectory:
@@ -229,7 +237,7 @@ def rk4_oracle(p: ContinuousParams, t_end: float, dt: float) -> Trajectory:
         raise ValueError("|r|*dt must stay below 0.1 for a trustworthy step")
     r = p.r
     x = p.x0
-    samples = [(0.0, x)]
+    values = [x]
     for k in range(1, n + 1):
         k1 = r * x * (1.0 - x)
         s = x + 0.5 * dt * k1
@@ -241,5 +249,5 @@ def rk4_oracle(p: ContinuousParams, t_end: float, dt: float) -> Trajectory:
         x = x + dt * (k1 + 2.0 * (k2 + k3) + k4) / 6.0
         if not math.isfinite(x) or abs(x) > ESCAPE_BOUND:
             raise EscapeError(f"integrator state ran away at step {k}", index=k)
-        samples.append((k * dt, x))
-    return Trajectory(METHOD_ODE_RK4, tuple(samples), DOUBLE)
+        values.append(x)
+    return Trajectory(METHOD_ODE_RK4, _grid_times(n, dt), values, DOUBLE)

@@ -51,7 +51,7 @@ def iterate(p: RiccatiMapParams, n: int) -> Trajectory:
     """
     check_steps(n)
     x = p.x0
-    samples = [(0, x)]
+    values = [x]
     for k in range(1, n + 1):
         den = 1.0 + p.r * x
         if abs(den) < POLE_EPS:
@@ -59,8 +59,8 @@ def iterate(p: RiccatiMapParams, n: int) -> Trajectory:
         x = x * (1.0 + p.r) / den
         if not math.isfinite(x):
             raise PoleError(f"state overflowed at step {k}", where=k)
-        samples.append((k, x))
-    return Trajectory(METHOD_ITERATED, tuple(samples), DOUBLE)
+        values.append(x)
+    return Trajectory(METHOD_ITERATED, range(n + 1), values, DOUBLE)
 
 
 def _check_closed_form_params(p: RiccatiMapParams):
@@ -158,8 +158,8 @@ def general_solution(p: RiccatiMapParams, gamma: float, n: int,
 
 def particular_trajectory(p: RiccatiMapParams, n: int) -> Trajectory:
     """Trajectory of the particular solution over steps 0..n."""
-    samples = tuple(enumerate(_particular_series(p, n)))
-    return Trajectory(f"{METHOD_CLOSED_FORM}:particular", samples, DOUBLE)
+    values = tuple(_particular_series(p, n))
+    return Trajectory(f"{METHOD_CLOSED_FORM}:particular", range(n + 1), values, DOUBLE)
 
 
 def general_trajectory(p: RiccatiMapParams, gamma: float, n: int) -> Trajectory:
@@ -167,7 +167,7 @@ def general_trajectory(p: RiccatiMapParams, gamma: float, n: int) -> Trajectory:
     check_steps(n)
     seed = general_solution(p, gamma, 0)  # the member's value at step 0 is x0 + 1/gamma
     if seed == 0:  # the fixed point x = 0
-        xs = (seed for _ in range(n + 1))
+        values = itertools.repeat(seed, n + 1)
     else:
-        xs = _particular_series(RiccatiMapParams(p.r, seed), n)
-    return Trajectory(f"{METHOD_CLOSED_FORM}:general", tuple(enumerate(xs)), DOUBLE)
+        values = _particular_series(RiccatiMapParams(p.r, seed), n)
+    return Trajectory(f"{METHOD_CLOSED_FORM}:general", range(n + 1), values, DOUBLE)

@@ -169,34 +169,35 @@ def _step(r: tuple, x: tuple, bits: int) -> tuple:
 
 
 def _orbit(r: tuple, x: tuple, k: int, widths) -> list:
-    """Samples k + 1, k + 2, ... from the raw sample ``x`` at step k: one
-    ``_step`` per entry of ``widths``, at that many bits.  Raises EscapeError
-    with the offending index if the orbit passes 1e100."""
+    """The values of samples k + 1, k + 2, ... from the raw sample ``x`` at
+    step k: one ``_step`` per entry of ``widths``, at that many bits.  Raises
+    EscapeError with the offending index if the orbit passes 1e100."""
     bound = from_float(ESCAPE_BOUND)
     make = mp.make_mpf
-    samples = []
+    values = []
     for bits in widths:
         k += 1
         x = _step(r, x, bits)
         if mpf_gt(mpf_abs(x), bound):
             raise EscapeError(f"orbit escaped past {ESCAPE_BOUND:g} at step {k}", index=k)
-        samples.append((k, make(x)))
-    return samples
+        values.append(make(x))
+    return values
 
 
 def _double_orbit(r: float, x: float, n: int) -> list:
-    """Samples 0, 1, ... of the orbit on Python floats: up to step n, or up to
-    the step before the first whose product ``r * x`` or result is not a
-    normal double of magnitude at most 1e100.  Up to there IEEE rounding to
-    nearest, ties to even, gives each step the value of ``_step`` at 53 bits."""
-    samples = [(0, x)]
-    for k in range(1, n + 1):
+    """The values of samples 0, 1, ... of the orbit on Python floats: up to
+    step n, or up to the step before the first whose product ``r * x`` or
+    result is not a normal double of magnitude at most 1e100.  Up to there
+    IEEE rounding to nearest, ties to even, gives each step the value of
+    ``_step`` at 53 bits."""
+    values = [x]
+    for _ in range(n):
         rx = r * x
         x = rx * (1.0 - x)
         if not (_NORMAL_MIN <= abs(rx) and _NORMAL_MIN <= abs(x) <= ESCAPE_BOUND):
             break
-        samples.append((k, x))
-    return samples
+        values.append(x)
+    return values
 
 
 def iterate(p: MapParams, n: int, policy: PrecisionPolicy = DOUBLE) -> Trajectory:
@@ -218,14 +219,14 @@ def iterate(p: MapParams, n: int, policy: PrecisionPolicy = DOUBLE) -> Trajector
     bits = policy.significand_bits
     if (bits == DOUBLE.significand_bits and isinstance(p.r, (int, float))
             and isinstance(p.x0, (int, float))):
-        samples = _double_orbit(float(p.r), float(p.x0) or 0.0, n)  # mpf has no -0
-        x = from_float(samples[-1][1])
+        values = _double_orbit(float(p.r), float(p.x0) or 0.0, n)  # mpf has no -0
+        x = from_float(values[-1])
     else:
         x = _raw_mpf(p.x0, bits)
-        samples = [(0, mp.make_mpf(x))]
-    samples += _orbit(_raw_mpf(p.r, bits), x, len(samples) - 1,
-                      repeat(bits, n + 1 - len(samples)))
-    return Trajectory(METHOD_ITERATED, tuple(samples), policy)
+        values = [mp.make_mpf(x)]
+    values += _orbit(_raw_mpf(p.r, bits), x, len(values) - 1,
+                     repeat(bits, n + 1 - len(values)))
+    return Trajectory(METHOD_ITERATED, range(n + 1), values, policy)
 
 
 def oracle(p: MapParams, n: int, policy: PrecisionPolicy | None = None,
@@ -257,8 +258,8 @@ def oracle(p: MapParams, n: int, policy: PrecisionPolicy | None = None,
     else:
         widths = (min(bits, max(bits + 64 - k, taper_to)) for k in range(1, n + 1))
     x = _raw_mpf(p.x0, bits)
-    samples = [(0, mp.make_mpf(x))] + _orbit(_raw_mpf(p.r, bits), x, 0, widths)
-    return Trajectory(METHOD_ORACLE, tuple(samples), policy)
+    values = [mp.make_mpf(x)] + _orbit(_raw_mpf(p.r, bits), x, 0, widths)
+    return Trajectory(METHOD_ORACLE, range(n + 1), values, policy)
 
 
 # The cosine form whose phase phase_oracle reads, by map parameter.  With the
@@ -324,12 +325,12 @@ def phase_oracle(p: MapParams, n: int) -> Trajectory:
     r = _raw_mpf(p.r, bits)
     x, y = _raw_mpf(p.x0, bits), _raw_mpf(p.x0, wb)
     near = from_man_exp(1, -32)
-    samples = [(0, make(x))]
+    values = [make(x)]
     k = 0
     while k < n and mpf_lt(mpf_abs(mpf_sub(x, y, 64, rnd)), near):
         k += 1  # x as in oracle(), y as in iterate() at 53 bits
         x, y = _step(r, x, bits), _step(r, y, wb)
-        samples.append((k, make(x)))
+        values.append(make(x))
     if k < n:
         window = _PHASE_BITS + _RESEED_STEPS  # bits a re-seed reads
         wp = window + 32
@@ -356,8 +357,8 @@ def phase_oracle(p: MapParams, n: int) -> Trajectory:
                     x = mpf_shift(mpf_sub(fone, c, wp, rnd), -1)
                 else:  # 1/2 + c
                     x = mpf_add(fhalf, c, wp, rnd)
-            samples.append((k, make(x)))
-    return Trajectory(METHOD_ORACLE, tuple(samples), policy)
+            values.append(make(x))
+    return Trajectory(METHOD_ORACLE, range(n + 1), values, policy)
 
 
 def _check_closed_form(p: MapParams, n: int, variant: ClosedForm) -> None:
@@ -453,12 +454,12 @@ def closed_form_trajectory(p: MapParams, n: int, variant: ClosedForm,
     squares = variant is ClosedForm.R2_POWER
     make = mp.make_mpf
     phase = _phase(p, variant, bits)
-    samples = []
+    values = []
     for k in range(n + 1):
-        samples.append((k, make(_sample(variant, phase, k, bits))))
+        values.append(make(_sample(variant, phase, k, bits)))
         if squares:
             phase = mpf_mul(phase, phase, bits, round_nearest)
-    return Trajectory(f"{METHOD_CLOSED_FORM}:{variant.value}", tuple(samples), policy)
+    return Trajectory(f"{METHOD_CLOSED_FORM}:{variant.value}", range(n + 1), values, policy)
 
 
 # The conjugacy (f, f_inverse, domain, scale) each closed form comes from:

@@ -5,7 +5,10 @@ step, so everything downstream states its working precision explicitly.
 This module owns that contract: a policy type, the budget rule that turns a
 step count into a bit width, a magnitude-aware reduction mod 2*pi (the
 closed forms scale angles by 2^n, which outgrows any fixed significand),
-and the trajectory comparison used to measure round-off divergence.
+the trajectory type, and the trajectory comparison used to measure
+round-off divergence.  A trajectory holds a series as two columns, a tuple
+of indices and a tuple of values, so that its checks and its readers run
+C-level loops over whole columns rather than a Python loop per sample.
 
 All functions are pure; values are immutable.  mpmath's context is mutated
 only through ``workprec`` scopes, so callers wanting parallel sweeps should
@@ -13,8 +16,10 @@ prefer processes over threads.
 """
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import islice
 
 from mpmath import mp, mpf
 from mpmath.libmp import (
@@ -124,52 +129,67 @@ def _raw_mpf(value, bits: int) -> tuple:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """An ordered (index-or-time, value) series plus how it was produced.
+    """An ordered series, one column of indices or times and one of values,
+    plus how it was produced.
 
     ``method_tag`` is one of the METHOD_* constants, optionally suffixed with
-    a variant, e.g. ``"closed-form:simple"``.  Values may be ints, floats or
-    mpf at the declared precision; producers raise instead of emitting
-    non-finite samples, and this constructor enforces that.
+    a variant, e.g. ``"closed-form:simple"``.  Each column is stored as a
+    tuple (a tuple is kept as it is, any other iterable is converted), and
+    the two have equal lengths.  Indices increase strictly.  Values may be
+    ints, floats or mpf at the declared precision; producers raise instead of
+    emitting non-finite samples, and this constructor enforces that.  The
+    checks are C-level passes over each column; the offending index of a
+    refused column is looked up only to name it in the error.
     """
 
     method_tag: str
-    samples: tuple
+    indices: tuple
+    values: tuple
     precision: PrecisionPolicy
 
     def __post_init__(self):
         if not self.method_tag:
             raise ValueError("method_tag must be non-empty")
-        samples = tuple(self.samples)  # the same object when already a tuple
-        if not samples:
+        indices = tuple(self.indices)  # the same object when already a tuple
+        values = tuple(self.values)
+        if not indices:
             raise ValueError("a trajectory needs at least one sample")
-        if set(map(type, samples)) != {tuple}:
-            samples = tuple((i, v) for i, v in samples)
-        prev = None
-        for i, v in samples:
-            if prev is not None and not i > prev:
-                raise ValueError("sample indices/times must be strictly increasing")
-            prev = i
-            # mp.isfinite is slow: it converts native numbers to mpf first
-            if isinstance(v, float):
-                finite = math.isfinite(v)
-            elif isinstance(v, mpf):
-                finite = v._mpf_ not in _NON_FINITE
-            else:
-                finite = isinstance(v, int) or mp.isfinite(v)
-            if not finite:
-                raise ValueError(f"non-finite value at index {i!r}")
-        object.__setattr__(self, "samples", samples)
+        if len(indices) != len(values):
+            raise ValueError(f"the columns differ in length ({len(indices)} indices, "
+                             f"{len(values)} values)")
+        if not all(map(operator.gt, islice(indices, 1, None), indices)):
+            k = next(k for k in range(1, len(indices)) if not indices[k] > indices[k - 1])
+            raise ValueError("sample indices/times must be strictly increasing "
+                             f"(index {indices[k]!r} follows {indices[k - 1]!r})")
+        types = set(map(type, values))
+        if types == {float}:
+            finite = all(map(math.isfinite, values))
+        else:
+            finite = types == {int} or all(map(_is_finite, values))
+        if not finite:
+            k = next(k for k, v in enumerate(values) if not _is_finite(v))
+            raise ValueError(f"non-finite value at index {indices[k]!r}")
+        object.__setattr__(self, "indices", indices)
+        object.__setattr__(self, "values", values)
 
     def __len__(self):
-        return len(self.samples)
+        return len(self.indices)
 
     @property
-    def indices(self):
-        return tuple(i for i, _ in self.samples)
+    def samples(self) -> tuple:
+        """The (index, value) pairs, built on each access."""
+        return tuple(zip(self.indices, self.values))
 
-    @property
-    def values(self):
-        return tuple(v for _, v in self.samples)
+
+def _is_finite(v) -> bool:
+    """Whether a sample value is finite: floats by ``math.isfinite``, ints
+    always, mpf by its raw value, anything else by ``mp.isfinite`` (slow: it
+    converts native numbers to mpf first)."""
+    if isinstance(v, float):
+        return math.isfinite(v)
+    if isinstance(v, mpf):
+        return v._mpf_ not in _NON_FINITE
+    return isinstance(v, int) or mp.isfinite(v)
 
 
 @dataclass(frozen=True)
@@ -187,9 +207,9 @@ class DivergenceReport:
     def __post_init__(self):
         if not self.threshold > 0:
             raise ValueError("threshold must be positive")
-        errors = tuple(float(e) for e in self.per_step_abs_error)
+        errors = tuple(map(float, self.per_step_abs_error))
         object.__setattr__(self, "per_step_abs_error", errors)
-        if any(e < 0 or not math.isfinite(e) for e in errors):
+        if not (all(map(math.isfinite, errors)) and min(errors, default=0.0) >= 0):
             raise ValueError("per-step errors must be finite and non-negative")
 
     @property
@@ -241,15 +261,14 @@ def compare_trajectories(a: Trajectory, b: Trajectory,
     subnormal result needs no fallback: both routes hand the same 53-bit
     value to ``math.ldexp``.
     """
-    if len(a.samples) != len(b.samples):
-        raise ValueError(
-            f"trajectories have different lengths ({len(a.samples)} vs {len(b.samples)})")
+    if len(a) != len(b):
+        raise ValueError(f"trajectories have different lengths ({len(a)} vs {len(b)})")
+    if a.indices != b.indices:
+        ia, ib = next((ia, ib) for ia, ib in zip(a.indices, b.indices) if ia != ib)
+        raise ValueError(f"trajectory index sets differ (first mismatch: {ia!r} vs {ib!r})")
     bits = max(a.precision.significand_bits, b.precision.significand_bits) + 10
     errors = []
-    for (ia, va), (ib, vb) in zip(a.samples, b.samples):
-        if ia != ib:
-            raise ValueError(
-                f"trajectory index sets differ (first mismatch: {ia!r} vs {ib!r})")
+    for va, vb in zip(a.values, b.values):
         ma, ea = _signed(va, bits)
         mb, eb = _signed(vb, bits)
         gap = ea - eb

@@ -391,6 +391,9 @@ class TestSeriesLimits:
 # TestMap3Command::test_values_off_the_doubles_read_back_exactly.
 # compare-decay (a decaying orbit whose last 133 errors are subnormal or 0.0)
 # was captured before compare_trajectories formed its errors as integers.
+# rng-csv, map3-subnormal-csv (floats up to step 1019, then mpf, some printed
+# as digits) and ode-json were captured before a Trajectory held its series as an
+# index column and a value column.
 GOLDEN_SHA256 = [
     (["compare", "--r", "-2", "--x0", "0.9", "--form", "table1", "--form", "simple"],
      "c57e476735943d7177a857f2b0aab06ce0361c69b570f4a0c343f6e81cd06c85"),
@@ -446,12 +449,19 @@ GOLDEN_SHA256 = [
      "3b731a8a768885ee401129f1f0aef75926c70f7f0af8ca6e8660a20c202720b0"),
     (["compare", "--r", "3.83", "--x0", "0.3", "--steps", "1000", "--bits", "200"],
      "9a6dd18f6af7b03e5f34b9d05fca0483f90f7c7391410b4de4feab725d6182df"),
+    (["rng", "--x0", "0.3", "--count", "5000", "--burn-in", "7"],
+     "2df70b9f98db85bcb3a4d301ccc128d1d5ab0dc76edff4f434b9b77a02c899d5"),
+    (["map3", "--r", "0.5", "--x0", "0.3", "--steps", "1100"],
+     "edb1eda0daad2736d54a3fd1826bbf1475c6cd1b0dcb026d591de06caf3dc4b7"),
+    (["ode", "--r", "1.7", "--x0", "0.11", "--gamma", "0.25", "--t-end", "2", "--dt", "0.05",
+      "--format", "json"],
+     "e2dd73720f7a203922285671c7dcabd091c1193e2e2952c8212d1576eae2ee0d"),
 ]
 GOLDEN_IDS = ["compare", "compare-csv", "compare-svg", "compare-phase", "map3-r2"] + [
     f"figure{w}-{f}" for w in "123" for f in ("csv", "json", "svg")] + [
     "ode-gammas", "map4-gammas-json", "rng-json", "compare-long", "compare-periodic-200",
     "compare-forms-long", "map3-long", "map3-subnormal", "compare-decay", "compare-decay-json",
-    "compare-periodic-200-json"]
+    "compare-periodic-200-json", "rng-csv", "map3-subnormal-csv", "ode-json"]
 
 
 @pytest.mark.parametrize("argv,digest", GOLDEN_SHA256, ids=GOLDEN_IDS)
@@ -605,7 +615,7 @@ def json_reference(doc):
             "method": traj.method_tag,
             "precision_bits": traj.precision.significand_bits,
             "samples": [[i, cli._value(v, traj.precision.significand_bits)]
-                        for i, v in traj.samples],
+                        for i, v in zip(traj.indices, traj.values)],
         } for label, traj in doc["series"]]
     else:
         config = doc["config"]
@@ -650,7 +660,7 @@ def series(draw):
     else:  # ode times
         dt = draw(st.floats(1e-3, 1e3))
         index = [k * dt for k in range(len(vs))]
-    traj = Trajectory(draw(labels.filter(bool)), tuple(zip(index, vs)), PrecisionPolicy(bits))
+    traj = Trajectory(draw(labels.filter(bool)), index, vs, PrecisionPolicy(bits))
     return draw(labels), traj
 
 
@@ -683,3 +693,29 @@ documents = st.builds(lambda config, entries: {"config": config, "series": entri
 @settings(max_examples=300, deadline=None)
 def test_json_is_what_json_dumps_writes(doc):
     assert cli._render_json(doc) == json_reference(doc)
+
+
+def csv_reference(doc):
+    """The artifact as a writer of one f-string per row writes it."""
+    lines = ["index_or_time,series,method,value\n"]
+    for label, traj in doc.get("series", ()):
+        bits = traj.precision.significand_bits
+        lines += (f"{i},{label},{traj.method_tag},{cli._value(v, bits)}\n"
+                  for i, v in zip(traj.indices, traj.values))
+    for label, rep in doc.get("reports", ()):
+        lines += (f"{i},{label},abs-error,{cli._value(e, 53)}\n"
+                  for i, e in enumerate(rep.per_step_abs_error))
+    return "".join(lines)
+
+
+@given(documents)
+@example({"config": {}, "series": []})
+@example({"config": {}, "series": [
+    ('100% "sure" {x}', Trajectory("closed-form:%s {0}", range(4),
+                                   (0, 1.5, mpf(2) ** -1100, 10**30), PrecisionPolicy(53))),
+    ("%d%%", Trajectory('"%r"', (0.0, 0.25), (mpf("0.1"), -0.0), PrecisionPolicy(80)))]})
+@example({"config": {"bits": 53, "oracle_bits": 124},
+          "reports": [('"%}', DivergenceReport((0.0, 5e-324, 0.5), 0.01))]})
+@settings(max_examples=300, deadline=None)
+def test_csv_is_what_the_row_writer_writes(doc):
+    assert cli._render_csv(doc) == csv_reference(doc)

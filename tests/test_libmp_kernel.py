@@ -311,10 +311,8 @@ def route_pairs(draw):
 
 
 def check_against_mpf_loop(pairs, bits_a, bits_b):
-    a = Trajectory("a", tuple((k, va) for k, (va, _) in enumerate(pairs)),
-                   PrecisionPolicy(bits_a))
-    b = Trajectory("b", tuple((k, vb) for k, (_, vb) in enumerate(pairs)),
-                   PrecisionPolicy(bits_b))
+    a = Trajectory("a", range(len(pairs)), [va for va, _ in pairs], PrecisionPolicy(bits_a))
+    b = Trajectory("b", range(len(pairs)), [vb for _, vb in pairs], PrecisionPolicy(bits_b))
     got = compare_trajectories(a, b, 0.5).per_step_abs_error
     assert list(got) == reference_errors(a, b)
     return list(got)
@@ -338,8 +336,8 @@ class TestCompareKernel:
         # 10**400 and 10**400 + 1 differ in the last of 1,329 bits; at 63 bits
         # both round to the same value, at 1,400 bits they do not
         for bits, expected in ((53, 0.0), (1390, 1.0)):
-            a = Trajectory("a", ((0, 10**400),), PrecisionPolicy(bits))
-            b = Trajectory("b", ((0, 10**400 + 1),), PrecisionPolicy(bits))
+            a = Trajectory("a", (0,), (10**400,), PrecisionPolicy(bits))
+            b = Trajectory("b", (0,), (10**400 + 1,), PrecisionPolicy(bits))
             got = compare_trajectories(a, b, 0.5).per_step_abs_error
             assert list(got) == reference_errors(a, b) == [expected]
 
@@ -367,8 +365,8 @@ class TestCompareKernel:
         assert check_against_mpf_loop([(va, vb)], bits, bits) == [expected]
 
     def test_a_difference_past_the_doubles_is_refused(self):
-        a = Trajectory("a", ((0, 2**1100 + 1),), PrecisionPolicy(2000))
-        b = Trajectory("b", ((0, 1),), PrecisionPolicy(2000))
+        a = Trajectory("a", (0,), (2**1100 + 1,), PrecisionPolicy(2000))
+        b = Trajectory("b", (0,), (1,), PrecisionPolicy(2000))
         assert reference_errors(a, b) == [math.inf]
         with pytest.raises(ValueError, match="finite"):
             compare_trajectories(a, b, 0.5)

@@ -50,7 +50,7 @@ def check_against_iterated_oracle(p, n):
     assert (b.method_tag, b.precision, b.indices) == (METHOD_ORACLE, policy, a.indices)
     with workprec(2 * budget + 64):
         for k in range(n + 1):
-            xa, xb, xt = a.samples[k][1], b.samples[k][1], true.samples[k][1]
+            xa, xb, xt = a.values[k], b.values[k], true.values[k]
             # read off the phase digits, or the budgeted iteration itself
             assert xb._mpf_ == xa._mpf_ or abs(xb - xt) <= mpf(2) ** (2 - P), k
             if k <= n - 64:
@@ -157,7 +157,7 @@ def check_tapered_reference(p, n, working_bits):
         METHOD_ORACLE, policy, fixed.indices)
     with workprec(2 * width + 64):
         for k in range(n + 1):
-            xa, xb, xt = fixed.samples[k][1], tapered.samples[k][1], true.samples[k][1]
+            xa, xb, xt = fixed.values[k], tapered.values[k], true.values[k]
             assert xb._mpf_[3] <= width, k
             if k <= 64:  # the first 64 steps run at the full width
                 assert xb._mpf_ == xa._mpf_, k

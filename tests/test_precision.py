@@ -182,55 +182,63 @@ class TestReduceMod2PiRegression:
 
 class TestTrajectory:
     def test_properties(self):
-        t = Trajectory("iterated", ((0, 0.5), (1, 1.0), (2, 0.0)), DOUBLE)
+        t = Trajectory("iterated", (0, 1, 2), (0.5, 1.0, 0.0), DOUBLE)
         assert len(t) == 3
         assert t.indices == (0, 1, 2)
         assert t.values == (0.5, 1.0, 0.0)
+        assert t.samples == ((0, 0.5), (1, 1.0), (2, 0.0))
 
     def test_rejects_non_increasing(self):
-        with pytest.raises(ValueError):
-            Trajectory("iterated", ((0, 0.5), (0, 1.0)), DOUBLE)
-        with pytest.raises(ValueError):
-            Trajectory("iterated", ((0, 0.5), (1, 0.5), (1, 0.5)), DOUBLE)
-        with pytest.raises(ValueError):
-            Trajectory("iterated", ((0.5, 0.5), (0.25, 1.0)), DOUBLE)
+        with pytest.raises(ValueError, match=r"index 0 follows 0"):
+            Trajectory("iterated", (0, 0), (0.5, 1.0), DOUBLE)
+        with pytest.raises(ValueError, match=r"index 1 follows 1"):
+            Trajectory("iterated", (0, 1, 1, 0), (0.5, 0.5, 0.5, 0.5), DOUBLE)
+        with pytest.raises(ValueError, match=r"index 0\.25 follows 0\.5"):
+            Trajectory("iterated", (0.5, 0.25), (0.5, 1.0), DOUBLE)
 
     def test_rejects_non_finite(self):
         for bad in (math.inf, -math.inf, math.nan, mpf("inf"), mpf("-inf"), mpf("nan")):
-            with pytest.raises(ValueError):
-                Trajectory("iterated", ((0, 0.5), (1, bad)), DOUBLE)
+            with pytest.raises(ValueError, match=r"non-finite value at index 1$"):
+                Trajectory("iterated", (0, 1), (0.5, bad), DOUBLE)
+        # the first offending index is named, on every path of the type scan
+        for values in ((0.5, 1.0, math.nan, math.inf), (0, 1.0, math.inf, mpf("nan")),
+                       (mpf(0), mpf(1), mpf("inf"), mpf("nan"))):
+            with pytest.raises(ValueError, match=r"non-finite value at index 0\.75$"):
+                Trajectory("iterated", (0.25, 0.5, 0.75, 1.0), values, DOUBLE)
 
     def test_accepts_ints_and_finite_mpf(self):
-        samples = ((0, 0), (1, 1), (2, 10**400), (3, -(10**400)), (4, mpf("1e100000")))
-        t = Trajectory("prng", samples, DOUBLE)
+        values = (0, 1, 10**400, -(10**400), mpf("1e100000"))
+        t = Trajectory("prng", range(5), values, DOUBLE)
         assert t.values == (0, 1, 10**400, -(10**400), mpf("1e100000"))
+        assert Trajectory("prng", range(3), (0, 1, 10**400), DOUBLE).values == (0, 1, 10**400)
 
-    def test_pairs_become_tuples(self):
-        t = Trajectory("iterated", [[0, 0.5], [1, 1.0]], DOUBLE)
-        assert t.samples == ((0, 0.5), (1, 1.0))
-        assert type(t.samples) is tuple
-        assert all(type(s) is tuple for s in t.samples)
-        pairs = ((0, 0.5), (1, 1.0))
-        assert Trajectory("iterated", pairs, DOUBLE).samples is pairs  # not rebuilt
-        generated = Trajectory("iterated", ((k, 0.5) for k in range(3)), DOUBLE)
-        assert generated.samples == ((0, 0.5), (1, 0.5), (2, 0.5))
+    def test_columns_become_tuples(self):
+        t = Trajectory("iterated", [0, 1], [0.5, 1.0], DOUBLE)
+        assert t.indices == (0, 1) and type(t.indices) is tuple
+        assert t.values == (0.5, 1.0) and type(t.values) is tuple
+        indices, values = (0, 1), (0.5, 1.0)
+        t = Trajectory("iterated", indices, values, DOUBLE)
+        assert t.indices is indices and t.values is values  # not copied
+        generated = Trajectory("iterated", range(3), (0.5 for _ in range(3)), DOUBLE)
+        assert generated.indices == (0, 1, 2)
+        assert generated.values == (0.5, 0.5, 0.5)
 
-    def test_rejects_samples_that_are_not_pairs(self):
-        with pytest.raises(ValueError):
-            Trajectory("iterated", ((0, 0.5), (1, 1.0, 2.0)), DOUBLE)
-        with pytest.raises(ValueError):
-            Trajectory("iterated", ((0, 0.5), (1,)), DOUBLE)
+    def test_rejects_columns_of_unequal_length(self):
+        with pytest.raises(ValueError, match=r"2 indices, 3 values"):
+            Trajectory("iterated", (0, 1), (0.5, 1.0, 2.0), DOUBLE)
+        with pytest.raises(ValueError, match=r"2 indices, 1 values"):
+            Trajectory("iterated", (0, 1), (0.5,), DOUBLE)
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
-            Trajectory("iterated", (), DOUBLE)
+            Trajectory("iterated", (), (), DOUBLE)
         with pytest.raises(ValueError):
-            Trajectory("", ((0, 0.5),), DOUBLE)
+            Trajectory("", (0,), (0.5,), DOUBLE)
 
 
 def _traj(values, bits=53, start=0):
     policy = PrecisionPolicy(bits)
-    return Trajectory("oracle", tuple(enumerate(values, start)), policy)
+    return Trajectory("oracle", range(start, start + len(values)), values, policy)
 
 
 class TestCompareTrajectories:
@@ -308,5 +316,14 @@ class TestDivergenceReport:
             with pytest.raises(ValueError, match="threshold"):
                 DivergenceReport((0.1,), threshold)
         for errors in ((-0.1,), (math.inf,), (math.nan,)):
+            with pytest.raises(ValueError, match="finite and non-negative"):
+                DivergenceReport(errors, 1.0)
+
+    def test_errors_are_checked_as_whole_columns(self):
+        # -0.0 and ints pass, as floats; the first bad error anywhere refuses all
+        rep = DivergenceReport([0, -0.0, 5e-324, 1e300, mpf("0.25")], 0.01)
+        assert rep.per_step_abs_error == (0.0, -0.0, 5e-324, 1e300, 0.25)
+        assert all(type(e) is float for e in rep.per_step_abs_error)
+        for errors in ((0.5, 0.0, -5e-324), (0.5, math.nan, 0.0), (math.inf, -1.0)):
             with pytest.raises(ValueError, match="finite and non-negative"):
                 DivergenceReport(errors, 1.0)
