@@ -47,9 +47,11 @@ class ContinuousParams:
 class RiccatiShift:
     """Free constant gamma = y(0) of the auxiliary linear equation.
 
-    It selects one member of the general solution family; for seeds in
-    (0, 1) the family stays bounded only for gamma above
-    ``gamma_lower_bound(x0)``.
+    It selects one member of the general solution family.  For seeds in
+    (0, 1) the member is bounded for all t >= 0 when gamma < 0 or gamma >=
+    ``gamma_lower_bound(x0)``; between 0 and that bound (gamma = x0 is
+    refused) it starts outside [0, 1] and has one pole, at a t > 0 for
+    0 < gamma < x0 if r > 0 and for x0 < gamma < x0/(1 - x0) if r < 0.
     """
 
     gamma: float
@@ -60,7 +62,8 @@ class RiccatiShift:
 
 
 class GammaRangeWarning(UserWarning):
-    """gamma is below the admissible lower bound; the selected trajectory has a pole."""
+    """gamma is below the admissible lower bound, and the selected member has
+    a pole at some t > 0."""
 
 
 def gamma_lower_bound(x0: float) -> float:
@@ -99,11 +102,24 @@ def _reciprocal_start(x0: float, shift: RiccatiShift | None = None) -> float:
     return q
 
 
+def _pole_time(r: float, q: float) -> float | None:
+    """The time t > 0 at which the sigmoid from the start 1/q blows up, or
+    None.  Only a start x_s outside [0, 1] (q = 1/x_s < 1) has a pole, at
+    t* = ln(1 - q)/r, which lies before 0 when ln(1 - q) and r differ in
+    sign."""
+    if q < 1:
+        t = math.log1p(-q) / r
+        if t > 0:
+            return t
+    return None
+
+
 def _member_start(p: ContinuousParams, shift: RiccatiShift | None) -> float:
     """1/x_s of the particular solution or of the member selected by ``shift``,
-    flagging with GammaRangeWarning a gamma below the admissible lower bound."""
+    flagging with GammaRangeWarning a gamma whose member, from a seed in
+    (0, 1), has a pole at some t > 0."""
     q = _reciprocal_start(p.x0, shift)
-    if shift is not None and 0.0 < p.x0 < 1.0 and shift.gamma < gamma_lower_bound(p.x0):
+    if shift is not None and 0.0 < p.x0 < 1.0 and _pole_time(p.r, q) is not None:
         warnings.warn(f"gamma={shift.gamma!r} is below the admissible lower bound "
                       f"{gamma_lower_bound(p.x0)!r}; the selected trajectory has a pole",
                       GammaRangeWarning, stacklevel=3)  # the caller of a public form
@@ -158,9 +174,10 @@ def general_solution(t: float, p: ContinuousParams, shift: RiccatiShift) -> floa
     Algebraically this is just the particular solution restarted from
     gamma*x0/(gamma - x0): the free constant only changes the initial
     condition.  At the admissible lower bound gamma = x0/(1 - x0) that value
-    is 1, so the member is the fixed point x = 1, up to rounding.  gamma
-    below the bound is still evaluated (the formula is defined) but flagged
-    with GammaRangeWarning, since that family member has a pole.  Raises
+    is 1, so the member is the fixed point x = 1, up to rounding.  A gamma
+    whose member has a pole at some t > 0 (see ``RiccatiShift``) is still
+    evaluated (the formula is defined) but flagged with GammaRangeWarning;
+    a gamma below the bound whose member is bounded for t >= 0 is not.  Raises
     DomainError, as ``particular_solution`` does, when the reciprocal of the
     start x_s = gamma*x0/(gamma - x0) overflows a double.
     """
@@ -215,10 +232,9 @@ def grid_trajectory(p: ContinuousParams, t_end: float, dt: float,
     """
     n = _grid_steps(t_end, dt)
     q = _member_start(p, shift)
-    if q < 1:  # x_s is outside [0, 1]
-        t = math.log1p(-q) / p.r
-        if 0 < t <= n * dt:
-            raise PoleError(f"solution has a pole at t={t!r}, inside the grid", where=t)
+    t = _pole_time(p.r, q)
+    if t is not None and t <= n * dt:
+        raise PoleError(f"solution has a pole at t={t!r}, inside the grid", where=t)
     ts = _grid_times(n, dt)
     values = tuple(map(_sigmoid, ts, repeat(p.r), repeat(q)))
     return Trajectory(METHOD_ODE_CLOSED_FORM, ts, values, DOUBLE)

@@ -12,6 +12,10 @@ guard bits, and only then passed to the cosine.  Working precision is the
 caller's choice, which is exactly what makes the divergence experiments
 possible: a budgeted policy behaves like an exact oracle, and a 53-bit
 policy shows how fast the closed form loses its bits at double precision.
+At 53 bits ``closed_form_trajectory`` returns a cosine form's samples as
+doubles, each equal to the mpf value of the libmp pipeline: the cosine is
+exact as a double, and the step after it, (1 - c)/2 or 1/2 +- c, is one
+IEEE operation, rounded to nearest even as libmp rounds it.
 
 A 53-bit policy is not a model of an IEEE double device evaluating the same
 formula with libm.  The pipeline rounds the reduced angle to 53 bits before
@@ -75,12 +79,12 @@ from mpmath.libmp import (
     mpf_lt,
     mpf_mul,
     mpf_mul_int,
-    mpf_neg,
     mpf_pi,
     mpf_shift,
     mpf_sub,
     round_nearest,
     to_fixed,
+    to_float,
 )
 
 from .errors import ESCAPE_BOUND, DegeneracyError, DomainError, EscapeError, check_steps
@@ -94,10 +98,11 @@ from .precision import (
     Trajectory,
     _pi,
     _raw_mpf,
+    _reduce_raw,
     budgeted_policy,
     compare_trajectories,
     precision_budget,
-    reduce_mod_2pi,
+    reduce_mod_2pi,  # noqa: F401  the name perfbench's tracer tallies
 )
 
 _NORMAL_MIN = sys.float_info.min  # the smallest normal double
@@ -400,6 +405,20 @@ def _phase(p: MapParams, variant: ClosedForm, bits: int) -> tuple:
     return base if variant is ClosedForm.R2_POWER else mpf_acos(base, bits, rnd)
 
 
+def _cosine(variant: ClosedForm, phase: tuple, n: int, bits: int) -> tuple:
+    """The cosine of a cosine form's angle at step n, raw at ``bits``: the
+    phase scaled by 2^n exactly (a zero phase stays zero), for table1 by
+    (-2)^n and then taken as (pi - that) / 3, and reduced mod 2*pi."""
+    rnd = round_nearest
+    sign, man, exp, bc = phase
+    if variant is ClosedForm.RM2_COMPOSED:  # (pi - (-2)^n * phase) / 3
+        angle = (sign ^ (n & 1), man, exp + n, bc) if man else phase
+        angle = mpf_div(mpf_sub(_pi(bits), angle, bits, rnd), _THREE, bits, rnd)
+    else:
+        angle = (sign, man, exp + n, bc) if man else phase  # ldexp(phase, n)
+    return mpf_cos(_reduce_raw(angle, bits), bits, rnd)
+
+
 def _sample(variant: ClosedForm, phase: tuple, n: int, bits: int) -> tuple:
     """The closed form at step n from its raw phase, raw at ``bits``.
 
@@ -409,17 +428,22 @@ def _sample(variant: ClosedForm, phase: tuple, n: int, bits: int) -> tuple:
     rnd = round_nearest
     if variant is ClosedForm.R2_POWER:  # (1 - base) / 2
         return mpf_div(mpf_sub(fone, phase, bits, rnd), ftwo, bits, rnd)
-    angle = mpf_shift(phase, n)  # ldexp(phase, n)
-    if variant is ClosedForm.RM2_COMPOSED:  # (pi - (-2)^n * phase) / 3
-        if n % 2 == 1:
-            angle = mpf_neg(angle, bits, rnd)
-        angle = mpf_div(mpf_sub(_pi(bits), angle, bits, rnd), _THREE, bits, rnd)
-    c = mpf_cos(reduce_mod_2pi(mp.make_mpf(angle), bits)._mpf_, bits, rnd)
+    c = _cosine(variant, phase, n, bits)
     if variant is ClosedForm.R4_COSINE:  # (1 - c) / 2
         return mpf_div(mpf_sub(fone, c, bits, rnd), ftwo, bits, rnd)
     if variant is ClosedForm.RM2_DIRECT:  # 1/2 + c
         return mpf_add(fhalf, c, bits, rnd)
     return mpf_sub(fhalf, c, bits, rnd)  # table1: 1/2 - c
+
+
+# The tails of ``_sample`` on a 53-bit cosine c, taken exactly as a double:
+# each rounds once, to nearest even, on values in [-1/2, 3/2], as the libmp
+# tail at 53 bits does (the halving is exact), so each equals it bit for bit.
+_DOUBLE_TAILS = {
+    ClosedForm.R4_COSINE: lambda c: (1.0 - c) * 0.5,
+    ClosedForm.RM2_DIRECT: lambda c: 0.5 + c,
+    ClosedForm.RM2_COMPOSED: lambda c: 0.5 - c,
+}
 
 
 def closed_form(p: MapParams, n: int, variant: ClosedForm,
@@ -447,19 +471,26 @@ def closed_form_trajectory(p: MapParams, n: int, variant: ClosedForm,
 
     Every sample equals ``closed_form(p, k, variant, policy)``; the arccos
     is taken once per trajectory, and the r2 base is squared once per step
-    and carried forward.
+    and carried forward.  A cosine form at 53 bits returns its samples as
+    doubles, each equal to that mpf value: its cosine is exact as a double,
+    and the tail after it is one IEEE operation that rounds as libmp does.
     """
     _check_closed_form(p, n, variant)
     bits = policy.significand_bits
-    squares = variant is ClosedForm.R2_POWER
     make = mp.make_mpf
     phase = _phase(p, variant, bits)
-    values = []
-    for k in range(n + 1):
-        values.append(make(_sample(variant, phase, k, bits)))
-        if squares:
+    steps = range(n + 1)
+    if variant is ClosedForm.R2_POWER:
+        values = []
+        for k in steps:
+            values.append(make(_sample(variant, phase, k, bits)))
             phase = mpf_mul(phase, phase, bits, round_nearest)
-    return Trajectory(f"{METHOD_CLOSED_FORM}:{variant.value}", range(n + 1), values, policy)
+    elif bits == DOUBLE.significand_bits:
+        tail = _DOUBLE_TAILS[variant]
+        values = [tail(to_float(_cosine(variant, phase, k, bits))) for k in steps]
+    else:
+        values = [make(_sample(variant, phase, k, bits)) for k in steps]
+    return Trajectory(f"{METHOD_CLOSED_FORM}:{variant.value}", steps, values, policy)
 
 
 # The conjugacy (f, f_inverse, domain, scale) each closed form comes from:

@@ -27,6 +27,7 @@ from mpmath.libmp import (
     fnan,
     fninf,
     from_float,
+    from_man_exp,
     fzero,
     mpf_abs,
     mpf_ge,
@@ -96,24 +97,44 @@ def reduce_mod_2pi(angle, bits: int = 53) -> mpf:
     times a unit-scale phase.  Accepts float, int or mpf; the argument is
     taken exactly, never rounded first.
 
-    The arithmetic runs on mpmath's raw libmp values (round to nearest),
-    which skips the context bookkeeping of two ``workprec`` scopes per call.
+    The arithmetic runs on mpmath's raw libmp values (round to nearest), in
+    ``_reduce_raw``, which skips the context bookkeeping of two ``workprec``
+    scopes per call.
     """
     x = angle._mpf_ if isinstance(angle, mpf) else mp.convert(angle)._mpf_
     if x in _NON_FINITE:
         raise ValueError("angle must be finite")
-    if x == fzero:
-        return mpf(0)
-    _, _, exp, bc = x
+    return mp.make_mpf(_reduce_raw(x, bits))
+
+
+def _reduce_raw(x: tuple, bits: int) -> tuple:
+    """The raw finite value ``x`` reduced into [0, 2*pi) at ``bits``, raw.
+
+    2*pi is taken at wp = bits + max(0, exp + bc) + 20 bits, ``mpf_mod`` by
+    it rounds at wp, the remainder is rounded again at ``bits``, and one
+    2*pi at ``bits`` is subtracted from a remainder that rounding carried up
+    to it.  Where ``x`` is a multiple of 2*pi's ulp at wp, the remainder is
+    one exact integer ``%`` that ``mpf_mod`` would round at wp without loss,
+    so it is rounded once, at ``bits``; the result is the same.
+    """
+    sign, man, exp, bc = x
+    if not man:
+        return fzero
+    rnd = round_nearest
     wp = bits + max(0, exp + bc) + _REDUCE_GUARD_BITS
+    two_pi = mpf_shift(_pi(wp), 1)
+    _, tman, texp, _ = two_pi
+    if exp >= texp:  # x * 2^-texp and the remainder are integers
+        rem = ((-man if sign else man) << (exp - texp)) % tman
+        r = from_man_exp(rem, texp, bits, rnd)
+    else:  # x itself when positive and below 2*pi's ulp, else rounded at wp
+        r = mpf_pos(mpf_mod(x, two_pi, wp, rnd), bits, rnd)
     # mpf_mod by a positive modulus is never negative, but rounding can
     # carry the remainder up to 2*pi, and 2*pi at ``bits`` may be smaller
-    two_pi = mpf_shift(_pi(wp), 1)
-    r = mpf_pos(mpf_mod(x, two_pi, wp, round_nearest), bits, round_nearest)
     two_pi = mpf_shift(_pi(bits), 1)
     if mpf_ge(r, two_pi):
-        r = mpf_sub(r, two_pi, bits, round_nearest)
-    return mp.make_mpf(r)
+        r = mpf_sub(r, two_pi, bits, rnd)
+    return r
 
 
 def _raw_mpf(value, bits: int) -> tuple:

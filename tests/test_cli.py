@@ -146,6 +146,21 @@ class TestOdeCommand:
             assert "0.05" in lines[0] and "0.08" in lines[1]
             assert lines[2].startswith("error: solution has a pole at t=0.872")
 
+    @pytest.mark.parametrize("gamma,first,last", [
+        ("-1", "0.0990990990", "0.9474856380"), ("0.12", "1.3200000000", "1.0014801868")])
+    def test_bounded_member_below_the_bound_prints_no_warning(self, gamma, first, last,
+                                                             capsys):
+        # both gammas lie below x0/(1 - x0) = 0.1236, but neither member has a
+        # pole at t >= 0: gamma = -1 rises from 0.099, gamma = 0.12 decays from 1.32
+        assert main(["ode", "--r", "1.7", "--x0", "0.11", "--gamma", gamma,
+                     "--t-end", "3", "--dt", "1"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        values = [v for _, series, _, v in rows_of(captured.out)
+                  if series == f"gamma={float(gamma)!r}"]
+        assert len(values) == 4
+        assert values[0].startswith(first) and values[-1].startswith(last)
+
     def test_pole_of_a_seed_inside_0_1_exits_3(self, capsys):
         # x_s = -0.0917 blows up at t* = 1.457, between the samples at 1.25 and 1.5
         assert main(["ode", "--r", "1.7", "--x0", "0.11", "--gamma", "0.05",
@@ -456,12 +471,26 @@ GOLDEN_SHA256 = [
     (["ode", "--r", "1.7", "--x0", "0.11", "--gamma", "0.25", "--t-end", "2", "--dt", "0.05",
       "--format", "json"],
      "e2dd73720f7a203922285671c7dcabd091c1193e2e2952c8212d1576eae2ee0d"),
+    # the cosine forms at 53 bits, whose samples are doubles, and at budget bits
+    (["compare", "--r", "4", "--x0", "0.3", "--form", "r4", "--steps", "250",
+      "--format", "csv"],
+     "4c941b9c39525491f1eebdb9f59a020ee58d298a56c52e4673be5d301d8a7fef"),
+    (["map3", "--r", "-2", "--x0", "0.9", "--steps", "250", "--form", "table1",
+      "--form", "simple", "--format", "json"],
+     "c671810fe72837a1f15de0f916eefddd7661125ae9115d06399f016fc76dac86"),
+    (["map3", "--r", "4", "--x0", "0.3", "--steps", "300", "--bits", "364", "--form", "r4",
+      "--format", "json"],
+     "5f0c64f441ff27a3cd8e810684dc6279f01b4b0e413446b3aad1b74bd78892a3"),
+    (["map3", "--r", "-2", "--x0", "0.9", "--steps", "300", "--bits", "364",
+      "--form", "table1", "--form", "simple"],
+     "57c27d7c96f3c832a95a49d2b2dd7f9f0cbde5f3031cb8a1e007e79530bdcd29"),
 ]
 GOLDEN_IDS = ["compare", "compare-csv", "compare-svg", "compare-phase", "map3-r2"] + [
     f"figure{w}-{f}" for w in "123" for f in ("csv", "json", "svg")] + [
     "ode-gammas", "map4-gammas-json", "rng-json", "compare-long", "compare-periodic-200",
     "compare-forms-long", "map3-long", "map3-subnormal", "compare-decay", "compare-decay-json",
-    "compare-periodic-200-json", "rng-csv", "map3-subnormal-csv", "ode-json"]
+    "compare-periodic-200-json", "rng-csv", "map3-subnormal-csv", "ode-json", "compare-r4-csv",
+    "map3-rm2-forms-json", "map3-r4-budget-json", "map3-rm2-forms-budget"]
 
 
 @pytest.mark.parametrize("argv,digest", GOLDEN_SHA256, ids=GOLDEN_IDS)

@@ -144,10 +144,30 @@ class TestGeneralSolution:
                 grid_trajectory(p, 1.0, 0.5, RiccatiShift(0.11))
 
     def test_warns_below_admissible_range(self):
+        # the gamma = 0.08 member starts at -0.293 and blows up at t = 0.873
         p = ContinuousParams(1.7, 0.11)
         with pytest.warns(GammaRangeWarning):
-            value = general_solution(0.5, p, RiccatiShift(0.119))
+            value = general_solution(0.5, p, RiccatiShift(0.08))
         assert math.isfinite(value)
+
+    @pytest.mark.parametrize("r,gamma,warns", [
+        (1.7, -1.0, False),  # starts at 0.099 and rises to 1
+        (1.7, 0.119, False),  # starts at 1.454 and decays to 1: its pole is at t < 0
+        (1.7, 0.05, True),  # starts at -0.092: a pole at t = 1.457
+        (-1.7, 0.05, False),  # starts at -0.092 and decays to 0
+        (-1.7, 0.119, True),  # starts at 1.454: a pole at t = 0.431
+        (-1.7, -1.0, False)])
+    def test_warns_only_for_a_pole_after_0(self, r, gamma, warns):
+        # every gamma here is below the bound 0.1236; only a member that blows
+        # up at some t > 0 is flagged, by the pole rule grid_trajectory refuses by
+        p, shift = ContinuousParams(r, 0.11), RiccatiShift(gamma)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            value = general_solution(0.1, p, shift)
+        assert math.isfinite(value)
+        assert [w.category for w in caught] == ([GammaRangeWarning] if warns else [])
+        if not warns:  # bounded for all t >= 0: a long grid is sampled, not refused
+            assert all(map(math.isfinite, grid_trajectory(p, 50.0, 0.5, shift).values))
 
     @pytest.mark.parametrize("x0,gamma", [(1e-320, 0.14), (-1e-320, 0.14), (1e-320, 1e-10),
                                           (-2.0, 1e-320), (3.0, -5e-324)])

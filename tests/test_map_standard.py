@@ -5,6 +5,7 @@ import warnings
 
 import pytest
 from mpmath import mpf, workprec
+from mpmath.libmp import from_float
 
 from logistic_exact import map_riccati
 from logistic_exact.errors import DegeneracyError, DomainError, EscapeError
@@ -152,10 +153,15 @@ class TestClosedForm:
         assert traj.indices == (0, 1, 2, 3)
 
 
+def exact(v):
+    """A sample's raw value, exactly: an mpf's own, a double's converted."""
+    return v._mpf_ if isinstance(v, mpf) else from_float(v)
+
+
 class TestTrajectoryMatchesSingleStep:
     """closed_form_trajectory hoists the arccos and carries the r2 base
-    forward; each sample must still be the single-step closed form, bit for
-    bit."""
+    forward, and a cosine form at 53 bits finishes each sample in doubles;
+    each sample must still be the single-step closed form, bit for bit."""
 
     N = 120
 
@@ -173,7 +179,7 @@ class TestTrajectoryMatchesSingleStep:
         traj = closed_form_trajectory(p, self.N, variant, policy)
         assert traj.indices == tuple(range(self.N + 1))
         for k, value in traj.samples:
-            assert value._mpf_ == closed_form(p, k, variant, policy)._mpf_, k
+            assert exact(value) == closed_form(p, k, variant, policy)._mpf_, k
 
     @pytest.mark.parametrize("variant", list(ClosedForm))
     def test_n0_identity(self, variant):
@@ -182,8 +188,19 @@ class TestTrajectoryMatchesSingleStep:
             for policy in (DOUBLE, budgeted_policy(0)):
                 traj = closed_form_trajectory(p, 0, variant, policy)
                 assert traj.indices == (0,)
-                assert traj.values[0]._mpf_ == closed_form(p, 0, variant, policy)._mpf_
+                assert exact(traj.values[0]) == closed_form(p, 0, variant, policy)._mpf_
                 assert float(traj.values[0]) == pytest.approx(x0, abs=1e-15)
+
+    @pytest.mark.parametrize("variant", list(ClosedForm))
+    def test_sample_types(self, variant):
+        # a cosine form at 53 bits holds doubles, as iterate does; r2 and every
+        # form at budget bits hold mpf, and closed_form always returns mpf
+        p = MapParams(variant.required_r, 0.3)
+        doubles = variant is not ClosedForm.R2_POWER
+        for policy, kind in ((DOUBLE, float if doubles else mpf), (budgeted_policy(40), mpf)):
+            traj = closed_form_trajectory(p, 40, variant, policy)
+            assert {type(v) for v in traj.values} == {kind}
+            assert type(closed_form(p, 40, variant, policy)) is mpf
 
     def test_validates_like_single_step(self):
         with pytest.raises(ValueError):

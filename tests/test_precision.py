@@ -1,10 +1,21 @@
+import collections
 import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf, workprec
+from mpmath.libmp import (
+    from_float,
+    from_man_exp,
+    fzero,
+    mpf_ge,
+    mpf_mod,
+    mpf_pos,
+    mpf_shift,
+    round_nearest,
+)
 
 from logistic_exact import map_standard
 from logistic_exact.precision import (
@@ -12,6 +23,8 @@ from logistic_exact.precision import (
     DivergenceReport,
     PrecisionPolicy,
     Trajectory,
+    _pi,
+    _reduce_raw,
     budgeted_policy,
     compare_trajectories,
     precision_budget,
@@ -178,6 +191,123 @@ class TestReduceMod2PiRegression:
                       if reduce_mod_2pi(angle, bits)._mpf_
                       != reference_reduce_mod_2pi(angle, bits)._mpf_]
         assert mismatches == []
+
+
+def reduce_branch(x, bits):
+    """The branch of ``_reduce_raw`` that the raw value x takes: "zero";
+    "early", a positive angle below 2*pi's ulp at wp, which mpf_mod returns
+    as it is; "exact", an angle that is a multiple of that ulp, whose
+    remainder is an exact integer; or "double", a remainder rounded at wp and
+    then at ``bits``.  Second, whether the remainder is carried up to 2*pi at
+    ``bits``, so that 2*pi is subtracted from it."""
+    sign, man, exp, bc = x
+    if not man:
+        return "zero", False
+    wp = bits + max(0, exp + bc) + 20
+    two_pi = mpf_shift(_pi(wp), 1)
+    texp = two_pi[2]
+    if exp >= texp:
+        branch = "exact"
+    elif not sign and texp > exp + bc:
+        branch = "early"
+    else:
+        branch = "double"
+    r = mpf_pos(mpf_mod(x, two_pi, wp, round_nearest), bits, round_nearest)
+    return branch, mpf_ge(r, mpf_shift(_pi(bits), 1))
+
+
+# 53 bits and budget bits for 56 and 300 steps
+KERNEL_BITS = (53, 120, 364)
+
+
+def closed_form_angle(bits, phase_kind, u, j, k, shape):
+    """An angle of a closed form at ``bits``, as the cosine forms build it:
+    a phase phi scaled by 2^k, then +-phi*2^k (r4, simple) or
+    (pi -+ phi*2^k)/3 (table1).  phi is the r4 phase acos(1 - 2*x0) of a
+    seed x0 = u in [0, 1] or of a tiny seed x0 = u*2^-j, or a tiny phase
+    u*2^-j itself."""
+    with workprec(bits):
+        if phase_kind == "seed":
+            phi = mp.acos(1 - 2 * mpf(u))
+        elif phase_kind == "tiny-seed":
+            phi = mp.acos(1 - 2 * mp.ldexp(mpf(u), -j))
+        else:
+            phi = mp.ldexp(mpf(u), -j)
+        scaled = mp.ldexp(phi, k)
+        if shape == "+":
+            return scaled
+        if shape == "-":
+            return -scaled
+        return (mp.pi - scaled) / 3 if shape == "pi-" else (mp.pi + scaled) / 3
+
+
+@st.composite
+def closed_form_angles(draw):
+    bits = draw(st.sampled_from(KERNEL_BITS))
+    angle = closed_form_angle(bits, draw(st.sampled_from(["seed", "tiny-seed", "tiny-phase"])),
+                              draw(st.floats(0.0, 1.0)), draw(st.integers(1, 500)),
+                              draw(st.integers(0, bits + 56)),
+                              draw(st.sampled_from(["+", "-", "pi-", "pi+"])))
+    return angle, bits
+
+
+def kernel_cases():
+    """(angle, bits) over every shape of ``closed_form_angle``, seeded."""
+    rng = random.Random(18)
+    cases = []
+    for bits in KERNEL_BITS:
+        for phase_kind in ("seed", "tiny-seed", "tiny-phase"):
+            for shape in ("+", "-", "pi-", "pi+"):
+                for _ in range(60):
+                    u, j, k = rng.random(), rng.randint(1, 500), rng.randint(0, bits + 56)
+                    angle = closed_form_angle(bits, phase_kind, u, j, k, shape)
+                    cases.append((angle, bits))
+    return cases
+
+
+class TestReduceRawKernel:
+    """``_reduce_raw`` takes the remainder of an angle that is a multiple of
+    2*pi's ulp as one exact integer ``%``; on every other angle it makes
+    mpf_mod's calls.  It must equal the context-based reduction, bit for bit,
+    on the closed forms' angles, on every branch."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(closed_form_angles())
+    def test_equals_context_based_reference(self, angle_bits):
+        angle, bits = angle_bits
+        branch, wraps = reduce_branch(angle._mpf_, bits)
+        event(branch)
+        if wraps:
+            event("wrap")
+        assert _reduce_raw(angle._mpf_, bits) == reference_reduce_mod_2pi(angle, bits)._mpf_
+
+    def test_every_branch_is_reached(self):
+        counts = collections.Counter()
+        for angle, bits in kernel_cases():
+            branch, wraps = reduce_branch(angle._mpf_, bits)
+            counts[branch] += 1
+            counts["wrap"] += wraps
+            assert _reduce_raw(angle._mpf_, bits) == reference_reduce_mod_2pi(angle, bits)._mpf_
+        assert all(counts[b] > 0 for b in ("early", "exact", "double", "wrap")), counts
+
+    def test_both_roundings_are_kept(self):
+        # T + 2^-80, with T halfway between the 53-bit neighbours M and M + 1
+        # (M even): at wp = 74 bits it rounds to T, and T then to M, where a
+        # single rounding at 53 bits would give M + 1
+        m = 2**52 + 2 * 12345
+        x = from_man_exp(((2 * m + 1) << 27) + 1, -80)
+        assert reduce_branch(x, 53) == ("double", False)
+        assert from_man_exp(((2 * m + 1) << 27) + 1, -80, 53, round_nearest) == from_man_exp(
+            m + 1, -52)
+        assert _reduce_raw(x, 53) == from_man_exp(m, -52) == reference_reduce_mod_2pi(
+            mp.make_mpf(x), 53)._mpf_
+
+    @pytest.mark.parametrize("v", [-2.0**-100, -2.0**-60, -2.0**-52])
+    def test_remainder_carried_to_two_pi_wraps_to_zero(self, v):
+        # 2*pi - 2^-52 and closer round to 2*pi at 53 bits, which wraps to 0
+        x = from_float(v)
+        assert reduce_branch(x, 53)[1]
+        assert _reduce_raw(x, 53) == fzero == reference_reduce_mod_2pi(v, 53)._mpf_
 
 
 class TestTrajectory:
