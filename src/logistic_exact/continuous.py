@@ -3,11 +3,11 @@
 The equation is a constant-coefficient Riccati equation, so one known
 solution generates the whole family: every member is the basic sigmoid
 restarted from a shifted initial value x_s = gamma*x0/(gamma - x0).  Every
-form resolves 1/x_s once and evaluates 1/(1 + (1/x_s - 1)*exp(-r*t)) with one
-double kernel, whose t = 0 value is the start 1/(1/x_s) itself; a grid resolves
-its start once for all its points.  The ODE side is not chaotic, so double
-precision serves throughout.  A classical Runge-Kutta integrator provides the
-independent cross-check, on the same time grid as ``grid_trajectory``.
+form starts at x_s rounded once and evaluates 1/(1 + (1/x_s - 1)*exp(-r*t))
+for t != 0 with ``_sigmoid``, the Riccati kernel that the coupled map
+shares; a grid resolves its member once for all its points.  The ODE side is
+not chaotic, so double precision serves throughout.  A classical Runge-Kutta
+integrator provides the independent cross-check, on the grid of ``grid_trajectory``.
 """
 
 import math
@@ -15,7 +15,7 @@ import operator
 import sys
 import warnings
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, islice, repeat
 
 from .errors import ESCAPE_BOUND, POLE_EPS, DomainError, EscapeError, PoleError
 from .precision import DOUBLE, METHOD_ODE_CLOSED_FORM, METHOD_ODE_RK4, Trajectory
@@ -127,45 +127,43 @@ def _member_start(p: ContinuousParams, shift: RiccatiShift | None) -> float:
 
 
 def effective_initial_condition(p: ContinuousParams, shift: RiccatiShift) -> float:
-    """Initial value gamma*x0/(gamma - x0) of the family member picked by gamma."""
-    q = _reciprocal_start(p.x0, shift)
-    value = 1.0 / q if q else math.inf
-    if math.isinf(value):
-        raise PoleError("gamma is too close to x0: the effective initial condition overflows")
-    return value
+    """Initial value gamma*x0/(gamma - x0) of the member picked by gamma, rounded
+    once: its sample at t = 0, where a start beyond the doubles is a pole."""
+    _reciprocal_start(p.x0, shift)
+    (gn, gd), (xn, xd) = shift.gamma.as_integer_ratio(), p.x0.as_integer_ratio()
+    try:  # gamma*x0/(gamma - x0) exactly, as one correctly rounded int division
+        return gn * xn / (gn * xd - xn * gd)
+    except OverflowError:
+        raise PoleError("gamma is too close to x0: the effective initial condition "
+                        "overflows", where=0.0) from None
 
 
-def _sigmoid(t, r, q):
-    """Evaluate 1/(1 + (q - 1)*exp(-r*t)), the sigmoid from the start 1/q.
-
-    At t = 0 it returns the start 1/q itself, as from a start of 2^53 on q - 1
-    rounds to -1 and the formula has a false pole there.  A start that is not
-    a double (q = 0, or 1/q overflows) keeps that pole: 1 + (q - 1) is 0.
-    """
-    if t == 0 and q and math.isfinite(1.0 / q):
-        return 1.0 / q
-    c = q - 1.0
+def _sigmoid(c, decay, arg, where, axis="t"):
+    """1/(1 + c*decay(arg)), the Riccati sigmoid of both families after its
+    start: exp(-r*t) for the ODE, (1+r)^-n for the coupled map, with a pole
+    reported at ``axis`` = ``where``.  A decay that overflows is the x = 0 branch."""
     if c == 0:
         return 1.0
-    u = -r * t
-    if u > _EXP_OVERFLOW:
-        # exp overflows a double; the formula has decayed onto the x=0 branch
+    try:
+        d = decay(arg)
+    except OverflowError:
         return 0.0
-    den = 1.0 + c * math.exp(u)
+    den = 1.0 + c * d
     if abs(den) < POLE_EPS:
-        raise PoleError(f"solution has a pole at t={t!r}", where=t)
+        raise PoleError(f"solution has a pole at {axis}={where!r}", where=where)
     return 1.0 / den
 
 
 def particular_solution(t: float, p: ContinuousParams) -> float:
-    """The sigmoid through x0 at t=0: 1/(1 + (1/x0 - 1)*exp(-r*t)).
+    """The sigmoid through x0: x0 itself at t = 0, else 1/(1 + (1/x0 - 1)*exp(-r*t)).
 
     Raises PoleError at the blow-up time that exists when x0 lies outside
     [0, 1] (for r > 0 the denominator then crosses zero), and
     ``grid_trajectory`` refuses a grid that reaches it.  Raises DomainError
     for x0 = 0 and for an x0 whose reciprocal overflows a double.
     """
-    return _sigmoid(t, p.r, _member_start(p, None))
+    q = _member_start(p, None)
+    return float(p.x0) if t == 0 else _sigmoid(q - 1.0, math.exp, -p.r * t, t)
 
 
 def general_solution(t: float, p: ContinuousParams, shift: RiccatiShift) -> float:
@@ -181,7 +179,10 @@ def general_solution(t: float, p: ContinuousParams, shift: RiccatiShift) -> floa
     DomainError, as ``particular_solution`` does, when the reciprocal of the
     start x_s = gamma*x0/(gamma - x0) overflows a double.
     """
-    return _sigmoid(t, p.r, _member_start(p, shift))
+    q = _member_start(p, shift)
+    if t == 0:
+        return effective_initial_condition(p, shift)
+    return _sigmoid(q - 1.0, math.exp, -p.r * t, t)
 
 
 def general_solution_correction_form(t: float, p: ContinuousParams,
@@ -223,21 +224,24 @@ def grid_trajectory(p: ContinuousParams, t_end: float, dt: float,
     """Closed-form trajectory sampled at t = k*dt, on the grid of ``rk4_oracle``.
 
     The particular solution, or the general-solution member selected by
-    ``shift``: the start is resolved once, and every point is read off the
-    double kernel from it, the one ``particular_solution`` and
-    ``general_solution`` evaluate a single point with.  One pole rule holds
-    for every seed and either sign of r: a member starting at x_s outside
-    [0, 1] (q = 1/x_s < 1) has one pole, at t* = ln(1 - 1/x_s)/r, and a t*
-    after 0 and up to the last grid point raises PoleError before any sample.
+    ``shift``: the member is resolved once, the sample at t = 0 is its start
+    x_s rounded once, and every later point is read off ``_sigmoid``, the
+    kernel ``particular_solution`` and ``general_solution`` evaluate a single
+    point with.  One pole rule holds for every seed and either sign of r: a
+    member starting at x_s outside [0, 1] (q = 1/x_s < 1) has one pole, at
+    t* = ln(1 - 1/x_s)/r, and a t* after 0 and up to the last grid point
+    raises PoleError before any sample.
     """
     n = _grid_steps(t_end, dt)
     q = _member_start(p, shift)
     t = _pole_time(p.r, q)
     if t is not None and t <= n * dt:
         raise PoleError(f"solution has a pole at t={t!r}, inside the grid", where=t)
+    start = float(p.x0) if shift is None else effective_initial_condition(p, shift)
     ts = _grid_times(n, dt)
-    values = tuple(map(_sigmoid, ts, repeat(p.r), repeat(q)))
-    return Trajectory(METHOD_ODE_CLOSED_FORM, ts, values, DOUBLE)
+    us = map(operator.mul, repeat(-p.r), islice(ts, 1, None))
+    values = map(_sigmoid, repeat(q - 1.0), repeat(math.exp), us, islice(ts, 1, None))
+    return Trajectory(METHOD_ODE_CLOSED_FORM, ts, chain((start,), values), DOUBLE)
 
 
 def rk4_oracle(p: ContinuousParams, t_end: float, dt: float) -> Trajectory:

@@ -3,16 +3,19 @@
 Solving the implicit step for x' gives the Moebius map
 x' = x*(1+r)/(1 + r*x), so unlike the quadratic map there is no chaos and
 double precision suffices throughout.  The map inherits the ODE's whole
-solution structure: a sigmoid-like particular solution with e^r replaced by
-(1+r), and a one-parameter general family in which gamma only shifts the
-seed to x0 + 1/gamma, cross-checked by cumulative products of step coefficients.
+solution structure: its particular solution starts on the seed and then reads
+the ODE's sigmoid kernel ``continuous._sigmoid`` with e^(-r*t) replaced by
+(1+r)^-n, and in its one-parameter general family gamma only shifts the seed
+to x0 + 1/gamma, cross-checked by cumulative products of step coefficients.
 """
 
-import itertools
 import math
 from dataclasses import dataclass
+from functools import partial
+from itertools import chain, pairwise, repeat
+from operator import neg
 
-from .continuous import RiccatiShift
+from .continuous import RiccatiShift, _sigmoid
 from .errors import POLE_EPS, DomainError, EscapeError, PoleError, check_steps
 from .map_standard import MapParams
 from .precision import (
@@ -71,6 +74,17 @@ def _check_closed_form_params(p: RiccatiMapParams):
         raise DomainError("closed forms require x0 != 0 (they divide by x0)")
 
 
+def _series(p: RiccatiMapParams, n: int):
+    """Samples 0..n of the particular solution, its parameters checked and
+    c = 1/x0 - 1 worked out once: the seed, then the ODE's kernel."""
+    check_steps(n)
+    _check_closed_form_params(p)
+    steps = range(1, n + 1)
+    values = map(_sigmoid, repeat(1.0 / p.x0 - 1.0), repeat(partial(pow, 1.0 + p.r)),
+                 map(neg, steps), steps, repeat("n"))
+    return chain((float(p.x0),), values)
+
+
 def particular_solution(p: RiccatiMapParams, n: int) -> float:
     """The sigmoid analogue 1/(1 + (1/x0 - 1)*(1+r)^-n); x0 itself at n = 0.
 
@@ -83,23 +97,7 @@ def particular_solution(p: RiccatiMapParams, n: int) -> float:
     _check_closed_form_params(p)
     if n == 0:
         return float(p.x0)
-    c = 1.0 / p.x0 - 1.0
-    if c == 0.0:
-        return 1.0
-    try:
-        decay = (1.0 + p.r) ** (-n)
-    except OverflowError:
-        return 0.0  # (1+r)^-n overflowed; the state has decayed onto x=0
-    den = 1.0 + c * decay
-    if abs(den) < POLE_EPS:
-        raise PoleError(f"particular solution has a pole at n={n}", where=n)
-    return 1.0 / den
-
-
-def _particular_series(p: RiccatiMapParams, n: int):
-    """x_0, ..., x_n of the particular solution."""
-    check_steps(n)
-    return (particular_solution(p, k) for k in range(n + 1))
+    return _sigmoid(1.0 / p.x0 - 1.0, partial(pow, 1.0 + p.r), -n, n, "n")
 
 
 def coefficients(p: RiccatiMapParams, n_max: int) -> RiccatiCoefficients:
@@ -109,7 +107,7 @@ def coefficients(p: RiccatiMapParams, n_max: int) -> RiccatiCoefficients:
         raise ValueError("n_max must be a positive integer")
     g = []
     h = []
-    for n, (xn, xn1) in enumerate(itertools.pairwise(_particular_series(p, n_max))):
+    for n, (xn, xn1) in enumerate(pairwise(_series(p, n_max))):
         den = p.r * (1.0 - xn1) + 1.0
         if abs(den) < POLE_EPS:
             raise PoleError(f"coefficient denominator vanished at n={n}", where=n)
@@ -158,7 +156,7 @@ def general_solution(p: RiccatiMapParams, gamma: float, n: int,
 
 def particular_trajectory(p: RiccatiMapParams, n: int) -> Trajectory:
     """Trajectory of the particular solution over steps 0..n."""
-    values = tuple(_particular_series(p, n))
+    values = _series(p, n)  # checks n before range(n + 1) is formed
     return Trajectory(f"{METHOD_CLOSED_FORM}:particular", range(n + 1), values, DOUBLE)
 
 
@@ -166,8 +164,5 @@ def general_trajectory(p: RiccatiMapParams, gamma: float, n: int) -> Trajectory:
     """Trajectory of the general solution over steps 0..n, from the shifted seed."""
     check_steps(n)
     seed = general_solution(p, gamma, 0)  # the member's value at step 0 is x0 + 1/gamma
-    if seed == 0:  # the fixed point x = 0
-        values = itertools.repeat(seed, n + 1)
-    else:
-        values = _particular_series(RiccatiMapParams(p.r, seed), n)
+    values = repeat(seed, n + 1) if seed == 0 else _series(RiccatiMapParams(p.r, seed), n)
     return Trajectory(f"{METHOD_CLOSED_FORM}:general", range(n + 1), values, DOUBLE)

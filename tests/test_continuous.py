@@ -1,12 +1,13 @@
 import math
 import warnings
+from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from mpmath import exp, mpf, workprec
 
-from logistic_exact import continuous
+from logistic_exact import continuous, map_riccati
 from logistic_exact.continuous import (
     MAX_GRID_POINTS,
     ContinuousParams,
@@ -75,20 +76,38 @@ class TestParticularSolution:
 
     def test_pole(self):
         # 1/x0 - 1 rounds to exactly -1 for huge x0, so the formula's denominator
-        # is 0 at t=0; the kernel returns the start 1/(1/x0) there instead
+        # is 0 at t=0; the sample there is the start x0 itself instead
         p = ContinuousParams(1.0, 1e308)
-        assert particular_solution(0.0, p) == 1.0 / (1.0 / 1e308)
+        assert particular_solution(0.0, p) == 1e308
         assert math.isfinite(particular_solution(1.0, p))
 
     @pytest.mark.parametrize("x0,shift", [
-        (1.7976931348623157e308, None),  # 1/(1/x0) overflows
-        (1.7976931348623157e308, RiccatiShift(1.7976931348623155e308)),  # 1/x_s is 0.0
+        (1.7976931348623157e308, RiccatiShift(1.7976931348623155e308)),  # x_s is no double
     ])
     def test_start_that_is_not_a_double_is_a_pole_at_t0(self, x0, shift):
         p = ContinuousParams(1.0, x0)
         with pytest.raises(PoleError) as err:
             grid_trajectory(p, 1.0, 0.5, shift)
         assert err.value.where == 0.0
+
+    def test_largest_double_seed_starts_on_itself(self):
+        # 1/(1/x0) overflows, but the member starts at x0 and falls towards 1
+        p = ContinuousParams(1.0, 1.7976931348623157e308)
+        traj = grid_trajectory(p, 1.0, 0.5)
+        assert traj.values[0] == p.x0 == particular_solution(0.0, p)
+        with workprec(200):
+            want = [1 / (1 + (1 / mpf(p.x0) - 1) * exp(-mpf(t))) for t in (0.5, 1.0)]
+        assert traj.values[1:] == pytest.approx([float(w) for w in want], rel=1e-15, abs=0)
+
+    @pytest.mark.parametrize("t", [709.5, 709.7, 709.78])
+    def test_decays_until_exp_overflows(self, t):
+        # exp(709.5) is a double, so the member is 7.38e-309 there, not 0.0
+        p = ContinuousParams(-1.0, 0.5)
+        with workprec(200):
+            want = 1 / (1 + exp(mpf(t)))
+        for got in (particular_solution(t, p), grid_trajectory(p, t, t / 2).values[-1]):
+            assert got > 0.0
+            assert abs(mpf(got) - want) <= 5e-324  # within one subnormal ulp
 
     def test_high_precision_path_matches_double(self):
         p = ContinuousParams(1.7, 0.11)
@@ -233,6 +252,35 @@ class TestGeneralSolution:
         values = [particular_solution(t, p) for t in ts]
         assert all(b > a for a, b in zip(values, values[1:]))
         assert all(v < 1.0 for v in values)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(-3.0, 3.0).filter(lambda r: abs(r) > 0.05 and r != -1.0),
+       st.one_of(st.floats(1e-300, 1.0, exclude_max=True),
+                 st.floats(1.0, 1e300, exclude_min=True), st.floats(-1e300, -1e-300)),
+       st.one_of(st.floats(1e-3, 1e3), st.floats(-1e3, -1e-3)))
+@example(1.7, 0.11, 0.25)  # figure 1's seed: 1/(1/0.11) is 0.10999999999999999
+@pytest.mark.filterwarnings("ignore::logistic_exact.continuous.GammaRangeWarning")
+def test_every_start_sample_is_the_start_rounded_once(r, x0, gamma):
+    # the ODE member starts at gamma*x0/(gamma - x0) rounded once; the coupled
+    # map's member is defined by its seed x0 + 1/gamma, a double sum
+    assume(gamma != x0)
+    g, x = Fraction(gamma), Fraction(x0)
+    x_s = float(g * x / (g - x))
+    p, shift = ContinuousParams(r, x0), RiccatiShift(gamma)
+    m, seed = map_riccati.RiccatiMapParams(r, x0), x0 + 1.0 / gamma
+    assert particular_solution(0.0, p) == x0
+    assert general_solution(0.0, p, shift) == effective_initial_condition(p, shift) == x_s
+    assert map_riccati.particular_solution(m, 0) == x0
+    assert map_riccati.general_solution(m, gamma, 0) == seed
+    for build, start in ((lambda: grid_trajectory(p, 1.0, 0.5), x0),
+                         (lambda: grid_trajectory(p, 1.0, 0.5, shift), x_s),
+                         (lambda: map_riccati.particular_trajectory(m, 3), x0),
+                         (lambda: map_riccati.general_trajectory(m, gamma, 3), seed)):
+        try:
+            assert build().values[0] == start
+        except PoleError as err:  # a blow-up after the start
+            assert err.where > 0
 
 
 class TestEffectiveInitialCondition:

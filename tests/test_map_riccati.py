@@ -66,8 +66,11 @@ class TestParticularSolution:
 
     def test_pole(self):
         # (1+r)^-n = -1 for r=-2 and odd n, so the denominator vanishes at x0=0.5
-        with pytest.raises(PoleError):
+        with pytest.raises(PoleError, match="^solution has a pole at n=1$") as err:
             particular_solution(RiccatiMapParams(-2.0, 0.5), 1)
+        assert err.value.where == 1
+        with pytest.raises(PoleError, match="^solution has a pole at n=1$"):
+            particular_trajectory(RiccatiMapParams(-2.0, 0.5), 3)
 
     def test_degenerate_rate_rejected(self):
         with pytest.raises(DomainError):
