@@ -20,7 +20,6 @@ from itertools import chain, islice, repeat
 from .errors import ESCAPE_BOUND, POLE_EPS, DomainError, EscapeError, PoleError
 from .precision import DOUBLE, METHOD_ODE_CLOSED_FORM, METHOD_ODE_RK4, Trajectory
 
-_EXP_OVERFLOW = 709.0
 _NORMAL_MIN = sys.float_info.min  # the smallest normal double
 # Below about 5.6e-309 in magnitude a start x_s has no reciprocal among the
 # doubles, and the sigmoid would not start at x_s.
@@ -194,10 +193,11 @@ def general_solution_correction_form(t: float, p: ContinuousParams,
     cross-checked numerically; ``general_solution`` is the primary evaluator.
     """
     x1 = particular_solution(t, p)
-    u = p.r * t
-    if u > _EXP_OVERFLOW:
+    try:
+        growth = math.exp(p.r * t)
+    except OverflowError:
         return x1  # the correction term has vanished
-    inner = shift.gamma * (math.exp(u) + 1.0 / p.x0 - 1.0) - 1.0
+    inner = shift.gamma * (growth + 1.0 / p.x0 - 1.0) - 1.0
     if abs(inner) < POLE_EPS:
         raise PoleError(f"correction term has a pole at t={t!r}", where=t)
     return x1 * (1.0 + 1.0 / inner)

@@ -13,9 +13,9 @@ caller's choice, which is exactly what makes the divergence experiments
 possible: a budgeted policy behaves like an exact oracle, and a 53-bit
 policy shows how fast the closed form loses its bits at double precision.
 At 53 bits ``closed_form_trajectory`` returns a cosine form's samples as
-doubles, each equal to the mpf value of the libmp pipeline: the cosine is
-exact as a double, and the step after it, (1 - c)/2 or 1/2 +- c, is one
-IEEE operation, rounded to nearest even as libmp rounds it.
+doubles, each equal to the mpf value of the libmp pipeline: the cosine c is
+exact as a double, and the step after it, 1/2 + s*c with the form's exact
+factor s, is one IEEE operation, rounded to nearest even as libmp rounds it.
 
 A 53-bit policy is not a model of an IEEE double device evaluating the same
 formula with libm.  The pipeline rounds the reduced angle to 53 bits before
@@ -47,8 +47,9 @@ with the default oracle, a seed in the map's invariant interval and at least
 2,600 steps uses ``phase_oracle`` at the same budget instead.  Its samples
 are good to about 2^-128 at every step, except in the rest of a 64-step
 block after a sample within about 2^-64 of an end of the interval (see
-``phase_oracle``), and it takes less than half the time of the tapered reference from 2,600 steps on (10 against 23 ms at
-2,600 steps, 39 against 237 ms at 8,500, r = 4, on a shared 2-vCPU host).
+``phase_oracle``), and it takes less than half the time of the tapered
+reference from 2,600 steps on (10 against 23 ms at 2,600 steps, 39 against
+237 ms at 8,500, r = 4, on a shared 2-vCPU host).
 Its reports equal the fixed-width oracle's bit for bit up to 64 steps
 before the end, and differ by no more than the two references do after
 that.  The phase evaluator is itself a closed form, so a closed form is
@@ -65,11 +66,11 @@ from itertools import repeat
 from mpmath import mp, mpf, workprec
 from mpmath.libmp import (
     fhalf,
+    fnone,
     fone,
     from_float,
     from_int,
     from_man_exp,
-    ftwo,
     mpf_abs,
     mpf_acos,
     mpf_add,
@@ -148,22 +149,38 @@ class ClosedForm(str, Enum):
 
     @property
     def required_r(self) -> float:
-        return _FORM_DOMAIN[self][0]
+        return _FORMS[self][0]
 
     @property
     def seed_domain(self) -> tuple[float, float] | None:
         """Interval of admissible seeds, or None when any real works."""
-        return _FORM_DOMAIN[self][1]
+        return _FORMS[self][1]
 
 
-# (r, seed interval) of each form.  The intervals are arccos domains, both
+# (r, seed interval, (c0, k), s) of each form, c0, k and s raw.  Every form is
+# x_n = 1/2 + s*c_n: c_n is the base (1 - 2*x0)^(2^n) for r2 and the cosine
+# of the scaled angle for the others.  c0 + k*x0 is r2's base and the other
+# forms' arccos argument.  The intervals are arccos domains, both
 # forward-invariant under their maps.
-_FORM_DOMAIN = {
-    ClosedForm.R2_POWER: (2.0, None),
-    ClosedForm.R4_COSINE: (4.0, (0.0, 1.0)),
-    ClosedForm.RM2_COMPOSED: (-2.0, (-0.5, 1.5)),
-    ClosedForm.RM2_DIRECT: (-2.0, (-0.5, 1.5)),
+_MINUS_HALF = from_man_exp(-1, -1)
+_FORMS = {
+    ClosedForm.R2_POWER: (2.0, None, (fone, from_int(-2)), _MINUS_HALF),
+    ClosedForm.R4_COSINE: (4.0, (0.0, 1.0), (fone, from_int(-2)), _MINUS_HALF),
+    ClosedForm.RM2_COMPOSED: (-2.0, (-0.5, 1.5), (fhalf, fnone), fnone),
+    ClosedForm.RM2_DIRECT: (-2.0, (-0.5, 1.5), (_MINUS_HALF, fone), fone),
 }
+
+
+def _argument(x0: tuple, variant: ClosedForm, bits: int) -> tuple:
+    """c0 + k*x0 for the raw seed ``x0``, rounded once at ``bits`` (exact at 0)."""
+    c0, k = _FORMS[variant][2]
+    return mpf_add(c0, mpf_mul(x0, k, 0), bits, round_nearest)
+
+
+def _tail(variant: ClosedForm, c: tuple, bits: int) -> tuple:
+    """The sample 1/2 + s*c from the raw c_n, rounded once at ``bits``: the
+    product with s is exact."""
+    return mpf_add(fhalf, mpf_mul(_FORMS[variant][3], c, 0), bits, round_nearest)
 
 
 def _step(r: tuple, x: tuple, bits: int) -> tuple:
@@ -340,11 +357,7 @@ def phase_oracle(p: MapParams, n: int) -> Trajectory:
         window = _PHASE_BITS + _RESEED_STEPS  # bits a re-seed reads
         wp = window + 32
         width = n + wp
-        x0 = _raw_mpf(p.x0, wb)
-        if variant is ClosedForm.R4_COSINE:  # arccos(1 - 2*x0), the argument exact
-            arg = mpf_sub(fone, mpf_shift(x0, 1), 0)
-        else:  # arccos(x0 - 1/2)
-            arg = mpf_sub(x0, fhalf, 0)
+        arg = _argument(_raw_mpf(p.x0, wb), variant, 0)  # exact
         phase_wp = width + 10
         phi = mpf_div(mpf_acos(arg, phase_wp, rnd), mpf_shift(mpf_pi(phase_wp, rnd), 1),
                       phase_wp, rnd)
@@ -358,10 +371,7 @@ def phase_oracle(p: MapParams, n: int) -> Trajectory:
             else:  # the top window bits of frac(2^k * phi), rounded
                 t = (((digits >> (width - k - window - 1)) + 1) >> 1) & mask
                 c = mpf_cos(mpf_mul(from_man_exp(t, -window), two_pi, wp, rnd), wp, rnd)
-                if variant is ClosedForm.R4_COSINE:  # (1 - c) / 2
-                    x = mpf_shift(mpf_sub(fone, c, wp, rnd), -1)
-                else:  # 1/2 + c
-                    x = mpf_add(fhalf, c, wp, rnd)
+                x = _tail(variant, c, wp)
             values.append(make(x))
     return Trajectory(METHOD_ORACLE, range(n + 1), values, policy)
 
@@ -395,14 +405,13 @@ def _phase(p: MapParams, variant: ClosedForm, bits: int) -> tuple:
     the base 1 - 2*x0 for r2, the arccos for r4 and simple, and
     pi - 3*arccos(1/2 - x0) for table1."""
     rnd = round_nearest
-    x0 = _raw_mpf(p.x0, bits)
-    if variant is ClosedForm.RM2_DIRECT:  # acos(x0 - 1/2)
-        return mpf_acos(mpf_sub(x0, fhalf, bits, rnd), bits, rnd)
+    arg = _argument(_raw_mpf(p.x0, bits), variant, bits)
+    if variant is ClosedForm.R2_POWER:
+        return arg
+    acos = mpf_acos(arg, bits, rnd)
     if variant is ClosedForm.RM2_COMPOSED:  # pi - 3*acos(1/2 - x0)
-        acos = mpf_acos(mpf_sub(fhalf, x0, bits, rnd), bits, rnd)
         return mpf_sub(_pi(bits), mpf_mul_int(acos, 3, bits, rnd), bits, rnd)
-    base = mpf_sub(fone, mpf_mul_int(x0, 2, bits, rnd), bits, rnd)  # 1 - 2*x0
-    return base if variant is ClosedForm.R2_POWER else mpf_acos(base, bits, rnd)
+    return acos
 
 
 def _cosine(variant: ClosedForm, phase: tuple, n: int, bits: int) -> tuple:
@@ -419,33 +428,6 @@ def _cosine(variant: ClosedForm, phase: tuple, n: int, bits: int) -> tuple:
     return mpf_cos(_reduce_raw(angle, bits), bits, rnd)
 
 
-def _sample(variant: ClosedForm, phase: tuple, n: int, bits: int) -> tuple:
-    """The closed form at step n from its raw phase, raw at ``bits``.
-
-    For r2 the caller passes the base already squared n times; for the
-    cosine forms the angle is scaled by 2^n here and reduced mod 2*pi.
-    """
-    rnd = round_nearest
-    if variant is ClosedForm.R2_POWER:  # (1 - base) / 2
-        return mpf_div(mpf_sub(fone, phase, bits, rnd), ftwo, bits, rnd)
-    c = _cosine(variant, phase, n, bits)
-    if variant is ClosedForm.R4_COSINE:  # (1 - c) / 2
-        return mpf_div(mpf_sub(fone, c, bits, rnd), ftwo, bits, rnd)
-    if variant is ClosedForm.RM2_DIRECT:  # 1/2 + c
-        return mpf_add(fhalf, c, bits, rnd)
-    return mpf_sub(fhalf, c, bits, rnd)  # table1: 1/2 - c
-
-
-# The tails of ``_sample`` on a 53-bit cosine c, taken exactly as a double:
-# each rounds once, to nearest even, on values in [-1/2, 3/2], as the libmp
-# tail at 53 bits does (the halving is exact), so each equals it bit for bit.
-_DOUBLE_TAILS = {
-    ClosedForm.R4_COSINE: lambda c: (1.0 - c) * 0.5,
-    ClosedForm.RM2_DIRECT: lambda c: 0.5 + c,
-    ClosedForm.RM2_COMPOSED: lambda c: 0.5 - c,
-}
-
-
 def closed_form(p: MapParams, n: int, variant: ClosedForm,
                 policy: PrecisionPolicy = DOUBLE) -> mpf:
     """Evaluate one closed form at step n under the given precision policy.
@@ -458,11 +440,13 @@ def closed_form(p: MapParams, n: int, variant: ClosedForm,
     """
     _check_closed_form(p, n, variant)
     bits = policy.significand_bits
-    phase = _phase(p, variant, bits)
+    c = _phase(p, variant, bits)
     if variant is ClosedForm.R2_POWER:
         for _ in range(n):
-            phase = mpf_mul(phase, phase, bits, round_nearest)
-    return mp.make_mpf(_sample(variant, phase, n, bits))
+            c = mpf_mul(c, c, bits, round_nearest)
+    else:
+        c = _cosine(variant, c, n, bits)
+    return mp.make_mpf(_tail(variant, c, bits))
 
 
 def closed_form_trajectory(p: MapParams, n: int, variant: ClosedForm,
@@ -483,13 +467,14 @@ def closed_form_trajectory(p: MapParams, n: int, variant: ClosedForm,
     if variant is ClosedForm.R2_POWER:
         values = []
         for k in steps:
-            values.append(make(_sample(variant, phase, k, bits)))
+            values.append(make(_tail(variant, phase, bits)))
             phase = mpf_mul(phase, phase, bits, round_nearest)
-    elif bits == DOUBLE.significand_bits:
-        tail = _DOUBLE_TAILS[variant]
-        values = [tail(to_float(_cosine(variant, phase, k, bits))) for k in steps]
+    elif bits == DOUBLE.significand_bits:  # s*c is exact, so 0.5 + s*c rounds once
+        s = to_float(_FORMS[variant][3])
+        values = [0.5 + s * to_float(_cosine(variant, phase, k, bits)) for k in steps]
     else:
-        values = [make(_sample(variant, phase, k, bits)) for k in steps]
+        values = [make(_tail(variant, _cosine(variant, phase, k, bits), bits))
+                  for k in steps]
     return Trajectory(f"{METHOD_CLOSED_FORM}:{variant.value}", steps, values, policy)
 
 

@@ -211,11 +211,12 @@ class TestGeneralSolution:
         assert all(math.isfinite(v) for v in traj.values)
 
     @settings(max_examples=100, deadline=None)
-    @given(admissible, st.floats(0.0, 10.0))
-    def test_two_printed_forms_agree(self, params, t):
-        r, x0, ge = params
+    @given(admissible.map(lambda a: (a[0], a[1], _shift_above_bound(a[1], a[2]))),
+           st.floats(0.0, 10.0))
+    @example((1.0, 0.5, RiccatiShift(-1e-300)), 709.5)  # exp(r*t) is near the doubles' top
+    def test_two_printed_forms_agree(self, member, t):
+        r, x0, s = member
         p = ContinuousParams(r, x0)
-        s = _shift_above_bound(x0, ge)
         a = general_solution(t, p, s)
         b = general_solution_correction_form(t, p, s)
         assert abs(a - b) <= 1e-12 * max(abs(a), abs(b), 1e-30)

@@ -2,6 +2,7 @@
 divergence run takes: the evaluator, or the iterated oracle, tapered unless
 the oracle's width is given."""
 
+import hashlib
 import json
 import math
 
@@ -99,6 +100,16 @@ class TestPhaseOracle:
         # seeds near a fixed point or a rational phase keep the budgeted
         # iteration for as long as the 53-bit orbit follows them
         check_good_to_2_pow_minus_p(MapParams(r, x0), 400)
+
+    @pytest.mark.parametrize("r,x0,digest", [
+        (4.0, 0.3, "e80f5851b9014e199da3dfc9b924ae4f7d762c0211ae0eb402f9164828972d4e"),
+        (-2.0, 0.9, "c22d0ed92c9ee6097de14726b22e2aacb25a512464e50de8002e059634cfc777"),
+        (-2.0, 1.4999999, "4160d1bcc2f60fd43d68995e4370ea844f5829830842f6b7ceda1d33fdf8cb89")])
+    def test_raw_samples_are_pinned(self, r, x0, digest):
+        # every bit of every sample: a report only sees the reference down to
+        # about 2^-60 of an error near 1
+        values = phase_oracle(MapParams(r, x0), 2700).values
+        assert hashlib.sha256(repr([v._mpf_ for v in values]).encode()).hexdigest() == digest
 
     def test_validation(self):
         with pytest.raises(ValueError, match="r=4 or r=-2"):
