@@ -16,6 +16,7 @@ domain/pole errors raised by the core modules.
 """
 
 import argparse
+import contextlib
 import functools
 import itertools
 import json
@@ -300,8 +301,8 @@ def _render_svg(doc):
     ymin, ymax = min(ys), max(ys)
     if xmax == xmin:
         xmax = xmin + 1.0
-    if ymax == ymin:
-        ymax = ymin + 1.0
+    if ymax == ymin:  # from 2^53 on, ymin + 1.0 is ymin
+        ymax = ymin + max(1.0, abs(ymin))
     pad = 0.05 * (ymax - ymin)
     ymin, ymax = ymin - pad, ymax + pad
 
@@ -366,11 +367,10 @@ def run(config: RunConfig) -> int:
         else:
             _require_finite(key, value)
     text = renderer(runner(config.parameters))
-    if config.output_path in (None, "-"):
-        sys.stdout.write(text)
-    else:
-        with open(config.output_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+    with (contextlib.nullcontext(sys.stdout) if config.output_path in (None, "-") else
+          open(config.output_path, "w", encoding="utf-8", newline="")) as fh:
+        for start in range(0, len(text), 1 << 20):  # the sink encodes 1 MiB at a time
+            fh.write(text[start:start + (1 << 20)])
     return 0
 
 

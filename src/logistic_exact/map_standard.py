@@ -30,30 +30,28 @@ not.
 
 ``divergence_reports`` is the one divergence entry point: it compares plain
 iteration and any closed forms at a working width against one reference
-orbit, and the CLI's ``compare`` emits its reports.  ``oracle`` iterates the
-map at the budget B of one bit per step plus 64; at step k it is good to
-about 2^(k - B) absolute, so to about 61 bits at the last step (fewer on
-orbits that linger near the repelling fixed point 3/2 of r = -2, which
-stretches errors by 4 a step: 14 bits fewer for x0 = 3/2 - 2^-52 over 400
-steps).  Unless the oracle's width is given, the reference of a divergence
-run tapers: step k runs at min(B, max(B + 64 - k, w + 128)) bits for
-working width w, as only n - k + 64 bits are still needed at step k.  That
-statement of accuracy holds as it stands, B is still the reported width
-and the widest sample, and the reports are the fixed-width oracle's; the
-run costs about half as much from a few thousand steps on.
+orbit, and the CLI's ``compare`` emits its reports.  The reference is
+``oracle``'s orbit at the budget B of one bit per step plus 64, good to about
+2^(k - B) at step k (see ``oracle``).  Unless the oracle's width is given, it
+tapers: step k runs at min(B, max(B + 64 - k, w + 128)) bits for working
+width w, as only n - k + 64 bits are still needed at step k.  That accuracy
+holds as it stands, B is still the reported width, and the reports are the
+fixed-width oracle's at about half the cost from a few thousand steps on.
+Every budgeted step runs in one kernel on Python ints, ``_orbit``, which
+rounds exactly as ``_step``'s libmp calls do; the reports read its
+(significand, exponent) pairs without forming an mpf per sample.
 
 An iteration-only run (no closed form) at 53 working bits, r = 4 or r = -2,
 with the default oracle, a seed in the map's invariant interval and at least
-2,600 steps uses ``phase_oracle`` at the same budget instead.  Its samples
-are good to about 2^-128 at every step, except in the rest of a 64-step
-block after a sample within about 2^-64 of an end of the interval (see
-``phase_oracle``), and it takes less than half the time of the tapered
-reference from 2,600 steps on (10 against 23 ms at 2,600 steps, 39 against
-237 ms at 8,500, r = 4, on a shared 2-vCPU host).
-Its reports equal the fixed-width oracle's bit for bit up to 64 steps
-before the end, and differ by no more than the two references do after
-that.  The phase evaluator is itself a closed form, so a closed form is
-always checked against the iterated oracle.
+2,600 steps reads the orbit off its phase digits instead (``phase_oracle``),
+at the same budget.  Its samples are good to about 2^-128 at nearly every
+step, and it takes well under half the time of the tapered reference from
+2,600 steps on (the pairs alone: 2.8 against 7.8 ms at 2,600 steps, 11
+against 118 ms at 8,500, r = 4, on a shared 2-vCPU host).  Its reports equal
+the fixed-width oracle's bit for bit up to 64 steps before the end, and
+differ by no more than the two references do after that.  The phase
+evaluator is itself a closed form, so a closed form is always checked
+against the iterated oracle.
 """
 
 import math
@@ -61,7 +59,7 @@ import sys
 import warnings
 from dataclasses import dataclass
 from enum import Enum
-from itertools import repeat
+from itertools import repeat, starmap
 
 from mpmath import mp, mpf, workprec
 from mpmath.libmp import (
@@ -98,15 +96,19 @@ from .precision import (
     PrecisionPolicy,
     Trajectory,
     _pi,
+    _compare_pairs,
+    _pair,
     _raw_mpf,
     _reduce_raw,
+    _signed,
     budgeted_policy,
-    compare_trajectories,
+    compare_trajectories,  # noqa: F401  a name perfbench's tracer spans
     precision_budget,
     reduce_mod_2pi,  # noqa: F401  the name perfbench's tracer tallies
 )
 
 _NORMAL_MIN = sys.float_info.min  # the smallest normal double
+_ESCAPE = from_float(ESCAPE_BOUND)  # above 2^332
 
 
 @dataclass(frozen=True)
@@ -190,20 +192,50 @@ def _step(r: tuple, x: tuple, bits: int) -> tuple:
     return mpf_mul(mpf_mul(r, x, bits, rnd), mpf_sub(fone, x, bits, rnd), bits, rnd)
 
 
+def _nearest(m: int, cut: int) -> int:
+    """The integer m * 2^-cut rounded to nearest, ties to even, for cut > 0."""
+    h = m >> (cut - 1)  # floors, so a negative m rounds as its magnitude does
+    return (h + 1 if h & 1 and (h & 2 or m & ((1 << (cut - 1)) - 1)) else h) >> 1
+
+
 def _orbit(r: tuple, x: tuple, k: int, widths) -> list:
-    """The values of samples k + 1, k + 2, ... from the raw sample ``x`` at
-    step k: one ``_step`` per entry of ``widths``, at that many bits.  Raises
-    EscapeError with the offending index if the orbit passes 1e100."""
-    bound = from_float(ESCAPE_BOUND)
-    make = mp.make_mpf
-    values = []
-    for bits in widths:
+    """Samples k + 1, k + 2, ... from the raw sample ``x`` at step k as (signed
+    significand, exponent) pairs, one step per entry of ``widths`` at that
+    many bits, each of exactly ``_step``'s value: r*x, 1 - x (exactly 1 for
+    |x| < 2^-(w + 1)) and their product are rounded to nearest even on Python
+    ints.  A zero or an x of integer exponent (|x| >= 1) takes ``_step``.
+    Raises EscapeError with the offending index if the orbit passes 1e100."""
+    (rm, re), (m, e) = _pair(r), _pair(x)
+    pairs = []
+    for w in widths:
         k += 1
-        x = _step(r, x, bits)
-        if mpf_gt(mpf_abs(x), bound):
+        if m and e < 0:
+            a, ea = rm * m, re + e
+            cut = a.bit_length() - w
+            if cut > 0:
+                a, ea = _nearest(a, cut), ea + cut
+            if m.bit_length() + e < -w - 1:
+                m, e = a, ea
+            else:
+                b = (1 << -e) - m
+                cut = b.bit_length() - w
+                if cut > 0:
+                    b, e = _nearest(b, cut), e + cut
+                m, e = a * b, ea + e
+                cut = m.bit_length() - w
+                if cut > 0:
+                    m, e = _nearest(m, cut), e + cut
+        else:
+            m, e = _pair(_step(r, from_man_exp(m, e), w))
+        if m.bit_length() + e > 332 and mpf_gt(mpf_abs(from_man_exp(m, e)), _ESCAPE):
             raise EscapeError(f"orbit escaped past {ESCAPE_BOUND:g} at step {k}", index=k)
-        values.append(make(x))
-    return values
+        pairs.append((m, e))
+    return pairs
+
+
+def _mpfs(pairs) -> list:
+    """(signed significand, exponent) pairs as normalized mpf."""
+    return list(map(mp.make_mpf, starmap(from_man_exp, pairs)))
 
 
 def _double_orbit(r: float, x: float, n: int) -> list:
@@ -246,8 +278,8 @@ def iterate(p: MapParams, n: int, policy: PrecisionPolicy = DOUBLE) -> Trajector
     else:
         x = _raw_mpf(p.x0, bits)
         values = [mp.make_mpf(x)]
-    values += _orbit(_raw_mpf(p.r, bits), x, len(values) - 1,
-                     repeat(bits, n + 1 - len(values)))
+    values += _mpfs(_orbit(_raw_mpf(p.r, bits), x, len(values) - 1,
+                           repeat(bits, n + 1 - len(values))))
     return Trajectory(METHOD_ITERATED, range(n + 1), values, policy)
 
 
@@ -260,10 +292,7 @@ def oracle(p: MapParams, n: int, policy: PrecisionPolicy | None = None,
     sample k is good to about 2^(k - B) absolute at a budget of B bits, so
     to about 61 bits at the last step (fewer on orbits that linger near the
     repelling fixed point 3/2 of r = -2, which stretches errors by 4 a step:
-    14 bits fewer for x0 = 3/2 - 2^-52 over 400 steps).  Iteration-only
-    divergence runs at r = 4 and r = -2 from 2,600 steps on use
-    ``phase_oracle`` instead, which is good to about 2^-128 at nearly every
-    step.
+    14 bits fewer for x0 = 3/2 - 2^-52 over 400 steps).
 
     Every step runs at B bits unless ``taper_to`` is given.  Then step k runs
     at min(B, max(B + 64 - k, taper_to)) bits: 64 steps at B, then one bit
@@ -273,15 +302,20 @@ def oracle(p: MapParams, n: int, policy: PrecisionPolicy | None = None,
     about 2^(k - B).  The trajectory is tagged with B, the widest width.
     """
     policy = policy if policy is not None else budgeted_policy(n)
+    values = _mpfs(_iterated_reference(p, n, policy, taper_to))
+    return Trajectory(METHOD_ORACLE, range(n + 1), values, policy)
+
+
+def _iterated_reference(p: MapParams, n: int, policy: PrecisionPolicy,
+                        taper_to: int | None) -> list:
+    """The samples of ``oracle(p, n, policy, taper_to)`` as (signed
+    significand, exponent) pairs."""
     check_steps(n)
     bits = policy.significand_bits
-    if taper_to is None:
-        widths = repeat(bits, n)
-    else:
-        widths = (min(bits, max(bits + 64 - k, taper_to)) for k in range(1, n + 1))
+    widths = repeat(bits, n) if taper_to is None else (
+        min(bits, max(bits + 64 - k, taper_to)) for k in range(1, n + 1))
     x = _raw_mpf(p.x0, bits)
-    values = [mp.make_mpf(x)] + _orbit(_raw_mpf(p.r, bits), x, 0, widths)
-    return Trajectory(METHOD_ORACLE, range(n + 1), values, policy)
+    return [_pair(x)] + _orbit(_raw_mpf(p.r, bits), x, 0, widths)
 
 
 # The cosine form whose phase phase_oracle reads, by map parameter.  With the
@@ -292,7 +326,7 @@ _PHASE_FORM = {4.0: ClosedForm.R4_COSINE, -2.0: ClosedForm.RM2_DIRECT}
 _PHASE_BITS = DOUBLE.significand_bits + 75  # bits of a phase sample
 _RESEED_STEPS = 64  # a block of this many steps reads the phase digits once
 # Steps from which an iteration-only run takes phase_oracle, which costs less
-# than the tapered reference from about 250 steps on.
+# than the tapered reference from about 500 steps on.
 _PHASE_MIN_STEPS = 2600
 
 
@@ -306,8 +340,8 @@ def phase_oracle(p: MapParams, n: int) -> Trajectory:
     64 steps, all at P + 96 bits.  The first sample of a block re-seeds the
     orbit: a shift and a mask give the top P + 64 bits of t = frac(2^k *
     phi), rounded, and one cosine gives x_k = (1 - cos(2*pi*t)) / 2 at r = 4,
-    1/2 + cos(2*pi*t) at r = -2.  Every other sample is one ``_step`` from
-    the sample before, so a block costs 63 steps and one cosine.
+    1/2 + cos(2*pi*t) at r = -2.  Every other sample is one ``_orbit`` step
+    from the sample before, so a block costs 63 steps and one cosine.
 
     A block may lose 63 bits: each step doubles the angle 2*pi*t, and with
     it the error of the re-seed, which t's rounding puts near 2^-(P + 64).
@@ -336,23 +370,28 @@ def phase_oracle(p: MapParams, n: int) -> Trajectory:
     for r other than 4 or -2 and DomainError for a seed outside [0, 1]
     (r = 4) or [-1/2, 3/2] (r = -2).
     """
+    values = _mpfs(_phase_reference(p, n))
+    return Trajectory(METHOD_ORACLE, range(n + 1), values, budgeted_policy(n))
+
+
+def _phase_reference(p: MapParams, n: int) -> list:
+    """The samples of ``phase_oracle(p, n)`` as (signed significand, exponent)
+    pairs."""
     variant = _PHASE_FORM.get(p.r)
     if variant is None:
         raise ValueError(f"the phase evaluator needs r=4 or r=-2, got r={p.r!r}")
     _check_closed_form(p, n, variant)
-    policy = budgeted_policy(n)
-    bits, wb = policy.significand_bits, DOUBLE.significand_bits
+    bits, wb = budgeted_policy(n).significand_bits, DOUBLE.significand_bits
     rnd = round_nearest
-    make = mp.make_mpf
     r = _raw_mpf(p.r, bits)
     x, y = _raw_mpf(p.x0, bits), _raw_mpf(p.x0, wb)
     near = from_man_exp(1, -32)
-    values = [make(x)]
+    pairs = [_pair(x)]
     k = 0
     while k < n and mpf_lt(mpf_abs(mpf_sub(x, y, 64, rnd)), near):
         k += 1  # x as in oracle(), y as in iterate() at 53 bits
         x, y = _step(r, x, bits), _step(r, y, wb)
-        values.append(make(x))
+        pairs.append(_pair(x))
     if k < n:
         window = _PHASE_BITS + _RESEED_STEPS  # bits a re-seed reads
         wp = window + 32
@@ -364,16 +403,14 @@ def phase_oracle(p: MapParams, n: int) -> Trajectory:
         digits = to_fixed(phi, width)  # floor(phi * 2^width), phi in [0, 1/2]
         mask = (1 << window) - 1
         two_pi = mpf_shift(_pi(wp), 1)
-        start = k + 1
-        for k in range(start, n + 1):
-            if (k - start) % _RESEED_STEPS:
-                x = _step(r, x, wp)
-            else:  # the top window bits of frac(2^k * phi), rounded
-                t = (((digits >> (width - k - window - 1)) + 1) >> 1) & mask
-                c = mpf_cos(mpf_mul(from_man_exp(t, -window), two_pi, wp, rnd), wp, rnd)
-                x = _tail(variant, c, wp)
-            values.append(make(x))
-    return Trajectory(METHOD_ORACLE, range(n + 1), values, policy)
+        for k in range(k + 1, n + 1, _RESEED_STEPS):
+            # the top window bits of frac(2^k * phi), rounded
+            t = (((digits >> (width - k - window - 1)) + 1) >> 1) & mask
+            c = mpf_cos(mpf_mul(from_man_exp(t, -window), two_pi, wp, rnd), wp, rnd)
+            x = _tail(variant, c, wp)
+            pairs.append(_pair(x))
+            pairs += _orbit(r, x, k, repeat(wp, min(_RESEED_STEPS - 1, n - k)))
+    return pairs
 
 
 def _check_closed_form(p: MapParams, n: int, variant: ClosedForm) -> None:
@@ -544,10 +581,11 @@ def divergence_reports(p: MapParams, n_max: int, working_bits: int, threshold: f
     """Plain iteration and each closed form in ``forms``, all evaluated at
     ``working_bits`` (a closed form including all of its angle arithmetic),
     against one reference at ``oracle_policy(n_max, working_bits,
-    oracle_bits)``: ``phase_oracle`` where the module docstring says so,
-    else ``oracle``, tapered to ``working_bits + 128`` unless ``oracle_bits``
-    is given.  Returns ``(label, DivergenceReport)`` pairs: ``"iterated"``
-    first, then each form's value in the order given.
+    oracle_bits)``, the samples of ``phase_oracle`` where the module docstring
+    says so, else of ``oracle``, tapered to ``working_bits + 128`` unless
+    ``oracle_bits`` is given, each report equal to ``compare_trajectories``'.
+    Returns ``(label, DivergenceReport)`` pairs: ``"iterated"`` first, then
+    each form's value in the order given.
 
     Every form's r and seed are checked before anything is evaluated, and
     the iteration runs before the reference, so an orbit that escapes builds
@@ -572,15 +610,15 @@ def divergence_reports(p: MapParams, n_max: int, working_bits: int, threshold: f
     if (not variants and oracle_bits is None and working_bits == DOUBLE.significand_bits
             and n_max >= _PHASE_MIN_STEPS and phase is not None
             and _in_seed_domain(p.x0, phase)):
-        ref = phase_oracle(p, n_max)
+        ref = _phase_reference(p, n_max)
     else:
         taper_to = working_bits + _TAPER_MARGIN if oracle_bits is None else None
-        ref = oracle(p, n_max, ref_policy, taper_to)
-    reports = [(METHOD_ITERATED, compare_trajectories(it, ref, threshold))]
-    for variant in variants:
-        cf = closed_form_trajectory(p, n_max, variant, working)
-        reports.append((variant.value, compare_trajectories(cf, ref, threshold)))
-    return reports
+        ref = _iterated_reference(p, n_max, ref_policy, taper_to)
+    bits = ref_policy.significand_bits + 10  # as compare_trajectories sets it
+    methods = [(METHOD_ITERATED, it)] + [
+        (v.value, closed_form_trajectory(p, n_max, v, working)) for v in variants]
+    return [(label, _compare_pairs(map(_signed, t.values, repeat(bits)), ref, bits, threshold))
+            for label, t in methods]
 
 
 def divergence_analysis(p: MapParams, variant: ClosedForm, n_max: int,

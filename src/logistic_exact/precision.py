@@ -19,18 +19,16 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import islice
+from itertools import islice, repeat
 
 from mpmath import mp, mpf
 from mpmath.libmp import (
     finf,
     fnan,
     fninf,
-    from_float,
     from_man_exp,
     fzero,
     mpf_abs,
-    mpf_ge,
     mpf_mod,
     mpf_pi,
     mpf_pos,
@@ -130,9 +128,12 @@ def _reduce_raw(x: tuple, bits: int) -> tuple:
     else:  # x itself when positive and below 2*pi's ulp, else rounded at wp
         r = mpf_pos(mpf_mod(x, two_pi, wp, rnd), bits, rnd)
     # mpf_mod by a positive modulus is never negative, but rounding can
-    # carry the remainder up to 2*pi, and 2*pi at ``bits`` may be smaller
+    # carry the remainder up to 2*pi, and 2*pi at ``bits`` may be smaller;
+    # a remainder in 2*pi's binade [4, 8) is compared on its significand
     two_pi = mpf_shift(_pi(bits), 1)
-    if mpf_ge(r, two_pi):
+    _, rman, rexp, rbc = r
+    _, tman, texp, tbc = two_pi
+    if rexp + rbc == texp + tbc and rman << tbc >= tman << rbc:
         r = mpf_sub(r, two_pi, bits, rnd)
     return r
 
@@ -243,23 +244,19 @@ class DivergenceReport:
         return max(self.per_step_abs_error, default=0.0)
 
 
-def _exact(value, bits: int) -> tuple:
-    """A sample as a raw libmp value: mpf and float samples exactly (a float
-    has at most 53 bits), any other as ``_raw_mpf(value, bits)``."""
-    if isinstance(value, mpf):
-        return value._mpf_
-    if isinstance(value, float):
-        return from_float(value)
-    return _raw_mpf(value, bits)
+def _pair(x: tuple) -> tuple:
+    """The raw value ``x`` as (signed significand, exponent)."""
+    sign, man, exp, _ = x
+    return (-man if sign else man), exp
 
 
 def _signed(value, bits: int) -> tuple:
-    """A sample, taken as ``_exact`` takes it, as (signed significand, exponent)."""
+    """A sample as (signed significand, exponent): mpf and float samples
+    exactly, any other as ``_raw_mpf(value, bits)``."""
     if isinstance(value, float):
         m, e = math.frexp(value)
         return int(m * 9007199254740992.0), e - 53  # 2^53
-    sign, man, exp, _ = _exact(value, bits)
-    return (-man if sign else man), exp
+    return _pair(value._mpf_ if isinstance(value, mpf) else _raw_mpf(value, bits))
 
 
 def compare_trajectories(a: Trajectory, b: Trajectory,
@@ -288,10 +285,15 @@ def compare_trajectories(a: Trajectory, b: Trajectory,
         ia, ib = next((ia, ib) for ia, ib in zip(a.indices, b.indices) if ia != ib)
         raise ValueError(f"trajectory index sets differ (first mismatch: {ia!r} vs {ib!r})")
     bits = max(a.precision.significand_bits, b.precision.significand_bits) + 10
+    return _compare_pairs(map(_signed, a.values, repeat(bits)),
+                          map(_signed, b.values, repeat(bits)), bits, threshold)
+
+
+def _compare_pairs(a, b, bits: int, threshold: float) -> DivergenceReport:
+    """The report of ``compare_trajectories`` on two columns of samples as
+    (signed significand, exponent) pairs, its differences formed at ``bits``."""
     errors = []
-    for va, vb in zip(a.values, b.values):
-        ma, ea = _signed(va, bits)
-        mb, eb = _signed(vb, bits)
+    for (ma, ea), (mb, eb) in zip(a, b):
         gap = ea - eb
         if ma and mb and -bits <= gap <= bits:
             if gap >= 0:
@@ -308,6 +310,6 @@ def compare_trajectories(a: Trajectory, b: Trajectory,
                 # it need not, so the significand goes through int() first
                 errors.append(math.ldexp(float(int(d)), e))
                 continue
-        errors.append(to_float(mpf_abs(mpf_sub(_exact(va, bits), _exact(vb, bits), bits,
-                                               round_nearest)), rnd=round_nearest))
+        errors.append(to_float(mpf_abs(mpf_sub(from_man_exp(ma, ea), from_man_exp(mb, eb),
+                                               bits, round_nearest)), rnd=round_nearest))
     return DivergenceReport(errors, float(threshold))

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import sys
 
 import pytest
 from hypothesis import example, given, settings
@@ -263,13 +264,13 @@ class TestCompareCommand:
 
     def test_one_oracle_serves_every_report(self, monkeypatch, capsys):
         calls = []
-        real_oracle = map_standard.oracle
+        real_oracle = map_standard._iterated_reference
 
         def counting_oracle(*args, **kwargs):
             calls.append(args)
             return real_oracle(*args, **kwargs)
 
-        monkeypatch.setattr(map_standard, "oracle", counting_oracle)
+        monkeypatch.setattr(map_standard, "_iterated_reference", counting_oracle)
         assert main(["compare", "--r", "-2", "--x0", "0.9",
                      "--form", "table1", "--form", "simple"]) == 0
         assert len(calls) == 1
@@ -373,12 +374,13 @@ class TestSeriesLimits:
 
     def test_largest_oracle_is_admitted(self, monkeypatch, capsys):
         sizes = []
-        monkeypatch.setattr(map_standard, "oracle",
+        monkeypatch.setattr(map_standard, "_iterated_reference",
                             lambda p, n, policy, taper_to:
                             sizes.append((n, policy.significand_bits)))
-        monkeypatch.setattr(map_standard, "iterate", lambda *args: None)
-        monkeypatch.setattr(map_standard, "compare_trajectories",
-                            lambda a, b, threshold: DivergenceReport((), threshold))
+        monkeypatch.setattr(map_standard, "iterate",
+                            lambda p, n, policy: Trajectory("iterated", (0,), (0.0,), policy))
+        monkeypatch.setattr(map_standard, "_compare_pairs",
+                            lambda a, b, bits, threshold: DivergenceReport((), threshold))
         # the widest values, and the most significand bits in all
         steps = cli.MAX_SERIES_BITS // cli.MAX_BITS - 1
         for n in (60, steps):
@@ -578,6 +580,56 @@ class TestOutputsAndErrors:
         text = capsys.readouterr().out
         assert text.startswith("<svg")
         assert text.count("<polyline") == 7  # iterated + particular + 5 gammas
+
+    @pytest.mark.parametrize("argv", [
+        ["map4", "--r", "0.5", "--x0", "1e16", "--steps", "0"],
+        ["map4", "--r", "0.5", "--x0=-3e300", "--steps", "0"],
+        ["map3", "--r", "0.5", "--x0", "0.5", "--steps", "0"],
+        ["map3", "--r", "0.5", "--x0", "0", "--steps", "0"],
+    ])
+    def test_svg_of_a_flat_series(self, argv, capsys):
+        # one sample each: from 2^53 on, ymin + 1.0 == ymin gave a zero y-span
+        assert main(argv + ["--format", "svg"]) == 0
+        text = capsys.readouterr().out
+        points = [p for line in text.splitlines() if "<polyline" in line
+                  for p in line.split('points="')[1].rstrip('"/>').split()]
+        assert points
+        assert all(math.isfinite(float(c)) for p in points for c in p.split(","))
+
+    @pytest.mark.parametrize("out", ["-", "file"])
+    def test_artifact_is_written_in_1_mib_slices(self, out, tmp_path, monkeypatch, capsys):
+        # about 2.7 MB of CSV: two slices of 2^20 characters and the rest
+        argv = ["rng", "--x0", "0.3", "--count", "150000"]
+        expected = cli._render_csv(cli._run_rng(cli.parse_args(argv).parameters))
+        sizes = []
+        real_open = open
+
+        class Recording:
+            def __init__(self, sink):
+                self.sink = sink
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return self.sink.__exit__(*exc)
+
+            def write(self, text):
+                sizes.append(len(text))
+                return self.sink.write(text)
+
+        if out == "-":
+            monkeypatch.setattr(sys, "stdout", Recording(sys.stdout))
+            assert main(argv) == 0
+            assert capsys.readouterr().out == expected
+        else:
+            path = tmp_path / "rng.csv"
+            monkeypatch.setattr("builtins.open", lambda *a, **k: Recording(real_open(*a, **k)))
+            assert main(argv + ["--out", str(path)]) == 0
+            with real_open(path, encoding="ascii", newline="") as fh:
+                assert fh.read() == expected
+        assert len(expected) > 2**21
+        assert sizes == [len(expected[i:i + 2**20]) for i in range(0, len(expected), 2**20)]
 
     def test_out_file(self, tmp_path):
         path = tmp_path / "out.csv"

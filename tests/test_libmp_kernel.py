@@ -8,13 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf, workprec
-from mpmath.libmp import from_man_exp
+from mpmath.libmp import from_float, from_man_exp, mpf_abs, mpf_gt
 
 from logistic_exact.errors import EscapeError
 from logistic_exact.map_standard import (
     ESCAPE_BOUND,
     ClosedForm,
     MapParams,
+    _orbit,
+    _step,
     closed_form,
     closed_form_trajectory,
     iterate,
@@ -23,6 +25,7 @@ from logistic_exact.precision import (
     DOUBLE,
     PrecisionPolicy,
     Trajectory,
+    _raw_mpf,
     budgeted_policy,
     compare_trajectories,
     reduce_mod_2pi,
@@ -143,6 +146,82 @@ class TestIterateKernel:
         with pytest.raises(EscapeError) as got:
             iterate(p, 500, policy)
         assert got.value.index == want.value.index is not None
+
+
+# --------------------------------------------------------- orbit kernel
+
+def step_chain(r, x, widths):
+    """The raw samples after the raw sample x, one ``_step`` per width, or the
+    (index, message) of the EscapeError past 1e100: the loop the integer
+    kernel ``_orbit`` replaced."""
+    samples = []
+    for k, w in enumerate(widths, 1):
+        x = _step(r, x, w)
+        if mpf_gt(mpf_abs(x), from_float(ESCAPE_BOUND)):
+            return k, f"orbit escaped past {ESCAPE_BOUND:g} at step {k}"
+        samples.append(x)
+    return samples
+
+
+def kernel_chain(r, x, widths):
+    """``_orbit``'s samples as normalized raw values, or its EscapeError's
+    (index, message)."""
+    try:
+        return [from_man_exp(m, e) for m, e in _orbit(r, x, 0, widths)]
+    except EscapeError as err:
+        return err.index, str(err)
+
+
+def check_kernel(r, x0, bits, n, taper_to):
+    """The kernel equals the chain of ``_step`` calls at ``bits`` (fixed) or
+    tapered from ``bits`` to ``taper_to``, as the oracle takes them."""
+    if taper_to is None:
+        widths = [bits] * n
+    else:
+        widths = [min(bits, max(bits + 64 - k, taper_to)) for k in range(1, n + 1)]
+    r, x = _raw_mpf(r, bits), _raw_mpf(x0, bits)
+    assert kernel_chain(r, x, widths) == step_chain(r, x, widths)
+
+
+# both signs of r, chaotic, decaying and escaping orbits
+kernel_rates = st.one_of(st.sampled_from([4.0, -2.0, 3.9, 0.5, 1.73, -1.5, -3.0, -7.25]),
+                         st.floats(-8.0, 8.0))
+# 0, subnormals, tiny seeds, the ends of both invariant intervals, seeds of
+# integer exponent (|x| >= 1), and the rest of [-1/2, 3/2]
+kernel_seeds = st.one_of(
+    st.sampled_from([0.0, 5e-324, 2.0**-1060, 1e-300, -1e-300, 1.0, -0.5, 1.5, 0.5, 2.0, -1.0]),
+    st.floats(-1e-290, 1e-290), st.floats(-0.5, 1.5))
+
+
+class TestOrbitKernel:
+    @settings(max_examples=300, deadline=None)
+    @given(kernel_rates, kernel_seeds, st.integers(53, 400), st.integers(0, 150),
+           st.one_of(st.none(), st.integers(2, 200)))
+    def test_equals_step_chain(self, r, x0, bits, n, taper_to):
+        check_kernel(r, x0, bits, n, taper_to)
+
+    @pytest.mark.parametrize("r,x0,bits,n,taper_to", [
+        (4.0, 0.3, 224, 63, None),  # a block of the phase reference
+        (3.9, 0.3, 1564, 1500, 181),  # a tapered reference
+        (-2.0, 0.9, 124, 60, None),  # figure 2's oracle
+        (0.5, 1e-300, 120, 200, None),  # 1 - x rounds to 1 from the first step
+        (0.5, 0.3, 1164, 1100, 181),  # down to 2^-1100, below the doubles
+        (4.0, 1.0, 120, 10, None),  # x1 = 0: zeros from there on
+        (-2.0, 1.5, 120, 10, None),  # the fixed point 3/2
+        (1.73, 2.0, 120, 20, None),  # an integer seed, then below -1
+        (-7.25, 0.9, 200, 50, None),  # escapes past 1e100
+        (5.0, 5.0, 53, 50, None),
+        (1.0, -1.2e50, 120, 5, None),  # x1 = -1.44e100, below 2^333
+        (1.0, -0.9e50, 120, 5, None),  # x1 = -8.1e99 stays, x2 escapes
+    ])
+    def test_fixed_cases(self, r, x0, bits, n, taper_to):
+        check_kernel(r, x0, bits, n, taper_to)
+
+    def test_escape_index_and_message(self):
+        r, x = _raw_mpf(-7.25, 200), _raw_mpf(0.9, 200)
+        got = kernel_chain(r, x, [200] * 50)
+        assert got == step_chain(r, x, [200] * 50)
+        assert got == (8, "orbit escaped past 1e+100 at step 8")
 
 
 def double_recurrence(r, x0, n):

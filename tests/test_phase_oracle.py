@@ -15,7 +15,9 @@ from logistic_exact import map_standard
 from logistic_exact.cli import main
 from logistic_exact.errors import DomainError, EscapeError
 from logistic_exact.map_standard import (
+    ClosedForm,
     MapParams,
+    closed_form_trajectory,
     divergence_reports,
     iterate,
     iteration_divergence,
@@ -216,14 +218,13 @@ class TestTaperedReference:
 
     def test_explicit_oracle_bits_and_figure_2_keep_a_fixed_width(self, monkeypatch, capsys):
         seen = []
-        real = map_standard.oracle
+        real = map_standard._iterated_reference
 
-        def recording(p, n, policy=None, taper_to=None):
-            ref = real(p, n, policy, taper_to)
-            seen.append((ref.precision.significand_bits, taper_to))
-            return ref
+        def recording(p, n, policy, taper_to):
+            seen.append((policy.significand_bits, taper_to))
+            return real(p, n, policy, taper_to)
 
-        monkeypatch.setattr(map_standard, "oracle", recording)
+        monkeypatch.setattr(map_standard, "_iterated_reference", recording)
         p = MapParams(3.9, 0.3)
         tapered = divergence_reports(p, 300, 53, 0.01)
         fixed = divergence_reports(p, 300, 53, 0.01, oracle_bits=364)
@@ -236,16 +237,18 @@ class TestTaperedReference:
 
 @pytest.fixture
 def calls(monkeypatch):
-    """Names of the references each run computes, in order."""
+    """Names of the references each run computes, in order: "oracle" for the
+    iterated reference, "phase_oracle" for the phase reference."""
     seen = []
-    for name in ("oracle", "phase_oracle"):
-        real = getattr(map_standard, name)
+    for name, builder in (("oracle", "_iterated_reference"),
+                          ("phase_oracle", "_phase_reference")):
+        real = getattr(map_standard, builder)
 
         def recording(*args, _real=real, _name=name, **kwargs):
             seen.append(_name)
             return _real(*args, **kwargs)
 
-        monkeypatch.setattr(map_standard, name, recording)
+        monkeypatch.setattr(map_standard, builder, recording)
     return seen
 
 
@@ -304,3 +307,52 @@ class TestRouting:
         assert iteration_divergence(MapParams(3.9, 0.3), N, 53, 0.01) is not None
         assert iteration_divergence(p, N - 1, 53, 0.01) is not None
         assert calls == ["phase_oracle", "oracle", "oracle", "oracle"]
+
+
+def public_reports(p, n, working_bits, forms=(), oracle_bits=None, phase=False):
+    """The reports of ``divergence_reports`` formed from the public functions:
+    ``compare_trajectories`` of each method against ``phase_oracle`` or
+    ``oracle``, tapered to working_bits + 128 unless ``oracle_bits`` is given."""
+    if phase:
+        ref = phase_oracle(p, n)
+    else:
+        taper_to = working_bits + 128 if oracle_bits is None else None
+        ref = oracle(p, n, oracle_policy(n, working_bits, oracle_bits), taper_to)
+    working = PrecisionPolicy(working_bits)
+    methods = [("iterated", iterate(p, n, working))] + [
+        (form, closed_form_trajectory(p, n, ClosedForm(form), working)) for form in forms]
+    return [(label, compare_trajectories(t, ref, 0.01)) for label, t in methods]
+
+
+class TestReportsReadTheReferencePairs:
+    """``divergence_reports`` compares against the reference's (significand,
+    exponent) pairs without forming an mpf; its reports are those of
+    ``compare_trajectories`` against the public reference of the same route."""
+
+    @pytest.mark.parametrize("r,x0,n,working_bits,forms,oracle_bits,route", [
+        (3.9, 0.3, 1500, 53, (), None, "oracle"),
+        (-2.0, 0.9, 300, 53, ("table1", "simple"), None, "oracle"),
+        (4.0, 0.3, 250, 53, ("r4",), None, "oracle"),
+        (3.83, 0.3, 400, 200, (), None, "oracle"),
+        (0.5, 0.3, 1100, 53, (), None, "oracle"),  # errors down to subnormals
+        (3.9, 0.3, 300, 53, (), 500, "oracle"),
+        (-2.0, 0.9, 60, 53, ("table1", "simple"), 124, "oracle"),
+        (2.0, 0.3, 100, 100, ("r2",), 400, "oracle"),
+        (4.0, 0.3, N, 53, (), None, "phase_oracle"),
+        (-2.0, 0.411148, N, 53, (), None, "phase_oracle"),
+    ], ids=["tapered", "tapered-forms", "tapered-r4", "tapered-200-bits", "tapered-decay",
+            "fixed", "fixed-forms", "fixed-r2", "phase-r4", "phase-rm2"])
+    def test_equal_compare_trajectories(self, r, x0, n, working_bits, forms, oracle_bits,
+                                        route, calls):
+        p = MapParams(r, x0)
+        reports = divergence_reports(p, n, working_bits, 0.01, forms, oracle_bits)
+        assert calls == [route]
+        assert reports == public_reports(p, n, working_bits, forms, oracle_bits,
+                                         route == "phase_oracle")
+
+    @settings(max_examples=30, deadline=None)
+    @given(taper_cases(), st.integers(0, 400), st.sampled_from([53, 120]),
+           st.sampled_from([None, 600]))
+    def test_iterated_routes(self, p, n, working_bits, oracle_bits):
+        reports = divergence_reports(p, n, working_bits, 0.01, (), oracle_bits)
+        assert reports == public_reports(p, n, working_bits, (), oracle_bits)
