@@ -16,7 +16,7 @@ The submodules mirror that split:
 """
 
 from . import cli, continuous, map_riccati, map_standard, precision
-from .continuous import ContinuousParams, GammaRangeWarning, RiccatiShift
+from .continuous import ContinuousParams, RiccatiShift
 from .errors import DegeneracyError, DomainError, EscapeError, PoleError
 from .map_riccati import RiccatiCoefficients, RiccatiMapParams
 from .map_standard import ClosedForm, MapParams
@@ -41,7 +41,6 @@ __all__ = [
     "DomainError",
     "DOUBLE",
     "EscapeError",
-    "GammaRangeWarning",
     "MapParams",
     "PoleError",
     "PrecisionPolicy",

@@ -298,19 +298,23 @@ def _render_svg(doc):
     xs = [x for _, pts in named for x, _ in pts]
     ys = [y for _, pts in named for _, y in pts]
     xmin, xmax = min(xs), max(xs)
-    ymin, ymax = min(ys), max(ys)
     if xmax == xmin:
         xmax = xmin + 1.0
-    if ymax == ymin:  # from 2^53 on, ymin + 1.0 is ymin
-        ymax = ymin + max(1.0, abs(ymin))
-    pad = 0.05 * (ymax - ymin)
-    ymin, ymax = ymin - pad, ymax + pad
+    # from 8e307 on, a flat series' widening, the 5% pad or the span can overflow:
+    # the y range is worked in quarters there, and its pad stops at the largest double
+    scale = 1.0 if max(map(abs, ys)) < 8e307 else 0.25
+    lo, hi = min(ys) * scale, max(ys) * scale
+    if hi == lo:  # from 2^53 on, lo + 1.0 is lo
+        hi = lo + max(scale, abs(lo))
+    pad, edge = 0.05 * (hi - lo), sys.float_info.max * scale
+    lo, hi = max(lo - pad, -edge), min(hi + pad, edge)
+    ymin, ymax = lo / scale, hi / scale
 
     def sx(x):
         return ml + (x - xmin) / (xmax - xmin) * (width - ml - mr)
 
     def sy(y):
-        return height - mb - (y - ymin) / (ymax - ymin) * (height - mt - mb)
+        return height - mb - (y * scale - lo) / (hi - lo) * (height - mt - mb)
 
     title = doc["config"].get("subcommand", "")
     parts = [
@@ -447,6 +451,7 @@ def main(argv=None) -> int:
     config = parse_args(argv)
     error = None
     with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")  # whatever filters the interpreter has
         try:
             code = run(config)
         except (PoleError, DomainError, EscapeError, DegeneracyError) as exc:

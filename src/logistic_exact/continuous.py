@@ -13,7 +13,6 @@ integrator provides the independent cross-check, on the grid of ``grid_trajector
 import math
 import operator
 import sys
-import warnings
 from dataclasses import dataclass
 from itertools import chain, islice, repeat
 
@@ -48,9 +47,9 @@ class RiccatiShift:
 
     It selects one member of the general solution family.  For seeds in
     (0, 1) the member is bounded for all t >= 0 when gamma < 0 or gamma >=
-    ``gamma_lower_bound(x0)``; between 0 and that bound (gamma = x0 is
-    refused) it starts outside [0, 1] and has one pole, at a t > 0 for
-    0 < gamma < x0 if r > 0 and for x0 < gamma < x0/(1 - x0) if r < 0.
+    x0/(1 - x0); between 0 and that bound (gamma = x0 is refused) it starts
+    outside [0, 1] and has one pole, at a t > 0 for 0 < gamma < x0 if r > 0
+    and for x0 < gamma < x0/(1 - x0) if r < 0.
     """
 
     gamma: float
@@ -58,18 +57,6 @@ class RiccatiShift:
     def __post_init__(self):
         if not math.isfinite(self.gamma) or self.gamma == 0:
             raise DomainError("gamma must be finite and nonzero")
-
-
-class GammaRangeWarning(UserWarning):
-    """gamma is below the admissible lower bound, and the selected member has
-    a pole at some t > 0."""
-
-
-def gamma_lower_bound(x0: float) -> float:
-    """Smallest admissible gamma, x0/(1-x0), for seeds strictly inside (0, 1)."""
-    if not 0.0 < x0 < 1.0:
-        raise DomainError("the admissible-range rule applies only to x0 in (0, 1)")
-    return x0 / (1.0 - x0)
 
 
 def _reciprocal_start(x0: float, shift: RiccatiShift | None = None) -> float:
@@ -113,18 +100,6 @@ def _pole_time(r: float, q: float) -> float | None:
     return None
 
 
-def _member_start(p: ContinuousParams, shift: RiccatiShift | None) -> float:
-    """1/x_s of the particular solution or of the member selected by ``shift``,
-    flagging with GammaRangeWarning a gamma whose member, from a seed in
-    (0, 1), has a pole at some t > 0."""
-    q = _reciprocal_start(p.x0, shift)
-    if shift is not None and 0.0 < p.x0 < 1.0 and _pole_time(p.r, q) is not None:
-        warnings.warn(f"gamma={shift.gamma!r} is below the admissible lower bound "
-                      f"{gamma_lower_bound(p.x0)!r}; the selected trajectory has a pole",
-                      GammaRangeWarning, stacklevel=3)  # the caller of a public form
-    return q
-
-
 def effective_initial_condition(p: ContinuousParams, shift: RiccatiShift) -> float:
     """Initial value gamma*x0/(gamma - x0) of the member picked by gamma, rounded
     once: its sample at t = 0, where a start beyond the doubles is a pole."""
@@ -161,7 +136,7 @@ def particular_solution(t: float, p: ContinuousParams) -> float:
     ``grid_trajectory`` refuses a grid that reaches it.  Raises DomainError
     for x0 = 0 and for an x0 whose reciprocal overflows a double.
     """
-    q = _member_start(p, None)
+    q = _reciprocal_start(p.x0)
     return float(p.x0) if t == 0 else _sigmoid(q - 1.0, math.exp, -p.r * t, t)
 
 
@@ -170,18 +145,16 @@ def general_solution(t: float, p: ContinuousParams, shift: RiccatiShift) -> floa
 
     Algebraically this is just the particular solution restarted from
     gamma*x0/(gamma - x0): the free constant only changes the initial
-    condition.  At the admissible lower bound gamma = x0/(1 - x0) that value
-    is 1, so the member is the fixed point x = 1, up to rounding.  A gamma
-    whose member has a pole at some t > 0 (see ``RiccatiShift``) is still
-    evaluated (the formula is defined) but flagged with GammaRangeWarning;
-    a gamma below the bound whose member is bounded for t >= 0 is not.  Raises
-    DomainError, as ``particular_solution`` does, when the reciprocal of the
-    start x_s = gamma*x0/(gamma - x0) overflows a double.
+    condition.  For a seed in (0, 1) and gamma = x0/(1 - x0) that value is 1,
+    so the member is the fixed point x = 1, up to rounding.  A member with a
+    pole at some t > 0 (see ``RiccatiShift``) is evaluated wherever its
+    formula is defined, and ``grid_trajectory`` refuses a grid that reaches
+    the pole.  Raises DomainError, as ``particular_solution`` does, when the
+    reciprocal of the start x_s = gamma*x0/(gamma - x0) overflows a double.
     """
-    q = _member_start(p, shift)
     if t == 0:
         return effective_initial_condition(p, shift)
-    return _sigmoid(q - 1.0, math.exp, -p.r * t, t)
+    return _sigmoid(_reciprocal_start(p.x0, shift) - 1.0, math.exp, -p.r * t, t)
 
 
 def general_solution_correction_form(t: float, p: ContinuousParams,
@@ -233,7 +206,7 @@ def grid_trajectory(p: ContinuousParams, t_end: float, dt: float,
     raises PoleError before any sample.
     """
     n = _grid_steps(t_end, dt)
-    q = _member_start(p, shift)
+    q = _reciprocal_start(p.x0, shift)
     t = _pole_time(p.r, q)
     if t is not None and t <= n * dt:
         raise PoleError(f"solution has a pole at t={t!r}, inside the grid", where=t)

@@ -41,8 +41,6 @@ class RiccatiCoefficients:
     h: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "g", tuple(float(v) for v in self.g))
-        object.__setattr__(self, "h", tuple(float(v) for v in self.h))
         if len(self.g) != len(self.h):
             raise ValueError("g and h must have equal length")
 

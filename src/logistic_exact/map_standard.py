@@ -179,10 +179,10 @@ def _argument(x0: tuple, variant: ClosedForm, bits: int) -> tuple:
     return mpf_add(c0, mpf_mul(x0, k, 0), bits, round_nearest)
 
 
-def _tail(variant: ClosedForm, c: tuple, bits: int) -> tuple:
-    """The sample 1/2 + s*c from the raw c_n, rounded once at ``bits``: the
-    product with s is exact."""
-    return mpf_add(fhalf, mpf_mul(_FORMS[variant][3], c, 0), bits, round_nearest)
+def _tail(s: tuple, c: tuple, bits: int) -> tuple:
+    """The sample 1/2 + s*c from a form's raw factor s and the raw c_n, rounded
+    once at ``bits``: the product with s is exact."""
+    return mpf_add(fhalf, mpf_mul(s, c, 0), bits, round_nearest)
 
 
 def _step(r: tuple, x: tuple, bits: int) -> tuple:
@@ -407,7 +407,7 @@ def _phase_reference(p: MapParams, n: int) -> list:
             # the top window bits of frac(2^k * phi), rounded
             t = (((digits >> (width - k - window - 1)) + 1) >> 1) & mask
             c = mpf_cos(mpf_mul(from_man_exp(t, -window), two_pi, wp, rnd), wp, rnd)
-            x = _tail(variant, c, wp)
+            x = _tail(_FORMS[variant][3], c, wp)
             pairs.append(_pair(x))
             pairs += _orbit(r, x, k, repeat(wp, min(_RESEED_STEPS - 1, n - k)))
     return pairs
@@ -483,7 +483,7 @@ def closed_form(p: MapParams, n: int, variant: ClosedForm,
             c = mpf_mul(c, c, bits, round_nearest)
     else:
         c = _cosine(variant, c, n, bits)
-    return mp.make_mpf(_tail(variant, c, bits))
+    return mp.make_mpf(_tail(_FORMS[variant][3], c, bits))
 
 
 def closed_form_trajectory(p: MapParams, n: int, variant: ClosedForm,
@@ -500,18 +500,18 @@ def closed_form_trajectory(p: MapParams, n: int, variant: ClosedForm,
     bits = policy.significand_bits
     make = mp.make_mpf
     phase = _phase(p, variant, bits)
+    s = _FORMS[variant][3]
     steps = range(n + 1)
     if variant is ClosedForm.R2_POWER:
         values = []
         for k in steps:
-            values.append(make(_tail(variant, phase, bits)))
+            values.append(make(_tail(s, phase, bits)))
             phase = mpf_mul(phase, phase, bits, round_nearest)
     elif bits == DOUBLE.significand_bits:  # s*c is exact, so 0.5 + s*c rounds once
-        s = to_float(_FORMS[variant][3])
+        s = to_float(s)
         values = [0.5 + s * to_float(_cosine(variant, phase, k, bits)) for k in steps]
     else:
-        values = [make(_tail(variant, _cosine(variant, phase, k, bits), bits))
-                  for k in steps]
+        values = [make(_tail(s, _cosine(variant, phase, k, bits), bits)) for k in steps]
     return Trajectory(f"{METHOD_CLOSED_FORM}:{variant.value}", steps, values, policy)
 
 

@@ -197,11 +197,6 @@ class Trajectory:
     def __len__(self):
         return len(self.indices)
 
-    @property
-    def samples(self) -> tuple:
-        """The (index, value) pairs, built on each access."""
-        return tuple(zip(self.indices, self.values))
-
 
 def _is_finite(v) -> bool:
     """Whether a sample value is finite: floats by ``math.isfinite``, ints

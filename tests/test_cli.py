@@ -1,7 +1,11 @@
+import contextlib
 import hashlib
+import io
 import json
 import math
 import sys
+import warnings
+from xml.etree import ElementTree
 
 import pytest
 from hypothesis import example, given, settings
@@ -22,6 +26,21 @@ def rows_of(csv_text):
 def run_csv(args, capsys):
     assert main(args) == 0
     return rows_of(capsys.readouterr().out)
+
+
+SVG = "{http://www.w3.org/2000/svg}"
+
+
+def svg_polylines(text):
+    """The points of each polyline of an SVG artifact, as (x, y) pairs."""
+    return [[tuple(map(float, xy.split(","))) for xy in line.get("points").split()]
+            for line in ElementTree.fromstring(text).iter(SVG + "polyline")]
+
+
+def svg_y_labels(text):
+    """The y axis's end labels of an SVG artifact, bottom then top."""
+    return tuple(t.text for t in ElementTree.fromstring(text).iter(SVG + "text")
+                 if t.get("text-anchor") == "end")
 
 
 class TestMap3Command:
@@ -133,19 +152,17 @@ class TestOdeCommand:
         assert captured.out == ""
         assert captured.err.startswith("error: 1/x_s overflows a double")
 
-    def test_low_gamma_warnings_are_diagnostic_lines(self, capsys):
-        # the gamma = 0.08 member blows up at t = 0.873, inside the grid
+    def test_low_gamma_pole_is_one_error_line(self, capsys):
+        # the gamma = 0.08 member blows up at t = 0.873, inside the grid; the
+        # gamma = 0.05 member's pole, at t = 1.457, lies after it
         argv = ["ode", "--r", "1.7", "--x0", "0.11", "--gamma", "0.08",
                 "--gamma", "0.05", "--t-end", "1", "--dt", "0.25"]
-        for _ in range(2):  # every run reports its warnings, not only the first
-            assert main(argv) == 3
-            captured = capsys.readouterr()
-            assert captured.out == ""
-            lines = captured.err.splitlines()
-            assert len(lines) == 3
-            assert all(line.startswith("warning: gamma=0.0") for line in lines[:2])
-            assert "0.05" in lines[0] and "0.08" in lines[1]
-            assert lines[2].startswith("error: solution has a pole at t=0.872")
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: solution has a pole at t=0.872")
 
     @pytest.mark.parametrize("gamma,first,last", [
         ("-1", "0.0990990990", "0.9474856380"), ("0.12", "1.3200000000", "1.0014801868")])
@@ -261,6 +278,18 @@ class TestCompareCommand:
                 "before the last step"]
         assert main(argv[:-1] + ["124"]) == 0
         assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("action", ["error", "ignore"])
+    def test_warning_prints_under_any_interpreter_filter(self, action, capsys):
+        # PYTHONWARNINGS=error made the warning a traceback and exit 1, and
+        # PYTHONWARNINGS=ignore dropped its line
+        argv = ["compare", "--r", "-2", "--x0", "0.9", "--steps", "60",
+                "--oracle-bits", "60"]
+        with warnings.catch_warnings():
+            warnings.simplefilter(action)
+            assert main(argv) == 0
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("warning: oracle bits (60)")
 
     def test_one_oracle_serves_every_report(self, monkeypatch, capsys):
         calls = []
@@ -590,11 +619,29 @@ class TestOutputsAndErrors:
     def test_svg_of_a_flat_series(self, argv, capsys):
         # one sample each: from 2^53 on, ymin + 1.0 == ymin gave a zero y-span
         assert main(argv + ["--format", "svg"]) == 0
-        text = capsys.readouterr().out
-        points = [p for line in text.splitlines() if "<polyline" in line
-                  for p in line.split('points="')[1].rstrip('"/>').split()]
+        points = [xy for line in svg_polylines(capsys.readouterr().out) for xy in line]
         assert points
-        assert all(math.isfinite(float(c)) for p in points for c in p.split(","))
+        assert all(math.isfinite(c) for xy in points for c in xy)
+
+    @pytest.mark.parametrize("argv,ylabels", [
+        (["map3", "--r", "0.5", "--x0", "1.7e308", "--steps", "0"],
+         ("1.615e+308", "1.79769e+308")),
+        (["map4", "--r", "0.5", "--x0=-1.79e308", "--steps", "0"],
+         ("-1.79769e+308", "8.95e+306")),
+        (["ode", "--r", "1", "--x0", "1.75e308", "--t-end", "1", "--dt", "0.5"],
+         ("-8.75e+306", "1.79769e+308")),
+        (["ode", "--r", "-1", "--x0=-1.75e308", "--t-end", "1", "--dt", "0.5"],
+         ("-1.79769e+308", "8.75e+306")),
+    ], ids=["map3-flat", "map4-flat", "ode-decay", "ode-rise"])
+    def test_svg_of_values_near_the_largest_double(self, argv, ylabels, capsys):
+        # ymin + |ymin| or the 5% pad overflowed: the labels read inf and the
+        # points nan; the y axis now ends at the largest double
+        assert main(argv + ["--format", "svg"]) == 0
+        text = capsys.readouterr().out
+        assert "inf" not in text and "nan" not in text
+        assert svg_y_labels(text) == ylabels
+        for line in svg_polylines(text):
+            assert all(60 <= x <= 560 and 36 <= y <= 434 for x, y in line)
 
     @pytest.mark.parametrize("out", ["-", "file"])
     def test_artifact_is_written_in_1_mib_slices(self, out, tmp_path, monkeypatch, capsys):
@@ -803,3 +850,78 @@ def csv_reference(doc):
 @settings(max_examples=300, deadline=None)
 def test_csv_is_what_the_row_writer_writes(doc):
     assert cli._render_csv(doc) == csv_reference(doc)
+
+
+# Edge values of the fuzz below: signed zeros, subnormals, the largest double,
+# 1e16 (beyond 2^53), r = -1, the seed intervals' ends and a few rates of the forms
+MAX = sys.float_info.max
+EDGES = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, MAX, -MAX, 1e16, -1e16,
+         -1.0, 1.0, 0.5, -0.5, 1.5, 0.3, 2.0, 4.0, -2.0, 3.9)
+edges = st.sampled_from(EDGES)
+FIGURE_SIZES = {"1": (5, 501), "2": (4, 61), "3": (7, 51)}  # (series, samples)
+
+
+@st.composite
+def argvs(draw):
+    """An argv of one subcommand drawn from edge values, with the series count
+    and the samples per series of its artifact (None for a grid too large to
+    sample)."""
+    sub = draw(st.sampled_from(sorted(cli._RUNNERS)))
+    if sub == "figure":
+        which = draw(st.sampled_from(sorted(FIGURE_SIZES)))
+        return ["figure", which], *FIGURE_SIZES[which]
+    steps = draw(st.integers(0, 3000))
+    if sub == "rng":
+        argv = ["rng", f"--x0={draw(edges)!r}", "--count", str(steps)]
+        return argv + ["--burn-in", str(draw(st.integers(0, 3)))], 1, steps
+    argv = [sub, f"--r={draw(edges)!r}", f"--x0={draw(edges)!r}"]
+    if sub in ("ode", "map4"):
+        gammas = draw(st.lists(edges, max_size=2))
+        argv += [f"--gamma={g!r}" for g in gammas]
+        if sub == "map4":
+            return argv + ["--steps", str(steps)], 2 + len(set(gammas)), steps + 1
+        t_end = draw(st.sampled_from((0.5, 1.0, 10.0, 5e-324, MAX)))
+        dt = draw(st.sampled_from((0.5, 0.01, 5e-324, MAX)))
+        n = t_end / dt
+        points = round(n) + 1 if n < continuous.MAX_GRID_POINTS else None
+        return argv + [f"--t-end={t_end!r}", f"--dt={dt!r}"], 1 + len(set(gammas)), points
+    forms = draw(st.lists(st.sampled_from(cli._FORM_CHOICES), unique=True, max_size=2))
+    argv += ["--steps", str(steps)] + [a for f in forms for a in ("--form", f)]
+    return argv, 1 + len(forms), steps + 1
+
+
+def artifact_sizes(fmt, text):
+    """The sample count of each series or report of an artifact, in order."""
+    if fmt == "csv":
+        labels = [row[1] for row in rows_of(text)]
+        return [labels.count(label) for label in dict.fromkeys(labels)]
+    if fmt == "json":
+        def finite_only(constant):
+            raise AssertionError(f"the JSON artifact holds {constant}")
+
+        doc = json.loads(text, parse_constant=finite_only)
+        return ([len(s["samples"]) for s in doc["series"]] if "series" in doc else
+                [len(rep["per_step_abs_error"]) for rep in doc["reports"]])
+    assert "inf" not in text and "nan" not in text
+    lines = svg_polylines(text)
+    assert all(math.isfinite(c) for line in lines for xy in line for c in xy)
+    return list(map(len, lines))
+
+
+@settings(max_examples=200, deadline=None)
+@given(argvs(), st.sampled_from(("csv", "json", "svg")))
+@example((["map3", "--r=0.5", "--x0=1.7e308", "--steps", "0"], 1, 1), "svg")
+@example((["map4", "--r=0.5", f"--x0={MAX!r}", "--steps", "0"], 2, 1), "svg")
+def test_every_argv_exits_0_2_or_3_with_a_whole_artifact(case, fmt):
+    argv, series, samples = case
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv + ["--format", fmt])
+    errors = [line for line in err.getvalue().splitlines() if line.startswith("error:")]
+    assert code in (0, 2, 3)
+    assert len(errors) == (code != 0), err.getvalue()
+    if code:
+        assert out.getvalue() == ""
+        return
+    assert samples is not None  # a grid beyond the limit is refused with exit 2
+    assert artifact_sizes(fmt, out.getvalue()) == [samples] * series

@@ -11,10 +11,8 @@ from logistic_exact import continuous, map_riccati
 from logistic_exact.continuous import (
     MAX_GRID_POINTS,
     ContinuousParams,
-    GammaRangeWarning,
     RiccatiShift,
     effective_initial_condition,
-    gamma_lower_bound,
     general_solution,
     general_solution_correction_form,
     grid_trajectory,
@@ -29,12 +27,19 @@ FIG1_GAMMAS = (0.14, 0.15, 0.17, 0.25)
 
 
 # strategies for admissible random parameters: r in [-3,3]\{0}, x0 inside (0,1),
-# gamma strictly above the lower bound
+# gamma strictly above the lower bound x0/(1 - x0)
 admissible = st.tuples(
     st.floats(-3.0, 3.0).filter(lambda r: abs(r) > 0.05),
     st.floats(0.02, 0.98),
     st.floats(-2.0, 3.0),  # log10 of the multiplier placing gamma above the bound
 )
+
+
+def gamma_lower_bound(x0):
+    """x0/(1 - x0): for a seed in (0, 1), the smallest gamma >= 0 whose member
+    starts inside [0, 1] and so is bounded for all t >= 0."""
+    assert 0.0 < x0 < 1.0
+    return x0 / (1.0 - x0)
 
 
 def _shift_above_bound(x0, exponent):
@@ -55,7 +60,7 @@ class TestParticularSolution:
     def test_agrees_with_rk4_at_t1(self):
         p = ContinuousParams(1.7, 0.11)
         traj = rk4_oracle(p, 1.0, 1e-4)
-        t, x = traj.samples[-1]
+        t, x = traj.indices[-1], traj.values[-1]
         assert t == pytest.approx(1.0)
         assert abs(particular_solution(1.0, p) - x) < 1e-8
 
@@ -162,30 +167,25 @@ class TestGeneralSolution:
             with pytest.raises(PoleError):
                 grid_trajectory(p, 1.0, 0.5, RiccatiShift(0.11))
 
-    def test_warns_below_admissible_range(self):
-        # the gamma = 0.08 member starts at -0.293 and blows up at t = 0.873
-        p = ContinuousParams(1.7, 0.11)
-        with pytest.warns(GammaRangeWarning):
-            value = general_solution(0.5, p, RiccatiShift(0.08))
-        assert math.isfinite(value)
-
-    @pytest.mark.parametrize("r,gamma,warns", [
-        (1.7, -1.0, False),  # starts at 0.099 and rises to 1
-        (1.7, 0.119, False),  # starts at 1.454 and decays to 1: its pole is at t < 0
-        (1.7, 0.05, True),  # starts at -0.092: a pole at t = 1.457
-        (-1.7, 0.05, False),  # starts at -0.092 and decays to 0
-        (-1.7, 0.119, True),  # starts at 1.454: a pole at t = 0.431
-        (-1.7, -1.0, False)])
-    def test_warns_only_for_a_pole_after_0(self, r, gamma, warns):
-        # every gamma here is below the bound 0.1236; only a member that blows
-        # up at some t > 0 is flagged, by the pole rule grid_trajectory refuses by
+    @pytest.mark.parametrize("r,gamma,t,has_pole", [
+        (1.7, 0.08, 0.5, True),  # starts at -0.293: a pole at t = 0.873
+        (1.7, -1.0, 0.1, False),  # starts at 0.099 and rises to 1
+        (1.7, 0.119, 0.1, False),  # starts at 1.454 and decays to 1: its pole is at t < 0
+        (1.7, 0.05, 0.1, True),  # starts at -0.092: a pole at t = 1.457
+        (-1.7, 0.05, 0.1, False),  # starts at -0.092 and decays to 0
+        (-1.7, 0.119, 0.1, True),  # starts at 1.454: a pole at t = 0.431
+        (-1.7, -1.0, 0.1, False)])
+    def test_pole_rule_refuses_only_a_pole_after_0(self, r, gamma, t, has_pole):
+        # every gamma here is below the bound 0.1236; the member is finite before
+        # its pole, and only a member that blows up at some t > 0 has a long grid
+        # refused
         p, shift = ContinuousParams(r, 0.11), RiccatiShift(gamma)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            value = general_solution(0.1, p, shift)
-        assert math.isfinite(value)
-        assert [w.category for w in caught] == ([GammaRangeWarning] if warns else [])
-        if not warns:  # bounded for all t >= 0: a long grid is sampled, not refused
+        assert math.isfinite(general_solution(t, p, shift))
+        if has_pole:
+            with pytest.raises(PoleError) as err:
+                grid_trajectory(p, 50.0, 0.5, shift)
+            assert 0 < err.value.where <= 50.0
+        else:  # bounded for all t >= 0: a long grid is sampled, not refused
             assert all(map(math.isfinite, grid_trajectory(p, 50.0, 0.5, shift).values))
 
     @pytest.mark.parametrize("x0,gamma", [(1e-320, 0.14), (-1e-320, 0.14), (1e-320, 1e-10),
@@ -261,7 +261,6 @@ class TestGeneralSolution:
                  st.floats(1.0, 1e300, exclude_min=True), st.floats(-1e300, -1e-300)),
        st.one_of(st.floats(1e-3, 1e3), st.floats(-1e3, -1e-3)))
 @example(1.7, 0.11, 0.25)  # figure 1's seed: 1/(1/0.11) is 0.10999999999999999
-@pytest.mark.filterwarnings("ignore::logistic_exact.continuous.GammaRangeWarning")
 def test_every_start_sample_is_the_start_rounded_once(r, x0, gamma):
     # the ODE member starts at gamma*x0/(gamma - x0) rounded once; the coupled
     # map's member is defined by its seed x0 + 1/gamma, a double sum
@@ -304,17 +303,6 @@ class TestEffectiveInitialCondition:
             effective_initial_condition(p, RiccatiShift(0.25))
 
 
-class TestGammaLowerBound:
-    def test_values(self):
-        assert gamma_lower_bound(0.11) == pytest.approx(0.11 / 0.89, abs=1e-16)
-        assert gamma_lower_bound(0.5) == 1.0
-
-    @pytest.mark.parametrize("x0", [0.0, 1.0, -0.2, 1.7])
-    def test_domain(self, x0):
-        with pytest.raises(DomainError):
-            gamma_lower_bound(x0)
-
-
 class TestRk4Oracle:
     def test_fixed_points(self):
         for x0, value in ((0.0, 0.0), (1.0, 1.0)):
@@ -323,7 +311,8 @@ class TestRk4Oracle:
 
     def test_tracks_particular_solution(self):
         traj = rk4_oracle(FIG1, 10.0, 1e-3)
-        worst = max(abs(v - particular_solution(t, FIG1)) for t, v in traj.samples)
+        worst = max(abs(v - particular_solution(t, FIG1))
+                    for t, v in zip(traj.indices, traj.values))
         assert worst < 1e-10
 
     def test_method_tag(self):
@@ -343,11 +332,13 @@ class TestGridTrajectory:
         assert traj.method_tag == "ode-closed-form"
         assert traj.precision.significand_bits == 53
         assert len(traj) == 501
-        assert all(v == particular_solution(t, FIG1) for t, v in traj.samples)
+        assert all(v == particular_solution(t, FIG1)
+                   for t, v in zip(traj.indices, traj.values))
         for g in FIG1_GAMMAS:
             shift = RiccatiShift(g)
             traj = grid_trajectory(FIG1, 10.0, 0.02, shift)
-            assert all(v == general_solution(t, FIG1, shift) for t, v in traj.samples)
+            assert all(v == general_solution(t, FIG1, shift)
+                       for t, v in zip(traj.indices, traj.values))
 
     @pytest.mark.parametrize("t_end,dt", [(10.0, 0.02), (1.0, 0.3), (0.25, 0.25), (7.0, 0.07)])
     def test_same_grid_as_rk4(self, t_end, dt):
@@ -370,7 +361,6 @@ class TestGridTrajectory:
     @pytest.mark.parametrize("r,x0,gamma,x_start", [
         (1.7, -0.5, None, -0.5), (-1.7, 2.0, None, 2.0), (1.7, 2.0, 1.0, -2.0),
         (1.7, 0.11, 0.08, -0.29333333333333333), (-1.7, 0.9, 2.0, 1.6363636363636362)])
-    @pytest.mark.filterwarnings("ignore::logistic_exact.continuous.GammaRangeWarning")
     def test_pole_inside_the_grid_is_refused(self, r, x0, gamma, x_start, monkeypatch):
         p = ContinuousParams(r, x0)
         shift = None if gamma is None else RiccatiShift(gamma)

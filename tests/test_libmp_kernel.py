@@ -101,7 +101,7 @@ def reference_errors(a, b):
     bits = max(a.precision.significand_bits, b.precision.significand_bits) + 10
     errors = []
     with workprec(bits):
-        for (_, va), (_, vb) in zip(a.samples, b.samples):
+        for va, vb in zip(a.values, b.values):
             xa = va if isinstance(va, mpf) else mpf(va)
             xb = vb if isinstance(vb, mpf) else mpf(vb)
             errors.append(float(abs(xa - xb)))
@@ -135,7 +135,8 @@ class TestIterateKernel:
             assert got.value.index == err.index
             assert str(got.value) == str(err)
             return
-        assert raw(iterate(p, n, policy).samples) == raw(want)
+        got = iterate(p, n, policy)
+        assert raw(zip(got.indices, got.values)) == raw(want)
 
     @pytest.mark.parametrize("policy", POLICIES)
     @pytest.mark.parametrize("r,x0", [(5.0, 5.0), (4.5, 0.5), (-3.0, -0.2)])
@@ -249,7 +250,8 @@ class TestDoublePath:
             "int-zero", "int-fixed-point", "int-rounded"])
     def test_exits_and_equals_mpf_loop(self, r, x0, n, first_mpf):
         p = MapParams(r, x0)
-        got = iterate(p, n).samples
+        traj = iterate(p, n)
+        got = list(zip(traj.indices, traj.values))
         assert raw(got) == raw(reference_iterate(p, n, DOUBLE))
         kinds = [isinstance(v, float) for _, v in got]
         first = first_mpf if first_mpf is not None else n + 1
@@ -296,7 +298,8 @@ class TestClosedFormKernel:
     def test_trajectory_equals_mpf_loop(self, case, n, policy):
         p, variant = case
         got = closed_form_trajectory(p, n, variant, policy)
-        assert raw(got.samples) == raw(reference_closed_form_trajectory(p, n, variant, policy))
+        assert raw(zip(got.indices, got.values)) == raw(
+            reference_closed_form_trajectory(p, n, variant, policy))
 
     @settings(max_examples=120, deadline=None)
     @given(closed_form_cases(), st.integers(0, 150), st.sampled_from(POLICIES))
@@ -312,7 +315,7 @@ class TestClosedFormKernel:
         for x0 in (lo, 0.3 * lo + 0.7 * hi, hi):
             p = MapParams(variant.required_r, x0)
             got = closed_form_trajectory(p, 250, variant, policy)
-            assert raw(got.samples) == raw(
+            assert raw(zip(got.indices, got.values)) == raw(
                 reference_closed_form_trajectory(p, 250, variant, policy))
 
 

@@ -61,7 +61,7 @@ class TestParticularSolution:
 
     def test_matches_iteration(self):
         traj = iterate(FIG3, 10)
-        for n, v in traj.samples:
+        for n, v in zip(traj.indices, traj.values):
             assert abs(particular_solution(FIG3, n) - v) < 1e-12
 
     def test_pole(self):
@@ -252,7 +252,7 @@ class TestTrajectories:
 
     def test_general_trajectory_matches_pointwise(self):
         traj = general_trajectory(FIG3, 2.0, 12)
-        for n, v in traj.samples:
+        for n, v in zip(traj.indices, traj.values):
             assert v == general_solution(FIG3, 2.0, n)
 
     def test_general_trajectory_needs_no_coefficients(self, monkeypatch):

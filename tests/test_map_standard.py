@@ -64,7 +64,7 @@ class TestIterate:
     def test_53_bits_reproduces_native_doubles(self):
         traj = iterate(MapParams(-2.0, 0.9), 60)
         x = 0.9
-        for k, v in traj.samples:
+        for k, v in zip(traj.indices, traj.values):
             assert float(v) == x
             x = -2.0 * x * (1.0 - x)
 
@@ -77,7 +77,7 @@ class TestIterate:
         # mpf's exponent is unbounded; a double's is not
         traj = iterate(MapParams(0.5, 0.3), 1100)
         x = 0.3
-        for k, v in traj.samples:
+        for k, v in zip(traj.indices, traj.values):
             if float(v) != x:
                 break
             x = 0.5 * x * (1.0 - x)
@@ -178,7 +178,7 @@ class TestTrajectoryMatchesSingleStep:
         policy = budgeted_policy(self.N) if budgeted else DOUBLE
         traj = closed_form_trajectory(p, self.N, variant, policy)
         assert traj.indices == tuple(range(self.N + 1))
-        for k, value in traj.samples:
+        for k, value in zip(traj.indices, traj.values):
             assert exact(value) == closed_form(p, k, variant, policy)._mpf_, k
 
     @pytest.mark.parametrize("variant", list(ClosedForm))

@@ -316,7 +316,6 @@ class TestTrajectory:
         assert len(t) == 3
         assert t.indices == (0, 1, 2)
         assert t.values == (0.5, 1.0, 0.0)
-        assert t.samples == ((0, 0.5), (1, 1.0), (2, 0.0))
 
     def test_rejects_non_increasing(self):
         with pytest.raises(ValueError, match=r"index 0 follows 0"):
