@@ -115,13 +115,21 @@ def effective_initial_condition(p: ContinuousParams, shift: RiccatiShift) -> flo
 def _sigmoid(c, decay, arg, where, axis="t"):
     """1/(1 + c*decay(arg)), the Riccati sigmoid of both families after its
     start: exp(-r*t) for the ODE, (1+r)^-n for the coupled map, with a pole
-    reported at ``axis`` = ``where``.  A decay that overflows is the x = 0 branch."""
+    reported at ``axis`` = ``where``.  Where the decay overflows, 1 + c*decay
+    rounds to c*decay (a nonzero c is at least 2^-53 in magnitude), so the
+    sample is 1/(c*decay(h))/decay(arg - h) for the half h = arg // 2 (exact
+    for a float arg as for an integer one): 0.0 only when a half overflows too
+    or the quotient underflows."""
     if c == 0:
         return 1.0
     try:
         d = decay(arg)
     except OverflowError:
-        return 0.0
+        h = arg // 2
+        try:
+            return 1.0 / (c * decay(h)) / decay(arg - h)
+        except OverflowError:
+            return 0.0
     den = 1.0 + c * d
     if abs(den) < POLE_EPS:
         raise PoleError(f"solution has a pole at {axis}={where!r}", where=where)

@@ -37,9 +37,10 @@ tapers: step k runs at min(B, max(B + 64 - k, w + 128)) bits for working
 width w, as only n - k + 64 bits are still needed at step k.  That accuracy
 holds as it stands, B is still the reported width, and the reports are the
 fixed-width oracle's at about half the cost from a few thousand steps on.
-Every budgeted step runs in one kernel on Python ints, ``_orbit``, which
-rounds exactly as ``_step``'s libmp calls do; the reports read its
-(significand, exponent) pairs without forming an mpf per sample.
+Every budgeted step runs in one kernel on Python ints, ``_orbit``: r*x, 1 - x
+and their product are each rounded to nearest, ties to even, at the step's
+width, as mpf arithmetic rounds them.  The reports read its (significand,
+exponent) pairs without forming an mpf per sample.
 
 An iteration-only run (no closed form) at 53 working bits, r = 4 or r = -2,
 with the default oracle, a seed in the map's invariant interval and at least
@@ -59,7 +60,7 @@ import sys
 import warnings
 from dataclasses import dataclass
 from enum import Enum
-from itertools import repeat, starmap
+from itertools import chain, repeat, starmap
 
 from mpmath import mp, mpf, workprec
 from mpmath.libmp import (
@@ -185,52 +186,45 @@ def _tail(s: tuple, c: tuple, bits: int) -> tuple:
     return mpf_add(fhalf, mpf_mul(s, c, 0), bits, round_nearest)
 
 
-def _step(r: tuple, x: tuple, bits: int) -> tuple:
-    """One map step ``r * x * (1 - x)`` on raw values, each operation rounded
-    to nearest at ``bits``."""
-    rnd = round_nearest
-    return mpf_mul(mpf_mul(r, x, bits, rnd), mpf_sub(fone, x, bits, rnd), bits, rnd)
-
-
 def _nearest(m: int, cut: int) -> int:
     """The integer m * 2^-cut rounded to nearest, ties to even, for cut > 0."""
     h = m >> (cut - 1)  # floors, so a negative m rounds as its magnitude does
     return (h + 1 if h & 1 and (h & 2 or m & ((1 << (cut - 1)) - 1)) else h) >> 1
 
 
-def _orbit(r: tuple, x: tuple, k: int, widths) -> list:
+def _orbit(r: tuple, x: tuple, k: int, widths):
     """Samples k + 1, k + 2, ... from the raw sample ``x`` at step k as (signed
-    significand, exponent) pairs, one step per entry of ``widths`` at that
-    many bits, each of exactly ``_step``'s value: r*x, 1 - x (exactly 1 for
-    |x| < 2^-(w + 1)) and their product are rounded to nearest even on Python
-    ints.  A zero or an x of integer exponent (|x| >= 1) takes ``_step``.
-    Raises EscapeError with the offending index if the orbit passes 1e100."""
+    significand, exponent) pairs, yielded one step per entry of ``widths`` at
+    that many bits: r*x, 1 - x and their product are each rounded to nearest
+    even at that width, on Python ints.  1 - x rounds to 1 for |x| <
+    2^-(w + 1), an x of non-negative exponent (an integer, |x| >= 1) is
+    shifted to exponent 0 first, and a zero stays (0, 0).  Raises EscapeError
+    with the offending index if the orbit passes 1e100."""
     (rm, re), (m, e) = _pair(r), _pair(x)
-    pairs = []
     for w in widths:
         k += 1
-        if m and e < 0:
-            a, ea = rm * m, re + e
-            cut = a.bit_length() - w
-            if cut > 0:
-                a, ea = _nearest(a, cut), ea + cut
-            if m.bit_length() + e < -w - 1:
-                m, e = a, ea
-            else:
-                b = (1 << -e) - m
-                cut = b.bit_length() - w
-                if cut > 0:
-                    b, e = _nearest(b, cut), e + cut
-                m, e = a * b, ea + e
-                cut = m.bit_length() - w
-                if cut > 0:
-                    m, e = _nearest(m, cut), e + cut
+        if e > 0:
+            m, e = m << e, 0
+        a, ea = rm * m, re + e
+        cut = a.bit_length() - w
+        if cut > 0:
+            a, ea = _nearest(a, cut), ea + cut
+        if m.bit_length() + e < -w - 1:
+            m, e = a, ea
         else:
-            m, e = _pair(_step(r, from_man_exp(m, e), w))
-        if m.bit_length() + e > 332 and mpf_gt(mpf_abs(from_man_exp(m, e)), _ESCAPE):
+            b = (1 << -e) - m
+            cut = b.bit_length() - w
+            if cut > 0:
+                b, e = _nearest(b, cut), e + cut
+            m, e = a * b, ea + e
+            cut = m.bit_length() - w
+            if cut > 0:
+                m, e = _nearest(m, cut), e + cut
+        if not m:
+            e = 0
+        elif m.bit_length() + e > 332 and mpf_gt(mpf_abs(from_man_exp(m, e)), _ESCAPE):
             raise EscapeError(f"orbit escaped past {ESCAPE_BOUND:g} at step {k}", index=k)
-        pairs.append((m, e))
-    return pairs
+        yield m, e
 
 
 def _mpfs(pairs) -> list:
@@ -242,8 +236,8 @@ def _double_orbit(r: float, x: float, n: int) -> list:
     """The values of samples 0, 1, ... of the orbit on Python floats: up to
     step n, or up to the step before the first whose product ``r * x`` or
     result is not a normal double of magnitude at most 1e100.  Up to there
-    IEEE rounding to nearest, ties to even, gives each step the value of
-    ``_step`` at 53 bits."""
+    each of r*x, 1 - x and their product is rounded to nearest, ties to even,
+    at 53 bits, as ``_orbit`` rounds a step at 53 bits."""
     values = [x]
     for _ in range(n):
         rx = r * x
@@ -315,7 +309,7 @@ def _iterated_reference(p: MapParams, n: int, policy: PrecisionPolicy,
     widths = repeat(bits, n) if taper_to is None else (
         min(bits, max(bits + 64 - k, taper_to)) for k in range(1, n + 1))
     x = _raw_mpf(p.x0, bits)
-    return [_pair(x)] + _orbit(_raw_mpf(p.r, bits), x, 0, widths)
+    return [_pair(x), *_orbit(_raw_mpf(p.r, bits), x, 0, widths)]
 
 
 # The cosine form whose phase phase_oracle reads, by map parameter.  With the
@@ -384,19 +378,21 @@ def _phase_reference(p: MapParams, n: int) -> list:
     bits, wb = budgeted_policy(n).significand_bits, DOUBLE.significand_bits
     rnd = round_nearest
     r = _raw_mpf(p.r, bits)
-    x, y = _raw_mpf(p.x0, bits), _raw_mpf(p.x0, wb)
     near = from_man_exp(1, -32)
-    pairs = [_pair(x)]
-    k = 0
-    while k < n and mpf_lt(mpf_abs(mpf_sub(x, y, 64, rnd)), near):
-        k += 1  # x as in oracle(), y as in iterate() at 53 bits
-        x, y = _step(r, x, bits), _step(r, y, wb)
-        pairs.append(_pair(x))
+    x0, y0 = _raw_mpf(p.x0, bits), _raw_mpf(p.x0, wb)
+    xs = chain([_pair(x0)], _orbit(r, x0, 0, repeat(bits, n)))  # as in oracle()
+    ys = chain([_pair(y0)], _orbit(r, y0, 0, repeat(wb, n)))  # as in iterate() at 53 bits
+    pairs = []
+    for x, y in zip(xs, ys):  # up to the first sample 2^-32 or more apart
+        pairs.append(x)
+        if not mpf_lt(mpf_abs(mpf_sub(from_man_exp(*x), from_man_exp(*y), 64, rnd)), near):
+            break
+    k = len(pairs) - 1
     if k < n:
         window = _PHASE_BITS + _RESEED_STEPS  # bits a re-seed reads
         wp = window + 32
         width = n + wp
-        arg = _argument(_raw_mpf(p.x0, wb), variant, 0)  # exact
+        arg = _argument(y0, variant, 0)  # exact
         phase_wp = width + 10
         phi = mpf_div(mpf_acos(arg, phase_wp, rnd), mpf_shift(mpf_pi(phase_wp, rnd), 1),
                       phase_wp, rnd)
@@ -587,14 +583,16 @@ def divergence_reports(p: MapParams, n_max: int, working_bits: int, threshold: f
     Returns ``(label, DivergenceReport)`` pairs: ``"iterated"`` first, then
     each form's value in the order given.
 
-    Every form's r and seed are checked before anything is evaluated, and
-    the iteration runs before the reference, so an orbit that escapes builds
-    none.  An explicit ``oracle_bits`` below the budget of one bit per step
-    plus 64 draws a warning.  At 53 working bits about one significand bit
-    dies per step, so the orbit visibly leaves the oracle after a few dozen
-    steps; the closed forms are the library's pipeline at 53 bits, not libm
-    on doubles.
+    The threshold (it must be positive) and every form's r and seed are
+    checked before anything is evaluated, and the iteration runs before the
+    reference, so an orbit that escapes builds none.  An explicit
+    ``oracle_bits`` below the budget of one bit per step plus 64 draws a
+    warning.  At 53 working bits about one significand bit dies per step, so
+    the orbit visibly leaves the oracle after a few dozen steps; the closed
+    forms are the library's pipeline at 53 bits, not libm on doubles.
     """
+    if not threshold > 0:
+        raise ValueError("threshold must be positive")
     ref_policy = oracle_policy(n_max, working_bits, oracle_bits)
     budget = precision_budget(n_max)
     if ref_policy.significand_bits < budget:

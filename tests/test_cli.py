@@ -320,6 +320,20 @@ class TestCompareCommand:
                      "--form", "r4"]) == 3
         assert "outside [0, 1]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("threshold", ["0", "-0.5"])
+    def test_threshold_is_refused_before_evaluating(self, threshold, monkeypatch, capsys):
+        evaluated = []
+        for name in ("iterate", "_iterated_reference", "_phase_reference"):
+            def recording(*args, _name=name, **kwargs):
+                evaluated.append(_name)
+
+            monkeypatch.setattr(map_standard, name, recording)
+        assert main(["compare", "--r", "3.9", "--x0", "0.3", "--steps", "20000",
+                     "--threshold", threshold]) == 2
+        assert evaluated == []
+        captured = capsys.readouterr()
+        assert captured.out == "" and "threshold must be positive" in captured.err
+
 
 class TestParseArgs:
     def test_parser_is_built_once(self, monkeypatch):

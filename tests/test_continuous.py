@@ -104,15 +104,23 @@ class TestParticularSolution:
             want = [1 / (1 + (1 / mpf(p.x0) - 1) * exp(-mpf(t))) for t in (0.5, 1.0)]
         assert traj.values[1:] == pytest.approx([float(w) for w in want], rel=1e-15, abs=0)
 
-    @pytest.mark.parametrize("t", [709.5, 709.7, 709.78])
+    @pytest.mark.parametrize("t", [709.5, 709.7, 709.78, 709.9, 720, 745])
     def test_decays_until_exp_overflows(self, t):
-        # exp(709.5) is a double, so the member is 7.38e-309 there, not 0.0
+        # exp(709.5) is a double, so the member is 7.38e-309 there, not 0.0;
+        # from t = 709.79 on exp(t) overflows, but the member is still a
+        # subnormal double up to t = 745
         p = ContinuousParams(-1.0, 0.5)
         with workprec(200):
             want = 1 / (1 + exp(mpf(t)))
         for got in (particular_solution(t, p), grid_trajectory(p, t, t / 2).values[-1]):
             assert got > 0.0
             assert abs(mpf(got) - want) <= 5e-324  # within one subnormal ulp
+
+    def test_zero_past_the_subnormals(self):
+        # 1/(1 + e^746) is about 1.0e-324, below half the smallest subnormal
+        p = ContinuousParams(-1.0, 0.5)
+        assert particular_solution(746.0, p) == 0.0
+        assert grid_trajectory(p, 746.0, 373.0).values[-1] == 0.0
 
     def test_high_precision_path_matches_double(self):
         p = ContinuousParams(1.7, 0.11)

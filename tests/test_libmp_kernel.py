@@ -8,7 +8,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf, workprec
-from mpmath.libmp import from_float, from_man_exp, mpf_abs, mpf_gt
+from mpmath.libmp import (
+    fone,
+    from_float,
+    from_man_exp,
+    mpf_abs,
+    mpf_gt,
+    mpf_mul,
+    mpf_sub,
+    round_nearest,
+)
 
 from logistic_exact.errors import EscapeError
 from logistic_exact.map_standard import (
@@ -16,7 +25,6 @@ from logistic_exact.map_standard import (
     ClosedForm,
     MapParams,
     _orbit,
-    _step,
     closed_form,
     closed_form_trajectory,
     iterate,
@@ -151,13 +159,20 @@ class TestIterateKernel:
 
 # --------------------------------------------------------- orbit kernel
 
+def step(r, x, bits):
+    """One map step r*x*(1 - x) on raw values, each libmp operation rounded to
+    nearest at ``bits``: the calls mpf arithmetic makes under ``workprec``."""
+    rnd = round_nearest
+    return mpf_mul(mpf_mul(r, x, bits, rnd), mpf_sub(fone, x, bits, rnd), bits, rnd)
+
+
 def step_chain(r, x, widths):
-    """The raw samples after the raw sample x, one ``_step`` per width, or the
+    """The raw samples after the raw sample x, one ``step`` per width, or the
     (index, message) of the EscapeError past 1e100: the loop the integer
     kernel ``_orbit`` replaced."""
     samples = []
     for k, w in enumerate(widths, 1):
-        x = _step(r, x, w)
+        x = step(r, x, w)
         if mpf_gt(mpf_abs(x), from_float(ESCAPE_BOUND)):
             return k, f"orbit escaped past {ESCAPE_BOUND:g} at step {k}"
         samples.append(x)
@@ -174,7 +189,7 @@ def kernel_chain(r, x, widths):
 
 
 def check_kernel(r, x0, bits, n, taper_to):
-    """The kernel equals the chain of ``_step`` calls at ``bits`` (fixed) or
+    """The kernel equals the chain of ``step`` calls at ``bits`` (fixed) or
     tapered from ``bits`` to ``taper_to``, as the oracle takes them."""
     if taper_to is None:
         widths = [bits] * n
@@ -208,6 +223,8 @@ class TestOrbitKernel:
         (0.5, 1e-300, 120, 200, None),  # 1 - x rounds to 1 from the first step
         (0.5, 0.3, 1164, 1100, 181),  # down to 2^-1100, below the doubles
         (4.0, 1.0, 120, 10, None),  # x1 = 0: zeros from there on
+        (4.0, 0.5, 120, 10, None),  # x1 = 1, then zeros
+        (1.0, 2.0, 120, 10, None),  # an integer at every step until the escape
         (-2.0, 1.5, 120, 10, None),  # the fixed point 3/2
         (1.73, 2.0, 120, 20, None),  # an integer seed, then below -1
         (-7.25, 0.9, 200, 50, None),  # escapes past 1e100

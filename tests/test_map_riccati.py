@@ -72,6 +72,24 @@ class TestParticularSolution:
         with pytest.raises(PoleError, match="^solution has a pole at n=1$"):
             particular_trajectory(RiccatiMapParams(-2.0, 0.5), 3)
 
+    @pytest.mark.parametrize("r", [-0.5, -1.5])
+    @pytest.mark.parametrize("n", [1030, 1031, 1074])
+    def test_decays_until_pow_overflows(self, r, n):
+        # (1+r)^-n overflows from n = 1024 on, but the member is a subnormal
+        # double up to n = 1074, negative for r = -1.5 and odd n
+        p = RiccatiMapParams(r, 0.5)
+        with workprec(200):
+            want = 1 / (1 + (1 + mpf(r)) ** -n)
+        for got in (particular_solution(p, n), particular_trajectory(p, n).values[-1]):
+            assert got != 0.0
+            assert abs(mpf(got) - want) <= 5e-324  # within one subnormal ulp
+
+    @pytest.mark.parametrize("r", [-0.5, -1.5])
+    def test_zero_past_the_subnormals(self, r):
+        p = RiccatiMapParams(r, 0.5)
+        assert particular_solution(p, 1076) == 0.0
+        assert particular_trajectory(p, 1076).values[-1] == 0.0
+
     def test_degenerate_rate_rejected(self):
         with pytest.raises(DomainError):
             particular_solution(RiccatiMapParams(-1.0, 0.4), 3)

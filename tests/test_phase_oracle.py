@@ -106,7 +106,11 @@ class TestPhaseOracle:
     @pytest.mark.parametrize("r,x0,digest", [
         (4.0, 0.3, "e80f5851b9014e199da3dfc9b924ae4f7d762c0211ae0eb402f9164828972d4e"),
         (-2.0, 0.9, "c22d0ed92c9ee6097de14726b22e2aacb25a512464e50de8002e059634cfc777"),
-        (-2.0, 1.4999999, "4160d1bcc2f60fd43d68995e4370ea844f5829830842f6b7ceda1d33fdf8cb89")])
+        (-2.0, 1.4999999, "4160d1bcc2f60fd43d68995e4370ea844f5829830842f6b7ceda1d33fdf8cb89"),
+        # the 53-bit iteration follows these tiny seeds for about 120 and 520
+        # steps, past one and past eight 64-step blocks
+        (4.0, 2.0**-200, "23e18b2ab9d2ce68d7ca5978f9d96c488a844a1df327ec57c1c65acc511dc2b9"),
+        (4.0, 1e-300, "40071538466f4a4807427d2ebeb3cf6763bf2289863f27407a05e139ef1eafd5")])
     def test_raw_samples_are_pinned(self, r, x0, digest):
         # every bit of every sample: a report only sees the reference down to
         # about 2^-60 of an error near 1
