@@ -16,7 +16,6 @@ domain/pole errors raised by the core modules.
 """
 
 import argparse
-import contextlib
 import functools
 import itertools
 import json
@@ -215,19 +214,20 @@ def _rows(doc, convert=None):
         yield label, "abs-error", 53, range(len(errors)), errors
 
 
-def _batches(fmt, rows):
-    """``fmt % row`` for each row, joined in batches of 4,096 rows: no list of
-    every row's text is held."""
-    return iter(lambda: "".join(map(fmt.__mod__, itertools.islice(rows, 4096))), "")
+def _append_rows(out, fmt, rows):
+    """Append ``fmt % row`` for each row to the bytearray ``out``, as ASCII,
+    joined in batches of 4,096 rows: no list of every row's text is held."""
+    for batch in iter(lambda: "".join(map(fmt.__mod__, itertools.islice(rows, 4096))), ""):
+        out += batch.encode("ascii")
 
 
 def _render_csv(doc):
-    parts = ["index_or_time,series,method,value\n"]
+    out = bytearray(b"index_or_time,series,method,value\n")
     for label, method, _, indices, values in _rows(doc, _value):
         # %s writes what an f-string field writes: str() of the value
         fmt = "%s," + f"{label},{method},".replace("%", "%%") + "%s\n"
-        parts += _batches(fmt, zip(indices, values))
-    return "".join(parts)
+        _append_rows(out, fmt, zip(indices, values))
+    return out
 
 
 def _json_value(v, bits):
@@ -265,23 +265,22 @@ def _render_json(doc):
     depth: with an indent set, json encodes in pure Python, token by token."""
     key = "series" if "series" in doc else "reports"
     # the config is small and nests (a figure's preset): the encoder writes it
-    parts = ['{\n  "config": ' + json.dumps(doc["config"], indent=2).replace("\n", "\n  "),
-             f',\n  "{key}": [']
+    out = bytearray(('{\n  "config": ' + json.dumps(doc["config"], indent=2).replace("\n", "\n  ")
+                     + f',\n  "{key}": [').encode("ascii"))
     entry = "\n    {"
     for fields, list_key, fmt, items in _json_entries(doc):
-        parts.append(entry + "".join(f'\n      "{k}": {json.dumps(v)},' for k, v in fields.items())
-                     + f'\n      "{list_key}": ')
-        batches = _batches(fmt, items)
-        first = next(batches, None)  # each item opens with a comma; the list's first with "["
-        if first is None:
-            parts.append("[]\n    }")
+        out += (entry + "".join(f'\n      "{k}": {json.dumps(v)},' for k, v in fields.items())
+                + f'\n      "{list_key}": ').encode("ascii")
+        start = len(out)
+        _append_rows(out, fmt, items)
+        if len(out) > start:  # each item opens with a comma; the list's first with "["
+            out[start] = ord("[")
+            out += b"\n      ]\n    }"
         else:
-            parts.append("[" + first[1:])
-            parts += batches
-            parts.append("\n      ]\n    }")
+            out += b"[]\n    }"
         entry = ",\n    {"
-    parts.append("]\n}\n" if entry == "\n    {" else "\n  ]\n}\n")
-    return "".join(parts)
+    out += b"]\n}\n" if entry == "\n    {" else b"\n  ]\n}\n"
+    return out
 
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd",
@@ -317,7 +316,7 @@ def _render_svg(doc):
         return height - mb - (y * scale - lo) / (hi - lo) * (height - mt - mb)
 
     title = doc["config"].get("subcommand", "")
-    parts = [
+    head = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}">',
         f'<rect width="{width}" height="{height}" fill="white"/>',
@@ -336,19 +335,22 @@ def _render_svg(doc):
         f'<text x="{(ml + width - mr) / 2:.1f}" y="{mt - 14}" font-size="13" '
         f'text-anchor="middle">{title}</text>',
     ]
+    out = bytearray("\n".join(head).encode("ascii"))
     for idx, (label, pts) in enumerate(named):
         color = _PALETTE[idx % len(_PALETTE)]
-        coords = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in pts)
-        parts.append(f'<polyline fill="none" stroke="{color}" stroke-width="1.5" '
-                     f'points="{coords}"/>')
+        out += (f'\n<polyline fill="none" stroke="{color}" stroke-width="1.5" '
+                'points="').encode("ascii")
+        _append_rows(out, "%.2f,%.2f ", ((sx(x), sy(y)) for x, y in pts))
+        if out.endswith(b" "):  # the last point's separator
+            del out[-1]
         ly = mt + 16 * idx
-        parts.append(f'<line x1="{width - mr + 10}" y1="{ly}" '
-                     f'x2="{width - mr + 30}" y2="{ly}" stroke="{color}" '
-                     'stroke-width="2"/>')
-        parts.append(f'<text x="{width - mr + 36}" y="{ly + 4}" '
-                     f'font-size="11">{label}</text>')
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+        out += (f'"/>\n<line x1="{width - mr + 10}" y1="{ly}" '
+                f'x2="{width - mr + 30}" y2="{ly}" stroke="{color}" '
+                'stroke-width="2"/>'
+                f'\n<text x="{width - mr + 36}" y="{ly + 4}" '
+                f'font-size="11">{label}</text>').encode("ascii")
+    out += b"\n</svg>\n"
+    return out
 
 
 _RENDERERS = {"csv": _render_csv, "json": _render_json, "svg": _render_svg}
@@ -357,7 +359,12 @@ _RENDERERS = {"csv": _render_csv, "json": _render_json, "svg": _render_svg}
 # ------------------------------------------------------------ entry point
 
 def run(config: RunConfig) -> int:
-    """Execute one resolved configuration, writing the artifact to its sink."""
+    """Execute one resolved configuration, writing the artifact to its sink.
+
+    The renderer builds the artifact once, as ASCII bytes, and it is written
+    in one call: to the ``--out`` file opened in binary mode, or to stdout's
+    binary buffer once the text layer is flushed.  Only a stdout with no
+    binary buffer, such as an ``io.StringIO``, gets it decoded to text."""
     runner = _RUNNERS.get(config.subcommand)
     if runner is None:
         raise ValueError(f"unknown subcommand {config.subcommand!r}")
@@ -370,11 +377,15 @@ def run(config: RunConfig) -> int:
                 _require_finite(key, v)
         else:
             _require_finite(key, value)
-    text = renderer(runner(config.parameters))
-    with (contextlib.nullcontext(sys.stdout) if config.output_path in (None, "-") else
-          open(config.output_path, "w", encoding="utf-8", newline="")) as fh:
-        for start in range(0, len(text), 1 << 20):  # the sink encodes 1 MiB at a time
-            fh.write(text[start:start + (1 << 20)])
+    artifact = renderer(runner(config.parameters))
+    if config.output_path not in (None, "-"):
+        with open(config.output_path, "wb") as fh:
+            fh.write(artifact)
+    elif hasattr(sys.stdout, "buffer"):
+        sys.stdout.flush()  # what the text layer holds goes first
+        sys.stdout.buffer.write(artifact)
+    else:
+        sys.stdout.write(artifact.decode("ascii"))
     return 0
 
 

@@ -13,6 +13,7 @@ integrator provides the independent cross-check, on the grid of ``grid_trajector
 import math
 import operator
 import sys
+import weakref
 from dataclasses import dataclass
 from itertools import chain, islice, repeat
 
@@ -118,8 +119,10 @@ def _sigmoid(c, decay, arg, where, axis="t"):
     reported at ``axis`` = ``where``.  Where the decay overflows, 1 + c*decay
     rounds to c*decay (a nonzero c is at least 2^-53 in magnitude), so the
     sample is 1/(c*decay(h))/decay(arg - h) for the half h = arg // 2 (exact
-    for a float arg as for an integer one): 0.0 only when a half overflows too
-    or the quotient underflows."""
+    for a float arg as for an integer one): a zero only when a half overflows
+    too or the quotient underflows, signed as the quotient is, by c times
+    decay(arg % 2) (the map's base to the parity of n, or an exp that is
+    positive)."""
     if c == 0:
         return 1.0
     try:
@@ -129,7 +132,7 @@ def _sigmoid(c, decay, arg, where, axis="t"):
         try:
             return 1.0 / (c * decay(h)) / decay(arg - h)
         except OverflowError:
-            return 0.0
+            return math.copysign(0.0, c * decay(arg % 2))
     den = 1.0 + c * d
     if abs(den) < POLE_EPS:
         raise PoleError(f"solution has a pole at {axis}={where!r}", where=where)
@@ -195,9 +198,17 @@ def _grid_steps(t_end: float, dt: float) -> int:
     return int(round(steps))
 
 
+# The live trajectories on each grid, by (steps, dt): the members sampled on
+# one grid share its tuple of times, which goes when the last of them does.
+_GRIDS = weakref.WeakValueDictionary()
+
+
 def _grid_times(n: int, dt: float) -> tuple:
-    """The times k*dt, k = 0..n, of the grid of n steps."""
-    return tuple(map(operator.mul, range(n + 1), repeat(dt)))
+    """The times k*dt, k = 0..n, of the grid of n steps: those of a live
+    trajectory on the same grid, or a new tuple."""
+    traj = _GRIDS.get((n, dt))
+    return traj.indices if traj is not None else tuple(
+        map(operator.mul, range(n + 1), repeat(dt)))
 
 
 def grid_trajectory(p: ContinuousParams, t_end: float, dt: float,
@@ -211,7 +222,8 @@ def grid_trajectory(p: ContinuousParams, t_end: float, dt: float,
     point with.  One pole rule holds for every seed and either sign of r: a
     member starting at x_s outside [0, 1] (q = 1/x_s < 1) has one pole, at
     t* = ln(1 - 1/x_s)/r, and a t* after 0 and up to the last grid point
-    raises PoleError before any sample.
+    raises PoleError before any sample.  Trajectories on one grid share its
+    tuple of times while any of them lives.
     """
     n = _grid_steps(t_end, dt)
     q = _reciprocal_start(p.x0, shift)
@@ -222,7 +234,9 @@ def grid_trajectory(p: ContinuousParams, t_end: float, dt: float,
     ts = _grid_times(n, dt)
     us = map(operator.mul, repeat(-p.r), islice(ts, 1, None))
     values = map(_sigmoid, repeat(q - 1.0), repeat(math.exp), us, islice(ts, 1, None))
-    return Trajectory(METHOD_ODE_CLOSED_FORM, ts, chain((start,), values), DOUBLE)
+    _GRIDS[n, dt] = traj = Trajectory(METHOD_ODE_CLOSED_FORM, ts, chain((start,), values),
+                                      DOUBLE)
+    return traj
 
 
 def rk4_oracle(p: ContinuousParams, t_end: float, dt: float) -> Trajectory:
@@ -251,4 +265,5 @@ def rk4_oracle(p: ContinuousParams, t_end: float, dt: float) -> Trajectory:
         if not math.isfinite(x) or abs(x) > ESCAPE_BOUND:
             raise EscapeError(f"integrator state ran away at step {k}", index=k)
         values.append(x)
-    return Trajectory(METHOD_ODE_RK4, _grid_times(n, dt), values, DOUBLE)
+    _GRIDS[n, dt] = traj = Trajectory(METHOD_ODE_RK4, _grid_times(n, dt), values, DOUBLE)
+    return traj

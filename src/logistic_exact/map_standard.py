@@ -301,15 +301,16 @@ def oracle(p: MapParams, n: int, policy: PrecisionPolicy | None = None,
 
 
 def _iterated_reference(p: MapParams, n: int, policy: PrecisionPolicy,
-                        taper_to: int | None) -> list:
+                        taper_to: int | None):
     """The samples of ``oracle(p, n, policy, taper_to)`` as (signed
-    significand, exponent) pairs."""
+    significand, exponent) pairs, yielded one at a time."""
     check_steps(n)
     bits = policy.significand_bits
     widths = repeat(bits, n) if taper_to is None else (
         min(bits, max(bits + 64 - k, taper_to)) for k in range(1, n + 1))
     x = _raw_mpf(p.x0, bits)
-    return [_pair(x), *_orbit(_raw_mpf(p.r, bits), x, 0, widths)]
+    yield _pair(x)
+    yield from _orbit(_raw_mpf(p.r, bits), x, 0, widths)
 
 
 # The cosine form whose phase phase_oracle reads, by map parameter.  With the
@@ -368,9 +369,9 @@ def phase_oracle(p: MapParams, n: int) -> Trajectory:
     return Trajectory(METHOD_ORACLE, range(n + 1), values, budgeted_policy(n))
 
 
-def _phase_reference(p: MapParams, n: int) -> list:
+def _phase_reference(p: MapParams, n: int):
     """The samples of ``phase_oracle(p, n)`` as (signed significand, exponent)
-    pairs."""
+    pairs, yielded one at a time."""
     variant = _PHASE_FORM.get(p.r)
     if variant is None:
         raise ValueError(f"the phase evaluator needs r=4 or r=-2, got r={p.r!r}")
@@ -382,12 +383,10 @@ def _phase_reference(p: MapParams, n: int) -> list:
     x0, y0 = _raw_mpf(p.x0, bits), _raw_mpf(p.x0, wb)
     xs = chain([_pair(x0)], _orbit(r, x0, 0, repeat(bits, n)))  # as in oracle()
     ys = chain([_pair(y0)], _orbit(r, y0, 0, repeat(wb, n)))  # as in iterate() at 53 bits
-    pairs = []
-    for x, y in zip(xs, ys):  # up to the first sample 2^-32 or more apart
-        pairs.append(x)
+    for k, (x, y) in enumerate(zip(xs, ys)):  # up to the first sample 2^-32 or more apart
+        yield x
         if not mpf_lt(mpf_abs(mpf_sub(from_man_exp(*x), from_man_exp(*y), 64, rnd)), near):
             break
-    k = len(pairs) - 1
     if k < n:
         window = _PHASE_BITS + _RESEED_STEPS  # bits a re-seed reads
         wp = window + 32
@@ -404,9 +403,8 @@ def _phase_reference(p: MapParams, n: int) -> list:
             t = (((digits >> (width - k - window - 1)) + 1) >> 1) & mask
             c = mpf_cos(mpf_mul(from_man_exp(t, -window), two_pi, wp, rnd), wp, rnd)
             x = _tail(_FORMS[variant][3], c, wp)
-            pairs.append(_pair(x))
-            pairs += _orbit(r, x, k, repeat(wp, min(_RESEED_STEPS - 1, n - k)))
-    return pairs
+            yield _pair(x)
+            yield from _orbit(r, x, k, repeat(wp, min(_RESEED_STEPS - 1, n - k)))
 
 
 def _check_closed_form(p: MapParams, n: int, variant: ClosedForm) -> None:
@@ -585,7 +583,9 @@ def divergence_reports(p: MapParams, n_max: int, working_bits: int, threshold: f
 
     The threshold (it must be positive) and every form's r and seed are
     checked before anything is evaluated, and the iteration runs before the
-    reference, so an orbit that escapes builds none.  An explicit
+    reference, so an orbit that escapes builds none.  The reference's pairs
+    are compared as they are built, and held as a list only when closed
+    forms read them again after the iteration's report.  An explicit
     ``oracle_bits`` below the budget of one bit per step plus 64 draws a
     warning.  At 53 working bits about one significand bit dies per step, so
     the orbit visibly leaves the oracle after a few dozen steps; the closed
@@ -612,6 +612,8 @@ def divergence_reports(p: MapParams, n_max: int, working_bits: int, threshold: f
     else:
         taper_to = working_bits + _TAPER_MARGIN if oracle_bits is None else None
         ref = _iterated_reference(p, n_max, ref_policy, taper_to)
+    if variants:
+        ref = list(ref)
     bits = ref_policy.significand_bits + 10  # as compare_trajectories sets it
     methods = [(METHOD_ITERATED, it)] + [
         (v.value, closed_form_trajectory(p, n_max, v, working)) for v in variants]
@@ -651,7 +653,7 @@ def prng_bits(x0: float, count: int, burn_in: int = 0) -> tuple:
     if not isinstance(burn_in, int) or burn_in < 0:
         raise ValueError("burn_in must be a non-negative integer")
     x = float(x0)
-    bits = []
+    bits = bytearray()
     for step in range(1, burn_in + count + 1):
         x = 4.0 * x * (1.0 - x)
         if x == 0.0 or x == 1.0 or x == 0.75:

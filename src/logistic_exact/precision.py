@@ -6,9 +6,10 @@ This module owns that contract: a policy type, the budget rule that turns a
 step count into a bit width, a magnitude-aware reduction mod 2*pi (the
 closed forms scale angles by 2^n, which outgrows any fixed significand),
 the trajectory type, and the trajectory comparison used to measure
-round-off divergence.  A trajectory holds a series as two columns, a tuple
-of indices and a tuple of values, so that its checks and its readers run
-C-level loops over whole columns rather than a Python loop per sample.
+round-off divergence.  A trajectory holds a series as two columns, its
+indices (a tuple, or a ``range`` kept as it is) and a tuple of values, so
+that its checks and its readers run C-level loops over whole columns rather
+than a Python loop per sample.
 
 All functions are pure; values are immutable.  mpmath's context is mutated
 only through ``workprec`` scopes, so callers wanting parallel sweeps should
@@ -156,30 +157,35 @@ class Trajectory:
 
     ``method_tag`` is one of the METHOD_* constants, optionally suffixed with
     a variant, e.g. ``"closed-form:simple"``.  Each column is stored as a
-    tuple (a tuple is kept as it is, any other iterable is converted), and
-    the two have equal lengths.  Indices increase strictly.  Values may be
-    ints, floats or mpf at the declared precision; producers raise instead of
-    emitting non-finite samples, and this constructor enforces that.  The
-    checks are C-level passes over each column; the offending index of a
-    refused column is looked up only to name it in the error.
+    tuple (a tuple is kept as it is, any other iterable is converted), except
+    that an index column given as a ``range`` of positive step is kept as
+    that range, whose order needs no scan; the two columns have equal
+    lengths.  Indices increase strictly.  Values may be ints, floats or
+    mpf at the declared precision; producers raise instead of emitting
+    non-finite samples, and this constructor enforces that.  The checks are
+    C-level passes over each column; the offending index of a refused column
+    is looked up only to name it in the error.
     """
 
     method_tag: str
-    indices: tuple
+    indices: tuple | range
     values: tuple
     precision: PrecisionPolicy
 
     def __post_init__(self):
         if not self.method_tag:
             raise ValueError("method_tag must be non-empty")
-        indices = tuple(self.indices)  # the same object when already a tuple
+        indices = self.indices
+        ranged = isinstance(indices, range) and indices.step > 0  # increases strictly
+        if not ranged:
+            indices = tuple(indices)  # the same object when already a tuple
         values = tuple(self.values)
         if not indices:
             raise ValueError("a trajectory needs at least one sample")
         if len(indices) != len(values):
             raise ValueError(f"the columns differ in length ({len(indices)} indices, "
                              f"{len(values)} values)")
-        if not all(map(operator.gt, islice(indices, 1, None), indices)):
+        if not (ranged or all(map(operator.gt, islice(indices, 1, None), indices))):
             k = next(k for k in range(1, len(indices)) if not indices[k] > indices[k - 1])
             raise ValueError("sample indices/times must be strictly increasing "
                              f"(index {indices[k]!r} follows {indices[k - 1]!r})")
@@ -258,7 +264,8 @@ def compare_trajectories(a: Trajectory, b: Trajectory,
                          threshold: float) -> DivergenceReport:
     """Report the absolute per-step differences of two trajectories.
 
-    The trajectories must be sampled on the identical index set.  The
+    The trajectories must be sampled on the identical index set, compared by
+    value (a ``range`` equals the tuple of its items).  The
     subtraction is carried out 10 bits above the higher of the two
     precisions, ``bits``, on exact values (mpf and float samples taken
     exactly); the report stores the differences as doubles.
@@ -276,7 +283,7 @@ def compare_trajectories(a: Trajectory, b: Trajectory,
     """
     if len(a) != len(b):
         raise ValueError(f"trajectories have different lengths ({len(a)} vs {len(b)})")
-    if a.indices != b.indices:
+    if a.indices != b.indices and tuple(a.indices) != tuple(b.indices):
         ia, ib = next((ia, ib) for ia, ib in zip(a.indices, b.indices) if ia != ib)
         raise ValueError(f"trajectory index sets differ (first mismatch: {ia!r} vs {ib!r})")
     bits = max(a.precision.significand_bits, b.precision.significand_bits) + 10

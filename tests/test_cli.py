@@ -3,8 +3,11 @@ import hashlib
 import io
 import json
 import math
+import os
+import subprocess
 import sys
 import warnings
+from pathlib import Path
 from xml.etree import ElementTree
 
 import pytest
@@ -187,6 +190,15 @@ class TestOdeCommand:
         assert captured.out == ""
         assert captured.err.splitlines()[-1].startswith("error: solution has a pole at t=1.457")
 
+    def test_members_share_one_grid_while_the_run_lives(self):
+        doc = cli._run_ode(cli.parse_args(["ode", "--r", "1.7", "--x0", "0.11", "--gamma",
+                                           "0.14", "--gamma", "0.25"]).parameters)
+        times = [traj.indices for _, traj in doc["series"]]
+        assert len(times) == 3 and all(t is times[0] for t in times)
+        assert times[0] == tuple(k * 0.02 for k in range(501))
+        del doc, times
+        assert (500, 0.02) not in continuous._GRIDS  # nothing outlives the run
+
 
 class TestMap4Command:
     def test_series(self, capsys):
@@ -305,6 +317,40 @@ class TestCompareCommand:
         assert len(calls) == 1
         doc = json.loads(capsys.readouterr().out)
         assert [rep["label"] for rep in doc["reports"]] == ["iterated", "table1", "simple"]
+
+    @pytest.mark.parametrize("forms", [(), ("table1", "simple")])
+    def test_reference_is_held_only_for_closed_forms(self, forms, monkeypatch):
+        # built after the iteration either way; streamed into an iteration-only
+        # report, and held as one list that every report reads when forms follow
+        order, refs = [], []
+        real_iterate = map_standard.iterate
+        real_reference = map_standard._iterated_reference
+        real_compare = map_standard._compare_pairs
+
+        def iterate(*args):
+            order.append("iterate")
+            return real_iterate(*args)
+
+        def reference(*args):
+            order.append("reference")  # on the first pair drawn
+            yield from real_reference(*args)
+
+        def compare(a, b, bits, threshold):
+            refs.append(b)
+            return real_compare(a, b, bits, threshold)
+
+        monkeypatch.setattr(map_standard, "iterate", iterate)
+        monkeypatch.setattr(map_standard, "_iterated_reference", reference)
+        monkeypatch.setattr(map_standard, "_compare_pairs", compare)
+        p = map_standard.MapParams(-2.0, 0.9)
+        reports = map_standard.divergence_reports(p, 60, 53, 0.01, forms)
+        assert order == ["iterate", "reference"]
+        assert len(refs) == len(reports) == 1 + len(forms)
+        if forms:
+            assert all(ref is refs[0] for ref in refs) and type(refs[0]) is list
+            assert len(refs[0]) == 61
+        else:
+            assert type(refs[0]) is not list and next(refs[0], None) is None  # drawn to its end
 
     def test_impossible_form_is_refused_before_evaluating(self, monkeypatch, capsys):
         def never(*args, **kwargs):
@@ -548,6 +594,55 @@ def test_golden_artifacts(argv, digest, capsys):
     assert hashlib.sha256(out.encode("ascii")).hexdigest() == digest
 
 
+# Peak RSS of one run in a fresh interpreter, before and after cli.main, once
+# the package is imported and the parser built: Linux's VmHWM, in kB.  Unlike
+# ru_maxrss, it starts afresh at exec, not at the launching process's peak.
+PEAK = """
+import sys
+from logistic_exact import cli
+
+
+def peak():
+    with open("/proc/self/status") as status:
+        return next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
+
+
+cli._parser()
+before = peak()
+code = cli.main(sys.argv[1:])
+print(code, before, peak())
+"""
+
+
+def peak_growth(argv):
+    """Bytes by which one run grows its interpreter's peak RSS."""
+    package_root = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (package_root, os.environ.get("PYTHONPATH")))))
+    out = subprocess.run([sys.executable, "-c", PEAK, *argv], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    code, before, after = map(int, out.split())
+    assert code == 0
+    return (after - before) * 1024
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads the peak RSS that Linux reports")
+class TestPeakMemory:
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_artifact_is_held_once(self, fmt, tmp_path):
+        # 5.6 MB of CSV, 15.2 MB of JSON: the bytes, one tuple of bits and a batch
+        path = tmp_path / f"rng.{fmt}"
+        growth = peak_growth(["rng", "--x0", "0.3", "--count", "300000", "--format", fmt,
+                              "--out", str(path)])
+        assert growth < 2 * path.stat().st_size
+
+    def test_iteration_only_compare_holds_no_reference(self, tmp_path):
+        # a tapered reference of 9,001 samples holds about 5 MB as a list
+        growth = peak_growth(["compare", "--r", "3.9", "--x0", "0.3", "--steps", "9000",
+                              "--out", str(tmp_path / "compare.json")])
+        assert growth < 3 * 2**20
+
+
 class TestRngCommand:
     def test_bits_and_determinism(self, capsys):
         rows1 = run_csv(["rng", "--x0", "0.3", "--count", "64", "--burn-in", "10"],
@@ -657,12 +752,15 @@ class TestOutputsAndErrors:
         for line in svg_polylines(text):
             assert all(60 <= x <= 560 and 36 <= y <= 434 for x, y in line)
 
-    @pytest.mark.parametrize("out", ["-", "file"])
-    def test_artifact_is_written_in_1_mib_slices(self, out, tmp_path, monkeypatch, capsys):
-        # about 2.7 MB of CSV: two slices of 2^20 characters and the rest
+    @pytest.mark.parametrize("out", ["file", "-", "text"])
+    def test_artifact_is_written_once(self, out, tmp_path, monkeypatch):
+        # about 2.7 MB of CSV, built once as ASCII bytes and handed to its sink
+        # in one call: the file, stdout's binary buffer once the text layer
+        # holds nothing, or the decoded text for a stdout with no buffer
         argv = ["rng", "--x0", "0.3", "--count", "150000"]
-        expected = cli._render_csv(cli._run_rng(cli.parse_args(argv).parameters))
-        sizes = []
+        expected = bytes(cli._render_csv(cli._run_rng(cli.parse_args(argv).parameters)))
+        assert len(expected) > 2**21
+        writes = []
         real_open = open
 
         class Recording:
@@ -675,22 +773,31 @@ class TestOutputsAndErrors:
             def __exit__(self, *exc):
                 return self.sink.__exit__(*exc)
 
-            def write(self, text):
-                sizes.append(len(text))
-                return self.sink.write(text)
+            def write(self, data):
+                writes.append(data)
+                return self.sink.write(data)
 
-        if out == "-":
-            monkeypatch.setattr(sys, "stdout", Recording(sys.stdout))
-            assert main(argv) == 0
-            assert capsys.readouterr().out == expected
-        else:
+        class RecordingBuffer(io.BytesIO):
+            def write(self, data):
+                writes.append(bytes(data))
+                return super().write(data)
+
+        if out == "file":
             path = tmp_path / "rng.csv"
             monkeypatch.setattr("builtins.open", lambda *a, **k: Recording(real_open(*a, **k)))
             assert main(argv + ["--out", str(path)]) == 0
-            with real_open(path, encoding="ascii", newline="") as fh:
-                assert fh.read() == expected
-        assert len(expected) > 2**21
-        assert sizes == [len(expected[i:i + 2**20]) for i in range(0, len(expected), 2**20)]
+            assert writes == [expected] and path.read_bytes() == expected
+        elif out == "-":
+            stdout = io.TextIOWrapper(RecordingBuffer(), encoding="ascii")
+            stdout.write("text ")  # held by the text layer until it is flushed
+            monkeypatch.setattr(sys, "stdout", stdout)
+            assert main(argv) == 0
+            assert writes == [b"text ", expected]
+        else:
+            text = io.StringIO()
+            monkeypatch.setattr(sys, "stdout", Recording(text))
+            assert main(argv) == 0
+            assert writes == [expected.decode("ascii")] and text.getvalue() == writes[0]
 
     def test_out_file(self, tmp_path):
         path = tmp_path / "out.csv"
@@ -781,6 +888,8 @@ EDGE_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3, 1e300, -
 doubles = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
                     st.sampled_from(EDGE_FLOATS))
 labels = st.text(max_size=12)  # non-ASCII, quotes, backslashes and control characters
+# CSV writes labels as they are, and an artifact is ASCII
+ascii_labels = st.text(st.characters(max_codepoint=127), max_size=12)
 
 
 @st.composite
@@ -794,7 +903,7 @@ def mpf_values(draw, bits):
 
 
 @st.composite
-def series(draw):
+def series(draw, labels=labels):
     bits = draw(st.just(53) | st.integers(54, 200))
     values = mpf_values(bits)
     if bits == 53:
@@ -810,7 +919,7 @@ def series(draw):
 
 
 @st.composite
-def reports(draw):
+def reports(draw, labels=labels):
     errors = st.floats(0, 1e300) | st.sampled_from((0.0, 5e-324, 1e-320))
     rep = DivergenceReport(tuple(draw(st.lists(errors, max_size=8))),
                            draw(st.floats(1e-300, 1e300)))
@@ -823,21 +932,25 @@ config_values = st.recursive(
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(labels, inner, max_size=3),
     max_leaves=6)
 configs = st.dictionaries(labels, config_values, max_size=4)
-documents = st.builds(lambda config, entries: {"config": config, "series": entries},
-                      configs, st.lists(series(), max_size=3)) | st.builds(
-    lambda config, bits, oracle_bits, entries: {
-        "config": config | {"bits": bits, "oracle_bits": oracle_bits}, "reports": entries},
-    configs, st.integers(53, 300), st.integers(53, 9000), st.lists(reports(), max_size=3))
 
 
-@given(documents)
+def documents(labels=labels):
+    return st.builds(lambda config, entries: {"config": config, "series": entries},
+                     configs, st.lists(series(labels), max_size=3)) | st.builds(
+        lambda config, bits, oracle_bits, entries: {
+            "config": config | {"bits": bits, "oracle_bits": oracle_bits}, "reports": entries},
+        configs, st.integers(53, 300), st.integers(53, 9000),
+        st.lists(reports(labels), max_size=3))
+
+
+@given(documents())
 @example({"config": {}, "series": []})
 @example({"config": {"bits": 53, "oracle_bits": 124}, "reports": []})
 @example({"config": {"bits": 53, "oracle_bits": 124},
           "reports": [("iterated", DivergenceReport((), 0.01))]})
 @settings(max_examples=300, deadline=None)
 def test_json_is_what_json_dumps_writes(doc):
-    assert cli._render_json(doc) == json_reference(doc)
+    assert cli._render_json(doc) == json_reference(doc).encode("ascii")
 
 
 def csv_reference(doc):
@@ -853,7 +966,7 @@ def csv_reference(doc):
     return "".join(lines)
 
 
-@given(documents)
+@given(documents(ascii_labels))
 @example({"config": {}, "series": []})
 @example({"config": {}, "series": [
     ('100% "sure" {x}', Trajectory("closed-form:%s {0}", range(4),
@@ -863,7 +976,16 @@ def csv_reference(doc):
           "reports": [('"%}', DivergenceReport((0.0, 5e-324, 0.5), 0.01))]})
 @settings(max_examples=300, deadline=None)
 def test_csv_is_what_the_row_writer_writes(doc):
-    assert cli._render_csv(doc) == csv_reference(doc)
+    assert cli._render_csv(doc) == csv_reference(doc).encode("ascii")
+
+
+def test_a_label_that_is_not_ascii_is_refused():
+    traj = Trajectory("iterated", range(2), (0.5, 0.25), PrecisionPolicy(53))
+    doc = {"config": {"subcommand": "map3"}, "series": [("\u03b3=0.5", traj)]}
+    assert b'"label": "\\u03b3=0.5"' in cli._render_json(doc)  # json escapes it
+    for render in (cli._render_csv, cli._render_svg):
+        with pytest.raises(UnicodeEncodeError):
+            render(doc)
 
 
 # Edge values of the fuzz below: signed zeros, subnormals, the largest double,

@@ -122,6 +122,15 @@ class TestParticularSolution:
         assert particular_solution(746.0, p) == 0.0
         assert grid_trajectory(p, 746.0, 373.0).values[-1] == 0.0
 
+    @pytest.mark.parametrize("t", [800.0, 1419.0, 1e5])
+    @pytest.mark.parametrize("x0,sign", [(-0.2, -1.0), (0.5, 1.0)])
+    def test_a_zero_is_signed_as_the_quotient(self, x0, sign, t):
+        # at t = 800 the quotient underflows, from t = 1419.6 on exp(t/2)
+        # overflows too: either way the zero takes the sign of c = 1/x0 - 1
+        p = ContinuousParams(-1.0, x0)
+        for got in (particular_solution(t, p), grid_trajectory(p, t, t / 2).values[-1]):
+            assert got == 0.0 and math.copysign(1.0, got) == sign
+
     def test_high_precision_path_matches_double(self):
         p = ContinuousParams(1.7, 0.11)
         with workprec(200):

@@ -90,6 +90,21 @@ class TestParticularSolution:
         assert particular_solution(p, 1076) == 0.0
         assert particular_trajectory(p, 1076).values[-1] == 0.0
 
+    @pytest.mark.parametrize("r,x0,n", [
+        (-0.5, -0.2, 1074), (-0.5, -0.2, 2046), (-0.5, -0.2, 2100), (-0.5, -0.2, 10**5),
+        (-0.5, 0.5, 2100), (-1.5, 0.5, 1100), (-1.5, 0.5, 1101), (-1.5, 0.5, 2100),
+        (-1.5, 0.5, 2101), (-1.5, -0.2, 2100), (-1.5, -0.2, 2101),
+    ])
+    def test_a_zero_is_signed_as_the_quotient(self, r, x0, n):
+        # a zero below the subnormals, where a half of (1+r)^-n overflows too
+        # (n from about 2100 on) as where the quotient underflows, takes the
+        # sign of c = 1/x0 - 1 times (-1)^n for a negative base 1 + r
+        p = RiccatiMapParams(r, x0)
+        c = 1.0 / x0 - 1.0
+        sign = math.copysign(1.0, c) * (-1.0 if 1 + r < 0 and n % 2 else 1.0)
+        for got in (particular_solution(p, n), particular_trajectory(p, n).values[-1]):
+            assert got == 0.0 and math.copysign(1.0, got) == sign
+
     def test_degenerate_rate_rejected(self):
         with pytest.raises(DomainError):
             particular_solution(RiccatiMapParams(-1.0, 0.4), 3)

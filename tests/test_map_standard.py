@@ -150,7 +150,7 @@ class TestClosedForm:
         p = MapParams(4.0, 0.3)
         traj = closed_form_trajectory(p, 3, ClosedForm.R4_COSINE)
         assert traj.method_tag == "closed-form:r4"
-        assert traj.indices == (0, 1, 2, 3)
+        assert traj.indices == range(4)
 
 
 def exact(v):
@@ -177,7 +177,7 @@ class TestTrajectoryMatchesSingleStep:
         p = MapParams(variant.required_r, x0)
         policy = budgeted_policy(self.N) if budgeted else DOUBLE
         traj = closed_form_trajectory(p, self.N, variant, policy)
-        assert traj.indices == tuple(range(self.N + 1))
+        assert traj.indices == range(self.N + 1)
         for k, value in zip(traj.indices, traj.values):
             assert exact(value) == closed_form(p, k, variant, policy)._mpf_, k
 
@@ -187,7 +187,7 @@ class TestTrajectoryMatchesSingleStep:
             p = MapParams(variant.required_r, x0)
             for policy in (DOUBLE, budgeted_policy(0)):
                 traj = closed_form_trajectory(p, 0, variant, policy)
-                assert traj.indices == (0,)
+                assert traj.indices == range(1)
                 assert exact(traj.values[0]) == closed_form(p, 0, variant, policy)._mpf_
                 assert float(traj.values[0]) == pytest.approx(x0, abs=1e-15)
 

@@ -348,9 +348,24 @@ class TestTrajectory:
         indices, values = (0, 1), (0.5, 1.0)
         t = Trajectory("iterated", indices, values, DOUBLE)
         assert t.indices is indices and t.values is values  # not copied
-        generated = Trajectory("iterated", range(3), (0.5 for _ in range(3)), DOUBLE)
-        assert generated.indices == (0, 1, 2)
+        generated = Trajectory("iterated", (k for k in range(3)), (0.5 for _ in range(3)),
+                               DOUBLE)
+        assert generated.indices == (0, 1, 2) and type(generated.indices) is tuple
         assert generated.values == (0.5, 0.5, 0.5)
+
+    @pytest.mark.parametrize("indices", [range(3), range(1), range(10**6, 10**9, 10**8)])
+    def test_a_range_of_positive_step_is_kept(self, indices):
+        t = Trajectory("iterated", indices, [0.5] * len(indices), DOUBLE)
+        assert t.indices is indices
+        assert len(t) == len(indices)
+
+    def test_an_empty_or_decreasing_range_is_refused(self):
+        with pytest.raises(ValueError, match=r"^a trajectory needs at least one sample$"):
+            Trajectory("iterated", range(0), (), DOUBLE)
+        with pytest.raises(ValueError, match=r"\(index 4 follows 5\)$"):
+            Trajectory("iterated", range(5, 0, -1), (0.5,) * 5, DOUBLE)
+        with pytest.raises(ValueError, match=r"2 indices, 3 values"):
+            Trajectory("iterated", range(2), (0.5, 1.0, 2.0), DOUBLE)
 
     def test_rejects_columns_of_unequal_length(self):
         with pytest.raises(ValueError, match=r"2 indices, 3 values"):
@@ -390,6 +405,19 @@ class TestCompareTrajectories:
             compare_trajectories(_traj([1.0, 2.0]), _traj([1.0, 2.0, 3.0]), 0.1)
         with pytest.raises(ValueError):
             compare_trajectories(_traj([1.0, 2.0]), _traj([1.0, 2.0], start=1), 0.1)
+
+    def test_a_range_equals_the_tuple_of_its_items(self):
+        ranged = Trajectory("iterated", range(4), (0.5, 0.25, 0.5, 0.75), DOUBLE)
+        listed = Trajectory("oracle", (0, 1, 2, 3), (0.5, 0.25, 0.5, 0.5), DOUBLE)
+        for a, b in ((ranged, listed), (listed, ranged)):
+            assert compare_trajectories(a, b, 0.01).per_step_abs_error == (0.0, 0.0, 0.0, 0.25)
+        shifted = Trajectory("oracle", (0, 1, 3, 4), (0.5,) * 4, DOUBLE)
+        for a, b, first in ((ranged, shifted, "2 vs 3"), (shifted, ranged, "3 vs 2")):
+            with pytest.raises(ValueError, match=rf"\(first mismatch: {first}\)$"):
+                compare_trajectories(a, b, 0.01)
+        with pytest.raises(ValueError, match=r"\(first mismatch: 0 vs 1\)$"):
+            compare_trajectories(ranged, Trajectory("oracle", range(1, 5), (0.5,) * 4, DOUBLE),
+                                 0.01)
 
     def test_double_iteration_against_oracle(self):
         # the classic shadowing picture: a 53-bit orbit of the r=-2 map loses
