@@ -4,7 +4,10 @@ Subcommands: ``ode`` (closed-form curves of the growth equation), ``map3``
 (quadratic map iteration / closed forms), ``map4`` (backward-coupled map),
 ``compare`` (round-off divergence reports against the oracle), ``figure``
 (presets 1-3 reproducing the reference parameter sets), and ``rng`` (chaos
-bits).  The runners return labelled library ``Trajectory`` values, and
+bits).  Each runner takes its subcommand's options as keyword arguments,
+with every default in its signature: an option not given on the command line
+stays out of ``RunConfig.parameters``.  The runners return labelled library
+``Trajectory`` values, and
 ``compare`` emits the labelled library ``DivergenceReport`` values of
 ``map_standard.divergence_reports``; the emitters read method, precision,
 index and value columns, and errors from them.  Output is CSV (default),
@@ -42,10 +45,11 @@ FIGURE_PRESETS = {
 
 _FORM_CHOICES = tuple(v.value for v in map_standard.ClosedForm)
 
-# A series may hold no more samples than an ode grid may have points, and no
-# more significand bits in all than MAX_SERIES_BITS; larger ones would exhaust
-# memory.  Its values may be no wider than MAX_BITS: set-up alone (one arccos)
-# takes 0.55 s at 2^16 bits and 2.1 s at 2^17 on mpmath's pure-Python backend.
+# A run may hold no more samples in all than an ode grid may have points, and
+# its series wider than doubles no more significand bits in all than
+# MAX_SERIES_BITS; larger runs would exhaust memory.  Values may be no wider
+# than MAX_BITS: set-up alone (one arccos) takes 0.55 s at 2^16 bits and 2.1 s
+# at 2^17 on mpmath's pure-Python backend.
 MAX_SERIES_BITS = 2**33
 MAX_BITS = 2**16
 
@@ -65,20 +69,19 @@ def _require_finite(name, value):
         raise ValueError(f"--{name} must be a finite number, got {value!r}")
 
 
-def _get(params, key, default):
-    value = params.get(key)
-    return default if value is None else value
-
-
-def _check_series(samples, bits=53):
-    """Refuse a series too large to hold or too wide to set up, before any of
-    it is evaluated."""
+def _check_series(*series):
+    """Refuse a run too large to hold or too wide to set up, before any of it
+    is evaluated, from one (samples, bits) pair per series it holds.  A
+    series of 53 bits holds doubles, which its samples already bound."""
+    samples = sum(n for n, _ in series)
     if samples > continuous.MAX_GRID_POINTS:
-        raise ValueError(f"a series of {samples} samples exceeds the limit of "
-                         f"{continuous.MAX_GRID_POINTS} samples")
-    if samples * bits > MAX_SERIES_BITS:
-        raise ValueError(f"{samples} samples of {bits} bits exceed the limit of "
-                         f"{MAX_SERIES_BITS} significand bits per series")
+        raise ValueError(f"a run of {len(series)} series and {samples} samples exceeds "
+                         f"the limit of {continuous.MAX_GRID_POINTS} samples")
+    wide = sum(n * bits for n, bits in series if bits > DOUBLE.significand_bits)
+    if wide > MAX_SERIES_BITS:
+        raise ValueError(f"a run of {wide} significand bits in series wider than doubles "
+                         f"exceeds the limit of {MAX_SERIES_BITS} significand bits")
+    bits = max(bits for _, bits in series)
     if bits > MAX_BITS:
         raise ValueError(f"values of {bits} bits exceed the limit of {MAX_BITS} "
                          "significand bits per value")
@@ -86,28 +89,23 @@ def _check_series(samples, bits=53):
 
 # ---------------------------------------------------------------- runners
 
-def _run_ode(params):
-    r, x0 = params["r"], params["x0"]
-    t_end = _get(params, "t_end", 10.0)
-    dt = _get(params, "dt", 0.02)
-    gammas = sorted(set(params.get("gammas") or ()))  # one series per value
+def _run_ode(r, x0, gammas=(), t_end=10.0, dt=0.02):
+    gammas = sorted(set(gammas))  # one series per value
     p = continuous.ContinuousParams(r, x0)
+    points = continuous._grid_steps(t_end, dt) + 1
+    _check_series(*[(points, DOUBLE.significand_bits)] * (1 + len(gammas)))
     series = [("particular", continuous.grid_trajectory(p, t_end, dt))]
     for g in gammas:
         shift = continuous.RiccatiShift(g)
         series.append((f"gamma={g!r}", continuous.grid_trajectory(p, t_end, dt, shift)))
-    config = {"subcommand": "ode", "r": r, "x0": x0, "gammas": list(gammas),
+    config = {"subcommand": "ode", "r": r, "x0": x0, "gammas": gammas,
               "t_end": t_end, "dt": dt}
     return {"config": config, "series": series}
 
 
-def _run_map3(params):
-    r, x0 = params["r"], params["x0"]
-    steps = params["steps"]
-    bits = _get(params, "bits", 53)
-    forms = params.get("forms") or ()
+def _run_map3(r, x0, steps, bits=53, forms=()):
     policy = PrecisionPolicy(bits)
-    _check_series(steps + 1, bits)
+    _check_series(*[(steps + 1, bits)] * (1 + len(forms)))
     p = map_standard.MapParams(r, x0)
     series = [("iterated", map_standard.iterate(p, steps, policy))]
     for name in forms:
@@ -118,29 +116,21 @@ def _run_map3(params):
     return {"config": config, "series": series}
 
 
-def _run_map4(params):
-    r, x0 = params["r"], params["x0"]
-    steps = params["steps"]
-    gammas = sorted(set(params.get("gammas") or ()))  # one series per value
-    _check_series(steps + 1)
+def _run_map4(r, x0, steps, gammas=()):
+    gammas = sorted(set(gammas))  # one series per value
+    _check_series(*[(steps + 1, DOUBLE.significand_bits)] * (2 + len(gammas)))
     p = map_riccati.RiccatiMapParams(r, x0)
     series = [("iterated", map_riccati.iterate(p, steps)),
               ("particular", map_riccati.particular_trajectory(p, steps))]
     series += [(f"gamma={g!r}", map_riccati.general_trajectory(p, g, steps)) for g in gammas]
-    config = {"subcommand": "map4", "r": r, "x0": x0, "steps": steps,
-              "gammas": list(gammas)}
+    config = {"subcommand": "map4", "r": r, "x0": x0, "steps": steps, "gammas": gammas}
     return {"config": config, "series": series}
 
 
-def _run_compare(params):
-    r, x0 = params["r"], params["x0"]
-    steps = _get(params, "steps", 60)
-    bits = _get(params, "bits", 53)
-    threshold = _get(params, "threshold", 0.01)
-    forms = params.get("forms") or ()
-    oracle_bits = params.get("oracle_bits")
+def _run_compare(r, x0, steps=60, bits=53, threshold=0.01, forms=(), oracle_bits=None):
     resolved = map_standard.oracle_policy(steps, bits, oracle_bits).significand_bits
-    _check_series(steps + 1, resolved)  # the oracle, the largest series
+    # the oracle, then the iteration and each closed form
+    _check_series((steps + 1, resolved), *[(steps + 1, bits)] * (1 + len(forms)))
     p = map_standard.MapParams(r, x0)
     reports = map_standard.divergence_reports(p, steps, bits, threshold, forms, oracle_bits)
     config = {"subcommand": "compare", "r": r, "x0": x0, "steps": steps,
@@ -149,11 +139,8 @@ def _run_compare(params):
     return {"config": config, "reports": reports}
 
 
-def _run_rng(params):
-    x0 = params["x0"]
-    count = params["count"]
-    burn_in = _get(params, "burn_in", 0)
-    _check_series(count)
+def _run_rng(x0, count, burn_in=0):
+    _check_series((count, DOUBLE.significand_bits))
     if burn_in + count > continuous.MAX_GRID_POINTS:  # burn-in steps cost as samples do
         raise ValueError(f"{burn_in} burn-in steps and {count} samples exceed the "
                          f"limit of {continuous.MAX_GRID_POINTS} steps")
@@ -163,10 +150,9 @@ def _run_rng(params):
     return {"config": config, "series": series}
 
 
-def _run_figure(params):
-    which = params["which"]
+def _run_figure(which):
     preset = FIGURE_PRESETS[which]
-    doc = {"1": _run_ode, "2": _run_map3, "3": _run_map4}[which](preset)
+    doc = {"1": _run_ode, "2": _run_map3, "3": _run_map4}[which](**preset)
     if which == "2":
         p = map_standard.MapParams(preset["r"], preset["x0"])
         doc["series"].append(("oracle", map_standard.oracle(p, preset["steps"])))
@@ -289,20 +275,23 @@ _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd",
 
 def _render_svg(doc):
     """Minimal line chart: axes, one polyline per series, legend.  Meant for
-    eyeballing the curves, not for publication."""
-    named = [(label, list(zip(map(float, indices), map(float, values))))
-             for label, _, _, indices, values in _rows(doc)]
+    eyeballing the curves, not for publication.  Each series' columns are read
+    where they are, and no point is copied: indices increase strictly, so a
+    column's first and last index bound it, and each value column takes one
+    min and one max pass."""
+    columns = [(label, indices, values) for label, _, _, indices, values in _rows(doc)]
     width, height = 720, 480
     ml, mr, mt, mb = 60, 160, 36, 46
-    xs = [x for _, pts in named for x, _ in pts]
-    ys = [y for _, pts in named for _, y in pts]
-    xmin, xmax = min(xs), max(xs)
+    xmin = min(float(indices[0]) for _, indices, _ in columns)
+    xmax = max(float(indices[-1]) for _, indices, _ in columns)
     if xmax == xmin:
         xmax = xmin + 1.0
+    ymin = min(min(map(float, values)) for _, _, values in columns)
+    ymax = max(max(map(float, values)) for _, _, values in columns)
     # from 8e307 on, a flat series' widening, the 5% pad or the span can overflow:
     # the y range is worked in quarters there, and its pad stops at the largest double
-    scale = 1.0 if max(map(abs, ys)) < 8e307 else 0.25
-    lo, hi = min(ys) * scale, max(ys) * scale
+    scale = 1.0 if max(ymax, -ymin) < 8e307 else 0.25
+    lo, hi = ymin * scale, ymax * scale
     if hi == lo:  # from 2^53 on, lo + 1.0 is lo
         hi = lo + max(scale, abs(lo))
     pad, edge = 0.05 * (hi - lo), sys.float_info.max * scale
@@ -336,14 +325,15 @@ def _render_svg(doc):
         f'text-anchor="middle">{title}</text>',
     ]
     out = bytearray("\n".join(head).encode("ascii"))
-    for idx, (label, pts) in enumerate(named):
-        color = _PALETTE[idx % len(_PALETTE)]
+    for k, (label, indices, values) in enumerate(columns):
+        color = _PALETTE[k % len(_PALETTE)]
         out += (f'\n<polyline fill="none" stroke="{color}" stroke-width="1.5" '
                 'points="').encode("ascii")
-        _append_rows(out, "%.2f,%.2f ", ((sx(x), sy(y)) for x, y in pts))
+        _append_rows(out, "%.2f,%.2f ",
+                     zip(map(sx, map(float, indices)), map(sy, map(float, values))))
         if out.endswith(b" "):  # the last point's separator
             del out[-1]
-        ly = mt + 16 * idx
+        ly = mt + 16 * k
         out += (f'"/>\n<line x1="{width - mr + 10}" y1="{ly}" '
                 f'x2="{width - mr + 30}" y2="{ly}" stroke="{color}" '
                 'stroke-width="2"/>'
@@ -377,7 +367,7 @@ def run(config: RunConfig) -> int:
                 _require_finite(key, v)
         else:
             _require_finite(key, value)
-    artifact = renderer(runner(config.parameters))
+    artifact = renderer(runner(**config.parameters))
     if config.output_path not in (None, "-"):
         with open(config.output_path, "wb") as fh:
             fh.write(artifact)
@@ -455,7 +445,8 @@ def _parser() -> argparse.ArgumentParser:
 def parse_args(argv=None) -> RunConfig:
     params = vars(_parser().parse_args(argv))
     subcommand, fmt, out = (params.pop(k) for k in ("subcommand", "format", "out"))
-    return RunConfig(subcommand, params, fmt, out)
+    # an option not given stays out, and its runner's signature gives its default
+    return RunConfig(subcommand, {k: v for k, v in params.items() if v is not None}, fmt, out)
 
 
 def main(argv=None) -> int:

@@ -191,8 +191,8 @@ class TestOdeCommand:
         assert captured.err.splitlines()[-1].startswith("error: solution has a pole at t=1.457")
 
     def test_members_share_one_grid_while_the_run_lives(self):
-        doc = cli._run_ode(cli.parse_args(["ode", "--r", "1.7", "--x0", "0.11", "--gamma",
-                                           "0.14", "--gamma", "0.25"]).parameters)
+        doc = cli._run_ode(**cli.parse_args(["ode", "--r", "1.7", "--x0", "0.11", "--gamma",
+                                             "0.14", "--gamma", "0.25"]).parameters)
         times = [traj.indices for _, traj in doc["series"]]
         assert len(times) == 3 and all(t is times[0] for t in times)
         assert times[0] == tuple(k * 0.02 for k in range(501))
@@ -394,7 +394,7 @@ class TestParseArgs:
         assert first.parameters["forms"] == ["table1", "simple"]
         assert second.parameters["forms"] == ["simple"]
         first.parameters["forms"].append("r4")
-        assert cli.parse_args(["compare", "--r", "4", "--x0", "0.3"]).parameters["forms"] is None
+        assert "forms" not in cli.parse_args(["compare", "--r", "4", "--x0", "0.3"]).parameters
         a = cli.parse_args(["map4", "--r", "1.73", "--x0", "0.333", "--steps", "5",
                             "--gamma", "2"])
         b = cli.parse_args(["map4", "--r", "1.73", "--x0", "0.333", "--steps", "5",
@@ -415,6 +415,7 @@ class TestSeriesLimits:
             monkeypatch.setattr(map_standard, name, never)
         for name in ("iterate", "particular_trajectory", "general_trajectory"):
             monkeypatch.setattr(map_riccati, name, never)
+        monkeypatch.setattr(continuous, "grid_trajectory", never)
 
     @pytest.mark.parametrize("argv", [
         ["map3", "--r", "4", "--x0", "0.3", "--steps", "1000000000"],
@@ -423,6 +424,9 @@ class TestSeriesLimits:
         ["compare", "--r", "-2", "--x0", "0.9", "--steps", "1000000000"],
         ["rng", "--x0", "0.3", "--count", "1000000000"],
         ["rng", "--x0", "0.3", "--count", "10000001"],
+        # five series of 3,000,001 points, each within the limit, are 1.5e7 in all
+        ["ode", "--r", "1.7", "--x0", "0.11", "--t-end", "3000000", "--dt", "1", "--gamma",
+         "0.14", "--gamma", "0.15", "--gamma", "0.17", "--gamma", "0.25"],
     ])
     def test_too_many_samples(self, argv, capsys):
         assert main(argv) == 2
@@ -503,6 +507,8 @@ class TestSeriesLimits:
 # ode-json were re-captured when every ODE member began to start on x_s rounded
 # once (0.11, not 1/(1/0.11) = 0.10999999999999999): only their t = 0 samples
 # moved, and test_every_start_sample_is_the_start_rounded_once pins them.
+# map3-r4-budget-svg, rng-svg and map3-subnormal-svg were captured before the
+# SVG chart read its columns in place of a copy of every point.
 GOLDEN_SHA256 = [
     (["compare", "--r", "-2", "--x0", "0.9", "--form", "table1", "--form", "simple"],
      "c57e476735943d7177a857f2b0aab06ce0361c69b570f4a0c343f6e81cd06c85"),
@@ -578,13 +584,22 @@ GOLDEN_SHA256 = [
     (["map3", "--r", "-2", "--x0", "0.9", "--steps", "300", "--bits", "364",
       "--form", "table1", "--form", "simple"],
      "57c27d7c96f3c832a95a49d2b2dd7f9f0cbde5f3031cb8a1e007e79530bdcd29"),
+    # charts of budget-width values, of ints on a range index, and of subnormals
+    (["map3", "--r", "4", "--x0", "0.3", "--steps", "300", "--bits", "364", "--form", "r4",
+      "--format", "svg"],
+     "8e81138b12ed81acedcd842541b64e81f99f4be3a11c5362f2433eba9670a5ac"),
+    (["rng", "--x0", "0.3", "--count", "5000", "--burn-in", "7", "--format", "svg"],
+     "8ac080e3875b0d383faffc56b3a345f09b98e74f07e8c0dd5c85ec8c096bb486"),
+    (["map3", "--r", "0.5", "--x0", "0.3", "--steps", "1100", "--format", "svg"],
+     "8cba40dffcd76c748f6bbbe6ab886b93911e310612733e9ae1feb3b1779a245f"),
 ]
 GOLDEN_IDS = ["compare", "compare-csv", "compare-svg", "compare-phase", "map3-r2"] + [
     f"figure{w}-{f}" for w in "123" for f in ("csv", "json", "svg")] + [
     "ode-gammas", "map4-gammas-json", "rng-json", "compare-long", "compare-periodic-200",
     "compare-forms-long", "map3-long", "map3-subnormal", "compare-decay", "compare-decay-json",
     "compare-periodic-200-json", "rng-csv", "map3-subnormal-csv", "ode-json", "compare-r4-csv",
-    "map3-rm2-forms-json", "map3-r4-budget-json", "map3-rm2-forms-budget"]
+    "map3-rm2-forms-json", "map3-r4-budget-json", "map3-rm2-forms-budget",
+    "map3-r4-budget-svg", "rng-svg", "map3-subnormal-svg"]
 
 
 @pytest.mark.parametrize("argv,digest", GOLDEN_SHA256, ids=GOLDEN_IDS)
@@ -628,9 +643,10 @@ def peak_growth(argv):
 
 @pytest.mark.skipif(sys.platform != "linux", reason="reads the peak RSS that Linux reports")
 class TestPeakMemory:
-    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("fmt", ["csv", "json", "svg"])
     def test_artifact_is_held_once(self, fmt, tmp_path):
-        # 5.6 MB of CSV, 15.2 MB of JSON: the bytes, one tuple of bits and a batch
+        # 5.6 MB of CSV, 15.2 MB of JSON: the bytes, one tuple of bits and a batch;
+        # 3.8 MB of SVG, its points formatted straight from the columns
         path = tmp_path / f"rng.{fmt}"
         growth = peak_growth(["rng", "--x0", "0.3", "--count", "300000", "--format", fmt,
                               "--out", str(path)])
@@ -758,7 +774,7 @@ class TestOutputsAndErrors:
         # in one call: the file, stdout's binary buffer once the text layer
         # holds nothing, or the decoded text for a stdout with no buffer
         argv = ["rng", "--x0", "0.3", "--count", "150000"]
-        expected = bytes(cli._render_csv(cli._run_rng(cli.parse_args(argv).parameters)))
+        expected = bytes(cli._render_csv(cli._run_rng(**cli.parse_args(argv).parameters)))
         assert len(expected) > 2**21
         writes = []
         real_open = open
