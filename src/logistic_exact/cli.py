@@ -23,8 +23,10 @@ import functools
 import itertools
 import json
 import math
+import mmap
 import sys
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from mpmath import mp
@@ -62,11 +64,6 @@ class RunConfig:
     parameters: dict = field(default_factory=dict)
     output_format: str = "csv"
     output_path: str = "-"
-
-
-def _require_finite(name, value):
-    if isinstance(value, float) and not math.isfinite(value):
-        raise ValueError(f"--{name} must be a finite number, got {value!r}")
 
 
 def _check_series(*series):
@@ -200,20 +197,85 @@ def _rows(doc, convert=None):
         yield label, "abs-error", 53, range(len(errors)), errors
 
 
-def _append_rows(out, fmt, rows):
-    """Append ``fmt % row`` for each row to the bytearray ``out``, as ASCII,
-    joined in batches of 4,096 rows: no list of every row's text is held."""
-    for batch in iter(lambda: "".join(map(fmt.__mod__, itertools.islice(rows, 4096))), ""):
-        out += batch.encode("ascii")
+class _Artifact:
+    """The ASCII bytes of one artifact, grown in one anonymous private memory
+    map.  Its pages are touched only as they are written and go back with the
+    map, so a large artifact leaves no hole in the heap that later work grows
+    in.  ``resize`` remaps without copying where the platform can (mremap on
+    Linux); elsewhere a map of twice the size takes a copy.  The map is
+    private: a shared one raises SIGBUS on the first write past its first
+    size once it is resized."""
+
+    def __init__(self, head):
+        self._map, self._end = self._new(max(len(head), mmap.PAGESIZE)), 0
+        self.write(head)
+
+    @staticmethod
+    def _new(size):
+        return mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
+
+    def write(self, data):
+        end = self._end + len(data)
+        if end > len(self._map):
+            size = max(end, 2 * len(self._map))
+            try:
+                self._map.resize(size)
+            except (OSError, SystemError):  # no mremap, as on macOS
+                grown = self._new(size)
+                grown[:self._end] = self._map[:self._end]
+                self._map.close()
+                self._map = grown
+        self._map[self._end:end] = data
+        self._end = end
+
+    def __len__(self):
+        return self._end
+
+    def __setitem__(self, k, byte):  # 0 <= k < len(self)
+        self._map[k] = byte
+
+    def endswith(self, suffix):
+        return self._map[max(self._end - len(suffix), 0):self._end] == suffix
+
+    def pop(self):
+        """Drop the last byte of a non-empty artifact, and return it."""
+        self._end -= 1
+        return self._map[self._end]
+
+    def view(self):
+        """The bytes written, as a memoryview that holds the map until it goes."""
+        return memoryview(self._map)[:self._end]
+
+
+_BATCH = 4096
+
+
+def _append_rows(out, fmt, *columns):
+    """Write ``fmt % row`` for each row of the columns to the artifact ``out``,
+    as ASCII.  One ``%`` against ``fmt * 4096`` formats 4,096 rows, with one
+    argument tuple interleaved from the columns' slices: a sequence's own
+    slice, or an iterator's next 4,096 items.  So no tuple or string is made
+    per row."""
+    width, batch = len(columns), fmt * _BATCH
+    for a in itertools.count(0, _BATCH):
+        parts = [c[a:a + _BATCH] if isinstance(c, Sequence)
+                 else tuple(itertools.islice(c, _BATCH)) for c in columns]
+        rows = len(parts[0])
+        args = [None] * (width * rows)
+        for j, part in enumerate(parts):
+            args[j::width] = part
+        out.write(((batch if rows == _BATCH else fmt * rows) % tuple(args)).encode("ascii"))
+        if rows < _BATCH:
+            return
 
 
 def _render_csv(doc):
-    out = bytearray(b"index_or_time,series,method,value\n")
+    out = _Artifact(b"index_or_time,series,method,value\n")
     for label, method, _, indices, values in _rows(doc, _value):
         # %s writes what an f-string field writes: str() of the value
         fmt = "%s," + f"{label},{method},".replace("%", "%%") + "%s\n"
-        _append_rows(out, fmt, zip(indices, values))
-    return out
+        _append_rows(out, fmt, indices, values)
+    return out.view()
 
 
 def _json_value(v, bits):
@@ -224,14 +286,14 @@ def _json_value(v, bits):
 
 
 def _json_entries(doc):
-    """(fields, list key, item format, items) of each series or report: its
+    """(fields, list key, item format, columns) of each series or report: its
     scalar fields, then the format of each item of its one list, at that
-    list's fixed depth, and the items it formats."""
+    list's fixed depth, and the columns of the items it formats."""
     if "series" in doc:
         # an int's and a float's str is their repr, as _json_value writes them
         for label, method, bits, indices, values in _rows(doc, _json_value):
             yield ({"label": label, "method": method, "precision_bits": bits}, "samples",
-                   ",\n        [\n          %r,\n          %s\n        ]", zip(indices, values))
+                   ",\n        [\n          %r,\n          %s\n        ]", (indices, values))
         return
     config = doc["config"]
     for label, rep in doc["reports"]:
@@ -242,7 +304,7 @@ def _json_entries(doc):
                 "threshold": rep.threshold,
                 "first_divergent_index": rep.first_divergent_index,
                 "max_error": rep.max_error}, "per_step_abs_error",
-               ",\n        %r", iter(rep.per_step_abs_error))
+               ",\n        %r", (rep.per_step_abs_error,))
 
 
 def _render_json(doc):
@@ -251,22 +313,22 @@ def _render_json(doc):
     depth: with an indent set, json encodes in pure Python, token by token."""
     key = "series" if "series" in doc else "reports"
     # the config is small and nests (a figure's preset): the encoder writes it
-    out = bytearray(('{\n  "config": ' + json.dumps(doc["config"], indent=2).replace("\n", "\n  ")
+    out = _Artifact(('{\n  "config": ' + json.dumps(doc["config"], indent=2).replace("\n", "\n  ")
                      + f',\n  "{key}": [').encode("ascii"))
     entry = "\n    {"
-    for fields, list_key, fmt, items in _json_entries(doc):
-        out += (entry + "".join(f'\n      "{k}": {json.dumps(v)},' for k, v in fields.items())
-                + f'\n      "{list_key}": ').encode("ascii")
+    for fields, list_key, fmt, columns in _json_entries(doc):
+        out.write((entry + "".join(f'\n      "{k}": {json.dumps(v)},' for k, v in fields.items())
+                   + f'\n      "{list_key}": ').encode("ascii"))
         start = len(out)
-        _append_rows(out, fmt, items)
+        _append_rows(out, fmt, *columns)
         if len(out) > start:  # each item opens with a comma; the list's first with "["
             out[start] = ord("[")
-            out += b"\n      ]\n    }"
+            out.write(b"\n      ]\n    }")
         else:
-            out += b"[]\n    }"
+            out.write(b"[]\n    }")
         entry = ",\n    {"
-    out += b"]\n}\n" if entry == "\n    {" else b"\n  ]\n}\n"
-    return out
+    out.write(b"]\n}\n" if entry == "\n    {" else b"\n  ]\n}\n")
+    return out.view()
 
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd",
@@ -324,23 +386,22 @@ def _render_svg(doc):
         f'<text x="{(ml + width - mr) / 2:.1f}" y="{mt - 14}" font-size="13" '
         f'text-anchor="middle">{title}</text>',
     ]
-    out = bytearray("\n".join(head).encode("ascii"))
+    out = _Artifact("\n".join(head).encode("ascii"))
     for k, (label, indices, values) in enumerate(columns):
         color = _PALETTE[k % len(_PALETTE)]
-        out += (f'\n<polyline fill="none" stroke="{color}" stroke-width="1.5" '
-                'points="').encode("ascii")
-        _append_rows(out, "%.2f,%.2f ",
-                     zip(map(sx, map(float, indices)), map(sy, map(float, values))))
+        out.write((f'\n<polyline fill="none" stroke="{color}" stroke-width="1.5" '
+                   'points="').encode("ascii"))
+        _append_rows(out, "%.2f,%.2f ", map(sx, map(float, indices)), map(sy, map(float, values)))
         if out.endswith(b" "):  # the last point's separator
-            del out[-1]
+            out.pop()
         ly = mt + 16 * k
-        out += (f'"/>\n<line x1="{width - mr + 10}" y1="{ly}" '
-                f'x2="{width - mr + 30}" y2="{ly}" stroke="{color}" '
-                'stroke-width="2"/>'
-                f'\n<text x="{width - mr + 36}" y="{ly + 4}" '
-                f'font-size="11">{label}</text>').encode("ascii")
-    out += b"\n</svg>\n"
-    return out
+        out.write((f'"/>\n<line x1="{width - mr + 10}" y1="{ly}" '
+                   f'x2="{width - mr + 30}" y2="{ly}" stroke="{color}" '
+                   'stroke-width="2"/>'
+                   f'\n<text x="{width - mr + 36}" y="{ly + 4}" '
+                   f'font-size="11">{label}</text>').encode("ascii"))
+    out.write(b"\n</svg>\n")
+    return out.view()
 
 
 _RENDERERS = {"csv": _render_csv, "json": _render_json, "svg": _render_svg}
@@ -351,10 +412,13 @@ _RENDERERS = {"csv": _render_csv, "json": _render_json, "svg": _render_svg}
 def run(config: RunConfig) -> int:
     """Execute one resolved configuration, writing the artifact to its sink.
 
-    The renderer builds the artifact once, as ASCII bytes, and it is written
-    in one call: to the ``--out`` file opened in binary mode, or to stdout's
-    binary buffer once the text layer is flushed.  Only a stdout with no
-    binary buffer, such as an ``io.StringIO``, gets it decoded to text."""
+    A float parameter that is not finite is refused, named by the option
+    that sets it.  The renderer builds the artifact once, as ASCII bytes in
+    an anonymous memory map, and returns a memoryview of them, which is
+    written in one call: to the ``--out`` file opened in binary mode, or to
+    stdout's binary buffer once the text layer is flushed.  Only a stdout
+    with no binary buffer, such as an ``io.StringIO``, gets it decoded to
+    text.  The map goes when the view does."""
     runner = _RUNNERS.get(config.subcommand)
     if runner is None:
         raise ValueError(f"unknown subcommand {config.subcommand!r}")
@@ -362,11 +426,10 @@ def run(config: RunConfig) -> int:
     if renderer is None:
         raise ValueError(f"unknown output format {config.output_format!r}")
     for key, value in config.parameters.items():
-        if isinstance(value, (list, tuple)):
-            for v in value:
-                _require_finite(key, v)
-        else:
-            _require_finite(key, value)
+        for v in value if isinstance(value, (list, tuple)) else (value,):
+            if isinstance(v, float) and not math.isfinite(v):
+                raise ValueError(f"{_option(config.subcommand, key)} must be a finite "
+                                 f"number, got {v!r}")
     artifact = renderer(runner(**config.parameters))
     if config.output_path not in (None, "-"):
         with open(config.output_path, "wb") as fh:
@@ -375,7 +438,7 @@ def run(config: RunConfig) -> int:
         sys.stdout.flush()  # what the text layer holds goes first
         sys.stdout.buffer.write(artifact)
     else:
-        sys.stdout.write(artifact.decode("ascii"))
+        sys.stdout.write(str(artifact, "ascii"))
     return 0
 
 
@@ -440,6 +503,14 @@ def build_parser() -> argparse.ArgumentParser:
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     return build_parser()  # once per process: building costs more than parsing
+
+
+def _option(subcommand, key):
+    """The option that sets the parameter ``key`` of the subcommand, as its
+    parser spells it: ``--gamma`` for ``gammas``, ``--t-end`` for ``t_end``."""
+    subparsers = next(a for a in _parser()._actions if a.dest == "subcommand")
+    return next((a.option_strings[0] for a in subparsers.choices[subcommand]._actions
+                 if a.dest == key and a.option_strings), f"--{key}")
 
 
 def parse_args(argv=None) -> RunConfig:

@@ -4,8 +4,9 @@ The equation is a constant-coefficient Riccati equation, so one known
 solution generates the whole family: every member is the basic sigmoid
 restarted from a shifted initial value x_s = gamma*x0/(gamma - x0).  Every
 form starts at x_s rounded once and evaluates 1/(1 + (1/x_s - 1)*exp(-r*t))
-for t != 0 with ``_sigmoid``, the Riccati kernel that the coupled map
-shares; a grid resolves its member once for all its points.  The ODE side is
+for t != 0 with ``_sigmoid``, the Riccati column kernel that the coupled map
+shares; a grid resolves its member once and evaluates all its points as one
+column.  The ODE side is
 not chaotic, so double precision serves throughout.  A classical Runge-Kutta
 integrator provides the independent cross-check, on the grid of ``grid_trajectory``.
 """
@@ -15,7 +16,7 @@ import operator
 import sys
 import weakref
 from dataclasses import dataclass
-from itertools import chain, islice, repeat
+from itertools import chain, repeat
 
 from .errors import ESCAPE_BOUND, POLE_EPS, DomainError, EscapeError, PoleError
 from .precision import DOUBLE, METHOD_ODE_CLOSED_FORM, METHOD_ODE_RK4, Trajectory
@@ -113,30 +114,48 @@ def effective_initial_condition(p: ContinuousParams, shift: RiccatiShift) -> flo
                         "overflows", where=0.0) from None
 
 
-def _sigmoid(c, decay, arg, where, axis="t"):
-    """1/(1 + c*decay(arg)), the Riccati sigmoid of both families after its
-    start: exp(-r*t) for the ODE, (1+r)^-n for the coupled map, with a pole
-    reported at ``axis`` = ``where``.  Where the decay overflows, 1 + c*decay
-    rounds to c*decay (a nonzero c is at least 2^-53 in magnitude), so the
-    sample is 1/(c*decay(h))/decay(arg - h) for the half h = arg // 2 (exact
-    for a float arg as for an integer one): a zero only when a half overflows
-    too or the quotient underflows, signed as the quotient is, by c times
-    decay(arg % 2) (the map's base to the parity of n, or an exp that is
-    positive)."""
+def _sigmoid(c, decay, rate, wheres, axis="t"):
+    """[1/(1 + c*decay(rate*w)) for each w of the sequence ``wheres``], the
+    Riccati sigmoid of both families after its start: exp(-r*t) for the ODE,
+    (1+r)^-n for the coupled map, with a pole reported at ``axis`` = w.
+
+    The column runs as C-level maps: the decay, then 1.0 + c*d, then 1.0/den,
+    each point's operations in the order of the per-point rule below.  That
+    rule evaluates the column instead, point by point, when a decay
+    overflows, a denominator is exactly zero, or a sample passes 1e299 in
+    magnitude, as one does where |den| < POLE_EPS.  Where the decay of arg =
+    rate*w overflows, 1 + c*decay rounds to c*decay (a nonzero c is at least
+    2^-53 in magnitude), so the sample is 1/(c*decay(h))/decay(arg - h) for
+    the half h = arg // 2 (exact for a float arg as for an integer one): a
+    zero only when a half overflows too or the quotient underflows, signed
+    as the quotient is, by c times decay(arg % 2) (the map's base to the
+    parity of n, or an exp that is positive)."""
     if c == 0:
-        return 1.0
+        return [1.0] * len(wheres)
     try:
-        d = decay(arg)
-    except OverflowError:
-        h = arg // 2
+        samples = list(map(operator.truediv, repeat(1.0), map(operator.add, repeat(1.0), map(
+            operator.mul, repeat(c), map(decay, map(operator.mul, repeat(rate), wheres))))))
+    except (OverflowError, ZeroDivisionError):
+        pass
+    else:
+        if max(samples, default=0.0) <= 1e299 and min(samples, default=0.0) >= -1e299:
+            return samples
+
+    def point(arg, where):
         try:
-            return 1.0 / (c * decay(h)) / decay(arg - h)
+            d = decay(arg)
         except OverflowError:
-            return math.copysign(0.0, c * decay(arg % 2))
-    den = 1.0 + c * d
-    if abs(den) < POLE_EPS:
-        raise PoleError(f"solution has a pole at {axis}={where!r}", where=where)
-    return 1.0 / den
+            h = arg // 2
+            try:
+                return 1.0 / (c * decay(h)) / decay(arg - h)
+            except OverflowError:
+                return math.copysign(0.0, c * decay(arg % 2))
+        den = 1.0 + c * d
+        if abs(den) < POLE_EPS:
+            raise PoleError(f"solution has a pole at {axis}={where!r}", where=where)
+        return 1.0 / den
+
+    return list(map(point, map(operator.mul, repeat(rate), wheres), wheres))
 
 
 def particular_solution(t: float, p: ContinuousParams) -> float:
@@ -148,7 +167,7 @@ def particular_solution(t: float, p: ContinuousParams) -> float:
     for x0 = 0 and for an x0 whose reciprocal overflows a double.
     """
     q = _reciprocal_start(p.x0)
-    return float(p.x0) if t == 0 else _sigmoid(q - 1.0, math.exp, -p.r * t, t)
+    return float(p.x0) if t == 0 else _sigmoid(q - 1.0, math.exp, -p.r, (t,))[0]
 
 
 def general_solution(t: float, p: ContinuousParams, shift: RiccatiShift) -> float:
@@ -165,7 +184,7 @@ def general_solution(t: float, p: ContinuousParams, shift: RiccatiShift) -> floa
     """
     if t == 0:
         return effective_initial_condition(p, shift)
-    return _sigmoid(_reciprocal_start(p.x0, shift) - 1.0, math.exp, -p.r * t, t)
+    return _sigmoid(_reciprocal_start(p.x0, shift) - 1.0, math.exp, -p.r, (t,))[0]
 
 
 def general_solution_correction_form(t: float, p: ContinuousParams,
@@ -217,13 +236,14 @@ def grid_trajectory(p: ContinuousParams, t_end: float, dt: float,
 
     The particular solution, or the general-solution member selected by
     ``shift``: the member is resolved once, the sample at t = 0 is its start
-    x_s rounded once, and every later point is read off ``_sigmoid``, the
-    kernel ``particular_solution`` and ``general_solution`` evaluate a single
-    point with.  One pole rule holds for every seed and either sign of r: a
-    member starting at x_s outside [0, 1] (q = 1/x_s < 1) has one pole, at
-    t* = ln(1 - 1/x_s)/r, and a t* after 0 and up to the last grid point
-    raises PoleError before any sample.  Trajectories on one grid share its
-    tuple of times while any of them lives.
+    x_s rounded once, and every later point is read off one call of the
+    column kernel ``_sigmoid``, which ``particular_solution`` and
+    ``general_solution`` call with one-point columns.  One pole rule holds
+    for every seed and either sign of r: a member starting at x_s outside
+    [0, 1] (q = 1/x_s < 1) has one pole, at t* = ln(1 - 1/x_s)/r, and a t*
+    after 0 and up to the last grid point raises PoleError before any
+    sample.  Trajectories on one grid share its tuple of times while any of
+    them lives.
     """
     n = _grid_steps(t_end, dt)
     q = _reciprocal_start(p.x0, shift)
@@ -232,8 +252,7 @@ def grid_trajectory(p: ContinuousParams, t_end: float, dt: float,
         raise PoleError(f"solution has a pole at t={t!r}, inside the grid", where=t)
     start = float(p.x0) if shift is None else effective_initial_condition(p, shift)
     ts = _grid_times(n, dt)
-    us = map(operator.mul, repeat(-p.r), islice(ts, 1, None))
-    values = map(_sigmoid, repeat(q - 1.0), repeat(math.exp), us, islice(ts, 1, None))
+    values = _sigmoid(q - 1.0, math.exp, -p.r, ts[1:])
     _GRIDS[n, dt] = traj = Trajectory(METHOD_ODE_CLOSED_FORM, ts, chain((start,), values),
                                       DOUBLE)
     return traj

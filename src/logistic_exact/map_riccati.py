@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain, pairwise, repeat
-from operator import neg
 
 from .continuous import RiccatiShift, _sigmoid
 from .errors import POLE_EPS, DomainError, EscapeError, PoleError, check_steps
@@ -74,12 +73,11 @@ def _check_closed_form_params(p: RiccatiMapParams):
 
 def _series(p: RiccatiMapParams, n: int):
     """Samples 0..n of the particular solution, its parameters checked and
-    c = 1/x0 - 1 worked out once: the seed, then the ODE's kernel."""
+    c = 1/x0 - 1 worked out once: the seed, then one column of the ODE's
+    kernel."""
     check_steps(n)
     _check_closed_form_params(p)
-    steps = range(1, n + 1)
-    values = map(_sigmoid, repeat(1.0 / p.x0 - 1.0), repeat(partial(pow, 1.0 + p.r)),
-                 map(neg, steps), steps, repeat("n"))
+    values = _sigmoid(1.0 / p.x0 - 1.0, partial(pow, 1.0 + p.r), -1, range(1, n + 1), "n")
     return chain((float(p.x0),), values)
 
 
@@ -95,7 +93,7 @@ def particular_solution(p: RiccatiMapParams, n: int) -> float:
     _check_closed_form_params(p)
     if n == 0:
         return float(p.x0)
-    return _sigmoid(1.0 / p.x0 - 1.0, partial(pow, 1.0 + p.r), -n, n, "n")
+    return _sigmoid(1.0 / p.x0 - 1.0, partial(pow, 1.0 + p.r), -1, (n,), "n")[0]
 
 
 def coefficients(p: RiccatiMapParams, n_max: int) -> RiccatiCoefficients:

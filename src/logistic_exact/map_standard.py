@@ -644,7 +644,10 @@ def prng_bits(x0: float, count: int, burn_in: int = 0) -> tuple:
     left the exact orbit of ``x0``, whose bits it no longer reproduces.
     Orbits that land exactly on 0, 1 or 3/4 are stuck on a fixed point; that
     is fatal for bit output, so it raises DegeneracyError (pick a different
-    seed) instead of looping silently.
+    seed) instead of looping silently.  The burn-in and the bits run as two
+    tight loops, and the fixed-point set is tested once, at the end: an
+    orbit that reaches it ends on 0 or 3/4 (1 maps to 0), or on 1 at the last
+    step.  Only a stuck orbit is walked again, to name the step.
     """
     if not (math.isfinite(x0) and 0.0 < x0 < 1.0):
         raise DomainError("seed must lie strictly inside (0, 1)")
@@ -653,13 +656,18 @@ def prng_bits(x0: float, count: int, burn_in: int = 0) -> tuple:
     if not isinstance(burn_in, int) or burn_in < 0:
         raise ValueError("burn_in must be a non-negative integer")
     x = float(x0)
-    bits = bytearray()
-    for step in range(1, burn_in + count + 1):
+    for _ in range(burn_in):
         x = 4.0 * x * (1.0 - x)
-        if x == 0.0 or x == 1.0 or x == 0.75:
-            raise DegeneracyError(
-                f"orbit hit the fixed-point set (x={x!r} at step {step}); "
-                "choose a different seed")
-        if step > burn_in:
-            bits.append(1 if x > 0.5 else 0)
+    bits = bytearray(count)
+    for k in range(count):
+        x = 4.0 * x * (1.0 - x)
+        bits[k] = x > 0.5
+    if x == 0.0 or x == 1.0 or x == 0.75:
+        x = float(x0)
+        for step in range(1, burn_in + count + 1):
+            x = 4.0 * x * (1.0 - x)
+            if x == 0.0 or x == 1.0 or x == 0.75:
+                raise DegeneracyError(
+                    f"orbit hit the fixed-point set (x={x!r} at step {step}); "
+                    "choose a different seed")
     return tuple(bits)

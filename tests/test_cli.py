@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import math
+import mmap
 import os
 import subprocess
 import sys
@@ -609,10 +610,12 @@ def test_golden_artifacts(argv, digest, capsys):
     assert hashlib.sha256(out.encode("ascii")).hexdigest() == digest
 
 
-# Peak RSS of one run in a fresh interpreter, before and after cli.main, once
-# the package is imported and the parser built: Linux's VmHWM, in kB.  Unlike
-# ru_maxrss, it starts afresh at exec, not at the launching process's peak.
+# Peak RSS of runs in one fresh interpreter, before the first cli.main and
+# after the last, once the package is imported and the parser built: Linux's
+# VmHWM, in kB.  Unlike ru_maxrss, it starts afresh at exec, not at the
+# launching process's peak.
 PEAK = """
+import json
 import sys
 from logistic_exact import cli
 
@@ -624,18 +627,18 @@ def peak():
 
 cli._parser()
 before = peak()
-code = cli.main(sys.argv[1:])
-print(code, before, peak())
+codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]
+print(max(codes), before, peak())
 """
 
 
-def peak_growth(argv):
-    """Bytes by which one run grows its interpreter's peak RSS."""
+def peak_growth(*argvs):
+    """Bytes by which the runs, one after another, grow their interpreter's peak RSS."""
     package_root = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, (package_root, os.environ.get("PYTHONPATH")))))
-    out = subprocess.run([sys.executable, "-c", PEAK, *argv], env=env, check=True,
-                         capture_output=True, text=True).stdout
+    out = subprocess.run([sys.executable, "-c", PEAK, json.dumps(argvs)], env=env,
+                         check=True, capture_output=True, text=True).stdout
     code, before, after = map(int, out.split())
     assert code == 0
     return (after - before) * 1024
@@ -651,6 +654,27 @@ class TestPeakMemory:
         growth = peak_growth(["rng", "--x0", "0.3", "--count", "300000", "--format", fmt,
                               "--out", str(path)])
         assert growth < 2 * path.stat().st_size
+
+    def test_four_series_ode_holds_its_columns_and_artifact(self, tmp_path):
+        # 16.3 MiB of CSV for 4 series of 100,001 points: the peak grows by
+        # about 35.6 MiB, the artifact plus 13 MiB of float columns
+        path = tmp_path / "ode.csv"
+        growth = peak_growth(["ode", "--r", "1.7", "--x0", "0.11", "--gamma", "0.14",
+                              "--gamma", "0.17", "--gamma", "0.25", "--t-end", "100",
+                              "--dt", "0.001", "--out", str(path)])
+        assert growth < 2.5 * path.stat().st_size
+
+    def test_artifacts_leave_no_heap_behind(self, tmp_path):
+        # Each artifact grows in a memory map of its own, released with it, so
+        # a run after a larger one reuses the heap: 10.8 MiB of growth against
+        # 12.2 MiB while artifacts grew in the heap, for 6.95 MiB of JSON last
+        ode, rng = tmp_path / "ode.csv", tmp_path / "rng.json"
+        growth = peak_growth(
+            ["ode", "--r", "1.7", "--x0", "0.11", "--gamma", "0.14", "--gamma", "0.25",
+             "--t-end", "40", "--dt", "0.002", "--out", str(ode)],
+            *[["rng", "--x0", "0.3", "--count", str(count), "--format", "json",
+               "--out", str(rng)] for count in (105000, 134000, 145000)])
+        assert growth < 1.65 * rng.stat().st_size
 
     def test_iteration_only_compare_holds_no_reference(self, tmp_path):
         # a tapered reference of 9,001 samples holds about 5 MB as a list
@@ -671,6 +695,22 @@ class TestRngCommand:
     def test_degenerate_seed_exit_code(self, capsys):
         assert main(["rng", "--x0", "0.5", "--count", "10"]) == 3
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv,x,step", [
+        (["--x0", "0.5", "--count", "3", "--burn-in", "2"], "1.0", 1),
+        (["--x0", "0.14644660940672624", "--count", "3", "--burn-in", "2"], "1.0", 2),
+        (["--x0", "0.25", "--count", "5"], "0.75", 1),
+        (["--x0", "0.5", "--count", "1"], "1.0", 1),
+        (["--x0", "0.14644660940672624", "--count", "2"], "1.0", 2),
+    ], ids=["burn-in", "burn-in-step-2", "first-step", "last-step", "last-step-2"])
+    def test_degenerate_seed_names_its_step(self, argv, x, step, capsys):
+        # 0.14644660940672624 maps to 0.5, then to 1.0; an orbit that ends on
+        # 1.0 has not yet fallen to 0
+        assert main(["rng", *argv]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: orbit hit the fixed-point set (x={x} at step {step}); "
+                                "choose a different seed\n")
 
 
 class TestFigurePresets:
@@ -861,6 +901,23 @@ class TestOutputsAndErrors:
     def test_non_finite_parameter_exit_2(self, capsys):
         assert main(["map3", "--r", "nan", "--x0", "0.5", "--steps", "3"]) == 2
 
+    @pytest.mark.parametrize("subcommand,option", [
+        (name, action.option_strings[0])
+        for name, parser in next(a for a in cli.build_parser()._actions
+                                 if a.dest == "subcommand").choices.items()
+        for action in parser._actions if action.type is float])
+    def test_a_non_finite_option_is_named_as_the_parser_spells_it(self, subcommand, option,
+                                                                   capsys):
+        required = {"ode": ["--r", "1.7", "--x0", "0.11"],
+                    "map3": ["--r", "4", "--x0", "0.3", "--steps", "3"],
+                    "map4": ["--r", "1.73", "--x0", "0.333", "--steps", "3"],
+                    "compare": ["--r", "-2", "--x0", "0.9", "--steps", "5"],
+                    "rng": ["--x0", "0.3", "--count", "8"]}[subcommand]
+        assert main([subcommand, *required, f"{option}=nan"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {option} must be a finite number, got nan\n"
+
     def test_run_config_programmatic(self, capsys):
         config = RunConfig("map3", {"r": 4.0, "x0": 0.5, "steps": 1},
                            output_format="csv")
@@ -995,10 +1052,55 @@ def test_csv_is_what_the_row_writer_writes(doc):
     assert cli._render_csv(doc) == csv_reference(doc).encode("ascii")
 
 
+@pytest.mark.parametrize("rows", [0, 1, 4095, 4096, 4097, 8193])
+def test_rows_are_formatted_in_batches(rows):
+    values = tuple(k / 7 for k in range(rows))
+    labelled = "%s," + "100% sure,".replace("%", "%%") + "%r\n"
+    cases = [("%r\n", lambda: (values,)),
+             ("%r\n", lambda: (iter(values),)),
+             (labelled, lambda: (range(rows), values)),
+             (labelled, lambda: (range(rows), map(float, values))),
+             (labelled, lambda: (iter(range(rows)), values))]
+    for fmt, columns in cases:
+        out = cli._Artifact(b"head\n")
+        cli._append_rows(out, fmt, *columns())
+        expected = "head\n" + "".join(fmt % row for row in zip(*columns()))
+        assert bytes(out.view()) == expected.encode("ascii")
+
+
+class NoRemap(mmap.mmap):
+    """A map that cannot be resized, as where the platform has no mremap."""
+
+    def resize(self, size):
+        raise SystemError("mmap: resizing not available--no mremap()")
+
+
+@pytest.mark.parametrize("remap", [True, False], ids=["resize", "copy"])
+def test_artifact_does_what_a_bytearray_does(remap, monkeypatch):
+    # the operations the JSON and SVG renderers use, across several growths
+    if not remap:
+        monkeypatch.setattr(cli._Artifact, "_new", staticmethod(lambda size: NoRemap(
+            -1, size, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)))
+    out, ref = cli._Artifact(b"{"), bytearray(b"{")
+    for chunk in (b"", b",x", b"y" * 5000, b"z" * 70000, b"z" * (1 << 20), b" "):
+        out.write(chunk)
+        ref += chunk
+        assert len(out) == len(ref)
+    out[1] = ref[1] = ord("[")
+    for suffix in (b" ", b"z ", b"y ", b"", b"{" * (len(ref) + 1)):
+        assert out.endswith(suffix) == ref.endswith(suffix)
+    assert out.pop() == ref.pop()
+    assert not out.endswith(b" ")
+    out.write(b"}")
+    ref += b"}"
+    view = out.view()
+    assert isinstance(view, memoryview) and len(view) == len(ref) and view == ref
+
+
 def test_a_label_that_is_not_ascii_is_refused():
     traj = Trajectory("iterated", range(2), (0.5, 0.25), PrecisionPolicy(53))
     doc = {"config": {"subcommand": "map3"}, "series": [("\u03b3=0.5", traj)]}
-    assert b'"label": "\\u03b3=0.5"' in cli._render_json(doc)  # json escapes it
+    assert b'"label": "\\u03b3=0.5"' in bytes(cli._render_json(doc))  # json escapes it
     for render in (cli._render_csv, cli._render_svg):
         with pytest.raises(UnicodeEncodeError):
             render(doc)

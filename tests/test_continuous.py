@@ -1,6 +1,7 @@
 import math
 import warnings
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -19,7 +20,7 @@ from logistic_exact.continuous import (
     particular_solution,
     rk4_oracle,
 )
-from logistic_exact.errors import DomainError, PoleError
+from logistic_exact.errors import POLE_EPS, DomainError, PoleError
 from logistic_exact.precision import compare_trajectories
 
 FIG1 = ContinuousParams(r=1.7, x0=0.11)
@@ -457,3 +458,90 @@ class TestParams:
     def test_rejects_zero_gamma(self):
         with pytest.raises(DomainError):
             RiccatiShift(0.0)
+
+
+def sigmoid_point(c, decay, arg, where, axis="t"):
+    """The sigmoid's per-point rule, one sample at a time: the reference that
+    the column kernel must equal, sample for sample and error for error."""
+    if c == 0:
+        return 1.0
+    try:
+        d = decay(arg)
+    except OverflowError:
+        h = arg // 2
+        try:
+            return 1.0 / (c * decay(h)) / decay(arg - h)
+        except OverflowError:
+            return math.copysign(0.0, c * decay(arg % 2))
+    den = 1.0 + c * d
+    if abs(den) < POLE_EPS:
+        raise PoleError(f"solution has a pole at {axis}={where!r}", where=where)
+    return 1.0 / den
+
+
+def outcome(evaluate):
+    """The samples' reprs, zeros by their sign, or the pole refused."""
+    try:
+        return [repr(v) for v in evaluate()]
+    except PoleError as err:
+        return ("pole", str(err), err.where)
+
+
+def per_point(c, decay, rate, wheres, axis="t"):
+    return outcome(lambda: [sigmoid_point(c, decay, rate * w, w, axis) for w in wheres])
+
+
+def column(c, decay, rate, wheres, axis="t"):
+    return outcome(lambda: continuous._sigmoid(c, decay, rate, wheres, axis))
+
+
+class TestSigmoidColumn:
+    def test_ode_decay_overflows_mid_column(self):
+        # exp(t) overflows past t = 709.78, and the samples turn subnormal
+        traj = grid_trajectory(ContinuousParams(-1.0, 0.5), 720.0, 0.25)
+        assert 0 < traj.values[-1] < 1e-308
+        expected = ["0.5"] + per_point(1.0, math.exp, 1.0, traj.indices[1:])
+        assert outcome(lambda: traj.values) == expected
+
+    def test_map_decay_overflows_mid_column(self):
+        # 0.5^-n overflows past n = 1,024
+        traj = map_riccati.particular_trajectory(map_riccati.RiccatiMapParams(-0.5, 0.5), 1070)
+        assert 0 < traj.values[-1] < 1e-308
+        expected = ["0.5"] + per_point(1.0, partial(pow, 0.5), -1, range(1, 1071), "n")
+        assert outcome(lambda: traj.values) == expected
+
+    def test_zero_constant(self):
+        # x0 = 1 is the fixed point: c = 1/x0 - 1 = 0, whatever the decay does
+        assert grid_trajectory(ContinuousParams(-1.0, 1.0), 800.0, 0.5).values == (1.0,) * 1601
+        traj = map_riccati.particular_trajectory(map_riccati.RiccatiMapParams(-0.5, 1.0), 1100)
+        assert traj.values == (1.0,) * 1101
+
+    def test_pole_is_refused_where_it_lies(self):
+        # c = 1/x0 - 1 = -8 and 2^-3 * c = -1: the third sample's denominator is 0
+        x0 = -0.14285714285714285
+        with pytest.raises(PoleError) as err:
+            map_riccati.particular_trajectory(map_riccati.RiccatiMapParams(1.0, x0), 6)
+        assert (str(err.value), err.value.where) == ("solution has a pole at n=3", 3)
+        assert outcome(lambda: map_riccati.particular_trajectory(
+            map_riccati.RiccatiMapParams(1.0, x0), 6).values) == per_point(
+            1 / x0 - 1, partial(pow, 2.0), -1, range(1, 7), "n")
+        # a one-point column: c*exp(-1) rounds to -1 at t = 1
+        p = ContinuousParams(1.0, -0.5819767068693265)
+        with pytest.raises(PoleError) as err:
+            particular_solution(1.0, p)
+        assert (str(err.value), err.value.where) == ("solution has a pole at t=1.0", 1.0)
+        assert outcome(lambda: [particular_solution(1.0, p)]) == per_point(
+            1 / p.x0 - 1, math.exp, -p.r, (1.0,))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(-1e6, 1e6), st.floats(-3.0, 3.0),
+           st.lists(st.floats(-1000.0, 1000.0), max_size=12))
+    def test_exp_column_is_the_per_point_rule(self, c, rate, wheres):
+        assert column(c, math.exp, rate, wheres) == per_point(c, math.exp, rate, wheres)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(-1e6, 1e6), st.floats(-3.0, 3.0).filter(bool),
+           st.lists(st.integers(1, 3000), max_size=12))
+    def test_pow_column_is_the_per_point_rule(self, c, base, steps):
+        decay = partial(pow, base)
+        assert column(c, decay, -1, steps, "n") == per_point(c, decay, -1, steps, "n")
