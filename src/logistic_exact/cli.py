@@ -529,7 +529,7 @@ def main(argv=None) -> int:
             code = run(config)
         except (PoleError, DomainError, EscapeError, DegeneracyError) as exc:
             code, error = 3, exc
-        except ValueError as exc:
+        except (ValueError, OSError) as exc:  # OSError: an --out path that cannot be written
             code, error = 2, exc
     for message in dict.fromkeys(str(w.message) for w in caught):
         print(f"warning: {message}", file=sys.stderr)

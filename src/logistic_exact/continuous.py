@@ -207,7 +207,8 @@ def general_solution_correction_form(t: float, p: ContinuousParams,
 
 
 def _grid_steps(t_end: float, dt: float) -> int:
-    """Steps n of the grid k*dt, k = 0..n, ending at t_end; checked before allocating."""
+    """Steps n = round(t_end/dt) of the grid k*dt, k = 0..n, checked before
+    allocating.  Its last point n*dt can pass t_end by up to dt/2."""
     if not (math.isfinite(t_end) and math.isfinite(dt) and 0 < dt <= t_end):
         raise ValueError("need 0 < dt <= t_end")
     steps = t_end / dt

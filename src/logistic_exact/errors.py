@@ -28,7 +28,7 @@ class PoleError(ArithmeticError):
 
 
 class EscapeError(ArithmeticError):
-    """A trajectory or accumulator left the guarded range.
+    """A map orbit or an integrator's state left the guarded range.
 
     ``index`` is the first offending step.
     """

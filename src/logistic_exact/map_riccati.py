@@ -6,7 +6,8 @@ double precision suffices throughout.  The map inherits the ODE's whole
 solution structure: its particular solution starts on the seed and then reads
 the ODE's sigmoid kernel ``continuous._sigmoid`` with e^(-r*t) replaced by
 (1+r)^-n, and in its one-parameter general family gamma only shifts the seed
-to x0 + 1/gamma, cross-checked by cumulative products of step coefficients.
+to x0 + 1/gamma, cross-checked by stepping the linearized equation
+y' = g*y + h of the step coefficients from y = gamma.
 """
 
 import math
@@ -15,16 +16,9 @@ from functools import partial
 from itertools import chain, pairwise, repeat
 
 from .continuous import RiccatiShift, _sigmoid
-from .errors import POLE_EPS, DomainError, EscapeError, PoleError, check_steps
+from .errors import POLE_EPS, DomainError, PoleError, check_steps
 from .map_standard import MapParams
-from .precision import (
-    DOUBLE,
-    METHOD_CLOSED_FORM,
-    METHOD_ITERATED,
-    Trajectory,
-)
-
-_PRODUCT_GUARD = 1e300
+from .precision import DOUBLE, METHOD_CLOSED_FORM, METHOD_ITERATED, Trajectory
 
 # The coupled map takes the quadratic map's parameters, a finite rate r and seed
 # x0.  r = -1 is accepted: plain iteration handles it (the orbit is x0, 0, 0,
@@ -71,14 +65,30 @@ def _check_closed_form_params(p: RiccatiMapParams):
         raise DomainError("closed forms require x0 != 0 (they divide by x0)")
 
 
-def _series(p: RiccatiMapParams, n: int):
-    """Samples 0..n of the particular solution, its parameters checked and
-    c = 1/x0 - 1 worked out once: the seed, then one column of the ODE's
-    kernel."""
-    check_steps(n)
+def _series(p: RiccatiMapParams, n: int, first: int = 0):
+    """Samples first..n of the particular solution, its parameters checked and
+    c = 1/x0 - 1 worked out once: the seed at step 0, then one column of the
+    ODE's kernel.  The caller has checked n."""
     _check_closed_form_params(p)
-    values = _sigmoid(1.0 / p.x0 - 1.0, partial(pow, 1.0 + p.r), -1, range(1, n + 1), "n")
-    return chain((float(p.x0),), values)
+    head = (float(p.x0),) if first == 0 else ()
+    values = _sigmoid(1.0 / p.x0 - 1.0, partial(pow, 1.0 + p.r), -1,
+                      range(max(first, 1), n + 1), "n")
+    return chain(head, values)
+
+
+def _member(p: RiccatiMapParams, gamma: float, n: int, first: int = 0):
+    """Samples first..n of the family member picked by gamma.  As in the
+    continuous case gamma only shifts the seed, so the member is the
+    particular solution from x0 + 1/gamma, or the fixed point x = 0 where that
+    seed is 0.  The caller has checked n."""
+    RiccatiShift(gamma)  # gamma obeys the rule of the ODE's free constant
+    _check_closed_form_params(p)
+    seed = p.x0 + 1.0 / gamma
+    if not math.isfinite(seed):
+        raise PoleError("gamma is too close to 0: the shifted seed x0 + 1/gamma overflows")
+    if seed == 0:  # the fixed point, read as x0 = 0 by no closed form
+        return repeat(seed, n + 1 - first)
+    return _series(RiccatiMapParams(p.r, seed), n, first)
 
 
 def particular_solution(p: RiccatiMapParams, n: int) -> float:
@@ -90,10 +100,7 @@ def particular_solution(p: RiccatiMapParams, n: int) -> float:
     1/x0 - 1 rounds to -1, off the formula's false pole there.
     """
     check_steps(n)
-    _check_closed_form_params(p)
-    if n == 0:
-        return float(p.x0)
-    return _sigmoid(1.0 / p.x0 - 1.0, partial(pow, 1.0 + p.r), -1, (n,), "n")[0]
+    return next(_series(p, n, n))
 
 
 def coefficients(p: RiccatiMapParams, n_max: int) -> RiccatiCoefficients:
@@ -101,8 +108,7 @@ def coefficients(p: RiccatiMapParams, n_max: int) -> RiccatiCoefficients:
     for n = 0..n_max-1, with x_n the particular solution."""
     if not isinstance(n_max, int) or n_max < 1:
         raise ValueError("n_max must be a positive integer")
-    g = []
-    h = []
+    g, h = [], []
     for n, (xn, xn1) in enumerate(pairwise(_series(p, n_max))):
         den = p.r * (1.0 - xn1) + 1.0
         if abs(den) < POLE_EPS:
@@ -114,51 +120,43 @@ def coefficients(p: RiccatiMapParams, n_max: int) -> RiccatiCoefficients:
 
 def general_solution(p: RiccatiMapParams, gamma: float, n: int,
                      coeffs: RiccatiCoefficients | None = None) -> float:
-    """The family member picked by gamma: as in the continuous case, gamma
-    only shifts the seed, so this is the particular solution from x0 + 1/gamma.
+    """The family member picked by gamma: the particular solution from the
+    shifted seed x0 + 1/gamma.
 
     Passing ``coeffs`` selects the independent cross-check instead, O(n) per
-    sample and raising EscapeError when its product leaves the guarded range
-    (an empty product is 1, an empty sum 0):
-
-        x_n + prod(1/g_k, k<n) / (gamma + sum(prod(1/g_j, j<=k) * h_k, k<n))
+    sample: with x_n the particular solution, the member is x_n + 1/y_n, where
+    y steps the linearized equation y_{k+1} = g_k*y_k + h_k from y_0 = gamma.
+    That is the paper's closed form x_n + prod(1/g_k, k<n)/(gamma +
+    sum(prod(1/g_j, j<=k)*h_k, k<n)), with no product or sum formed on its
+    own.  y is held times a power of two, so it cannot overflow where 1/y_n
+    is still a double, and a member whose y_n vanishes has a pole at n.
     """
     check_steps(n)
-    RiccatiShift(gamma)  # gamma obeys the rule of the ODE's free constant
-    _check_closed_form_params(p)
     if coeffs is None:
-        seed = p.x0 + 1.0 / gamma
-        if not math.isfinite(seed):
-            raise PoleError("gamma is too close to 0: the shifted seed x0 + 1/gamma overflows")
-        if seed == 0:  # the fixed point x = 0, not a closed-form seed
-            return seed
-        return particular_solution(RiccatiMapParams(p.r, seed), n)
+        return next(_member(p, gamma, n, n))
+    RiccatiShift(gamma)
+    _check_closed_form_params(p)
     if len(coeffs.g) < n:
         raise ValueError(f"coefficients cover {len(coeffs.g)} steps, need {n}")
-    running = 1.0  # prod_{j<=k} 1/g_j while summing, equals prod_{k<n} 1/g_k at the end
-    acc = 0.0
-    for k in range(n):
-        running /= coeffs.g[k]
-        if abs(running) > _PRODUCT_GUARD or abs(running) < 1e-300:
-            raise EscapeError(f"coefficient product left the guarded range at step {k}",
-                              index=k)
-        acc += running * coeffs.h[k]
-    den = gamma + acc
-    if abs(den) < POLE_EPS:
+    y, scale = gamma, 0  # y_k = y*2**scale, rescaled exactly before it can overflow
+    for g, h in zip(coeffs.g[:n], coeffs.h):
+        y = g * y + math.ldexp(h, -scale)
+        if abs(y) > 2.0 ** 512:
+            y, scale = y * 2.0 ** -512, scale + 512
+    if y == 0 or abs(y) < math.ldexp(POLE_EPS, -scale):
         raise PoleError(f"gamma={gamma!r} hits the pole of the general solution at n={n}",
                         where=n)
-    return particular_solution(p, n) + running / den
+    return particular_solution(p, n) + math.ldexp(1.0 / y, -scale)
 
 
 def particular_trajectory(p: RiccatiMapParams, n: int) -> Trajectory:
     """Trajectory of the particular solution over steps 0..n."""
-    values = _series(p, n)  # checks n before range(n + 1) is formed
-    return Trajectory(f"{METHOD_CLOSED_FORM}:particular", range(n + 1), values, DOUBLE)
+    check_steps(n)
+    return Trajectory(f"{METHOD_CLOSED_FORM}:particular", range(n + 1), _series(p, n), DOUBLE)
 
 
 def general_trajectory(p: RiccatiMapParams, gamma: float, n: int) -> Trajectory:
     """Trajectory of the general solution over steps 0..n, from the shifted seed."""
     check_steps(n)
-    seed = general_solution(p, gamma, 0)  # the member's value at step 0 is x0 + 1/gamma
-    values = repeat(seed, n + 1) if seed == 0 else _series(RiccatiMapParams(p.r, seed), n)
-    return Trajectory(f"{METHOD_CLOSED_FORM}:general", range(n + 1), values, DOUBLE)
+    return Trajectory(f"{METHOD_CLOSED_FORM}:general", range(n + 1), _member(p, gamma, n),
+                      DOUBLE)

@@ -213,7 +213,7 @@ class TestMap4Command:
 
     def test_long_run_needs_no_coefficients(self, monkeypatch, capsys):
         def never(*args, **kwargs):
-            raise AssertionError("the coefficient products were computed")
+            raise AssertionError("the coefficients were computed")
 
         monkeypatch.setattr("logistic_exact.map_riccati.coefficients", never)
         rows = run_csv(["map4", "--r", "1.73", "--x0", "0.333", "--steps", "10000",
@@ -860,6 +860,17 @@ class TestOutputsAndErrors:
         assert main(["map3", "--r", "4", "--x0", "0.5", "--steps", "1",
                      "--out", str(path)]) == 0
         assert path.read_text().startswith("index_or_time")
+
+    @pytest.mark.parametrize("out", [".", "missing/x.csv"], ids=["directory", "missing-dir"])
+    def test_unwritable_out_exits_2(self, out, tmp_path, capsys):
+        # IsADirectoryError and FileNotFoundError ended in a traceback and exit 1
+        path = tmp_path / out
+        assert main(["rng", "--x0", "0.3", "--count", "5", "--out", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+        assert str(path) in captured.err
+        assert sorted(tmp_path.iterdir()) == []
 
     def test_unknown_subcommand_exits_2(self):
         with pytest.raises(SystemExit) as err:

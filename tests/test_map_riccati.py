@@ -1,12 +1,13 @@
 import math
+from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from mpmath import mpf, workprec
 
 from logistic_exact import continuous
-from logistic_exact.errors import DomainError, EscapeError, PoleError
+from logistic_exact.errors import DomainError, PoleError
 from logistic_exact.map_riccati import (
     RiccatiCoefficients,
     RiccatiMapParams,
@@ -19,6 +20,84 @@ from logistic_exact.map_riccati import (
 )
 
 FIG3 = RiccatiMapParams(r=1.73, x0=0.333)
+U = 2.0 ** -53  # the unit roundoff of a double
+
+# The rates of the three regimes, away from the degenerate r = -1 (|1 + r| >= 0.05)
+RATES = {"r<-1": st.floats(-3.0, -1.05), "-1<r<0": st.floats(-0.95, -0.01),
+         "r>0": st.floats(0.01, 5.0)}
+GAMMAS = st.floats(0.3, 50.0) | st.floats(-50.0, -0.3)
+# Roundings per step of y in the coefficient route's bound.  Measured: random
+# draws of the ranges below needed at most 0.38, and hypothesis searches of
+# 2,000 draws per regime under four seeds passed at 1.
+C_STEPS = 4
+
+
+def _exact(s, b, n):
+    """s*b^n/(s*b^n + 1 - s) for rationals s and b, rounded once to a double
+    (inf at a pole): one quotient of two integers, which CPython's int/int
+    division rounds correctly, without a Fraction's gcd of numbers of n*53
+    bits."""
+    num = s.numerator * b.numerator ** n
+    den = num + (s.denominator - s.numerator) * b.denominator ** n
+    return num / den if den else math.inf
+
+
+def exact_member(r, x0, gamma, n):
+    """The member x_n = s*b^n/(s*b^n + 1 - s) exactly, with s = x0 + 1/gamma
+    (x0 for gamma None) and b = 1 + r as the rationals the doubles are."""
+    s = Fraction(x0) + (1 / Fraction(gamma) if gamma is not None else 0)
+    return _exact(s, 1 + Fraction(r), n)
+
+
+def rounded_member(r, x0, gamma, n):
+    """The member that the seed route's rounded inputs define, exactly:
+    1/(1 + c*b^-n) with c = 1/s - 1 for the shifted seed s, and b = 1 + r, the
+    doubles that the route computes; 0.0 where s rounds to 0, the fixed
+    point that the route returns.  From the exact member it is the rounding
+    of s and of 1 + r carried through the map, which grows with n wherever
+    the member is far from 1: for a member that decays, and near a pole."""
+    seed = x0 if gamma is None else x0 + 1.0 / gamma
+    if seed == 0:
+        return 0.0
+    return _exact(1 / (1 + Fraction(1.0 / seed - 1.0)), Fraction(1.0 + r), n)
+
+
+def seed_route_ulps(x):
+    """The seed route's own roundings in evaluating 1/(1 + c*d), d = b^-n, in
+    ulp of its normal value x: those of c*d (pow's 2, the product's 1, and on
+    the overflow path a second pow's 2 and a quotient's 1; 8 covers them) pass
+    to x times |c*d/(1 + c*d)| = |1 - x|, and the sum and the quotient add one
+    each.  Random draws of the ranges below reached half of it."""
+    return 2 + 8 * abs(1 - x)
+
+
+def normal_steps(r):
+    """Up to 10^4 steps, fewer where |1 + r| < 1: over 700/|ln|1 + r|| steps
+    the base's power stays above e^-700, so the members from seeds in (0.02,
+    0.98) stay normal doubles.  The bounds here are relative, and the kernel
+    does not round a subnormal member to within them (see
+    ``test_subnormal_member_past_the_product_overflow``)."""
+    b = abs(1 + r)
+    return 10_000 if b >= 1 else min(10_000, int(700 / -math.log(b)))
+
+
+def recursion_condition(p, gamma, cs, n):
+    """The condition of y_n, stepped by y_{k+1} = g_k*y_k + h_k from y_0 =
+    gamma, on the roundings of the coefficients and of the steps: z_n/|y_n|
+    with z stepping |g_k|, |h_k| from |gamma| (1 where no term cancels),
+    times the worst cancellation in forming a coefficient's numerator
+    r*x_k + 1 or denominator r*(1 - x_{k+1}) + 1.  y and z are held times a
+    power of two, as ``general_solution`` holds y."""
+    xs = particular_trajectory(p, n).values
+    worst = max((abs(p.r * a) + 1) / abs(p.r * a + 1)
+                + (abs(p.r * (1 - b)) + 1) / abs(p.r * (1 - b) + 1) for a, b in zip(xs, xs[1:]))
+    y, z, scale = gamma, abs(gamma), 0
+    for g, h in zip(cs.g[:n], cs.h):
+        h = math.ldexp(h, -scale)
+        y, z = g * y + h, abs(g) * z + abs(h)
+        if z > 2.0 ** 512:
+            y, z, scale = y * 2.0 ** -512, z * 2.0 ** -512, scale + 512
+    return worst * z / abs(y)
 
 
 class TestIterate:
@@ -193,20 +272,66 @@ class TestGeneralSolution:
         for gamma in (0.5, 1.0, 2.0, 5.0, 10.0):
             assert abs(general_solution(FIG3, gamma, 50) - 1.0) < 1e-6
 
-    def test_pole_from_engineered_gamma(self):
-        cs = coefficients(FIG3, 10)
-        acc = 0.0
-        running = 1.0
-        for k in range(10):
-            running /= cs.g[k]
-            acc += running * cs.h[k]
-        with pytest.raises(PoleError):
-            general_solution(FIG3, -acc, 10, cs)
+    def test_exact_pole_on_both_routes(self):
+        # on the fixed point 1 of r = 1, g = 2 and h = 1, so y_1 = 2*(-1/2) + 1
+        # = 0; the member from the shifted seed 1 - 2 = -1 is 1/(1 - 2^(1-n))
+        p = RiccatiMapParams(1.0, 1.0)
+        cs = coefficients(p, 2)
+        assert cs.g == (2.0, 2.0) and cs.h == (1.0, 1.0)
+        for coeffs in (None, cs):
+            with pytest.raises(PoleError) as err:
+                general_solution(p, -0.5, 1, coeffs)
+            assert err.value.where == 1
+            assert general_solution(p, -0.5, 2, coeffs) == 2.0
 
-    def test_product_guard(self):
-        pathological = RiccatiCoefficients((1e-320,), (1.0,))
-        with pytest.raises(EscapeError):
-            general_solution(RiccatiMapParams(1.0, 0.5), 1.0, 1, pathological)
+    @pytest.mark.parametrize("r,n,ulps", [(1.73, 1000, 0), (-0.5, 1000, 5), (0.3, 3000, 0),
+                                          (-0.9, 500, 0)])
+    def test_long_run_needs_no_range_guard(self, r, n, ulps):
+        # a product of the 1/g_k, held as one double, left [1e-300, 1e300] before
+        # these n (from n = 690 at r = 1.73), though every member is a double:
+        # 1.0, 4.66e-301, 1.0 and 0.0
+        p = RiccatiMapParams(r, 0.333)
+        want = exact_member(r, 0.333, 2.0, n)
+        assert abs(general_solution(p, 2.0, n, coefficients(p, n)) - want) \
+            <= ulps * math.ulp(want)
+
+    @pytest.mark.parametrize("n", [1021, 1023])
+    def test_y_past_the_largest_double(self, n):
+        # y_n passes 1.8e308 from n = 1021, where the member, about 1.1*2^-n, is
+        # still normal: a y held as one double overflowed to inf, and 1/y_n = 0
+        # left the particular part alone, 10% low
+        p = RiccatiMapParams(-0.5, 0.5)
+        want = exact_member(-0.5, 0.5, 40.0, n)
+        assert abs(general_solution(p, 40.0, n, coefficients(p, n)) - want) <= math.ulp(want)
+
+    @pytest.mark.parametrize("regime", RATES)
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data(), x0=st.floats(0.02, 0.98), gamma=GAMMAS)
+    def test_coefficient_route_within_bound_of_exact(self, regime, data, x0, gamma):
+        # x_n = x^p_n + 1/y_n: the particular part carries the seed route's
+        # error, and 1/y_n the roundings of C*(n + 1) steps of y times the
+        # condition of y_n, so the bound grows with n for a member that
+        # decays, whose 1/y_n is as large as x^p_n
+        r = data.draw(RATES[regime], label="r")
+        n = data.draw(st.integers(1, normal_steps(r)), label="n")
+        p = RiccatiMapParams(r, x0)
+        want, xp = exact_member(r, x0, gamma, n), exact_member(r, x0, None, n)
+        near, near_p = rounded_member(r, x0, gamma, n), rounded_member(r, x0, None, n)
+        # the bounds are relative, and at a pole there is no value to compare
+        assume(min(map(abs, (want, xp, near))) >= 2.0 ** -1022)
+        assume(math.isfinite(want) and math.isfinite(near))
+        try:
+            cs = coefficients(p, n)
+            got = general_solution(p, gamma, n, cs)
+            seed = general_solution(p, gamma, n)
+        except PoleError:  # x^p or y_n within their roundings of a pole, as at r = -2, x0 = 1/2
+            assume(False)
+        bound = (abs(near_p - xp) + (seed_route_ulps(near_p) + 1) * math.ulp(xp)
+                 + math.ulp(want) + C_STEPS * (n + 1) * recursion_condition(p, gamma, cs, n)
+                 * U * abs(want - xp))
+        assert abs(got - want) <= bound
+        assert abs(got - seed) <= bound + abs(near - want) \
+            + (seed_route_ulps(near) + 1) * math.ulp(near)
 
     def test_short_coefficients_rejected(self):
         cs = coefficients(FIG3, 3)
@@ -218,7 +343,7 @@ class TestGeneralSolution:
            st.floats(0.05, 0.95),
            st.floats(0.3, 50.0),
            st.integers(1, 50))
-    def test_shifted_seed_agrees_with_product_route(self, r, x0, gamma, n):
+    def test_shifted_seed_agrees_with_coefficient_route(self, r, x0, gamma, n):
         p = RiccatiMapParams(r, x0)
         cs = coefficients(p, n)
         for k in range(n + 1):
@@ -288,9 +413,36 @@ class TestTrajectories:
         for n, v in zip(traj.indices, traj.values):
             assert v == general_solution(FIG3, 2.0, n)
 
+    @pytest.mark.parametrize("regime", RATES)
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data(), x0=st.floats(0.02, 0.98), gamma=GAMMAS)
+    def test_general_trajectory_within_bound_of_exact(self, regime, data, x0, gamma):
+        # the map4 path, for r of both signs: within its own roundings of the
+        # member that its rounded inputs define, which is off the exact member
+        # by the rounding of s and of 1 + r, carried through n steps
+        r = data.draw(RATES[regime], label="r")
+        n = data.draw(st.integers(0, normal_steps(r)), label="n")
+        try:
+            got = general_trajectory(RiccatiMapParams(r, x0), gamma, n).values[-1]
+        except PoleError as err:  # where 1 + c*d is within its roundings of 0
+            assert abs(rounded_member(r, x0, gamma, err.where)) >= 1 / (16 * U)
+            return
+        near = rounded_member(r, x0, gamma, n)
+        assume(abs(near) >= 2.0 ** -1022)  # the bound is relative
+        assert abs(got - near) <= seed_route_ulps(near) * math.ulp(near)
+
+    @pytest.mark.xfail(strict=True, reason="c*(1+r)^-n overflows to inf in the kernel's "
+                       "column, where (1+r)^-n does not, and 1/(1 + inf) reads 0.0")
+    def test_subnormal_member_past_the_product_overflow(self):
+        # the exact member is 5.48e-309 at n = 236; the ODE shares the kernel:
+        # ode --r -1 --x0 0.25 at t = 709 prints 0.0 for 4.06e-309
+        want = exact_member(-0.95, 0.02, 27.0, 236)
+        got = general_trajectory(RiccatiMapParams(-0.95, 0.02), 27.0, 236).values[-1]
+        assert abs(got - want) <= 2 * math.ulp(want)
+
     def test_general_trajectory_needs_no_coefficients(self, monkeypatch):
         def never(*args, **kwargs):
-            raise AssertionError("the coefficient products were computed")
+            raise AssertionError("the coefficients were computed")
 
         monkeypatch.setattr("logistic_exact.map_riccati.coefficients", never)
         traj = general_trajectory(FIG3, 2.0, 10_000)
