@@ -513,8 +513,39 @@ def _option(subcommand, key):
                  if a.dest == key and a.option_strings), f"--{key}")
 
 
+@functools.cache
+def _value_options() -> frozenset:
+    """Every option string of the parser that takes a value."""
+    subparsers = next(a for a in _parser()._actions if a.dest == "subcommand")
+    return frozenset(s for sp in subparsers.choices.values() for a in sp._actions
+                     if a.nargs != 0 for s in a.option_strings)
+
+
+def _is_number(arg: str) -> bool:
+    try:
+        float(arg)
+    except ValueError:
+        return False
+    return True
+
+
+def _joined(argv) -> list:
+    """``argv`` with each value that starts with '-' and that ``float()``
+    reads joined to the option before it, as ``--x0=-6.4e-05``: argparse
+    takes -6.4e-05 for an option, since its pattern of negative numbers has
+    no exponent."""
+    out = []
+    for arg in argv:
+        if arg.startswith("-") and out and out[-1] in _value_options() and _is_number(arg):
+            out[-1] = f"{out[-1]}={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def parse_args(argv=None) -> RunConfig:
-    params = vars(_parser().parse_args(argv))
+    argv = sys.argv[1:] if argv is None else argv
+    params = vars(_parser().parse_args(_joined(argv)))
     subcommand, fmt, out = (params.pop(k) for k in ("subcommand", "format", "out"))
     # an option not given stays out, and its runner's signature gives its default
     return RunConfig(subcommand, {k: v for k, v in params.items() if v is not None}, fmt, out)

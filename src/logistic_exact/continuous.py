@@ -122,14 +122,16 @@ def _sigmoid(c, decay, rate, wheres, axis="t"):
     The column runs as C-level maps: the decay, then 1.0 + c*d, then 1.0/den,
     each point's operations in the order of the per-point rule below.  That
     rule evaluates the column instead, point by point, when a decay
-    overflows, a denominator is exactly zero, or a sample passes 1e299 in
-    magnitude, as one does where |den| < POLE_EPS.  Where the decay of arg =
-    rate*w overflows, 1 + c*decay rounds to c*decay (a nonzero c is at least
-    2^-53 in magnitude), so the sample is 1/(c*decay(h))/decay(arg - h) for
-    the half h = arg // 2 (exact for a float arg as for an integer one): a
-    zero only when a half overflows too or the quotient underflows, signed
-    as the quotient is, by c times decay(arg % 2) (the map's base to the
-    parity of n, or an exp that is positive)."""
+    overflows, a denominator is exactly zero, a sample passes 1e299 in
+    magnitude, as one does where |den| < POLE_EPS, or a sample is 0.0, as
+    only an infinite den gives.  Where c*decay(arg) for arg = rate*w
+    overflows, the decay alone or the product, 1 + c*decay rounds to c*decay
+    (a nonzero c is at least 2^-53 in magnitude), so the sample is
+    1/(c*decay(h))/decay(arg - h) for the half h = arg // 2 (exact for a
+    float arg as for an integer one): a zero only when a half overflows too
+    or the quotient underflows, signed as the quotient is, by c times
+    decay(arg % 2) (the map's base to the parity of n, or an exp that is
+    positive)."""
     if c == 0:
         return [1.0] * len(wheres)
     try:
@@ -138,19 +140,22 @@ def _sigmoid(c, decay, rate, wheres, axis="t"):
     except (OverflowError, ZeroDivisionError):
         pass
     else:
-        if max(samples, default=0.0) <= 1e299 and min(samples, default=0.0) >= -1e299:
+        if (max(samples, default=0.0) <= 1e299 and min(samples, default=0.0) >= -1e299
+                and 0.0 not in samples):
             return samples
 
     def point(arg, where):
         try:
-            d = decay(arg)
+            cd = c * decay(arg)
         except OverflowError:
+            cd = math.inf
+        if math.isinf(cd):
             h = arg // 2
             try:
                 return 1.0 / (c * decay(h)) / decay(arg - h)
             except OverflowError:
                 return math.copysign(0.0, c * decay(arg % 2))
-        den = 1.0 + c * d
+        den = 1.0 + cd
         if abs(den) < POLE_EPS:
             raise PoleError(f"solution has a pole at {axis}={where!r}", where=where)
         return 1.0 / den

@@ -13,9 +13,14 @@ caller's choice, which is exactly what makes the divergence experiments
 possible: a budgeted policy behaves like an exact oracle, and a 53-bit
 policy shows how fast the closed form loses its bits at double precision.
 At 53 bits ``closed_form_trajectory`` returns a cosine form's samples as
-doubles, each equal to the mpf value of the libmp pipeline: the cosine c is
-exact as a double, and the step after it, 1/2 + s*c with the form's exact
-factor s, is one IEEE operation, rounded to nearest even as libmp rounds it.
+doubles, each equal to the mpf value of the libmp pipeline, from one loop
+per trajectory that makes the pipeline's own integer steps without its
+generic dispatch (``_double_samples``).  Each step rounds as libmp rounds it:
+IEEE operations and ``float()`` of a Python int round to nearest even at 53
+bits, as libmp does at 53 bits.  So table1's angle takes two IEEE operations,
+the reduction mod 2*pi one exact integer remainder rounded once, the cosine
+``mpf_cos``'s fixed-point steps with its significand rounded by ``float()``,
+and the tail 1/2 + s*c, with the form's exact factor s, one IEEE operation.
 
 A 53-bit policy is not a model of an IEEE double device evaluating the same
 formula with libm.  The pipeline rounds the reduced angle to 53 bits before
@@ -86,6 +91,7 @@ from mpmath.libmp import (
     to_fixed,
     to_float,
 )
+from mpmath.libmp.libelefun import cos_sin_basecase, mod_pi2
 
 from .errors import ESCAPE_BOUND, DegeneracyError, DomainError, EscapeError, check_steps
 from .precision import (
@@ -445,18 +451,82 @@ def _phase(p: MapParams, variant: ClosedForm, bits: int) -> tuple:
     return acos
 
 
-def _cosine(variant: ClosedForm, phase: tuple, n: int, bits: int) -> tuple:
-    """The cosine of a cosine form's angle at step n, raw at ``bits``: the
-    phase scaled by 2^n exactly (a zero phase stays zero), for table1 by
-    (-2)^n and then taken as (pi - that) / 3, and reduced mod 2*pi."""
-    rnd = round_nearest
+def _angle(variant: ClosedForm, phase: tuple, n: int, bits: int) -> tuple:
+    """A cosine form's angle at step n, raw at ``bits``: the phase scaled by
+    2^n exactly (a zero phase stays zero), for table1 by (-2)^n and then
+    taken as (pi - that) / 3."""
     sign, man, exp, bc = phase
     if variant is ClosedForm.RM2_COMPOSED:  # (pi - (-2)^n * phase) / 3
         angle = (sign ^ (n & 1), man, exp + n, bc) if man else phase
-        angle = mpf_div(mpf_sub(_pi(bits), angle, bits, rnd), _THREE, bits, rnd)
-    else:
-        angle = (sign, man, exp + n, bc) if man else phase  # ldexp(phase, n)
-    return mpf_cos(_reduce_raw(angle, bits), bits, rnd)
+        return mpf_div(mpf_sub(_pi(bits), angle, bits, round_nearest), _THREE, bits,
+                       round_nearest)
+    return (sign, man, exp + n, bc) if man else phase  # ldexp(phase, n)
+
+
+def _cosine(variant: ClosedForm, phase: tuple, n: int, bits: int) -> tuple:
+    """The cosine of a cosine form's angle at step n reduced mod 2*pi, raw at
+    ``bits``."""
+    return mpf_cos(_reduce_raw(_angle(variant, phase, n, bits), bits), bits, round_nearest)
+
+
+def _double_samples(variant: ClosedForm, phase: tuple, n: int, s: float) -> list:
+    """The samples 1/2 + s*c_k, k = 0..n, of a cosine form at 53 bits, as
+    doubles: c_k is ``_cosine(variant, phase, k, 53)``, bit for bit, by the
+    libmp pipeline's own steps without its generic wrapping.
+
+    table1's angle (pi - (-2)^k*phase)/3 is two IEEE operations while
+    (-2)^k*phase is a double; they round to nearest even at 53 bits, as
+    ``mpf_sub`` and ``mpf_div`` do.  The reduction is ``_reduce_raw``'s
+    exact-integer branch, inlined: one ``%`` by 2*pi's significand, the
+    remainder rounded once at 53 bits.  ``_reduce_raw`` then takes 2*pi at 53
+    bits off a remainder that rounding carried up to it; that remainder can
+    only be 2*pi at 53 bits itself, since 2*pi exceeds it by 0.28 of its ulp,
+    and its cosine rounds to 1, as that of 0 does, so the step is left out.
+    The cosine is ``mpf_cos``'s at 53 bits: ``mod_pi2`` at 63 bits,
+    ``cos_sin_basecase``, the quadrant's swap, and a fixed-point significand
+    that ``float()`` of a Python int rounds to nearest even, as
+    ``from_man_exp`` rounds it.  The tail 1/2 + s*c rounds once, as ``_tail``
+    does, since s*c is exact.  Angles past the doubles and those below 2*pi's
+    ulp at the reduction's width take the libmp calls.
+    """
+    sign, man, exp, bc = phase
+    composed = variant is ClosedForm.RM2_COMPOSED
+    psi = to_float(phase)  # exact: 53 bits, below 2*pi
+    values = []
+    append = values.append
+    for k in range(n + 1):
+        if not composed:
+            m, e = (-man if sign else man), exp + k
+        elif exp + bc + k <= 1020:  # (-2)^k*phase is below 2^1020
+            f, e = math.frexp((math.pi - math.ldexp(-psi if k & 1 else psi, k)) / 3.0)
+            m, e = int(f * 9007199254740992.0), e - 53  # 2^53
+        else:
+            m, e = _pair(_angle(variant, phase, k, 53))
+        if m:  # reduced as _reduce_raw reduces it at 53 bits
+            _, tman, texp, _ = _pi(73 + max(0, abs(m).bit_length() + e))
+            texp += 1  # of 2*pi
+            if e >= texp:
+                m, e = (m << (e - texp)) % tman, texp
+                cut = m.bit_length() - 53
+                if cut > 0:
+                    m, e = _nearest(m, cut), e + cut
+            else:
+                m, e = _pair(_reduce_raw(from_man_exp(m, e), 53))
+        mag = m.bit_length() + e
+        if not m or mag < -63:  # where mpf_cos rounds to 1
+            append(0.5 + s)
+            continue
+        t, q, w = mod_pi2(m, e, mag, 63)
+        c, sn = cos_sin_basecase(t, w)
+        q &= 3
+        if q == 1:
+            c = -sn
+        elif q == 2:
+            c = -c
+        elif q == 3:
+            c = sn
+        append(0.5 + s * math.ldexp(float(int(c)), -w))  # int(): gmpy2's mpz may not round
+    return values
 
 
 def closed_form(p: MapParams, n: int, variant: ClosedForm,
@@ -487,8 +557,10 @@ def closed_form_trajectory(p: MapParams, n: int, variant: ClosedForm,
     Every sample equals ``closed_form(p, k, variant, policy)``; the arccos
     is taken once per trajectory, and the r2 base is squared once per step
     and carried forward.  A cosine form at 53 bits returns its samples as
-    doubles, each equal to that mpf value: its cosine is exact as a double,
-    and the tail after it is one IEEE operation that rounds as libmp does.
+    doubles, each equal to that mpf value, from ``_double_samples``: one loop
+    of integer steps and IEEE operations, each rounding to nearest even at 53
+    bits as the libmp call it replaces does (``float()`` of a Python int
+    rounds so too).
     """
     _check_closed_form(p, n, variant)
     bits = policy.significand_bits
@@ -501,9 +573,8 @@ def closed_form_trajectory(p: MapParams, n: int, variant: ClosedForm,
         for k in steps:
             values.append(make(_tail(s, phase, bits)))
             phase = mpf_mul(phase, phase, bits, round_nearest)
-    elif bits == DOUBLE.significand_bits:  # s*c is exact, so 0.5 + s*c rounds once
-        s = to_float(s)
-        values = [0.5 + s * to_float(_cosine(variant, phase, k, bits)) for k in steps]
+    elif bits == DOUBLE.significand_bits:
+        values = _double_samples(variant, phase, n, to_float(s))
     else:
         values = [make(_tail(s, _cosine(variant, phase, k, bits), bits)) for k in steps]
     return Trajectory(f"{METHOD_CLOSED_FORM}:{variant.value}", steps, values, policy)

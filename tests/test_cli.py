@@ -593,6 +593,14 @@ GOLDEN_SHA256 = [
      "8ac080e3875b0d383faffc56b3a345f09b98e74f07e8c0dd5c85ec8c096bb486"),
     (["map3", "--r", "0.5", "--x0", "0.3", "--steps", "1100", "--format", "svg"],
      "8cba40dffcd76c748f6bbbe6ab886b93911e310612733e9ae1feb3b1779a245f"),
+    # the cosine forms at 53 bits over 1,100 steps: from about step 1,020 on,
+    # (-2)^n times table1's phase is no double, and its angle takes libmp calls
+    (["compare", "--r", "-2", "--x0", "0.9", "--form", "table1", "--form", "simple",
+      "--steps", "1100", "--format", "csv"],
+     "12e155a0e0e3e8a54bf7f7c4b95cbe2527ea9c467d1197eccf569c440096bcb6"),
+    (["compare", "--r", "4", "--x0", "0.3", "--form", "r4", "--steps", "1100",
+      "--format", "csv"],
+     "5eaa0dad0d7e237bb144b09ea6aa5e0c2e5ae3ef367e8bd0a782c69af90244be"),
 ]
 GOLDEN_IDS = ["compare", "compare-csv", "compare-svg", "compare-phase", "map3-r2"] + [
     f"figure{w}-{f}" for w in "123" for f in ("csv", "json", "svg")] + [
@@ -600,7 +608,8 @@ GOLDEN_IDS = ["compare", "compare-csv", "compare-svg", "compare-phase", "map3-r2
     "compare-forms-long", "map3-long", "map3-subnormal", "compare-decay", "compare-decay-json",
     "compare-periodic-200-json", "rng-csv", "map3-subnormal-csv", "ode-json", "compare-r4-csv",
     "map3-rm2-forms-json", "map3-r4-budget-json", "map3-rm2-forms-budget",
-    "map3-r4-budget-svg", "rng-svg", "map3-subnormal-svg"]
+    "map3-r4-budget-svg", "rng-svg", "map3-subnormal-svg", "compare-rm2-forms-long-csv",
+    "compare-r4-long-csv"]
 
 
 @pytest.mark.parametrize("argv,digest", GOLDEN_SHA256, ids=GOLDEN_IDS)
@@ -912,6 +921,25 @@ class TestOutputsAndErrors:
     def test_non_finite_parameter_exit_2(self, capsys):
         assert main(["map3", "--r", "nan", "--x0", "0.5", "--steps", "3"]) == 2
 
+    @pytest.mark.parametrize("argv,where,value", [
+        (["compare", "--r", "-2", "--x0", "-6.4e-05", "--steps", "3"], "x0", -6.4e-05),
+        (["ode", "--r", "-1e0", "--x0", "0.5", "--t-end", "1", "--dt", "0.5"], "r", -1.0),
+    ])
+    def test_a_negative_value_in_exponent_notation_is_read(self, argv, where, value,
+                                                            capsys):
+        # argparse's pattern of negative numbers has no exponent, so it took
+        # -6.4e-05 for an option and exited 2 with "expected one argument"
+        assert cli.parse_args(argv).parameters[where] == value
+        assert main(argv) == 0
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("option", ["--steps", "--bits", "--oracle-bits"])
+    def test_an_int_option_in_exponent_notation_still_exits_2(self, option):
+        argv = ["compare", "--r", "-2", "--x0", "0.9", "--steps", "3", option, "-1e3"]
+        with pytest.raises(SystemExit) as err:
+            cli.parse_args(argv)
+        assert err.value.code == 2
+
     @pytest.mark.parametrize("subcommand,option", [
         (name, action.option_strings[0])
         for name, parser in next(a for a in cli.build_parser()._actions
@@ -1118,10 +1146,12 @@ def test_a_label_that_is_not_ascii_is_refused():
 
 
 # Edge values of the fuzz below: signed zeros, subnormals, the largest double,
-# 1e16 (beyond 2^53), r = -1, the seed intervals' ends and a few rates of the forms
+# 1e16 (beyond 2^53), r = -1, the seed intervals' ends, a few rates of the forms
+# and negatives whose repr is in exponent notation
 MAX = sys.float_info.max
 EDGES = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, MAX, -MAX, 1e16, -1e16,
-         -1.0, 1.0, 0.5, -0.5, 1.5, 0.3, 2.0, 4.0, -2.0, 3.9)
+         -1.0, 1.0, 0.5, -0.5, 1.5, 0.3, 2.0, 4.0, -2.0, 3.9, -6.4e-05, -1e-07,
+         -2.2250738585072014e-308)
 edges = st.sampled_from(EDGES)
 FIGURE_SIZES = {"1": (5, 501), "2": (4, 61), "3": (7, 51)}  # (series, samples)
 
@@ -1135,21 +1165,26 @@ def argvs(draw):
     if sub == "figure":
         which = draw(st.sampled_from(sorted(FIGURE_SIZES)))
         return ["figure", which], *FIGURE_SIZES[which]
+
+    def option(name, value):  # a float option as one argument or as two
+        return [f"{name}={value!r}"] if draw(st.booleans()) else [name, repr(value)]
+
     steps = draw(st.integers(0, 3000))
     if sub == "rng":
-        argv = ["rng", f"--x0={draw(edges)!r}", "--count", str(steps)]
+        argv = ["rng", *option("--x0", draw(edges)), "--count", str(steps)]
         return argv + ["--burn-in", str(draw(st.integers(0, 3)))], 1, steps
-    argv = [sub, f"--r={draw(edges)!r}", f"--x0={draw(edges)!r}"]
+    argv = [sub, *option("--r", draw(edges)), *option("--x0", draw(edges))]
     if sub in ("ode", "map4"):
         gammas = draw(st.lists(edges, max_size=2))
-        argv += [f"--gamma={g!r}" for g in gammas]
+        argv += [a for g in gammas for a in option("--gamma", g)]
         if sub == "map4":
             return argv + ["--steps", str(steps)], 2 + len(set(gammas)), steps + 1
         t_end = draw(st.sampled_from((0.5, 1.0, 10.0, 5e-324, MAX)))
         dt = draw(st.sampled_from((0.5, 0.01, 5e-324, MAX)))
         n = t_end / dt
         points = round(n) + 1 if n < continuous.MAX_GRID_POINTS else None
-        return argv + [f"--t-end={t_end!r}", f"--dt={dt!r}"], 1 + len(set(gammas)), points
+        argv += [*option("--t-end", t_end), *option("--dt", dt)]
+        return argv, 1 + len(set(gammas)), points
     forms = draw(st.lists(st.sampled_from(cli._FORM_CHOICES), unique=True, max_size=2))
     argv += ["--steps", str(steps)] + [a for f in forms for a in ("--form", f)]
     return argv, 1 + len(forms), steps + 1

@@ -117,6 +117,17 @@ class TestParticularSolution:
             assert got > 0.0
             assert abs(mpf(got) - want) <= 5e-324  # within one subnormal ulp
 
+    @pytest.mark.parametrize("t", [709.0, 709.5, 709.75])
+    def test_decays_where_c_times_exp_overflows(self, t):
+        # c = 3 and exp(t) is a double, but c*exp(t) overflows; the column read
+        # 1/(1 + inf) = 0.0 there, for 4.06e-309 at t = 709
+        p = ContinuousParams(-1.0, 0.25)
+        with workprec(200):
+            want = 1 / (1 + 3 * exp(mpf(t)))
+        for got in (particular_solution(t, p), grid_trajectory(p, t, t).values[-1]):
+            assert got > 0.0
+            assert abs(mpf(got) - want) <= 5e-324  # within one subnormal ulp
+
     def test_zero_past_the_subnormals(self):
         # 1/(1 + e^746) is about 1.0e-324, below half the smallest subnormal
         p = ContinuousParams(-1.0, 0.5)
@@ -466,14 +477,16 @@ def sigmoid_point(c, decay, arg, where, axis="t"):
     if c == 0:
         return 1.0
     try:
-        d = decay(arg)
+        cd = c * decay(arg)
     except OverflowError:
+        cd = math.inf
+    if math.isinf(cd):  # the decay or c times it overflows
         h = arg // 2
         try:
             return 1.0 / (c * decay(h)) / decay(arg - h)
         except OverflowError:
             return math.copysign(0.0, c * decay(arg % 2))
-    den = 1.0 + c * d
+    den = 1.0 + cd
     if abs(den) < POLE_EPS:
         raise PoleError(f"solution has a pole at {axis}={where!r}", where=where)
     return 1.0 / den
@@ -542,6 +555,7 @@ class TestSigmoidColumn:
     @settings(max_examples=300, deadline=None)
     @given(st.floats(-1e6, 1e6), st.floats(-3.0, 3.0).filter(bool),
            st.lists(st.integers(1, 3000), max_size=12))
+    @example(65536.0, 2.0**-24, [42])  # c*base^-42 = 2^1024 overflows, base^-42 does not
     def test_pow_column_is_the_per_point_rule(self, c, base, steps):
         decay = partial(pow, base)
         assert column(c, decay, -1, steps, "n") == per_point(c, decay, -1, steps, "n")

@@ -5,7 +5,7 @@ loops: mpf arithmetic inside ``workprec`` scopes."""
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf, workprec
 from mpmath.libmp import (
@@ -309,6 +309,24 @@ def closed_form_cases(draw):
     return MapParams(variant.required_r, x0), variant
 
 
+# Seeds of the cosine forms at the ends of their intervals, next to them, and
+# at rational phases, where the angle is a multiple of pi/2 or 0 (x0 = 1.5
+# gives simple the phase 0); 2^-60 gives r4 an angle below 2*pi's ulp at
+# the reduction's width
+_COSINE_SEEDS = {
+    ClosedForm.R4_COSINE: (0.0, 0.25, 0.5, 0.75, 1.0, 2.0**-60, 5e-324, 1 - 2.0**-53),
+    ClosedForm.RM2_COMPOSED: (-0.5, 0.0, 0.5, 1.0, 1.5, -0.5 + 2.0**-54, 1.5 - 2.0**-52),
+    ClosedForm.RM2_DIRECT: (-0.5, 0.0, 0.5, 1.0, 1.5, -0.5 + 2.0**-54, 1.5 - 2.0**-52),
+}
+
+
+@st.composite
+def cosine_form_cases(draw):
+    variant = draw(st.sampled_from(sorted(_COSINE_SEEDS)))
+    x0 = draw(st.floats(*_DOMAINS[variant]) | st.sampled_from(_COSINE_SEEDS[variant]))
+    return MapParams(variant.required_r, x0), variant
+
+
 class TestClosedFormKernel:
     @settings(max_examples=120, deadline=None)
     @given(closed_form_cases(), st.integers(0, 150), st.sampled_from(POLICIES))
@@ -324,6 +342,19 @@ class TestClosedFormKernel:
         p, variant = case
         got = closed_form(p, n, variant, policy)
         assert got._mpf_ == reference_closed_form(p, n, variant, policy)._mpf_
+
+    @settings(max_examples=60, deadline=None)
+    @given(cosine_form_cases(), st.integers(0, 150) | st.integers(1000, 1300))
+    @example((MapParams(-2.0, -0.5), ClosedForm.RM2_DIRECT), 3)
+    def test_double_samples_equal_the_libmp_pipeline(self, case, n):
+        # the 53-bit loop of closed_form_trajectory against closed_form, whose
+        # cosine is mpf_cos of _reduce_raw; past step 1,020 table1's angle
+        # leaves the doubles.  simple from x0 = -0.5 has the angle 2*pi at 53
+        # bits at step 1, which _reduce_raw takes to 0 and the loop keeps
+        p, variant = case
+        got = closed_form_trajectory(p, n, variant, DOUBLE).values
+        assert set(map(type, got)) == {float}
+        assert got == tuple(float(closed_form(p, k, variant, DOUBLE)) for k in range(n + 1))
 
     @pytest.mark.parametrize("policy", POLICIES)
     @pytest.mark.parametrize("variant", list(ClosedForm))

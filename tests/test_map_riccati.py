@@ -74,9 +74,8 @@ def seed_route_ulps(x):
 def normal_steps(r):
     """Up to 10^4 steps, fewer where |1 + r| < 1: over 700/|ln|1 + r|| steps
     the base's power stays above e^-700, so the members from seeds in (0.02,
-    0.98) stay normal doubles.  The bounds here are relative, and the kernel
-    does not round a subnormal member to within them (see
-    ``test_subnormal_member_past_the_product_overflow``)."""
+    0.98) stay normal doubles.  The bounds here are relative, and a subnormal
+    member has fewer bits than they allow for."""
     b = abs(1 + r)
     return 10_000 if b >= 1 else min(10_000, int(700 / -math.log(b)))
 
@@ -431,11 +430,9 @@ class TestTrajectories:
         assume(abs(near) >= 2.0 ** -1022)  # the bound is relative
         assert abs(got - near) <= seed_route_ulps(near) * math.ulp(near)
 
-    @pytest.mark.xfail(strict=True, reason="c*(1+r)^-n overflows to inf in the kernel's "
-                       "column, where (1+r)^-n does not, and 1/(1 + inf) reads 0.0")
     def test_subnormal_member_past_the_product_overflow(self):
-        # the exact member is 5.48e-309 at n = 236; the ODE shares the kernel:
-        # ode --r -1 --x0 0.25 at t = 709 prints 0.0 for 4.06e-309
+        # the exact member is 5.48e-309 at n = 236, where c*(1+r)^-n overflows
+        # but (1+r)^-n does not; the ODE shares the kernel (test_continuous.py)
         want = exact_member(-0.95, 0.02, 27.0, 236)
         got = general_trajectory(RiccatiMapParams(-0.95, 0.02), 27.0, 236).values[-1]
         assert abs(got - want) <= 2 * math.ulp(want)
