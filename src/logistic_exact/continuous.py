@@ -2,18 +2,18 @@
 
 The equation is a constant-coefficient Riccati equation, so one known
 solution generates the whole family: every member is the basic sigmoid
-restarted from a shifted initial value x_s = gamma*x0/(gamma - x0).  Every
-form starts at x_s rounded once and evaluates 1/(1 + (1/x_s - 1)*exp(-r*t))
-for t != 0 with ``_sigmoid``, the Riccati column kernel that the coupled map
-shares; a grid resolves its member once and evaluates all its points as one
-column.  The ODE side is
-not chaotic, so double precision serves throughout.  A classical Runge-Kutta
-integrator provides the independent cross-check, on the grid of ``grid_trajectory``.
-"""
+restarted from a shifted initial value x_s = gamma*x0/(gamma - x0).  One start
+rule serves this family and the coupled map's: ``_start`` forms x_s and the
+constant c = 1/x_s - 1 as correctly rounded quotients of the exact integers
+behind the doubles, and every later sample 1/(1 + c*exp(-r*t)) is read off
+``_sigmoid``, the Riccati column kernel that both families share; a grid
+resolves its member once and evaluates all its points as one column.  The ODE
+side is not chaotic, so double precision serves throughout.  A classical
+Runge-Kutta integrator provides the independent cross-check, on the grid of
+``grid_trajectory``."""
 
 import math
 import operator
-import sys
 import weakref
 from dataclasses import dataclass
 from itertools import chain, repeat
@@ -21,7 +21,6 @@ from itertools import chain, repeat
 from .errors import ESCAPE_BOUND, POLE_EPS, DomainError, EscapeError, PoleError
 from .precision import DOUBLE, METHOD_ODE_CLOSED_FORM, METHOD_ODE_RK4, Trajectory
 
-_NORMAL_MIN = sys.float_info.min  # the smallest normal double
 # Below about 5.6e-309 in magnitude a start x_s has no reciprocal among the
 # doubles, and the sigmoid would not start at x_s.
 _NO_RECIPROCAL = "1/x_s overflows a double for the start x_s of this solution"
@@ -61,42 +60,43 @@ class RiccatiShift:
             raise DomainError("gamma must be finite and nonzero")
 
 
-def _reciprocal_start(x0: float, shift: RiccatiShift | None = None) -> float:
-    """1/x_s for the start x_s of the particular solution, or of the family
-    member selected by ``shift``: 1/x0, or (gamma - x0)/(gamma*x0).
+def _start(num: int, den: int):
+    """x_s = num/den, the start of a Riccati member of either family, its
+    sigmoid constant c = 1/x_s - 1 = (den - num)/num and q = 1/x_s = den/num,
+    each one int/int quotient of the exact integers behind the doubles, which
+    CPython rounds correctly.  An x_s beyond the doubles is a pole at the
+    start, and one too small for 1/x_s to be a double is refused.  num != 0."""
+    try:
+        x_s = num / den
+    except (OverflowError, ZeroDivisionError):
+        raise PoleError("the start x_s of this solution overflows a double: a pole at "
+                        "the start", where=0) from None
+    try:
+        return x_s, (den - num) / num, den / num
+    except OverflowError:
+        raise DomainError(_NO_RECIPROCAL) from None
 
-    Every form reads its start from here: the sigmoid's constant is 1/x_s - 1
-    and a member starting outside [0, 1] blows up at ln(1 - 1/x_s)/r.
-    Raises DomainError for x0 = 0 and for a start too small for 1/x_s to be a
-    double, and PoleError for gamma = x0.
-    """
+
+def _ode_start(x0: float, shift: RiccatiShift | None = None):
+    """``_start`` of the member x_s = gamma*x0/(gamma - x0) = g*a/(g*b - a*h)
+    for x0 = a/b and gamma = g/h, or of the particular solution x_s = x0, the
+    member of gamma = 1/0.  Raises DomainError for x0 = 0."""
     if x0 == 0:
         raise DomainError("the solution requires x0 != 0 (it divides by x0)")
-    if shift is None:
-        q = 1.0 / x0
-    else:
-        g = shift.gamma
-        if g == x0:
-            raise PoleError("gamma equals x0: the effective initial condition diverges")
-        den = g * x0
-        if _NORMAL_MIN <= abs(den) < math.inf:
-            q = (g - x0) / den
-        else:  # g*x0 underflows or overflows: divide by the larger factor first
-            small, big = sorted((g, x0), key=abs)
-            diff = g - x0
-            q = (diff / big if math.isfinite(diff) else g / big - x0 / big) / small
-    if math.isinf(q):
-        raise DomainError(_NO_RECIPROCAL)
-    return q
+    (a, b), (g, h) = x0.as_integer_ratio(), shift.gamma.as_integer_ratio() if shift else (1, 0)
+    return _start(g * a, g * b - a * h)
 
 
-def _pole_time(r: float, q: float) -> float | None:
-    """The time t > 0 at which the sigmoid from the start 1/q blows up, or
-    None.  Only a start x_s outside [0, 1] (q = 1/x_s < 1) has a pole, at
-    t* = ln(1 - q)/r, which lies before 0 when ln(1 - q) and r differ in
-    sign."""
-    if q < 1:
-        t = math.log1p(-q) / r
+def _pole_time(r: float, c: float, q: float) -> float | None:
+    """The time t > 0 at which the sigmoid from the start x_s = 1/q, with
+    constant c = 1/x_s - 1, blows up, or None.  Only a start outside [0, 1]
+    (c < 0) has a pole, at t* = ln(1 - q)/r, which lies before 0 when
+    ln(1 - q) and r differ in sign.  As 1 - q = -c, the logarithm reads
+    whichever of q and c lies the farther from 1: for |x_s| from 2^53 on, c
+    rounds to -1 and ln(-c) would lose the pole, and for x_s just above 1, q
+    rounds to 1 and ln(1 - q) would be no number."""
+    if c < 0:
+        t = (math.log1p(-q) if q < 0.5 else math.log(-c)) / r
         if t > 0:
             return t
     return None
@@ -105,13 +105,7 @@ def _pole_time(r: float, q: float) -> float | None:
 def effective_initial_condition(p: ContinuousParams, shift: RiccatiShift) -> float:
     """Initial value gamma*x0/(gamma - x0) of the member picked by gamma, rounded
     once: its sample at t = 0, where a start beyond the doubles is a pole."""
-    _reciprocal_start(p.x0, shift)
-    (gn, gd), (xn, xd) = shift.gamma.as_integer_ratio(), p.x0.as_integer_ratio()
-    try:  # gamma*x0/(gamma - x0) exactly, as one correctly rounded int division
-        return gn * xn / (gn * xd - xn * gd)
-    except OverflowError:
-        raise PoleError("gamma is too close to x0: the effective initial condition "
-                        "overflows", where=0.0) from None
+    return _ode_start(p.x0, shift)[0]
 
 
 def _sigmoid(c, decay, rate, wheres, axis="t"):
@@ -164,15 +158,16 @@ def _sigmoid(c, decay, rate, wheres, axis="t"):
 
 
 def particular_solution(t: float, p: ContinuousParams) -> float:
-    """The sigmoid through x0: x0 itself at t = 0, else 1/(1 + (1/x0 - 1)*exp(-r*t)).
+    """The sigmoid through x0: x0 itself at t = 0, else 1/(1 + c*exp(-r*t)) with
+    c = 1/x0 - 1 rounded once.
 
     Raises PoleError at the blow-up time that exists when x0 lies outside
     [0, 1] (for r > 0 the denominator then crosses zero), and
     ``grid_trajectory`` refuses a grid that reaches it.  Raises DomainError
     for x0 = 0 and for an x0 whose reciprocal overflows a double.
     """
-    q = _reciprocal_start(p.x0)
-    return float(p.x0) if t == 0 else _sigmoid(q - 1.0, math.exp, -p.r, (t,))[0]
+    x_s, c, _ = _ode_start(p.x0)
+    return x_s if t == 0 else _sigmoid(c, math.exp, -p.r, (t,))[0]
 
 
 def general_solution(t: float, p: ContinuousParams, shift: RiccatiShift) -> float:
@@ -185,11 +180,11 @@ def general_solution(t: float, p: ContinuousParams, shift: RiccatiShift) -> floa
     pole at some t > 0 (see ``RiccatiShift``) is evaluated wherever its
     formula is defined, and ``grid_trajectory`` refuses a grid that reaches
     the pole.  Raises DomainError, as ``particular_solution`` does, when the
-    reciprocal of the start x_s = gamma*x0/(gamma - x0) overflows a double.
+    reciprocal of the start x_s = gamma*x0/(gamma - x0) overflows a double,
+    and PoleError when x_s itself does: a pole at t = 0.
     """
-    if t == 0:
-        return effective_initial_condition(p, shift)
-    return _sigmoid(_reciprocal_start(p.x0, shift) - 1.0, math.exp, -p.r, (t,))[0]
+    x_s, c, _ = _ode_start(p.x0, shift)
+    return x_s if t == 0 else _sigmoid(c, math.exp, -p.r, (t,))[0]
 
 
 def general_solution_correction_form(t: float, p: ContinuousParams,
@@ -246,21 +241,19 @@ def grid_trajectory(p: ContinuousParams, t_end: float, dt: float,
     column kernel ``_sigmoid``, which ``particular_solution`` and
     ``general_solution`` call with one-point columns.  One pole rule holds
     for every seed and either sign of r: a member starting at x_s outside
-    [0, 1] (q = 1/x_s < 1) has one pole, at t* = ln(1 - 1/x_s)/r, and a t*
+    [0, 1] (c = 1/x_s - 1 < 0) has one pole, at t* = ln(1 - 1/x_s)/r, and a t*
     after 0 and up to the last grid point raises PoleError before any
     sample.  Trajectories on one grid share its tuple of times while any of
     them lives.
     """
     n = _grid_steps(t_end, dt)
-    q = _reciprocal_start(p.x0, shift)
-    t = _pole_time(p.r, q)
+    x_s, c, q = _ode_start(p.x0, shift)
+    t = _pole_time(p.r, c, q)
     if t is not None and t <= n * dt:
         raise PoleError(f"solution has a pole at t={t!r}, inside the grid", where=t)
-    start = float(p.x0) if shift is None else effective_initial_condition(p, shift)
     ts = _grid_times(n, dt)
-    values = _sigmoid(q - 1.0, math.exp, -p.r, ts[1:])
-    _GRIDS[n, dt] = traj = Trajectory(METHOD_ODE_CLOSED_FORM, ts, chain((start,), values),
-                                      DOUBLE)
+    values = _sigmoid(c, math.exp, -p.r, ts[1:])
+    _GRIDS[n, dt] = traj = Trajectory(METHOD_ODE_CLOSED_FORM, ts, chain((x_s,), values), DOUBLE)
     return traj
 
 

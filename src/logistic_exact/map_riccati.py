@@ -3,19 +3,19 @@
 Solving the implicit step for x' gives the Moebius map
 x' = x*(1+r)/(1 + r*x), so unlike the quadratic map there is no chaos and
 double precision suffices throughout.  The map inherits the ODE's whole
-solution structure: its particular solution starts on the seed and then reads
-the ODE's sigmoid kernel ``continuous._sigmoid`` with e^(-r*t) replaced by
-(1+r)^-n, and in its one-parameter general family gamma only shifts the seed
-to x0 + 1/gamma, cross-checked by stepping the linearized equation
-y' = g*y + h of the step coefficients from y = gamma.
-"""
+solution structure: in its one-parameter general family gamma only shifts the
+seed to x0 + 1/gamma, and every member, the particular solution included,
+takes the ODE's start rule ``continuous._start`` for its exact seed and then
+reads the ODE's sigmoid kernel ``continuous._sigmoid`` with e^(-r*t) replaced
+by (1+r)^-n.  The general solution is cross-checked by stepping the linearized
+equation y' = g*y + h of the step coefficients from y = gamma."""
 
 import math
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain, pairwise, repeat
 
-from .continuous import RiccatiShift, _sigmoid
+from .continuous import RiccatiShift, _sigmoid, _start
 from .errors import POLE_EPS, DomainError, PoleError, check_steps
 from .map_standard import MapParams
 from .precision import DOUBLE, METHOD_CLOSED_FORM, METHOD_ITERATED, Trajectory
@@ -65,30 +65,23 @@ def _check_closed_form_params(p: RiccatiMapParams):
         raise DomainError("closed forms require x0 != 0 (they divide by x0)")
 
 
-def _series(p: RiccatiMapParams, n: int, first: int = 0):
-    """Samples first..n of the particular solution, its parameters checked and
-    c = 1/x0 - 1 worked out once: the seed at step 0, then one column of the
-    ODE's kernel.  The caller has checked n."""
+def _series(p: RiccatiMapParams, n: int, first: int = 0, gamma: float | None = None):
+    """Samples first..n of the particular solution, or of the family member
+    picked by gamma, its parameters checked and its start worked out once:
+    x_s at step 0, then one column of the ODE's kernel.  As in the continuous
+    case gamma only shifts the seed, to x_s = x0 + 1/gamma = (a*g + b*h)/(b*g)
+    for x0 = a/b and gamma = g/h (the particular solution is gamma = 1/0), and
+    a seed of 0 is the fixed point x = 0.  The caller has checked n."""
+    if gamma is not None:
+        RiccatiShift(gamma)  # gamma obeys the rule of the ODE's free constant
     _check_closed_form_params(p)
-    head = (float(p.x0),) if first == 0 else ()
-    values = _sigmoid(1.0 / p.x0 - 1.0, partial(pow, 1.0 + p.r), -1,
-                      range(max(first, 1), n + 1), "n")
+    (a, b), (g, h) = p.x0.as_integer_ratio(), gamma.as_integer_ratio() if gamma else (1, 0)
+    if a * g + b * h == 0:  # the fixed point, read as x0 = 0 by no closed form
+        return repeat(0.0, n + 1 - first)
+    x_s, c, _ = _start(a * g + b * h, b * g)
+    head = (x_s,) if first == 0 else ()
+    values = _sigmoid(c, partial(pow, 1.0 + p.r), -1, range(max(first, 1), n + 1), "n")
     return chain(head, values)
-
-
-def _member(p: RiccatiMapParams, gamma: float, n: int, first: int = 0):
-    """Samples first..n of the family member picked by gamma.  As in the
-    continuous case gamma only shifts the seed, so the member is the
-    particular solution from x0 + 1/gamma, or the fixed point x = 0 where that
-    seed is 0.  The caller has checked n."""
-    RiccatiShift(gamma)  # gamma obeys the rule of the ODE's free constant
-    _check_closed_form_params(p)
-    seed = p.x0 + 1.0 / gamma
-    if not math.isfinite(seed):
-        raise PoleError("gamma is too close to 0: the shifted seed x0 + 1/gamma overflows")
-    if seed == 0:  # the fixed point, read as x0 = 0 by no closed form
-        return repeat(seed, n + 1 - first)
-    return _series(RiccatiMapParams(p.r, seed), n, first)
 
 
 def particular_solution(p: RiccatiMapParams, n: int) -> float:
@@ -133,7 +126,7 @@ def general_solution(p: RiccatiMapParams, gamma: float, n: int,
     """
     check_steps(n)
     if coeffs is None:
-        return next(_member(p, gamma, n, n))
+        return next(_series(p, n, n, gamma))
     RiccatiShift(gamma)
     _check_closed_form_params(p)
     if len(coeffs.g) < n:
@@ -158,5 +151,5 @@ def particular_trajectory(p: RiccatiMapParams, n: int) -> Trajectory:
 def general_trajectory(p: RiccatiMapParams, gamma: float, n: int) -> Trajectory:
     """Trajectory of the general solution over steps 0..n, from the shifted seed."""
     check_steps(n)
-    return Trajectory(f"{METHOD_CLOSED_FORM}:general", range(n + 1), _member(p, gamma, n),
+    return Trajectory(f"{METHOD_CLOSED_FORM}:general", range(n + 1), _series(p, n, gamma=gamma),
                       DOUBLE)

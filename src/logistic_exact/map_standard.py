@@ -326,8 +326,9 @@ def _iterated_reference(p: MapParams, n: int, policy: PrecisionPolicy,
 _PHASE_FORM = {4.0: ClosedForm.R4_COSINE, -2.0: ClosedForm.RM2_DIRECT}
 _PHASE_BITS = DOUBLE.significand_bits + 75  # bits of a phase sample
 _RESEED_STEPS = 64  # a block of this many steps reads the phase digits once
-# Steps from which an iteration-only run takes phase_oracle, which costs less
-# than the tapered reference from about 500 steps on.
+# Steps from which an iteration-only run takes phase_oracle.  It costs less than
+# the tapered reference from about 500 steps on, but the threshold stays at
+# 2,600 until benchmark jobs shorter than that show no loss on either side.
 _PHASE_MIN_STEPS = 2600
 
 

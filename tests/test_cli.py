@@ -156,6 +156,14 @@ class TestOdeCommand:
         assert captured.out == ""
         assert captured.err.startswith("error: 1/x_s overflows a double")
 
+    def test_start_near_1_keeps_its_constant(self, capsys):
+        # x0 = 1 - 2^-53: c = 1/x0 - 1 formed in doubles cancelled to 2^-52, twice
+        # its value, and printed 4.44e-289; mpmath at 300 bits gives
+        # 8.880807121694025e-289
+        rows = run_csv(["ode", "--r", "-1", "--x0", "0.9999999999999999", "--t-end", "700",
+                        "--dt", "700"], capsys)
+        assert rows[-1][3] == "8.880807121694023e-289"
+
     def test_low_gamma_pole_is_one_error_line(self, capsys):
         # the gamma = 0.08 member blows up at t = 0.873, inside the grid; the
         # gamma = 0.05 member's pole, at t = 1.457, lies after it
@@ -225,6 +233,28 @@ class TestMap4Command:
         rows = run_csv(["map4", "--r", "1", "--x0", "1e17", "--steps", "3"], capsys)
         particular = [r[3] for r in rows if r[1] == "particular"]
         assert particular[:2] == ["1e+17", "2.0"]
+
+    @pytest.mark.parametrize("argv,last", [
+        (["--r", "-0.5", "--x0", "0.98", "--gamma", "50", "--steps", "56"],
+         "0.43859649122807015"),
+        (["--r", "1.73", "--x0", "0.02", "--gamma", "-50", "--steps", "60"],
+         "0.9999999837520088")])
+    def test_seed_within_an_ulp_of_a_fixed_point(self, argv, last, capsys):
+        # the exact seeds x0 + 1/gamma are 1 - 1.78e-17 and 4.16e-19; rounded to
+        # one double they were the fixed points 1 and 0, and the member printed
+        # 1.0 and 0.0; these are the exact member (tests/test_map_riccati.py's
+        # exact_member) and 1 ulp below it
+        rows = run_csv(["map4"] + argv, capsys)
+        assert [r[3] for r in rows if r[1].startswith("gamma=")][-1] == last
+
+    @pytest.mark.parametrize("x0", ["1e-320", "-1e-320"])
+    def test_seed_without_a_reciprocal_exits_3(self, x0, capsys):
+        # the particular series printed 0.0 from n = 1 where the orbit is
+        # 2.7e-320, 7.29e-320 and 1.97e-319: the start rule of the ODE refuses it
+        assert main(["map4", "--r", "1.7", f"--x0={x0}", "--steps", "3"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: 1/x_s overflows a double")
 
 
 @pytest.mark.parametrize("argv", [
@@ -509,7 +539,14 @@ class TestSeriesLimits:
 # once (0.11, not 1/(1/0.11) = 0.10999999999999999): only their t = 0 samples
 # moved, and test_every_start_sample_is_the_start_rounded_once pins them.
 # map3-r4-budget-svg, rng-svg and map3-subnormal-svg were captured before the
-# SVG chart read its columns in place of a copy of every point.
+# SVG chart read its columns in place of a copy of every point.  figure1-csv,
+# figure1-json, figure3-csv, figure3-json, ode-gammas and ode-json were
+# re-captured when every Riccati member began to take its start x_s and its
+# constant c = 1/x_s - 1 as correctly rounded quotients of exact integers: 53
+# of figure 1's 2,505 samples moved (39 closer to the member at 300 bits, 14
+# farther) and 2 of figure 3's closed-form samples (both closer), and
+# test_figure1_within_2_5_ulp_of_300_bit_member and
+# test_figure3_within_1_5_ulp_of_exact hold every sample of both figures.
 GOLDEN_SHA256 = [
     (["compare", "--r", "-2", "--x0", "0.9", "--form", "table1", "--form", "simple"],
      "c57e476735943d7177a857f2b0aab06ce0361c69b570f4a0c343f6e81cd06c85"),
@@ -524,9 +561,9 @@ GOLDEN_SHA256 = [
     (["map3", "--r", "2", "--x0", "0.7", "--steps", "200", "--bits", "264",
       "--form", "r2"],
      "23f30c9937776367299b5164d76f77e6a9a50ea4db2aa13f9bb57dc704b8c996"),
-    (["figure", "1"], "da94ad86401f377e394871354f13672987d1b53417a8daa11b2a1f061cbaedef"),
+    (["figure", "1"], "c164f95a638999bc1d9c84a8f1ee7142c3a455a4e9929ee75597ad91a212da93"),
     (["figure", "1", "--format", "json"],
-     "2a46c962853927ee3f4f45e7783eedb5ed02b60e62aa725eadd00144d344da6c"),
+     "052d7553ff19bf8ef7f3e193c834744c90742e3393faa8431553ad74d5450be4"),
     (["figure", "1", "--format", "svg"],
      "fff304be014d64b86c8084e108f5b0735386d0e8ff26ce1d16d2425b388727b4"),
     (["figure", "2"], "a8f3627ada28c8f8e8df0763598e5a61793720a9ca0f6a5f6d7846f332f5fe2a"),
@@ -534,14 +571,14 @@ GOLDEN_SHA256 = [
      "d0e0669a589391a9e31ad5a75f76fdbbfe603e9df8c7d2671f7db59cd2a25657"),
     (["figure", "2", "--format", "svg"],
      "3d6c7c90b4fd2a0be0ad53269332b5294ec5d54503bc8723560ffffd1dd07920"),
-    (["figure", "3"], "27d983fa2eb6de83bbf0d448cd58a39aea7fd5b93048b861be8ced0c460477e1"),
+    (["figure", "3"], "7fd4065354a05c2701719e5db767a5570e930954d094ca8d3a2923721607bb27"),
     (["figure", "3", "--format", "json"],
-     "16385c262e0cf47f73dc0de2bf8bcd46818f140963a4bf74aeced45ff04b70ed"),
+     "9053f75d7169d5efda74966ab0074507745730023c9d40815930948b061ebf39"),
     (["figure", "3", "--format", "svg"],
      "c384d680c99312f72f642e9b1630dde3ad79a39352c100751ab0a7f35df7c268"),
     (["ode", "--r", "1.7", "--x0", "0.11", "--gamma", "0.25", "--gamma", "0.14",
       "--t-end", "2", "--dt", "0.05"],
-     "ed807d2c4b61ed3b0b1d89d5e1f91c2ca5549fb6be33fde1892a1c66ec54ce54"),
+     "29997e382072d01fea0d25ab1a990cb6303b853ac6df6eeeea8e7d6057ee95bc"),
     (["map4", "--r", "1.73", "--x0", "0.333", "--steps", "40", "--gamma", "5",
       "--gamma", "0.5", "--format", "json"],
      "a6c2a83a89a9a3d2abbf281c05aabd8519af2fce2fd40e378b6c6b42b32ebb4b"),
@@ -571,7 +608,7 @@ GOLDEN_SHA256 = [
      "edb1eda0daad2736d54a3fd1826bbf1475c6cd1b0dcb026d591de06caf3dc4b7"),
     (["ode", "--r", "1.7", "--x0", "0.11", "--gamma", "0.25", "--t-end", "2", "--dt", "0.05",
       "--format", "json"],
-     "7b45a97937e796ac240aa3fcc51aa6ec27b33b8d7beabb968cf19d52849818fd"),
+     "6005207a359b97ca0bf579c56b2effbd23b1240984c84dcef8fc1d33aed9ebdf"),
     # the cosine forms at 53 bits, whose samples are doubles, and at budget bits
     (["compare", "--r", "4", "--x0", "0.3", "--form", "r4", "--steps", "250",
       "--format", "csv"],

@@ -8,7 +8,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from mpmath import exp, mpf, workprec
 
-from logistic_exact import continuous, map_riccati
+from logistic_exact import cli, continuous, map_riccati
 from logistic_exact.continuous import (
     MAX_GRID_POINTS,
     ContinuousParams,
@@ -291,13 +291,13 @@ class TestGeneralSolution:
        st.one_of(st.floats(1e-3, 1e3), st.floats(-1e3, -1e-3)))
 @example(1.7, 0.11, 0.25)  # figure 1's seed: 1/(1/0.11) is 0.10999999999999999
 def test_every_start_sample_is_the_start_rounded_once(r, x0, gamma):
-    # the ODE member starts at gamma*x0/(gamma - x0) rounded once; the coupled
-    # map's member is defined by its seed x0 + 1/gamma, a double sum
+    # the ODE member starts at gamma*x0/(gamma - x0) rounded once, and the
+    # coupled map's member at its seed x0 + 1/gamma rounded once
     assume(gamma != x0)
     g, x = Fraction(gamma), Fraction(x0)
     x_s = float(g * x / (g - x))
     p, shift = ContinuousParams(r, x0), RiccatiShift(gamma)
-    m, seed = map_riccati.RiccatiMapParams(r, x0), x0 + 1.0 / gamma
+    m, seed = map_riccati.RiccatiMapParams(r, x0), float(x + 1 / g)
     assert particular_solution(0.0, p) == x0
     assert general_solution(0.0, p, shift) == effective_initial_condition(p, shift) == x_s
     assert map_riccati.particular_solution(m, 0) == x0
@@ -310,6 +310,47 @@ def test_every_start_sample_is_the_start_rounded_once(r, x0, gamma):
             assert build().values[0] == start
         except PoleError as err:  # a blow-up after the start
             assert err.where > 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.tuples(st.integers(1, 2**20).map(lambda k: 1 - k * 2.0 ** -53), st.none()),
+                 st.tuples(st.floats(0.01, 0.99), st.floats(0.1, 1e3) | st.floats(-1e3, -0.1))),
+       st.floats(0.1, 3.0) | st.floats(-3.0, -0.1), st.floats(1.0, 100.0))
+@example((1 - 2.0 ** -53, None), -1.0, 700.0)  # 1/x0 - 1 in doubles was 2^-52, twice c
+def test_every_normal_sample_within_bound_of_300_bit_member(member, r, t):
+    # x = 1/(1 + c*e), e = exp(-r*t): the rounding of c, of r*t (|r*t| ulp of
+    # e) and of exp pass into x times |c*e/(1 + c*e)| = |1 - x|, and the
+    # product, the sum and the quotient add about one ulp.  A start near 1
+    # whose c cancelled in doubles, x0 = 1 - k*2^-53, broke this bound.
+    (x0, gamma), p = member, ContinuousParams(r, member[0])
+    shift = None if gamma is None else RiccatiShift(gamma)
+    try:
+        got = grid_trajectory(p, t, t, shift).values[-1]
+    except PoleError:  # the grid reaches the member's pole
+        assume(False)
+    with workprec(300):
+        x_s = mpf(x0) if gamma is None else mpf(gamma) * x0 / (mpf(gamma) - x0)
+        want = 1 / (1 + (1 / x_s - 1) * exp(-mpf(r) * t))
+    x = float(want)
+    assume(abs(x) >= 2.0 ** -1022)  # the bound is relative
+    assert abs(mpf(got) - want) <= (2 + 2 * abs(1 - x) * (abs(r * t) + 2)) * math.ulp(x)
+
+
+def test_figure1_within_2_5_ulp_of_300_bit_member():
+    # the gate of figure 1's golden rows: every sample, members included, is
+    # within 2.5 ulp of the member at 300 bits (worst 2.27; 2.83 when c was
+    # formed in doubles); the exponent's rounding (|r*t| up to 17) is the rest
+    preset = cli.FIGURE_PRESETS["1"]
+    worst = 0.0
+    for label, traj in cli._run_figure("1")["series"]:
+        with workprec(300):
+            x0 = mpf(preset["x0"])
+            g = None if label == "particular" else mpf(float(label.split("=")[1]))
+            x_s = x0 if g is None else g * x0 / (g - x0)
+            for t, v in zip(traj.indices, traj.values):
+                want = 1 / (1 + (1 / x_s - 1) * exp(-mpf(preset["r"]) * t))
+                worst = max(worst, float(abs(mpf(v) - want)) / math.ulp(float(want)))
+    assert worst <= 2.5
 
 
 class TestEffectiveInitialCondition:
@@ -418,6 +459,21 @@ class TestGridTrajectory:
         with pytest.raises(PoleError) as err:
             grid_trajectory(p, 265.0, 1.0, shift)
         assert err.value.where == pytest.approx(t_pole, rel=1e-12)
+
+    def test_pole_of_a_huge_start(self):
+        # c = 1/x_s - 1 rounds to -1 for x_s = 1e17, so ln(-c) is 0; the pole
+        # time reads q = 1/x_s instead, and the grid is refused
+        with pytest.raises(PoleError) as err:
+            grid_trajectory(ContinuousParams(-1.0, 1e17), 1.0, 0.5)
+        assert err.value.where == 1e-17
+
+    def test_pole_of_a_start_just_above_1(self):
+        # x_s = 2^54/(2^54 - 1): q = 1/x_s rounds to 1, so ln(1 - q) is no
+        # number; the pole time reads c = -2^-54 instead, t* = 54*ln(2)
+        p, shift = ContinuousParams(-1.0, -2.0 ** 54), RiccatiShift(-1.0)
+        with pytest.raises(PoleError) as err:
+            grid_trajectory(p, 50.0, 1.0, shift)
+        assert err.value.where == pytest.approx(54 * math.log(2), rel=1e-15)
 
     @pytest.mark.parametrize("x0", [1e-320, -1e-320])
     @pytest.mark.parametrize("shift", [None, RiccatiShift(0.14)])

@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from mpmath import mpf, workprec
 
-from logistic_exact import continuous
+from logistic_exact import cli, continuous
 from logistic_exact.errors import DomainError, PoleError
 from logistic_exact.map_riccati import (
     RiccatiCoefficients,
@@ -51,15 +51,16 @@ def exact_member(r, x0, gamma, n):
 
 def rounded_member(r, x0, gamma, n):
     """The member that the seed route's rounded inputs define, exactly:
-    1/(1 + c*b^-n) with c = 1/s - 1 for the shifted seed s, and b = 1 + r, the
-    doubles that the route computes; 0.0 where s rounds to 0, the fixed
-    point that the route returns.  From the exact member it is the rounding
-    of s and of 1 + r carried through the map, which grows with n wherever
-    the member is far from 1: for a member that decays, and near a pole."""
-    seed = x0 if gamma is None else x0 + 1.0 / gamma
-    if seed == 0:
+    1/(1 + c*b^-n) with c = (1 - s)/s rounded once for the exact seed
+    s = x0 + 1/gamma, and b = 1 + r, the doubles that the route computes;
+    0.0 where s is 0, the fixed point that the route returns.  From the exact
+    member it is the rounding of c and of 1 + r carried through the map,
+    which grows with n wherever the member is far from 1: for a member that
+    decays, and near a pole."""
+    s = Fraction(x0) + (1 / Fraction(gamma) if gamma is not None else 0)
+    if s == 0:
         return 0.0
-    return _exact(1 / (1 + Fraction(1.0 / seed - 1.0)), Fraction(1.0 + r), n)
+    return _exact(1 / (1 + Fraction(float((1 - s) / s))), Fraction(1.0 + r), n)
 
 
 def seed_route_ulps(x):
@@ -436,6 +437,20 @@ class TestTrajectories:
         want = exact_member(-0.95, 0.02, 27.0, 236)
         got = general_trajectory(RiccatiMapParams(-0.95, 0.02), 27.0, 236).values[-1]
         assert abs(got - want) <= 2 * math.ulp(want)
+
+    def test_figure3_within_1_5_ulp_of_exact(self):
+        # the gate of figure 3's golden rows: every closed-form sample is within
+        # 1.5 ulp of the exact member, unrounded (worst 1.25, as when the seed
+        # was rounded)
+        preset = cli.FIGURE_PRESETS["3"]
+        b, worst = 1 + Fraction(preset["r"]), 0
+        for label, traj in cli._run_figure("3")["series"][1:]:  # after iterated
+            s = Fraction(preset["x0"]) + (
+                0 if label == "particular" else 1 / Fraction(float(label.split("=")[1])))
+            for n, v in zip(traj.indices, traj.values):
+                want = s * b ** n / (s * b ** n + 1 - s)
+                worst = max(worst, abs(Fraction(v) - want) / Fraction(math.ulp(float(want))))
+        assert worst <= 1.5
 
     def test_general_trajectory_needs_no_coefficients(self, monkeypatch):
         def never(*args, **kwargs):
