@@ -41,19 +41,23 @@ orbit, and the CLI's ``compare`` emits its reports.  The reference is
 tapers: step k runs at min(B, max(B + 64 - k, w + 128)) bits for working
 width w, as only n - k + 64 bits are still needed at step k.  That accuracy
 holds as it stands, B is still the reported width, and the reports are the
-fixed-width oracle's at about half the cost from a few thousand steps on.
-Every budgeted step runs in one kernel on Python ints, ``_orbit``: r*x, 1 - x
-and their product are each rounded to nearest, ties to even, at the step's
-width, as mpf arithmetic rounds them.  The reports read its (significand,
-exponent) pairs without forming an mpf per sample.
+fixed-width oracle's, except at rounding ties, at about half the cost from a
+few thousand steps on.  Every budgeted step runs in one kernel on Python
+ints, ``_orbit``: r*x, 1 - x and their product are each rounded to nearest,
+ties to even, at the step's width, as mpf arithmetic rounds them.  Only the
+tapered reference's steps below B and of at least 1,000 bits, with x in
+[2^-8, 1 - 2^-8], take r*(1/4 - y^2), y = x - 1/2, instead: a square costs
+less than a product there, and its relative error, below 2^(7 - w) at width
+w, fits the taper's 64 spare bits.  The reports read the kernel's
+(significand, exponent) pairs without forming an mpf per sample.
 
 An iteration-only run (no closed form) at 53 working bits, r = 4 or r = -2,
 with the default oracle, a seed in the map's invariant interval and at least
 2,600 steps reads the orbit off its phase digits instead (``phase_oracle``),
 at the same budget.  Its samples are good to about 2^-128 at nearly every
-step, and it takes well under half the time of the tapered reference from
-2,600 steps on (the pairs alone: 2.8 against 7.8 ms at 2,600 steps, 11
-against 118 ms at 8,500, r = 4, on a shared 2-vCPU host).  Its reports equal
+step, and it takes under half the time of the tapered reference from 2,600
+steps on (the pairs alone: 4.9 against 10.6 ms at 2,600 steps, 20 against
+156 ms at 8,500, r = 4, best of 25 on a shared 2-vCPU host).  Its reports equal
 the fixed-width oracle's bit for bit up to 64 steps before the end, and
 differ by no more than the two references do after that.  The phase
 evaluator is itself a closed form, so a closed form is always checked
@@ -116,6 +120,7 @@ from .precision import (
 
 _NORMAL_MIN = sys.float_info.min  # the smallest normal double
 _ESCAPE = from_float(ESCAPE_BOUND)  # above 2^332
+_SQUARE_MIN_BITS = 1000  # the narrowest step that _orbit may take as a square
 
 
 @dataclass(frozen=True)
@@ -198,34 +203,50 @@ def _nearest(m: int, cut: int) -> int:
     return (h + 1 if h & 1 and (h & 2 or m & ((1 << (cut - 1)) - 1)) else h) >> 1
 
 
-def _orbit(r: tuple, x: tuple, k: int, widths):
+def _orbit(r: tuple, x: tuple, k: int, widths, square_below: int = 0):
     """Samples k + 1, k + 2, ... from the raw sample ``x`` at step k as (signed
     significand, exponent) pairs, yielded one step per entry of ``widths`` at
     that many bits: r*x, 1 - x and their product are each rounded to nearest
     even at that width, on Python ints.  1 - x rounds to 1 for |x| <
     2^-(w + 1), an x of non-negative exponent (an integer, |x| >= 1) is
-    shifted to exponent 0 first, and a zero stays (0, 0).  Raises EscapeError
-    with the offending index if the orbit passes 1e100."""
+    shifted to exponent 0 first, and a zero stays (0, 0).  A step of width w
+    with _SQUARE_MIN_BITS <= w < ``square_below`` and x in [2^-8, 1 - 2^-8]
+    takes r*(1/4 - y^2), y = x - 1/2 exact, instead: y^2 and the product are
+    rounded, two roundings, and the square costs less than a product from
+    about 1,000 bits.  Nearer 0 or 1, 1/4 - y^2 would cancel.  Raises
+    EscapeError with the offending index if the orbit passes 1e100."""
     (rm, re), (m, e) = _pair(r), _pair(x)
     for w in widths:
         k += 1
         if e > 0:
             m, e = m << e, 0
-        a, ea = rm * m, re + e
-        cut = a.bit_length() - w
-        if cut > 0:
-            a, ea = _nearest(a, cut), ea + cut
-        if m.bit_length() + e < -w - 1:
-            m, e = a, ea
+        d = 0
+        if square_below > w >= _SQUARE_MIN_BITS and e < 0:
+            h = 1 << (-e - 1)
+            y = m - h  # x - 1/2
+            d = h - abs(y)  # min(x, 1 - x)
+        if d > 0 and d.bit_length() + e > -8:  # x in [2^-8, 1 - 2^-8]
+            s, e = y * y, 2 * e
+            cut = s.bit_length() - w
+            if cut > 0:
+                s, e = _nearest(s, cut), e + cut
+            m, e = rm * ((1 << (-2 - e)) - s), re + e
         else:
-            b = (1 << -e) - m
-            cut = b.bit_length() - w
+            a, ea = rm * m, re + e
+            cut = a.bit_length() - w
             if cut > 0:
-                b, e = _nearest(b, cut), e + cut
-            m, e = a * b, ea + e
-            cut = m.bit_length() - w
-            if cut > 0:
-                m, e = _nearest(m, cut), e + cut
+                a, ea = _nearest(a, cut), ea + cut
+            if m.bit_length() + e < -w - 1:
+                m, e = a, ea
+            else:
+                b = (1 << -e) - m
+                cut = b.bit_length() - w
+                if cut > 0:
+                    b, e = _nearest(b, cut), e + cut
+                m, e = a * b, ea + e
+        cut = m.bit_length() - w
+        if cut > 0:
+            m, e = _nearest(m, cut), e + cut
         if not m:
             e = 0
         elif m.bit_length() + e > 332 and mpf_gt(mpf_abs(from_man_exp(m, e)), _ESCAPE):
@@ -299,7 +320,10 @@ def oracle(p: MapParams, n: int, policy: PrecisionPolicy | None = None,
     fewer per step, never fewer than ``taper_to``.  Only n - k + 64 bits are
     still needed at step k under the budget rule, so the rounding of step k
     reaches step j > k as about 2^(j - B - 64), and sample k stays good to
-    about 2^(k - B).  The trajectory is tagged with B, the widest width.
+    about 2^(k - B).  A tapered step narrower than B and of at least 1,000
+    bits squares where ``_orbit`` says, with about 2^6 times the rounding
+    error, which those 64 bits absorb; a step at B never squares.  The
+    trajectory is tagged with B, the widest width.
     """
     policy = policy if policy is not None else budgeted_policy(n)
     values = _mpfs(_iterated_reference(p, n, policy, taper_to))
@@ -316,7 +340,7 @@ def _iterated_reference(p: MapParams, n: int, policy: PrecisionPolicy,
         min(bits, max(bits + 64 - k, taper_to)) for k in range(1, n + 1))
     x = _raw_mpf(p.x0, bits)
     yield _pair(x)
-    yield from _orbit(_raw_mpf(p.r, bits), x, 0, widths)
+    yield from _orbit(_raw_mpf(p.r, bits), x, 0, widths, square_below=bits)
 
 
 # The cosine form whose phase phase_oracle reads, by map parameter.  With the

@@ -255,8 +255,8 @@ def _signed(value, bits: int) -> tuple:
     """A sample as (signed significand, exponent): mpf and float samples
     exactly, any other as ``_raw_mpf(value, bits)``."""
     if isinstance(value, float):
-        m, e = math.frexp(value)
-        return int(m * 9007199254740992.0), e - 53  # 2^53
+        m, d = value.as_integer_ratio()  # d is a power of 2
+        return m, 1 - d.bit_length()
     return _pair(value._mpf_ if isinstance(value, mpf) else _raw_mpf(value, bits))
 
 

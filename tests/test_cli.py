@@ -638,6 +638,13 @@ GOLDEN_SHA256 = [
     (["compare", "--r", "4", "--x0", "0.3", "--form", "r4", "--steps", "1100",
       "--format", "csv"],
      "5eaa0dad0d7e237bb144b09ea6aa5e0c2e5ae3ef367e8bd0a782c69af90244be"),
+    # tapered references whose steps from 1,000 bits up are squared where x
+    # lies in [2^-8, 1 - 2^-8]: an orbit that decays out of that interval,
+    # and one whose squares reach CPython's Karatsuba range (past 2,100 bits)
+    (["compare", "--r", "0.5", "--x0", "0.3", "--steps", "2000", "--format", "csv"],
+     "a118d28f29b5914efec282999bcb653a7df960293ec465c01b2bede5c33664fa"),
+    (["compare", "--r", "3.7", "--x0", "0.3", "--steps", "5000", "--format", "csv"],
+     "9388f8096e8e0e5f30a124da352826579bc31dbda0821e5b2b6677487bae5eb7"),
 ]
 GOLDEN_IDS = ["compare", "compare-csv", "compare-svg", "compare-phase", "map3-r2"] + [
     f"figure{w}-{f}" for w in "123" for f in ("csv", "json", "svg")] + [
@@ -646,7 +653,7 @@ GOLDEN_IDS = ["compare", "compare-csv", "compare-svg", "compare-phase", "map3-r2
     "compare-periodic-200-json", "rng-csv", "map3-subnormal-csv", "ode-json", "compare-r4-csv",
     "map3-rm2-forms-json", "map3-r4-budget-json", "map3-rm2-forms-budget",
     "map3-r4-budget-svg", "rng-svg", "map3-subnormal-svg", "compare-rm2-forms-long-csv",
-    "compare-r4-long-csv"]
+    "compare-r4-long-csv", "compare-decay-squared-csv", "compare-squared-long-csv"]
 
 
 @pytest.mark.parametrize("argv,digest", GOLDEN_SHA256, ids=GOLDEN_IDS)

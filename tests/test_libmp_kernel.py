@@ -9,12 +9,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf, workprec
 from mpmath.libmp import (
+    fhalf,
     fone,
     from_float,
     from_man_exp,
     mpf_abs,
+    mpf_ge,
     mpf_gt,
     mpf_mul,
+    mpf_shift,
     mpf_sub,
     round_nearest,
 )
@@ -23,6 +26,7 @@ from logistic_exact.errors import EscapeError
 from logistic_exact.map_standard import (
     ESCAPE_BOUND,
     ClosedForm,
+    _SQUARE_MIN_BITS,
     MapParams,
     _orbit,
     closed_form,
@@ -166,37 +170,55 @@ def step(r, x, bits):
     return mpf_mul(mpf_mul(r, x, bits, rnd), mpf_sub(fone, x, bits, rnd), bits, rnd)
 
 
-def step_chain(r, x, widths):
+_NEAR = from_man_exp(1, -8)  # 2^-8
+
+
+def squared_step(r, x, bits):
+    """r*(1/4 - y^2) with y = x - 1/2 on raw values: y and 1/4 - y^2 exact,
+    y^2 and the product rounded to nearest at ``bits``."""
+    y = mpf_sub(x, fhalf)
+    s = mpf_mul(y, y, bits, round_nearest)
+    return mpf_mul(r, mpf_sub(mpf_shift(fone, -2), s), bits, round_nearest)
+
+
+def step_chain(r, x, widths, square_below=0):
     """The raw samples after the raw sample x, one ``step`` per width, or the
     (index, message) of the EscapeError past 1e100: the loop the integer
-    kernel ``_orbit`` replaced."""
+    kernel ``_orbit`` replaced.  A step of width w in [_SQUARE_MIN_BITS,
+    ``square_below``) at an x in [2^-8, 1 - 2^-8] is a ``squared_step``."""
     samples = []
     for k, w in enumerate(widths, 1):
-        x = step(r, x, w)
+        if (_SQUARE_MIN_BITS <= w < square_below and mpf_ge(x, _NEAR)
+                and mpf_ge(mpf_sub(fone, x), _NEAR)):
+            x = squared_step(r, x, w)
+        else:
+            x = step(r, x, w)
         if mpf_gt(mpf_abs(x), from_float(ESCAPE_BOUND)):
             return k, f"orbit escaped past {ESCAPE_BOUND:g} at step {k}"
         samples.append(x)
     return samples
 
 
-def kernel_chain(r, x, widths):
+def kernel_chain(r, x, widths, square_below=0):
     """``_orbit``'s samples as normalized raw values, or its EscapeError's
     (index, message)."""
     try:
-        return [from_man_exp(m, e) for m, e in _orbit(r, x, 0, widths)]
+        return [from_man_exp(m, e) for m, e in _orbit(r, x, 0, widths, square_below)]
     except EscapeError as err:
         return err.index, str(err)
 
 
-def check_kernel(r, x0, bits, n, taper_to):
+def check_kernel(r, x0, bits, n, taper_to, square_below=0):
     """The kernel equals the chain of ``step`` calls at ``bits`` (fixed) or
-    tapered from ``bits`` to ``taper_to``, as the oracle takes them."""
+    tapered from ``bits`` to ``taper_to``, as the oracle takes them, with
+    squared steps below ``square_below``."""
     if taper_to is None:
         widths = [bits] * n
     else:
         widths = [min(bits, max(bits + 64 - k, taper_to)) for k in range(1, n + 1)]
     r, x = _raw_mpf(r, bits), _raw_mpf(x0, bits)
-    assert kernel_chain(r, x, widths) == step_chain(r, x, widths)
+    assert (kernel_chain(r, x, widths, square_below)
+            == step_chain(r, x, widths, square_below))
 
 
 # both signs of r, chaotic, decaying and escaping orbits
@@ -234,6 +256,28 @@ class TestOrbitKernel:
     ])
     def test_fixed_cases(self, r, x0, bits, n, taper_to):
         check_kernel(r, x0, bits, n, taper_to)
+
+    @settings(max_examples=60, deadline=None)
+    @given(kernel_rates, kernel_seeds, st.integers(1000, 1100), st.integers(0, 250),
+           st.integers(900, 1000))
+    def test_squared_steps_equal_step_chain(self, r, x0, bits, n, taper_to):
+        # the tapered reference's steps: full width for 64 steps, then squared
+        # from just below it down to 1,000 bits, then three roundings again
+        check_kernel(r, x0, bits, n, taper_to, square_below=bits)
+
+    @pytest.mark.parametrize("r,x0,bits,n,taper_to,square_below", [
+        (3.9, 0.3, 1064, 250, 181, 1064),  # chaotic, squared at most tapered steps
+        (0.5, 0.3, 1064, 250, 181, 1064),  # decays below 2^-8, out of the squared steps
+        (4.0, 0.5, 1000, 10, None, 1001),  # x1 = 1, then zeros: 1 - x is below 2^-8
+        (0.5, 0.3, 1000, 12, None, 1001),  # squared down to x5 = 0.0054, then x6 = 0.0027
+        (3.9, 0.995, 1000, 3, None, 1001),  # 1 - x0 = 0.005, just above 2^-8: squared
+        (3.9, 0.997, 1000, 3, None, 1001),  # 1 - x0 = 0.003, just below 2^-8: not squared
+        (-2.0, 0.9, 1064, 250, 181, 1064),  # x leaves [0, 1] and comes back
+        (2.5, 0.3, 1064, 250, 181, 1064),  # the fixed point 0.6
+        (1e120, 0.3, 1000, 5, None, 1001),  # the first step, squared, escapes
+    ])
+    def test_squared_fixed_cases(self, r, x0, bits, n, taper_to, square_below):
+        check_kernel(r, x0, bits, n, taper_to, square_below)
 
     def test_escape_index_and_message(self):
         r, x = _raw_mpf(-7.25, 200), _raw_mpf(0.9, 200)

@@ -185,8 +185,9 @@ def check_tapered_reference(p, n, working_bits):
                 assert abs(mpf(eb[k]) - mpf(ea[k])) <= bound, k
 
 
-# chaotic, doubling, and periodic windows
-TAPER_RATES = [3.7, 3.9, 4.0, -2.0, 3.83, 3.57, 3.2]
+# chaotic, doubling, and periodic windows, a fixed point inside the squared
+# step's interval [2^-8, 1 - 2^-8], and orbits that decay to 0 and leave it
+TAPER_RATES = [3.7, 3.9, 4.0, -2.0, 3.83, 3.57, 3.2, 0.5, 0.9, 2.5]
 
 
 @st.composite
@@ -203,22 +204,29 @@ class TestTaperedReference:
         check_tapered_reference(p, n, working_bits)
 
     @pytest.mark.parametrize("r,x0,n,working_bits", [
-        (3.9, 0.3, 1500, 53), (3.83, 0.3, 1000, 200), (-2.0, 0.9, 400, 53)])
+        (3.9, 0.3, 1500, 53), (3.83, 0.3, 1000, 200), (-2.0, 0.9, 400, 53),
+        (3.7, 0.3, 3000, 53)])
     def test_fixed_cases(self, r, x0, n, working_bits):
         check_tapered_reference(MapParams(r, x0), n, working_bits)
 
     def test_widths(self):
         # 64 steps at the full width, then one bit fewer per step down to
-        # 128 bits above the method under test
-        n = 400
-        tapered = oracle(MapParams(3.9, 0.3), n, taper_to=181)
-        width = tapered.precision.significand_bits
-        assert width == n + 64
-        limits = [min(width, max(width + 64 - k, 181)) for k in range(n + 1)]
-        widths = [v._mpf_[3] for v in tapered.values]
-        assert all(w <= limit for w, limit in zip(widths, limits))
-        # a rounded sample is as wide as its step unless it ends in zero bits
-        assert sum(w == limit for w, limit in zip(widths, limits)) > n // 2
+        # 128 bits above the method under test; at n = 2000 the steps from
+        # 1,000 bits up to below the full width are squared where x allows
+        p = MapParams(3.9, 0.3)
+        for n, first in ((400, 3), (2000, 5)):
+            tapered = oracle(p, n, taper_to=181)
+            policy = tapered.precision
+            width = policy.significand_bits
+            assert width == n + 64
+            limits = [min(width, max(width + 64 - k, 181)) for k in range(n + 1)]
+            widths = [v._mpf_[3] for v in tapered.values]
+            assert all(w <= limit for w, limit in zip(widths, limits))
+            # the exact samples outgrow the full width at step ``first``; from
+            # there on every step rounds, and its raw significand keeps
+            # exactly the step's width, trailing zero bits included
+            raw = map_standard._iterated_reference(p, n, policy, 181)
+            assert [abs(m).bit_length() for m, _ in raw][first:] == limits[first:]
 
     def test_explicit_oracle_bits_and_figure_2_keep_a_fixed_width(self, monkeypatch, capsys):
         seen = []
