@@ -26,6 +26,7 @@ import math
 import mmap
 import sys
 import warnings
+from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
@@ -182,16 +183,27 @@ def _value(v, bits):
     return mp.nstr(v, repr_dps(bits))
 
 
-def _rows(doc, convert=None):
+def _rows(doc, convert=None, index=None):
     """(label, method, bits, indices, values) of each series, and of each
     report's errors by step.  A series' values pass through ``convert(v,
-    bits)`` unless one scan of their types finds only ints and floats, which
-    ``_value`` passes through unchanged."""
-    for label, traj in doc.get("series", ()):
-        bits, values = traj.precision.significand_bits, traj.values
-        if convert is not None and not set(map(type, values)) <= {int, float}:
+    bits)`` unless they are bytes or one scan of their types finds only ints
+    and floats, which ``_value`` passes through unchanged.  Given the row
+    format ``index``, an index column that two or more series share, one
+    object and not a range, is formatted once for all of them and comes as a
+    ``_Formatted`` column."""
+    series = doc.get("series", ())
+    uses = Counter(id(traj.indices) for _, traj in series)
+    formatted = {}
+    for label, traj in series:
+        bits, indices, values = traj.precision.significand_bits, traj.indices, traj.values
+        if convert is not None and not (isinstance(values, bytes)
+                                        or set(map(type, values)) <= {int, float}):
             values = map(convert, values, itertools.repeat(bits))
-        yield label, traj.method_tag, bits, traj.indices, values
+        if index is not None and uses[id(indices)] > 1 and not isinstance(indices, range):
+            if id(indices) not in formatted:
+                formatted[id(indices)] = _Formatted(index, indices)
+            indices = formatted[id(indices)]
+        yield label, traj.method_tag, bits, indices, values
     for label, rep in doc.get("reports", ()):
         errors = rep.per_step_abs_error  # floats
         yield label, "abs-error", 53, range(len(errors)), errors
@@ -250,13 +262,38 @@ class _Artifact:
 _BATCH = 4096
 
 
+class _Formatted:
+    """An index column formatted once by a row format, for the series that
+    share it: ``fmt % t`` for each of its times t, with each row's ``%s``
+    left for its value.  Iterating gives one text per whole 4,096-row batch
+    and one for the rows left, which may be none: the batch formats of
+    ``_append_rows``.  The texts are held as ASCII in a memory map of their
+    own, as an artifact is, so they leave no hole in the heap; a batch's
+    text is copied out as one string, and no string is held per row."""
+
+    def __init__(self, fmt, column):
+        self._texts, self._ends = _Artifact(b""), [0]
+        for a in range(0, len(column) + 1, _BATCH):
+            part = tuple(column[a:a + _BATCH])  # % takes a tuple; a tuple's slice is one
+            self._texts.write(((fmt * len(part)) % part).encode("ascii"))
+            self._ends.append(len(self._texts))
+
+    def __iter__(self):
+        texts = self._texts.view()
+        return (str(texts[a:b], "ascii") for a, b in itertools.pairwise(self._ends))
+
+
 def _append_rows(out, fmt, *columns):
     """Write ``fmt % row`` for each row of the columns to the artifact ``out``,
     as ASCII.  One ``%`` against ``fmt * 4096`` formats 4,096 rows, with one
     argument tuple interleaved from the columns' slices: a sequence's own
     slice, or an iterator's next 4,096 items.  So no tuple or string is made
-    per row."""
-    width, batch = len(columns), fmt * _BATCH
+    per row.  ``fmt`` may instead be an iterable of one format per batch,
+    whose k-th formats the k-th 4,096 rows and whose last the rows left, if
+    any: a ``_Formatted`` index column, with the rows' other fields still to
+    fill."""
+    width = len(columns)
+    batches = itertools.repeat(fmt * _BATCH) if isinstance(fmt, str) else iter(fmt)
     for a in itertools.count(0, _BATCH):
         parts = [c[a:a + _BATCH] if isinstance(c, Sequence)
                  else tuple(itertools.islice(c, _BATCH)) for c in columns]
@@ -264,17 +301,25 @@ def _append_rows(out, fmt, *columns):
         args = [None] * (width * rows)
         for j, part in enumerate(parts):
             args[j::width] = part
-        out.write(((batch if rows == _BATCH else fmt * rows) % tuple(args)).encode("ascii"))
+        batch = next(batches)
+        if rows < _BATCH and isinstance(fmt, str):
+            batch = fmt * rows
+        out.write((batch % tuple(args)).encode("ascii"))
         if rows < _BATCH:
             return
 
 
 def _render_csv(doc):
     out = _Artifact(b"index_or_time,series,method,value\n")
-    for label, method, _, indices, values in _rows(doc, _value):
-        # %s writes what an f-string field writes: str() of the value
-        fmt = "%s," + f"{label},{method},".replace("%", "%%") + "%s\n"
-        _append_rows(out, fmt, indices, values)
+    # %s writes what an f-string field writes: str() of the value; a shared
+    # index column is written once with \0 where each series' fields go
+    for label, method, _, indices, values in _rows(doc, _value, "%s,\0%%s\n"):
+        fields = f"{label},{method},".replace("%", "%%")
+        if isinstance(indices, _Formatted):
+            _append_rows(out, map(str.replace, indices, itertools.repeat("\0"),
+                                  itertools.repeat(fields)), values)
+        else:
+            _append_rows(out, "%s," + fields + "%s\n", indices, values)
     return out.view()
 
 
@@ -288,12 +333,19 @@ def _json_value(v, bits):
 def _json_entries(doc):
     """(fields, list key, item format, columns) of each series or report: its
     scalar fields, then the format of each item of its one list, at that
-    list's fixed depth, and the columns of the items it formats."""
+    list's fixed depth, or a shared index column formatted in such items
+    (``_Formatted``), and the columns of the items it formats."""
     if "series" in doc:
-        # an int's and a float's str is their repr, as _json_value writes them
-        for label, method, bits, indices, values in _rows(doc, _json_value):
-            yield ({"label": label, "method": method, "precision_bits": bits}, "samples",
-                   ",\n        [\n          %r,\n          %s\n        ]", (indices, values))
+        # an int's and a float's str is their repr, as _json_value writes them;
+        # a shared index column comes formatted, with each item's value to fill
+        item = ",\n        [\n          %s,\n          %s\n        ]"
+        for label, method, bits, indices, values in _rows(doc, _json_value,
+                                                          item % ("%s", "%%s")):
+            fields = {"label": label, "method": method, "precision_bits": bits}
+            if isinstance(indices, _Formatted):
+                yield fields, "samples", indices, (values,)
+            else:
+                yield fields, "samples", item, (indices, values)
         return
     config = doc["config"]
     for label, rep in doc["reports"]:

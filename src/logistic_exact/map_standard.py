@@ -731,8 +731,10 @@ def iteration_divergence(p: MapParams, n_max: int, working_bits: int,
     return divergence_reports(p, n_max, working_bits, threshold, (), oracle_bits)[0][1]
 
 
-def prng_bits(x0: float, count: int, burn_in: int = 0) -> tuple:
-    """Bits from the chaotic r=4 orbit: one per step, set when x > 1/2.
+def prng_bits(x0: float, count: int, burn_in: int = 0) -> bytes:
+    """Bits from the chaotic r=4 orbit: one per step, set when x > 1/2, as
+    ``bytes`` of 0s and 1s, one byte per bit (``bytes`` never equals a tuple:
+    compare ``tuple(bits)`` or ``list(bits)``).
 
     Runs at plain double precision, discards ``burn_in`` steps first, and is
     fully deterministic.  Each step loses about one bit of the seed, so past
@@ -766,4 +768,4 @@ def prng_bits(x0: float, count: int, burn_in: int = 0) -> tuple:
                 raise DegeneracyError(
                     f"orbit hit the fixed-point set (x={x!r} at step {step}); "
                     "choose a different seed")
-    return tuple(bits)
+    return bytes(bits)

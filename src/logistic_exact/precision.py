@@ -159,17 +159,18 @@ class Trajectory:
     a variant, e.g. ``"closed-form:simple"``.  Each column is stored as a
     tuple (a tuple is kept as it is, any other iterable is converted), except
     that an index column given as a ``range`` of positive step is kept as
-    that range, whose order needs no scan; the two columns have equal
-    lengths.  Indices increase strictly.  Values may be ints, floats or
-    mpf at the declared precision; producers raise instead of emitting
-    non-finite samples, and this constructor enforces that.  The checks are
-    C-level passes over each column; the offending index of a refused column
-    is looked up only to name it in the error.
+    that range, whose order needs no scan, and a value column given as
+    ``bytes`` (``rng``'s bits) is kept as those bytes, whose items are ints
+    and need no scan; the two columns have equal lengths.  Indices increase
+    strictly.  Values may be ints, floats or mpf at the declared precision;
+    producers raise instead of emitting non-finite samples, and this
+    constructor enforces that.  The checks are C-level passes over each column; the offending
+    index of a refused column is looked up only to name it in the error.
     """
 
     method_tag: str
     indices: tuple | range
-    values: tuple
+    values: tuple | bytes
     precision: PrecisionPolicy
 
     def __post_init__(self):
@@ -179,7 +180,7 @@ class Trajectory:
         ranged = isinstance(indices, range) and indices.step > 0  # increases strictly
         if not ranged:
             indices = tuple(indices)  # the same object when already a tuple
-        values = tuple(self.values)
+        values = self.values if isinstance(self.values, bytes) else tuple(self.values)
         if not indices:
             raise ValueError("a trajectory needs at least one sample")
         if len(indices) != len(values):
@@ -189,7 +190,7 @@ class Trajectory:
             k = next(k for k in range(1, len(indices)) if not indices[k] > indices[k - 1])
             raise ValueError("sample indices/times must be strictly increasing "
                              f"(index {indices[k]!r} follows {indices[k - 1]!r})")
-        types = set(map(type, values))
+        types = {int} if isinstance(values, bytes) else set(map(type, values))
         if types == {float}:
             finite = all(map(math.isfinite, values))
         else:

@@ -379,6 +379,7 @@ class TestPrng:
 
     def test_monobit_balance(self):
         bits = prng_bits(0.3, 10_000, 100)
+        assert type(bits) is bytes and set(bits) == {0, 1}
         assert len(bits) == 10_000
         ones = sum(bits) / len(bits)
         assert 0.40 <= ones <= 0.60

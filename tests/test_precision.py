@@ -359,6 +359,14 @@ class TestTrajectory:
         assert t.indices is indices
         assert len(t) == len(indices)
 
+    def test_bytes_of_values_are_kept(self):
+        bits = bytes((1, 0, 1))
+        assert Trajectory("prng", range(3), bits, DOUBLE).values is bits
+        # a bytearray may change: it is copied into a tuple, as a list is
+        assert Trajectory("prng", range(3), bytearray(bits), DOUBLE).values == (1, 0, 1)
+        with pytest.raises(ValueError, match=r"2 indices, 3 values"):
+            Trajectory("prng", range(2), bits, DOUBLE)
+
     def test_an_empty_or_decreasing_range_is_refused(self):
         with pytest.raises(ValueError, match=r"^a trajectory needs at least one sample$"):
             Trajectory("iterated", range(0), (), DOUBLE)
