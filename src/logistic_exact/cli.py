@@ -186,18 +186,17 @@ def _value(v, bits):
 def _rows(doc, convert=None, index=None):
     """(label, method, bits, indices, values) of each series, and of each
     report's errors by step.  A series' values pass through ``convert(v,
-    bits)`` unless they are bytes or one scan of their types finds only ints
-    and floats, which ``_value`` passes through unchanged.  Given the row
-    format ``index``, an index column that two or more series share, one
-    object and not a range, is formatted once for all of them and comes as a
-    ``_Formatted`` column."""
+    bits)`` unless the trajectory's own scan of their types found only ints
+    and floats (``Trajectory._native``), which ``_value`` passes through
+    unchanged.  Given the row format ``index``, an index column that two or
+    more series share, one object and not a range, is formatted once for all
+    of them and comes as a ``_Formatted`` column."""
     series = doc.get("series", ())
     uses = Counter(id(traj.indices) for _, traj in series)
     formatted = {}
     for label, traj in series:
         bits, indices, values = traj.precision.significand_bits, traj.indices, traj.values
-        if convert is not None and not (isinstance(values, bytes)
-                                        or set(map(type, values)) <= {int, float}):
+        if convert is not None and not traj._native:
             values = map(convert, values, itertools.repeat(bits))
         if index is not None and uses[id(indices)] > 1 and not isinstance(indices, range):
             if id(indices) not in formatted:

@@ -62,14 +62,34 @@ the fixed-width oracle's bit for bit up to 64 steps before the end, and
 differ by no more than the two references do after that.  The phase
 evaluator is itself a closed form, so a closed form is always checked
 against the iterated oracle.
+
+An iteration-only run at any other r, with the default oracle, a double r and
+seed, and at least 4,000 steps sizes its reference by the orbit's own
+stretching instead (``_sized_reference``).  The budget's one bit a step holds
+where r = 4 and -2 double an angle; at r = 3.9 and 3.7 errors grow by only
+about 0.71 and 0.51 bits a step.  With L_j = log2|r*(1 - 2*x_j)| read off the
+working iteration, which runs first, and P_k = L_0 + ... + L_(k-1), step k runs
+at ceil(max_{j >= k} P_j - P_k) + 256 bits, at least w + 128 and never more
+than the tapered width (``_sized_widths``).  The iteration leaves the orbit
+after a few dozen steps, so these widths are a guess, and a running error
+bound beside the steps checks it (``_bounded``): b_(k+1) >= |r|*b_k*(|1 -
+2x_k| + b_k) plus the step's roundings at its width, every operation on the
+bound rounded up, the bound held as a double and an exponent so that it cannot
+underflow.  The reports stand only if the bound certifies at least 64 bits of
+every nonzero error and is 0 at every zero error; otherwise the run builds the
+tapered reference as well and reports against it.  So a report differs from
+the tapered reference's only where an error lies within its certified bound of
+a rounding tie, and B stays the reported width.
 """
 
 import math
+import operator
 import sys
 import warnings
+from array import array
 from dataclasses import dataclass
 from enum import Enum
-from itertools import chain, repeat, starmap
+from itertools import chain, islice, repeat, starmap
 
 from mpmath import mp, mpf, workprec
 from mpmath.libmp import (
@@ -313,7 +333,8 @@ def oracle(p: MapParams, n: int, policy: PrecisionPolicy | None = None,
     sample k is good to about 2^(k - B) absolute at a budget of B bits, so
     to about 61 bits at the last step (fewer on orbits that linger near the
     repelling fixed point 3/2 of r = -2, which stretches errors by 4 a step:
-    14 bits fewer for x0 = 3/2 - 2^-52 over 400 steps).
+    for x0 = 3/2 - 2^-52 over 400 steps, the running bound of ``_bounded``
+    certifies 42 bits of the last sample, which is good to about 2^-51).
 
     Every step runs at B bits unless ``taper_to`` is given.  Then step k runs
     at min(B, max(B + 64 - k, taper_to)) bits: 64 steps at B, then one bit
@@ -336,11 +357,18 @@ def _iterated_reference(p: MapParams, n: int, policy: PrecisionPolicy,
     significand, exponent) pairs, yielded one at a time."""
     check_steps(n)
     bits = policy.significand_bits
-    widths = repeat(bits, n) if taper_to is None else (
-        min(bits, max(bits + 64 - k, taper_to)) for k in range(1, n + 1))
+    widths = _tapered_widths(bits, n, taper_to)
     x = _raw_mpf(p.x0, bits)
     yield _pair(x)
     yield from _orbit(_raw_mpf(p.r, bits), x, 0, widths, square_below=bits)
+
+
+def _tapered_widths(bits: int, n: int, taper_to: int | None):
+    """The widths of steps 1..n of ``oracle`` at ``bits`` tapered to ``taper_to``:
+    min(bits, max(bits + 64 - k, taper_to)) at step k."""
+    if taper_to is None or taper_to >= bits:
+        return repeat(bits, n)
+    return islice(chain(repeat(bits, 64), range(bits - 1, taper_to, -1), repeat(taper_to)), n)
 
 
 # The cosine form whose phase phase_oracle reads, by map parameter.  With the
@@ -666,14 +694,134 @@ def oracle_policy(n_max: int, working_bits: int,
     return PrecisionPolicy(oracle_bits)
 
 
+# Steps from which an iteration-only run at r other than 4 and -2 sizes its
+# reference by the orbit's stretching.  Below it the pre-pass, the bound and
+# the check can cost more than the narrower steps save: whole compare jobs
+# break even at about 3,200 steps at r = 3.7 and 4,000 at r = 3.9 (medians of
+# 5 runs of 6 seeds each, scaled by perfbench's yardstick, shared 2-vCPU host).
+_SIZED_MIN_STEPS = 4000
+# Bits a sized step keeps above the stretching still to come.  The working
+# orbit's stretching stands in for the reference's, and over thousands of steps
+# the two can part by more than 128 bits; near the end of a run the stretching
+# ahead no longer covers that.  With 192, 8 of 160 random runs of 3,000 to 9,000
+# steps at r = 3.7 and 3.9 fell back, 3 to 35 bits short in their last 250
+# steps; with 256 none did (29 bits to spare at least), for about 4% more of
+# the sum of w^1.6 over the steps.
+_SIZED_MARGIN = 256
+_CERTIFIED_BITS = 64  # bits of every error a sized reference's bound must certify
+_SLACK = 2.0 ** -48  # covers the cut of a sample to 64 bits and the roundings of t
+_UP = 1 + 2.0 ** -49  # covers the other roundings to nearest of a bound step
+_TINY = math.ulp(0.0)
+
+
+def _sized_widths(r: float, values, bits: int, taper_to: int) -> array:
+    """The widths of steps 1..n of a reference sized by the orbit's own
+    stretching, read off ``values``, samples 0..n of the working iteration.
+
+    With L_j = log2|r*(1 - 2*x_j)| and P_k = L_0 + ... + L_(k-1), the
+    rounding of step k reaches step j >= k stretched by about 2^(P_j - P_k).
+    Step k runs at max(taper_to, ceil(max_{j >= k} P_j - P_k) +
+    _SIZED_MARGIN) bits, but never wider than the tapered width at ``bits``.
+    G_k = max_{j >= k} P_j - P_k is summed from the last step back: G_n = 0
+    and G_k = max(0, L_k + G_(k+1)).  The iteration leaves the orbit after a
+    few dozen steps, so the widths are a guess that ``_bounded`` checks."""
+    n = len(values) - 1
+    twice = 2 * r
+    widths = array("l", _tapered_widths(bits, n, taper_to))
+    ceil, log2, margin = math.ceil, math.log2, _SIZED_MARGIN
+    least = taper_to - margin
+    ahead = 0.0  # G_k
+    for k, x in zip(range(n - 1, -1, -1), map(float, islice(reversed(values), 1, None))):
+        w = ceil(ahead if ahead > least else least) + margin  # step k + 1
+        if w < widths[k]:
+            widths[k] = w
+        ahead += log2(abs(r - twice * x) or _TINY)  # L_k
+        if ahead < 0.0:
+            ahead = 0.0
+    return widths
+
+
+def _bounded(r: float, x: tuple, pairs, widths, floors: array):
+    """Yields the orbit from the pair ``x`` on, then ``pairs``, samples 1, 2,
+    ... of ``_orbit`` at ``widths``, and appends to ``floors`` for each sample
+    the least error that its bound b_k >= |x_k' - x_k|, on the distance from
+    the exact orbit, certifies to _CERTIFIED_BITS bits: a double no less than
+    2^_CERTIFIED_BITS * b_k, positive unless b_k = 0.  x_0 and r must be exact.
+
+    A running error bound in Wilkinson's style.  f(x') - f(x) = r*(x' -
+    x)*(1 - 2x' + (x' - x)), so e_(k+1) <= |r|*e_k*(|1 - 2x_k'| + e_k) plus
+    the step's own roundings.  A step of width w rounds r*x, 1 - x and their
+    product, each within 2^-w of its result, so lands within 2^(m + 2 - w) of
+    f(x_k') for a result below 2^m; a step of at least _SQUARE_MIN_BITS may
+    be squared, whose rounded y^2 adds up to |r|*2^(-w - 2).  A step whose
+    result is 0, or narrower than w - 8 bits from an x that 1 - x keeps,
+    rounded nothing: any rounding leaves at least w bits, w - 7 where it
+    rounds only y^2.  b_k is a double times 2^bs for an integer bs, so it
+    cannot underflow.  |1 - 2x_k'| is at most |1 - 2t|*(1 + _SLACK) +
+    4*_SLACK for t the top 64 bits of x_k' in a double, and one factor _UP on
+    |r| covers the step's other roundings; the floor is 2^(_CERTIFIED_BITS +
+    1)*b_k rounded to a double.  So every bound rounds up.  The pairs stop at
+    the first floor above twice ESCAPE_BOUND, which no error of a bounded
+    orbit reaches."""
+    rf, rs = math.frexp(abs(r))  # |r| = rf * 2^rs
+    rf *= _UP
+    ldexp, frexp, append = math.ldexp, math.frexp, floors.append
+    scale, lift, over, cap = 1.0 + _SLACK, 4 * _SLACK, _CERTIFIED_BITS + 1, 2 * ESCAPE_BOUND
+    bf, bs = 0.0, -(1 << 40)  # b_k = bf * 2^bs, exactly 0 up to the first rounding
+    m, e = x
+    size = m.bit_length()
+    append(0.0)
+    yield x
+    for w, (m1, e1) in zip(widths, pairs):
+        size1 = m1.bit_length()
+        cut = size - 64
+        t = ldexp(m >> cut, e + cut) if cut > 0 else ldexp(m, e)
+        bf *= rf * (abs(1.0 - 2.0 * t) * scale + lift + ldexp(bf, bs))
+        bs += rs
+        if size1 >= w - 8 or m1 and size + e < -w - 1:
+            q = size1 + e1 + 2 - w  # the step rounded: add 2^q
+            if w >= _SQUARE_MIN_BITS:
+                q = max(q, rs - 1 - w) + 1
+            d = q - bs
+            if d < 100:
+                bf += ldexp(1.0, d)
+            else:
+                bf, bs = ldexp(bf, -d) + 1.0, q
+        if not 2.0 ** -200 < bf < 2.0 ** 200:
+            bf, shift = frexp(bf)
+            bs += shift
+        floor = ldexp(bf, bs + over) or (bf and _TINY)
+        if floor > cap:
+            return
+        append(floor)
+        m, e, size = m1, e1, size1
+        yield m, e
+
+
+def _sized_reference(p: MapParams, n: int, policy: PrecisionPolicy, taper_to: int,
+                     values, floors: array):
+    """The samples of the orbit-sized reference as (signed significand,
+    exponent) pairs: ``_orbit`` at the widths of ``_sized_widths`` from
+    ``values``, samples 0..n of the working iteration, with the floor of
+    each sample's running bound appended to ``floors`` (see ``_bounded``)."""
+    bits = policy.significand_bits
+    widths = _sized_widths(p.r, values, bits, taper_to)
+    x = _raw_mpf(p.x0, bits)
+    orbit = _orbit(_raw_mpf(p.r, bits), x, 0, widths, square_below=bits)
+    return _bounded(p.r, _pair(x), orbit, widths, floors)
+
+
 def divergence_reports(p: MapParams, n_max: int, working_bits: int, threshold: float,
                        forms=(), oracle_bits: int | None = None) -> list:
     """Plain iteration and each closed form in ``forms``, all evaluated at
     ``working_bits`` (a closed form including all of its angle arithmetic),
     against one reference at ``oracle_policy(n_max, working_bits,
-    oracle_bits)``, the samples of ``phase_oracle`` where the module docstring
-    says so, else of ``oracle``, tapered to ``working_bits + 128`` unless
-    ``oracle_bits`` is given, each report equal to ``compare_trajectories``'.
+    oracle_bits)``: the samples of ``phase_oracle`` or of the orbit-sized
+    reference where the module docstring says so, else of ``oracle``,
+    tapered to ``working_bits + 128`` unless ``oracle_bits`` is given, each
+    report equal to ``compare_trajectories``' against it.  The orbit-sized
+    reference stands only where its running bound certifies every error;
+    elsewhere the tapered reference is built too, and its reports returned.
     Returns ``(label, DivergenceReport)`` pairs: ``"iterated"`` first, then
     each form's value in the order given.
 
@@ -700,21 +848,34 @@ def divergence_reports(p: MapParams, n_max: int, working_bits: int, threshold: f
         _check_closed_form(p, n_max, variant)
     working = PrecisionPolicy(working_bits)
     it = iterate(p, n_max, working)
+    bits = ref_policy.significand_bits + 10  # as compare_trajectories sets it
+    taper_to = working_bits + _TAPER_MARGIN if oracle_bits is None else None
+
+    def report(t, ref):
+        return _compare_pairs(map(_signed, t.values, repeat(bits)), ref, bits, threshold)
+
+    if variants:
+        ref = list(_iterated_reference(p, n_max, ref_policy, taper_to))
+        return [(METHOD_ITERATED, report(it, ref))] + [
+            (v.value, report(closed_form_trajectory(p, n_max, v, working), ref))
+            for v in variants]
     phase = _PHASE_FORM.get(p.r)
-    if (not variants and oracle_bits is None and working_bits == DOUBLE.significand_bits
+    if (oracle_bits is None and working_bits == DOUBLE.significand_bits
             and n_max >= _PHASE_MIN_STEPS and phase is not None
             and _in_seed_domain(p.x0, phase)):
-        ref = _phase_reference(p, n_max)
-    else:
-        taper_to = working_bits + _TAPER_MARGIN if oracle_bits is None else None
-        ref = _iterated_reference(p, n_max, ref_policy, taper_to)
-    if variants:
-        ref = list(ref)
-    bits = ref_policy.significand_bits + 10  # as compare_trajectories sets it
-    methods = [(METHOD_ITERATED, it)] + [
-        (v.value, closed_form_trajectory(p, n_max, v, working)) for v in variants]
-    return [(label, _compare_pairs(map(_signed, t.values, repeat(bits)), ref, bits, threshold))
-            for label, t in methods]
+        return [(METHOD_ITERATED, report(it, _phase_reference(p, n_max)))]
+    if (oracle_bits is None and phase is None and n_max >= _SIZED_MIN_STEPS
+            and type(p.r) is float and type(p.x0) is float):
+        floors = array("d")
+        try:
+            sized = report(it, _sized_reference(p, n_max, ref_policy, taper_to, it.values,
+                                                floors))
+        except EscapeError:
+            sized = None  # whether the run escapes is the tapered reference's to say
+        if (sized is not None and len(floors) == n_max + 1
+                and all(map(operator.ge, sized.per_step_abs_error, floors))):
+            return [(METHOD_ITERATED, sized)]
+    return [(METHOD_ITERATED, report(it, _iterated_reference(p, n_max, ref_policy, taper_to)))]
 
 
 def divergence_analysis(p: MapParams, variant: ClosedForm, n_max: int,

@@ -18,7 +18,7 @@ prefer processes over threads.
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import islice, repeat
 
@@ -165,13 +165,16 @@ class Trajectory:
     strictly.  Values may be ints, floats or mpf at the declared precision;
     producers raise instead of emitting non-finite samples, and this
     constructor enforces that.  The checks are C-level passes over each column; the offending
-    index of a refused column is looked up only to name it in the error.
+    index of a refused column is looked up only to name it in the error.  The scan of
+    the values' types is kept: ``_native`` is true when every value is an int or a
+    float, which the emitters write without converting them.
     """
 
     method_tag: str
     indices: tuple | range
     values: tuple | bytes
     precision: PrecisionPolicy
+    _native: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.method_tag:
@@ -200,6 +203,7 @@ class Trajectory:
             raise ValueError(f"non-finite value at index {indices[k]!r}")
         object.__setattr__(self, "indices", indices)
         object.__setattr__(self, "values", values)
+        object.__setattr__(self, "_native", types <= {int, float})
 
     def __len__(self):
         return len(self.indices)

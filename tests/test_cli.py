@@ -654,6 +654,16 @@ GOLDEN_SHA256 = [
     (["ode", "--r", "1.7", "--x0", "0.11", "--gamma", "0.14", "--gamma", "0.25",
       "--t-end", "10", "--dt", "0.001", "--format", "json"],
      "e53ac3e9ac8af6c3505fc3a341333cf2ff5524c5d0152f1bebed2020765fba3b"),
+    # captured with the tapered reference: a chaotic orbit whose reference is
+    # now sized by the orbit's own stretching, and an orbit in a periodic
+    # window at 3,000 steps, below that route's crossover, and at 4,000, past
+    # it, where the widths fall to 256 bits
+    (["compare", "--r", "3.9", "--x0", "0.3", "--steps", "6000", "--format", "csv"],
+     "2a375cdd199e9283ec0ba42541c79437dd0e41b8001a58e6b9a37a5cef3dafd8"),
+    (["compare", "--r", "3.83", "--x0", "0.3", "--steps", "3000", "--format", "csv"],
+     "9c8339070d3dd7e1c6304fd4bbaf5ed25029283b8a9505b2c93410fc7efab5a0"),
+    (["compare", "--r", "3.83", "--x0", "0.3", "--steps", "4000", "--format", "csv"],
+     "eae9248f43f8dd57c9ebc3089c215ceae467e17338f9780df221ce0be25a55d9"),
 ]
 GOLDEN_IDS = ["compare", "compare-csv", "compare-svg", "compare-phase", "map3-r2"] + [
     f"figure{w}-{f}" for w in "123" for f in ("csv", "json", "svg")] + [
@@ -663,7 +673,8 @@ GOLDEN_IDS = ["compare", "compare-csv", "compare-svg", "compare-phase", "map3-r2
     "map3-rm2-forms-json", "map3-r4-budget-json", "map3-rm2-forms-budget",
     "map3-r4-budget-svg", "rng-svg", "map3-subnormal-svg", "compare-rm2-forms-long-csv",
     "compare-r4-long-csv", "compare-decay-squared-csv", "compare-squared-long-csv",
-    "ode-members-long-csv", "ode-members-long-json"]
+    "ode-members-long-csv", "ode-members-long-json", "compare-sized-csv",
+    "compare-periodic-3000-csv", "compare-sized-periodic-csv"]
 
 
 @pytest.mark.parametrize("argv,digest", GOLDEN_SHA256, ids=GOLDEN_IDS)
@@ -1199,14 +1210,32 @@ def test_rows_are_formatted_in_batches(rows):
         assert bytes(out.view()) == expected.encode("ascii")
     # series that share one tuple of times, whose rows are written from its
     # batches formatted once; a trajectory holds one sample at least, and a
-    # stand-in holds none
+    # stand-in, whose floats a scan of their types would find, holds none
     times = tuple(k * 0.001 for k in range(rows))
     members = [SimpleNamespace(method_tag=tag, indices=times, values=values,
-                               precision=PrecisionPolicy(53))
+                               precision=PrecisionPolicy(53), _native=True)
                for tag in ("closed-form", '%s "{0}"')]
     doc = {"config": {}, "series": [("100% sure", members[0]), ("%d\0", members[1])]}
     assert all(isinstance(indices, cli._Formatted)
                for _, _, _, indices, _ in cli._rows(doc, None, "%s"))
+    assert bytes(cli._render_csv(doc)) == csv_reference(doc).encode("ascii")
+    assert bytes(cli._render_json(doc)) == json_reference(doc).encode("ascii")
+
+
+@pytest.mark.parametrize("values,native", [
+    ((0, 1.5, 10**30), True),
+    ((0.25, -0.0, 5e-324), True),
+    (bytes((1, 0, 1)), True),
+    ((0, 1.5, mpf(2) ** -1100), False),
+    ((mpf("0.1"), 2, 0.5), False)])
+def test_rows_read_the_type_scan_of_the_trajectory(values, native):
+    # the constructor's scan of the value types decides whether the emitters
+    # convert a column; ints and floats pass through as the same column
+    traj = Trajectory("iterated", range(len(values)), values, PrecisionPolicy(80))
+    assert traj._native is native
+    doc = {"config": {}, "series": [('"%s"', traj)]}
+    (_, _, _, _, column), = cli._rows(doc, cli._value)
+    assert (column is traj.values) is native
     assert bytes(cli._render_csv(doc)) == csv_reference(doc).encode("ascii")
     assert bytes(cli._render_json(doc)) == json_reference(doc).encode("ascii")
 

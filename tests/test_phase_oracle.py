@@ -1,10 +1,14 @@
 """The phase-digit evaluator for r = 4 and r = -2, and the reference each
-divergence run takes: the evaluator, or the iterated oracle, tapered unless
-the oracle's width is given."""
+divergence run takes: the evaluator, the iterated oracle sized by the orbit's
+own stretching behind a running error bound, or the iterated oracle, tapered
+unless the oracle's width is given."""
 
 import hashlib
 import json
 import math
+import operator
+from array import array
+from itertools import repeat
 
 import pytest
 from hypothesis import given, settings
@@ -29,11 +33,15 @@ from logistic_exact.precision import (
     DOUBLE,
     METHOD_ORACLE,
     PrecisionPolicy,
+    _compare_pairs,
+    _signed,
+    budgeted_policy,
     compare_trajectories,
 )
 
 P = 53 + 75  # bits of a phase sample at 53 working bits
 N = map_standard._PHASE_MIN_STEPS
+S = map_standard._SIZED_MIN_STEPS
 
 
 def check_against_iterated_oracle(p, n):
@@ -185,9 +193,47 @@ def check_tapered_reference(p, n, working_bits):
                 assert abs(mpf(eb[k]) - mpf(ea[k])) <= bound, k
 
 
+def check_sized_reference(p, n, working_bits):
+    """The reference sized by the orbit's stretching, at the tapered
+    reference's width W: no step is wider than the tapered reference's, and
+    every sample lies within its running bound b_k of the orbit at 2W bits.
+    Where the bound certifies every error, the reports equal those against the
+    tapered reference except at a rounding tie; there they differ by no more
+    than b_k plus the tapered sample's own distance from the orbit and two
+    roundings to double.  Returns whether the bound certifies every error, and
+    the report against the sized reference."""
+    policy = oracle_policy(n, working_bits, None)
+    width, taper_to = policy.significand_bits, working_bits + 128
+    it = iterate(p, n, PrecisionPolicy(working_bits))
+    widths = map_standard._sized_widths(p.r, it.values, width, taper_to)
+    assert len(widths) == n
+    assert all(map(operator.le, widths, map_standard._tapered_widths(width, n, taper_to)))
+    floors = array("d")
+    sized = list(map_standard._sized_reference(p, n, policy, taper_to, it.values, floors))
+    assert len(sized) == len(floors)  # up to a bound that certifies nothing
+    bits = width + 10
+    report = _compare_pairs(map(_signed, it.values, repeat(bits)), iter(sized), bits, 0.01)
+    eb = report.per_step_abs_error
+    certified = len(floors) == n + 1 and all(map(operator.ge, eb, floors))
+    tapered = oracle(p, n, policy, taper_to)
+    ea = compare_trajectories(it, tapered, 0.01).per_step_abs_error
+    true = oracle(p, n, PrecisionPolicy(2 * width))
+    with workprec(2 * width + 64):
+        for k, ((m, e), floor) in enumerate(zip(sized, floors)):
+            xb, xa, xt = mpf(m) * mpf(2) ** e, tapered.values[k], true.values[k]
+            bound = mpf(floor) * mpf(2) ** -map_standard._CERTIFIED_BITS  # b_k at most
+            assert abs(xb - xt) <= bound + mpf(2) ** (k - 2 * width + 4), k
+            if certified and eb[k] != ea[k]:
+                assert abs(mpf(eb[k]) - mpf(ea[k])) <= (
+                    bound + abs(xa - xt) + mpf(2) ** (k - 2 * width + 4)
+                    + mpf(2) ** -52 * max(ea[k], eb[k])), k  # two roundings to double
+    return certified, report
+
+
 # chaotic, doubling, and periodic windows, a fixed point inside the squared
 # step's interval [2^-8, 1 - 2^-8], and orbits that decay to 0 and leave it
 TAPER_RATES = [3.7, 3.9, 4.0, -2.0, 3.83, 3.57, 3.2, 0.5, 0.9, 2.5]
+SIZED_RATES = [r for r in TAPER_RATES if r not in (4.0, -2.0)]  # no phase digits
 
 
 @st.composite
@@ -227,6 +273,10 @@ class TestTaperedReference:
             # exactly the step's width, trailing zero bits included
             raw = map_standard._iterated_reference(p, n, policy, 181)
             assert [abs(m).bit_length() for m, _ in raw][first:] == limits[first:]
+        for bits, taper_to in ((464, 181), (182, 181), (181, 181), (181, 328), (300, None)):
+            expected = [bits if taper_to is None else min(bits, max(bits + 64 - k, taper_to))
+                        for k in range(1, 401)]
+            assert list(map_standard._tapered_widths(bits, 400, taper_to)) == expected
 
     def test_explicit_oracle_bits_and_figure_2_keep_a_fixed_width(self, monkeypatch, capsys):
         seen = []
@@ -247,13 +297,88 @@ class TestTaperedReference:
         assert fixed == tapered
 
 
+class TestSizedReference:
+    """The reference of an iteration-only run from _SIZED_MIN_STEPS steps on at
+    r other than 4 and -2, each step sized by the stretching still to come."""
+
+    @settings(max_examples=12, deadline=None)
+    @given(st.sampled_from(SIZED_RATES), st.floats(0.0, 1.0), st.integers(1000, 2500),
+           st.sampled_from([53, 200]))
+    def test_within_its_bound_and_the_tapered_reports(self, r, x0, n, working_bits):
+        p = MapParams(r, x0)
+        certified, report = check_sized_reference(p, n, working_bits)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(map_standard, "_SIZED_MIN_STEPS", n)
+            reports = divergence_reports(p, n, working_bits, 0.01)
+        assert reports == ([("iterated", report)] if certified
+                           else public_reports(p, n, working_bits))
+
+    @pytest.mark.parametrize("r,x0,n,working_bits,certified", [
+        (3.9, 0.3, 1500, 53, True), (3.83, 0.3, 1000, 200, True), (3.7, 0.3, 2500, 53, True),
+        (3.9, 0.5, 1000, 53, True),  # x1 = r/4 at both widths: an error of 0 at step 1
+        (3.9, 0.5, 1000, 200, True),  # and at step 2
+        (0.5, 0.3, 1100, 53, False),  # errors past the doubles read 0
+        (0.5, 2.0**-1074, 1000, 53, False)])  # 1 - x rounds to 1, an error of 2^-2149
+    def test_fixed_cases(self, r, x0, n, working_bits, certified):
+        assert check_sized_reference(MapParams(r, x0), n, working_bits)[0] is certified
+
+    def test_widths_follow_the_stretching(self):
+        # about 0.71 bits a step at r = 3.9 and 0.51 at r = 3.7, against the
+        # budget's 1, down to the margin above it; in the periodic window at
+        # r = 3.83 the orbit contracts over each period of 3, and every step
+        # past the transient is within a few bits of the margin
+        margin = map_standard._SIZED_MARGIN
+        for r, rate in ((3.9, 0.71), (3.7, 0.51), (3.83, 0.0)):
+            values = iterate(MapParams(r, 0.3), 4000).values
+            widths = map_standard._sized_widths(r, values, 4064, 181)
+            assert abs(widths[0] - margin - rate * 4000) < 100
+            assert min(widths[:3000]) >= margin and widths[-1] == 181  # the taper's last width
+            if rate == 0.0:
+                assert max(widths[100:3500]) <= margin + 4
+
+    def test_an_uncertified_reference_falls_back(self, monkeypatch, calls):
+        # steps a few bits wider than the stretching ahead: the bound soon
+        # certifies nothing, and the run takes the tapered reference instead
+        monkeypatch.setattr(map_standard, "_SIZED_MARGIN", 4)
+        p = MapParams(3.9, 0.3)
+        floors = array("d")
+        it = iterate(p, S)
+        policy = oracle_policy(S, 53, None)
+        pairs = list(map_standard._sized_reference(p, S, policy, 181, it.values, floors))
+        assert len(pairs) == len(floors) < S + 1
+        calls.clear()
+        reports = divergence_reports(p, S, 53, 0.01)
+        assert calls == ["sized", "oracle"]
+        assert reports == public_reports(p, S, 53)
+
+    def test_bound_at_the_repelling_fixed_point(self):
+        # the budget of 464 bits at r = -2 from x0 = 3/2 - 2^-52, where the
+        # orbit lingers at the fixed point 3/2 and errors grow 4-fold a step:
+        # the bound certifies 42 bits of sample 400, which is good to 2^-50.8
+        p, n = MapParams(-2.0, 1.5 - 2**-52), 400
+        policy = budgeted_policy(n)
+        ref = map_standard._iterated_reference(p, n, policy, None)
+        floors = array("d")
+        pairs = list(map_standard._bounded(p.r, next(ref), ref,
+                                           repeat(policy.significand_bits, n), floors))
+        certified = map_standard._CERTIFIED_BITS - math.log2(floors[n])
+        assert math.floor(certified) == 42
+        true = oracle(p, n, PrecisionPolicy(2 * policy.significand_bits))
+        with workprec(1000):
+            m, e = pairs[n]
+            error = abs(mpf(m) * mpf(2) ** e - true.values[n])
+            assert mpf(2) ** -51 < error < mpf(2) ** -certified
+
+
 @pytest.fixture
 def calls(monkeypatch):
     """Names of the references each run computes, in order: "oracle" for the
-    iterated reference, "phase_oracle" for the phase reference."""
+    iterated reference, "phase_oracle" for the phase reference, "sized" for
+    the iterated reference sized by the orbit's stretching."""
     seen = []
     for name, builder in (("oracle", "_iterated_reference"),
-                          ("phase_oracle", "_phase_reference")):
+                          ("phase_oracle", "_phase_reference"),
+                          ("sized", "_sized_reference")):
         real = getattr(map_standard, builder)
 
         def recording(*args, _real=real, _name=name, **kwargs):
@@ -292,6 +417,27 @@ class TestRouting:
     def test_iterated_oracle_elsewhere(self, argv, calls, capsys):
         assert main(argv) == 0
         assert calls == ["oracle"]
+
+    @pytest.mark.parametrize("argv,route", [
+        (compare_argv("3.9", "0.3", S), ["sized"]),
+        (compare_argv("3.83", "0.3", S, "--bits", "200"), ["sized"]),
+        (compare_argv("3.9", "0.3", S - 1), ["oracle"]),
+        (compare_argv("3.9", "0.3", S, "--oracle-bits", str(S + 64)), ["oracle"]),
+        (compare_argv("2", "0.3", S, "--form", "r2"), ["oracle"]),
+        (compare_argv("4", "0.3", S, "--bits", "54"), ["oracle"]),
+        # the errors of an orbit that decays past the doubles read 0, which
+        # no bound above 0 certifies
+        (compare_argv("0.5", "0.3", S), ["sized", "oracle"]),
+    ], ids=["r3.9", "bits200", "below-crossover", "oracle-bits", "form", "r4-bits54",
+            "decay"])
+    def test_sized_reference(self, argv, route, calls, capsys):
+        assert main(argv) == 0
+        assert calls == route
+        sized = capsys.readouterr().out
+        if calls[0] == "sized":  # the bytes of the tapered reference
+            width = json.loads(sized)["config"]["oracle_bits"]
+            assert main(argv + ["--oracle-bits", str(width)]) == 0
+            assert capsys.readouterr().out == sized
 
     def test_seed_outside_the_interval(self, calls, monkeypatch, capsys):
         p = MapParams(-2.0, 1.6)
@@ -352,8 +498,11 @@ class TestReportsReadTheReferencePairs:
         (2.0, 0.3, 100, 100, ("r2",), 400, "oracle"),
         (4.0, 0.3, N, 53, (), None, "phase_oracle"),
         (-2.0, 0.411148, N, 53, (), None, "phase_oracle"),
+        (3.7, 0.3, S, 53, (), None, "sized"),
+        (3.83, 0.3, S, 200, (), None, "sized"),
     ], ids=["tapered", "tapered-forms", "tapered-r4", "tapered-200-bits", "tapered-decay",
-            "fixed", "fixed-forms", "fixed-r2", "phase-r4", "phase-rm2"])
+            "fixed", "fixed-forms", "fixed-r2", "phase-r4", "phase-rm2", "sized",
+            "sized-200-bits"])
     def test_equal_compare_trajectories(self, r, x0, n, working_bits, forms, oracle_bits,
                                         route, calls):
         p = MapParams(r, x0)
