@@ -11,8 +11,10 @@ stays out of ``RunConfig.parameters``.  The runners return labelled library
 ``compare`` emits the labelled library ``DivergenceReport`` values of
 ``map_standard.divergence_reports``; the emitters read method, precision,
 index and value columns, and errors from them.  Output is CSV (default),
-JSON (default for ``compare``), or a minimal dependency-free SVG line chart.
-Library warnings are printed as ``warning:`` lines on stderr.
+JSON (default for ``compare``), or a minimal dependency-free SVG line chart,
+written to its sink as it is formatted, one 4,096-row batch at a time, so no
+artifact is held whole.  Library warnings are printed as ``warning:`` lines
+on stderr.
 
 Exit codes: 0 success, 2 usage/validation problems, 3 mathematical
 domain/pole errors raised by the core modules.
@@ -23,7 +25,6 @@ import functools
 import itertools
 import json
 import math
-import mmap
 import sys
 import warnings
 from collections import Counter
@@ -208,118 +209,79 @@ def _rows(doc, convert=None, index=None):
         yield label, "abs-error", 53, range(len(errors)), errors
 
 
-class _Artifact:
-    """The ASCII bytes of one artifact, grown in one anonymous private memory
-    map.  Its pages are touched only as they are written and go back with the
-    map, so a large artifact leaves no hole in the heap that later work grows
-    in.  ``resize`` remaps without copying where the platform can (mremap on
-    Linux); elsewhere a map of twice the size takes a copy.  The map is
-    private: a shared one raises SIGBUS on the first write past its first
-    size once it is resized."""
+class _Sink:
+    """Writes each text it is given to ``write`` as ASCII bytes, which refuses
+    a label that is not ASCII, and counts them: ``len()`` is the number of
+    bytes written."""
 
-    def __init__(self, head):
-        self._map, self._end = self._new(max(len(head), mmap.PAGESIZE)), 0
-        self.write(head)
+    def __init__(self, write):
+        self._write, self._bytes = write, 0
 
-    @staticmethod
-    def _new(size):
-        return mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
-
-    def write(self, data):
-        end = self._end + len(data)
-        if end > len(self._map):
-            size = max(end, 2 * len(self._map))
-            try:
-                self._map.resize(size)
-            except (OSError, SystemError):  # no mremap, as on macOS
-                grown = self._new(size)
-                grown[:self._end] = self._map[:self._end]
-                self._map.close()
-                self._map = grown
-        self._map[self._end:end] = data
-        self._end = end
+    def write(self, text):
+        data = text.encode("ascii")
+        self._write(data)
+        self._bytes += len(data)
 
     def __len__(self):
-        return self._end
-
-    def __setitem__(self, k, byte):  # 0 <= k < len(self)
-        self._map[k] = byte
-
-    def endswith(self, suffix):
-        return self._map[max(self._end - len(suffix), 0):self._end] == suffix
-
-    def pop(self):
-        """Drop the last byte of a non-empty artifact, and return it."""
-        self._end -= 1
-        return self._map[self._end]
-
-    def view(self):
-        """The bytes written, as a memoryview that holds the map until it goes."""
-        return memoryview(self._map)[:self._end]
+        return self._bytes
 
 
 _BATCH = 4096
 
 
-class _Formatted:
+class _Formatted(list):
     """An index column formatted once by a row format, for the series that
     share it: ``fmt % t`` for each of its times t, with each row's ``%s``
-    left for its value.  Iterating gives one text per whole 4,096-row batch
-    and one for the rows left, which may be none: the batch formats of
-    ``_append_rows``.  The texts are held as ASCII in a memory map of their
-    own, as an artifact is, so they leave no hole in the heap; a batch's
-    text is copied out as one string, and no string is held per row."""
+    left for its value, as one text per 4,096-row batch, the last holding the
+    rows left: the batch formats of ``_batches``.  No string is held per row."""
 
     def __init__(self, fmt, column):
-        self._texts, self._ends = _Artifact(b""), [0]
-        for a in range(0, len(column) + 1, _BATCH):
-            part = tuple(column[a:a + _BATCH])  # % takes a tuple; a tuple's slice is one
-            self._texts.write(((fmt * len(part)) % part).encode("ascii"))
-            self._ends.append(len(self._texts))
-
-    def __iter__(self):
-        texts = self._texts.view()
-        return (str(texts[a:b], "ascii") for a, b in itertools.pairwise(self._ends))
+        parts = (tuple(column[a:a + _BATCH]) for a in range(0, len(column), _BATCH))
+        super().__init__((fmt * len(part)) % part for part in parts)  # % takes a tuple
 
 
-def _append_rows(out, fmt, *columns):
-    """Write ``fmt % row`` for each row of the columns to the artifact ``out``,
-    as ASCII.  One ``%`` against ``fmt * 4096`` formats 4,096 rows, with one
-    argument tuple interleaved from the columns' slices: a sequence's own
-    slice, or an iterator's next 4,096 items.  So no tuple or string is made
-    per row.  ``fmt`` may instead be an iterable of one format per batch,
-    whose k-th formats the k-th 4,096 rows and whose last the rows left, if
-    any: a ``_Formatted`` index column, with the rows' other fields still to
-    fill."""
+def _batches(fmt, *columns):
+    """Yield ``fmt % row`` for each row of the columns, 4,096 rows to a text.
+    One ``%`` against ``fmt * 4096`` formats 4,096 rows, with one argument
+    tuple interleaved from the columns' slices: a sequence's own slice, or an
+    iterator's next 4,096 items.  So no tuple or string is made per row.
+    ``fmt`` may instead be an iterable of one format per batch, whose k-th
+    formats the k-th 4,096 rows and whose last the rows left: a
+    ``_Formatted`` index column, with the rows' other fields still to fill."""
     width = len(columns)
     batches = itertools.repeat(fmt * _BATCH) if isinstance(fmt, str) else iter(fmt)
     for a in itertools.count(0, _BATCH):
         parts = [c[a:a + _BATCH] if isinstance(c, Sequence)
                  else tuple(itertools.islice(c, _BATCH)) for c in columns]
         rows = len(parts[0])
+        if not rows:
+            return
         args = [None] * (width * rows)
         for j, part in enumerate(parts):
             args[j::width] = part
         batch = next(batches)
         if rows < _BATCH and isinstance(fmt, str):
             batch = fmt * rows
-        out.write((batch % tuple(args)).encode("ascii"))
+        yield batch % tuple(args)
         if rows < _BATCH:
             return
 
 
-def _render_csv(doc):
-    out = _Artifact(b"index_or_time,series,method,value\n")
+def _render_csv(doc, write):
+    out = _Sink(write)
+    out.write("index_or_time,series,method,value\n")
     # %s writes what an f-string field writes: str() of the value; a shared
     # index column is written once with \0 where each series' fields go
     for label, method, _, indices, values in _rows(doc, _value, "%s,\0%%s\n"):
         fields = f"{label},{method},".replace("%", "%%")
         if isinstance(indices, _Formatted):
-            _append_rows(out, map(str.replace, indices, itertools.repeat("\0"),
-                                  itertools.repeat(fields)), values)
+            batches = _batches(map(str.replace, indices, itertools.repeat("\0"),
+                                   itertools.repeat(fields)), values)
         else:
-            _append_rows(out, "%s," + fields + "%s\n", indices, values)
-    return out.view()
+            batches = _batches("%s," + fields + "%s\n", indices, values)
+        for text in batches:
+            out.write(text)
+    return out
 
 
 def _json_value(v, bits):
@@ -358,35 +320,38 @@ def _json_entries(doc):
                ",\n        %r", (rep.per_step_abs_error,))
 
 
-def _render_json(doc):
+def _render_json(doc, write):
     """The bytes ``json.dumps(obj, indent=2) + "\\n"`` writes for obj, the config
     and one object per series or report, each value written at its fixed
     depth: with an indent set, json encodes in pure Python, token by token."""
     key = "series" if "series" in doc else "reports"
+    out = _Sink(write)
     # the config is small and nests (a figure's preset): the encoder writes it
-    out = _Artifact(('{\n  "config": ' + json.dumps(doc["config"], indent=2).replace("\n", "\n  ")
-                     + f',\n  "{key}": [').encode("ascii"))
+    out.write('{\n  "config": ' + json.dumps(doc["config"], indent=2).replace("\n", "\n  ")
+              + f',\n  "{key}": [')
     entry = "\n    {"
     for fields, list_key, fmt, columns in _json_entries(doc):
-        out.write((entry + "".join(f'\n      "{k}": {json.dumps(v)},' for k, v in fields.items())
-                   + f'\n      "{list_key}": ').encode("ascii"))
-        start = len(out)
-        _append_rows(out, fmt, *columns)
-        if len(out) > start:  # each item opens with a comma; the list's first with "["
-            out[start] = ord("[")
-            out.write(b"\n      ]\n    }")
-        else:
-            out.write(b"[]\n    }")
+        out.write(entry + "".join(f'\n      "{k}": {json.dumps(v)},' for k, v in fields.items())
+                  + f'\n      "{list_key}": ')
+        batches = _batches(fmt, *columns)
+        first = next(batches, None)
+        if first is None:
+            out.write("[]\n    }")
+        else:  # each item opens with a comma; the list's first with "["
+            out.write("[" + first[1:])
+            for text in batches:
+                out.write(text)
+            out.write("\n      ]\n    }")
         entry = ",\n    {"
-    out.write(b"]\n}\n" if entry == "\n    {" else b"\n  ]\n}\n")
-    return out.view()
+    out.write("]\n}\n" if entry == "\n    {" else "\n  ]\n}\n")
+    return out
 
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd",
             "#ff7f0e", "#8c564b", "#17becf", "#7f7f7f")
 
 
-def _render_svg(doc):
+def _render_svg(doc, write):
     """Minimal line chart: axes, one polyline per series, legend.  Meant for
     eyeballing the curves, not for publication.  Each series' columns are read
     where they are, and no point is copied: indices increase strictly, so a
@@ -437,22 +402,24 @@ def _render_svg(doc):
         f'<text x="{(ml + width - mr) / 2:.1f}" y="{mt - 14}" font-size="13" '
         f'text-anchor="middle">{title}</text>',
     ]
-    out = _Artifact("\n".join(head).encode("ascii"))
+    out = _Sink(write)
+    out.write("\n".join(head))
     for k, (label, indices, values) in enumerate(columns):
         color = _PALETTE[k % len(_PALETTE)]
-        out.write((f'\n<polyline fill="none" stroke="{color}" stroke-width="1.5" '
-                   'points="').encode("ascii"))
-        _append_rows(out, "%.2f,%.2f ", map(sx, map(float, indices)), map(sy, map(float, values)))
-        if out.endswith(b" "):  # the last point's separator
-            out.pop()
+        out.write(f'\n<polyline fill="none" stroke="{color}" stroke-width="1.5" points="')
+        batches = _batches(" %.2f,%.2f", map(sx, map(float, indices)),
+                           map(sy, map(float, values)))
+        out.write(next(batches)[1:])  # every series has a point; the first has no separator
+        for text in batches:
+            out.write(text)
         ly = mt + 16 * k
-        out.write((f'"/>\n<line x1="{width - mr + 10}" y1="{ly}" '
-                   f'x2="{width - mr + 30}" y2="{ly}" stroke="{color}" '
-                   'stroke-width="2"/>'
-                   f'\n<text x="{width - mr + 36}" y="{ly + 4}" '
-                   f'font-size="11">{label}</text>').encode("ascii"))
-    out.write(b"\n</svg>\n")
-    return out.view()
+        out.write(f'"/>\n<line x1="{width - mr + 10}" y1="{ly}" '
+                  f'x2="{width - mr + 30}" y2="{ly}" stroke="{color}" '
+                  'stroke-width="2"/>'
+                  f'\n<text x="{width - mr + 36}" y="{ly + 4}" '
+                  f'font-size="11">{label}</text>')
+    out.write("\n</svg>\n")
+    return out
 
 
 _RENDERERS = {"csv": _render_csv, "json": _render_json, "svg": _render_svg}
@@ -464,12 +431,12 @@ def run(config: RunConfig) -> int:
     """Execute one resolved configuration, writing the artifact to its sink.
 
     A float parameter that is not finite is refused, named by the option
-    that sets it.  The renderer builds the artifact once, as ASCII bytes in
-    an anonymous memory map, and returns a memoryview of them, which is
-    written in one call: to the ``--out`` file opened in binary mode, or to
-    stdout's binary buffer once the text layer is flushed.  Only a stdout
-    with no binary buffer, such as an ``io.StringIO``, gets it decoded to
-    text.  The map goes when the view does."""
+    that sets it.  The runner is evaluated first, and only then is the
+    ``--out`` file opened, in binary mode.  The renderer writes the artifact
+    to its sink as it goes, as ASCII bytes, one 4,096-row batch at a time:
+    to that file, or to stdout's binary buffer once the text layer is
+    flushed.  Only a stdout with no binary buffer, such as an
+    ``io.StringIO``, gets each piece decoded to text."""
     runner = _RUNNERS.get(config.subcommand)
     if runner is None:
         raise ValueError(f"unknown subcommand {config.subcommand!r}")
@@ -481,15 +448,15 @@ def run(config: RunConfig) -> int:
             if isinstance(v, float) and not math.isfinite(v):
                 raise ValueError(f"{_option(config.subcommand, key)} must be a finite "
                                  f"number, got {v!r}")
-    artifact = renderer(runner(**config.parameters))
+    doc = runner(**config.parameters)
     if config.output_path not in (None, "-"):
         with open(config.output_path, "wb") as fh:
-            fh.write(artifact)
+            renderer(doc, fh.write)
     elif hasattr(sys.stdout, "buffer"):
         sys.stdout.flush()  # what the text layer holds goes first
-        sys.stdout.buffer.write(artifact)
+        renderer(doc, sys.stdout.buffer.write)
     else:
-        sys.stdout.write(str(artifact, "ascii"))
+        renderer(doc, lambda data: sys.stdout.write(str(data, "ascii")))
     return 0
 
 

@@ -76,14 +76,15 @@ bound beside the steps checks it (``_bounded``): b_(k+1) >= |r|*b_k*(|1 -
 2x_k| + b_k) plus the step's roundings at its width, every operation on the
 bound rounded up, the bound held as a double and an exponent so that it cannot
 underflow.  The reports stand only if the bound certifies at least 64 bits of
-every nonzero error and is 0 at every zero error; otherwise the run builds the
-tapered reference as well and reports against it.  So a report differs from
-the tapered reference's only where an error lies within its certified bound of
-a rounding tie, and B stays the reported width.
+every nonzero error, and at every zero error is 0 or below 2^-1138, so that
+the exact error is below the least subnormal's rounding tie 2^-1075 or within
+the bound of it (``_certified``); otherwise the run builds the tapered
+reference as well and reports against it.  So a report differs from the
+tapered reference's only where an error lies within its certified bound of a
+rounding tie, and B stays the reported width.
 """
 
 import math
-import operator
 import sys
 import warnings
 from array import array
@@ -798,6 +799,16 @@ def _bounded(r: float, x: tuple, pairs, widths, floors: array):
         yield m, e
 
 
+def _certified(error: float, floor: float) -> bool:
+    """Whether ``_bounded``'s ``floor`` certifies a sized reference's error:
+    the error is at least the floor, or the floor is the least subnormal
+    _TINY, so b_k < 2^-1138, and an error below it reads 0.  An error that
+    reads 0 puts the reference no farther from the working sample than the
+    rounding tie 2^-1075 (up to the rounding of the difference), so the
+    exact error reads 0 as well, unless it lies within b_k of that tie."""
+    return error >= floor or floor == _TINY
+
+
 def _sized_reference(p: MapParams, n: int, policy: PrecisionPolicy, taper_to: int,
                      values, floors: array):
     """The samples of the orbit-sized reference as (signed significand,
@@ -873,7 +884,7 @@ def divergence_reports(p: MapParams, n_max: int, working_bits: int, threshold: f
         except EscapeError:
             sized = None  # whether the run escapes is the tapered reference's to say
         if (sized is not None and len(floors) == n_max + 1
-                and all(map(operator.ge, sized.per_step_abs_error, floors))):
+                and all(map(_certified, sized.per_step_abs_error, floors))):
             return [(METHOD_ITERATED, sized)]
     return [(METHOD_ITERATED, report(it, _iterated_reference(p, n_max, ref_policy, taper_to)))]
 

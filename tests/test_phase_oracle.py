@@ -214,7 +214,7 @@ def check_sized_reference(p, n, working_bits):
     bits = width + 10
     report = _compare_pairs(map(_signed, it.values, repeat(bits)), iter(sized), bits, 0.01)
     eb = report.per_step_abs_error
-    certified = len(floors) == n + 1 and all(map(operator.ge, eb, floors))
+    certified = len(floors) == n + 1 and all(map(map_standard._certified, eb, floors))
     tapered = oracle(p, n, policy, taper_to)
     ea = compare_trajectories(it, tapered, 0.01).per_step_abs_error
     true = oracle(p, n, PrecisionPolicy(2 * width))
@@ -317,8 +317,10 @@ class TestSizedReference:
         (3.9, 0.3, 1500, 53, True), (3.83, 0.3, 1000, 200, True), (3.7, 0.3, 2500, 53, True),
         (3.9, 0.5, 1000, 53, True),  # x1 = r/4 at both widths: an error of 0 at step 1
         (3.9, 0.5, 1000, 200, True),  # and at step 2
-        (0.5, 0.3, 1100, 53, False),  # errors past the doubles read 0
-        (0.5, 2.0**-1074, 1000, 53, False)])  # 1 - x rounds to 1, an error of 2^-2149
+        # errors past the doubles read 0, certified by a bound below 2^-1138
+        (0.5, 0.3, 1100, 53, True), (0.5, 0.3, 1100, 200, True), (-0.5, 0.3, 1100, 53, True),
+        (-0.5, 0.3, 1100, 200, True),
+        (0.5, 2.0**-1074, 1000, 53, True)])  # 1 - x rounds to 1, an error of 2^-2149
     def test_fixed_cases(self, r, x0, n, working_bits, certified):
         assert check_sized_reference(MapParams(r, x0), n, working_bits)[0] is certified
 
@@ -425,11 +427,12 @@ class TestRouting:
         (compare_argv("3.9", "0.3", S, "--oracle-bits", str(S + 64)), ["oracle"]),
         (compare_argv("2", "0.3", S, "--form", "r2"), ["oracle"]),
         (compare_argv("4", "0.3", S, "--bits", "54"), ["oracle"]),
-        # the errors of an orbit that decays past the doubles read 0, which
-        # no bound above 0 certifies
-        (compare_argv("0.5", "0.3", S), ["sized", "oracle"]),
+        # the errors of an orbit that decays past the doubles read 0, which a
+        # bound below 2^-1138 certifies
+        (compare_argv("0.5", "0.3", S), ["sized"]),
+        (compare_argv("-0.5", "0.3", S, "--bits", "200"), ["sized"]),
     ], ids=["r3.9", "bits200", "below-crossover", "oracle-bits", "form", "r4-bits54",
-            "decay"])
+            "decay", "decay-200-bits"])
     def test_sized_reference(self, argv, route, calls, capsys):
         assert main(argv) == 0
         assert calls == route
