@@ -13,48 +13,48 @@ The submodules mirror that split:
 - ``map_standard``  the quadratic map, its closed forms, divergence runs, PRNG
 - ``map_riccati``   the backward-coupled map and its general solution
 - ``cli``         the ``logistic-exact`` command-line front end
+
+Every name below is loaded on first use, through the module ``__getattr__``
+of PEP 562: importing the package loads none of its submodules, and each
+name loads the submodule that defines it, with what that submodule imports.
 """
 
-from . import cli, continuous, map_riccati, map_standard, precision
-from .continuous import ContinuousParams, RiccatiShift
-from .errors import DegeneracyError, DomainError, EscapeError, PoleError
-from .map_riccati import RiccatiCoefficients, RiccatiMapParams
-from .map_standard import ClosedForm, MapParams
-from .precision import (
-    DOUBLE,
-    DivergenceReport,
-    PrecisionPolicy,
-    Trajectory,
-    budgeted_policy,
-    compare_trajectories,
-    precision_budget,
-    reduce_mod_2pi,
-)
+import sys
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ClosedForm",
-    "ContinuousParams",
-    "DegeneracyError",
-    "DivergenceReport",
-    "DomainError",
-    "DOUBLE",
-    "EscapeError",
-    "MapParams",
-    "PoleError",
-    "PrecisionPolicy",
-    "RiccatiCoefficients",
-    "RiccatiMapParams",
-    "RiccatiShift",
-    "Trajectory",
-    "budgeted_policy",
-    "cli",
-    "compare_trajectories",
-    "continuous",
-    "map_riccati",
-    "map_standard",
-    "precision",
-    "precision_budget",
-    "reduce_mod_2pi",
-]
+# each exported name, by the submodule that defines it
+_EXPORTS = {
+    "continuous": ("ContinuousParams", "RiccatiShift"),
+    "errors": ("DegeneracyError", "DomainError", "EscapeError", "PoleError"),
+    "map_riccati": ("RiccatiCoefficients", "RiccatiMapParams"),
+    "map_standard": ("ClosedForm", "MapParams"),
+    "precision": ("DOUBLE", "DivergenceReport", "PrecisionPolicy", "Trajectory",
+                  "budgeted_policy", "compare_trajectories", "precision_budget",
+                  "reduce_mod_2pi"),
+}
+_SOURCES = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = [*_SOURCES, "cli", "continuous", "map_riccati", "map_standard", "precision"]
+
+
+def _submodule(name):
+    """The submodule ``name``, imported by ``__import__`` as an import
+    statement imports it, which ``-X importtime`` reports."""
+    __import__(f"{__name__}.{name}")
+    return sys.modules[f"{__name__}.{name}"]
+
+
+def __getattr__(name):
+    """A submodule, imported, or an exported name from its submodule."""
+    if name == "cli" or name in _EXPORTS:
+        return _submodule(name)
+    if name not in _SOURCES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(_submodule(_SOURCES[name]), name)
+    globals()[name] = value  # looked up once
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -6,9 +6,11 @@ Subcommands: ``ode`` (closed-form curves of the growth equation), ``map3``
 (presets 1-3 reproducing the reference parameter sets), and ``rng`` (chaos
 bits).  Each runner takes its subcommand's options as keyword arguments,
 with every default in its signature: an option not given on the command line
-stays out of ``RunConfig.parameters``.  The runners return labelled library
-``Trajectory`` values, and
-``compare`` emits the labelled library ``DivergenceReport`` values of
+stays out of ``RunConfig.parameters``.  Each runner imports the library
+modules it calls, so a run loads those alone: ``ode`` loads no map module,
+and only ``ode``, ``map4`` and figures 1 and 3 load ``continuous``.  The
+runners return labelled library ``Trajectory`` values, and ``compare`` emits
+the labelled library ``DivergenceReport`` values of
 ``map_standard.divergence_reports``; the emitters read method, precision,
 index and value columns, and errors from them.  Output is CSV (default),
 JSON (default for ``compare``), or a minimal dependency-free SVG line chart,
@@ -29,14 +31,19 @@ import sys
 import warnings
 from collections import Counter
 from collections.abc import Sequence
-from dataclasses import dataclass, field
 
 from mpmath import mp
 from mpmath.libmp import repr_dps
 
-from . import continuous, map_riccati, map_standard
-from .errors import DegeneracyError, DomainError, EscapeError, PoleError
-from .precision import DOUBLE, METHOD_CLOSED_FORM, METHOD_ITERATED, PrecisionPolicy, Trajectory
+from .errors import MAX_GRID_POINTS, DegeneracyError, DomainError, EscapeError, PoleError
+from .precision import (
+    DOUBLE,
+    METHOD_CLOSED_FORM,
+    METHOD_ITERATED,
+    PrecisionPolicy,
+    Trajectory,
+    _Record,
+)
 
 FIGURE_PRESETS = {
     "1": {"r": 1.7, "x0": 0.11, "gammas": (0.14, 0.15, 0.17, 0.25),
@@ -47,7 +54,8 @@ FIGURE_PRESETS = {
           "steps": 50},
 }
 
-_FORM_CHOICES = tuple(v.value for v in map_standard.ClosedForm)
+# the values of map_standard.ClosedForm, spelled out so that parsing loads no map
+_FORM_CHOICES = ("r2", "r4", "table1", "simple")
 
 # A run may hold no more samples in all than an ode grid may have points, and
 # its series wider than doubles no more significand bits in all than
@@ -58,14 +66,21 @@ MAX_SERIES_BITS = 2**33
 MAX_BITS = 2**16
 
 
-@dataclass
-class RunConfig:
-    """A fully resolved invocation: subcommand, its parameters, and output routing."""
+class RunConfig(_Record):
+    """A fully resolved invocation: subcommand, its parameters, and output
+    routing.  Unlike the library's values it may be changed, so it has no hash."""
 
-    subcommand: str
-    parameters: dict = field(default_factory=dict)
-    output_format: str = "csv"
-    output_path: str = "-"
+    __match_args__ = ("subcommand", "parameters", "output_format", "output_path")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(self, subcommand: str, parameters: dict | None = None,
+                 output_format: str = "csv", output_path: str = "-"):
+        self.subcommand = subcommand
+        self.parameters = {} if parameters is None else parameters
+        self.output_format = output_format
+        self.output_path = output_path
 
 
 def _check_series(*series):
@@ -73,9 +88,9 @@ def _check_series(*series):
     is evaluated, from one (samples, bits) pair per series it holds.  A
     series of 53 bits holds doubles, which its samples already bound."""
     samples = sum(n for n, _ in series)
-    if samples > continuous.MAX_GRID_POINTS:
+    if samples > MAX_GRID_POINTS:
         raise ValueError(f"a run of {len(series)} series and {samples} samples exceeds "
-                         f"the limit of {continuous.MAX_GRID_POINTS} samples")
+                         f"the limit of {MAX_GRID_POINTS} samples")
     wide = sum(n * bits for n, bits in series if bits > DOUBLE.significand_bits)
     if wide > MAX_SERIES_BITS:
         raise ValueError(f"a run of {wide} significand bits in series wider than doubles "
@@ -89,6 +104,8 @@ def _check_series(*series):
 # ---------------------------------------------------------------- runners
 
 def _run_ode(r, x0, gammas=(), t_end=10.0, dt=0.02):
+    from . import continuous
+
     gammas = sorted(set(gammas))  # one series per value
     p = continuous.ContinuousParams(r, x0)
     points = continuous._grid_steps(t_end, dt) + 1
@@ -103,6 +120,8 @@ def _run_ode(r, x0, gammas=(), t_end=10.0, dt=0.02):
 
 
 def _run_map3(r, x0, steps, bits=53, forms=()):
+    from . import map_standard
+
     policy = PrecisionPolicy(bits)
     _check_series(*[(steps + 1, bits)] * (1 + len(forms)))
     p = map_standard.MapParams(r, x0)
@@ -116,6 +135,8 @@ def _run_map3(r, x0, steps, bits=53, forms=()):
 
 
 def _run_map4(r, x0, steps, gammas=()):
+    from . import map_riccati
+
     gammas = sorted(set(gammas))  # one series per value
     _check_series(*[(steps + 1, DOUBLE.significand_bits)] * (2 + len(gammas)))
     p = map_riccati.RiccatiMapParams(r, x0)
@@ -127,6 +148,8 @@ def _run_map4(r, x0, steps, gammas=()):
 
 
 def _run_compare(r, x0, steps=60, bits=53, threshold=0.01, forms=(), oracle_bits=None):
+    from . import map_standard
+
     resolved = map_standard.oracle_policy(steps, bits, oracle_bits).significand_bits
     # the oracle, then the iteration and each closed form
     _check_series((steps + 1, resolved), *[(steps + 1, bits)] * (1 + len(forms)))
@@ -139,10 +162,12 @@ def _run_compare(r, x0, steps=60, bits=53, threshold=0.01, forms=(), oracle_bits
 
 
 def _run_rng(x0, count, burn_in=0):
+    from . import map_standard
+
     _check_series((count, DOUBLE.significand_bits))
-    if burn_in + count > continuous.MAX_GRID_POINTS:  # burn-in steps cost as samples do
+    if burn_in + count > MAX_GRID_POINTS:  # burn-in steps cost as samples do
         raise ValueError(f"{burn_in} burn-in steps and {count} samples exceed the "
-                         f"limit of {continuous.MAX_GRID_POINTS} steps")
+                         f"limit of {MAX_GRID_POINTS} steps")
     bits = map_standard.prng_bits(x0, count, burn_in)
     series = [("bits", Trajectory("prng", range(count), bits, DOUBLE))]
     config = {"subcommand": "rng", "x0": x0, "count": count, "burn_in": burn_in}
@@ -153,6 +178,8 @@ def _run_figure(which):
     preset = FIGURE_PRESETS[which]
     doc = {"1": _run_ode, "2": _run_map3, "3": _run_map4}[which](**preset)
     if which == "2":
+        from . import map_standard
+
         p = map_standard.MapParams(preset["r"], preset["x0"])
         doc["series"].append(("oracle", map_standard.oracle(p, preset["steps"])))
     doc["config"] = {"subcommand": "figure", "which": which,

@@ -15,35 +15,32 @@ Runge-Kutta integrator provides the independent cross-check, on the grid of
 import math
 import operator
 import weakref
-from dataclasses import dataclass
 from itertools import chain, repeat
 
-from .errors import ESCAPE_BOUND, POLE_EPS, DomainError, EscapeError, PoleError
-from .precision import DOUBLE, METHOD_ODE_CLOSED_FORM, METHOD_ODE_RK4, Trajectory
+from .errors import ESCAPE_BOUND, MAX_GRID_POINTS, POLE_EPS, DomainError, EscapeError, PoleError
+from .precision import DOUBLE, METHOD_ODE_CLOSED_FORM, METHOD_ODE_RK4, Trajectory, _Record
 
 # Below about 5.6e-309 in magnitude a start x_s has no reciprocal among the
 # doubles, and the sigmoid would not start at x_s.
 _NO_RECIPROCAL = "1/x_s overflows a double for the start x_s of this solution"
-# Largest time grid a trajectory may sample; bigger grids are refused up front
-MAX_GRID_POINTS = 10**7
 
 
-@dataclass(frozen=True)
-class ContinuousParams:
+class ContinuousParams(_Record):
     """Growth rate (inverse time units) and initial value x(0)."""
 
-    r: float
-    x0: float
+    __match_args__ = ("r", "x0")
 
-    def __post_init__(self):
-        if not math.isfinite(self.r) or self.r == 0:
+    def __init__(self, r: float, x0: float):
+        if not math.isfinite(r) or r == 0:
             raise DomainError("growth rate r must be finite and nonzero")
-        if not math.isfinite(self.x0):
+        if not math.isfinite(x0):
             raise DomainError("initial value x0 must be finite")
+        fields = self.__dict__
+        fields["r"] = r
+        fields["x0"] = x0
 
 
-@dataclass(frozen=True)
-class RiccatiShift:
+class RiccatiShift(_Record):
     """Free constant gamma = y(0) of the auxiliary linear equation.
 
     It selects one member of the general solution family.  For seeds in
@@ -53,11 +50,12 @@ class RiccatiShift:
     and for x0 < gamma < x0/(1 - x0) if r < 0.
     """
 
-    gamma: float
+    __match_args__ = ("gamma",)
 
-    def __post_init__(self):
-        if not math.isfinite(self.gamma) or self.gamma == 0:
+    def __init__(self, gamma: float):
+        if not math.isfinite(gamma) or gamma == 0:
             raise DomainError("gamma must be finite and nonzero")
+        self.__dict__["gamma"] = gamma
 
 
 def _start(num: int, den: int):

@@ -4,6 +4,8 @@
 POLE_EPS = 1e-300
 # |state| above this counts as an orbit or integrator that ran away
 ESCAPE_BOUND = 1e100
+# Largest time grid a trajectory may sample; bigger grids are refused up front
+MAX_GRID_POINTS = 10**7
 
 
 def check_steps(n) -> None:

@@ -11,14 +11,13 @@ by (1+r)^-n.  The general solution is cross-checked by stepping the linearized
 equation y' = g*y + h of the step coefficients from y = gamma."""
 
 import math
-from dataclasses import dataclass
 from functools import partial
 from itertools import chain, pairwise, repeat
 
 from .continuous import RiccatiShift, _sigmoid, _start
 from .errors import POLE_EPS, DomainError, PoleError, check_steps
 from .map_standard import MapParams
-from .precision import DOUBLE, METHOD_CLOSED_FORM, METHOD_ITERATED, Trajectory
+from .precision import DOUBLE, METHOD_CLOSED_FORM, METHOD_ITERATED, Trajectory, _Record
 
 # The coupled map takes the quadratic map's parameters, a finite rate r and seed
 # x0.  r = -1 is accepted: plain iteration handles it (the orbit is x0, 0, 0,
@@ -26,16 +25,17 @@ from .precision import DOUBLE, METHOD_CLOSED_FORM, METHOD_ITERATED, Trajectory
 RiccatiMapParams = MapParams
 
 
-@dataclass(frozen=True)
-class RiccatiCoefficients:
+class RiccatiCoefficients(_Record):
     """Step coefficients g_n, h_n of the linearized equation, indexed 0..n_max-1."""
 
-    g: tuple
-    h: tuple
+    __match_args__ = ("g", "h")
 
-    def __post_init__(self):
-        if len(self.g) != len(self.h):
+    def __init__(self, g: tuple, h: tuple):
+        if len(g) != len(h):
             raise ValueError("g and h must have equal length")
+        fields = self.__dict__
+        fields["g"] = g
+        fields["h"] = h
 
 
 def iterate(p: RiccatiMapParams, n: int) -> Trajectory:

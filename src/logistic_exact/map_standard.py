@@ -88,7 +88,6 @@ import math
 import sys
 import warnings
 from array import array
-from dataclasses import dataclass
 from enum import Enum
 from itertools import chain, islice, repeat, starmap
 
@@ -128,6 +127,7 @@ from .precision import (
     PrecisionPolicy,
     Trajectory,
     _pi,
+    _Record,
     _compare_pairs,
     _pair,
     _raw_mpf,
@@ -144,18 +144,19 @@ _ESCAPE = from_float(ESCAPE_BOUND)  # above 2^332
 _SQUARE_MIN_BITS = 1000  # the narrowest step that _orbit may take as a square
 
 
-@dataclass(frozen=True)
-class MapParams:
+class MapParams(_Record):
     """Map parameter r and seed x0, shared by iteration and closed forms."""
 
-    r: float
-    x0: float
+    __match_args__ = ("r", "x0")
 
-    def __post_init__(self):
-        if not math.isfinite(self.r):
+    def __init__(self, r: float, x0: float):
+        if not math.isfinite(r):
             raise DomainError("map parameter r must be finite")
-        if not math.isfinite(self.x0):
+        if not math.isfinite(x0):
             raise DomainError("seed x0 must be finite")
+        fields = self.__dict__
+        fields["r"] = r
+        fields["x0"] = x0
 
 
 class ClosedForm(str, Enum):
@@ -804,8 +805,8 @@ def _certified(error: float, floor: float) -> bool:
     the error is at least the floor, or the floor is the least subnormal
     _TINY, so b_k < 2^-1138, and an error below it reads 0.  An error that
     reads 0 puts the reference no farther from the working sample than the
-    rounding tie 2^-1075 (up to the rounding of the difference), so the
-    exact error reads 0 as well, unless it lies within b_k of that tie."""
+    rounding tie 2^-1075, so the exact error reads 0 as well, unless it lies
+    within b_k of that tie."""
     return error >= floor or floor == _TINY
 
 

@@ -18,7 +18,6 @@ prefer processes over threads.
 
 import math
 import operator
-from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import islice, repeat
 
@@ -51,15 +50,48 @@ _REDUCE_GUARD_BITS = 20
 _NON_FINITE = (finf, fninf, fnan)
 
 
-@dataclass(frozen=True)
-class PrecisionPolicy:
+class _Record:
+    """The base of the library's value types, in place of a frozen dataclass,
+    whose module loads ``inspect`` at start-up: a repr, ``==`` and a hash over
+    the fields that ``__match_args__`` names, formed as a dataclass forms
+    them, and an AttributeError on any assignment or deletion.  Each subclass
+    checks its arguments in its own ``__init__``, then writes its fields into
+    its ``__dict__``, which no assignment reaches."""
+
+    __match_args__ = ()
+
+    def _astuple(self) -> tuple:
+        return tuple(map(self.__dict__.__getitem__, self.__match_args__))
+
+    def __repr__(self):
+        fields = self.__dict__
+        return (f"{type(self).__qualname__}("
+                + ", ".join(f"{name}={fields[name]!r}" for name in self.__match_args__) + ")")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._astuple() == other._astuple()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._astuple())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class PrecisionPolicy(_Record):
     """Significand width for a computation."""
 
-    significand_bits: int
+    __match_args__ = ("significand_bits",)
 
-    def __post_init__(self):
-        if not isinstance(self.significand_bits, int) or self.significand_bits < 53:
+    def __init__(self, significand_bits: int):
+        if not isinstance(significand_bits, int) or significand_bits < 53:
             raise ValueError("significand_bits must be an integer >= 53 (native double)")
+        self.__dict__["significand_bits"] = significand_bits
 
 
 DOUBLE = PrecisionPolicy(53)
@@ -150,8 +182,7 @@ def _raw_mpf(value, bits: int) -> tuple:
     return mpf(value, prec=bits, rounding=round_nearest)._mpf_
 
 
-@dataclass(frozen=True)
-class Trajectory:
+class Trajectory(_Record):
     """An ordered series, one column of indices or times and one of values,
     plus how it was produced.
 
@@ -167,23 +198,19 @@ class Trajectory:
     constructor enforces that.  The checks are C-level passes over each column; the offending
     index of a refused column is looked up only to name it in the error.  The scan of
     the values' types is kept: ``_native`` is true when every value is an int or a
-    float, which the emitters write without converting them.
+    float, which the emitters write without converting them; repr and == leave it out.
     """
 
-    method_tag: str
-    indices: tuple | range
-    values: tuple | bytes
-    precision: PrecisionPolicy
-    _native: bool = field(init=False, repr=False, compare=False)
+    __match_args__ = ("method_tag", "indices", "values", "precision")
 
-    def __post_init__(self):
-        if not self.method_tag:
+    def __init__(self, method_tag: str, indices: tuple | range, values: tuple | bytes,
+                 precision: PrecisionPolicy):
+        if not method_tag:
             raise ValueError("method_tag must be non-empty")
-        indices = self.indices
         ranged = isinstance(indices, range) and indices.step > 0  # increases strictly
         if not ranged:
             indices = tuple(indices)  # the same object when already a tuple
-        values = self.values if isinstance(self.values, bytes) else tuple(self.values)
+        values = values if isinstance(values, bytes) else tuple(values)
         if not indices:
             raise ValueError("a trajectory needs at least one sample")
         if len(indices) != len(values):
@@ -201,9 +228,12 @@ class Trajectory:
         if not finite:
             k = next(k for k, v in enumerate(values) if not _is_finite(v))
             raise ValueError(f"non-finite value at index {indices[k]!r}")
-        object.__setattr__(self, "indices", indices)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "_native", types <= {int, float})
+        fields = self.__dict__
+        fields["method_tag"] = method_tag
+        fields["indices"] = indices
+        fields["values"] = values
+        fields["precision"] = precision
+        fields["_native"] = types <= {int, float}
 
     def __len__(self):
         return len(self.indices)
@@ -220,8 +250,7 @@ def _is_finite(v) -> bool:
     return isinstance(v, int) or mp.isfinite(v)
 
 
-@dataclass(frozen=True)
-class DivergenceReport:
+class DivergenceReport(_Record):
     """Per-step absolute errors between two trajectories.
 
     ``first_divergent_index`` (the smallest position whose error exceeds
@@ -229,16 +258,17 @@ class DivergenceReport:
     0.0 when there are none) are derived from the errors.
     """
 
-    per_step_abs_error: tuple
-    threshold: float
+    __match_args__ = ("per_step_abs_error", "threshold")
 
-    def __post_init__(self):
-        if not self.threshold > 0:
+    def __init__(self, per_step_abs_error: tuple, threshold: float):
+        if not threshold > 0:
             raise ValueError("threshold must be positive")
-        errors = tuple(map(float, self.per_step_abs_error))
-        object.__setattr__(self, "per_step_abs_error", errors)
+        errors = tuple(map(float, per_step_abs_error))
         if not (all(map(math.isfinite, errors)) and min(errors, default=0.0) >= 0):
             raise ValueError("per-step errors must be finite and non-negative")
+        fields = self.__dict__
+        fields["per_step_abs_error"] = errors
+        fields["threshold"] = threshold
 
     @property
     def first_divergent_index(self) -> int | None:
@@ -283,8 +313,9 @@ def compare_trajectories(a: Trajectory, b: Trajectory,
     zero on either side, an exponent gap larger than ``bits`` (an unbounded
     shift), a difference wider than ``bits`` (which that route rounds twice)
     and a difference of 2^1023 or more (which it may round to infinity).  A
-    subnormal result needs no fallback: both routes hand the same 53-bit
-    value to ``math.ldexp``.
+    difference below 2^-1022 is rounded once, on either route, to the
+    subnormal doubles' grid (``_subnormal``): rounded to 53 bits first, as
+    ``to_float`` rounds it, it would be rounded twice.
     """
     if len(a) != len(b):
         raise ValueError(f"trajectories have different lengths ({len(a)} vs {len(b)})")
@@ -309,6 +340,9 @@ def _compare_pairs(a, b, bits: int, threshold: float) -> DivergenceReport:
                 d, e = abs(ma - (mb << -gap)), ea
             w = d.bit_length()
             if w <= bits and e + w <= 1023:
+                if e + w <= -1022:  # d * 2^e < 2^-1022
+                    errors.append(_subnormal(int(d), e))
+                    continue
                 if w > 55:
                     e += w - 55
                     cut = d >> (w - 55)
@@ -317,6 +351,20 @@ def _compare_pairs(a, b, bits: int, threshold: float) -> DivergenceReport:
                 # it need not, so the significand goes through int() first
                 errors.append(math.ldexp(float(int(d)), e))
                 continue
-        errors.append(to_float(mpf_abs(mpf_sub(from_man_exp(ma, ea), from_man_exp(mb, eb),
-                                               bits, round_nearest)), rnd=round_nearest))
+        diff = mpf_abs(mpf_sub(from_man_exp(ma, ea), from_man_exp(mb, eb), bits, round_nearest))
+        _, man, exp, bc = diff
+        errors.append(_subnormal(int(man), exp) if man and exp + bc <= -1022
+                      else to_float(diff, rnd=round_nearest))
     return DivergenceReport(errors, float(threshold))
+
+
+def _subnormal(d: int, e: int) -> float:
+    """d * 2^e, for 0 <= d * 2^e < 2^-1022, rounded once to the nearest
+    multiple of 2^-1074, the least subnormal double, ties to even: the bits
+    cut off below 2^-1074 are compared with half of it.  The result, a
+    subnormal double, 0.0 or 2^-1022, converts exactly."""
+    cut = -1074 - e
+    if cut > 0:
+        q, rest, half = d >> cut, d & ((1 << cut) - 1), 1 << (cut - 1)
+        d, e = q + (rest > half or (rest == half and q & 1)), -1074
+    return math.ldexp(float(d), e)

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import warnings
+from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
 from xml.etree import ElementTree
@@ -334,6 +335,27 @@ class TestCompareCommand:
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("warning: oracle bits (60)")
 
+    @pytest.mark.parametrize("steps", [1100, 2000, 4000])
+    def test_decay_errors_are_the_differences_rounded_once(self, steps, monkeypatch, capsys):
+        # the orbit decays past the doubles: each error it prints, subnormal
+        # ones included, is its two samples' exact difference rounded once
+        pairs = []
+        real_compare = map_standard._compare_pairs
+
+        def recording(a, b, bits, threshold):
+            a, b = list(a), list(b)
+            pairs.extend(zip(a, b))
+            return real_compare(iter(a), iter(b), bits, threshold)
+
+        monkeypatch.setattr(map_standard, "_compare_pairs", recording)
+        assert main(["compare", "--r", "0.5", "--x0", "0.3", "--steps", str(steps)]) == 0
+        errors = json.loads(capsys.readouterr().out)["reports"][0]["per_step_abs_error"]
+        assert len(pairs) == len(errors) == steps + 1
+        exact = [float(abs(Fraction(ma) * Fraction(2)**ea - Fraction(mb) * Fraction(2)**eb))
+                 for (ma, ea), (mb, eb) in pairs]
+        assert errors == exact
+        assert sum(0 < e < sys.float_info.min for e in errors) > 20
+
     def test_one_oracle_serves_every_report(self, monkeypatch, capsys):
         calls = []
         real_oracle = map_standard._iterated_reference
@@ -547,6 +569,12 @@ class TestSeriesLimits:
 # farther) and 2 of figure 3's closed-form samples (both closer), and
 # test_figure1_within_2_5_ulp_of_300_bit_member and
 # test_figure3_within_1_5_ulp_of_exact hold every sample of both figures.
+# compare-decay, compare-decay-json, compare-decay-squared-csv and
+# compare-sized-decay-csv were re-captured when an error below 2^-1022 began
+# to be rounded once to the subnormal doubles, not to 53 bits first: the error
+# at step 969, 2.1364549248730997e-308, became 2.136454924873099e-308, one
+# ulp lower, and test_decay_errors_are_the_differences_rounded_once holds
+# every error of those runs to its exact difference, correctly rounded.
 GOLDEN_SHA256 = [
     (["compare", "--r", "-2", "--x0", "0.9", "--form", "table1", "--form", "simple"],
      "c57e476735943d7177a857f2b0aab06ce0361c69b570f4a0c343f6e81cd06c85"),
@@ -597,9 +625,9 @@ GOLDEN_SHA256 = [
     (["map3", "--r", "0.5", "--x0", "0.3", "--steps", "1100", "--format", "json"],
      "61bfcdc185b4778c6197fa77ffc239a42ef304cf18a6f49551cbed8448e69a48"),
     (["compare", "--r", "0.5", "--x0", "0.3", "--steps", "1100", "--format", "csv"],
-     "5116b2ddb75ea87deb9584dc1f3890c8323fe2315f8def246cec0dc8f55662ea"),
+     "3c6b66d829872b3cc51a4c390e2b5b4c9ec5a7f25b767c5f9a4eb7b8554c5d72"),
     (["compare", "--r", "0.5", "--x0", "0.3", "--steps", "1100"],
-     "3b731a8a768885ee401129f1f0aef75926c70f7f0af8ca6e8660a20c202720b0"),
+     "36729289c5ceb24a87808e238a91e3d6378c80d2d780468b9e890f5a7c660914"),
     (["compare", "--r", "3.83", "--x0", "0.3", "--steps", "1000", "--bits", "200"],
      "9a6dd18f6af7b03e5f34b9d05fca0483f90f7c7391410b4de4feab725d6182df"),
     (["rng", "--x0", "0.3", "--count", "5000", "--burn-in", "7"],
@@ -642,7 +670,7 @@ GOLDEN_SHA256 = [
     # lies in [2^-8, 1 - 2^-8]: an orbit that decays out of that interval,
     # and one whose squares reach CPython's Karatsuba range (past 2,100 bits)
     (["compare", "--r", "0.5", "--x0", "0.3", "--steps", "2000", "--format", "csv"],
-     "a118d28f29b5914efec282999bcb653a7df960293ec465c01b2bede5c33664fa"),
+     "745501fae3b76ae318ffdf77dca8f0f0cf3eded64d7437d1e54f26484b00536f"),
     (["compare", "--r", "3.7", "--x0", "0.3", "--steps", "5000", "--format", "csv"],
      "9388f8096e8e0e5f30a124da352826579bc31dbda0821e5b2b6677487bae5eb7"),
     # three series on one tuple of 10,001 grid times, formatted once for all
@@ -667,7 +695,7 @@ GOLDEN_SHA256 = [
     # errors read 0 from step 1,022 on and are now certified by the sized
     # reference's bound
     (["compare", "--r", "0.5", "--x0", "0.3", "--steps", "4000", "--format", "csv"],
-     "31cfdb006ebd3d96965b368ef01e3045f652c0a425c6888c6a7de2fa2eb29871"),
+     "72fa31401d41c803a69240d0c15bef9580850ac1f0e4a765c07da2bef2fcaa19"),
 ]
 GOLDEN_IDS = ["compare", "compare-csv", "compare-svg", "compare-phase", "map3-r2"] + [
     f"figure{w}-{f}" for w in "123" for f in ("csv", "json", "svg")] + [
@@ -689,13 +717,15 @@ def test_golden_artifacts(argv, digest, capsys):
 
 
 # Peak RSS of runs in one fresh interpreter, before the first cli.main and
-# after the last, once the package is imported and the parser built: Linux's
-# VmHWM, in kB.  Unlike ru_maxrss, it starts afresh at exec, not at the
-# launching process's peak.
+# after the last, once every library module is imported and the parser built:
+# Linux's VmHWM, in kB.  The runners import their modules on first use, which
+# would count the compiling of those modules in the first run's growth.
+# Unlike ru_maxrss, VmHWM starts afresh at exec, not at the launching
+# process's peak.
 PEAK = """
 import json
 import sys
-from logistic_exact import cli
+from logistic_exact import cli, continuous, map_riccati, map_standard
 
 
 def peak():

@@ -3,7 +3,7 @@ import math
 import random
 
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf, workprec
 from mpmath.libmp import (
@@ -437,6 +437,32 @@ class TestCompareTrajectories:
         rep = compare_trajectories(device, ref, threshold=0.01)
         assert rep.first_divergent_index is not None
         assert 35 <= rep.first_divergent_index <= 65
+
+    def test_a_subnormal_difference_is_rounded_once(self):
+        # 2^-1075 + 2^-1140 lies just above the tie 2^-1075 between 0 and the
+        # least subnormal 2^-1074; rounded to 53 bits first, it is that tie,
+        # and the tie rounds to even, 0.0
+        x = mp.make_mpf(from_man_exp(2**65 + 1, -1140))
+        wide = PrecisionPolicy(1000)
+        # 2^-2000 takes the integer route, 0 the libmp one
+        for y in (mp.make_mpf(from_man_exp(1, -2000)), mpf(0)):
+            a, b = (Trajectory("oracle", (0,), (v,), wide) for v in (x, y))
+            assert compare_trajectories(a, b, 1.0).per_step_abs_error == (5e-324,)
+            assert compare_trajectories(b, a, 1.0).per_step_abs_error == (5e-324,)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 2**80), st.integers(-1200, -1000),
+           st.integers(0, 2**80), st.integers(-1200, -1000))
+    @example(2**65 + 1, -1140, 1, -1200)  # just above the tie 2^-1075
+    @example(2**65 - 1, -1140, 0, -1200)  # just below it
+    @example(3, -1075, 0, -1200)  # a tie, 3 * 2^-1075, rounded to even, 2^-1073
+    def test_a_difference_below_the_normals_is_correctly_rounded(self, ma, ea, mb, eb):
+        # the difference fits the working width, so it is exact before its one
+        # rounding to a double, which int/int division makes correctly
+        x, y = (mp.make_mpf(from_man_exp(m, e)) for m, e in ((ma, ea), (mb, eb)))
+        a, b = (Trajectory("oracle", (0,), (v,), PrecisionPolicy(400)) for v in (x, y))
+        diff = abs(ma * 2**(ea + 1200) - mb * 2**(eb + 1200))
+        assert compare_trajectories(a, b, 1.0).per_step_abs_error == (diff / 2**1200,)
 
     @settings(max_examples=30, deadline=None)
     @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=40),
