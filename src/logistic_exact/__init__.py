@@ -4,12 +4,15 @@ Closed-form solutions of the growth ODE dx/dt = r*x*(1-x), the three known
 closed forms of the quadratic map x' = r*x*(1-x), and the one-parameter
 general solution of the backward-coupled map x'-x = r*x*(1-x'), together
 with arbitrary-precision iteration oracles that verify every formula and
-measure how fast fixed-precision evaluation drifts off a chaotic orbit.
+measure how fast fixed-precision evaluation drifts off a chaotic orbit.  The
+second routes that cross-check the formulas (an RK4 integrator, the ODE's
+printed correction form, the conjugacy of each closed form and the phase
+reference as a trajectory) are test references, in ``tests/routes.py``.
 
 The submodules mirror that split:
 
 - ``precision``   precision policies, angle reduction, trajectory comparison
-- ``continuous``  the ODE's particular/general solutions and an RK4 oracle
+- ``continuous``  the ODE's particular/general solutions and their grids
 - ``map_standard``  the quadratic map, its closed forms, divergence runs, PRNG
 - ``map_riccati``   the backward-coupled map and its general solution
 - ``cli``         the ``logistic-exact`` command-line front end

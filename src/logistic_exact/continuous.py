@@ -8,17 +8,18 @@ constant c = 1/x_s - 1 as correctly rounded quotients of the exact integers
 behind the doubles, and every later sample 1/(1 + c*exp(-r*t)) is read off
 ``_sigmoid``, the Riccati column kernel that both families share; a grid
 resolves its member once and evaluates all its points as one column.  The ODE
-side is not chaotic, so double precision serves throughout.  A classical
-Runge-Kutta integrator provides the independent cross-check, on the grid of
-``grid_trajectory``."""
+side is not chaotic, so double precision serves throughout.  The independent
+cross-checks, a classical Runge-Kutta integrator on the grid of
+``grid_trajectory`` and the printed correction form of each member, are test
+references (``tests/routes.py``)."""
 
 import math
 import operator
 import weakref
 from itertools import chain, repeat
 
-from .errors import ESCAPE_BOUND, MAX_GRID_POINTS, POLE_EPS, DomainError, EscapeError, PoleError
-from .precision import DOUBLE, METHOD_ODE_CLOSED_FORM, METHOD_ODE_RK4, Trajectory, _Record
+from .errors import MAX_GRID_POINTS, POLE_EPS, DomainError, PoleError
+from .precision import DOUBLE, METHOD_ODE_CLOSED_FORM, Trajectory, _Record
 
 # Below about 5.6e-309 in magnitude a start x_s has no reciprocal among the
 # doubles, and the sigmoid would not start at x_s.
@@ -185,25 +186,6 @@ def general_solution(t: float, p: ContinuousParams, shift: RiccatiShift) -> floa
     return x_s if t == 0 else _sigmoid(c, math.exp, -p.r, (t,))[0]
 
 
-def general_solution_correction_form(t: float, p: ContinuousParams,
-                                     shift: RiccatiShift) -> float:
-    """The same family member written as particular * (1 + 1/(gamma*(exp(r*t)
-    + 1/x0 - 1) - 1)).
-
-    Kept as an independent algebraic route so the two printed forms can be
-    cross-checked numerically; ``general_solution`` is the primary evaluator.
-    """
-    x1 = particular_solution(t, p)
-    try:
-        growth = math.exp(p.r * t)
-    except OverflowError:
-        return x1  # the correction term has vanished
-    inner = shift.gamma * (growth + 1.0 / p.x0 - 1.0) - 1.0
-    if abs(inner) < POLE_EPS:
-        raise PoleError(f"correction term has a pole at t={t!r}", where=t)
-    return x1 * (1.0 + 1.0 / inner)
-
-
 def _grid_steps(t_end: float, dt: float) -> int:
     """Steps n = round(t_end/dt) of the grid k*dt, k = 0..n, checked before
     allocating.  Its last point n*dt can pass t_end by up to dt/2."""
@@ -231,7 +213,7 @@ def _grid_times(n: int, dt: float) -> tuple:
 
 def grid_trajectory(p: ContinuousParams, t_end: float, dt: float,
                     shift: RiccatiShift | None = None) -> Trajectory:
-    """Closed-form trajectory sampled at t = k*dt, on the grid of ``rk4_oracle``.
+    """Closed-form trajectory sampled at t = k*dt.
 
     The particular solution, or the general-solution member selected by
     ``shift``: the member is resolved once, the sample at t = 0 is its start
@@ -252,34 +234,4 @@ def grid_trajectory(p: ContinuousParams, t_end: float, dt: float,
     ts = _grid_times(n, dt)
     values = _sigmoid(c, math.exp, -p.r, ts[1:])
     _GRIDS[n, dt] = traj = Trajectory(METHOD_ODE_CLOSED_FORM, ts, chain((x_s,), values), DOUBLE)
-    return traj
-
-
-def rk4_oracle(p: ContinuousParams, t_end: float, dt: float) -> Trajectory:
-    """Classical fourth-order Runge-Kutta trajectory sampled at multiples of dt.
-
-    Deliberately independent of every closed form in this module: it is the
-    ground truth the sigmoid formulas are checked against.  The step guard
-    |r|*dt < 0.1 keeps the integrator comfortably inside its stability
-    region.
-    """
-    n = _grid_steps(t_end, dt)
-    if abs(p.r) * dt >= 0.1:
-        raise ValueError("|r|*dt must stay below 0.1 for a trustworthy step")
-    r = p.r
-    x = p.x0
-    values = [x]
-    for k in range(1, n + 1):
-        k1 = r * x * (1.0 - x)
-        s = x + 0.5 * dt * k1
-        k2 = r * s * (1.0 - s)
-        s = x + 0.5 * dt * k2
-        k3 = r * s * (1.0 - s)
-        s = x + dt * k3
-        k4 = r * s * (1.0 - s)
-        x = x + dt * (k1 + 2.0 * (k2 + k3) + k4) / 6.0
-        if not math.isfinite(x) or abs(x) > ESCAPE_BOUND:
-            raise EscapeError(f"integrator state ran away at step {k}", index=k)
-        values.append(x)
-    _GRIDS[n, dt] = traj = Trajectory(METHOD_ODE_RK4, _grid_times(n, dt), values, DOUBLE)
     return traj

@@ -1,9 +1,10 @@
 """The quadratic logistic map x' = r*x*(1-x).
 
 Iteration at arbitrary precision, the three known closed forms (r = 2, 4,
--2), the conjugacy construction they all come from, round-off divergence
-analysis against a high-precision oracle, and a chaos-driven bit generator
-for r = 4.
+-2), round-off divergence analysis against a high-precision oracle, and a
+chaos-driven bit generator for r = 4.  The conjugacy construction the closed
+forms come from, and the phase reference as a trajectory, are second routes
+that the tests hold beside their primary routes (``tests/routes.py``).
 
 The closed forms for r = 4 and r = -2 evaluate cos(2^n * theta).  2^n
 quickly outgrows any fixed significand, so the scaled angle is formed
@@ -53,7 +54,7 @@ w, fits the taper's 64 spare bits.  The reports read the kernel's
 
 An iteration-only run (no closed form) at 53 working bits, r = 4 or r = -2,
 with the default oracle, a seed in the map's invariant interval and at least
-2,600 steps reads the orbit off its phase digits instead (``phase_oracle``),
+2,600 steps reads the orbit off its phase digits instead (``_phase_reference``),
 at the same budget.  Its samples are good to about 2^-128 at nearly every
 step, and it takes under half the time of the tapered reference from 2,600
 steps on (the pairs alone: 4.9 against 10.6 ms at 2,600 steps, 20 against
@@ -91,7 +92,7 @@ from array import array
 from enum import Enum
 from itertools import chain, islice, repeat, starmap
 
-from mpmath import mp, mpf, workprec
+from mpmath import mp, mpf
 from mpmath.libmp import (
     fhalf,
     fnone,
@@ -326,8 +327,7 @@ def iterate(p: MapParams, n: int, policy: PrecisionPolicy = DOUBLE) -> Trajector
     return Trajectory(METHOD_ITERATED, range(n + 1), values, policy)
 
 
-def oracle(p: MapParams, n: int, policy: PrecisionPolicy | None = None,
-           taper_to: int | None = None) -> Trajectory:
+def oracle(p: MapParams, n: int, policy: PrecisionPolicy | None = None) -> Trajectory:
     """Budgeted-precision iteration used as ground truth.
 
     The default budget assumes one bit lost per step with a 64-bit margin,
@@ -337,26 +337,26 @@ def oracle(p: MapParams, n: int, policy: PrecisionPolicy | None = None,
     repelling fixed point 3/2 of r = -2, which stretches errors by 4 a step:
     for x0 = 3/2 - 2^-52 over 400 steps, the running bound of ``_bounded``
     certifies 42 bits of the last sample, which is good to about 2^-51).
-
-    Every step runs at B bits unless ``taper_to`` is given.  Then step k runs
-    at min(B, max(B + 64 - k, taper_to)) bits: 64 steps at B, then one bit
-    fewer per step, never fewer than ``taper_to``.  Only n - k + 64 bits are
-    still needed at step k under the budget rule, so the rounding of step k
-    reaches step j > k as about 2^(j - B - 64), and sample k stays good to
-    about 2^(k - B).  A tapered step narrower than B and of at least 1,000
-    bits squares where ``_orbit`` says, with about 2^6 times the rounding
-    error, which those 64 bits absorb; a step at B never squares.  The
-    trajectory is tagged with B, the widest width.
+    Every step runs at B bits.
     """
     policy = policy if policy is not None else budgeted_policy(n)
-    values = _mpfs(_iterated_reference(p, n, policy, taper_to))
+    values = _mpfs(_iterated_reference(p, n, policy, None))
     return Trajectory(METHOD_ORACLE, range(n + 1), values, policy)
 
 
 def _iterated_reference(p: MapParams, n: int, policy: PrecisionPolicy,
                         taper_to: int | None):
-    """The samples of ``oracle(p, n, policy, taper_to)`` as (signed
-    significand, exponent) pairs, yielded one at a time."""
+    """The samples of ``oracle(p, n, policy)`` as (signed significand,
+    exponent) pairs, yielded one at a time, with every step at B bits unless
+    ``taper_to`` is given.
+
+    Then step k runs at min(B, max(B + 64 - k, taper_to)) bits: 64 steps at
+    B, then one bit fewer per step, never fewer than ``taper_to``.  Only n -
+    k + 64 bits are still needed at step k under the budget rule, so the
+    rounding of step k reaches step j > k as about 2^(j - B - 64), and sample
+    k stays good to about 2^(k - B).  A tapered step narrower than B and of at
+    least 1,000 bits squares where ``_orbit`` says, with about 2^6 times the
+    rounding error, which those 64 bits absorb; a step at B never squares."""
     check_steps(n)
     bits = policy.significand_bits
     widths = _tapered_widths(bits, n, taper_to)
@@ -366,29 +366,33 @@ def _iterated_reference(p: MapParams, n: int, policy: PrecisionPolicy,
 
 
 def _tapered_widths(bits: int, n: int, taper_to: int | None):
-    """The widths of steps 1..n of ``oracle`` at ``bits`` tapered to ``taper_to``:
-    min(bits, max(bits + 64 - k, taper_to)) at step k."""
+    """The widths of steps 1..n of ``_iterated_reference`` at ``bits`` tapered
+    to ``taper_to``: min(bits, max(bits + 64 - k, taper_to)) at step k."""
     if taper_to is None or taper_to >= bits:
         return repeat(bits, n)
     return islice(chain(repeat(bits, 64), range(bits - 1, taper_to, -1), repeat(taper_to)), n)
 
 
-# The cosine form whose phase phase_oracle reads, by map parameter.  With the
-# phase phi (arccos(1 - 2*x0) / (2*pi) at r = 4, arccos(x0 - 1/2) / (2*pi) at
-# r = -2) and t_k = frac(2^k * phi), x_k is (1 - cos(2*pi*t_k)) / 2, or
+# The cosine form whose phase _phase_reference reads, by map parameter.  With
+# the phase phi (arccos(1 - 2*x0) / (2*pi) at r = 4, arccos(x0 - 1/2) / (2*pi)
+# at r = -2) and t_k = frac(2^k * phi), x_k is (1 - cos(2*pi*t_k)) / 2, or
 # 1/2 + cos(2*pi*t_k).
 _PHASE_FORM = {4.0: ClosedForm.R4_COSINE, -2.0: ClosedForm.RM2_DIRECT}
 _PHASE_BITS = DOUBLE.significand_bits + 75  # bits of a phase sample
 _RESEED_STEPS = 64  # a block of this many steps reads the phase digits once
-# Steps from which an iteration-only run takes phase_oracle.  It costs less than
-# the tapered reference from about 500 steps on, but the threshold stays at
-# 2,600 until benchmark jobs shorter than that show no loss on either side.
+# Steps from which an iteration-only run takes the phase reference.  It costs
+# less than the tapered reference from about 500 steps on, but the threshold
+# stays at 2,600 until benchmark jobs shorter than that show no loss on either
+# side.
 _PHASE_MIN_STEPS = 2600
 
 
-def phase_oracle(p: MapParams, n: int) -> Trajectory:
-    """Samples 0..n of the r = 4 or r = -2 orbit, read off the binary digits
-    of its phase once iteration at 53 bits has lost the orbit.
+def _phase_reference(p: MapParams, n: int, values):
+    """Samples 0..n of the r = 4 or r = -2 orbit as (signed significand,
+    exponent) pairs, yielded one at a time, read off the binary digits of its
+    phase once ``values``, samples 0..n of the iteration at 53 bits, have lost
+    the orbit.  The caller has checked r, the seed and n as
+    ``divergence_reports`` checks them.
 
     The phase phi (arccos(1 - 2*x0) / (2*pi) at r = 4, arccos(x0 - 1/2) /
     (2*pi) at r = -2) is taken once and held as one integer of n + P + 96
@@ -410,49 +414,33 @@ def phase_oracle(p: MapParams, n: int) -> Trajectory:
     block are good only to about 2^-163 / sqrt(d); an orbit comes that close
     about once in 5 * 10^9 samples.
 
-    While a 53-bit iteration still follows the orbit to within 2^-32, its
+    While the 53-bit iteration still follows the orbit to within 2^-32, its
     error at a step is a small difference whose double can need the
     reference below 2^-P: near a fixed point, or from a seed within an ulp
     of a rational phase, the rounded orbit stays within 2^-100 of the exact
     one for many steps, and at step 1 the difference can be an exact
-    rounding tie.  Those samples come from the budgeted iteration itself,
-    exactly as in ``oracle``.  They include x0 and x1, and every sample of
-    an orbit with a rational phase (x0 in {0, 1/4, 1/2, 3/4, 1} at r = 4, in
-    {-1/2, 0, 1/2, 1, 3/2} at r = -2), which the iteration follows exactly.
-
-    The trajectory is tagged ``oracle`` with the budget of one bit per step
-    plus 64, at whose width the iteration runs and compare_trajectories
-    compares; the phase is held at more than that width.  Raises ValueError
-    for r other than 4 or -2 and DomainError for a seed outside [0, 1]
-    (r = 4) or [-1/2, 3/2] (r = -2).
-    """
-    values = _mpfs(_phase_reference(p, n))
-    return Trajectory(METHOD_ORACLE, range(n + 1), values, budgeted_policy(n))
-
-
-def _phase_reference(p: MapParams, n: int):
-    """The samples of ``phase_oracle(p, n)`` as (signed significand, exponent)
-    pairs, yielded one at a time."""
-    variant = _PHASE_FORM.get(p.r)
-    if variant is None:
-        raise ValueError(f"the phase evaluator needs r=4 or r=-2, got r={p.r!r}")
-    _check_closed_form(p, n, variant)
+    rounding tie.  Those samples come from the iteration at the budget B of
+    one bit per step plus 64, exactly as in ``oracle``.  They include x0 and
+    x1, and every sample of an orbit with a rational phase (x0 in {0, 1/4,
+    1/2, 3/4, 1} at r = 4, in {-1/2, 0, 1/2, 1, 3/2} at r = -2), which the
+    iteration follows exactly.  B is the width at which the reports compare;
+    the phase is held at more than that width."""
+    variant = _PHASE_FORM[p.r]
     bits, wb = budgeted_policy(n).significand_bits, DOUBLE.significand_bits
     rnd = round_nearest
     r = _raw_mpf(p.r, bits)
     near = from_man_exp(1, -32)
-    x0, y0 = _raw_mpf(p.x0, bits), _raw_mpf(p.x0, wb)
+    x0 = _raw_mpf(p.x0, bits)
     xs = chain([_pair(x0)], _orbit(r, x0, 0, repeat(bits, n)))  # as in oracle()
-    ys = chain([_pair(y0)], _orbit(r, y0, 0, repeat(wb, n)))  # as in iterate() at 53 bits
-    for k, (x, y) in enumerate(zip(xs, ys)):  # up to the first sample 2^-32 or more apart
-        yield x
+    for k, (x, y) in enumerate(zip(xs, map(_signed, values, repeat(wb)))):
+        yield x  # up to the first sample 2^-32 or more from the iteration's
         if not mpf_lt(mpf_abs(mpf_sub(from_man_exp(*x), from_man_exp(*y), 64, rnd)), near):
             break
     if k < n:
         window = _PHASE_BITS + _RESEED_STEPS  # bits a re-seed reads
         wp = window + 32
         width = n + wp
-        arg = _argument(y0, variant, 0)  # exact
+        arg = _argument(_raw_mpf(p.x0, wb), variant, 0)  # exact
         phase_wp = width + 10
         phi = mpf_div(mpf_acos(arg, phase_wp, rnd), mpf_shift(mpf_pi(phase_wp, rnd), 1),
                       phase_wp, rnd)
@@ -635,48 +623,6 @@ def closed_form_trajectory(p: MapParams, n: int, variant: ClosedForm,
     return Trajectory(f"{METHOD_CLOSED_FORM}:{variant.value}", steps, values, policy)
 
 
-# The conjugacy (f, f_inverse, domain, scale) each closed form comes from:
-# x_n = (1 - f(scale^n * f_inverse(1 - 2*x0))) / 2 turns the map into plain
-# multiplication in conjugated coordinates.  ``domain`` is the closed interval
-# of f_inverse arguments; a point where f_inverse diverges, log at 0, is refused
-# at evaluation time.  r4 and simple double an angle although r4's map
-# parameter is 4 (cos(2t) = 2cos(t)^2 - 1); table1 scales by -2, and its
-# f_inverse, found by inverting f, is checked by the round-trip test.
-_CONJUGACY = {
-    ClosedForm.R2_POWER: (mp.exp, mp.log, (0.0, math.inf), 2),  # seeds below 1/2
-    ClosedForm.R4_COSINE: (mp.cos, mp.acos, (-1.0, 1.0), 2),
-    ClosedForm.RM2_COMPOSED: (lambda u: 2 * mp.cos((mp.pi - mp.sqrt(3) * u) / 3),
-                              lambda y: (mp.pi - 3 * mp.acos(y / 2)) / mp.sqrt(3),
-                              (-2.0, 2.0), -2),
-    ClosedForm.RM2_DIRECT: (lambda u: -2 * mp.cos(u), lambda y: mp.acos(-y / 2),
-                            (-2.0, 2.0), 2),
-}
-
-
-def conjugacy_solution(p: MapParams, n: int, variant: ClosedForm,
-                       policy: PrecisionPolicy = DOUBLE) -> mpf:
-    """Closed form ``variant`` at step n by the conjugacy it comes from.
-
-    Checks n, r and the seed as ``closed_form`` does, then raises DomainError
-    identifying whether f_inverse or f failed when the seed (or the scaled
-    coordinate) leaves the conjugacy's domain.
-    """
-    _check_closed_form(p, n, variant)
-    f, f_inverse, (lo, hi), scale = _CONJUGACY[variant]
-    y = 1.0 - 2.0 * p.x0
-    if not lo <= y <= hi:
-        raise DomainError(
-            f"f_inverse argument {y!r} outside its domain [{lo:g}, {hi:g}]")
-    with workprec(policy.significand_bits):
-        phi = f_inverse(1 - 2 * mpf(p.x0))
-        if not mp.isfinite(phi):
-            raise DomainError("f_inverse diverged at the boundary of its domain")
-        value = f(mpf(scale) ** n * phi)
-        if not mp.isfinite(value):
-            raise DomainError("f diverged at the scaled coordinate")
-        return (1 - value) / 2
-
-
 # Bits the tapered reference of a divergence run keeps above the method under
 # test at every step.
 _TAPER_MARGIN = 128
@@ -828,10 +774,11 @@ def divergence_reports(p: MapParams, n_max: int, working_bits: int, threshold: f
     """Plain iteration and each closed form in ``forms``, all evaluated at
     ``working_bits`` (a closed form including all of its angle arithmetic),
     against one reference at ``oracle_policy(n_max, working_bits,
-    oracle_bits)``: the samples of ``phase_oracle`` or of the orbit-sized
+    oracle_bits)``: the samples of ``_phase_reference`` or of the orbit-sized
     reference where the module docstring says so, else of ``oracle``,
-    tapered to ``working_bits + 128`` unless ``oracle_bits`` is given, each
-    report equal to ``compare_trajectories``' against it.  The orbit-sized
+    tapered to ``working_bits + 128`` unless ``oracle_bits`` is given
+    (``_iterated_reference``), each report equal to ``compare_trajectories``'
+    against it.  The orbit-sized
     reference stands only where its running bound certifies every error;
     elsewhere the tapered reference is built too, and its reports returned.
     Returns ``(label, DivergenceReport)`` pairs: ``"iterated"`` first, then
@@ -875,7 +822,7 @@ def divergence_reports(p: MapParams, n_max: int, working_bits: int, threshold: f
     if (oracle_bits is None and working_bits == DOUBLE.significand_bits
             and n_max >= _PHASE_MIN_STEPS and phase is not None
             and _in_seed_domain(p.x0, phase)):
-        return [(METHOD_ITERATED, report(it, _phase_reference(p, n_max)))]
+        return [(METHOD_ITERATED, report(it, _phase_reference(p, n_max, it.values)))]
     if (oracle_bits is None and phase is None and n_max >= _SIZED_MIN_STEPS
             and type(p.r) is float and type(p.x0) is float):
         floors = array("d")

@@ -11,9 +11,9 @@ indices (a tuple, or a ``range`` kept as it is) and a tuple of values, so
 that its checks and its readers run C-level loops over whole columns rather
 than a Python loop per sample.
 
-All functions are pure; values are immutable.  mpmath's context is mutated
-only through ``workprec`` scopes, so callers wanting parallel sweeps should
-prefer processes over threads.
+All functions are pure; values are immutable.  No library code sets
+mpmath's global context: every rounding is made at a width passed to it, so
+results do not depend on the caller's ``mp.prec``.
 """
 
 import math
@@ -44,7 +44,6 @@ METHOD_ITERATED = "iterated"
 METHOD_ORACLE = "oracle"
 METHOD_CLOSED_FORM = "closed-form"
 METHOD_ODE_CLOSED_FORM = "ode-closed-form"
-METHOD_ODE_RK4 = "ode-rk4"
 
 _REDUCE_GUARD_BITS = 20
 _NON_FINITE = (finf, fninf, fnan)

@@ -14,6 +14,7 @@ from logistic_exact import continuous, map_riccati, map_standard
 from logistic_exact.cli import FIGURE_PRESETS, main
 from logistic_exact.map_standard import ClosedForm
 from logistic_exact.precision import PrecisionPolicy
+from routes import general_solution_correction_form, rk4_oracle
 
 
 def report(name, ok, detail=""):
@@ -68,7 +69,7 @@ def test_criterion_2_two_forms_identity():
         shift = continuous.RiccatiShift(gamma)
         for t in TS:
             a = continuous.general_solution(t, p, shift)
-            b = continuous.general_solution_correction_form(t, p, shift)
+            b = general_solution_correction_form(t, p, shift)
             rel = abs(a - b) / max(abs(a), abs(b), 1e-300)
             worst = max(worst, rel)
     report("criterion 2: correction form == re-initialized form",
@@ -77,7 +78,7 @@ def test_criterion_2_two_forms_identity():
 
 def test_criterion_3_rk4_agreement():
     p = continuous.ContinuousParams(1.7, 0.11)
-    traj = continuous.rk4_oracle(p, 10.0, 1e-3)
+    traj = rk4_oracle(p, 10.0, 1e-3)
     worst = max(abs(v - continuous.particular_solution(t, p))
                 for t, v in zip(traj.indices, traj.values))
     report("criterion 3: RK4 oracle vs closed form", worst < 1e-10,

@@ -15,7 +15,7 @@ from xml.etree import ElementTree
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from mpmath import mpf, workprec
+from mpmath import mp, mpf, workprec
 
 from logistic_exact import cli, continuous, map_riccati, map_standard
 from logistic_exact.cli import FIGURE_PRESETS, RunConfig, main, run
@@ -409,7 +409,7 @@ class TestCompareCommand:
         def never(*args, **kwargs):
             raise AssertionError("evaluated a run that should be refused")
 
-        for name in ("oracle", "phase_oracle", "iterate"):
+        for name in ("iterate", "_iterated_reference", "_phase_reference", "_sized_reference"):
             monkeypatch.setattr(map_standard, name, never)
         assert main(["compare", "--r", "3.9", "--x0", "0.3", "--steps", "8000",
                      "--form", "r4"]) == 2
@@ -714,6 +714,39 @@ def test_golden_artifacts(argv, digest, capsys):
     assert main(argv) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("ascii")).hexdigest() == digest
+
+
+# runs through every mpmath-backed route: the iterated reference with closed
+# forms, the sized and the phase references, budgeted iteration, r2's squaring
+# at 120 bits and figure 2's oracle and 53-bit closed forms
+MP_CONTEXT_RUNS = {
+    "compare-forms": ["compare", "--r", "-2", "--x0", "0.9", "--form", "table1",
+                      "--form", "simple"],
+    "compare-sized": ["compare", "--r", "3.9", "--x0", "0.3", "--steps",
+                      str(map_standard._SIZED_MIN_STEPS)],
+    "compare-phase": ["compare", "--r", "4", "--x0", "0.3", "--steps",
+                      str(map_standard._PHASE_MIN_STEPS)],
+    "map3-364-bits": ["map3", "--r", "3.9", "--x0", "0.3", "--steps", "300", "--bits", "364"],
+    "map3-r2-120-bits": ["map3", "--r", "2", "--x0", "0.3", "--steps", "60", "--bits", "120",
+                         "--form", "r2"],
+    "figure2": ["figure", "2", "--format", "json"],
+}
+
+
+@pytest.mark.parametrize("argv", MP_CONTEXT_RUNS.values(), ids=MP_CONTEXT_RUNS.keys())
+def test_artifacts_do_not_depend_on_the_mpmath_context(argv, capsys):
+    # every rounding is made at a width the library passes, and no run sets
+    # the global context; digests, since a diff of two long artifacts is slow
+    def digest():
+        return hashlib.sha256(capsys.readouterr().out.encode("ascii")).hexdigest()
+
+    assert main(argv) == 0
+    expected = digest()
+    for prec in (10, 30, 2000):
+        with workprec(prec):
+            assert main(argv) == 0
+            assert mp.prec == prec
+        assert digest() == expected, prec
 
 
 # Peak RSS of runs in one fresh interpreter, before the first cli.main and

@@ -1,7 +1,8 @@
 """What a fresh ``python -m logistic_exact`` run imports: each subcommand loads
 the library modules its runner needs and no others, and no run loads
 ``dataclasses`` or the ``inspect`` module that it pulls in.  A bare import of
-the package loads none of its submodules."""
+the package loads none of its submodules, and the benchmark's tracer, which
+wraps library functions by name, installs in a fresh interpreter."""
 
 import os
 import subprocess
@@ -90,3 +91,19 @@ def test_the_package_loads_its_names_on_first_use():
     assert fresh(NAMES).splitlines() == [
         "-", "logistic_exact.errors logistic_exact.map_standard",
         "PrecisionPolicy(significand_bits=53) logistic_exact.cli"]
+
+
+# perfbench's worker imported as its script imports it, then its tracer
+# installed, which reads each library name that it wraps with getattr
+TRACER = """
+import sys
+
+sys.path.insert(0, sys.argv[1])
+import worker
+
+worker.Tracer().install()
+"""
+
+
+def test_the_benchmark_tracer_installs():
+    fresh(TRACER, str(Path(__file__).resolve().parents[1] / "perfbench"))

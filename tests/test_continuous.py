@@ -15,13 +15,12 @@ from logistic_exact.continuous import (
     RiccatiShift,
     effective_initial_condition,
     general_solution,
-    general_solution_correction_form,
     grid_trajectory,
     particular_solution,
-    rk4_oracle,
 )
 from logistic_exact.errors import POLE_EPS, DomainError, PoleError
 from logistic_exact.precision import compare_trajectories
+from routes import general_solution_correction_form, rk4_oracle
 
 FIG1 = ContinuousParams(r=1.7, x0=0.11)
 FIG1_GAMMAS = (0.14, 0.15, 0.17, 0.25)

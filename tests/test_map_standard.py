@@ -14,13 +14,10 @@ from logistic_exact.map_standard import (
     MapParams,
     closed_form,
     closed_form_trajectory,
-    _CONJUGACY,
-    conjugacy_solution,
     divergence_analysis,
     iterate,
     iteration_divergence,
     oracle,
-    phase_oracle,
     prng_bits,
 )
 from logistic_exact.precision import (
@@ -30,6 +27,7 @@ from logistic_exact.precision import (
     compare_trajectories,
     precision_budget,
 )
+from routes import _CONJUGACY, conjugacy_solution, phase_oracle
 
 SEED_RANGES = {
     ClosedForm.R2_POWER: (0.02, 0.98),

@@ -27,7 +27,6 @@ from logistic_exact.map_standard import (
     iteration_divergence,
     oracle,
     oracle_policy,
-    phase_oracle,
 )
 from logistic_exact.precision import (
     DOUBLE,
@@ -38,6 +37,7 @@ from logistic_exact.precision import (
     budgeted_policy,
     compare_trajectories,
 )
+from routes import phase_oracle, tapered_oracle
 
 P = 53 + 75  # bits of a phase sample at 53 working bits
 N = map_standard._PHASE_MIN_STEPS
@@ -173,7 +173,7 @@ def check_tapered_reference(p, n, working_bits):
     policy = oracle_policy(n, working_bits, None)
     width = policy.significand_bits
     fixed = oracle(p, n, policy)
-    tapered = oracle(p, n, policy, working_bits + 128)
+    tapered = tapered_oracle(p, n, policy, working_bits + 128)
     it = iterate(p, n, PrecisionPolicy(working_bits))
     ea = compare_trajectories(it, fixed, 0.01).per_step_abs_error
     eb = compare_trajectories(it, tapered, 0.01).per_step_abs_error
@@ -215,7 +215,7 @@ def check_sized_reference(p, n, working_bits):
     report = _compare_pairs(map(_signed, it.values, repeat(bits)), iter(sized), bits, 0.01)
     eb = report.per_step_abs_error
     certified = len(floors) == n + 1 and all(map(map_standard._certified, eb, floors))
-    tapered = oracle(p, n, policy, taper_to)
+    tapered = tapered_oracle(p, n, policy, taper_to)
     ea = compare_trajectories(it, tapered, 0.01).per_step_abs_error
     true = oracle(p, n, PrecisionPolicy(2 * width))
     with workprec(2 * width + 64):
@@ -261,7 +261,7 @@ class TestTaperedReference:
         # 1,000 bits up to below the full width are squared where x allows
         p = MapParams(3.9, 0.3)
         for n, first in ((400, 3), (2000, 5)):
-            tapered = oracle(p, n, taper_to=181)
+            tapered = tapered_oracle(p, n, taper_to=181)
             policy = tapered.precision
             width = policy.significand_bits
             assert width == n + 64
@@ -471,14 +471,15 @@ class TestRouting:
 
 
 def public_reports(p, n, working_bits, forms=(), oracle_bits=None, phase=False):
-    """The reports of ``divergence_reports`` formed from the public functions:
+    """The reports of ``divergence_reports`` formed from whole trajectories:
     ``compare_trajectories`` of each method against ``phase_oracle`` or
-    ``oracle``, tapered to working_bits + 128 unless ``oracle_bits`` is given."""
+    ``tapered_oracle``, tapered to working_bits + 128 unless ``oracle_bits`` is
+    given."""
     if phase:
         ref = phase_oracle(p, n)
     else:
         taper_to = working_bits + 128 if oracle_bits is None else None
-        ref = oracle(p, n, oracle_policy(n, working_bits, oracle_bits), taper_to)
+        ref = tapered_oracle(p, n, oracle_policy(n, working_bits, oracle_bits), taper_to)
     working = PrecisionPolicy(working_bits)
     methods = [("iterated", iterate(p, n, working))] + [
         (form, closed_form_trajectory(p, n, ClosedForm(form), working)) for form in forms]
@@ -488,7 +489,7 @@ def public_reports(p, n, working_bits, forms=(), oracle_bits=None, phase=False):
 class TestReportsReadTheReferencePairs:
     """``divergence_reports`` compares against the reference's (significand,
     exponent) pairs without forming an mpf; its reports are those of
-    ``compare_trajectories`` against the public reference of the same route."""
+    ``compare_trajectories`` against the whole reference of the same route."""
 
     @pytest.mark.parametrize("r,x0,n,working_bits,forms,oracle_bits,route", [
         (3.9, 0.3, 1500, 53, (), None, "oracle"),
