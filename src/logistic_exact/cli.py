@@ -29,6 +29,7 @@ import json
 import math
 import sys
 import warnings
+from array import array
 from collections import Counter
 from collections.abc import Sequence
 
@@ -211,14 +212,14 @@ def _value(v, bits):
     return mp.nstr(v, repr_dps(bits))
 
 
-def _rows(doc, convert=None, index=None):
+def _rows(doc, convert=None, share=False):
     """(label, method, bits, indices, values) of each series, and of each
     report's errors by step.  A series' values pass through ``convert(v,
     bits)`` unless the trajectory's own scan of their types found only ints
     and floats (``Trajectory._native``), which ``_value`` passes through
-    unchanged.  Given the row format ``index``, an index column that two or
-    more series share, one object and not a range, is formatted once for all
-    of them and comes as a ``_Formatted`` column."""
+    unchanged.  Given ``share``, an index column that two or more series
+    share, one object and not a range, is formatted once for all of them and
+    comes as a ``_Formatted`` column."""
     series = doc.get("series", ())
     uses = Counter(id(traj.indices) for _, traj in series)
     formatted = {}
@@ -226,9 +227,9 @@ def _rows(doc, convert=None, index=None):
         bits, indices, values = traj.precision.significand_bits, traj.indices, traj.values
         if convert is not None and not traj._native:
             values = map(convert, values, itertools.repeat(bits))
-        if index is not None and uses[id(indices)] > 1 and not isinstance(indices, range):
+        if share and uses[id(indices)] > 1 and not isinstance(indices, range):
             if id(indices) not in formatted:
-                formatted[id(indices)] = _Formatted(index, indices)
+                formatted[id(indices)] = _Formatted(indices)
             indices = formatted[id(indices)]
         yield label, traj.method_tag, bits, indices, values
     for label, rep in doc.get("reports", ()):
@@ -257,28 +258,38 @@ _BATCH = 4096
 
 
 class _Formatted(list):
-    """An index column formatted once by a row format, for the series that
-    share it: ``fmt % t`` for each of its times t, with each row's ``%s``
-    left for its value, as one text per 4,096-row batch, the last holding the
-    rows left: the batch formats of ``_batches``.  No string is held per row."""
+    """An index column formatted once, for the series that share it, and for
+    either row format: ``str(t)`` of each of its times t, joined by ``\0``, as
+    one text per 4,096-row batch, the last holding the rows left.  No string
+    is held per row, and a row's text costs its time and one byte."""
 
-    def __init__(self, fmt, column):
-        parts = (tuple(column[a:a + _BATCH]) for a in range(0, len(column), _BATCH))
-        super().__init__((fmt * len(part)) % part for part in parts)  # % takes a tuple
+    def __init__(self, column):  # repr is str for an int and a float
+        super().__init__("\0".join(map(repr, column[a:a + _BATCH]))
+                         for a in range(0, len(column), _BATCH))
+
+    def formats(self, head, tail):
+        """The batch formats of ``_batches`` for rows ``head + t + tail``,
+        whose fields still to fill are in ``head`` and ``tail``: one
+        ``str.replace`` a batch."""
+        between = tail + head
+        return ("".join((head, text.replace("\0", between), tail)) for text in self)
 
 
 def _batches(fmt, *columns):
     """Yield ``fmt % row`` for each row of the columns, 4,096 rows to a text.
     One ``%`` against ``fmt * 4096`` formats 4,096 rows, with one argument
     tuple interleaved from the columns' slices: a sequence's own slice, or an
-    iterator's next 4,096 items.  So no tuple or string is made per row.
+    iterator's next 4,096 items; an array's slice goes through ``tolist()``,
+    which list slice assignment would read item by item.  So no tuple or
+    string is made per row.
     ``fmt`` may instead be an iterable of one format per batch, whose k-th
-    formats the k-th 4,096 rows and whose last the rows left: a
-    ``_Formatted`` index column, with the rows' other fields still to fill."""
+    formats the k-th 4,096 rows and whose last the rows left: the formats of
+    a ``_Formatted`` index column, with the rows' other fields still to fill."""
     width = len(columns)
     batches = itertools.repeat(fmt * _BATCH) if isinstance(fmt, str) else iter(fmt)
     for a in itertools.count(0, _BATCH):
-        parts = [c[a:a + _BATCH] if isinstance(c, Sequence)
+        parts = [c[a:a + _BATCH].tolist() if isinstance(c, array)
+                 else c[a:a + _BATCH] if isinstance(c, Sequence)
                  else tuple(itertools.islice(c, _BATCH)) for c in columns]
         rows = len(parts[0])
         if not rows:
@@ -297,15 +308,14 @@ def _batches(fmt, *columns):
 def _render_csv(doc, write):
     out = _Sink(write)
     out.write("index_or_time,series,method,value\n")
-    # %s writes what an f-string field writes: str() of the value; a shared
-    # index column is written once with \0 where each series' fields go
-    for label, method, _, indices, values in _rows(doc, _value, "%s,\0%%s\n"):
-        fields = f"{label},{method},".replace("%", "%%")
+    # %s writes what an f-string field writes: str() of the value, as a shared
+    # index column's texts hold it
+    for label, method, _, indices, values in _rows(doc, _value, share=True):
+        tail = f",{label},{method},".replace("%", "%%") + "%s\n"
         if isinstance(indices, _Formatted):
-            batches = _batches(map(str.replace, indices, itertools.repeat("\0"),
-                                   itertools.repeat(fields)), values)
+            batches = _batches(indices.formats("", tail), values)
         else:
-            batches = _batches("%s," + fields + "%s\n", indices, values)
+            batches = _batches("%s" + tail, indices, values)
         for text in batches:
             out.write(text)
     return out
@@ -326,14 +336,13 @@ def _json_entries(doc):
     if "series" in doc:
         # an int's and a float's str is their repr, as _json_value writes them;
         # a shared index column comes formatted, with each item's value to fill
-        item = ",\n        [\n          %s,\n          %s\n        ]"
-        for label, method, bits, indices, values in _rows(doc, _json_value,
-                                                          item % ("%s", "%%s")):
+        head, tail = ",\n        [\n          ", ",\n          %s\n        ]"
+        for label, method, bits, indices, values in _rows(doc, _json_value, share=True):
             fields = {"label": label, "method": method, "precision_bits": bits}
             if isinstance(indices, _Formatted):
-                yield fields, "samples", indices, (values,)
+                yield fields, "samples", indices.formats(head, tail), (values,)
             else:
-                yield fields, "samples", item, (indices, values)
+                yield fields, "samples", head + "%s" + tail, (indices, values)
         return
     config = doc["config"]
     for label, rep in doc["reports"]:

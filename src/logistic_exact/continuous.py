@@ -16,10 +16,11 @@ references (``tests/routes.py``)."""
 import math
 import operator
 import weakref
-from itertools import chain, repeat
+from array import array
+from itertools import repeat
 
 from .errors import MAX_GRID_POINTS, POLE_EPS, DomainError, PoleError
-from .precision import DOUBLE, METHOD_ODE_CLOSED_FORM, Trajectory, _Record
+from .precision import DOUBLE, METHOD_ODE_CLOSED_FORM, Trajectory, _chunks, _pack, _Record
 
 # Below about 5.6e-309 in magnitude a start x_s has no reciprocal among the
 # doubles, and the sigmoid would not start at x_s.
@@ -108,13 +109,15 @@ def effective_initial_condition(p: ContinuousParams, shift: RiccatiShift) -> flo
 
 
 def _sigmoid(c, decay, rate, wheres, axis="t"):
-    """[1/(1 + c*decay(rate*w)) for each w of the sequence ``wheres``], the
-    Riccati sigmoid of both families after its start: exp(-r*t) for the ODE,
-    (1+r)^-n for the coupled map, with a pole reported at ``axis`` = w.
+    """array('d', [1/(1 + c*decay(rate*w)) for each w of the sequence
+    ``wheres``]), the Riccati sigmoid of both families after its start:
+    exp(-r*t) for the ODE, (1+r)^-n for the coupled map, with a pole reported
+    at ``axis`` = w.
 
     The column runs as C-level maps: the decay, then 1.0 + c*d, then 1.0/den,
-    each point's operations in the order of the per-point rule below.  That
-    rule evaluates the column instead, point by point, when a decay
+    each point's operations in the order of the per-point rule below, read
+    into the array 4,096 samples at a time (``_chunks``).  That rule
+    evaluates the column instead, point by point, when a decay
     overflows, a denominator is exactly zero, a sample passes 1e299 in
     magnitude, as one does where |den| < POLE_EPS, or a sample is 0.0, as
     only an infinite den gives.  Where c*decay(arg) for arg = rate*w
@@ -126,16 +129,19 @@ def _sigmoid(c, decay, rate, wheres, axis="t"):
     decay(arg % 2) (the map's base to the parity of n, or an exp that is
     positive)."""
     if c == 0:
-        return [1.0] * len(wheres)
+        return array("d", [1.0]) * len(wheres)
+    samples = array("d")
     try:
-        samples = list(map(operator.truediv, repeat(1.0), map(operator.add, repeat(1.0), map(
-            operator.mul, repeat(c), map(decay, map(operator.mul, repeat(rate), wheres))))))
+        for part in _chunks(map(operator.truediv, repeat(1.0), map(
+                operator.add, repeat(1.0), map(operator.mul, repeat(c), map(
+                    decay, map(operator.mul, repeat(rate), wheres)))))):
+            if not (max(part) <= 1e299 and min(part) >= -1e299 and 0.0 not in part):
+                break
+            samples.fromlist(part)
+        else:
+            return samples
     except (OverflowError, ZeroDivisionError):
         pass
-    else:
-        if (max(samples, default=0.0) <= 1e299 and min(samples, default=0.0) >= -1e299
-                and 0.0 not in samples):
-            return samples
 
     def point(arg, where):
         try:
@@ -153,7 +159,7 @@ def _sigmoid(c, decay, rate, wheres, axis="t"):
             raise PoleError(f"solution has a pole at {axis}={where!r}", where=where)
         return 1.0 / den
 
-    return list(map(point, map(operator.mul, repeat(rate), wheres), wheres))
+    return _pack(map(point, map(operator.mul, repeat(rate), wheres), wheres))
 
 
 def particular_solution(t: float, p: ContinuousParams) -> float:
@@ -199,15 +205,15 @@ def _grid_steps(t_end: float, dt: float) -> int:
 
 
 # The live trajectories on each grid, by (steps, dt): the members sampled on
-# one grid share its tuple of times, which goes when the last of them does.
+# one grid share its column of times, which goes when the last of them does.
 _GRIDS = weakref.WeakValueDictionary()
 
 
-def _grid_times(n: int, dt: float) -> tuple:
+def _grid_times(n: int, dt: float) -> array:
     """The times k*dt, k = 0..n, of the grid of n steps: those of a live
-    trajectory on the same grid, or a new tuple."""
+    trajectory on the same grid, or a new array('d')."""
     traj = _GRIDS.get((n, dt))
-    return traj.indices if traj is not None else tuple(
+    return traj.indices if traj is not None else _pack(
         map(operator.mul, range(n + 1), repeat(dt)))
 
 
@@ -223,8 +229,8 @@ def grid_trajectory(p: ContinuousParams, t_end: float, dt: float,
     for every seed and either sign of r: a member starting at x_s outside
     [0, 1] (c = 1/x_s - 1 < 0) has one pole, at t* = ln(1 - 1/x_s)/r, and a t*
     after 0 and up to the last grid point raises PoleError before any
-    sample.  Trajectories on one grid share its tuple of times while any of
-    them lives.
+    sample.  Both columns are array('d'), and trajectories on one grid share
+    its column of times while any of them lives.
     """
     n = _grid_steps(t_end, dt)
     x_s, c, q = _ode_start(p.x0, shift)
@@ -233,5 +239,6 @@ def grid_trajectory(p: ContinuousParams, t_end: float, dt: float,
         raise PoleError(f"solution has a pole at t={t!r}, inside the grid", where=t)
     ts = _grid_times(n, dt)
     values = _sigmoid(c, math.exp, -p.r, ts[1:])
-    _GRIDS[n, dt] = traj = Trajectory(METHOD_ODE_CLOSED_FORM, ts, chain((x_s,), values), DOUBLE)
+    values.insert(0, x_s)
+    _GRIDS[n, dt] = traj = Trajectory(METHOD_ODE_CLOSED_FORM, ts, values, DOUBLE)
     return traj

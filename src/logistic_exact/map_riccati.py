@@ -11,8 +11,9 @@ by (1+r)^-n.  The general solution is cross-checked by stepping the linearized
 equation y' = g*y + h of the step coefficients from y = gamma."""
 
 import math
+from array import array
 from functools import partial
-from itertools import chain, pairwise, repeat
+from itertools import pairwise
 
 from .continuous import RiccatiShift, _sigmoid, _start
 from .errors import POLE_EPS, DomainError, PoleError, check_steps
@@ -39,13 +40,14 @@ class RiccatiCoefficients(_Record):
 
 
 def iterate(p: RiccatiMapParams, n: int) -> Trajectory:
-    """Samples 0..n of the explicit step x' = x*(1+r)/(1 + r*x).
+    """Samples 0..n of the explicit step x' = x*(1+r)/(1 + r*x), one
+    array('d') filled step by step.
 
     Raises PoleError with the offending index when 1 + r*x vanishes.
     """
     check_steps(n)
     x = p.x0
-    values = [x]
+    values = array("d", [x])
     for k in range(1, n + 1):
         den = 1.0 + p.r * x
         if abs(den) < POLE_EPS:
@@ -65,23 +67,26 @@ def _check_closed_form_params(p: RiccatiMapParams):
         raise DomainError("closed forms require x0 != 0 (they divide by x0)")
 
 
-def _series(p: RiccatiMapParams, n: int, first: int = 0, gamma: float | None = None):
+def _series(p: RiccatiMapParams, n: int, first: int = 0,
+            gamma: float | None = None) -> array:
     """Samples first..n of the particular solution, or of the family member
-    picked by gamma, its parameters checked and its start worked out once:
-    x_s at step 0, then one column of the ODE's kernel.  As in the continuous
-    case gamma only shifts the seed, to x_s = x0 + 1/gamma = (a*g + b*h)/(b*g)
-    for x0 = a/b and gamma = g/h (the particular solution is gamma = 1/0), and
-    a seed of 0 is the fixed point x = 0.  The caller has checked n."""
+    picked by gamma, as one array('d'), its parameters checked and its start
+    worked out once: x_s at step 0, then one column of the ODE's kernel.  As
+    in the continuous case gamma only shifts the seed, to x_s = x0 + 1/gamma =
+    (a*g + b*h)/(b*g) for x0 = a/b and gamma = g/h (the particular solution is
+    gamma = 1/0), and a seed of 0 is the fixed point x = 0.  The caller has
+    checked n."""
     if gamma is not None:
         RiccatiShift(gamma)  # gamma obeys the rule of the ODE's free constant
     _check_closed_form_params(p)
     (a, b), (g, h) = p.x0.as_integer_ratio(), gamma.as_integer_ratio() if gamma else (1, 0)
     if a * g + b * h == 0:  # the fixed point, read as x0 = 0 by no closed form
-        return repeat(0.0, n + 1 - first)
+        return array("d", [0.0]) * (n + 1 - first)
     x_s, c, _ = _start(a * g + b * h, b * g)
-    head = (x_s,) if first == 0 else ()
     values = _sigmoid(c, partial(pow, 1.0 + p.r), -1, range(max(first, 1), n + 1), "n")
-    return chain(head, values)
+    if first == 0:
+        values.insert(0, x_s)
+    return values
 
 
 def particular_solution(p: RiccatiMapParams, n: int) -> float:
@@ -93,7 +98,7 @@ def particular_solution(p: RiccatiMapParams, n: int) -> float:
     1/x0 - 1 rounds to -1, off the formula's false pole there.
     """
     check_steps(n)
-    return next(_series(p, n, n))
+    return _series(p, n, n)[0]
 
 
 def coefficients(p: RiccatiMapParams, n_max: int) -> RiccatiCoefficients:
@@ -126,7 +131,7 @@ def general_solution(p: RiccatiMapParams, gamma: float, n: int,
     """
     check_steps(n)
     if coeffs is None:
-        return next(_series(p, n, n, gamma))
+        return _series(p, n, n, gamma)[0]
     RiccatiShift(gamma)
     _check_closed_form_params(p)
     if len(coeffs.g) < n:

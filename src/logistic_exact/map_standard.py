@@ -282,13 +282,14 @@ def _mpfs(pairs) -> list:
     return list(map(mp.make_mpf, starmap(from_man_exp, pairs)))
 
 
-def _double_orbit(r: float, x: float, n: int) -> list:
-    """The values of samples 0, 1, ... of the orbit on Python floats: up to
-    step n, or up to the step before the first whose product ``r * x`` or
-    result is not a normal double of magnitude at most 1e100.  Up to there
-    each of r*x, 1 - x and their product is rounded to nearest, ties to even,
-    at 53 bits, as ``_orbit`` rounds a step at 53 bits."""
-    values = [x]
+def _double_orbit(r: float, x: float, n: int) -> array:
+    """The values of samples 0, 1, ... of the orbit on Python floats, as one
+    array('d'): up to step n, or up to the step before the first whose
+    product ``r * x`` or result is not a normal double of magnitude at most
+    1e100.  Up to there each of r*x, 1 - x and their product is rounded to
+    nearest, ties to even, at 53 bits, as ``_orbit`` rounds a step at 53
+    bits."""
+    values = array("d", [x])
     for _ in range(n):
         rx = r * x
         x = rx * (1.0 - x)
@@ -310,8 +311,10 @@ def iterate(p: MapParams, n: int, policy: PrecisionPolicy = DOUBLE) -> Trajector
     sample is the value of the libmp loop, which can then leave the float
     recurrence: for ``MapParams(0.5, 0.3)``, whose orbit decays towards 0,
     the loop leaves the floats at step 1020 and the first mismatch is at step
-    1023, where the doubles have gone subnormal.  Raises EscapeError with the
-    offending index if the orbit passes 1e100.
+    1023, where the doubles have gone subnormal.  An orbit that stays on the
+    floats is held as one array('d'); one that leaves them, or runs at another
+    width, as a tuple.  Raises EscapeError with the offending index if the
+    orbit passes 1e100.
     """
     check_steps(n)
     bits = policy.significand_bits
@@ -322,8 +325,9 @@ def iterate(p: MapParams, n: int, policy: PrecisionPolicy = DOUBLE) -> Trajector
     else:
         x = _raw_mpf(p.x0, bits)
         values = [mp.make_mpf(x)]
-    values += _mpfs(_orbit(_raw_mpf(p.r, bits), x, len(values) - 1,
-                           repeat(bits, n + 1 - len(values))))
+    if len(values) <= n:
+        values = [*values, *_mpfs(_orbit(_raw_mpf(p.r, bits), x, len(values) - 1,
+                                         repeat(bits, n + 1 - len(values))))]
     return Trajectory(METHOD_ITERATED, range(n + 1), values, policy)
 
 
@@ -512,10 +516,10 @@ def _cosine(variant: ClosedForm, phase: tuple, n: int, bits: int) -> tuple:
     return mpf_cos(_reduce_raw(_angle(variant, phase, n, bits), bits), bits, round_nearest)
 
 
-def _double_samples(variant: ClosedForm, phase: tuple, n: int, s: float) -> list:
-    """The samples 1/2 + s*c_k, k = 0..n, of a cosine form at 53 bits, as
-    doubles: c_k is ``_cosine(variant, phase, k, 53)``, bit for bit, by the
-    libmp pipeline's own steps without its generic wrapping.
+def _double_samples(variant: ClosedForm, phase: tuple, n: int, s: float) -> array:
+    """The samples 1/2 + s*c_k, k = 0..n, of a cosine form at 53 bits, as one
+    array('d') of doubles: c_k is ``_cosine(variant, phase, k, 53)``, bit for
+    bit, by the libmp pipeline's own steps without its generic wrapping.
 
     table1's angle (pi - (-2)^k*phase)/3 is two IEEE operations while
     (-2)^k*phase is a double; they round to nearest even at 53 bits, as
@@ -535,7 +539,7 @@ def _double_samples(variant: ClosedForm, phase: tuple, n: int, s: float) -> list
     sign, man, exp, bc = phase
     composed = variant is ClosedForm.RM2_COMPOSED
     psi = to_float(phase)  # exact: 53 bits, below 2*pi
-    values = []
+    values = array("d")
     append = values.append
     for k in range(n + 1):
         if not composed:
@@ -599,8 +603,8 @@ def closed_form_trajectory(p: MapParams, n: int, variant: ClosedForm,
 
     Every sample equals ``closed_form(p, k, variant, policy)``; the arccos
     is taken once per trajectory, and the r2 base is squared once per step
-    and carried forward.  A cosine form at 53 bits returns its samples as
-    doubles, each equal to that mpf value, from ``_double_samples``: one loop
+    and carried forward.  A cosine form at 53 bits returns its samples as one
+    array('d') of doubles, each equal to that mpf value, from ``_double_samples``: one loop
     of integer steps and IEEE operations, each rounding to nearest even at 53
     bits as the libmp call it replaces does (``float()`` of a Python int
     rounds so too).

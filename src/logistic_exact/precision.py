@@ -7,9 +7,11 @@ step count into a bit width, a magnitude-aware reduction mod 2*pi (the
 closed forms scale angles by 2^n, which outgrows any fixed significand),
 the trajectory type, and the trajectory comparison used to measure
 round-off divergence.  A trajectory holds a series as two columns, its
-indices (a tuple, or a ``range`` kept as it is) and a tuple of values, so
-that its checks and its readers run C-level loops over whole columns rather
-than a Python loop per sample.
+indices and its values, each a tuple or a column kept as it is: a ``range``
+of indices, ``bytes`` of bits, or an ``array('d')`` of doubles, which holds a
+sample in 8 bytes where a tuple of floats takes about 32.  So its checks and
+its readers run C-level loops over whole columns rather than a Python loop
+per sample.
 
 All functions are pure; values are immutable.  No library code sets
 mpmath's global context: every rounding is made at a width passed to it, so
@@ -18,6 +20,7 @@ results do not depend on the caller's ``mp.prec``.
 
 import math
 import operator
+from array import array
 from functools import lru_cache
 from itertools import islice, repeat
 
@@ -188,28 +191,45 @@ class Trajectory(_Record):
     ``method_tag`` is one of the METHOD_* constants, optionally suffixed with
     a variant, e.g. ``"closed-form:simple"``.  Each column is stored as a
     tuple (a tuple is kept as it is, any other iterable is converted), except
-    that an index column given as a ``range`` of positive step is kept as
-    that range, whose order needs no scan, and a value column given as
-    ``bytes`` (``rng``'s bits) is kept as those bytes, whose items are ints
-    and need no scan; the two columns have equal lengths.  Indices increase
+    that a column given as an ``array('d')`` (the doubles of the float
+    producers) is kept as that array, an index column given as a ``range`` of
+    positive step is kept as that range, whose order needs no scan, and a
+    value column given as ``bytes`` (``rng``'s bits) is kept as those bytes;
+    the items of an array and of bytes are floats and ints, which need no scan
+    of their types.  The two columns have equal lengths.  Indices increase
     strictly.  Values may be ints, floats or mpf at the declared precision;
     producers raise instead of emitting non-finite samples, and this
-    constructor enforces that.  The checks are C-level passes over each column; the offending
-    index of a refused column is looked up only to name it in the error.  The scan of
-    the values' types is kept: ``_native`` is true when every value is an int or a
-    float, which the emitters write without converting them; repr and == leave it out.
+    constructor enforces that.  The checks are C-level passes over each
+    column; the offending index of a refused column is looked up only to name
+    it in the error.  The scan of a tuple's value types is kept: ``_native``
+    is true when every value is an int or a float, which the emitters write
+    without converting them; repr and == leave it out.
+
+    == compares the fields, so a column equals only a column of its own type
+    with equal items: an array never equals a tuple, as a range or bytes never
+    does.  The hash is that of the fields with an array read as the tuple of
+    its items, since an array has none.  The repr shows an array as
+    ``array('d', [...])``.  An array can be changed in place, which would
+    change the hash and get round the checks; the library changes none once a
+    trajectory holds it.
     """
 
     __match_args__ = ("method_tag", "indices", "values", "precision")
 
-    def __init__(self, method_tag: str, indices: tuple | range, values: tuple | bytes,
-                 precision: PrecisionPolicy):
+    def __init__(self, method_tag: str, indices: tuple | range | array,
+                 values: tuple | bytes | array, precision: PrecisionPolicy):
         if not method_tag:
             raise ValueError("method_tag must be non-empty")
         ranged = isinstance(indices, range) and indices.step > 0  # increases strictly
-        if not ranged:
+        if not (ranged or _is_packed(indices)):
             indices = tuple(indices)  # the same object when already a tuple
-        values = values if isinstance(values, bytes) else tuple(values)
+        if _is_packed(values):
+            types = {float}
+        elif isinstance(values, bytes):
+            types = {int}
+        else:
+            values = tuple(values)
+            types = set(map(type, values))
         if not indices:
             raise ValueError("a trajectory needs at least one sample")
         if len(indices) != len(values):
@@ -219,9 +239,8 @@ class Trajectory(_Record):
             k = next(k for k in range(1, len(indices)) if not indices[k] > indices[k - 1])
             raise ValueError("sample indices/times must be strictly increasing "
                              f"(index {indices[k]!r} follows {indices[k - 1]!r})")
-        types = {int} if isinstance(values, bytes) else set(map(type, values))
-        if types == {float}:
-            finite = all(map(math.isfinite, values))
+        if types == {float}:  # a sum of finite floats is finite unless it overflows
+            finite = math.isfinite(sum(values)) or all(map(math.isfinite, values))
         else:
             finite = types == {int} or all(map(_is_finite, values))
         if not finite:
@@ -234,8 +253,31 @@ class Trajectory(_Record):
         fields["precision"] = precision
         fields["_native"] = types <= {int, float}
 
+    def __hash__(self):
+        return hash(tuple(tuple(f) if isinstance(f, array) else f for f in self._astuple()))
+
     def __len__(self):
         return len(self.indices)
+
+
+def _is_packed(column) -> bool:
+    """Whether a column is an array of doubles, which a trajectory keeps."""
+    return isinstance(column, array) and column.typecode == "d"
+
+
+def _chunks(floats):
+    """Lists of the next 4,096 items of the iterable ``floats``, the last
+    holding the rest: ``array.fromlist`` converts a list at about half the
+    cost per item of the array constructor reading an iterator."""
+    return iter(lambda: list(islice(floats, 4096)), [])
+
+
+def _pack(floats) -> array:
+    """array('d') of the iterable ``floats``, with no list of them all."""
+    column = array("d")
+    for part in _chunks(floats):
+        column.fromlist(part)
+    return column
 
 
 def _is_finite(v) -> bool:

@@ -205,7 +205,7 @@ class TestOdeCommand:
                                              "0.14", "--gamma", "0.25"]).parameters)
         times = [traj.indices for _, traj in doc["series"]]
         assert len(times) == 3 and all(t is times[0] for t in times)
-        assert times[0] == tuple(k * 0.02 for k in range(501))
+        assert tuple(times[0]) == tuple(k * 0.02 for k in range(501))
         del doc, times
         assert (500, 0.02) not in continuous._GRIDS  # nothing outlives the run
 
@@ -696,6 +696,22 @@ GOLDEN_SHA256 = [
     # reference's bound
     (["compare", "--r", "0.5", "--x0", "0.3", "--steps", "4000", "--format", "csv"],
      "72fa31401d41c803a69240d0c15bef9580850ac1f0e4a765c07da2bef2fcaa19"),
+    # the float producers' other paths, captured before their columns were
+    # packed: a decay that overflows, so the sigmoid kernel evaluates point by
+    # point and ends on 0.0; c = 0, a constant column; and the coupled map's
+    # fixed-point member, whose seed x0 + 1/gamma is 0
+    (["ode", "--r", "-3", "--x0", "0.5", "--t-end", "400", "--dt", "0.5"],
+     "20706ea18b04ed138de157a8b9a6133c7a47ca60a5195eb471768c8d4718634b"),
+    (["ode", "--r", "-3", "--x0", "0.5", "--t-end", "400", "--dt", "0.5", "--format", "json"],
+     "fe8b0b6fb85b494a8ee4096d08d626f926e11836f2e653a43c550d303370be01"),
+    (["ode", "--r", "1.7", "--x0", "1.0", "--t-end", "2", "--dt", "0.5"],
+     "105a70dd33ccc77037862c78e737a83225bffdd1dc607a5247868ef39b7a0151"),
+    (["ode", "--r", "1.7", "--x0", "1.0", "--t-end", "2", "--dt", "0.5", "--format", "json"],
+     "7142a42d7fed0b70b84a0245189506b93775626863160db9785eb43056539995"),
+    (["map4", "--r", "1.8", "--x0", "0.25", "--steps", "5", "--gamma", "-4"],
+     "1521364460c0af02daa2630e844621dc5280f0c289a5b64d877a0b4c4fcc94a9"),
+    (["map4", "--r", "1.8", "--x0", "0.25", "--steps", "5", "--gamma", "-4", "--format", "json"],
+     "1507b6026428a6b83e1a210d46d4ffd3ed8baded223b6bf18a2a73da2c6c6172"),
 ]
 GOLDEN_IDS = ["compare", "compare-csv", "compare-svg", "compare-phase", "map3-r2"] + [
     f"figure{w}-{f}" for w in "123" for f in ("csv", "json", "svg")] + [
@@ -706,7 +722,9 @@ GOLDEN_IDS = ["compare", "compare-csv", "compare-svg", "compare-phase", "map3-r2
     "map3-r4-budget-svg", "rng-svg", "map3-subnormal-svg", "compare-rm2-forms-long-csv",
     "compare-r4-long-csv", "compare-decay-squared-csv", "compare-squared-long-csv",
     "ode-members-long-csv", "ode-members-long-json", "compare-sized-csv",
-    "compare-periodic-3000-csv", "compare-sized-periodic-csv", "compare-sized-decay-csv"]
+    "compare-periodic-3000-csv", "compare-sized-periodic-csv", "compare-sized-decay-csv",
+    "ode-decay-overflow-csv", "ode-decay-overflow-json", "ode-constant-csv", "ode-constant-json",
+    "map4-fixed-point-csv", "map4-fixed-point-json"]
 
 
 @pytest.mark.parametrize("argv,digest", GOLDEN_SHA256, ids=GOLDEN_IDS)
@@ -800,20 +818,28 @@ class TestPeakMemory:
 
     def test_four_series_ode_holds_its_columns_and_artifact(self, tmp_path):
         # 16.3 MiB of CSV for 4 series of 100,001 points: the peak grows by
-        # about 20.2 MiB: 13 MiB of float columns, the shared grid times
-        # formatted once for the four series, and a batch (36.6 MiB while the
-        # artifact was held whole)
-        path = tmp_path / "ode.csv"
-        growth = peak_growth(["ode", "--r", "1.7", "--x0", "0.11", "--gamma", "0.14",
-                              "--gamma", "0.17", "--gamma", "0.25", "--t-end", "100",
-                              "--dt", "0.001", "--out", str(path)])
-        assert growth < 1.5 * path.stat().st_size
+        # about 4.7 MiB: 3.8 MiB of float columns as array('d') (the four
+        # series and their shared grid times), those times formatted once for
+        # the four series, and a batch (20.4 MiB while the columns were tuples
+        # of floats, 36.6 MiB while the artifact was held whole).  The same
+        # for 5 series of 100,001 points as 25.7 MiB of JSON: about 6.0 MiB
+        # (28.5 MiB with tuples)
+        for argv, bound in [
+                (["--gamma", "0.14", "--gamma", "0.17", "--gamma", "0.25", "--t-end", "100",
+                  "--dt", "0.001"], 0.4),
+                (["--gamma", "0.14", "--gamma", "0.25", "--gamma", "0.5", "--gamma", "2.0",
+                  "--t-end", "100000", "--dt", "1", "--format", "json"], 0.33)]:
+            path = tmp_path / "ode.out"
+            growth = peak_growth(["ode", "--r", "1.7", "--x0", "0.11", *argv,
+                                  "--out", str(path)])
+            assert growth < bound * path.stat().st_size, argv
 
     def test_artifacts_leave_no_heap_behind(self, tmp_path):
         # No artifact is held, so the runs after the ode run fit in the heap it
-        # left: the four grow the peak by 3.1 MiB, against 3.25 for the ode run
-        # alone (9.2 against 5.6 while each artifact was held whole, in a
-        # memory map of its own), for 6.95 MiB of JSON last
+        # left: the four grow the peak by 1.1 MiB, against 1.2 for the ode run
+        # alone (3.1 against 3.25 while its columns were tuples of floats, 9.2
+        # against 5.6 while each artifact was held whole, in a memory map of its
+        # own), for 6.95 MiB of JSON last
         ode = ["ode", "--r", "1.7", "--x0", "0.11", "--gamma", "0.14", "--gamma", "0.25",
                "--t-end", "40", "--dt", "0.002", "--out", str(tmp_path / "ode.csv")]
         growth = peak_growth(ode, *[["rng", "--x0", "0.3", "--count", str(count), "--format",

@@ -580,9 +580,10 @@ class TestSigmoidColumn:
 
     def test_zero_constant(self):
         # x0 = 1 is the fixed point: c = 1/x0 - 1 = 0, whatever the decay does
-        assert grid_trajectory(ContinuousParams(-1.0, 1.0), 800.0, 0.5).values == (1.0,) * 1601
+        assert tuple(grid_trajectory(ContinuousParams(-1.0, 1.0), 800.0, 0.5).values) == (
+            (1.0,) * 1601)
         traj = map_riccati.particular_trajectory(map_riccati.RiccatiMapParams(-0.5, 1.0), 1100)
-        assert traj.values == (1.0,) * 1101
+        assert tuple(traj.values) == (1.0,) * 1101
 
     def test_pole_is_refused_where_it_lies(self):
         # c = 1/x0 - 1 = -8 and 2^-3 * c = -1: the third sample's denominator is 0

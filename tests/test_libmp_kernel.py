@@ -398,7 +398,8 @@ class TestClosedFormKernel:
         p, variant = case
         got = closed_form_trajectory(p, n, variant, DOUBLE).values
         assert set(map(type, got)) == {float}
-        assert got == tuple(float(closed_form(p, k, variant, DOUBLE)) for k in range(n + 1))
+        assert tuple(got) == tuple(float(closed_form(p, k, variant, DOUBLE))
+                                   for k in range(n + 1))
 
     @pytest.mark.parametrize("policy", POLICIES)
     @pytest.mark.parametrize("variant", list(ClosedForm))

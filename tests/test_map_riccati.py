@@ -119,7 +119,7 @@ class TestIterate:
     def test_degenerate_rate_collapses_to_zero(self):
         # r = -1 has no closed form, but iteration is well defined: 0 forever
         traj = iterate(RiccatiMapParams(-1.0, 0.4), 5)
-        assert traj.values == (0.4, 0.0, 0.0, 0.0, 0.0, 0.0)
+        assert tuple(traj.values) == (0.4, 0.0, 0.0, 0.0, 0.0, 0.0)
 
 
 class TestParticularSolution:
@@ -386,7 +386,7 @@ class TestGeneralSolution:
 
     def test_zero_shifted_seed_is_the_zero_orbit(self):
         p = RiccatiMapParams(1.0, 0.5)
-        assert general_trajectory(p, -2.0, 20).values == (0.0,) * 21
+        assert tuple(general_trajectory(p, -2.0, 20).values) == (0.0,) * 21
 
     def test_overflowing_shift_is_a_pole(self):
         for n in (0, 5):

@@ -6,11 +6,12 @@ closed-form choices of the command line against ``ClosedForm``."""
 import copy
 import math
 import pickle
+from array import array
 
 import pytest
 from mpmath import mpf
 
-from logistic_exact import cli, map_standard
+from logistic_exact import cli, continuous, map_riccati, map_standard
 from logistic_exact.cli import RunConfig
 from logistic_exact.continuous import ContinuousParams, RiccatiShift
 from logistic_exact.errors import DomainError
@@ -126,6 +127,87 @@ def test_trajectory_type_scan_stays_out_of_repr_and_equality():
     assert list(vars(native)) == ["method_tag", "indices", "values", "precision", "_native"]
     with pytest.raises(AttributeError):
         native._native = False
+
+
+class TestPackedColumns:
+    """A column given as an array('d') is kept as that array: == compares it
+    with arrays only, the hash reads it as the tuple of its items, and the repr
+    shows it as the array it is."""
+
+    TEXT = ("Trajectory(method_tag='ode-closed-form', indices=array('d', [0.0, 0.5]), "
+            "values=array('d', [0.25, 1.0]), precision=PrecisionPolicy(significand_bits=53))")
+
+    @staticmethod
+    def packed():
+        return Trajectory("ode-closed-form", array("d", [0.0, 0.5]), array("d", [0.25, 1.0]),
+                          DOUBLE)
+
+    def test_kept_as_given_and_known_native(self):
+        times, values = array("d", [0.0, 0.5]), array("d", [0.25, 1.0])
+        traj = Trajectory("ode-closed-form", times, values, DOUBLE)
+        assert traj.indices is times and traj.values is values and traj._native
+        # an array of another type code is converted, as any other iterable is
+        traj = Trajectory("t", range(2), array("l", [1, 2]), DOUBLE)
+        assert traj.values == (1, 2)
+
+    def test_repr(self):
+        assert repr(self.packed()) == self.TEXT
+
+    def test_equality_and_hash(self):
+        value, twin = self.packed(), self.packed()
+        assert twin is not value and twin == value and not twin != value
+        fields = ("ode-closed-form", (0.0, 0.5), (0.25, 1.0), DOUBLE)
+        assert hash(twin) == hash(value) == hash(fields)
+        assert {value, twin} == {value}
+        # an array never equals a tuple of its items, as a range or bytes never
+        # does, though the two hash alike
+        tupled = Trajectory(*fields)
+        assert value != tupled and hash(value) == hash(tupled)
+        assert value != Trajectory("ode-closed-form", array("d", [0.0, 0.5]),
+                                   array("d", [0.25, 0.75]), DOUBLE)
+
+    def test_copies_and_pickles_equal(self):
+        value = self.packed()
+        for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+            assert twin == value and repr(twin) == self.TEXT
+            assert type(twin.values) is array and twin.values.typecode == "d"
+
+    def test_checks_read_the_array(self):
+        with pytest.raises(ValueError, match=r"^non-finite value at index 0\.5$"):
+            Trajectory("t", array("d", [0.0, 0.5]), array("d", [0.25, math.inf]), DOUBLE)
+        with pytest.raises(ValueError, match=r"^non-finite value at index 1$"):
+            Trajectory("t", range(2), array("d", [0.25, math.nan]), DOUBLE)
+        with pytest.raises(ValueError, match=r"\(index 0\.5 follows 0\.5\)$"):
+            Trajectory("t", array("d", [0.0, 0.5, 0.5]), (0.5,) * 3, DOUBLE)
+        # finite values whose sum overflows are finite
+        big = Trajectory("t", range(2), array("d", [1e308, 1e308]), DOUBLE)
+        assert tuple(big.values) == (1e308, 1e308)
+
+
+def test_float_producers_pack_their_columns():
+    # every float producer fills one array('d'); a column that leaves the
+    # doubles, or is held wider, is a tuple
+    p = ContinuousParams(1.7, 0.11)
+    grid = continuous.grid_trajectory(p, 1.0, 0.25, RiccatiShift(0.14))
+    q = map_riccati.RiccatiMapParams(1.73, 0.333)
+    packed = [grid.indices, grid.values, map_riccati.iterate(q, 5).values,
+              map_riccati.particular_trajectory(q, 5).values,
+              map_riccati.general_trajectory(q, 2.0, 5).values,
+              map_riccati.general_trajectory(map_riccati.RiccatiMapParams(1.8, 0.25), -4.0,
+                                             5).values,  # the fixed point 0
+              continuous.grid_trajectory(ContinuousParams(1.7, 1.0), 1.0, 0.25).values,  # c = 0
+              continuous.grid_trajectory(ContinuousParams(-3.0, 0.5), 400.0, 0.5).values,
+              map_standard.iterate(MapParams(3.9, 0.3), 50).values,
+              map_standard.closed_form_trajectory(MapParams(4.0, 0.3), 50,
+                                                  map_standard.ClosedForm.R4_COSINE).values]
+    for column in packed:
+        assert type(column) is array and column.typecode == "d"
+    assert grid.values[-1] == continuous.general_solution(1.0, p, RiccatiShift(0.14))
+    # exp(3t) overflows past t = 236.6, and the point-by-point rule ends on 0.0
+    assert packed[7][-1] == 0.0
+    for values in (map_standard.iterate(MapParams(0.5, 0.3), 1100).values,  # leaves the doubles
+                   map_standard.iterate(MapParams(3.9, 0.3), 50, PrecisionPolicy(80)).values):
+        assert type(values) is tuple
 
 
 @pytest.mark.parametrize("make, error, message", [
