@@ -55,10 +55,14 @@ w, fits the taper's 64 spare bits.  The reports read the kernel's
 An iteration-only run (no closed form) at 53 working bits, r = 4 or r = -2,
 with the default oracle, a seed in the map's invariant interval and at least
 2,600 steps reads the orbit off its phase digits instead (``_phase_reference``),
-at the same budget.  Its samples are good to about 2^-128 at nearly every
-step, and it takes under half the time of the tapered reference from 2,600
-steps on (the pairs alone: 4.9 against 10.6 ms at 2,600 steps, 20 against
-156 ms at 8,500, r = 4, best of 25 on a shared 2-vCPU host).  Its reports equal
+at the same budget: a cosine of those digits re-seeds the orbit every 64
+steps, and the steps between run on one fixed binary point, one exact integer
+product and one rounding each.  Its samples are good to about 2^-128 at nearly
+every step, and it takes under a third of the time of the tapered reference
+from 2,600 steps on (the pairs alone, r = 4: 3.7 against 13.2 ms at 2,600
+steps, 17 against 201 ms at 8,500; medians of 15 in-process runs, each scaled
+to perfbench's reference speed by a yardstick taken just before it, on a
+shared 2-vCPU host).  Its reports equal
 the fixed-width oracle's bit for bit up to 64 steps before the end, and
 differ by no more than the two references do after that.  The phase
 evaluator is itself a closed form, so a closed form is always checked
@@ -401,22 +405,30 @@ def _phase_reference(p: MapParams, n: int, values):
     The phase phi (arccos(1 - 2*x0) / (2*pi) at r = 4, arccos(x0 - 1/2) /
     (2*pi) at r = -2) is taken once and held as one integer of n + P + 96
     bits, with P = 53 + 75 = 128.  The samples after that come in blocks of
-    64 steps, all at P + 96 bits.  The first sample of a block re-seeds the
-    orbit: a shift and a mask give the top P + 64 bits of t = frac(2^k *
-    phi), rounded, and one cosine gives x_k = (1 - cos(2*pi*t)) / 2 at r = 4,
-    1/2 + cos(2*pi*t) at r = -2.  Every other sample is one ``_orbit`` step
-    from the sample before, so a block costs 63 steps and one cosine.
+    64 steps.  The first sample of a block re-seeds the orbit: a shift and a
+    mask give the top P + 64 bits of t = frac(2^k * phi), rounded, and one
+    cosine at P + 96 bits gives x_k = (1 - cos(2*pi*t)) / 2 at r = 4, 1/2 +
+    cos(2*pi*t) at r = -2.  The block's other samples lie on one fixed binary
+    point: x_k, cut to F = P + 104 = 232 fractional bits, is the integer X,
+    and each step is one exact product and one rounding, half up, X' = (X *
+    (2^F - X) + 2^(F - 3)) >> (F - 2) at r = 4 and (X * (X - 2^F) + 2^(F -
+    2)) >> (F - 1) at r = -2 (``>>`` floors), yielded as (X, -F).  So a block
+    costs one cosine and 63 products of about 232 bits.
 
     A block may lose 63 bits: each step doubles the angle 2*pi*t, and with
     it the error of the re-seed, which t's rounding puts near 2^-(P + 64).
     The 64 bits read beyond P cover that, so every sample is good to about
-    2^-P absolute, at the last step as at the first.  The steps round 32
-    bits below the digits read; a sample near an end of the interval
-    stretches its rounding error by 1 / sin(2*pi*t), which still leaves it
-    below the re-seed's error unless the sample lies within about 2^-64 of
-    the end.  At a distance d < 2^-64 from the end, the samples left in its
-    block are good only to about 2^-163 / sqrt(d); an orbit comes that close
-    about once in 5 * 10^9 samples.
+    2^-P absolute, at the last step as at the first.  A step's rounding is
+    at most 2^-(F + 1) = 2^-233 absolute, 40 bits below the digits read.  In
+    the angle it is 2^-233 / |dx/dt|, with |dx/dt| = pi*|sin(2*pi*t)| at r =
+    4 and 2*pi*|sin(2*pi*t)| at r = -2, so the j steps left in the block
+    stretch it to at most 2^(j - 233) / |sin(2*pi*t)| <= 2^-171 /
+    |sin(2*pi*t)| in x.  That stays below the re-seed's error unless
+    |sin(2*pi*t)| < 2^-43.  At a distance d from an end of the interval,
+    |sin(2*pi*t)| is 2*sqrt(d*(1 - d)) at r = 4 and sqrt(d*(2 - d)) at r =
+    -2, at least sqrt(d), so that happens only within about 2^-86 of the
+    end.  There the samples left in the block are good only to about 2^-171
+    / sqrt(d); an orbit comes that close about once in 10^13 samples.
 
     While the 53-bit iteration still follows the orbit to within 2^-32, its
     error at a step is a small difference whose double can need the
@@ -451,13 +463,21 @@ def _phase_reference(p: MapParams, n: int, values):
         digits = to_fixed(phi, width)  # floor(phi * 2^width), phi in [0, 1/2]
         mask = (1 << window) - 1
         two_pi = mpf_shift(_pi(wp), 1)
+        point = wp + 8  # F: a block's samples are X * 2^-F
+        one = 1 << point
+        up = p.r > 0  # x' = 4x(1 - x) = X(2^F - X) * 2^(2 - 2F), or -2x(1 - x)
+        shift = point - 2 if up else point - 1
+        half = 1 << (shift - 1)
         for k in range(k + 1, n + 1, _RESEED_STEPS):
             # the top window bits of frac(2^k * phi), rounded
             t = (((digits >> (width - k - window - 1)) + 1) >> 1) & mask
             c = mpf_cos(mpf_mul(from_man_exp(t, -window), two_pi, wp, rnd), wp, rnd)
             x = _tail(_FORMS[variant][3], c, wp)
             yield _pair(x)
-            yield from _orbit(r, x, k, repeat(wp, min(_RESEED_STEPS - 1, n - k)))
+            X = to_fixed(x, point)
+            for _ in range(min(_RESEED_STEPS - 1, n - k)):
+                X = ((X * (one - X) if up else X * (X - one)) + half) >> shift
+                yield X, -point
 
 
 def _check_closed_form(p: MapParams, n: int, variant: ClosedForm) -> None:
@@ -815,7 +835,7 @@ def divergence_reports(p: MapParams, n_max: int, working_bits: int, threshold: f
     taper_to = working_bits + _TAPER_MARGIN if oracle_bits is None else None
 
     def report(t, ref):
-        return _compare_pairs(map(_signed, t.values, repeat(bits)), ref, bits, threshold)
+        return _compare_pairs(t.values, ref, bits, threshold)
 
     if variants:
         ref = list(_iterated_reference(p, n_max, ref_policy, taper_to))

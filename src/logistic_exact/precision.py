@@ -20,6 +20,7 @@ results do not depend on the caller's ``mp.prec``.
 
 import math
 import operator
+import weakref
 from array import array
 from functools import lru_cache
 from itertools import islice, repeat
@@ -201,7 +202,9 @@ class Trajectory(_Record):
     producers raise instead of emitting non-finite samples, and this
     constructor enforces that.  The checks are C-level passes over each
     column; the offending index of a refused column is looked up only to name
-    it in the error.  The scan of a tuple's value types is kept: ``_native``
+    it in the error.  An array of indices whose order a live trajectory has
+    proven is not scanned again, so the members of one ODE grid prove its
+    times once.  The scan of a tuple's value types is kept: ``_native``
     is true when every value is an int or a float, which the emitters write
     without converting them; repr and == leave it out.
 
@@ -235,7 +238,9 @@ class Trajectory(_Record):
         if len(indices) != len(values):
             raise ValueError(f"the columns differ in length ({len(indices)} indices, "
                              f"{len(values)} values)")
-        if not (ranged or all(map(operator.gt, islice(indices, 1, None), indices))):
+        holder = _PROVEN.get(id(indices))
+        proven = ranged or (holder is not None and holder.indices is indices)
+        if not (proven or all(map(operator.gt, islice(indices, 1, None), indices))):
             k = next(k for k in range(1, len(indices)) if not indices[k] > indices[k - 1])
             raise ValueError("sample indices/times must be strictly increasing "
                              f"(index {indices[k]!r} follows {indices[k - 1]!r})")
@@ -252,12 +257,20 @@ class Trajectory(_Record):
         fields["values"] = values
         fields["precision"] = precision
         fields["_native"] = types <= {int, float}
+        if not proven and _is_packed(indices):
+            _PROVEN[id(indices)] = self
 
     def __hash__(self):
         return hash(tuple(tuple(f) if isinstance(f, array) else f for f in self._astuple()))
 
     def __len__(self):
         return len(self.indices)
+
+
+# The live trajectories by the id of the array of indices or times that each
+# holds, whose order it has proven: one given the same array skips that pass,
+# as the members of an ODE run on one grid do.
+_PROVEN = weakref.WeakValueDictionary()
 
 
 def _is_packed(column) -> bool:
@@ -305,7 +318,9 @@ class DivergenceReport(_Record):
         if not threshold > 0:
             raise ValueError("threshold must be positive")
         errors = tuple(map(float, per_step_abs_error))
-        if not (all(map(math.isfinite, errors)) and min(errors, default=0.0) >= 0):
+        # a sum of finite floats is finite unless it overflows
+        if not ((math.isfinite(sum(errors)) or all(map(math.isfinite, errors)))
+                and min(errors, default=0.0) >= 0):
             raise ValueError("per-step errors must be finite and non-negative")
         fields = self.__dict__
         fields["per_step_abs_error"] = errors
@@ -348,8 +363,9 @@ def compare_trajectories(a: Trajectory, b: Trajectory,
 
     Each difference is formed as an integer: the significand with the larger
     exponent is shifted left by the gap, the other subtracted, and the result
-    cut to 55 bits with a sticky bit, which int-to-float rounds to nearest
-    even.  The doubles equal, bit for bit, those of the libmp route
+    rounded once to nearest even by int-to-float, after a cut to 55 bits with
+    a sticky bit where it is wider than 1,023 bits.  The doubles equal, bit
+    for bit, those of the libmp route
     (``mpf_sub`` at ``bits``, then ``to_float``), which runs instead for a
     zero on either side, an exponent gap larger than ``bits`` (an unbounded
     shift), a difference wider than ``bits`` (which that route rounds twice)
@@ -364,15 +380,27 @@ def compare_trajectories(a: Trajectory, b: Trajectory,
         ia, ib = next((ia, ib) for ia, ib in zip(a.indices, b.indices) if ia != ib)
         raise ValueError(f"trajectory index sets differ (first mismatch: {ia!r} vs {ib!r})")
     bits = max(a.precision.significand_bits, b.precision.significand_bits) + 10
-    return _compare_pairs(map(_signed, a.values, repeat(bits)),
-                          map(_signed, b.values, repeat(bits)), bits, threshold)
+    return _compare_pairs(a.values, map(_signed, b.values, repeat(bits)), bits, threshold)
 
 
-def _compare_pairs(a, b, bits: int, threshold: float) -> DivergenceReport:
-    """The report of ``compare_trajectories`` on two columns of samples as
-    (signed significand, exponent) pairs, its differences formed at ``bits``."""
+def _compare_pairs(values, b, bits: int, threshold: float) -> DivergenceReport:
+    """The report of ``compare_trajectories`` on a column of samples
+    ``values`` and a column of (signed significand, exponent) pairs ``b``,
+    its differences formed at ``bits``.  A float sample is read by
+    ``as_integer_ratio`` in the loop; any other as ``_signed`` reads it.
+
+    A difference d * 2^e of at most 1,023 bits is rounded once, by
+    ``float()`` of the integer d, which rounds to nearest even (no carry
+    can reach 2^1024), and ``ldexp`` is then exact; a wider one is first cut
+    to 55 bits with a sticky bit, which keeps that rounding."""
     errors = []
-    for (ma, ea), (mb, eb) in zip(a, b):
+    append, ldexp = errors.append, math.ldexp
+    for x, (mb, eb) in zip(values, b):
+        if type(x) is float:
+            ma, den = x.as_integer_ratio()  # den is a power of 2
+            ea = 1 - den.bit_length()
+        else:
+            ma, ea = _signed(x, bits)
         gap = ea - eb
         if ma and mb and -bits <= gap <= bits:
             if gap >= 0:
@@ -382,20 +410,20 @@ def _compare_pairs(a, b, bits: int, threshold: float) -> DivergenceReport:
             w = d.bit_length()
             if w <= bits and e + w <= 1023:
                 if e + w <= -1022:  # d * 2^e < 2^-1022
-                    errors.append(_subnormal(int(d), e))
+                    append(_subnormal(int(d), e))
                     continue
-                if w > 55:
+                if w > 1023:
                     e += w - 55
                     cut = d >> (w - 55)
                     d = cut | (cut << (w - 55) != d)  # sticky bit
                 # float() of a Python int rounds to nearest even; of gmpy2's mpz
                 # it need not, so the significand goes through int() first
-                errors.append(math.ldexp(float(int(d)), e))
+                append(ldexp(float(int(d)), e))
                 continue
         diff = mpf_abs(mpf_sub(from_man_exp(ma, ea), from_man_exp(mb, eb), bits, round_nearest))
         _, man, exp, bc = diff
-        errors.append(_subnormal(int(man), exp) if man and exp + bc <= -1022
-                      else to_float(diff, rnd=round_nearest))
+        append(_subnormal(int(man), exp) if man and exp + bc <= -1022
+               else to_float(diff, rnd=round_nearest))
     return DivergenceReport(errors, float(threshold))
 
 

@@ -19,7 +19,7 @@ from mpmath import mp, mpf, workprec
 
 from logistic_exact import cli, continuous, map_riccati, map_standard
 from logistic_exact.cli import FIGURE_PRESETS, RunConfig, main, run
-from logistic_exact.precision import DivergenceReport, PrecisionPolicy, Trajectory
+from logistic_exact.precision import DivergenceReport, PrecisionPolicy, Trajectory, _signed
 
 
 def rows_of(csv_text):
@@ -342,17 +342,18 @@ class TestCompareCommand:
         pairs = []
         real_compare = map_standard._compare_pairs
 
-        def recording(a, b, bits, threshold):
-            a, b = list(a), list(b)
-            pairs.extend(zip(a, b))
-            return real_compare(iter(a), iter(b), bits, threshold)
+        def recording(values, b, bits, threshold):
+            values, b = list(values), list(b)
+            pairs.extend(zip(values, b))
+            return real_compare(values, iter(b), bits, threshold)
 
         monkeypatch.setattr(map_standard, "_compare_pairs", recording)
         assert main(["compare", "--r", "0.5", "--x0", "0.3", "--steps", str(steps)]) == 0
         errors = json.loads(capsys.readouterr().out)["reports"][0]["per_step_abs_error"]
         assert len(pairs) == len(errors) == steps + 1
+        # the iteration's samples are floats, then mpf once they leave the doubles
         exact = [float(abs(Fraction(ma) * Fraction(2)**ea - Fraction(mb) * Fraction(2)**eb))
-                 for (ma, ea), (mb, eb) in pairs]
+                 for (ma, ea), (mb, eb) in ((_signed(x, 53), b) for x, b in pairs)]
         assert errors == exact
         assert sum(0 < e < sys.float_info.min for e in errors) > 20
 
@@ -388,9 +389,9 @@ class TestCompareCommand:
             order.append("reference")  # on the first pair drawn
             yield from real_reference(*args)
 
-        def compare(a, b, bits, threshold):
+        def compare(values, b, bits, threshold):
             refs.append(b)
-            return real_compare(a, b, bits, threshold)
+            return real_compare(values, b, bits, threshold)
 
         monkeypatch.setattr(map_standard, "iterate", iterate)
         monkeypatch.setattr(map_standard, "_iterated_reference", reference)
@@ -526,7 +527,7 @@ class TestSeriesLimits:
         monkeypatch.setattr(map_standard, "iterate",
                             lambda p, n, policy: Trajectory("iterated", (0,), (0.0,), policy))
         monkeypatch.setattr(map_standard, "_compare_pairs",
-                            lambda a, b, bits, threshold: DivergenceReport((), threshold))
+                            lambda values, b, bits, threshold: DivergenceReport((), threshold))
         # the widest values, and the most significand bits in all
         steps = cli.MAX_SERIES_BITS // cli.MAX_BITS - 1
         for n in (60, steps):

@@ -33,7 +33,6 @@ from logistic_exact.precision import (
     METHOD_ORACLE,
     PrecisionPolicy,
     _compare_pairs,
-    _signed,
     budgeted_policy,
     compare_trajectories,
 )
@@ -105,20 +104,28 @@ class TestPhaseOracle:
         assert iteration_divergence(p, N, 53, 0.01) == compare_trajectories(it, a, 0.01)
 
     @pytest.mark.parametrize("r,x0", [(4.0, 0.3), (-2.0, 0.9), (4.0, 1 - 2**-53),
-                                      (-2.0, 1.5 - 2**-52), (-2.0, 1e-300)])
+                                      (-2.0, 1.5 - 2**-52), (-2.0, 1e-300),
+                                      # orbits that pass within 2^-60 of an end
+                                      # of the interval, where a rounding on the
+                                      # fixed binary point would stretch most:
+                                      # the budgeted iteration carries these
+                                      # past it, up to steps 26 to 52
+                                      (4.0, 2.0**-60), (4.0, 0.5 + 2**-40),
+                                      (-2.0, -0.5 + 2**-53)])
     def test_samples_good_to_2_pow_minus_p(self, r, x0):
         # seeds near a fixed point or a rational phase keep the budgeted
         # iteration for as long as the 53-bit orbit follows them
         check_good_to_2_pow_minus_p(MapParams(r, x0), 400)
 
     @pytest.mark.parametrize("r,x0,digest", [
-        (4.0, 0.3, "e80f5851b9014e199da3dfc9b924ae4f7d762c0211ae0eb402f9164828972d4e"),
-        (-2.0, 0.9, "c22d0ed92c9ee6097de14726b22e2aacb25a512464e50de8002e059634cfc777"),
-        (-2.0, 1.4999999, "4160d1bcc2f60fd43d68995e4370ea844f5829830842f6b7ceda1d33fdf8cb89"),
+        (4.0, 0.3, "a5ce747a34597066ea3ee3a1f0a2583758da9ededfa8ea2686bcd39d5344ba91"),
+        (-2.0, 0.9, "2c0b2bd316e566fdf427617e43c79fde12471c5ba978e9cb1a3760ea9bffd37c"),
+        (-2.0, 1.4999999, "f8a3cf71d8e8bf49d77e35aac8225d7d72e53bf28343af1039dae56f67fd6154"),
         # the 53-bit iteration follows these tiny seeds for about 120 and 520
         # steps, past one and past eight 64-step blocks
-        (4.0, 2.0**-200, "23e18b2ab9d2ce68d7ca5978f9d96c488a844a1df327ec57c1c65acc511dc2b9"),
-        (4.0, 1e-300, "40071538466f4a4807427d2ebeb3cf6763bf2289863f27407a05e139ef1eafd5")])
+        (4.0, 2.0**-200, "d35203e2d70d54a0af971a05da611564aa1ec4780c646b680ac48852cb8f3733"),
+        (4.0, 1e-300, "d2b9809aad8c0bc9e84f68cfeba27af9f27729904d83e18f2c7c3b30455dab5d")],
+        ids=["4.0-0.3", "-2.0-0.9", "-2.0-1.4999999", "4.0-2**-200", "4.0-1e-300"])
     def test_raw_samples_are_pinned(self, r, x0, digest):
         # every bit of every sample: a report only sees the reference down to
         # about 2^-60 of an error near 1
@@ -212,7 +219,7 @@ def check_sized_reference(p, n, working_bits):
     sized = list(map_standard._sized_reference(p, n, policy, taper_to, it.values, floors))
     assert len(sized) == len(floors)  # up to a bound that certifies nothing
     bits = width + 10
-    report = _compare_pairs(map(_signed, it.values, repeat(bits)), iter(sized), bits, 0.01)
+    report = _compare_pairs(it.values, iter(sized), bits, 0.01)
     eb = report.per_step_abs_error
     certified = len(floors) == n + 1 and all(map(map_standard._certified, eb, floors))
     tapered = tapered_oracle(p, n, policy, taper_to)

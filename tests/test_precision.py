@@ -10,11 +10,14 @@ from mpmath.libmp import (
     from_float,
     from_man_exp,
     fzero,
+    mpf_abs,
     mpf_ge,
     mpf_mod,
     mpf_pos,
     mpf_shift,
+    mpf_sub,
     round_nearest,
+    to_float,
 )
 
 from logistic_exact import map_standard
@@ -23,8 +26,11 @@ from logistic_exact.precision import (
     DivergenceReport,
     PrecisionPolicy,
     Trajectory,
+    _compare_pairs,
     _pi,
     _reduce_raw,
+    _signed,
+    _subnormal,
     budgeted_policy,
     compare_trajectories,
     precision_budget,
@@ -476,6 +482,85 @@ class TestCompareTrajectories:
         assert ra.max_error == rb.max_error
 
 
+def libmp_error(ma, ea, mb, eb, bits):
+    """The error of a sample (ma, ea) against a reference pair (mb, eb) by the
+    libmp route: ``mpf_sub`` at ``bits``, then ``to_float``, or ``_subnormal``
+    below 2^-1022."""
+    diff = mpf_abs(mpf_sub(from_man_exp(ma, ea), from_man_exp(mb, eb), bits, round_nearest))
+    _, man, exp, bc = diff
+    if man and exp + bc <= -1022:
+        return _subnormal(man, exp)
+    return to_float(diff, rnd=round_nearest)
+
+
+@st.composite
+def compare_cases(draw):
+    """A sample (a double, or an mpf of up to ``bits`` bits, either may be 0),
+    a reference pair and ``bits``.  The reference lies a difference of chosen
+    width from the sample, or at an exponent gap near +-bits, or is 0; or it
+    is the sample on a fixed binary point, (X, -F) with X unnormalized, moved
+    by a few units."""
+    bits = draw(st.sampled_from([64, 240, 1100, 2700]))
+    if draw(st.booleans()):
+        x = draw(st.floats(allow_nan=False, allow_infinity=False))
+    else:
+        m = draw(st.integers(-(2**bits - 1), 2**bits - 1))
+        x = mp.make_mpf(from_man_exp(m, draw(st.integers(-1150, 1030)) - abs(m).bit_length()))
+    ma, ea = _signed(x, bits)
+    mode = draw(st.sampled_from(["width", "fixed", "gap", "zero"]))
+    event(mode)
+    if mode == "width":  # the difference D * 2^eb, D of w bits
+        w = draw(st.one_of(st.integers(1, 60), st.integers(1, bits + 40),
+                           st.sampled_from([53, 54, 55, 1022, 1023, 1024, bits, bits + 1])))
+        d = draw(st.integers(2 ** (w - 1), 2**w - 1))
+        gap = draw(st.integers(0, 80))
+        mb, eb = (ma << gap) + draw(st.sampled_from([d, -d])), ea - gap
+    elif mode == "fixed":
+        point = draw(st.integers(232, 300))
+        mb, eb = (ma << (ea + point) if ea + point >= 0 else ma >> -(ea + point)), -point
+        mb += draw(st.integers(-(2**8), 2**8))
+    elif mode == "gap":
+        mb = draw(st.integers(-(2**80), 2**80))
+        eb = ea + draw(st.sampled_from([-1, 1])) * (bits + draw(st.integers(-2, 2)))
+    else:
+        mb, eb = 0, draw(st.integers(-1200, 1000))
+    return x, (mb, eb), bits
+
+
+class TestCompareKernel:
+    @settings(max_examples=400, deadline=None)
+    @given(compare_cases())
+    @example((0.75, (3 * 2**60 + 3, -62), 64))  # a difference of 3 * 2^-62: exact
+    # differences D * 2^-1023 from 1.0 of 1,025, 1,024 and 1,023 bits
+    @example((1.0, (2**1023 + 2**1024 + 2**971 + 1, -1023), 1100))  # just above a tie
+    @example((1.0, (2**1023 + 2**1023 + 2**970, -1023), 1100))  # a tie, to even: 2^0
+    @example((1.0, (2**1023 - 2**1022 - 2**969 - 2**968, -1023), 1100))  # above a tie
+    @example((5e-324, (3, -1075), 240))  # 2^-1075 below the normals: a tie, to even
+    @example((0.0, (1, -2000), 240))  # a zero sample takes the libmp route
+    def test_equals_the_libmp_route(self, case):
+        # the kernel forms each error once; the libmp route subtracts at
+        # ``bits`` and then rounds the difference to a double
+        x, (mb, eb), bits = case
+        expected = libmp_error(*_signed(x, bits), mb, eb, bits)
+        if not math.isfinite(expected):  # an overflow, which a report refuses
+            with pytest.raises(ValueError, match="finite and non-negative"):
+                _compare_pairs([x], [(mb, eb)], bits, 1.0)
+            return
+        error = _compare_pairs([x], [(mb, eb)], bits, 1.0).per_step_abs_error
+        assert error == (expected,)
+        assert math.copysign(1.0, error[0]) == 1.0
+
+    def test_a_column_reads_doubles_and_mpf_alike(self):
+        # one report over a column that leaves the doubles part way, as a
+        # decaying iteration does, equals the samples' reports one by one
+        values = [0.75, mpf("1e-400"), 2.0**-1074, mpf(0), 3.0]
+        ref = [(3, -2), (1, -1400), (1, -1075), (5, -1074), (3 * 2**300, -300)]
+        column = _compare_pairs(values, ref, 300, 1.0).per_step_abs_error
+        assert column == tuple(libmp_error(*_signed(x, 300), *pair, 300)
+                               for x, pair in zip(values, ref))
+        assert column[0] == column[4] == 0.0 and column[3] > 0.0
+
+
 class TestDivergenceReport:
     # the summary is derived from the errors, so no inconsistent one can be
     # passed in, and none can be set afterwards
@@ -516,5 +601,14 @@ class TestDivergenceReport:
         assert rep.per_step_abs_error == (0.0, -0.0, 5e-324, 1e300, 0.25)
         assert all(type(e) is float for e in rep.per_step_abs_error)
         for errors in ((0.5, 0.0, -5e-324), (0.5, math.nan, 0.0), (math.inf, -1.0)):
+            with pytest.raises(ValueError, match="finite and non-negative"):
+                DivergenceReport(errors, 1.0)
+
+    def test_errors_whose_sum_overflows_are_finite(self):
+        # finiteness is read off the sum, and item by item only when the sum
+        # is not finite: finite errors whose sum overflows still pass
+        rep = DivergenceReport((1e308, 1e308, 0.0), 1.0)
+        assert rep.per_step_abs_error == (1e308, 1e308, 0.0) and rep.first_divergent_index == 0
+        for errors in ((1e308, 1e308, math.inf), (1e308, 1e308, -1.0), (1e308, math.nan)):
             with pytest.raises(ValueError, match="finite and non-negative"):
                 DivergenceReport(errors, 1.0)

@@ -7,11 +7,12 @@ import copy
 import math
 import pickle
 from array import array
+from types import SimpleNamespace
 
 import pytest
 from mpmath import mpf
 
-from logistic_exact import cli, continuous, map_riccati, map_standard
+from logistic_exact import cli, continuous, map_riccati, map_standard, precision
 from logistic_exact.cli import RunConfig
 from logistic_exact.continuous import ContinuousParams, RiccatiShift
 from logistic_exact.errors import DomainError
@@ -182,6 +183,37 @@ class TestPackedColumns:
         # finite values whose sum overflows are finite
         big = Trajectory("t", range(2), array("d", [1e308, 1e308]), DOUBLE)
         assert tuple(big.values) == (1e308, 1e308)
+
+    def test_times_are_proven_once_while_a_trajectory_holds_them(self, monkeypatch):
+        compared = []
+
+        def gt(a, b):
+            compared.append(a)
+            return a > b
+
+        monkeypatch.setattr(precision, "operator", SimpleNamespace(gt=gt))
+        times, values = array("d", [0.0, 0.5, 1.0]), array("d", [0.25, 0.5, 0.75])
+        first = Trajectory("t", times, values, DOUBLE)
+        assert compared == [0.5, 1.0]
+        members = [Trajectory("t", times, values, DOUBLE) for _ in range(3)]
+        assert compared == [0.5, 1.0]  # the members of one grid prove it once
+        Trajectory("t", array("d", times), values, DOUBLE)  # another array is scanned
+        assert compared == [0.5, 1.0] * 2
+        del first, members  # no live trajectory holds the times: scanned again
+        Trajectory("t", times, values, DOUBLE)
+        assert compared == [0.5, 1.0] * 3
+        with pytest.raises(ValueError, match=r"\(index 0\.5 follows 1\.0\)$"):
+            Trajectory("t", array("d", [0.0, 1.0, 0.5]), values, DOUBLE)
+
+    def test_ode_members_share_one_proof_of_their_times(self, monkeypatch):
+        compared = []
+        monkeypatch.setattr(precision, "operator",
+                            SimpleNamespace(gt=lambda a, b: compared.append(a) or a > b))
+        p = ContinuousParams(1.7, 0.11)
+        members = [continuous.grid_trajectory(p, 1.0, 0.25, shift)
+                   for shift in (None, RiccatiShift(0.14), RiccatiShift(0.25))]
+        assert all(m.indices is members[0].indices for m in members)
+        assert compared == [0.25, 0.5, 0.75, 1.0]
 
 
 def test_float_producers_pack_their_columns():
