@@ -194,14 +194,18 @@ def general_solution(t: float, p: ContinuousParams, shift: RiccatiShift) -> floa
 
 def _grid_steps(t_end: float, dt: float) -> int:
     """Steps n = round(t_end/dt) of the grid k*dt, k = 0..n, checked before
-    allocating.  Its last point n*dt can pass t_end by up to dt/2."""
+    allocating.  Its last point n*dt can pass t_end by up to dt/2, and must
+    be a finite double."""
     if not (math.isfinite(t_end) and math.isfinite(dt) and 0 < dt <= t_end):
         raise ValueError("need 0 < dt <= t_end")
     steps = t_end / dt
     if not steps + 1 <= MAX_GRID_POINTS:  # also catches t_end/dt overflowing to inf
         raise ValueError(f"a grid of {steps + 1:g} points exceeds the limit of "
                          f"{MAX_GRID_POINTS} grid points")
-    return int(round(steps))
+    n = int(round(steps))
+    if not math.isfinite(n * dt):
+        raise ValueError(f"the grid's last time {n} * {dt!r} is past the largest double")
+    return n
 
 
 # The live trajectories on each grid, by (steps, dt): the members sampled on

@@ -43,13 +43,14 @@ tapers: step k runs at min(B, max(B + 64 - k, w + 128)) bits for working
 width w, as only n - k + 64 bits are still needed at step k.  That accuracy
 holds as it stands, B is still the reported width, and the reports are the
 fixed-width oracle's, except at rounding ties, at about half the cost from a
-few thousand steps on.  Every budgeted step runs in one kernel on Python
-ints, ``_orbit``: r*x, 1 - x and their product are each rounded to nearest,
-ties to even, at the step's width, as mpf arithmetic rounds them.  Only the
-tapered reference's steps below B and of at least 1,000 bits, with x in
-[2^-8, 1 - 2^-8], take r*(1/4 - y^2), y = x - 1/2, instead: a square costs
-less than a product there, and its relative error, below 2^(7 - w) at width
-w, fits the taper's 64 spare bits.  The reports read the kernel's
+few thousand steps on.  Every iterated orbit away from the doubles comes
+from one generator, ``_reference``, and a route is only its step widths.
+Each step runs in one kernel on Python ints, ``_orbit``: r*x, 1 - x and
+their product are each rounded to nearest, ties to even, at the step's width,
+as mpf arithmetic rounds them.  Only steps below B and of at least 1,000
+bits, with x in [2^-8, 1 - 2^-8], take r*(1/4 - y^2), y = x - 1/2, instead: a
+square costs less than a product there, and its relative error, below 2^(7 -
+w) at width w, fits the taper's 64 spare bits.  The reports read the kernel's
 (significand, exponent) pairs without forming an mpf per sample.
 
 An iteration-only run (no closed form) at 53 working bits, r = 4 or r = -2,
@@ -62,17 +63,16 @@ every step, and it takes under a third of the time of the tapered reference
 from 2,600 steps on (the pairs alone, r = 4: 3.7 against 13.2 ms at 2,600
 steps, 17 against 201 ms at 8,500; medians of 15 in-process runs, each scaled
 to perfbench's reference speed by a yardstick taken just before it, on a
-shared 2-vCPU host).  Its reports equal
-the fixed-width oracle's bit for bit up to 64 steps before the end, and
-differ by no more than the two references do after that.  The phase
-evaluator is itself a closed form, so a closed form is always checked
-against the iterated oracle.
+shared 2-vCPU host).  Its reports equal the fixed-width oracle's bit for bit
+up to 64 steps before the end, and differ by no more than the two references
+do after that.  The phase evaluator is itself a closed form, so a closed form
+is always checked against the iterated oracle.
 
 An iteration-only run at any other r, with the default oracle, a double r and
 seed, and at least 4,000 steps sizes its reference by the orbit's own
-stretching instead (``_sized_reference``).  The budget's one bit a step holds
-where r = 4 and -2 double an angle; at r = 3.9 and 3.7 errors grow by only
-about 0.71 and 0.51 bits a step.  With L_j = log2|r*(1 - 2*x_j)| read off the
+stretching instead.  The budget's one bit a step holds where r = 4 and -2
+double an angle; at r = 3.9 and 3.7 errors grow by only about 0.71 and 0.51
+bits a step.  With L_j = log2|r*(1 - 2*x_j)| read off the
 working iteration, which runs first, and P_k = L_0 + ... + L_(k-1), step k runs
 at ceil(max_{j >= k} P_j - P_k) + 256 bits, at least w + 128 and never more
 than the tapered width (``_sized_widths``).  The iteration leaves the orbit
@@ -230,14 +230,14 @@ def _nearest(m: int, cut: int) -> int:
     return (h + 1 if h & 1 and (h & 2 or m & ((1 << (cut - 1)) - 1)) else h) >> 1
 
 
-def _orbit(r: tuple, x: tuple, k: int, widths, square_below: int = 0):
-    """Samples k + 1, k + 2, ... from the raw sample ``x`` at step k as (signed
-    significand, exponent) pairs, yielded one step per entry of ``widths`` at
-    that many bits: r*x, 1 - x and their product are each rounded to nearest
-    even at that width, on Python ints.  1 - x rounds to 1 for |x| <
-    2^-(w + 1), an x of non-negative exponent (an integer, |x| >= 1) is
-    shifted to exponent 0 first, and a zero stays (0, 0).  A step of width w
-    with _SQUARE_MIN_BITS <= w < ``square_below`` and x in [2^-8, 1 - 2^-8]
+def _orbit(r: tuple, x: tuple, k: int, widths, bits: int):
+    """Samples k + 1, k + 2, ... from the raw sample ``x`` at step k of an
+    orbit ``bits`` wide as (signed significand, exponent) pairs, one step per
+    entry of ``widths`` at that many bits: r*x, 1 - x and their product are
+    each rounded to nearest even at that width, on Python ints.  1 - x rounds
+    to 1 for |x| < 2^-(w + 1), an x of non-negative exponent (an integer, |x|
+    >= 1) is shifted to exponent 0 first, and a zero stays (0, 0).  A step of
+    width w, _SQUARE_MIN_BITS <= w < ``bits``, with x in [2^-8, 1 - 2^-8]
     takes r*(1/4 - y^2), y = x - 1/2 exact, instead: y^2 and the product are
     rounded, two roundings, and the square costs less than a product from
     about 1,000 bits.  Nearer 0 or 1, 1/4 - y^2 would cancel.  Raises
@@ -248,7 +248,7 @@ def _orbit(r: tuple, x: tuple, k: int, widths, square_below: int = 0):
         if e > 0:
             m, e = m << e, 0
         d = 0
-        if square_below > w >= _SQUARE_MIN_BITS and e < 0:
+        if bits > w >= _SQUARE_MIN_BITS and e < 0:
             h = 1 << (-e - 1)
             y = m - h  # x - 1/2
             d = h - abs(y)  # min(x, 1 - x)
@@ -322,21 +322,21 @@ def iterate(p: MapParams, n: int, policy: PrecisionPolicy = DOUBLE) -> Trajector
     """
     check_steps(n)
     bits = policy.significand_bits
-    if (bits == DOUBLE.significand_bits and isinstance(p.r, (int, float))
+    if not (bits == DOUBLE.significand_bits and isinstance(p.r, (int, float))
             and isinstance(p.x0, (int, float))):
-        values = _double_orbit(float(p.r), float(p.x0) or 0.0, n)  # mpf has no -0
-        x = from_float(values[-1])
-    else:
-        x = _raw_mpf(p.x0, bits)
-        values = [mp.make_mpf(x)]
+        return Trajectory(METHOD_ITERATED, range(n + 1),
+                          _mpfs(_reference(p, bits, repeat(bits, n))), policy)
+    values = _double_orbit(float(p.r), float(p.x0) or 0.0, n)  # mpf has no -0
     if len(values) <= n:
-        values = [*values, *_mpfs(_orbit(_raw_mpf(p.r, bits), x, len(values) - 1,
-                                         repeat(bits, n + 1 - len(values))))]
+        values = [*values, *_mpfs(_orbit(_raw_mpf(p.r, bits), from_float(values[-1]),
+                                         len(values) - 1, repeat(bits, n + 1 - len(values)),
+                                         bits))]
     return Trajectory(METHOD_ITERATED, range(n + 1), values, policy)
 
 
 def oracle(p: MapParams, n: int, policy: PrecisionPolicy | None = None) -> Trajectory:
-    """Budgeted-precision iteration used as ground truth.
+    """Budgeted-precision iteration used as ground truth: the samples of
+    ``_reference`` with every step at the policy's width B, as mpf.
 
     The default budget assumes one bit lost per step with a 64-bit margin,
     which covers both chaotic cases (r=4 and r=-2 double an angle each step):
@@ -345,38 +345,35 @@ def oracle(p: MapParams, n: int, policy: PrecisionPolicy | None = None) -> Traje
     repelling fixed point 3/2 of r = -2, which stretches errors by 4 a step:
     for x0 = 3/2 - 2^-52 over 400 steps, the running bound of ``_bounded``
     certifies 42 bits of the last sample, which is good to about 2^-51).
-    Every step runs at B bits.
     """
+    check_steps(n)
     policy = policy if policy is not None else budgeted_policy(n)
-    values = _mpfs(_iterated_reference(p, n, policy, None))
+    bits = policy.significand_bits
+    values = _mpfs(_reference(p, bits, repeat(bits, n)))
     return Trajectory(METHOD_ORACLE, range(n + 1), values, policy)
 
 
-def _iterated_reference(p: MapParams, n: int, policy: PrecisionPolicy,
-                        taper_to: int | None):
-    """The samples of ``oracle(p, n, policy)`` as (signed significand,
-    exponent) pairs, yielded one at a time, with every step at B bits unless
-    ``taper_to`` is given.
-
-    Then step k runs at min(B, max(B + 64 - k, taper_to)) bits: 64 steps at
-    B, then one bit fewer per step, never fewer than ``taper_to``.  Only n -
-    k + 64 bits are still needed at step k under the budget rule, so the
-    rounding of step k reaches step j > k as about 2^(j - B - 64), and sample
-    k stays good to about 2^(k - B).  A tapered step narrower than B and of at
-    least 1,000 bits squares where ``_orbit`` says, with about 2^6 times the
-    rounding error, which those 64 bits absorb; a step at B never squares."""
-    check_steps(n)
-    bits = policy.significand_bits
-    widths = _tapered_widths(bits, n, taper_to)
+def _reference(p: MapParams, bits: int, widths):
+    """The orbit of x0 ``bits`` wide as (signed significand, exponent) pairs,
+    yielded one at a time: x0 and r rounded to ``bits``, then one ``_orbit``
+    step per entry of ``widths``.  Every iterated orbit away from the doubles
+    is this one, and a route is only its widths: all ``bits`` for ``oracle``
+    and ``iterate``, tapered (``_tapered_widths``) or sized
+    (``_sized_widths``) for a divergence run's reference."""
     x = _raw_mpf(p.x0, bits)
     yield _pair(x)
-    yield from _orbit(_raw_mpf(p.r, bits), x, 0, widths, square_below=bits)
+    yield from _orbit(_raw_mpf(p.r, bits), x, 0, widths, bits)
 
 
-def _tapered_widths(bits: int, n: int, taper_to: int | None):
-    """The widths of steps 1..n of ``_iterated_reference`` at ``bits`` tapered
-    to ``taper_to``: min(bits, max(bits + 64 - k, taper_to)) at step k."""
-    if taper_to is None or taper_to >= bits:
+def _tapered_widths(bits: int, n: int, taper_to: int):
+    """The widths of steps 1..n of a reference at B = ``bits`` tapered to
+    ``taper_to``: min(B, max(B + 64 - k, taper_to)) at step k, all B when
+    ``taper_to >= B``.  Only n - k + 64 bits are still needed at step k under
+    the budget rule, so the rounding of step k reaches step j > k as about
+    2^(j - B - 64), and sample k stays good to about 2^(k - B).  A step
+    narrower than B and of at least 1,000 bits squares where ``_orbit`` says,
+    with about 2^6 times the rounding error, which those 64 bits absorb."""
+    if taper_to >= bits:
         return repeat(bits, n)
     return islice(chain(repeat(bits, 64), range(bits - 1, taper_to, -1), repeat(taper_to)), n)
 
@@ -444,10 +441,8 @@ def _phase_reference(p: MapParams, n: int, values):
     variant = _PHASE_FORM[p.r]
     bits, wb = budgeted_policy(n).significand_bits, DOUBLE.significand_bits
     rnd = round_nearest
-    r = _raw_mpf(p.r, bits)
     near = from_man_exp(1, -32)
-    x0 = _raw_mpf(p.x0, bits)
-    xs = chain([_pair(x0)], _orbit(r, x0, 0, repeat(bits, n)))  # as in oracle()
+    xs = _reference(p, bits, repeat(bits, n))  # as in oracle()
     for k, (x, y) in enumerate(zip(xs, map(_signed, values, repeat(wb)))):
         yield x  # up to the first sample 2^-32 or more from the iteration's
         if not mpf_lt(mpf_abs(mpf_sub(from_man_exp(*x), from_man_exp(*y), 64, rnd)), near):
@@ -713,12 +708,13 @@ def _sized_widths(r: float, values, bits: int, taper_to: int) -> array:
     return widths
 
 
-def _bounded(r: float, x: tuple, pairs, widths, floors: array):
-    """Yields the orbit from the pair ``x`` on, then ``pairs``, samples 1, 2,
-    ... of ``_orbit`` at ``widths``, and appends to ``floors`` for each sample
-    the least error that its bound b_k >= |x_k' - x_k|, on the distance from
-    the exact orbit, certifies to _CERTIFIED_BITS bits: a double no less than
-    2^_CERTIFIED_BITS * b_k, positive unless b_k = 0.  x_0 and r must be exact.
+def _bounded(r: float, pairs, widths, floors: array):
+    """Yields the iterator ``pairs``, samples 0, 1, ... of ``_reference`` at
+    ``widths``, and appends to ``floors`` for each sample the least error
+    that its bound b_k >= |x_k' - x_k|, on the distance from the exact orbit,
+    certifies to _CERTIFIED_BITS bits: a double no less than 2^_CERTIFIED_BITS
+    * b_k, positive unless b_k = 0.  Sample 0, read first, must be x0 exactly,
+    and r must be exact.
 
     A running error bound in Wilkinson's style.  f(x') - f(x) = r*(x' -
     x)*(1 - 2x' + (x' - x)), so e_(k+1) <= |r|*e_k*(|1 - 2x_k'| + e_k) plus
@@ -740,7 +736,7 @@ def _bounded(r: float, x: tuple, pairs, widths, floors: array):
     ldexp, frexp, append = math.ldexp, math.frexp, floors.append
     scale, lift, over, cap = 1.0 + _SLACK, 4 * _SLACK, _CERTIFIED_BITS + 1, 2 * ESCAPE_BOUND
     bf, bs = 0.0, -(1 << 40)  # b_k = bf * 2^bs, exactly 0 up to the first rounding
-    m, e = x
+    m, e = x = next(pairs)
     size = m.bit_length()
     append(0.0)
     yield x
@@ -780,31 +776,18 @@ def _certified(error: float, floor: float) -> bool:
     return error >= floor or floor == _TINY
 
 
-def _sized_reference(p: MapParams, n: int, policy: PrecisionPolicy, taper_to: int,
-                     values, floors: array):
-    """The samples of the orbit-sized reference as (signed significand,
-    exponent) pairs: ``_orbit`` at the widths of ``_sized_widths`` from
-    ``values``, samples 0..n of the working iteration, with the floor of
-    each sample's running bound appended to ``floors`` (see ``_bounded``)."""
-    bits = policy.significand_bits
-    widths = _sized_widths(p.r, values, bits, taper_to)
-    x = _raw_mpf(p.x0, bits)
-    orbit = _orbit(_raw_mpf(p.r, bits), x, 0, widths, square_below=bits)
-    return _bounded(p.r, _pair(x), orbit, widths, floors)
-
-
 def divergence_reports(p: MapParams, n_max: int, working_bits: int, threshold: float,
                        forms=(), oracle_bits: int | None = None) -> list:
     """Plain iteration and each closed form in ``forms``, all evaluated at
     ``working_bits`` (a closed form including all of its angle arithmetic),
     against one reference at ``oracle_policy(n_max, working_bits,
-    oracle_bits)``: the samples of ``_phase_reference`` or of the orbit-sized
-    reference where the module docstring says so, else of ``oracle``,
-    tapered to ``working_bits + 128`` unless ``oracle_bits`` is given
-    (``_iterated_reference``), each report equal to ``compare_trajectories``'
-    against it.  The orbit-sized
-    reference stands only where its running bound certifies every error;
-    elsewhere the tapered reference is built too, and its reports returned.
+    oracle_bits)``: the samples of ``_phase_reference`` where the module
+    docstring says so, else of ``_reference`` at the widths of
+    ``_sized_widths`` or, tapered to ``working_bits + 128`` unless
+    ``oracle_bits`` is given, ``_tapered_widths``, each report equal to
+    ``compare_trajectories``' against it.  The orbit-sized reference stands
+    only where its running bound certifies every error; elsewhere the tapered
+    reference is built too, and its reports returned.
     Returns ``(label, DivergenceReport)`` pairs: ``"iterated"`` first, then
     each form's value in the order given.
 
@@ -831,14 +814,15 @@ def divergence_reports(p: MapParams, n_max: int, working_bits: int, threshold: f
         _check_closed_form(p, n_max, variant)
     working = PrecisionPolicy(working_bits)
     it = iterate(p, n_max, working)
-    bits = ref_policy.significand_bits + 10  # as compare_trajectories sets it
-    taper_to = working_bits + _TAPER_MARGIN if oracle_bits is None else None
+    width = ref_policy.significand_bits
+    bits = width + 10  # as compare_trajectories sets it
+    taper_to = working_bits + _TAPER_MARGIN if oracle_bits is None else width
 
     def report(t, ref):
         return _compare_pairs(t.values, ref, bits, threshold)
 
     if variants:
-        ref = list(_iterated_reference(p, n_max, ref_policy, taper_to))
+        ref = list(_reference(p, width, _tapered_widths(width, n_max, taper_to)))
         return [(METHOD_ITERATED, report(it, ref))] + [
             (v.value, report(closed_form_trajectory(p, n_max, v, working), ref))
             for v in variants]
@@ -849,16 +833,16 @@ def divergence_reports(p: MapParams, n_max: int, working_bits: int, threshold: f
         return [(METHOD_ITERATED, report(it, _phase_reference(p, n_max, it.values)))]
     if (oracle_bits is None and phase is None and n_max >= _SIZED_MIN_STEPS
             and type(p.r) is float and type(p.x0) is float):
-        floors = array("d")
+        widths, floors = _sized_widths(p.r, it.values, width, taper_to), array("d")
         try:
-            sized = report(it, _sized_reference(p, n_max, ref_policy, taper_to, it.values,
-                                                floors))
+            sized = report(it, _bounded(p.r, _reference(p, width, widths), widths, floors))
         except EscapeError:
             sized = None  # whether the run escapes is the tapered reference's to say
         if (sized is not None and len(floors) == n_max + 1
                 and all(map(_certified, sized.per_step_abs_error, floors))):
             return [(METHOD_ITERATED, sized)]
-    return [(METHOD_ITERATED, report(it, _iterated_reference(p, n_max, ref_policy, taper_to)))]
+    return [(METHOD_ITERATED,
+             report(it, _reference(p, width, _tapered_widths(width, n_max, taper_to))))]
 
 
 def divergence_analysis(p: MapParams, variant: ClosedForm, n_max: int,

@@ -156,8 +156,11 @@ def phase_oracle(p: MapParams, n: int) -> Trajectory:
 def tapered_oracle(p: MapParams, n: int, policy: PrecisionPolicy | None = None,
                    taper_to: int | None = None) -> Trajectory:
     """``map_standard.oracle(p, n, policy)`` with its steps tapered to
-    ``taper_to`` as ``map_standard._iterated_reference`` tapers a divergence
-    run's reference; tagged with the widest width, as the oracle is."""
+    ``taper_to`` (``map_standard._tapered_widths``), as a divergence run
+    tapers its reference, or all at the oracle's width when ``taper_to`` is
+    None; tagged with the widest width, as the oracle is."""
     policy = policy if policy is not None else budgeted_policy(n)
-    values = _mpfs(map_standard._iterated_reference(p, n, policy, taper_to))
+    bits = policy.significand_bits
+    widths = map_standard._tapered_widths(bits, n, bits if taper_to is None else taper_to)
+    values = _mpfs(map_standard._reference(p, bits, widths))
     return Trajectory(METHOD_ORACLE, range(n + 1), values, policy)

@@ -121,6 +121,20 @@ class TestOdeCommand:
         assert captured.out == ""
         assert captured.err.startswith("error:") and "grid points" in captured.err
 
+    @pytest.mark.parametrize("fmt", ["csv", "json", "svg"])
+    def test_last_time_past_the_doubles_is_refused(self, fmt, monkeypatch, capsys):
+        # round(t_end/dt) = 2 steps of 1e308: the last time 2e308 is no double,
+        # where the run wrote inf (CSV), a bare inf (JSON) or a nan x-range (SVG)
+        def never(*args, **kwargs):
+            raise AssertionError("evaluated a point of a grid that should be refused")
+
+        monkeypatch.setattr(continuous, "_sigmoid", never)
+        assert main(["ode", "--r", "1", "--x0", "0.5", "--t-end", "1.7976931348623157e308",
+                     "--dt", "1e308", "--format", fmt]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and "past the largest double" in captured.err
+
     @pytest.mark.parametrize("extra,pole", [
         (["--x0", "-0.5"], "0.646"), (["--x0", "2", "--gamma", "1"], "0.238")])
     def test_pole_inside_the_grid_exits_3(self, extra, pole, capsys):
@@ -359,13 +373,13 @@ class TestCompareCommand:
 
     def test_one_oracle_serves_every_report(self, monkeypatch, capsys):
         calls = []
-        real_oracle = map_standard._iterated_reference
+        real_oracle = map_standard._reference
 
         def counting_oracle(*args, **kwargs):
             calls.append(args)
             return real_oracle(*args, **kwargs)
 
-        monkeypatch.setattr(map_standard, "_iterated_reference", counting_oracle)
+        monkeypatch.setattr(map_standard, "_reference", counting_oracle)
         assert main(["compare", "--r", "-2", "--x0", "0.9",
                      "--form", "table1", "--form", "simple"]) == 0
         assert len(calls) == 1
@@ -378,7 +392,7 @@ class TestCompareCommand:
         # report, and held as one list that every report reads when forms follow
         order, refs = [], []
         real_iterate = map_standard.iterate
-        real_reference = map_standard._iterated_reference
+        real_reference = map_standard._reference
         real_compare = map_standard._compare_pairs
 
         def iterate(*args):
@@ -394,7 +408,7 @@ class TestCompareCommand:
             return real_compare(values, b, bits, threshold)
 
         monkeypatch.setattr(map_standard, "iterate", iterate)
-        monkeypatch.setattr(map_standard, "_iterated_reference", reference)
+        monkeypatch.setattr(map_standard, "_reference", reference)
         monkeypatch.setattr(map_standard, "_compare_pairs", compare)
         p = map_standard.MapParams(-2.0, 0.9)
         reports = map_standard.divergence_reports(p, 60, 53, 0.01, forms)
@@ -410,7 +424,7 @@ class TestCompareCommand:
         def never(*args, **kwargs):
             raise AssertionError("evaluated a run that should be refused")
 
-        for name in ("iterate", "_iterated_reference", "_phase_reference", "_sized_reference"):
+        for name in ("iterate", "_reference", "_phase_reference", "_bounded"):
             monkeypatch.setattr(map_standard, name, never)
         assert main(["compare", "--r", "3.9", "--x0", "0.3", "--steps", "8000",
                      "--form", "r4"]) == 2
@@ -423,7 +437,7 @@ class TestCompareCommand:
     @pytest.mark.parametrize("threshold", ["0", "-0.5"])
     def test_threshold_is_refused_before_evaluating(self, threshold, monkeypatch, capsys):
         evaluated = []
-        for name in ("iterate", "_iterated_reference", "_phase_reference"):
+        for name in ("iterate", "_reference", "_phase_reference"):
             def recording(*args, _name=name, **kwargs):
                 evaluated.append(_name)
 
@@ -521,9 +535,8 @@ class TestSeriesLimits:
 
     def test_largest_oracle_is_admitted(self, monkeypatch, capsys):
         sizes = []
-        monkeypatch.setattr(map_standard, "_iterated_reference",
-                            lambda p, n, policy, taper_to:
-                            sizes.append((n, policy.significand_bits)))
+        monkeypatch.setattr(map_standard, "_reference",
+                            lambda p, bits, widths: sizes.append((sum(1 for _ in widths), bits)))
         monkeypatch.setattr(map_standard, "iterate",
                             lambda p, n, policy: Trajectory("iterated", (0,), (0.0,), policy))
         monkeypatch.setattr(map_standard, "_compare_pairs",
@@ -904,6 +917,15 @@ class TestFigurePresets:
     def test_figure2_series(self, capsys):
         rows = run_csv(["figure", "2"], capsys)
         assert {r[1] for r in rows} == {"iterated", "table1", "simple", "oracle"}
+
+    def test_figure2_oracle_is_the_iteration_at_its_width(self, capsys):
+        # both are the one iterated orbit of x0 at 124 bits, every step at that width
+        oracle = [(k, v) for k, series, _, v in run_csv(["figure", "2"], capsys)
+                  if series == "oracle"]
+        iterated = [(k, v) for k, series, _, v in run_csv(
+            ["map3", "--r", "-2", "--x0", "0.9", "--steps", "60", "--bits", "124"], capsys)
+            if series == "iterated"]
+        assert len(oracle) == 61 and oracle == iterated
 
     @pytest.mark.parametrize("which", ["1", "2", "3"])
     def test_byte_identical_runs(self, which, tmp_path):

@@ -1,4 +1,5 @@
 import math
+import sys
 import warnings
 from fractions import Fraction
 from functools import partial
@@ -508,6 +509,19 @@ class TestGridTrajectory:
         # the largest grid allowed holds MAX_GRID_POINTS points
         with pytest.raises(AssertionError):
             grid_trajectory(FIG1, MAX_GRID_POINTS - 1.0, 1.0)
+
+    def test_last_time_past_the_doubles_is_refused_before_evaluating(self, monkeypatch):
+        # t_end/dt = 1.798 rounds to 2 steps, whose last time 2e308 overflows;
+        # one step of the largest double is a grid
+        big = sys.float_info.max
+        assert continuous._grid_steps(big, big) == 1
+        assert continuous._grid_steps(big, big / 2) == 2
+        monkeypatch.setattr(continuous, "_pack", None)
+        for shift in (None, RiccatiShift(0.25)):
+            with pytest.raises(ValueError, match="last time 2 \\* 1e\\+308 is past the largest"):
+                grid_trajectory(FIG1, big, 1e308, shift)
+        with pytest.raises(ValueError, match="past the largest double"):
+            rk4_oracle(FIG1, big, 1e308)
 
 
 class TestParams:

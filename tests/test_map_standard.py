@@ -2,6 +2,7 @@ import math
 import random
 import sys
 import warnings
+from itertools import repeat
 
 import pytest
 from mpmath import mpf, workprec
@@ -12,6 +13,8 @@ from logistic_exact.errors import DegeneracyError, DomainError, EscapeError
 from logistic_exact.map_standard import (
     ClosedForm,
     MapParams,
+    _mpfs,
+    _reference,
     closed_form,
     closed_form_trajectory,
     divergence_analysis,
@@ -81,6 +84,31 @@ class TestIterate:
             x = 0.5 * x * (1.0 - x)
         assert k == 1023
         assert 0.0 < x < sys.float_info.min  # the double has gone subnormal
+
+
+class TestOneIteratedOrbit:
+    """The oracle, and the iteration away from the doubles, are the orbit of
+    ``_reference`` with every step at the policy's width."""
+
+    @pytest.mark.parametrize("r,x0,n,bits", [
+        (-2.0, 0.9, 60, 124), (4.0, 0.3, 300, None), (3.9, 0.5, 40, 1200), (0.5, 0.0, 5, 80)])
+    def test_oracle(self, r, x0, n, bits):
+        p = MapParams(r, x0)
+        policy = budgeted_policy(n) if bits is None else PrecisionPolicy(bits)
+        width = policy.significand_bits
+        orbit = _mpfs(_reference(p, width, repeat(width, n)))
+        got = oracle(p, n, policy if bits else None).values
+        assert len(got) == n + 1
+        assert all(type(v) is mpf and v._mpf_ == w._mpf_ for v, w in zip(got, orbit))
+
+    @pytest.mark.parametrize("bits", [60, 200, 1200])
+    @pytest.mark.parametrize("r,x0", [(-2.0, 0.9), (3.9, 0.3), (0.5, 0.3)])
+    def test_iterate(self, r, x0, bits):
+        p = MapParams(r, x0)
+        got = iterate(p, 250, PrecisionPolicy(bits)).values
+        orbit = _mpfs(_reference(p, bits, repeat(bits, 250)))
+        assert type(got) is tuple and len(got) == 251
+        assert all(type(v) is mpf and v._mpf_ == w._mpf_ for v, w in zip(got, orbit))
 
 
 class TestClosedForm:

@@ -216,7 +216,8 @@ def check_sized_reference(p, n, working_bits):
     assert len(widths) == n
     assert all(map(operator.le, widths, map_standard._tapered_widths(width, n, taper_to)))
     floors = array("d")
-    sized = list(map_standard._sized_reference(p, n, policy, taper_to, it.values, floors))
+    sized = list(map_standard._bounded(p.r, map_standard._reference(p, width, widths), widths,
+                                       floors))
     assert len(sized) == len(floors)  # up to a bound that certifies nothing
     bits = width + 10
     report = _compare_pairs(it.values, iter(sized), bits, 0.01)
@@ -278,29 +279,32 @@ class TestTaperedReference:
             # the exact samples outgrow the full width at step ``first``; from
             # there on every step rounds, and its raw significand keeps
             # exactly the step's width, trailing zero bits included
-            raw = map_standard._iterated_reference(p, n, policy, 181)
+            raw = map_standard._reference(p, width, map_standard._tapered_widths(width, n, 181))
             assert [abs(m).bit_length() for m, _ in raw][first:] == limits[first:]
-        for bits, taper_to in ((464, 181), (182, 181), (181, 181), (181, 328), (300, None)):
-            expected = [bits if taper_to is None else min(bits, max(bits + 64 - k, taper_to))
-                        for k in range(1, 401)]
+        for bits, taper_to in ((464, 181), (182, 181), (181, 181), (181, 328)):
+            expected = [min(bits, max(bits + 64 - k, taper_to)) for k in range(1, 401)]
             assert list(map_standard._tapered_widths(bits, 400, taper_to)) == expected
 
     def test_explicit_oracle_bits_and_figure_2_keep_a_fixed_width(self, monkeypatch, capsys):
+        # each orbit's width and its narrowest step; the iteration at 200
+        # working bits is one such orbit too
         seen = []
-        real = map_standard._iterated_reference
+        real = map_standard._reference
 
-        def recording(p, n, policy, taper_to):
-            seen.append((policy.significand_bits, taper_to))
-            return real(p, n, policy, taper_to)
+        def recording(p, bits, widths):
+            widths = list(widths)
+            seen.append((bits, min(widths)))
+            return real(p, bits, widths)
 
-        monkeypatch.setattr(map_standard, "_iterated_reference", recording)
+        monkeypatch.setattr(map_standard, "_reference", recording)
         p = MapParams(3.9, 0.3)
         tapered = divergence_reports(p, 300, 53, 0.01)
         fixed = divergence_reports(p, 300, 53, 0.01, oracle_bits=364)
         divergence_reports(p, 300, 200, 0.01)
         divergence_reports(p, 300, 200, 0.01, oracle_bits=1000)
         assert main(["figure", "2"]) == 0
-        assert seen == [(364, 181), (364, None), (364, 328), (1000, None), (124, None)]
+        assert seen == [(364, 181), (364, 364), (200, 200), (364, 328), (200, 200),
+                        (1000, 1000), (124, 124)]
         assert fixed == tapered
 
 
@@ -352,12 +356,14 @@ class TestSizedReference:
         p = MapParams(3.9, 0.3)
         floors = array("d")
         it = iterate(p, S)
-        policy = oracle_policy(S, 53, None)
-        pairs = list(map_standard._sized_reference(p, S, policy, 181, it.values, floors))
+        width = oracle_policy(S, 53, None).significand_bits
+        widths = map_standard._sized_widths(p.r, it.values, width, 181)
+        pairs = list(map_standard._bounded(p.r, map_standard._reference(p, width, widths), widths,
+                                           floors))
         assert len(pairs) == len(floors) < S + 1
         calls.clear()
         reports = divergence_reports(p, S, 53, 0.01)
-        assert calls == ["sized", "oracle"]
+        assert calls == ["oracle", "sized", "oracle"]
         assert reports == public_reports(p, S, 53)
 
     def test_bound_at_the_repelling_fixed_point(self):
@@ -366,10 +372,10 @@ class TestSizedReference:
         # the bound certifies 42 bits of sample 400, which is good to 2^-50.8
         p, n = MapParams(-2.0, 1.5 - 2**-52), 400
         policy = budgeted_policy(n)
-        ref = map_standard._iterated_reference(p, n, policy, None)
+        bits = policy.significand_bits
         floors = array("d")
-        pairs = list(map_standard._bounded(p.r, next(ref), ref,
-                                           repeat(policy.significand_bits, n), floors))
+        pairs = list(map_standard._bounded(p.r, map_standard._reference(p, bits, repeat(bits, n)),
+                                           repeat(bits, n), floors))
         certified = map_standard._CERTIFIED_BITS - math.log2(floors[n])
         assert math.floor(certified) == 42
         true = oracle(p, n, PrecisionPolicy(2 * policy.significand_bits))
@@ -381,13 +387,16 @@ class TestSizedReference:
 
 @pytest.fixture
 def calls(monkeypatch):
-    """Names of the references each run computes, in order: "oracle" for the
-    iterated reference, "phase_oracle" for the phase reference, "sized" for
-    the iterated reference sized by the orbit's stretching."""
+    """Names of the orbits each run builds, in order: "oracle" for each
+    iterated orbit of ``_reference`` (the tapered, fixed-width or sized
+    reference, the phase reference's prefix, and the iteration at a working
+    width other than 53 bits), "phase_oracle" for the phase reference, "sized"
+    for the running bound beside the reference sized by the orbit's
+    stretching."""
     seen = []
-    for name, builder in (("oracle", "_iterated_reference"),
+    for name, builder in (("oracle", "_reference"),
                           ("phase_oracle", "_phase_reference"),
-                          ("sized", "_sized_reference")):
+                          ("sized", "_bounded")):
         real = getattr(map_standard, builder)
 
         def recording(*args, _real=real, _name=name, **kwargs):
@@ -413,44 +422,46 @@ class TestRouting:
     def test_phase_route_keeps_the_bytes(self, r, x0, calls, capsys):
         assert main(compare_argv(r, x0, N)) == 0
         routed = capsys.readouterr().out
-        assert calls == ["phase_oracle"]
+        assert calls == ["phase_oracle", "oracle"]  # the prefix, as in oracle()
         # an explicit oracle of the same width takes the iterated route
         assert main(compare_argv(r, x0, N, "--oracle-bits", str(N + 64))) == 0
-        assert calls == ["phase_oracle", "oracle"]
+        assert calls == ["phase_oracle", "oracle", "oracle"]
         assert sha256(capsys.readouterr().out) == sha256(routed)
         assert json.loads(routed)["config"]["oracle_bits"] == N + 64
 
-    @pytest.mark.parametrize("argv", [
-        compare_argv("4", "0.3", N, "--form", "r4"),
-        compare_argv("-2", "0.9", N, "--form", "simple"),
-        compare_argv("4", "0.3", N, "--oracle-bits", str(N + 64)),
-        compare_argv("3.9", "0.3", N),
-        compare_argv("4", "0.3", N - 1),
-        compare_argv("-2", "0.9", N, "--bits", "54"),
+    @pytest.mark.parametrize("argv,route", [
+        (compare_argv("4", "0.3", N, "--form", "r4"), ["oracle"]),
+        (compare_argv("-2", "0.9", N, "--form", "simple"), ["oracle"]),
+        (compare_argv("4", "0.3", N, "--oracle-bits", str(N + 64)), ["oracle"]),
+        (compare_argv("3.9", "0.3", N), ["oracle"]),
+        (compare_argv("4", "0.3", N - 1), ["oracle"]),
+        # the iteration at 54 bits, then the reference
+        (compare_argv("-2", "0.9", N, "--bits", "54"), ["oracle", "oracle"]),
     ], ids=["form-r4", "form-simple", "oracle-bits", "r3.9", "below-crossover",
             "bits54"])
-    def test_iterated_oracle_elsewhere(self, argv, calls, capsys):
+    def test_iterated_oracle_elsewhere(self, argv, route, calls, capsys):
         assert main(argv) == 0
-        assert calls == ["oracle"]
+        assert calls == route
 
     @pytest.mark.parametrize("argv,route", [
-        (compare_argv("3.9", "0.3", S), ["sized"]),
-        (compare_argv("3.83", "0.3", S, "--bits", "200"), ["sized"]),
+        # an iteration at other than 53 bits is an orbit of _reference too
+        (compare_argv("3.9", "0.3", S), ["oracle", "sized"]),
+        (compare_argv("3.83", "0.3", S, "--bits", "200"), ["oracle", "oracle", "sized"]),
         (compare_argv("3.9", "0.3", S - 1), ["oracle"]),
         (compare_argv("3.9", "0.3", S, "--oracle-bits", str(S + 64)), ["oracle"]),
         (compare_argv("2", "0.3", S, "--form", "r2"), ["oracle"]),
-        (compare_argv("4", "0.3", S, "--bits", "54"), ["oracle"]),
+        (compare_argv("4", "0.3", S, "--bits", "54"), ["oracle", "oracle"]),
         # the errors of an orbit that decays past the doubles read 0, which a
         # bound below 2^-1138 certifies
-        (compare_argv("0.5", "0.3", S), ["sized"]),
-        (compare_argv("-0.5", "0.3", S, "--bits", "200"), ["sized"]),
+        (compare_argv("0.5", "0.3", S), ["oracle", "sized"]),
+        (compare_argv("-0.5", "0.3", S, "--bits", "200"), ["oracle", "oracle", "sized"]),
     ], ids=["r3.9", "bits200", "below-crossover", "oracle-bits", "form", "r4-bits54",
             "decay", "decay-200-bits"])
     def test_sized_reference(self, argv, route, calls, capsys):
         assert main(argv) == 0
         assert calls == route
         sized = capsys.readouterr().out
-        if calls[0] == "sized":  # the bytes of the tapered reference
+        if "sized" in calls:  # the bytes of the tapered reference
             width = json.loads(sized)["config"]["oracle_bits"]
             assert main(argv + ["--oracle-bits", str(width)]) == 0
             assert sha256(capsys.readouterr().out) == sha256(sized)
@@ -476,11 +487,11 @@ class TestRouting:
     def test_iteration_divergence(self, calls):
         p = MapParams(-2.0, 0.9)
         routed = iteration_divergence(p, N, 53, 0.01)
-        assert calls == ["phase_oracle"]
+        assert calls == ["phase_oracle", "oracle"]
         assert iteration_divergence(p, N, 53, 0.01, oracle_bits=N + 64) == routed
         assert iteration_divergence(MapParams(3.9, 0.3), N, 53, 0.01) is not None
         assert iteration_divergence(p, N - 1, 53, 0.01) is not None
-        assert calls == ["phase_oracle", "oracle", "oracle", "oracle"]
+        assert calls == ["phase_oracle", "oracle", "oracle", "oracle", "oracle"]
 
 
 def public_reports(p, n, working_bits, forms=(), oracle_bits=None, phase=False):
@@ -505,18 +516,18 @@ class TestReportsReadTheReferencePairs:
     ``compare_trajectories`` against the whole reference of the same route."""
 
     @pytest.mark.parametrize("r,x0,n,working_bits,forms,oracle_bits,route", [
-        (3.9, 0.3, 1500, 53, (), None, "oracle"),
-        (-2.0, 0.9, 300, 53, ("table1", "simple"), None, "oracle"),
-        (4.0, 0.3, 250, 53, ("r4",), None, "oracle"),
-        (3.83, 0.3, 400, 200, (), None, "oracle"),
-        (0.5, 0.3, 1100, 53, (), None, "oracle"),  # errors down to subnormals
-        (3.9, 0.3, 300, 53, (), 500, "oracle"),
-        (-2.0, 0.9, 60, 53, ("table1", "simple"), 124, "oracle"),
-        (2.0, 0.3, 100, 100, ("r2",), 400, "oracle"),
-        (4.0, 0.3, N, 53, (), None, "phase_oracle"),
-        (-2.0, 0.411148, N, 53, (), None, "phase_oracle"),
-        (3.7, 0.3, S, 53, (), None, "sized"),
-        (3.83, 0.3, S, 200, (), None, "sized"),
+        (3.9, 0.3, 1500, 53, (), None, ["oracle"]),
+        (-2.0, 0.9, 300, 53, ("table1", "simple"), None, ["oracle"]),
+        (4.0, 0.3, 250, 53, ("r4",), None, ["oracle"]),
+        (3.83, 0.3, 400, 200, (), None, ["oracle", "oracle"]),  # the iteration, then the reference
+        (0.5, 0.3, 1100, 53, (), None, ["oracle"]),  # errors down to subnormals
+        (3.9, 0.3, 300, 53, (), 500, ["oracle"]),
+        (-2.0, 0.9, 60, 53, ("table1", "simple"), 124, ["oracle"]),
+        (2.0, 0.3, 100, 100, ("r2",), 400, ["oracle", "oracle"]),
+        (4.0, 0.3, N, 53, (), None, ["phase_oracle", "oracle"]),
+        (-2.0, 0.411148, N, 53, (), None, ["phase_oracle", "oracle"]),
+        (3.7, 0.3, S, 53, (), None, ["oracle", "sized"]),
+        (3.83, 0.3, S, 200, (), None, ["oracle", "oracle", "sized"]),
     ], ids=["tapered", "tapered-forms", "tapered-r4", "tapered-200-bits", "tapered-decay",
             "fixed", "fixed-forms", "fixed-r2", "phase-r4", "phase-rm2", "sized",
             "sized-200-bits"])
@@ -524,9 +535,9 @@ class TestReportsReadTheReferencePairs:
                                         route, calls):
         p = MapParams(r, x0)
         reports = divergence_reports(p, n, working_bits, 0.01, forms, oracle_bits)
-        assert calls == [route]
+        assert calls == route
         assert reports == public_reports(p, n, working_bits, forms, oracle_bits,
-                                         route == "phase_oracle")
+                                         "phase_oracle" in route)
 
     @settings(max_examples=30, deadline=None)
     @given(taper_cases(), st.integers(0, 400), st.sampled_from([53, 120]),
