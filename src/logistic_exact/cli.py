@@ -33,8 +33,7 @@ from array import array
 from collections import Counter
 from collections.abc import Sequence
 
-from mpmath import mp
-from mpmath.libmp import repr_dps
+from mpmath.libmp import numeral, repr_dps, to_str
 
 from .errors import MAX_GRID_POINTS, DegeneracyError, DomainError, EscapeError, PoleError
 from .precision import (
@@ -202,14 +201,76 @@ _RUNNERS = {
 
 def _value(v, bits):
     """Lossless value for CSV and JSON: ints and floats as they are, a value of
-    at most 53 bits as the double equal to it if there is one, else a string of
-    enough digits to read it back exactly at its width."""
+    at most 53 bits as the double equal to it if there is one, else the text
+    ``mp.nstr(v, repr_dps(bits))``, enough digits to read it back exactly at
+    its width, from ``_decimal``."""
     if isinstance(v, (int, float)):
         return v
-    _, _, exp, bc = v._mpf_  # v = man * 2^exp, man of bc <= bits bits
+    x = v._mpf_
+    _, _, exp, bc = x  # v = man * 2^exp, man of bc <= bits bits
     if bits <= 53 and exp >= -1074 and exp + bc <= 1024:  # the doubles' exponents
         return float(v)
-    return mp.nstr(v, repr_dps(bits))
+    return _decimal(x, *_digits(bits))
+
+
+_LOG2_10 = math.log(10, 2)  # as to_str's steps compute it
+
+
+@functools.lru_cache(maxsize=64)
+def _digits(bits):
+    """``to_str``'s values for a column ``bits`` wide, worked out once per
+    width: the digits it writes, ``repr_dps(bits)``, the significant bits of
+    its fixed-point step, and the decimal exponent from which down it writes
+    the exponent form."""
+    dps = repr_dps(bits)
+    return dps, int((dps + 3) * _LOG2_10) + 10, min(-(dps // 3), -5)
+
+
+@functools.lru_cache(maxsize=256)
+def _ten(n):
+    """10^n, cached per number of fixed-point digits."""
+    return 10 ** n
+
+
+def _decimal(x, dps, bitprec, least):
+    """``to_str(x, dps)``, which ``mp.nstr`` writes for a finite raw value x,
+    from to_str's own steps with ``_digits``' values: the significand at
+    fixed point with ``bitprec`` significant bits, its decimal digits, the
+    first ``dps`` of them rounded half up on the next, then the fixed-point
+    form for a decimal exponent above ``least`` and below ``dps``, else the
+    exponent form, with trailing zeros stripped.  A value more than 2^3500
+    from 1, which to_str scales first, takes ``to_str``."""
+    sign, man, exp, bc = x
+    if not man:
+        return "0.0"
+    if abs(exp + bc) > 3500:
+        return to_str(x, dps)
+    fixprec = max(bitprec - exp - bc, 0)
+    fixdps = int(fixprec / _LOG2_10 + 0.5)
+    offset = exp + fixprec
+    digits = numeral((man << offset if offset >= 0 else man >> -offset) * _ten(fixdps)
+                     >> fixprec, 10, dps + 3)
+    exponent = len(digits) - fixdps - 1
+    if digits[dps:dps + 1] > "4":  # round up, carrying past 9s
+        head = digits[:dps].rstrip("9")
+        if head:
+            digits = head[:-1] + str(int(head[-1]) + 1) + "0" * (dps - len(head))
+        else:
+            digits, exponent = "1" + "0" * (dps - 1), exponent + 1
+    else:
+        digits = digits[:dps]
+    sign = "-" if sign else ""
+    if least < exponent < 0:  # 0.0...0d...: digits[0] is not 0
+        return sign + "0." + "0" * (-1 - exponent) + digits.rstrip("0")
+    split = 1
+    if 0 <= exponent < dps:
+        split, exponent = exponent + 1, 0
+    text = (digits[:split] + "." + digits[split:]).rstrip("0")
+    if text[-1] == ".":
+        text += "0"
+    if not exponent:
+        return sign + text
+    return f"{sign}{text}e+{exponent}" if exponent > 0 else f"{sign}{text}e{exponent}"
 
 
 def _rows(doc, convert=None, share=False):
@@ -323,9 +384,10 @@ def _render_csv(doc, write):
 
 def _json_value(v, bits):
     """``_value(v, bits)`` as json writes it.  repr is json's text for an int
-    and a finite float, and a Trajectory holds finite values only."""
+    and a finite float, and a Trajectory holds finite values only; a text of
+    ``_decimal``'s digits, sign, point and exponent needs no escape."""
     v = _value(v, bits)
-    return json.dumps(v) if isinstance(v, str) else repr(v)
+    return f'"{v}"' if isinstance(v, str) else repr(v)
 
 
 def _json_entries(doc):

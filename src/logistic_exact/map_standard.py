@@ -22,6 +22,15 @@ bits, as libmp does at 53 bits.  So table1's angle takes two IEEE operations,
 the reduction mod 2*pi one exact integer remainder rounded once, the cosine
 ``mpf_cos``'s fixed-point steps with its significand rounded by ``float()``,
 and the tail 1/2 + s*c, with the form's exact factor s, one IEEE operation.
+At other widths a cosine form's samples are mpf, from one such loop as well
+(``_wide_samples``): the same integer steps in the same order, with the
+reduction's remainder, the cosine's significand and the tail each rounded to
+nearest even at the width, on Python ints.  The cosine's steps are
+``_cos_fixed``'s, shared by both loops: ``cos_sin_basecase``'s, and from
+about 371 bits, where that takes ``exponential_series``, the series' own
+steps for the cosine, with the square root that gives the sine taken only
+in the quadrants whose result is the sine; ``mpf_cos`` takes it in every
+quadrant and discards it in quadrants 0 and 2.
 
 A 53-bit policy is not a model of an IEEE double device evaluating the same
 formula with libm.  The pipeline rounds the reduced angle to 53 bits before
@@ -101,6 +110,7 @@ from mpmath.libmp import (
     fhalf,
     fnone,
     fone,
+    fzero,
     from_float,
     from_int,
     from_man_exp,
@@ -120,7 +130,13 @@ from mpmath.libmp import (
     to_fixed,
     to_float,
 )
-from mpmath.libmp.libelefun import cos_sin_basecase, mod_pi2
+from mpmath.libmp.libelefun import (
+    COS_SIN_CACHE_PREC,
+    EXP_SERIES_U_CUTOFF,
+    cos_sin_basecase,
+    isqrt_fast,
+    mod_pi2,
+)
 
 from .errors import ESCAPE_BOUND, DegeneracyError, DomainError, EscapeError, check_steps
 from .precision import (
@@ -131,6 +147,7 @@ from .precision import (
     DivergenceReport,
     PrecisionPolicy,
     Trajectory,
+    _REDUCE_GUARD_BITS,
     _pi,
     _Record,
     _compare_pairs,
@@ -281,9 +298,20 @@ def _orbit(r: tuple, x: tuple, k: int, widths, bits: int):
         yield m, e
 
 
+def _raw(m: int, e: int) -> tuple:
+    """The raw value m * 2^e, normalized as ``from_man_exp(m, e)`` normalizes
+    it, but with its trailing zero bits counted once and shifted out at once:
+    the pairs of an orbit settled on 1/2 carry nearly their width of them."""
+    if not m:
+        return fzero
+    z = (m & -m).bit_length() - 1
+    man = abs(m) >> z
+    return int(m < 0), man, e + z, man.bit_length()
+
+
 def _mpfs(pairs) -> list:
     """(signed significand, exponent) pairs as normalized mpf."""
-    return list(map(mp.make_mpf, starmap(from_man_exp, pairs)))
+    return list(map(mp.make_mpf, starmap(_raw, pairs)))
 
 
 def _double_orbit(r: float, x: float, n: int) -> array:
@@ -531,6 +559,72 @@ def _cosine(variant: ClosedForm, phase: tuple, n: int, bits: int) -> tuple:
     return mpf_cos(_reduce_raw(_angle(variant, phase, n, bits), bits), bits, round_nearest)
 
 
+def _reduced(m: int, e: int, bits: int) -> tuple:
+    """The nonzero angle m * 2^e reduced into [0, 2*pi) at ``bits``, as
+    (significand, exponent), equal in value to ``_reduce_raw``'s result: its
+    exact-integer branch inlined, one ``%`` by 2*pi's significand and the
+    remainder rounded once at ``bits``.  An angle below 2*pi's ulp at the
+    reduction's width, and a remainder that rounding carried up to 2*pi at
+    ``bits``, take ``_reduce_raw`` itself."""
+    _, tman, texp, _ = _pi(bits + max(0, abs(m).bit_length() + e) + _REDUCE_GUARD_BITS)
+    texp += 1  # of 2*pi
+    if e >= texp:
+        r, f = (m << (e - texp)) % tman, texp
+        cut = r.bit_length() - bits
+        if cut > 0:
+            r, f = _nearest(r, cut), f + cut
+        _, tman, texp, _ = _pi(bits)
+        texp += 1
+        if r << max(0, f - texp) < tman << max(0, texp - f):
+            return r, f
+    return _pair(_reduce_raw(from_man_exp(m, e), bits))
+
+
+def _cos_fixed(t: int, q: int, w: int) -> int:
+    """The cosine that ``mpf_cos`` forms from ``mod_pi2``'s (t, q, w), the
+    angle t * 2^-w in [0, pi/2) plus q quarter turns, as a fixed-point
+    significand at w bits: ``cos_sin_basecase``'s cosine or, in quadrants 1
+    and 3, its sine, negated in quadrants 1 and 2.  Between
+    ``COS_SIN_CACHE_PREC`` and ``EXP_SERIES_U_CUTOFF`` bits,
+    ``cos_sin_basecase`` is ``exponential_series``, whose steps for the
+    cosine run here; the square root that gives the sine is taken only in
+    quadrants 1 and 3, where the sine is returned."""
+    q &= 3
+    if not COS_SIN_CACHE_PREC < w < EXP_SERIES_U_CUTOFF:
+        c, sn = cos_sin_basecase(t, w)
+        return -sn if q == 1 else -c if q == 2 else sn if q == 3 else c
+    # exponential_series(t, w, 2), t >= 0: a Taylor series at wp bits, then r
+    # doublings of the angle
+    r = int(0.5 * w ** 0.5)
+    xmag = t.bit_length() - w
+    r = max(0, xmag + r)
+    extra = 10 + 2 * max(r, -xmag)
+    wp = w + extra
+    x = t << (extra - r)
+    one = 1 << wp
+    x2 = a = (x * x) >> wp
+    x4 = (x2 * x2) >> wp
+    s0 = s1 = 0
+    k = 2
+    while a:
+        a //= (k - 1) * k
+        s0 += a
+        k += 2
+        a //= (k - 1) * k
+        s1 += a
+        k += 2
+        a = (a * x4) >> wp
+    c = ((x2 * s1) >> wp) - s0 + one
+    shift = wp - 1
+    for _ in range(r):
+        c = ((c * c) >> shift) - one
+    if q & 1:
+        sn = isqrt_fast(abs((one << wp) - c * c)) >> extra
+        return -sn if q == 1 else sn
+    c >>= extra
+    return -c if q else c
+
+
 def _double_samples(variant: ClosedForm, phase: tuple, n: int, s: float) -> array:
     """The samples 1/2 + s*c_k, k = 0..n, of a cosine form at 53 bits, as one
     array('d') of doubles: c_k is ``_cosine(variant, phase, k, 53)``, bit for
@@ -544,12 +638,12 @@ def _double_samples(variant: ClosedForm, phase: tuple, n: int, s: float) -> arra
     bits off a remainder that rounding carried up to it; that remainder can
     only be 2*pi at 53 bits itself, since 2*pi exceeds it by 0.28 of its ulp,
     and its cosine rounds to 1, as that of 0 does, so the step is left out.
-    The cosine is ``mpf_cos``'s at 53 bits: ``mod_pi2`` at 63 bits,
-    ``cos_sin_basecase``, the quadrant's swap, and a fixed-point significand
-    that ``float()`` of a Python int rounds to nearest even, as
-    ``from_man_exp`` rounds it.  The tail 1/2 + s*c rounds once, as ``_tail``
-    does, since s*c is exact.  Angles past the doubles and those below 2*pi's
-    ulp at the reduction's width take the libmp calls.
+    The cosine is ``mpf_cos``'s at 53 bits: ``mod_pi2`` at 63 bits, then
+    ``_cos_fixed``'s fixed-point significand, which ``float()`` of a Python
+    int rounds to nearest even, as ``from_man_exp`` rounds it.  The tail 1/2
+    + s*c rounds once, as ``_tail`` does, since s*c is exact.  Angles past
+    the doubles and those below 2*pi's ulp at the reduction's width take the
+    libmp calls.
     """
     sign, man, exp, bc = phase
     composed = variant is ClosedForm.RM2_COMPOSED
@@ -579,15 +673,51 @@ def _double_samples(variant: ClosedForm, phase: tuple, n: int, s: float) -> arra
             append(0.5 + s)
             continue
         t, q, w = mod_pi2(m, e, mag, 63)
-        c, sn = cos_sin_basecase(t, w)
-        q &= 3
-        if q == 1:
-            c = -sn
-        elif q == 2:
-            c = -c
-        elif q == 3:
-            c = sn
+        c = _cos_fixed(t, q, w)
         append(0.5 + s * math.ldexp(float(int(c)), -w))  # int(): gmpy2's mpz may not round
+    return values
+
+
+def _wide_samples(variant: ClosedForm, phase: tuple, n: int, s: tuple, bits: int) -> list:
+    """The samples 1/2 + s*c_k, k = 0..n, of a cosine form at ``bits`` other
+    than 53, as mpf: c_k is ``_cosine(variant, phase, k, bits)``, bit for
+    bit, by the libmp pipeline's own integer steps in one loop.  The angle is
+    the phase shifted by k, or ``_angle``'s for table1; the reduction is
+    ``_reduced``'s; the cosine is ``mpf_cos``'s at ``bits``: ``mod_pi2`` at
+    ``bits`` + 10 bits, then ``_cos_fixed``'s significand, rounded at
+    ``bits`` as ``from_man_exp`` rounds it.  The tail 1/2 + s*c is exact, s
+    being -1/2, -1 or 1, and rounded once at ``bits``, to nearest even, as
+    ``_tail``'s correctly rounded ``mpf_add`` rounds it.
+    """
+    sign, man, exp, _ = phase
+    composed = variant is ClosedForm.RM2_COMPOSED
+    wc = bits + 10  # mpf_cos's working width
+    negative, _, es, _ = s  # s = -2^es or 2^es
+    make = mp.make_mpf
+    unit = make(_tail(s, fone, bits))  # where mpf_cos rounds to 1
+    values = []
+    append = values.append
+    for k in range(n + 1):
+        if composed:
+            m, e = _pair(_angle(variant, phase, k, bits))
+        else:
+            m, e = (-man if sign else man), exp + k
+        if m:
+            m, e = _reduced(m, e, bits)
+        mag = m.bit_length() + e
+        if not m or mag < -wc:
+            append(unit)
+            continue
+        t, q, w = mod_pi2(m, e, mag, wc)
+        c, e = _cos_fixed(t, q, w), es - w  # s*c = (+-c) * 2^e
+        cut = c.bit_length() - bits
+        if cut > 0:
+            c, e = _nearest(c, cut), e + cut
+        m = (1 << (-1 - e)) + (-c if negative else c)  # e < -1 here
+        cut = m.bit_length() - bits
+        if cut > 0:
+            m, e = _nearest(m, cut), e + cut
+        append(make(_raw(m, e)))
     return values
 
 
@@ -619,10 +749,12 @@ def closed_form_trajectory(p: MapParams, n: int, variant: ClosedForm,
     Every sample equals ``closed_form(p, k, variant, policy)``; the arccos
     is taken once per trajectory, and the r2 base is squared once per step
     and carried forward.  A cosine form at 53 bits returns its samples as one
-    array('d') of doubles, each equal to that mpf value, from ``_double_samples``: one loop
-    of integer steps and IEEE operations, each rounding to nearest even at 53
-    bits as the libmp call it replaces does (``float()`` of a Python int
-    rounds so too).
+    array('d') of doubles, each equal to that mpf value, from
+    ``_double_samples``: one loop of integer steps and IEEE operations, each
+    rounding to nearest even at 53 bits as the libmp call it replaces does
+    (``float()`` of a Python int rounds so too).  At other widths it returns
+    mpf from ``_wide_samples``, one loop of the libmp calls' integer steps,
+    each rounding as the call it replaces does.
     """
     _check_closed_form(p, n, variant)
     bits = policy.significand_bits
@@ -638,7 +770,7 @@ def closed_form_trajectory(p: MapParams, n: int, variant: ClosedForm,
     elif bits == DOUBLE.significand_bits:
         values = _double_samples(variant, phase, n, to_float(s))
     else:
-        values = [make(_tail(s, _cosine(variant, phase, k, bits), bits)) for k in steps]
+        values = _wide_samples(variant, phase, n, s, bits)
     return Trajectory(f"{METHOD_CLOSED_FORM}:{variant.value}", steps, values, policy)
 
 

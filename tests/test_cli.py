@@ -16,6 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf, workprec
+from mpmath.libmp import repr_dps
 
 from logistic_exact import cli, continuous, map_riccati, map_standard
 from logistic_exact.cli import FIGURE_PRESETS, RunConfig, main, run
@@ -726,6 +727,14 @@ GOLDEN_SHA256 = [
      "1521364460c0af02daa2630e844621dc5280f0c289a5b64d877a0b4c4fcc94a9"),
     (["map4", "--r", "1.8", "--x0", "0.25", "--steps", "5", "--gamma", "-4", "--format", "json"],
      "1507b6026428a6b83e1a210d46d4ffd3ed8baded223b6bf18a2a73da2c6c6172"),
+    # the cosine forms at a budget width where most cosines take
+    # exponential_series, captured while the samples still came from mpf_cos
+    # and their texts from mp.nstr
+    (["map3", "--r", "4", "--x0", "0.3", "--steps", "400", "--bits", "464", "--form", "r4"],
+     "46ed0cce0eac570cc444084a28f72a526f7a2100944771a3bf88f51b42672fb2"),
+    (["map3", "--r", "-2", "--x0", "0.9", "--steps", "400", "--bits", "464",
+      "--form", "table1", "--form", "simple", "--format", "json"],
+     "882bb2eec498a22b6d0c71d3e51e4b8e11b41c18fc1c8dfe6ddd28b72e5fae12"),
 ]
 GOLDEN_IDS = ["compare", "compare-csv", "compare-svg", "compare-phase", "map3-r2"] + [
     f"figure{w}-{f}" for w in "123" for f in ("csv", "json", "svg")] + [
@@ -738,7 +747,8 @@ GOLDEN_IDS = ["compare", "compare-csv", "compare-svg", "compare-phase", "map3-r2
     "ode-members-long-csv", "ode-members-long-json", "compare-sized-csv",
     "compare-periodic-3000-csv", "compare-sized-periodic-csv", "compare-sized-decay-csv",
     "ode-decay-overflow-csv", "ode-decay-overflow-json", "ode-constant-csv", "ode-constant-json",
-    "map4-fixed-point-csv", "map4-fixed-point-json"]
+    "map4-fixed-point-csv", "map4-fixed-point-json", "map3-r4-wide-csv",
+    "map3-rm2-forms-wide-json"]
 
 
 @pytest.mark.parametrize("argv,digest", GOLDEN_SHA256, ids=GOLDEN_IDS)
@@ -1318,6 +1328,41 @@ def csv_reference(doc):
 @settings(max_examples=300, deadline=None)
 def test_csv_is_what_the_row_writer_writes(doc):
     assert render(cli._render_csv, doc) == csv_reference(doc).encode("ascii")
+
+
+@st.composite
+def wide_values(draw):
+    """(v, bits): a column width of 54 to 2,000 bits and a value for it, at a
+    decimal exponent anywhere from -1,200 to 1,200, past which to_str scales
+    the value first, or next to either end of to_str's fixed-point form at
+    repr_dps(bits) digits.  The value is zero, a random value of ``bits``
+    bits, or m + 1 - 10^-j at 80 bits more, a run of 9s about as long as the
+    digits printed, which rounding may carry into m's digits or, from m = 0,
+    into a new leading digit; any of them may be negative."""
+    bits = draw(st.integers(54, 2000))
+    dps = repr_dps(bits)
+    least = min(-(dps // 3), -5)
+    ten = draw(st.integers(-1200, 1200) | st.integers(least - 2, least + 2)
+               | st.integers(dps - 2, dps + 2))
+    kind = draw(st.sampled_from(("zero", "random", "nines")))
+    with workprec(bits if kind == "random" else bits + 80):
+        if kind == "zero":
+            v = mpf(0)
+        elif kind == "random":
+            v = mpf((draw(st.integers(1, (1 << bits) - 1)), -bits)) * mpf(10) ** ten
+        else:
+            m = draw(st.integers(0, 10**6))
+            v = (m + 1 - mpf(10) ** -draw(st.integers(dps - 6, dps + 3))) * mpf(10) ** ten
+        return (-v if draw(st.booleans()) else v), bits
+
+
+@given(wide_values())
+@settings(max_examples=400, deadline=None)
+def test_a_wide_value_prints_as_nstr_writes_it(case):
+    v, bits = case
+    text = mp.nstr(v, repr_dps(bits))
+    assert cli._value(v, bits) == text
+    assert cli._json_value(v, bits) == json.dumps(text)
 
 
 @pytest.mark.parametrize("rows", [0, 1, 4095, 4096, 4097, 8193])

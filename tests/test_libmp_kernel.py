@@ -30,6 +30,7 @@ from logistic_exact.map_standard import (
     ClosedForm,
     _SQUARE_MIN_BITS,
     MapParams,
+    _mpfs,
     _orbit,
     closed_form,
     closed_form_trajectory,
@@ -138,6 +139,11 @@ def raw(samples):
 
 
 POLICIES = [DOUBLE, budgeted_policy(120)]
+# and, for the closed forms, widths on both sides of the cosine's cutoffs:
+# mod_pi2 returns bits + 30 for an angle of at least 1, so cos_sin_basecase
+# leaves its cache for exponential_series from about 371 bits on, and past
+# EXP_SERIES_U_CUTOFF that series takes more than two sums
+FORM_POLICIES = POLICIES + [PrecisionPolicy(b) for b in (364, 371, 391, 464, 1536)]
 
 # ------------------------------------------------------------- iterate
 
@@ -173,6 +179,19 @@ class TestIterateKernel:
 
 
 # --------------------------------------------------------- orbit kernel
+
+@st.composite
+def significand_pairs(draw):
+    """(signed significand, exponent) with up to 1,200 trailing zero bits."""
+    return (draw(st.integers(-(1 << 200), 1 << 200)) << draw(st.integers(0, 1200)),
+            draw(st.integers(-3000, 3000)))
+
+
+@given(st.lists(significand_pairs(), max_size=6))
+@example([(0, 7), (-(1 << 700), -3), ((1 << 513) - 3 << 500, -1013), (-1, 0)])
+def test_pairs_normalize_as_from_man_exp(pairs):
+    assert [v._mpf_ for v in _mpfs(pairs)] == [from_man_exp(m, e) for m, e in pairs]
+
 
 def step(r, x, bits):
     """One map step r*x*(1 - x) on raw values, each libmp operation rounded to
@@ -387,7 +406,7 @@ def cosine_form_cases(draw):
 
 class TestClosedFormKernel:
     @settings(max_examples=120, deadline=None)
-    @given(closed_form_cases(), st.integers(0, 150), st.sampled_from(POLICIES))
+    @given(closed_form_cases(), st.integers(0, 150), st.sampled_from(FORM_POLICIES))
     def test_trajectory_equals_mpf_loop(self, case, n, policy):
         p, variant = case
         got = closed_form_trajectory(p, n, variant, policy)
@@ -415,7 +434,7 @@ class TestClosedFormKernel:
         assert tuple(got) == tuple(float(closed_form(p, k, variant, DOUBLE))
                                    for k in range(n + 1))
 
-    @pytest.mark.parametrize("policy", POLICIES)
+    @pytest.mark.parametrize("policy", FORM_POLICIES)
     @pytest.mark.parametrize("variant", list(ClosedForm))
     def test_every_form_over_a_long_run(self, variant, policy):
         lo, hi = _DOMAINS[variant]
