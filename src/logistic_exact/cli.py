@@ -18,8 +18,9 @@ written to its sink as it is formatted, one 4,096-row batch at a time, so no
 artifact is held whole.  Library warnings are printed as ``warning:`` lines
 on stderr.
 
-Exit codes: 0 success, 2 usage/validation problems, 3 mathematical
-domain/pole errors raised by the core modules.
+Exit codes: 0 success, 1 a stdout closed by its reader before the artifact
+was written (no ``error:`` line), 2 usage/validation problems, 3
+mathematical domain/pole errors raised by the core modules.
 """
 
 import argparse
@@ -27,6 +28,7 @@ import functools
 import itertools
 import json
 import math
+import os
 import sys
 import warnings
 from array import array
@@ -534,7 +536,10 @@ def run(config: RunConfig) -> int:
     to its sink as it goes, as ASCII bytes, one 4,096-row batch at a time:
     to that file, or to stdout's binary buffer once the text layer is
     flushed.  Only a stdout with no binary buffer, such as an
-    ``io.StringIO``, gets each piece decoded to text."""
+    ``io.StringIO``, gets each piece decoded to text.  Returns 0, or 1 when
+    the reader of stdout closes it before the artifact is written, as
+    ``| head`` does; stdout is then pointed at ``os.devnull``, so that the
+    flush at exit cannot fail again."""
     runner = _RUNNERS.get(config.subcommand)
     if runner is None:
         raise ValueError(f"unknown subcommand {config.subcommand!r}")
@@ -551,8 +556,14 @@ def run(config: RunConfig) -> int:
         with open(config.output_path, "wb") as fh:
             renderer(doc, fh.write)
     elif hasattr(sys.stdout, "buffer"):
-        sys.stdout.flush()  # what the text layer holds goes first
-        renderer(doc, sys.stdout.buffer.write)
+        try:
+            sys.stdout.flush()  # what the text layer holds goes first
+            renderer(doc, sys.stdout.buffer.write)
+        except BrokenPipeError:  # caught here, not as main's unwritable --out
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            return 1
     else:
         renderer(doc, lambda data: sys.stdout.write(str(data, "ascii")))
     return 0

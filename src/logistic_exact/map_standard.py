@@ -13,24 +13,21 @@ guard bits, and only then passed to the cosine.  Working precision is the
 caller's choice, which is exactly what makes the divergence experiments
 possible: a budgeted policy behaves like an exact oracle, and a 53-bit
 policy shows how fast the closed form loses its bits at double precision.
-At 53 bits ``closed_form_trajectory`` returns a cosine form's samples as
-doubles, each equal to the mpf value of the libmp pipeline, from one loop
-per trajectory that makes the pipeline's own integer steps without its
-generic dispatch (``_double_samples``).  Each step rounds as libmp rounds it:
-IEEE operations and ``float()`` of a Python int round to nearest even at 53
-bits, as libmp does at 53 bits.  So table1's angle takes two IEEE operations,
-the reduction mod 2*pi one exact integer remainder rounded once, the cosine
-``mpf_cos``'s fixed-point steps with its significand rounded by ``float()``,
-and the tail 1/2 + s*c, with the form's exact factor s, one IEEE operation.
-At other widths a cosine form's samples are mpf, from one such loop as well
-(``_wide_samples``): the same integer steps in the same order, with the
-reduction's remainder, the cosine's significand and the tail each rounded to
-nearest even at the width, on Python ints.  The cosine's steps are
-``_cos_fixed``'s, shared by both loops: ``cos_sin_basecase``'s, and from
-about 371 bits, where that takes ``exponential_series``, the series' own
-steps for the cosine, with the square root that gives the sine taken only
-in the quadrants whose result is the sine; ``mpf_cos`` takes it in every
-quadrant and discards it in quadrants 0 and 2.
+A cosine form's samples come from one loop per trajectory at every width
+(``_cosine_samples``) that makes the libmp pipeline's own integer steps
+without its generic dispatch, each rounded to nearest even at the width as
+the call it replaces rounds it: table1's angle (pi - (-2)^k*phase)/3 one
+exact difference and one quotient by 3, the reduction mod 2*pi one exact
+integer remainder, the cosine ``mpf_cos``'s fixed-point steps
+(``_cos_fixed``: ``cos_sin_basecase``'s, and from about 371 bits, where that
+takes ``exponential_series``, the series' own steps for the cosine, with the
+square root that gives the sine taken only in the quadrants whose result is
+the sine), and the tail 1/2 + s*c, with the form's exact factor s.  Only the
+tail depends on the width: at 53 bits ``float()`` of the cosine's
+significand and one IEEE operation round as libmp rounds at 53 bits, and the
+samples are doubles; at other widths they are mpf, rounded on Python ints.
+At 53 bits table1's angle is two IEEE operations while (-2)^k*phase is a
+double below 2^1020.
 
 A 53-bit policy is not a model of an IEEE double device evaluating the same
 formula with libm.  The pipeline rounds the reduced angle to 53 bits before
@@ -559,27 +556,6 @@ def _cosine(variant: ClosedForm, phase: tuple, n: int, bits: int) -> tuple:
     return mpf_cos(_reduce_raw(_angle(variant, phase, n, bits), bits), bits, round_nearest)
 
 
-def _reduced(m: int, e: int, bits: int) -> tuple:
-    """The nonzero angle m * 2^e reduced into [0, 2*pi) at ``bits``, as
-    (significand, exponent), equal in value to ``_reduce_raw``'s result: its
-    exact-integer branch inlined, one ``%`` by 2*pi's significand and the
-    remainder rounded once at ``bits``.  An angle below 2*pi's ulp at the
-    reduction's width, and a remainder that rounding carried up to 2*pi at
-    ``bits``, take ``_reduce_raw`` itself."""
-    _, tman, texp, _ = _pi(bits + max(0, abs(m).bit_length() + e) + _REDUCE_GUARD_BITS)
-    texp += 1  # of 2*pi
-    if e >= texp:
-        r, f = (m << (e - texp)) % tman, texp
-        cut = r.bit_length() - bits
-        if cut > 0:
-            r, f = _nearest(r, cut), f + cut
-        _, tman, texp, _ = _pi(bits)
-        texp += 1
-        if r << max(0, f - texp) < tman << max(0, texp - f):
-            return r, f
-    return _pair(_reduce_raw(from_man_exp(m, e), bits))
-
-
 def _cos_fixed(t: int, q: int, w: int) -> int:
     """The cosine that ``mpf_cos`` forms from ``mod_pi2``'s (t, q, w), the
     angle t * 2^-w in [0, pi/2) plus q quarter turns, as a fixed-point
@@ -625,91 +601,79 @@ def _cos_fixed(t: int, q: int, w: int) -> int:
     return -c if q else c
 
 
-def _double_samples(variant: ClosedForm, phase: tuple, n: int, s: float) -> array:
-    """The samples 1/2 + s*c_k, k = 0..n, of a cosine form at 53 bits, as one
-    array('d') of doubles: c_k is ``_cosine(variant, phase, k, 53)``, bit for
-    bit, by the libmp pipeline's own steps without its generic wrapping.
+def _cosine_samples(variant: ClosedForm, phase: tuple, n: int, bits: int):
+    """The samples 1/2 + s*c_k, k = 0..n, of a cosine form at ``bits``: c_k
+    is ``_cosine(variant, phase, k, bits)``, bit for bit, by the libmp
+    pipeline's own integer steps in one loop, each rounded to nearest even at
+    ``bits`` as the call it replaces rounds it.
 
-    table1's angle (pi - (-2)^k*phase)/3 is two IEEE operations while
-    (-2)^k*phase is a double; they round to nearest even at 53 bits, as
-    ``mpf_sub`` and ``mpf_div`` do.  The reduction is ``_reduce_raw``'s
-    exact-integer branch, inlined: one ``%`` by 2*pi's significand, the
-    remainder rounded once at 53 bits.  ``_reduce_raw`` then takes 2*pi at 53
-    bits off a remainder that rounding carried up to it; that remainder can
-    only be 2*pi at 53 bits itself, since 2*pi exceeds it by 0.28 of its ulp,
-    and its cosine rounds to 1, as that of 0 does, so the step is left out.
-    The cosine is ``mpf_cos``'s at 53 bits: ``mod_pi2`` at 63 bits, then
-    ``_cos_fixed``'s fixed-point significand, which ``float()`` of a Python
-    int rounds to nearest even, as ``from_man_exp`` rounds it.  The tail 1/2
-    + s*c rounds once, as ``_tail`` does, since s*c is exact.  Angles past
-    the doubles and those below 2*pi's ulp at the reduction's width take the
-    libmp calls.
+    The angle is the phase shifted by k.  table1's, (pi - (-2)^k*phase)/3, is
+    the exact difference from pi at ``bits``, rounded as ``mpf_sub`` rounds
+    it, then its quotient by 3, rounded as ``mpf_div`` rounds it; at 53 bits
+    two IEEE operations do the same while (-2)^k*phase is below 2^1020.  The
+    reduction is ``_reduce_raw``'s exact-integer branch: one ``%`` by 2*pi's
+    significand, the remainder rounded once; an angle below 2*pi's ulp at the
+    reduction's width takes ``_reduce_raw`` itself.  ``_reduce_raw`` then
+    takes 2*pi at ``bits`` off a remainder that rounding carried up to it.
+    That step is left out: such a remainder lies within 2 ulps of 2*pi, and
+    from 53 bits on its cosine rounds to 1, as that of 0 does.  The cosine is
+    ``mpf_cos``'s: ``mod_pi2`` at ``bits`` + 10 bits, then ``_cos_fixed``'s
+    significand.  The tail 1/2 + s*c is exact, s being -1/2, -1 or 1, and is
+    rounded once.  At 53 bits the samples are doubles in one array('d'),
+    rounded by ``float()`` of the significand and one IEEE operation; at
+    other widths they are mpf, the significand and the tail each rounded on
+    Python ints.
     """
     sign, man, exp, bc = phase
     composed = variant is ClosedForm.RM2_COMPOSED
-    psi = to_float(phase)  # exact: 53 bits, below 2*pi
-    values = array("d")
+    double = bits == DOUBLE.significand_bits
+    wr, wc = bits + _REDUCE_GUARD_BITS, bits + 10  # the reduction's and mpf_cos's
+    pm, pe = _pair(_pi(bits))  # pi, for table1's angle
+    psi = to_float(phase) if double else 0.0  # exact: 53 bits, below 2*pi
+    s = _FORMS[variant][3]
+    sf, (negative, _, es, _) = to_float(s), s  # s = -2^es or 2^es
+    make, ldexp = mp.make_mpf, math.ldexp
+    values = array("d") if double else []
     append = values.append
     for k in range(n + 1):
         if not composed:
             m, e = (-man if sign else man), exp + k
-        elif exp + bc + k <= 1020:  # (-2)^k*phase is below 2^1020
-            f, e = math.frexp((math.pi - math.ldexp(-psi if k & 1 else psi, k)) / 3.0)
+        elif double and exp + bc + k <= 1020:  # (-2)^k*phase is below 2^1020
+            f, e = math.frexp((math.pi - ldexp(-psi if k & 1 else psi, k)) / 3.0)
             m, e = int(f * 9007199254740992.0), e - 53  # 2^53
-        else:
-            m, e = _pair(_angle(variant, phase, k, 53))
-        if m:  # reduced as _reduce_raw reduces it at 53 bits
-            _, tman, texp, _ = _pi(73 + max(0, abs(m).bit_length() + e))
+        else:  # pi - (-2)^k*phase exactly, rounded, then its quotient by 3, rounded
+            m, e = (-man if sign ^ (k & 1) else man), exp + k
+            d = min(pe, e)
+            m, e = (pm << (pe - d)) - (m << (e - d)), d
+            cut = m.bit_length() - bits
+            if cut > 0:
+                m, e = _nearest(m, cut), e + cut
+            m, r = divmod(m << (bits + 3), 3)  # a quotient of at least bits + 1 bits
+            m, e = (m << 1) | (r > 0), e - bits - 4  # and a sticky bit below it
+            cut = m.bit_length() - bits
+            if cut > 0:
+                m, e = _nearest(m, cut), e + cut
+        mag = m.bit_length() + e
+        if m:  # reduced into [0, 2*pi) as _reduce_raw reduces it at bits
+            _, tman, texp, _ = _pi(wr + mag if mag > 0 else wr)
             texp += 1  # of 2*pi
             if e >= texp:
                 m, e = (m << (e - texp)) % tman, texp
-                cut = m.bit_length() - 53
+                cut = m.bit_length() - bits
                 if cut > 0:
                     m, e = _nearest(m, cut), e + cut
-            else:
-                m, e = _pair(_reduce_raw(from_man_exp(m, e), 53))
+            else:  # below 2*pi's ulp at the reduction's width
+                m, e = _pair(_reduce_raw(from_man_exp(m, e), bits))
         mag = m.bit_length() + e
-        if not m or mag < -63:  # where mpf_cos rounds to 1
-            append(0.5 + s)
+        if m and mag >= -wc:
+            t, q, w = mod_pi2(m, e, mag, wc)
+            c = _cos_fixed(t, q, w)
+        else:  # where mpf_cos rounds to 1
+            c, w = 1 << wc, wc
+        if double:
+            append(0.5 + sf * ldexp(float(int(c)), -w))  # int(): gmpy2's mpz may not round
             continue
-        t, q, w = mod_pi2(m, e, mag, 63)
-        c = _cos_fixed(t, q, w)
-        append(0.5 + s * math.ldexp(float(int(c)), -w))  # int(): gmpy2's mpz may not round
-    return values
-
-
-def _wide_samples(variant: ClosedForm, phase: tuple, n: int, s: tuple, bits: int) -> list:
-    """The samples 1/2 + s*c_k, k = 0..n, of a cosine form at ``bits`` other
-    than 53, as mpf: c_k is ``_cosine(variant, phase, k, bits)``, bit for
-    bit, by the libmp pipeline's own integer steps in one loop.  The angle is
-    the phase shifted by k, or ``_angle``'s for table1; the reduction is
-    ``_reduced``'s; the cosine is ``mpf_cos``'s at ``bits``: ``mod_pi2`` at
-    ``bits`` + 10 bits, then ``_cos_fixed``'s significand, rounded at
-    ``bits`` as ``from_man_exp`` rounds it.  The tail 1/2 + s*c is exact, s
-    being -1/2, -1 or 1, and rounded once at ``bits``, to nearest even, as
-    ``_tail``'s correctly rounded ``mpf_add`` rounds it.
-    """
-    sign, man, exp, _ = phase
-    composed = variant is ClosedForm.RM2_COMPOSED
-    wc = bits + 10  # mpf_cos's working width
-    negative, _, es, _ = s  # s = -2^es or 2^es
-    make = mp.make_mpf
-    unit = make(_tail(s, fone, bits))  # where mpf_cos rounds to 1
-    values = []
-    append = values.append
-    for k in range(n + 1):
-        if composed:
-            m, e = _pair(_angle(variant, phase, k, bits))
-        else:
-            m, e = (-man if sign else man), exp + k
-        if m:
-            m, e = _reduced(m, e, bits)
-        mag = m.bit_length() + e
-        if not m or mag < -wc:
-            append(unit)
-            continue
-        t, q, w = mod_pi2(m, e, mag, wc)
-        c, e = _cos_fixed(t, q, w), es - w  # s*c = (+-c) * 2^e
+        e = es - w  # s*c = (+-c) * 2^e
         cut = c.bit_length() - bits
         if cut > 0:
             c, e = _nearest(c, cut), e + cut
@@ -748,13 +712,10 @@ def closed_form_trajectory(p: MapParams, n: int, variant: ClosedForm,
 
     Every sample equals ``closed_form(p, k, variant, policy)``; the arccos
     is taken once per trajectory, and the r2 base is squared once per step
-    and carried forward.  A cosine form at 53 bits returns its samples as one
-    array('d') of doubles, each equal to that mpf value, from
-    ``_double_samples``: one loop of integer steps and IEEE operations, each
-    rounding to nearest even at 53 bits as the libmp call it replaces does
-    (``float()`` of a Python int rounds so too).  At other widths it returns
-    mpf from ``_wide_samples``, one loop of the libmp calls' integer steps,
-    each rounding as the call it replaces does.
+    and carried forward.  A cosine form's samples come from one loop of the
+    libmp calls' integer steps, ``_cosine_samples``, each rounding as the
+    call it replaces does: at 53 bits as one array('d') of doubles, each
+    equal to that mpf value, and at other widths as mpf.
     """
     _check_closed_form(p, n, variant)
     bits = policy.significand_bits
@@ -767,10 +728,8 @@ def closed_form_trajectory(p: MapParams, n: int, variant: ClosedForm,
         for k in steps:
             values.append(make(_tail(s, phase, bits)))
             phase = mpf_mul(phase, phase, bits, round_nearest)
-    elif bits == DOUBLE.significand_bits:
-        values = _double_samples(variant, phase, n, to_float(s))
     else:
-        values = _wide_samples(variant, phase, n, s, bits)
+        values = _cosine_samples(variant, phase, n, bits)
     return Trajectory(f"{METHOD_CLOSED_FORM}:{variant.value}", steps, values, policy)
 
 

@@ -1079,6 +1079,20 @@ class TestOutputsAndErrors:
         assert str(path) in captured.err
         assert sorted(tmp_path.iterdir()) == []
 
+    def test_a_stdout_closed_by_its_reader_exits_1_without_an_error(self):
+        # as `| head` closes it: exit 1 with no `error:` line, and no second
+        # BrokenPipeError from the flush at exit
+        package_root = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, (package_root, os.environ.get("PYTHONPATH")))))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "logistic_exact", "rng", "--x0", "0.3", "--count", "300000"],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        assert proc.stdout.readline() == b"index_or_time,series,method,value\n"
+        proc.stdout.close()  # the artifact is 5.6 MB, far more than a pipe holds
+        _, err = proc.communicate(timeout=120)
+        assert (proc.returncode, err) == (1, b"")
+
     def test_unknown_subcommand_exits_2(self):
         with pytest.raises(SystemExit) as err:
             main(["frobnicate"])

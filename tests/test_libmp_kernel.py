@@ -421,18 +421,29 @@ class TestClosedFormKernel:
         assert got._mpf_ == reference_closed_form(p, n, variant, policy)._mpf_
 
     @settings(max_examples=60, deadline=None)
-    @given(cosine_form_cases(), st.integers(0, 150) | st.integers(1000, 1300))
-    @example((MapParams(-2.0, -0.5), ClosedForm.RM2_DIRECT), 3)
-    def test_double_samples_equal_the_libmp_pipeline(self, case, n):
-        # the 53-bit loop of closed_form_trajectory against closed_form, whose
-        # cosine is mpf_cos of _reduce_raw; past step 1,020 table1's angle
-        # leaves the doubles.  simple from x0 = -0.5 has the angle 2*pi at 53
-        # bits at step 1, which _reduce_raw takes to 0 and the loop keeps
+    @given(cosine_form_cases(), st.integers(0, 150) | st.integers(1000, 1300),
+           st.sampled_from(FORM_POLICIES + [PrecisionPolicy(55)]))
+    @example((MapParams(-2.0, -0.5), ClosedForm.RM2_DIRECT), 3, DOUBLE)
+    @example((MapParams(-2.0, -0.5), ClosedForm.RM2_DIRECT), 3, PrecisionPolicy(55))
+    @example((MapParams(4.0, 1.0), ClosedForm.R4_COSINE), 3, PrecisionPolicy(55))
+    @example((MapParams(-2.0, -0.5), ClosedForm.RM2_COMPOSED), 3, PrecisionPolicy(55))
+    @example((MapParams(-2.0, 0.9), ClosedForm.RM2_COMPOSED), 1100, DOUBLE)
+    def test_double_samples_equal_the_libmp_pipeline(self, case, n, policy):
+        # the sample loop of closed_form_trajectory against closed_form, whose
+        # cosine is mpf_cos of _reduce_raw, at every width.  simple from x0 =
+        # -0.5 and r4 from x0 = 1 have the angle 2*pi at 53 and 55 bits at
+        # step 1, at 55 bits a remainder that rounding carries up to 2*pi,
+        # which _reduce_raw takes to 0 and the loop keeps;
+        # table1 from x0 = -0.5 has pi - phase = 0 at step 0; past step 1,020
+        # table1's angle leaves the doubles and takes the integer route
         p, variant = case
-        got = closed_form_trajectory(p, n, variant, DOUBLE).values
-        assert set(map(type, got)) == {float}
-        assert tuple(got) == tuple(float(closed_form(p, k, variant, DOUBLE))
-                                   for k in range(n + 1))
+        got = closed_form_trajectory(p, n, variant, policy).values
+        expected = [closed_form(p, k, variant, policy) for k in range(n + 1)]
+        if policy == DOUBLE:
+            assert set(map(type, got)) == {float}
+            assert tuple(got) == tuple(map(float, expected))
+        else:
+            assert [v._mpf_ for v in got] == [v._mpf_ for v in expected]
 
     @pytest.mark.parametrize("policy", FORM_POLICIES)
     @pytest.mark.parametrize("variant", list(ClosedForm))
