@@ -124,6 +124,7 @@ def _run_ode(r, x0, gammas=(), t_end=10.0, dt=0.02):
 def _run_map3(r, x0, steps, bits=53, forms=()):
     from . import map_standard
 
+    forms = list(dict.fromkeys(forms))  # one series per form, in first-seen order
     policy = PrecisionPolicy(bits)
     _check_series(*[(steps + 1, bits)] * (1 + len(forms)))
     p = map_standard.MapParams(r, x0)
@@ -132,7 +133,7 @@ def _run_map3(r, x0, steps, bits=53, forms=()):
         series.append((name, map_standard.closed_form_trajectory(
             p, steps, map_standard.ClosedForm(name), policy)))
     config = {"subcommand": "map3", "r": r, "x0": x0, "steps": steps,
-              "bits": bits, "forms": list(forms)}
+              "bits": bits, "forms": forms}
     return {"config": config, "series": series}
 
 
@@ -152,13 +153,14 @@ def _run_map4(r, x0, steps, gammas=()):
 def _run_compare(r, x0, steps=60, bits=53, threshold=0.01, forms=(), oracle_bits=None):
     from . import map_standard
 
+    forms = list(dict.fromkeys(forms))  # one report per form, in first-seen order
     resolved = map_standard.oracle_policy(steps, bits, oracle_bits).significand_bits
     # the oracle, then the iteration and each closed form
     _check_series((steps + 1, resolved), *[(steps + 1, bits)] * (1 + len(forms)))
     p = map_standard.MapParams(r, x0)
     reports = map_standard.divergence_reports(p, steps, bits, threshold, forms, oracle_bits)
     config = {"subcommand": "compare", "r": r, "x0": x0, "steps": steps,
-              "bits": bits, "threshold": threshold, "forms": list(forms),
+              "bits": bits, "threshold": threshold, "forms": forms,
               "oracle_bits": resolved}
     return {"config": config, "reports": reports}
 

@@ -56,8 +56,9 @@ their product are each rounded to nearest, ties to even, at the step's width,
 as mpf arithmetic rounds them.  Only steps below B and of at least 1,000
 bits, with x in [2^-8, 1 - 2^-8], take r*(1/4 - y^2), y = x - 1/2, instead: a
 square costs less than a product there, and its relative error, below 2^(7 -
-w) at width w, fits the taper's 64 spare bits.  The reports read the kernel's
-(significand, exponent) pairs without forming an mpf per sample.
+w) at width w, fits the taper's 64 spare bits.  The reports of every method
+read the kernel's (significand, exponent) pairs in one pass, as they are built,
+without forming an mpf per sample or holding the reference whole.
 
 An iteration-only run (no closed form) at 53 working bits, r = 4 or r = -2,
 with the default oracle, a seed in the map's invariant interval and at least
@@ -883,14 +884,14 @@ def divergence_reports(p: MapParams, n_max: int, working_bits: int, threshold: f
     each form's value in the order given.
 
     The threshold (it must be positive) and every form's r and seed are
-    checked before anything is evaluated, and the iteration runs before the
-    reference, so an orbit that escapes builds none.  The reference's pairs
-    are compared as they are built, and held as a list only when closed
-    forms read them again after the iteration's report.  An explicit
-    ``oracle_bits`` below the budget of one bit per step plus 64 draws a
-    warning.  At 53 working bits about one significand bit dies per step, so
-    the orbit visibly leaves the oracle after a few dozen steps; the closed
-    forms are the library's pipeline at 53 bits, not libm on doubles.
+    checked before anything is evaluated, and the iteration and then each
+    closed form run before the reference, so an orbit that escapes builds
+    none.  One ``_compare_pairs`` call draws the reference's pairs once, as
+    they are built, for every method's column; no reference is held whole.
+    An explicit ``oracle_bits`` below the budget of one bit per step plus 64
+    draws a warning.  At 53 working bits about one significand bit dies per
+    step, so the orbit visibly leaves the oracle after a few dozen steps; the
+    closed forms are the library's pipeline at 53 bits, not libm on doubles.
     """
     if not threshold > 0:
         raise ValueError("threshold must be positive")
@@ -904,36 +905,29 @@ def divergence_reports(p: MapParams, n_max: int, working_bits: int, threshold: f
     for variant in variants:
         _check_closed_form(p, n_max, variant)
     working = PrecisionPolicy(working_bits)
-    it = iterate(p, n_max, working)
+    columns = [iterate(p, n_max, working).values]
+    columns += [closed_form_trajectory(p, n_max, v, working).values for v in variants]
     width = ref_policy.significand_bits
     bits = width + 10  # as compare_trajectories sets it
     taper_to = working_bits + _TAPER_MARGIN if oracle_bits is None else width
-
-    def report(t, ref):
-        return _compare_pairs(t.values, ref, bits, threshold)
-
-    if variants:
-        ref = list(_reference(p, width, _tapered_widths(width, n_max, taper_to)))
-        return [(METHOD_ITERATED, report(it, ref))] + [
-            (v.value, report(closed_form_trajectory(p, n_max, v, working), ref))
-            for v in variants]
+    alone = not variants and oracle_bits is None  # the iteration, at the default oracle
     phase = _PHASE_FORM.get(p.r)
-    if (oracle_bits is None and working_bits == DOUBLE.significand_bits
-            and n_max >= _PHASE_MIN_STEPS and phase is not None
-            and _in_seed_domain(p.x0, phase)):
-        return [(METHOD_ITERATED, report(it, _phase_reference(p, n_max, it.values)))]
-    if (oracle_bits is None and phase is None and n_max >= _SIZED_MIN_STEPS
+    if (alone and phase is None and n_max >= _SIZED_MIN_STEPS
             and type(p.r) is float and type(p.x0) is float):
-        widths, floors = _sized_widths(p.r, it.values, width, taper_to), array("d")
+        widths, floors = _sized_widths(p.r, columns[0], width, taper_to), array("d")
         try:
-            sized = report(it, _bounded(p.r, _reference(p, width, widths), widths, floors))
-        except EscapeError:
-            sized = None  # whether the run escapes is the tapered reference's to say
-        if (sized is not None and len(floors) == n_max + 1
-                and all(map(_certified, sized.per_step_abs_error, floors))):
+            sized, = _compare_pairs(columns, _bounded(p.r, _reference(p, width, widths), widths,
+                                                      floors), bits, threshold)
+        except EscapeError:  # whether the run escapes is the tapered reference's to say
+            floors = ()
+        if len(floors) == n_max + 1 and all(map(_certified, sized.per_step_abs_error, floors)):
             return [(METHOD_ITERATED, sized)]
-    return [(METHOD_ITERATED,
-             report(it, _reference(p, width, _tapered_widths(width, n_max, taper_to))))]
+    phased = (alone and working_bits == DOUBLE.significand_bits and n_max >= _PHASE_MIN_STEPS
+              and phase is not None and _in_seed_domain(p.x0, phase))
+    ref = (_phase_reference(p, n_max, columns[0]) if phased
+           else _reference(p, width, _tapered_widths(width, n_max, taper_to)))
+    labels = [METHOD_ITERATED] + [v.value for v in variants]
+    return list(zip(labels, _compare_pairs(columns, ref, bits, threshold)))
 
 
 def divergence_analysis(p: MapParams, variant: ClosedForm, n_max: int,

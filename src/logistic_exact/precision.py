@@ -278,11 +278,11 @@ def _is_packed(column) -> bool:
     return isinstance(column, array) and column.typecode == "d"
 
 
-def _chunks(floats):
-    """Lists of the next 4,096 items of the iterable ``floats``, the last
+def _chunks(items, size: int = 4096):
+    """Lists of the next ``size`` items of the iterator ``items``, the last
     holding the rest: ``array.fromlist`` converts a list at about half the
     cost per item of the array constructor reading an iterator."""
-    return iter(lambda: list(islice(floats, 4096)), [])
+    return iter(lambda: list(islice(items, size)), [])
 
 
 def _pack(floats) -> array:
@@ -380,51 +380,55 @@ def compare_trajectories(a: Trajectory, b: Trajectory,
         ia, ib = next((ia, ib) for ia, ib in zip(a.indices, b.indices) if ia != ib)
         raise ValueError(f"trajectory index sets differ (first mismatch: {ia!r} vs {ib!r})")
     bits = max(a.precision.significand_bits, b.precision.significand_bits) + 10
-    return _compare_pairs(a.values, map(_signed, b.values, repeat(bits)), bits, threshold)
+    return _compare_pairs([a.values], map(_signed, b.values, repeat(bits)), bits, threshold)[0]
 
 
-def _compare_pairs(values, b, bits: int, threshold: float) -> DivergenceReport:
-    """The report of ``compare_trajectories`` on a column of samples
-    ``values`` and a column of (signed significand, exponent) pairs ``b``,
-    its differences formed at ``bits``.  A float sample is read by
+def _compare_pairs(columns, pairs, bits: int, threshold: float) -> list:
+    """The reports of ``compare_trajectories``, one per column of samples in
+    ``columns``, against one column of (signed significand, exponent) pairs
+    ``pairs``, drawn once, 256 at a time, a block that every column reads in
+    turn; differences are formed at ``bits``.  A float sample is read by
     ``as_integer_ratio`` in the loop; any other as ``_signed`` reads it.
 
     A difference d * 2^e of at most 1,023 bits is rounded once, by
     ``float()`` of the integer d, which rounds to nearest even (no carry
     can reach 2^1024), and ``ldexp`` is then exact; a wider one is first cut
     to 55 bits with a sticky bit, which keeps that rounding."""
-    errors = []
-    append, ldexp = errors.append, math.ldexp
-    for x, (mb, eb) in zip(values, b):
-        if type(x) is float:
-            ma, den = x.as_integer_ratio()  # den is a power of 2
-            ea = 1 - den.bit_length()
-        else:
-            ma, ea = _signed(x, bits)
-        gap = ea - eb
-        if ma and mb and -bits <= gap <= bits:
-            if gap >= 0:
-                d, e = abs((ma << gap) - mb), eb
-            else:
-                d, e = abs(ma - (mb << -gap)), ea
-            w = d.bit_length()
-            if w <= bits and e + w <= 1023:
-                if e + w <= -1022:  # d * 2^e < 2^-1022
-                    append(_subnormal(int(d), e))
-                    continue
-                if w > 1023:
-                    e += w - 55
-                    cut = d >> (w - 55)
-                    d = cut | (cut << (w - 55) != d)  # sticky bit
-                # float() of a Python int rounds to nearest even; of gmpy2's mpz
-                # it need not, so the significand goes through int() first
-                append(ldexp(float(int(d)), e))
-                continue
-        diff = mpf_abs(mpf_sub(from_man_exp(ma, ea), from_man_exp(mb, eb), bits, round_nearest))
-        _, man, exp, bc = diff
-        append(_subnormal(int(man), exp) if man and exp + bc <= -1022
-               else to_float(diff, rnd=round_nearest))
-    return DivergenceReport(errors, float(threshold))
+    samples, tallies = [iter(column) for column in columns], [[] for _ in columns]
+    ldexp, rnd = math.ldexp, round_nearest
+    for block in _chunks(iter(pairs), 256):
+        for column, errors in zip(samples, tallies):
+            append = errors.append
+            for (mb, eb), x in zip(block, column):  # the block first: no sample is drawn past it
+                if type(x) is float:
+                    ma, den = x.as_integer_ratio()  # den is a power of 2
+                    ea = 1 - den.bit_length()
+                else:
+                    ma, ea = _signed(x, bits)
+                gap = ea - eb
+                if ma and mb and -bits <= gap <= bits:
+                    if gap >= 0:
+                        d, e = abs((ma << gap) - mb), eb
+                    else:
+                        d, e = abs(ma - (mb << -gap)), ea
+                    w = d.bit_length()
+                    if w <= bits and e + w <= 1023:
+                        if e + w <= -1022:  # d * 2^e < 2^-1022
+                            append(_subnormal(int(d), e))
+                            continue
+                        if w > 1023:
+                            e += w - 55
+                            cut = d >> (w - 55)
+                            d = cut | (cut << (w - 55) != d)  # sticky bit
+                        # float() of a Python int rounds to nearest even; of gmpy2's
+                        # mpz it need not, so the significand goes through int() first
+                        append(ldexp(float(int(d)), e))
+                        continue
+                diff = mpf_abs(mpf_sub(from_man_exp(ma, ea), from_man_exp(mb, eb), bits, rnd))
+                _, man, exp, bc = diff
+                append(_subnormal(int(man), exp) if man and exp + bc <= -1022
+                       else to_float(diff, rnd=rnd))
+    return [DivergenceReport(errors, float(threshold)) for errors in tallies]
 
 
 def _subnormal(d: int, e: int) -> float:

@@ -293,6 +293,24 @@ def test_repeated_gamma_is_one_series(argv, capsys):
         assert capsys.readouterr().out == once
 
 
+@pytest.mark.parametrize("argv,key", [
+    (["map3", "--r", "-2", "--x0", "0.9", "--steps", "20"], "series"),
+    (["compare", "--r", "-2", "--x0", "0.9", "--steps", "20"], "reports"),
+], ids=["map3", "compare"])
+def test_repeated_form_is_one_series(argv, key, capsys):
+    repeated = ["--form", "simple", "--form", "table1", "--form", "simple"]
+    distinct = ["--form", "simple", "--form", "table1"]
+    assert main(argv + repeated + ["--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert [s["label"] for s in doc[key]] == ["iterated", "simple", "table1"]
+    assert doc["config"]["forms"] == ["simple", "table1"]
+    for fmt in ("csv", "json", "svg"):
+        assert main(argv + repeated + ["--format", fmt]) == 0
+        once = capsys.readouterr().out
+        assert main(argv + distinct + ["--format", fmt]) == 0
+        assert capsys.readouterr().out == once
+
+
 class TestCompareCommand:
     def test_emits_three_reports(self, capsys):
         assert main(["compare", "--r", "-2", "--x0", "0.9", "--form", "table1",
@@ -357,10 +375,11 @@ class TestCompareCommand:
         pairs = []
         real_compare = map_standard._compare_pairs
 
-        def recording(values, b, bits, threshold):
-            values, b = list(values), list(b)
-            pairs.extend(zip(values, b))
-            return real_compare(values, iter(b), bits, threshold)
+        def recording(columns, b, bits, threshold):
+            columns, b = [list(column) for column in columns], list(b)
+            for column in columns:
+                pairs.extend(zip(column, b))
+            return real_compare(columns, iter(b), bits, threshold)
 
         monkeypatch.setattr(map_standard, "_compare_pairs", recording)
         assert main(["compare", "--r", "0.5", "--x0", "0.3", "--steps", str(steps)]) == 0
@@ -388,38 +407,43 @@ class TestCompareCommand:
         assert [rep["label"] for rep in doc["reports"]] == ["iterated", "table1", "simple"]
 
     @pytest.mark.parametrize("forms", [(), ("table1", "simple")])
-    def test_reference_is_held_only_for_closed_forms(self, forms, monkeypatch):
-        # built after the iteration either way; streamed into an iteration-only
-        # report, and held as one list that every report reads when forms follow
-        order, refs = [], []
-        real_iterate = map_standard.iterate
+    def test_reference_is_drawn_once_for_every_column(self, forms, monkeypatch):
+        # the iteration, then each closed form, then one call that draws the
+        # reference once, as it is built, against every method's column
+        order, columns, calls = [], [], []
         real_reference = map_standard._reference
         real_compare = map_standard._compare_pairs
 
-        def iterate(*args):
-            order.append("iterate")
-            return real_iterate(*args)
+        def evaluating(name, real):
+            def evaluate(*args):
+                order.append(name)
+                t = real(*args)
+                columns.append(t.values)
+                return t
+            return evaluate
 
         def reference(*args):
             order.append("reference")  # on the first pair drawn
             yield from real_reference(*args)
 
-        def compare(values, b, bits, threshold):
-            refs.append(b)
-            return real_compare(values, b, bits, threshold)
+        def compare(cols, pairs, bits, threshold):
+            order.append("compare")
+            reports = real_compare(cols, pairs, bits, threshold)
+            calls.append((cols, pairs))
+            return reports
 
-        monkeypatch.setattr(map_standard, "iterate", iterate)
+        monkeypatch.setattr(map_standard, "iterate", evaluating("iterate", map_standard.iterate))
+        monkeypatch.setattr(map_standard, "closed_form_trajectory",
+                            evaluating("closed form", map_standard.closed_form_trajectory))
         monkeypatch.setattr(map_standard, "_reference", reference)
         monkeypatch.setattr(map_standard, "_compare_pairs", compare)
         p = map_standard.MapParams(-2.0, 0.9)
         reports = map_standard.divergence_reports(p, 60, 53, 0.01, forms)
-        assert order == ["iterate", "reference"]
-        assert len(refs) == len(reports) == 1 + len(forms)
-        if forms:
-            assert all(ref is refs[0] for ref in refs) and type(refs[0]) is list
-            assert len(refs[0]) == 61
-        else:
-            assert type(refs[0]) is not list and next(refs[0], None) is None  # drawn to its end
+        assert order == ["iterate"] + ["closed form"] * len(forms) + ["compare", "reference"]
+        assert len(reports) == len(columns) == 1 + len(forms) and len(calls) == 1
+        cols, pairs = calls[0]
+        assert len(cols) == len(columns) and all(c is t for c, t in zip(cols, columns))
+        assert type(pairs) is not list and next(pairs, None) is None  # drawn to its end
 
     def test_impossible_form_is_refused_before_evaluating(self, monkeypatch, capsys):
         def never(*args, **kwargs):
@@ -541,7 +565,7 @@ class TestSeriesLimits:
         monkeypatch.setattr(map_standard, "iterate",
                             lambda p, n, policy: Trajectory("iterated", (0,), (0.0,), policy))
         monkeypatch.setattr(map_standard, "_compare_pairs",
-                            lambda values, b, bits, threshold: DivergenceReport((), threshold))
+                            lambda columns, b, bits, threshold: [DivergenceReport((), threshold)])
         # the widest values, and the most significand bits in all
         steps = cli.MAX_SERIES_BITS // cli.MAX_BITS - 1
         for n in (60, steps):
@@ -876,6 +900,14 @@ class TestPeakMemory:
         growth = peak_growth(["compare", "--r", "3.9", "--x0", "0.3", "--steps", "9000",
                               "--out", str(tmp_path / "compare.json")])
         assert growth < 3 * 2**20
+
+    def test_form_compare_holds_no_reference(self, tmp_path):
+        # every column is compared with one pass over the reference, 256 pairs
+        # at a time: about 4.7 MiB, 31.8 MiB while a --form run held its
+        # reference as a list of 20,001 samples of up to 20,064 bits
+        growth = peak_growth(["compare", "--r", "2", "--x0", "0.3", "--steps", "20000",
+                              "--form", "r2", "--out", str(tmp_path / "compare.json")])
+        assert growth < 8 * 2**20
 
 
 class TestRngCommand:

@@ -8,7 +8,7 @@ import json
 import math
 import operator
 from array import array
-from itertools import repeat
+from itertools import islice, repeat
 
 import pytest
 from hypothesis import given, settings
@@ -220,7 +220,7 @@ def check_sized_reference(p, n, working_bits):
                                        floors))
     assert len(sized) == len(floors)  # up to a bound that certifies nothing
     bits = width + 10
-    report = _compare_pairs(it.values, iter(sized), bits, 0.01)
+    report, = _compare_pairs([it.values], iter(sized), bits, 0.01)
     eb = report.per_step_abs_error
     certified = len(floors) == n + 1 and all(map(map_standard._certified, eb, floors))
     tapered = tapered_oracle(p, n, policy, taper_to)
@@ -349,6 +349,22 @@ class TestSizedReference:
             if rate == 0.0:
                 assert max(widths[100:3500]) <= margin + 4
 
+    def test_floors_are_pinned(self):
+        # every bit of every floor of a run whose steps from 1,000 bits up
+        # square: each rounding term of the bound moves some of them, where the
+        # tests above only see that the bound lies above the error
+        p, n = MapParams(3.9, 0.3), 4500
+        width = oracle_policy(n, 53, None).significand_bits
+        widths = map_standard._sized_widths(p.r, iterate(p, n).values, width, 181)
+        assert sum(map_standard._SQUARE_MIN_BITS <= w < width for w in widths) == 3474
+        floors = array("d")
+        for _ in map_standard._bounded(p.r, map_standard._reference(p, width, widths), widths,
+                                       floors):
+            pass
+        assert len(floors) == n + 1
+        assert (hashlib.sha256(repr(floors.tolist()).encode()).hexdigest()
+                == "3103990735b66e2f24ecf8e5253f3987587f57536ea889f29d083aefa26d2d67")
+
     def test_an_uncertified_reference_falls_back(self, monkeypatch, calls):
         # steps a few bits wider than the stretching ahead: the bound soon
         # certifies nothing, and the run takes the tapered reference instead
@@ -365,6 +381,18 @@ class TestSizedReference:
         reports = divergence_reports(p, S, 53, 0.01)
         assert calls == ["oracle", "sized", "oracle"]
         assert reports == public_reports(p, S, 53)
+
+    def test_an_escaping_sized_reference_falls_back(self, monkeypatch):
+        # whether the run escapes is the tapered reference's to say
+        real = map_standard._bounded
+
+        def escaping(*args):
+            yield from islice(real(*args), 100)
+            raise EscapeError("orbit escaped past 1e+100 at step 100", index=100)
+
+        monkeypatch.setattr(map_standard, "_bounded", escaping)
+        p = MapParams(3.9, 0.3)
+        assert divergence_reports(p, S, 53, 0.01) == public_reports(p, S, 53)
 
     def test_bound_at_the_repelling_fixed_point(self):
         # the budget of 464 bits at r = -2 from x0 = 3/2 - 2^-52, where the

@@ -1,6 +1,7 @@
 import collections
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import event, example, given, settings
@@ -544,18 +545,34 @@ class TestCompareKernel:
         expected = libmp_error(*_signed(x, bits), mb, eb, bits)
         if not math.isfinite(expected):  # an overflow, which a report refuses
             with pytest.raises(ValueError, match="finite and non-negative"):
-                _compare_pairs([x], [(mb, eb)], bits, 1.0)
+                _compare_pairs([[x]], [(mb, eb)], bits, 1.0)
             return
-        error = _compare_pairs([x], [(mb, eb)], bits, 1.0).per_step_abs_error
+        report, = _compare_pairs([[x]], [(mb, eb)], bits, 1.0)
+        error = report.per_step_abs_error
         assert error == (expected,)
         assert math.copysign(1.0, error[0]) == 1.0
+
+    def test_a_difference_in_the_lowest_normal_binade_is_rounded_once(self):
+        # d * 2^-1077 in [2^-1023, 2^-1022), with d = 8q + 3 of 55 bits: rounded
+        # to 53 bits first, to 8q + 4, it would then round to 1.1125369292536017e-308
+        q = 2**51 + 1
+        d = 8 * q + 3
+        pair = ((1 << 1077) - d, -1077)
+        expected = float(Fraction(d, 2**1077))
+        assert expected == 1.112536929253601e-308
+        report, = _compare_pairs([[1.0]], [pair], 1200, 1.0)
+        assert report.per_step_abs_error == (expected,)
+        # and as the second of two columns against one reference
+        first, second = _compare_pairs([[0.5], [1.0]], [pair], 1200, 1.0)
+        assert first.per_step_abs_error == (0.5,) and second.per_step_abs_error == (expected,)
 
     def test_a_column_reads_doubles_and_mpf_alike(self):
         # one report over a column that leaves the doubles part way, as a
         # decaying iteration does, equals the samples' reports one by one
         values = [0.75, mpf("1e-400"), 2.0**-1074, mpf(0), 3.0]
         ref = [(3, -2), (1, -1400), (1, -1075), (5, -1074), (3 * 2**300, -300)]
-        column = _compare_pairs(values, ref, 300, 1.0).per_step_abs_error
+        report, = _compare_pairs([values], ref, 300, 1.0)
+        column = report.per_step_abs_error
         assert column == tuple(libmp_error(*_signed(x, 300), *pair, 300)
                                for x, pair in zip(values, ref))
         assert column[0] == column[4] == 0.0 and column[3] > 0.0
