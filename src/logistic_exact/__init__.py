@@ -11,7 +11,7 @@ reference as a trajectory) are test references, in ``tests/routes.py``.
 
 The submodules mirror that split:
 
-- ``precision``   precision policies, angle reduction, trajectory comparison
+- ``precision``   value types: policies, budget, map parameters, trajectories
 - ``continuous``  the ODE's particular/general solutions and their grids
 - ``map_standard``  the quadratic map, its closed forms, divergence runs, PRNG
 - ``map_riccati``   the backward-coupled map and its general solution
@@ -31,10 +31,9 @@ _EXPORTS = {
     "continuous": ("ContinuousParams", "RiccatiShift"),
     "errors": ("DegeneracyError", "DomainError", "EscapeError", "PoleError"),
     "map_riccati": ("RiccatiCoefficients", "RiccatiMapParams"),
-    "map_standard": ("ClosedForm", "MapParams"),
-    "precision": ("DOUBLE", "DivergenceReport", "PrecisionPolicy", "Trajectory",
-                  "budgeted_policy", "compare_trajectories", "precision_budget",
-                  "reduce_mod_2pi"),
+    "map_standard": ("ClosedForm", "compare_trajectories", "reduce_mod_2pi"),
+    "precision": ("DOUBLE", "DivergenceReport", "MapParams", "PrecisionPolicy", "Trajectory",
+                  "budgeted_policy", "precision_budget"),
 }
 _SOURCES = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -35,8 +35,6 @@ from array import array
 from collections import Counter
 from collections.abc import Sequence
 
-from mpmath.libmp import numeral, repr_dps, to_str
-
 from .errors import MAX_GRID_POINTS, DegeneracyError, DomainError, EscapeError, PoleError
 from .precision import (
     DOUBLE,
@@ -224,10 +222,13 @@ _LOG2_10 = math.log(10, 2)  # as to_str's steps compute it
 def _digits(bits):
     """``to_str``'s values for a column ``bits`` wide, worked out once per
     width: the digits it writes, ``repr_dps(bits)``, the significant bits of
-    its fixed-point step, and the decimal exponent from which down it writes
-    the exponent form."""
+    its fixed-point step, the decimal exponent from which down it writes the
+    exponent form, and mpmath's ``numeral`` and ``to_str``, imported here so
+    that a run of doubles alone loads no mpmath."""
+    from mpmath.libmp import numeral, repr_dps, to_str
+
     dps = repr_dps(bits)
-    return dps, int((dps + 3) * _LOG2_10) + 10, min(-(dps // 3), -5)
+    return dps, int((dps + 3) * _LOG2_10) + 10, min(-(dps // 3), -5), numeral, to_str
 
 
 @functools.lru_cache(maxsize=256)
@@ -236,7 +237,7 @@ def _ten(n):
     return 10 ** n
 
 
-def _decimal(x, dps, bitprec, least):
+def _decimal(x, dps, bitprec, least, numeral, to_str):
     """``to_str(x, dps)``, which ``mp.nstr`` writes for a finite raw value x,
     from to_str's own steps with ``_digits``' values: the significand at
     fixed point with ``bitprec`` significant bits, its decimal digits, the

@@ -65,12 +65,14 @@ def _start(num: int, den: int):
     sigmoid constant c = 1/x_s - 1 = (den - num)/num and q = 1/x_s = den/num,
     each one int/int quotient of the exact integers behind the doubles, which
     CPython rounds correctly.  An x_s beyond the doubles is a pole at the
-    start, and one too small for 1/x_s to be a double is refused.  num != 0."""
+    start, as is an infinite one (den = 0, gamma = x0), and one too small for
+    1/x_s to be a double is refused.  num != 0."""
     try:
         x_s = num / den
     except (OverflowError, ZeroDivisionError):
-        raise PoleError("the start x_s of this solution overflows a double: a pole at "
-                        "the start", where=0) from None
+        cause = "overflows a double" if den else "is infinite"
+        raise PoleError(f"the start x_s of this solution {cause}: a pole at the start",
+                        where=0) from None
     try:
         return x_s, (den - num) / num, den / num
     except OverflowError:

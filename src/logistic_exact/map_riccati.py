@@ -8,7 +8,8 @@ seed to x0 + 1/gamma, and every member, the particular solution included,
 takes the ODE's start rule ``continuous._start`` for its exact seed and then
 reads the ODE's sigmoid kernel ``continuous._sigmoid`` with e^(-r*t) replaced
 by (1+r)^-n.  The general solution is cross-checked by stepping the linearized
-equation y' = g*y + h of the step coefficients from y = gamma."""
+equation y' = g*y + h of the step coefficients from y = gamma.  Its
+parameters are ``precision.MapParams``: a run loads no ``map_standard``."""
 
 import math
 from array import array
@@ -17,8 +18,7 @@ from itertools import pairwise
 
 from .continuous import RiccatiShift, _sigmoid, _start
 from .errors import POLE_EPS, DomainError, PoleError, check_steps
-from .map_standard import MapParams
-from .precision import DOUBLE, METHOD_CLOSED_FORM, METHOD_ITERATED, Trajectory, _Record
+from .precision import DOUBLE, METHOD_CLOSED_FORM, METHOD_ITERATED, MapParams, Trajectory, _Record
 
 # The coupled map takes the quadratic map's parameters, a finite rate r and seed
 # x0.  r = -1 is accepted: plain iteration handles it (the orbit is x0, 0, 0,

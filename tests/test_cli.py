@@ -20,7 +20,9 @@ from mpmath.libmp import repr_dps
 
 from logistic_exact import cli, continuous, map_riccati, map_standard
 from logistic_exact.cli import FIGURE_PRESETS, RunConfig, main, run
-from logistic_exact.precision import DivergenceReport, PrecisionPolicy, Trajectory, _signed
+from logistic_exact.errors import PoleError
+from logistic_exact.map_standard import _signed
+from logistic_exact.precision import DivergenceReport, PrecisionPolicy, Trajectory
 
 
 def rows_of(csv_text):
@@ -151,6 +153,20 @@ class TestOdeCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: solution has a pole at t=261.")
+
+    def test_gamma_equal_to_x0_is_an_infinite_start(self, capsys):
+        # gamma - x0 is zero: the start is infinite, a pole at t = 0 that
+        # nothing overflows to reach
+        assert main(["ode", "--r", "1", "--x0", "0.5", "--gamma", "0.5", "--t-end", "1",
+                     "--dt", "0.5"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: the start x_s of this solution is infinite: "
+                                "a pole at the start\n")
+        with pytest.raises(PoleError) as caught:
+            continuous.effective_initial_condition(continuous.ContinuousParams(1.0, 0.5),
+                                                   continuous.RiccatiShift(0.5))
+        assert caught.value.where == 0
 
     @pytest.mark.parametrize("argv,label,start", [
         (["--x0", "1e17"], "particular", "1e+17"),

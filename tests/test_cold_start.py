@@ -1,8 +1,10 @@
 """What a fresh ``python -m logistic_exact`` run imports: each subcommand loads
-the library modules its runner needs and no others, and no run loads
-``dataclasses`` or the ``inspect`` module that it pulls in.  A bare import of
-the package loads none of its submodules, and the benchmark's tracer, which
-wraps library functions by name, installs in a fresh interpreter."""
+the library modules its runner needs and no others, no run loads
+``dataclasses`` or the ``inspect`` module that it pulls in, and a run on
+doubles alone (``ode``, ``map4``, figures 1 and 3) loads no mpmath.  A bare
+import of the package loads none of its submodules, and the benchmark's
+tracer, which wraps library functions by name, installs in a fresh
+interpreter."""
 
 import os
 import subprocess
@@ -27,6 +29,7 @@ print(" ".join(sorted(sys.modules)))
 """
 
 STDLIB = {"dataclasses", "inspect"}
+MPMATH = "mpmath"
 CONTINUOUS, RICCATI, STANDARD = ("logistic_exact.continuous", "logistic_exact.map_riccati",
                                  "logistic_exact.map_standard")
 
@@ -58,12 +61,13 @@ def loaded(argv, out):
      {STANDARD}, STDLIB | {CONTINUOUS, RICCATI}),
     (["figure", "2"], {STANDARD}, STDLIB | {CONTINUOUS, RICCATI}),
     (["ode", "--r", "1.7", "--x0", "0.11", "--gamma", "0.25"], {CONTINUOUS},
-     STDLIB | {STANDARD, RICCATI}),
-    (["figure", "1"], {CONTINUOUS}, STDLIB | {STANDARD, RICCATI}),
+     STDLIB | {STANDARD, RICCATI, MPMATH}),
+    (["figure", "1"], {CONTINUOUS}, STDLIB | {STANDARD, RICCATI, MPMATH}),
     (["rng", "--x0", "0.3", "--count", "64"], {STANDARD}, STDLIB | {CONTINUOUS, RICCATI}),
     (["map4", "--r", "1.73", "--x0", "0.333", "--steps", "50", "--gamma", "2"],
-     {CONTINUOUS, RICCATI, STANDARD}, STDLIB),
-], ids=["compare", "map3-r4-164-bits", "figure2", "ode", "figure1", "rng", "map4"])
+     {CONTINUOUS, RICCATI}, STDLIB | {STANDARD, MPMATH}),
+    (["figure", "3"], {CONTINUOUS, RICCATI}, STDLIB | {STANDARD, MPMATH}),
+], ids=["compare", "map3-r4-164-bits", "figure2", "ode", "figure1", "rng", "map4", "figure3"])
 def test_a_run_loads_only_what_its_runner_needs(argv, needed, unloaded, tmp_path):
     modules = loaded(argv, tmp_path / "artifact")
     assert needed <= modules
@@ -89,7 +93,7 @@ print(PrecisionPolicy(53), cli.__name__)  # noqa: F405
 
 def test_the_package_loads_its_names_on_first_use():
     assert fresh(NAMES).splitlines() == [
-        "-", "logistic_exact.errors logistic_exact.map_standard",
+        "-", "logistic_exact.errors logistic_exact.precision",
         "PrecisionPolicy(significand_bits=53) logistic_exact.cli"]
 
 

@@ -20,7 +20,7 @@ from logistic_exact.continuous import (
     particular_solution,
 )
 from logistic_exact.errors import POLE_EPS, DomainError, PoleError
-from logistic_exact.precision import compare_trajectories
+from logistic_exact.map_standard import compare_trajectories
 from routes import general_solution_correction_form, rk4_oracle
 
 FIG1 = ContinuousParams(r=1.7, x0=0.11)

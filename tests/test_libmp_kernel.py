@@ -32,19 +32,14 @@ from logistic_exact.map_standard import (
     MapParams,
     _mpfs,
     _orbit,
+    _raw_mpf,
     closed_form,
     closed_form_trajectory,
-    iterate,
-)
-from logistic_exact.precision import (
-    DOUBLE,
-    PrecisionPolicy,
-    Trajectory,
-    _raw_mpf,
-    budgeted_policy,
     compare_trajectories,
+    iterate,
     reduce_mod_2pi,
 )
+from logistic_exact.precision import DOUBLE, PrecisionPolicy, Trajectory, budgeted_policy
 
 # ------------------------------------------------------------ references
 

@@ -17,19 +17,14 @@ from logistic_exact.map_standard import (
     _reference,
     closed_form,
     closed_form_trajectory,
+    compare_trajectories,
     divergence_analysis,
     iterate,
     iteration_divergence,
     oracle,
     prng_bits,
 )
-from logistic_exact.precision import (
-    DOUBLE,
-    PrecisionPolicy,
-    budgeted_policy,
-    compare_trajectories,
-    precision_budget,
-)
+from logistic_exact.precision import DOUBLE, PrecisionPolicy, budgeted_policy, precision_budget
 from routes import _CONJUGACY, conjugacy_solution, phase_oracle
 
 SEED_RANGES = {

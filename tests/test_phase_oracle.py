@@ -21,21 +21,16 @@ from logistic_exact.errors import DomainError, EscapeError
 from logistic_exact.map_standard import (
     ClosedForm,
     MapParams,
+    _compare_pairs,
     closed_form_trajectory,
+    compare_trajectories,
     divergence_reports,
     iterate,
     iteration_divergence,
     oracle,
     oracle_policy,
 )
-from logistic_exact.precision import (
-    DOUBLE,
-    METHOD_ORACLE,
-    PrecisionPolicy,
-    _compare_pairs,
-    budgeted_policy,
-    compare_trajectories,
-)
+from logistic_exact.precision import DOUBLE, METHOD_ORACLE, PrecisionPolicy, budgeted_policy
 from routes import phase_oracle, tapered_oracle
 
 P = 53 + 75  # bits of a phase sample at 53 working bits

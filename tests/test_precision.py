@@ -22,20 +22,22 @@ from mpmath.libmp import (
 )
 
 from logistic_exact import map_standard
-from logistic_exact.precision import (
-    DOUBLE,
-    DivergenceReport,
-    PrecisionPolicy,
-    Trajectory,
+from logistic_exact.map_standard import (
     _compare_pairs,
     _pi,
     _reduce_raw,
     _signed,
     _subnormal,
-    budgeted_policy,
     compare_trajectories,
-    precision_budget,
     reduce_mod_2pi,
+)
+from logistic_exact.precision import (
+    DOUBLE,
+    DivergenceReport,
+    PrecisionPolicy,
+    Trajectory,
+    budgeted_policy,
+    precision_budget,
 )
 
 

@@ -7,10 +7,13 @@ import copy
 import math
 import pickle
 from array import array
+from decimal import Decimal
+from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
-from mpmath import mpf
+from mpmath import mp, mpc, mpf
+from mpmath.libmp import finf, fnan, fninf
 
 from logistic_exact import cli, continuous, map_riccati, map_standard, precision
 from logistic_exact.cli import RunConfig
@@ -280,6 +283,27 @@ def test_float_producers_pack_their_columns():
 def test_validation_errors(make, error, message):
     with pytest.raises(error, match=message):
         make()
+
+
+def test_the_written_out_special_values_are_libmps():
+    assert precision._NON_FINITE == (finf, fninf, fnan)
+
+
+@pytest.mark.parametrize("value", [
+    0, True, -10**400, 1.5, math.inf, -math.inf, math.nan, mpf(1), mpf("inf"), mpf("-inf"),
+    mpf("nan"), mp.pi, mpc(1, 2), mpc(1, "inf"), mpc("nan", 0), 1 + 2j, complex(math.inf, 0),
+    Fraction(1, 3), Fraction(-10**400, 3), Decimal("1.5"), Decimal("1e400"),
+    Decimal("Infinity"), Decimal("-Infinity"), Decimal("NaN"), Decimal("sNaN")])
+def test_finiteness_is_mpmaths(value):
+    # the value layer judges a number as mp.isfinite does, without loading mpmath
+    assert precision._is_finite(value) is mp.isfinite(value)
+
+
+@pytest.mark.parametrize("value", [None, object(), [1.0], b"1"])
+def test_finiteness_of_no_number_raises(value):
+    for is_finite in (mp.isfinite, precision._is_finite):
+        with pytest.raises(TypeError):
+            is_finite(value)
 
 
 def test_constructors_take_no_more_and_no_fewer_arguments():
