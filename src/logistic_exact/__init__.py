@@ -5,9 +5,10 @@ closed forms of the quadratic map x' = r*x*(1-x), and the one-parameter
 general solution of the backward-coupled map x'-x = r*x*(1-x'), together
 with arbitrary-precision iteration oracles that verify every formula and
 measure how fast fixed-precision evaluation drifts off a chaotic orbit.  The
-second routes that cross-check the formulas (an RK4 integrator, the ODE's
-printed correction form, the conjugacy of each closed form and the phase
-reference as a trajectory) are test references, in ``tests/routes.py``.
+second routes that cross-check the formulas (an RK4 integrator, the printed
+forms of the ODE's and the coupled map's general solutions, the conjugacy of
+each closed form and the phase reference as a trajectory) are test
+references, in ``tests/routes.py``.
 
 The submodules mirror that split:
 

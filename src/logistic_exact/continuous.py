@@ -104,12 +104,6 @@ def _pole_time(r: float, c: float, q: float) -> float | None:
     return None
 
 
-def effective_initial_condition(p: ContinuousParams, shift: RiccatiShift) -> float:
-    """Initial value gamma*x0/(gamma - x0) of the member picked by gamma, rounded
-    once: its sample at t = 0, where a start beyond the doubles is a pole."""
-    return _ode_start(p.x0, shift)[0]
-
-
 def _sigmoid(c, decay, rate, wheres, axis="t"):
     """array('d', [1/(1 + c*decay(rate*w)) for each w of the sequence
     ``wheres``]), the Riccati sigmoid of both families after its start:
@@ -182,7 +176,8 @@ def general_solution(t: float, p: ContinuousParams, shift: RiccatiShift) -> floa
 
     Algebraically this is just the particular solution restarted from
     gamma*x0/(gamma - x0): the free constant only changes the initial
-    condition.  For a seed in (0, 1) and gamma = x0/(1 - x0) that value is 1,
+    condition, and the member's sample at t = 0 is that start, rounded once.
+    For a seed in (0, 1) and gamma = x0/(1 - x0) that value is 1,
     so the member is the fixed point x = 1, up to rounding.  A member with a
     pole at some t > 0 (see ``RiccatiShift``) is evaluated wherever its
     formula is defined, and ``grid_trajectory`` refuses a grid that reaches

@@ -7,8 +7,9 @@ solution structure: in its one-parameter general family gamma only shifts the
 seed to x0 + 1/gamma, and every member, the particular solution included,
 takes the ODE's start rule ``continuous._start`` for its exact seed and then
 reads the ODE's sigmoid kernel ``continuous._sigmoid`` with e^(-r*t) replaced
-by (1+r)^-n.  The general solution is cross-checked by stepping the linearized
-equation y' = g*y + h of the step coefficients from y = gamma.  Its
+by (1+r)^-n.  The paper's printed form of the general solution, which steps
+the linearized equation y' = g*y + h of the step coefficients from y = gamma,
+is a test reference (``tests/routes.py``) that reads ``coefficients``.  Its
 parameters are ``precision.MapParams``: a run loads no ``map_standard``."""
 
 import math
@@ -27,7 +28,8 @@ RiccatiMapParams = MapParams
 
 
 class RiccatiCoefficients(_Record):
-    """Step coefficients g_n, h_n of the linearized equation, indexed 0..n_max-1."""
+    """Step coefficients g_n, h_n of the linearized equation, indexed
+    0..n_max-1, which the test reference in ``tests/routes.py`` steps."""
 
     __match_args__ = ("g", "h")
 
@@ -103,7 +105,8 @@ def particular_solution(p: RiccatiMapParams, n: int) -> float:
 
 def coefficients(p: RiccatiMapParams, n_max: int) -> RiccatiCoefficients:
     """g_n = (r*x_n + 1)/(r*(1 - x_{n+1}) + 1) and h_n = r/(same denominator)
-    for n = 0..n_max-1, with x_n the particular solution."""
+    for n = 0..n_max-1, with x_n the particular solution: the steps of the
+    printed general solution, a test reference in ``tests/routes.py``."""
     if not isinstance(n_max, int) or n_max < 1:
         raise ValueError("n_max must be a positive integer")
     g, h = [], []
@@ -116,35 +119,11 @@ def coefficients(p: RiccatiMapParams, n_max: int) -> RiccatiCoefficients:
     return RiccatiCoefficients(tuple(g), tuple(h))
 
 
-def general_solution(p: RiccatiMapParams, gamma: float, n: int,
-                     coeffs: RiccatiCoefficients | None = None) -> float:
+def general_solution(p: RiccatiMapParams, gamma: float, n: int) -> float:
     """The family member picked by gamma: the particular solution from the
-    shifted seed x0 + 1/gamma.
-
-    Passing ``coeffs`` selects the independent cross-check instead, O(n) per
-    sample: with x_n the particular solution, the member is x_n + 1/y_n, where
-    y steps the linearized equation y_{k+1} = g_k*y_k + h_k from y_0 = gamma.
-    That is the paper's closed form x_n + prod(1/g_k, k<n)/(gamma +
-    sum(prod(1/g_j, j<=k)*h_k, k<n)), with no product or sum formed on its
-    own.  y is held times a power of two, so it cannot overflow where 1/y_n
-    is still a double, and a member whose y_n vanishes has a pole at n.
-    """
+    shifted seed x0 + 1/gamma."""
     check_steps(n)
-    if coeffs is None:
-        return _series(p, n, n, gamma)[0]
-    RiccatiShift(gamma)
-    _check_closed_form_params(p)
-    if len(coeffs.g) < n:
-        raise ValueError(f"coefficients cover {len(coeffs.g)} steps, need {n}")
-    y, scale = gamma, 0  # y_k = y*2**scale, rescaled exactly before it can overflow
-    for g, h in zip(coeffs.g[:n], coeffs.h):
-        y = g * y + math.ldexp(h, -scale)
-        if abs(y) > 2.0 ** 512:
-            y, scale = y * 2.0 ** -512, scale + 512
-    if y == 0 or abs(y) < math.ldexp(POLE_EPS, -scale):
-        raise PoleError(f"gamma={gamma!r} hits the pole of the general solution at n={n}",
-                        where=n)
-    return particular_solution(p, n) + math.ldexp(1.0 / y, -scale)
+    return _series(p, n, n, gamma)[0]
 
 
 def particular_trajectory(p: RiccatiMapParams, n: int) -> Trajectory:

@@ -2,7 +2,8 @@
 
 Each computes a result that the library computes by another route, and the
 tests compare the two: an RK4 integrator and the printed correction form
-against the ODE's closed forms, the conjugacy that each closed form of the
+against the ODE's closed forms, the printed form of the coupled map's general
+solution against its shifted seed, the conjugacy that each closed form of the
 quadratic map comes from against ``closed_form``, and the phase reference
 and the tapered oracle as trajectories, against the iterated oracle and the
 divergence reports.  The CLI runs none of them.  They call only names that an
@@ -13,7 +14,7 @@ import math
 
 from mpmath import mp, mpf, workprec
 
-from logistic_exact import map_standard
+from logistic_exact import map_riccati, map_standard
 from logistic_exact.continuous import (
     _GRIDS,
     ContinuousParams,
@@ -22,7 +23,14 @@ from logistic_exact.continuous import (
     _grid_times,
     particular_solution,
 )
-from logistic_exact.errors import ESCAPE_BOUND, POLE_EPS, DomainError, EscapeError, PoleError
+from logistic_exact.errors import (
+    ESCAPE_BOUND,
+    POLE_EPS,
+    DomainError,
+    EscapeError,
+    PoleError,
+    check_steps,
+)
 from logistic_exact.map_standard import (
     _PHASE_FORM,
     ClosedForm,
@@ -90,6 +98,37 @@ def general_solution_correction_form(t: float, p: ContinuousParams,
     if abs(inner) < POLE_EPS:
         raise PoleError(f"correction term has a pole at t={t!r}", where=t)
     return x1 * (1.0 + 1.0 / inner)
+
+
+def linearized_general_solution(p: map_riccati.RiccatiMapParams, gamma: float, n: int,
+                                coeffs: map_riccati.RiccatiCoefficients) -> float:
+    """The coupled map's member picked by gamma, by the paper's printed form,
+    O(n) per sample: with x_n the particular solution, the member is x_n +
+    1/y_n, where y steps the linearized equation y_{k+1} = g_k*y_k + h_k of
+    ``map_riccati.coefficients`` from y_0 = gamma.
+
+    That is the closed form x_n + prod(1/g_k, k<n)/(gamma + sum(prod(1/g_j,
+    j<=k)*h_k, k<n)), with no product or sum formed on its own; an
+    independent route, so that it can be cross-checked against the shifted
+    seed of ``map_riccati.general_solution``.  y is held times a power of
+    two, so it cannot overflow where 1/y_n is still a double, and a member
+    whose y_n vanishes has a pole at n.  Raises ValueError when ``coeffs``
+    cover fewer than n steps.
+    """
+    check_steps(n)
+    RiccatiShift(gamma)
+    map_riccati._check_closed_form_params(p)
+    if len(coeffs.g) < n:
+        raise ValueError(f"coefficients cover {len(coeffs.g)} steps, need {n}")
+    y, scale = gamma, 0  # y_k = y*2**scale, rescaled exactly before it can overflow
+    for g, h in zip(coeffs.g[:n], coeffs.h):
+        y = g * y + math.ldexp(h, -scale)
+        if abs(y) > 2.0 ** 512:
+            y, scale = y * 2.0 ** -512, scale + 512
+    if y == 0 or abs(y) < math.ldexp(POLE_EPS, -scale):
+        raise PoleError(f"gamma={gamma!r} hits the pole of the general solution at n={n}",
+                        where=n)
+    return map_riccati.particular_solution(p, n) + math.ldexp(1.0 / y, -scale)
 
 
 # The conjugacy (f, f_inverse, domain, scale) each closed form comes from:

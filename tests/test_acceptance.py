@@ -7,6 +7,8 @@ lines and the reported (not asserted) divergence indices.
 import json
 import math
 import random
+import re
+from pathlib import Path
 
 from mpmath import mpf, workprec
 
@@ -14,7 +16,7 @@ from logistic_exact import continuous, map_riccati, map_standard
 from logistic_exact.cli import FIGURE_PRESETS, main
 from logistic_exact.map_standard import ClosedForm
 from logistic_exact.precision import PrecisionPolicy
-from routes import general_solution_correction_form, rk4_oracle
+from routes import general_solution_correction_form, linearized_general_solution, rk4_oracle
 
 
 def report(name, ok, detail=""):
@@ -52,7 +54,7 @@ def test_criterion_1_reinitialization_theorem():
     for r, x0, gamma in random_ode_parameters(200):
         p = continuous.ContinuousParams(r, x0)
         shift = continuous.RiccatiShift(gamma)
-        x_eff = continuous.effective_initial_condition(p, shift)
+        x_eff = continuous.general_solution(0.0, p, shift)
         restarted = continuous.ContinuousParams(r, x_eff)
         for t in TS:
             diff = abs(continuous.general_solution(t, p, shift)
@@ -184,7 +186,7 @@ def test_criterion_8_general_solution_solves_the_map():
     worst = 0.0
     ok = True
     for gamma in (0.5, 1.0, 2.0, 5.0, 10.0):
-        xs = [map_riccati.general_solution(p, gamma, n, coeffs) for n in range(52)]
+        xs = [linearized_general_solution(p, gamma, n, coeffs) for n in range(52)]
         for n in range(51):
             residual = abs((xs[n + 1] - xs[n]) - p.r * xs[n] * (1.0 - xs[n + 1]))
             worst = max(worst, residual)
@@ -254,3 +256,13 @@ def test_criterion_12_simple_outlasts_table1():
     report("criterion 12: simple leaves the orbit later than table1 (sign test)",
            later > earlier and p_value < 1e-3,
            f"later on {later} seeds, earlier on {earlier}, {200 - m} ties, p = {p_value:.1e}")
+
+
+def test_readme_python_blocks_run():
+    # the README's library sketch runs as written, on whichever logistic_exact
+    # is imported, so an API change that breaks the documented example fails
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```", readme, re.M | re.S)
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})
+    report("README: every python block runs", len(blocks) >= 1, f"{len(blocks)} block(s)")

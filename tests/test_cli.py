@@ -164,8 +164,8 @@ class TestOdeCommand:
         assert captured.err == ("error: the start x_s of this solution is infinite: "
                                 "a pole at the start\n")
         with pytest.raises(PoleError) as caught:
-            continuous.effective_initial_condition(continuous.ContinuousParams(1.0, 0.5),
-                                                   continuous.RiccatiShift(0.5))
+            continuous.general_solution(0.0, continuous.ContinuousParams(1.0, 0.5),
+                                        continuous.RiccatiShift(0.5))
         assert caught.value.where == 0
 
     @pytest.mark.parametrize("argv,label,start", [
@@ -222,6 +222,12 @@ class TestOdeCommand:
                   if series == f"gamma={float(gamma)!r}"]
         assert len(values) == 4
         assert values[0].startswith(first) and values[-1].startswith(last)
+
+    def test_gamma_on_the_bound_is_the_fixed_point_1(self, capsys):
+        # gamma = x0/(1 - x0), the admissible range's boundary, starts the member at 1
+        rows = run_csv(["ode", "--r", "1.7", "--x0", "0.5", "--gamma", "1", "--t-end", "1",
+                        "--dt", "0.5"], capsys)
+        assert [v for _, series, _, v in rows if series == "gamma=1.0"] == ["1.0"] * 3
 
     def test_pole_of_a_seed_inside_0_1_exits_3(self, capsys):
         # x_s = -0.0917 blows up at t* = 1.457, between the samples at 1.25 and 1.5
@@ -287,6 +293,20 @@ class TestMap4Command:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: 1/x_s overflows a double")
+
+
+@pytest.mark.parametrize("argv,label", [
+    (["ode", "--r", "-1", "--x0", "0.5", "--t-end", "720", "--dt", "720"], "particular"),
+    (["map4", "--r", "-0.5", "--x0", "0.5", "--steps", "1030"], "particular"),
+    (["ode", "--r", "-1", "--x0", "0.25", "--t-end", "709", "--dt", "709"], "particular"),
+    (["map4", "--r", "-0.95", "--x0", "0.02", "--steps", "236", "--gamma", "27"], "gamma=27.0"),
+], ids=["ode-decay-overflows", "map4-decay-overflows", "ode-product-overflows",
+        "map4-product-overflows"])
+def test_a_decay_past_an_overflow_prints_a_subnormal(argv, label, capsys):
+    # past the decay's overflow, and where c times the decay overflows but the
+    # decay does not, the sigmoid kernel gives a subnormal double, not 0.0
+    values = [v for _, series, _, v in run_csv(argv, capsys) if series == label]
+    assert 0 < float(values[-1]) < sys.float_info.min
 
 
 @pytest.mark.parametrize("argv", [
@@ -939,6 +959,12 @@ class TestRngCommand:
         assert main(["rng", "--x0", "0.5", "--count", "10"]) == 3
         assert "error:" in capsys.readouterr().err
 
+    def test_negative_burn_in_exits_2(self, capsys):
+        assert main(["rng", "--x0", "0.3", "--count", "8", "--burn-in", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: burn_in must be a non-negative integer\n"
+
     @pytest.mark.parametrize("argv,x,step", [
         (["--x0", "0.5", "--count", "3", "--burn-in", "2"], "1.0", 1),
         (["--x0", "0.14644660940672624", "--count", "3", "--burn-in", "2"], "1.0", 2),
@@ -1228,6 +1254,10 @@ class TestOutputsAndErrors:
                            output_format="yaml")
         with pytest.raises(ValueError):
             run(config)
+
+    def test_run_rejects_unknown_subcommand(self):
+        with pytest.raises(ValueError, match="^unknown subcommand 'nope'$"):
+            run(RunConfig("nope"))
 
 
 def render(renderer, doc):

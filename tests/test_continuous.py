@@ -14,7 +14,6 @@ from logistic_exact.continuous import (
     MAX_GRID_POINTS,
     ContinuousParams,
     RiccatiShift,
-    effective_initial_condition,
     general_solution,
     grid_trajectory,
     particular_solution,
@@ -227,14 +226,13 @@ class TestGeneralSolution:
     def test_start_when_gamma_times_x0_underflows(self):
         # gamma*x0 is 0.0 as a double, yet the member starts at 2e-200
         p, shift = ContinuousParams(1.7, 1e-200), RiccatiShift(2e-200)
-        assert effective_initial_condition(p, shift) == pytest.approx(2e-200, rel=1e-15, abs=0)
         assert general_solution(0.0, p, shift) == pytest.approx(2e-200, rel=1e-15, abs=0)
 
     @pytest.mark.parametrize("x0,gamma,x_start", [
         (1e200, 2e200, 2e200), (1e308, -1e308, 5e307)])  # the second: gamma - x0 too
     def test_start_when_gamma_times_x0_overflows(self, x0, gamma, x_start):
         p, shift = ContinuousParams(1.0, x0), RiccatiShift(gamma)
-        assert effective_initial_condition(p, shift) == pytest.approx(x_start, rel=1e-15)
+        assert general_solution(0.0, p, shift) == pytest.approx(x_start, rel=1e-15)
         traj = grid_trajectory(p, 1.0, 0.5, shift)
         assert traj.values[0] == pytest.approx(x_start, rel=1e-15)
         assert all(math.isfinite(v) for v in traj.values)
@@ -270,7 +268,7 @@ class TestGeneralSolution:
         r, x0, ge = params
         p = ContinuousParams(r, x0)
         s = _shift_above_bound(x0, ge)
-        x_eff = effective_initial_condition(p, s)
+        x_eff = general_solution(0.0, p, s)
         restarted = particular_solution(t, ContinuousParams(r, x_eff))
         assert abs(general_solution(t, p, s) - restarted) < 1e-12
 
@@ -299,7 +297,7 @@ def test_every_start_sample_is_the_start_rounded_once(r, x0, gamma):
     p, shift = ContinuousParams(r, x0), RiccatiShift(gamma)
     m, seed = map_riccati.RiccatiMapParams(r, x0), float(x + 1 / g)
     assert particular_solution(0.0, p) == x0
-    assert general_solution(0.0, p, shift) == effective_initial_condition(p, shift) == x_s
+    assert general_solution(0.0, p, shift) == x_s
     assert map_riccati.particular_solution(m, 0) == x0
     assert map_riccati.general_solution(m, gamma, 0) == seed
     for build, start in ((lambda: grid_trajectory(p, 1.0, 0.5), x0),
@@ -354,23 +352,26 @@ def test_figure1_within_2_5_ulp_of_300_bit_member():
 
 
 class TestEffectiveInitialCondition:
+    """The start gamma*x0/(gamma - x0) of the member picked by gamma: its
+    sample at t = 0."""
+
     def test_value(self):
         p = ContinuousParams(1.7, 0.11)
-        assert effective_initial_condition(p, RiccatiShift(0.25)) == pytest.approx(
+        assert general_solution(0.0, p, RiccatiShift(0.25)) == pytest.approx(
             0.25 * 0.11 / 0.14, abs=1e-15)
 
     def test_large_gamma_limit(self):
         p = ContinuousParams(1.7, 0.11)
-        assert abs(effective_initial_condition(p, RiccatiShift(1e12)) - 0.11) < 1e-10
+        assert abs(general_solution(0.0, p, RiccatiShift(1e12)) - 0.11) < 1e-10
 
     def test_half_and_one(self):
         p = ContinuousParams(1.0, 0.5)
-        assert effective_initial_condition(p, RiccatiShift(1.0)) == 1.0
+        assert general_solution(0.0, p, RiccatiShift(1.0)) == 1.0
 
     def test_pole(self):
         p = ContinuousParams(1.0, 0.25)
         with pytest.raises(PoleError):
-            effective_initial_condition(p, RiccatiShift(0.25))
+            general_solution(0.0, p, RiccatiShift(0.25))
 
 
 class TestRk4Oracle:
@@ -422,7 +423,7 @@ class TestGridTrajectory:
         assert rep.max_error < 1e-8
         # a family member is the particular solution restarted from a shifted seed
         shift = RiccatiShift(0.25)
-        shifted = ContinuousParams(FIG1.r, effective_initial_condition(FIG1, shift))
+        shifted = ContinuousParams(FIG1.r, general_solution(0.0, FIG1, shift))
         rep = compare_trajectories(grid_trajectory(FIG1, 10.0, 0.02, shift),
                                    rk4_oracle(shifted, 10.0, 0.02), 1e-6)
         assert rep.max_error < 1e-8
@@ -449,7 +450,7 @@ class TestGridTrajectory:
     def test_pole_is_found_when_gamma_times_x0_underflows(self, monkeypatch):
         # x_s is about -1e-193, so the member blows up at ln(1 + 1e193)/1.7
         p, shift = ContinuousParams(1.7, -1e-200), RiccatiShift(-1.0000001e-200)
-        t_pole = math.log1p(-1.0 / effective_initial_condition(p, shift)) / 1.7
+        t_pole = math.log1p(-1.0 / general_solution(0.0, p, shift)) / 1.7
         assert 261 < t_pole < 262
 
         def never(*args, **kwargs):

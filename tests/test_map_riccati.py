@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import assume, given, settings
@@ -18,6 +19,7 @@ from logistic_exact.map_riccati import (
     particular_solution,
     particular_trajectory,
 )
+from routes import linearized_general_solution
 
 FIG3 = RiccatiMapParams(r=1.73, x0=0.333)
 U = 2.0 ** -53  # the unit roundoff of a double
@@ -87,7 +89,7 @@ def recursion_condition(p, gamma, cs, n):
     with z stepping |g_k|, |h_k| from |gamma| (1 where no term cancels),
     times the worst cancellation in forming a coefficient's numerator
     r*x_k + 1 or denominator r*(1 - x_{k+1}) + 1.  y and z are held times a
-    power of two, as ``general_solution`` holds y."""
+    power of two, as ``linearized_general_solution`` holds y."""
     xs = particular_trajectory(p, n).values
     worst = max((abs(p.r * a) + 1) / abs(p.r * a + 1)
                 + (abs(p.r * (1 - b)) + 1) / abs(p.r * (1 - b) + 1) for a, b in zip(xs, xs[1:]))
@@ -236,6 +238,16 @@ class TestCoefficients:
         with pytest.raises(ValueError):
             RiccatiCoefficients((1.0,), ())
 
+    def test_no_steps_rejected(self):
+        with pytest.raises(ValueError, match="^n_max must be a positive integer$"):
+            coefficients(RiccatiMapParams(1.0, 0.3), 0)
+
+    def test_vanishing_denominator_is_a_pole(self):
+        # x_1 rounds to 2 for the seed 1e300 at r = 1, so r*(1 - x_1) + 1 = 0
+        with pytest.raises(PoleError, match="^coefficient denominator vanished at n=0$") as err:
+            coefficients(RiccatiMapParams(1.0, 1e300), 1)
+        assert err.value.where == 0
+
 
 class TestGeneralSolution:
     def test_n0_shifts_initial_value(self):
@@ -263,8 +275,8 @@ class TestGeneralSolution:
         # from the family's poles, where the residual check is meaningless.
         p = RiccatiMapParams(r, x0)
         cs = coefficients(p, n + 1)
-        xn = general_solution(p, gamma, n, cs)
-        xn1 = general_solution(p, gamma, n + 1, cs)
+        xn = linearized_general_solution(p, gamma, n, cs)
+        xn1 = linearized_general_solution(p, gamma, n + 1, cs)
         residual = (xn1 - xn) - r * xn * (1.0 - xn1)
         assert abs(residual) < 1e-10
 
@@ -278,11 +290,11 @@ class TestGeneralSolution:
         p = RiccatiMapParams(1.0, 1.0)
         cs = coefficients(p, 2)
         assert cs.g == (2.0, 2.0) and cs.h == (1.0, 1.0)
-        for coeffs in (None, cs):
+        for route in (general_solution, partial(linearized_general_solution, coeffs=cs)):
             with pytest.raises(PoleError) as err:
-                general_solution(p, -0.5, 1, coeffs)
+                route(p, -0.5, 1)
             assert err.value.where == 1
-            assert general_solution(p, -0.5, 2, coeffs) == 2.0
+            assert route(p, -0.5, 2) == 2.0
 
     @pytest.mark.parametrize("r,n,ulps", [(1.73, 1000, 0), (-0.5, 1000, 5), (0.3, 3000, 0),
                                           (-0.9, 500, 0)])
@@ -292,7 +304,7 @@ class TestGeneralSolution:
         # 1.0, 4.66e-301, 1.0 and 0.0
         p = RiccatiMapParams(r, 0.333)
         want = exact_member(r, 0.333, 2.0, n)
-        assert abs(general_solution(p, 2.0, n, coefficients(p, n)) - want) \
+        assert abs(linearized_general_solution(p, 2.0, n, coefficients(p, n)) - want) \
             <= ulps * math.ulp(want)
 
     @pytest.mark.parametrize("n", [1021, 1023])
@@ -302,7 +314,8 @@ class TestGeneralSolution:
         # left the particular part alone, 10% low
         p = RiccatiMapParams(-0.5, 0.5)
         want = exact_member(-0.5, 0.5, 40.0, n)
-        assert abs(general_solution(p, 40.0, n, coefficients(p, n)) - want) <= math.ulp(want)
+        got = linearized_general_solution(p, 40.0, n, coefficients(p, n))
+        assert abs(got - want) <= math.ulp(want)
 
     @pytest.mark.parametrize("regime", RATES)
     @settings(max_examples=25, deadline=None)
@@ -322,7 +335,7 @@ class TestGeneralSolution:
         assume(math.isfinite(want) and math.isfinite(near))
         try:
             cs = coefficients(p, n)
-            got = general_solution(p, gamma, n, cs)
+            got = linearized_general_solution(p, gamma, n, cs)
             seed = general_solution(p, gamma, n)
         except PoleError:  # x^p or y_n within their roundings of a pole, as at r = -2, x0 = 1/2
             assume(False)
@@ -336,7 +349,7 @@ class TestGeneralSolution:
     def test_short_coefficients_rejected(self):
         cs = coefficients(FIG3, 3)
         with pytest.raises(ValueError):
-            general_solution(FIG3, 1.0, 5, cs)
+            linearized_general_solution(FIG3, 1.0, 5, cs)
 
     @settings(max_examples=100, deadline=None)
     @given(st.floats(0.05, 5.0),
@@ -348,7 +361,7 @@ class TestGeneralSolution:
         cs = coefficients(p, n)
         for k in range(n + 1):
             primary = general_solution(p, gamma, k)
-            assert abs(primary - general_solution(p, gamma, k, cs)) <= 1e-12
+            assert abs(primary - linearized_general_solution(p, gamma, k, cs)) <= 1e-12
 
     @settings(max_examples=100, deadline=None)
     @given(st.floats(0.05, 5.0),

@@ -410,6 +410,10 @@ class TestPrng:
         b = prng_bits(0.3, 20, 5)
         assert a[5:] == b[:15]
 
+    def test_negative_burn_in_rejected(self):
+        with pytest.raises(ValueError, match="^burn_in must be a non-negative integer$"):
+            prng_bits(0.3, 8, -1)
+
 
 class TestParams:
     def test_rejects_non_finite(self):
