@@ -19,21 +19,22 @@ guard bits, and only then passed to the cosine.  Working precision is the
 caller's choice, which is exactly what makes the divergence experiments
 possible: a budgeted policy behaves like an exact oracle, and a 53-bit
 policy shows how fast the closed form loses its bits at double precision.
-A cosine form's samples come from one loop per trajectory at every width
-(``_cosine_samples``) that makes the libmp pipeline's own integer steps
-without its generic dispatch, each rounded to nearest even at the width as
-the call it replaces rounds it: table1's angle (pi - (-2)^k*phase)/3 one
-exact difference and one quotient by 3, the reduction mod 2*pi one exact
-integer remainder, the cosine ``mpf_cos``'s fixed-point steps
-(``_cos_fixed``: ``cos_sin_basecase``'s, and from about 371 bits, where that
-takes ``exponential_series``, the series' own steps for the cosine, with the
-square root that gives the sine taken only in the quadrants whose result is
-the sine), and the tail 1/2 + s*c, with the form's exact factor s.  Only the
-tail depends on the width: at 53 bits ``float()`` of the cosine's
-significand and one IEEE operation round as libmp rounds at 53 bits, and the
-samples are doubles; at other widths they are mpf, rounded on Python ints.
-At 53 bits table1's angle is two IEEE operations while (-2)^k*phase is a
-double below 2^1020.
+Each form has one evaluator (``_samples``): ``closed_form`` is sample n of
+``closed_form_trajectory``.  A cosine form's samples come from one loop at
+every width (``_cosine_samples``) that makes the libmp pipeline's own
+integer steps without its generic dispatch, each rounded to nearest even at
+the width as the call it replaces rounds it: table1's angle
+(pi - (-2)^k*phase)/3 one exact difference and one quotient by 3, the
+reduction mod 2*pi one exact integer remainder, the cosine ``mpf_cos``'s
+fixed-point steps (``_cos_fixed``: ``cos_sin_basecase``'s, and from about
+371 bits, where that takes ``exponential_series``, the series' own steps for
+the cosine, with the square root that gives the sine taken only in the
+quadrants whose result is the sine), and the tail 1/2 + s*c, with the form's
+exact factor s.  Only the tail depends on the width: at 53 bits ``float()``
+of the cosine's significand and one IEEE operation round as libmp rounds at
+53 bits, and the samples are doubles; at other widths they are mpf, rounded
+on Python ints.  At 53 bits table1's angle is two IEEE operations while
+(-2)^k*phase is a double below 2^1020.
 
 A 53-bit policy is not a model of an IEEE double device evaluating the same
 formula with libm.  The pipeline rounds the reduced angle to 53 bits before
@@ -575,17 +576,11 @@ def _in_seed_domain(x0: float, variant: ClosedForm) -> bool:
     return domain is None or domain[0] <= x0 <= domain[1]
 
 
-_THREE = from_int(3)
-
-# The closed forms below run on raw libmp values, each operation rounded to
-# nearest at ``bits``: the same calls, in the same order, that the mpf
-# expressions in the comments make under ``workprec(bits)``.
-
-
 def _phase(p: MapParams, variant: ClosedForm, bits: int) -> tuple:
-    """The step-independent part of a closed form, raw at ``bits``:
-    the base 1 - 2*x0 for r2, the arccos for r4 and simple, and
-    pi - 3*arccos(1/2 - x0) for table1."""
+    """The step-independent part of a closed form, raw at ``bits``, each
+    libmp call rounded to nearest as the mpf expression rounds it under
+    ``workprec(bits)``: the base 1 - 2*x0 for r2, the arccos for r4 and
+    simple, and pi - 3*arccos(1/2 - x0) for table1."""
     rnd = round_nearest
     arg = _argument(_raw_mpf(p.x0, bits), variant, bits)
     if variant is ClosedForm.R2_POWER:
@@ -594,24 +589,6 @@ def _phase(p: MapParams, variant: ClosedForm, bits: int) -> tuple:
     if variant is ClosedForm.RM2_COMPOSED:  # pi - 3*acos(1/2 - x0)
         return mpf_sub(_pi(bits), mpf_mul_int(acos, 3, bits, rnd), bits, rnd)
     return acos
-
-
-def _angle(variant: ClosedForm, phase: tuple, n: int, bits: int) -> tuple:
-    """A cosine form's angle at step n, raw at ``bits``: the phase scaled by
-    2^n exactly (a zero phase stays zero), for table1 by (-2)^n and then
-    taken as (pi - that) / 3."""
-    sign, man, exp, bc = phase
-    if variant is ClosedForm.RM2_COMPOSED:  # (pi - (-2)^n * phase) / 3
-        angle = (sign ^ (n & 1), man, exp + n, bc) if man else phase
-        return mpf_div(mpf_sub(_pi(bits), angle, bits, round_nearest), _THREE, bits,
-                       round_nearest)
-    return (sign, man, exp + n, bc) if man else phase  # ldexp(phase, n)
-
-
-def _cosine(variant: ClosedForm, phase: tuple, n: int, bits: int) -> tuple:
-    """The cosine of a cosine form's angle at step n reduced mod 2*pi, raw at
-    ``bits``."""
-    return mpf_cos(_reduce_raw(_angle(variant, phase, n, bits), bits), bits, round_nearest)
 
 
 def _cos_fixed(t: int, q: int, w: int) -> int:
@@ -659,11 +636,13 @@ def _cos_fixed(t: int, q: int, w: int) -> int:
     return -c if q else c
 
 
-def _cosine_samples(variant: ClosedForm, phase: tuple, n: int, bits: int):
-    """The samples 1/2 + s*c_k, k = 0..n, of a cosine form at ``bits``: c_k
-    is ``_cosine(variant, phase, k, bits)``, bit for bit, by the libmp
+def _cosine_samples(variant: ClosedForm, phase: tuple, n: int, bits: int, first: int):
+    """The samples 1/2 + s*c_k, k = ``first``..n, of a cosine form at
+    ``bits``: c_k is the cosine of the angle at step k reduced mod 2*pi, that
+    is ``mpf_cos`` of ``_reduce_raw`` of the angle, bit for bit, by the libmp
     pipeline's own integer steps in one loop, each rounded to nearest even at
-    ``bits`` as the call it replaces rounds it.
+    ``bits`` as the call it replaces rounds it.  No sample depends on an
+    earlier one, so a loop from ``first`` = n is one step.
 
     The angle is the phase shifted by k.  table1's, (pi - (-2)^k*phase)/3, is
     the exact difference from pi at ``bits``, rounded as ``mpf_sub`` rounds
@@ -693,7 +672,7 @@ def _cosine_samples(variant: ClosedForm, phase: tuple, n: int, bits: int):
     make, ldexp = mp.make_mpf, math.ldexp
     values = array("d") if double else []
     append = values.append
-    for k in range(n + 1):
+    for k in range(first, n + 1):
         if not composed:
             m, e = (-man if sign else man), exp + k
         elif double and exp + bc + k <= 1020:  # (-2)^k*phase is below 2^1020
@@ -743,52 +722,48 @@ def _cosine_samples(variant: ClosedForm, phase: tuple, n: int, bits: int):
     return values
 
 
+def _samples(p: MapParams, n: int, variant: ClosedForm, bits: int, first: int = 0):
+    """Samples ``first``..n of a closed form at ``bits``, r and the seed
+    checked and the phase taken once: a cosine form's from ``_cosine_samples``,
+    r2's from one squaring of its base a step, as mpf at every width."""
+    _check_closed_form(p, n, variant)
+    phase = _phase(p, variant, bits)
+    if variant is not ClosedForm.R2_POWER:
+        return _cosine_samples(variant, phase, n, bits, first)
+    make, s, values = mp.make_mpf, _FORMS[variant][3], []
+    for k in range(n + 1):
+        if k >= first:
+            values.append(make(_tail(s, phase, bits)))
+        if k < n:
+            phase = mpf_mul(phase, phase, bits, round_nearest)
+    return values
+
+
 def closed_form(p: MapParams, n: int, variant: ClosedForm,
                 policy: PrecisionPolicy = DOUBLE) -> mpf:
-    """Evaluate one closed form at step n under the given precision policy.
+    """One closed form at step n under the given precision policy, as an mpf:
+    sample n of ``closed_form_trajectory``, from the same evaluator.
 
     The angle pipeline is: arccos at working precision, exact scaling by
-    2^n (exponent shift; the (-2)^n sign is applied separately), reduction
-    mod 2*pi, then the final cosine.  The r2 form squares its base n times.
-    Raises ValueError when p.r does not match the variant and DomainError
-    when the seed leaves the arccos domain.
+    2^n (exponent shift; table1 takes (pi - (-2)^n * phase) / 3), reduction
+    mod 2*pi, then the final cosine, so a cosine form costs one step of the
+    sample loop whatever n.  The r2 form squares its base n times.  Raises
+    ValueError when p.r does not match the variant and DomainError when the
+    seed leaves the arccos domain.
     """
-    _check_closed_form(p, n, variant)
-    bits = policy.significand_bits
-    c = _phase(p, variant, bits)
-    if variant is ClosedForm.R2_POWER:
-        for _ in range(n):
-            c = mpf_mul(c, c, bits, round_nearest)
-    else:
-        c = _cosine(variant, c, n, bits)
-    return mp.make_mpf(_tail(_FORMS[variant][3], c, bits))
+    x = _samples(p, n, variant, policy.significand_bits, n)[-1]
+    # a 53-bit double converts exactly; mpf() would round it to mp.prec
+    return x if isinstance(x, mpf) else mp.make_mpf(from_float(x))
 
 
 def closed_form_trajectory(p: MapParams, n: int, variant: ClosedForm,
                            policy: PrecisionPolicy = DOUBLE) -> Trajectory:
-    """Trajectory of a closed form over steps 0..n.
-
-    Every sample equals ``closed_form(p, k, variant, policy)``; the arccos
-    is taken once per trajectory, and the r2 base is squared once per step
-    and carried forward.  A cosine form's samples come from one loop of the
-    libmp calls' integer steps, ``_cosine_samples``, each rounding as the
-    call it replaces does: at 53 bits as one array('d') of doubles, each
-    equal to that mpf value, and at other widths as mpf.
-    """
-    _check_closed_form(p, n, variant)
-    bits = policy.significand_bits
-    make = mp.make_mpf
-    phase = _phase(p, variant, bits)
-    s = _FORMS[variant][3]
-    steps = range(n + 1)
-    if variant is ClosedForm.R2_POWER:
-        values = []
-        for k in steps:
-            values.append(make(_tail(s, phase, bits)))
-            phase = mpf_mul(phase, phase, bits, round_nearest)
-    else:
-        values = _cosine_samples(variant, phase, n, bits)
-    return Trajectory(f"{METHOD_CLOSED_FORM}:{variant.value}", steps, values, policy)
+    """Trajectory of a closed form over steps 0..n: every sample equals
+    ``closed_form(p, k, variant, policy)``, whose evaluator it shares.  A
+    cosine form's samples are one array('d') of doubles at 53 bits, and mpf
+    at other widths."""
+    values = _samples(p, n, variant, policy.significand_bits)
+    return Trajectory(f"{METHOD_CLOSED_FORM}:{variant.value}", range(n + 1), values, policy)
 
 
 # Bits the tapered reference of a divergence run keeps above the method under

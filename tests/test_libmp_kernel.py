@@ -23,6 +23,7 @@ from mpmath.libmp import (
     mpf_sub,
     round_nearest,
 )
+from mpmath.libmp.libelefun import cos_sin_basecase
 
 from logistic_exact.errors import EscapeError
 from logistic_exact.map_standard import (
@@ -30,6 +31,7 @@ from logistic_exact.map_standard import (
     ClosedForm,
     _SQUARE_MIN_BITS,
     MapParams,
+    _cos_fixed,
     _mpfs,
     _orbit,
     _raw_mpf,
@@ -303,6 +305,10 @@ class TestOrbitKernel:
         (-2.0, 0.9, 1064, 250, 181, 1064),  # x leaves [0, 1] and comes back
         (2.5, 0.3, 1064, 250, 181, 1064),  # the fixed point 0.6
         (1e120, 0.3, 1000, 5, None, 1001),  # the first step, squared, escapes
+        # a seed of 18 bits, whose squares grow exactly (34, 175 and 451 bits)
+        # until the fourth has 1,016: w bits, kept as it is, or w + 1, cut by one
+        (3.9, 0.3000049591064453, 1016, 5, None, 1017),
+        (3.9, 0.3000049591064453, 1015, 5, None, 1016),
     ])
     def test_squared_fixed_cases(self, r, x0, bits, n, taper_to, orbit_bits):
         check_kernel(r, x0, bits, n, taper_to, orbit_bits)
@@ -374,6 +380,16 @@ _DOMAINS = {
 }
 
 
+# map3's wide runs: 1,000 steps at 1,064 bits, where table1's angle is formed
+# on Python ints and the cosine is exponential_series' own steps
+_WIDE = PrecisionPolicy(1064)
+_WIDE_SEEDS = {
+    ClosedForm.R4_COSINE: (0.3,),
+    ClosedForm.RM2_COMPOSED: (0.9,),
+    ClosedForm.RM2_DIRECT: (0.9,),
+}
+
+
 @st.composite
 def closed_form_cases(draw):
     variant = draw(st.sampled_from(list(ClosedForm)))
@@ -402,7 +418,10 @@ def cosine_form_cases(draw):
 class TestClosedFormKernel:
     @settings(max_examples=120, deadline=None)
     @given(closed_form_cases(), st.integers(0, 150), st.sampled_from(FORM_POLICIES))
+    @example((MapParams(4.0, 0.5 + 2.0**-31), ClosedForm.R4_COSINE), 2, PrecisionPolicy(120))
     def test_trajectory_equals_mpf_loop(self, case, n, policy):
+        # r4 from 1/2 + 2^-31 at 120 bits: the cosine at step 0, near -2^-30,
+        # has a significand of exactly 120 bits, which the tail keeps as it is
         p, variant = case
         got = closed_form_trajectory(p, n, variant, policy)
         assert raw(zip(got.indices, got.values)) == raw(
@@ -410,7 +429,14 @@ class TestClosedFormKernel:
 
     @settings(max_examples=120, deadline=None)
     @given(closed_form_cases(), st.integers(0, 150), st.sampled_from(POLICIES))
+    @example((MapParams(-2.0, -0.5), ClosedForm.RM2_DIRECT), 3, DOUBLE)
+    @example((MapParams(-2.0, -0.5), ClosedForm.RM2_DIRECT), 3, PrecisionPolicy(55))
+    @example((MapParams(4.0, 1.0), ClosedForm.R4_COSINE), 3, PrecisionPolicy(55))
+    @example((MapParams(-2.0, -0.5), ClosedForm.RM2_COMPOSED), 3, PrecisionPolicy(55))
+    @example((MapParams(-2.0, 0.9), ClosedForm.RM2_COMPOSED), 1100, DOUBLE)
     def test_single_step_equals_mpf_expression(self, case, n, policy):
+        # closed_form runs step n of the sample loop alone: the edge cases of
+        # test_double_samples_equal_the_libmp_pipeline at their last step
         p, variant = case
         got = closed_form(p, n, variant, policy)
         assert got._mpf_ == reference_closed_form(p, n, variant, policy)._mpf_
@@ -424,31 +450,53 @@ class TestClosedFormKernel:
     @example((MapParams(-2.0, -0.5), ClosedForm.RM2_COMPOSED), 3, PrecisionPolicy(55))
     @example((MapParams(-2.0, 0.9), ClosedForm.RM2_COMPOSED), 1100, DOUBLE)
     def test_double_samples_equal_the_libmp_pipeline(self, case, n, policy):
-        # the sample loop of closed_form_trajectory against closed_form, whose
-        # cosine is mpf_cos of _reduce_raw, at every width.  simple from x0 =
+        # the sample loop against the mpf expression of each sample, whose
+        # cosine is mp.cos of reduce_mod_2pi, at every width.  simple from x0 =
         # -0.5 and r4 from x0 = 1 have the angle 2*pi at 53 and 55 bits at
         # step 1, at 55 bits a remainder that rounding carries up to 2*pi,
-        # which _reduce_raw takes to 0 and the loop keeps;
+        # which reduce_mod_2pi takes to 0 and the loop keeps;
         # table1 from x0 = -0.5 has pi - phase = 0 at step 0; past step 1,020
         # table1's angle leaves the doubles and takes the integer route
         p, variant = case
         got = closed_form_trajectory(p, n, variant, policy).values
-        expected = [closed_form(p, k, variant, policy) for k in range(n + 1)]
+        expected = [reference_closed_form(p, k, variant, policy) for k in range(n + 1)]
         if policy == DOUBLE:
             assert set(map(type, got)) == {float}
             assert tuple(got) == tuple(map(float, expected))
         else:
             assert [v._mpf_ for v in got] == [v._mpf_ for v in expected]
 
-    @pytest.mark.parametrize("policy", FORM_POLICIES)
+    @pytest.mark.parametrize("policy", FORM_POLICIES + [_WIDE])
     @pytest.mark.parametrize("variant", list(ClosedForm))
     def test_every_form_over_a_long_run(self, variant, policy):
         lo, hi = _DOMAINS[variant]
-        for x0 in (lo, 0.3 * lo + 0.7 * hi, hi):
+        n, seeds = 250, (lo, 0.3 * lo + 0.7 * hi, hi)
+        if policy is _WIDE and variant in _WIDE_SEEDS:
+            n, seeds = 1000, _WIDE_SEEDS[variant]
+        for x0 in seeds:
             p = MapParams(variant.required_r, x0)
-            got = closed_form_trajectory(p, 250, variant, policy)
+            got = closed_form_trajectory(p, n, variant, policy)
             assert raw(zip(got.indices, got.values)) == raw(
-                reference_closed_form_trajectory(p, 250, variant, policy))
+                reference_closed_form_trajectory(p, n, variant, policy))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from([400, 401, 1499, 1500]) | st.integers(300, 1600),
+           st.integers(0, 3), st.integers(0, 3 << 60), st.integers(0, 1700))
+    # from 1,500 bits exponential_series takes more than two sums: here the
+    # last bit of the sine differs from the two-sum series'; and three angles
+    # whose last bit moves with the series' working precision, its doublings
+    # or one unit in its sums
+    @example(1500, 1, 181773452374385846, 0)
+    @example(1200, 1, 3350422541302527, 0)
+    @example(1499, 3, 13258336042896123, 0)
+    @example(1200, 3, 2039813430346650472, 8)
+    def test_cosine_significand_equals_cos_sin_basecase(self, w, q, top, shift):
+        # every bit of the fixed-point cosine, of which the samples keep only
+        # the top ``bits`` after rounding: the angle t * 2^-w in [0, pi/2),
+        # t the 62 bits of ``top`` followed by zeros or moved down by ``shift``
+        t = (top << w >> 61) >> shift
+        c, sn = cos_sin_basecase(t, w)
+        assert _cos_fixed(t, q, w) == (c, -sn, -c, sn)[q]
 
 
 # ------------------------------------------------------------- compare
@@ -542,6 +590,13 @@ class TestCompareKernel:
            st.integers(53, 300), st.integers(53, 300))
     @example(pairs=[(0.0, exact_mpf(0x2AAAAAAAAAAAAB, -1077))], bits_a=53, bits_b=53)
     @example(pairs=[(0.0, exact_mpf(0x2AAAAAAAAAAAAB, -1076))], bits_a=53, bits_b=53)
+    # (2^52 + 5 + 2^-5) * 2^-1075, in the binade below 2^-1022: rounded to 53
+    # bits it is a tie of the subnormal grid, and it rounds down to even from
+    # there but up when rounded once
+    @example(pairs=[(0.0, exact_mpf(((2**52 + 5) << 5) + 1, -1080))], bits_a=53, bits_b=53)
+    # a difference of 1,024 bits below 2^1022, which float() of its integer
+    # would round past the doubles before the exponent brings it down
+    @example(pairs=[(exact_mpf(2**1024 - 1, -2), exact_mpf(1, -1))], bits_a=2000, bits_b=53)
     def test_equals_mpf_loop(self, pairs, bits_a, bits_b):
         check_against_mpf_loop(pairs, bits_a, bits_b)
 
@@ -585,8 +640,11 @@ class TestCompareKernel:
         assert check_against_mpf_loop([(va, vb)], bits, bits) == [expected]
 
     def test_a_difference_past_the_doubles_is_refused(self):
-        a = Trajectory("a", (0,), (2**1100 + 1,), PrecisionPolicy(2000))
-        b = Trajectory("b", (0,), (1,), PrecisionPolicy(2000))
-        assert reference_errors(a, b) == [math.inf]
-        with pytest.raises(ValueError, match="finite"):
-            compare_trajectories(a, b, 0.5)
+        # far past them, and (2^55 - 2) * 2^969, below 2^1024, which rounds to it
+        for va, vb, bits in ((2**1100 + 1, 1, 2000),
+                             (exact_mpf(2**55 - 1, 969), exact_mpf(1, 969), 60)):
+            a = Trajectory("a", (0,), (va,), PrecisionPolicy(bits))
+            b = Trajectory("b", (0,), (vb,), PrecisionPolicy(bits))
+            assert reference_errors(a, b) == [math.inf]
+            with pytest.raises(ValueError, match="finite"):
+                compare_trajectories(a, b, 0.5)
