@@ -31,7 +31,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "continuous": ("ContinuousParams", "RiccatiShift"),
     "errors": ("DegeneracyError", "DomainError", "EscapeError", "PoleError"),
-    "map_riccati": ("RiccatiCoefficients", "RiccatiMapParams"),
+    "map_riccati": ("RiccatiMapParams",),
     "map_standard": ("ClosedForm", "compare_trajectories", "reduce_mod_2pi"),
     "precision": ("DOUBLE", "DivergenceReport", "MapParams", "PrecisionPolicy", "Trajectory",
                   "budgeted_policy", "precision_budget"),

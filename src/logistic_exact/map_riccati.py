@@ -19,26 +19,12 @@ from itertools import pairwise
 
 from .continuous import RiccatiShift, _sigmoid, _start
 from .errors import POLE_EPS, DomainError, PoleError, check_steps
-from .precision import DOUBLE, METHOD_CLOSED_FORM, METHOD_ITERATED, MapParams, Trajectory, _Record
+from .precision import DOUBLE, METHOD_CLOSED_FORM, METHOD_ITERATED, MapParams, Trajectory
 
 # The coupled map takes the quadratic map's parameters, a finite rate r and seed
 # x0.  r = -1 is accepted: plain iteration handles it (the orbit is x0, 0, 0,
 # ...), but the closed forms genuinely do not exist there and reject it.
 RiccatiMapParams = MapParams
-
-
-class RiccatiCoefficients(_Record):
-    """Step coefficients g_n, h_n of the linearized equation, indexed
-    0..n_max-1, which the test reference in ``tests/routes.py`` steps."""
-
-    __match_args__ = ("g", "h")
-
-    def __init__(self, g: tuple, h: tuple):
-        if len(g) != len(h):
-            raise ValueError("g and h must have equal length")
-        fields = self.__dict__
-        fields["g"] = g
-        fields["h"] = h
 
 
 def iterate(p: RiccatiMapParams, n: int) -> Trajectory:
@@ -103,10 +89,11 @@ def particular_solution(p: RiccatiMapParams, n: int) -> float:
     return _series(p, n, n)[0]
 
 
-def coefficients(p: RiccatiMapParams, n_max: int) -> RiccatiCoefficients:
-    """g_n = (r*x_n + 1)/(r*(1 - x_{n+1}) + 1) and h_n = r/(same denominator)
-    for n = 0..n_max-1, with x_n the particular solution: the steps of the
-    printed general solution, a test reference in ``tests/routes.py``."""
+def coefficients(p: RiccatiMapParams, n_max: int) -> tuple[tuple, tuple]:
+    """The pair (g, h) of tuples g_n = (r*x_n + 1)/(r*(1 - x_{n+1}) + 1) and
+    h_n = r/(same denominator) for n = 0..n_max-1, with x_n the particular
+    solution: the steps of the printed general solution, a test reference in
+    ``tests/routes.py``."""
     if not isinstance(n_max, int) or n_max < 1:
         raise ValueError("n_max must be a positive integer")
     g, h = [], []
@@ -116,7 +103,7 @@ def coefficients(p: RiccatiMapParams, n_max: int) -> RiccatiCoefficients:
             raise PoleError(f"coefficient denominator vanished at n={n}", where=n)
         g.append((p.r * xn + 1.0) / den)
         h.append(p.r / den)
-    return RiccatiCoefficients(tuple(g), tuple(h))
+    return tuple(g), tuple(h)
 
 
 def general_solution(p: RiccatiMapParams, gamma: float, n: int) -> float:

@@ -7,10 +7,12 @@ forms come from, and the phase reference as a trajectory, are second routes
 that the tests hold beside their primary routes (``tests/routes.py``).
 
 Only this module loads mpmath when it loads, and it holds the libmp kernels
-beside their one caller: the reduction mod 2*pi (``reduce_mod_2pi``), the
-trajectory comparison (``compare_trajectories``) and their raw helpers.  No
-code here sets mpmath's global context: every rounding is made at a width
-passed to it, so results do not depend on the caller's ``mp.prec``.
+that its routes share: the reduction mod 2*pi (``_reduce_raw``) and the
+comparison of samples against a reference (``_compare_pairs``).  The public
+``reduce_mod_2pi`` and ``compare_trajectories`` wrap them for a caller's
+values; no route of the library calls either.  No code here sets mpmath's
+global context: every rounding is made at a width passed to it, so results
+do not depend on the caller's ``mp.prec``.
 
 The closed forms for r = 4 and r = -2 evaluate cos(2^n * theta).  2^n
 quickly outgrows any fixed significand, so the scaled angle is formed

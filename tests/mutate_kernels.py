@@ -61,6 +61,8 @@ _LIBMP_ONCE = ("at that edge the integer route's difference has at most bits bit
                "the integer route does")
 _FIRST_ROUNDING = ("the bound is 0 until the first rounding, which sets bs to its q "
                    "whatever bs was, as bs lies far below q either way")
+_WIDE_ANYWAY = ("for |x| in [2^-(w + 2), 2^-w) the step rounds 1 - x to a significand of "
+                "w bits, so its result has at least w bits and counts as rounded already")
 _SCALED_SUM = ("at d = 100 both arms round bf*2^bs + 2^q once as a double, scaled by "
                "a power of 2 that is exact for bf near (2^-200, 2^200)")
 
@@ -163,6 +165,8 @@ EQUIVALENT = {
     "_bounded:27:20 1 -> 2": _FIRST_ROUNDING,
     "_bounded:27:25 40 -> 41": _FIRST_ROUNDING,
     "_bounded:35:43 > -> >=": "at cut = 0, m >> 0 is m",
+    "_bounded:38:44 < -> <=": _WIDE_ANYWAY,
+    "_bounded:38:49 - -> +": _WIDE_ANYWAY,
     "_bounded:43:16 < -> <=": _SCALED_SUM,
     "_bounded:43:19 100 -> 101": _SCALED_SUM,
     "_bounded:47:23 200 -> 201":

@@ -101,11 +101,11 @@ def general_solution_correction_form(t: float, p: ContinuousParams,
 
 
 def linearized_general_solution(p: map_riccati.RiccatiMapParams, gamma: float, n: int,
-                                coeffs: map_riccati.RiccatiCoefficients) -> float:
+                                coeffs: tuple[tuple, tuple]) -> float:
     """The coupled map's member picked by gamma, by the paper's printed form,
     O(n) per sample: with x_n the particular solution, the member is x_n +
     1/y_n, where y steps the linearized equation y_{k+1} = g_k*y_k + h_k of
-    ``map_riccati.coefficients`` from y_0 = gamma.
+    the pair (g, h) of ``map_riccati.coefficients`` from y_0 = gamma.
 
     That is the closed form x_n + prod(1/g_k, k<n)/(gamma + sum(prod(1/g_j,
     j<=k)*h_k, k<n)), with no product or sum formed on its own; an
@@ -113,15 +113,18 @@ def linearized_general_solution(p: map_riccati.RiccatiMapParams, gamma: float, n
     seed of ``map_riccati.general_solution``.  y is held times a power of
     two, so it cannot overflow where 1/y_n is still a double, and a member
     whose y_n vanishes has a pole at n.  Raises ValueError when ``coeffs``
-    cover fewer than n steps.
+    cover fewer than n steps, or g and h differ in length.
     """
     check_steps(n)
     RiccatiShift(gamma)
     map_riccati._check_closed_form_params(p)
-    if len(coeffs.g) < n:
-        raise ValueError(f"coefficients cover {len(coeffs.g)} steps, need {n}")
+    gs, hs = coeffs
+    if len(gs) != len(hs):
+        raise ValueError("g and h must have equal length")
+    if len(gs) < n:
+        raise ValueError(f"coefficients cover {len(gs)} steps, need {n}")
     y, scale = gamma, 0  # y_k = y*2**scale, rescaled exactly before it can overflow
-    for g, h in zip(coeffs.g[:n], coeffs.h):
+    for g, h in zip(gs[:n], hs):
         y = g * y + math.ldexp(h, -scale)
         if abs(y) > 2.0 ** 512:
             y, scale = y * 2.0 ** -512, scale + 512

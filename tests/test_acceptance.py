@@ -8,6 +8,7 @@ import json
 import math
 import random
 import re
+import shlex
 from pathlib import Path
 
 from mpmath import mpf, workprec
@@ -266,3 +267,18 @@ def test_readme_python_blocks_run():
     for block in blocks:
         exec(compile(block, "README.md", "exec"), {})
     report("README: every python block runs", len(blocks) >= 1, f"{len(blocks)} block(s)")
+
+
+def test_readme_command_lines_run(capsys):
+    # each `logistic-exact` line of the README's sh blocks, continuation lines
+    # joined and comments dropped, exits 0 through the console script's entry
+    # point, so the documented commands cannot drift from the CLI
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```sh\n(.*?)^```", readme, re.M | re.S)
+    lines = [shlex.split(line, comments=True)
+             for block in blocks for line in block.replace("\\\n", " ").splitlines()]
+    commands = [argv[1:] for argv in lines if argv[:1] == ["logistic-exact"]]
+    codes = [main(argv) for argv in commands]
+    capsys.readouterr()
+    report("README: every command line exits 0", len(commands) >= 8 and not any(codes),
+           f"{len(commands)} command(s), exit codes {codes}")

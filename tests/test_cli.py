@@ -36,6 +36,16 @@ def run_csv(args, capsys):
     return rows_of(capsys.readouterr().out)
 
 
+def python_m(argv):
+    """``python -m logistic_exact argv`` of this package in a subprocess,
+    its stdout and stderr each a pipe."""
+    package_root = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (package_root, os.environ.get("PYTHONPATH")))))
+    return subprocess.Popen([sys.executable, "-m", "logistic_exact", *argv], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+
+
 SVG = "{http://www.w3.org/2000/svg}"
 
 
@@ -441,6 +451,17 @@ class TestCompareCommand:
         assert len(calls) == 1
         doc = json.loads(capsys.readouterr().out)
         assert [rep["label"] for rep in doc["reports"]] == ["iterated", "table1", "simple"]
+
+    def test_iterated_report_beside_a_form_equals_the_run_alone(self, capsys):
+        # one pass over one reference for every method: the iterated report
+        # beside a closed form is the iteration-only run's only report
+        argv = ["compare", "--r", "4", "--x0", "0.3", "--steps", "3000", "--oracle-bits", "3064"]
+        assert main(argv + ["--form", "r4"]) == 0
+        with_form = json.loads(capsys.readouterr().out)["reports"]
+        assert main(argv) == 0
+        alone = json.loads(capsys.readouterr().out)["reports"]
+        assert [report["label"] for report in with_form] == ["iterated", "r4"]
+        assert alone == with_form[:1]
 
     @pytest.mark.parametrize("forms", [(), ("table1", "simple")])
     def test_reference_is_drawn_once_for_every_column(self, forms, monkeypatch):
@@ -1019,6 +1040,23 @@ class TestFigurePresets:
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
+RNG_CSV = ["rng", "--x0", "0.3", "--count", "150000"]
+ODE = ["ode", "--r", "1.7", "--x0", "0.11", "--dt", "0.001"]
+# artifacts in every format, written to each sink
+STREAMED = {
+    "rng-json": ["rng", "--x0", "0.3", "--count", "300000", "--format", "json"],
+    "rng-csv": ["rng", "--x0", "0.3", "--count", "300000"],
+    "ode-svg": ODE + ["--gamma", "0.25", "--t-end", "40", "--format", "svg"],
+    # three series on one tuple of 10,001 grid times, whose shared column is
+    # formatted once for all three
+    **{f"members-{fmt}": ODE + ["--gamma", "0.14", "--gamma", "0.25", "--t-end", "10",
+                                "--format", fmt] for fmt in ("json", "csv")},
+    # four series of 100,001 points, whose columns are array('d')
+    **{f"packed-{fmt}": ODE + ["--gamma", "0.14", "--gamma", "0.17", "--gamma", "0.25",
+                               "--t-end", "100", "--format", fmt] for fmt in ("csv", "json")},
+}
+
+
 class TestOutputsAndErrors:
     def test_json_shape(self, capsys):
         assert main(["map3", "--r", "4", "--x0", "0.5", "--steps", "2",
@@ -1086,14 +1124,22 @@ class TestOutputsAndErrors:
         for line in svg_polylines(text):
             assert all(60 <= x <= 560 and 36 <= y <= 434 for x, y in line)
 
-    @pytest.mark.parametrize("out", ["file", "-", "text"])
-    def test_artifact_is_streamed_to_its_sink(self, out, tmp_path, monkeypatch):
-        # about 2.7 MB of CSV, written in order as it is formatted, 4,096 rows
-        # at a time: to the file, to stdout's binary buffer once the text layer
-        # holds nothing, or decoded to text for a stdout with no buffer
-        argv = ["rng", "--x0", "0.3", "--count", "150000"]
-        expected = render(cli._render_csv, cli._run_rng(**cli.parse_args(argv).parameters))
-        assert len(expected) > 2**21
+    @pytest.mark.parametrize("out,argv", [
+        *(pytest.param(out, RNG_CSV, id=out) for out in ("file", "-", "text")),
+        *(pytest.param(out, argv, id=f"{name}-{out}")
+          for name, argv in STREAMED.items() for out in ("file", "-"))])
+    def test_artifact_is_streamed_to_its_sink(self, out, argv, tmp_path, monkeypatch):
+        # each piece the renderer writes, in order as it is formatted: to the
+        # file, to stdout's binary buffer once the text layer holds nothing,
+        # or decoded to text for a stdout with no buffer
+        config = cli.parse_args(argv)
+        pieces = []
+        cli._RENDERERS[config.output_format](
+            cli._RUNNERS[config.subcommand](**config.parameters), pieces.append)
+        expected = b"".join(pieces)
+        if argv is RNG_CSV:  # about 2.7 MB of CSV, 4,096 rows a piece
+            assert len(expected) > 2**21
+            assert len(pieces) > 10 and max(map(len, pieces)) < len(expected) // 10
         writes = []
         real_open = open
 
@@ -1133,8 +1179,18 @@ class TestOutputsAndErrors:
             assert main(argv) == 0
             assert text.getvalue() == expected.decode("ascii")
             writes = [w.encode("ascii") for w in writes]
-        assert b"".join(writes) == expected
-        assert len(writes) > 10 and max(map(len, writes)) < len(expected) // 10
+        assert writes == pieces
+
+    def test_artifact_through_a_pipe_is_the_renderers(self):
+        # stdout through a real pipe, which takes the artifact a batch at a time
+        argv = STREAMED["rng-json"]
+        config = cli.parse_args(argv)
+        expected = render(cli._RENDERERS[config.output_format],
+                          cli._RUNNERS[config.subcommand](**config.parameters))
+        proc = python_m(argv)
+        out, err = proc.communicate(timeout=120)
+        assert (proc.returncode, err) == (0, b"")
+        assert out == expected
 
     def test_out_file(self, tmp_path):
         path = tmp_path / "out.csv"
@@ -1156,12 +1212,7 @@ class TestOutputsAndErrors:
     def test_a_stdout_closed_by_its_reader_exits_1_without_an_error(self):
         # as `| head` closes it: exit 1 with no `error:` line, and no second
         # BrokenPipeError from the flush at exit
-        package_root = str(Path(cli.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, (package_root, os.environ.get("PYTHONPATH")))))
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "logistic_exact", "rng", "--x0", "0.3", "--count", "300000"],
-            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        proc = python_m(["rng", "--x0", "0.3", "--count", "300000"])
         assert proc.stdout.readline() == b"index_or_time,series,method,value\n"
         proc.stdout.close()  # the artifact is 5.6 MB, far more than a pipe holds
         _, err = proc.communicate(timeout=120)

@@ -10,7 +10,6 @@ from mpmath import mpf, workprec
 from logistic_exact import cli, continuous
 from logistic_exact.errors import DomainError, PoleError
 from logistic_exact.map_riccati import (
-    RiccatiCoefficients,
     RiccatiMapParams,
     coefficients,
     general_solution,
@@ -94,7 +93,8 @@ def recursion_condition(p, gamma, cs, n):
     worst = max((abs(p.r * a) + 1) / abs(p.r * a + 1)
                 + (abs(p.r * (1 - b)) + 1) / abs(p.r * (1 - b) + 1) for a, b in zip(xs, xs[1:]))
     y, z, scale = gamma, abs(gamma), 0
-    for g, h in zip(cs.g[:n], cs.h):
+    gs, hs = cs
+    for g, h in zip(gs[:n], hs):
         h = math.ldexp(h, -scale)
         y, z = g * y + h, abs(g) * z + abs(h)
         if z > 2.0 ** 512:
@@ -217,26 +217,25 @@ class TestParticularSolution:
 
 class TestCoefficients:
     def test_zero_rate(self):
-        cs = coefficients(RiccatiMapParams(0.0, 0.4), 6)
-        assert cs.g == (1.0,) * 6
-        assert cs.h == (0.0,) * 6
+        assert coefficients(RiccatiMapParams(0.0, 0.4), 6) == ((1.0,) * 6, (0.0,) * 6)
 
     def test_unit_seed(self):
-        cs = coefficients(RiccatiMapParams(1.73, 1.0), 5)
-        assert all(g == pytest.approx(2.73, abs=1e-15) for g in cs.g)
-        assert all(h == pytest.approx(1.73, abs=1e-15) for h in cs.h)
+        gs, hs = coefficients(RiccatiMapParams(1.73, 1.0), 5)
+        assert all(g == pytest.approx(2.73, abs=1e-15) for g in gs)
+        assert all(h == pytest.approx(1.73, abs=1e-15) for h in hs)
 
     def test_spot_check_against_hand_substitution(self):
-        cs = coefficients(FIG3, 1)
+        (g,), (h,) = coefficients(FIG3, 1)
         x0 = particular_solution(FIG3, 0)
         x1 = particular_solution(FIG3, 1)
         den = FIG3.r * (1.0 - x1) + 1.0
-        assert cs.g[0] == pytest.approx((FIG3.r * x0 + 1.0) / den, abs=1e-15)
-        assert cs.h[0] == pytest.approx(FIG3.r / den, abs=1e-15)
+        assert g == pytest.approx((FIG3.r * x0 + 1.0) / den, abs=1e-15)
+        assert h == pytest.approx(FIG3.r / den, abs=1e-15)
 
     def test_mismatched_lengths_rejected(self):
-        with pytest.raises(ValueError):
-            RiccatiCoefficients((1.0,), ())
+        # the pair carries no check of its own: the route that steps it refuses it
+        with pytest.raises(ValueError, match="^g and h must have equal length$"):
+            linearized_general_solution(FIG3, 1.0, 1, ((1.0,), ()))
 
     def test_no_steps_rejected(self):
         with pytest.raises(ValueError, match="^n_max must be a positive integer$"):
@@ -289,7 +288,7 @@ class TestGeneralSolution:
         # = 0; the member from the shifted seed 1 - 2 = -1 is 1/(1 - 2^(1-n))
         p = RiccatiMapParams(1.0, 1.0)
         cs = coefficients(p, 2)
-        assert cs.g == (2.0, 2.0) and cs.h == (1.0, 1.0)
+        assert cs == ((2.0, 2.0), (1.0, 1.0))
         for route in (general_solution, partial(linearized_general_solution, coeffs=cs)):
             with pytest.raises(PoleError) as err:
                 route(p, -0.5, 1)

@@ -8,10 +8,11 @@ import json
 import math
 import operator
 from array import array
+from fractions import Fraction
 from itertools import islice, repeat
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import mpf, workprec
 
@@ -161,6 +162,10 @@ class TestReseeding:
 
     @settings(max_examples=20, deadline=None)
     @given(phase_seeds(), st.integers(200, 700))
+    # phi needs the seed's exact argument: 1 - 2*x0 rounded at the phase's
+    # width reads 1 here, a phase of 0, whose re-seed at step 533 reads 0
+    # where the orbit is near 0.39
+    @example(MapParams(4.0, 2.0**-1022), 533)
     def test_samples_good_to_2_pow_minus_p_across_blocks(self, p, n):
         check_good_to_2_pow_minus_p(p, n)
 
@@ -195,6 +200,16 @@ def check_tapered_reference(p, n, working_bits):
                 assert abs(mpf(eb[k]) - mpf(ea[k])) <= bound, k
 
 
+def bounded_run(p, bits, widths):
+    """The pairs that ``_bounded`` yields over ``_reference(p, bits, widths)``,
+    and their floors."""
+    widths, floors = list(widths), array("d")
+    pairs = list(map_standard._bounded(p.r, map_standard._reference(p, bits, widths), widths,
+                                       floors))
+    assert len(pairs) == len(floors)  # up to a bound that certifies nothing
+    return pairs, floors
+
+
 def check_sized_reference(p, n, working_bits):
     """The reference sized by the orbit's stretching, at the tapered
     reference's width W: no step is wider than the tapered reference's, and
@@ -210,10 +225,7 @@ def check_sized_reference(p, n, working_bits):
     widths = map_standard._sized_widths(p.r, it.values, width, taper_to)
     assert len(widths) == n
     assert all(map(operator.le, widths, map_standard._tapered_widths(width, n, taper_to)))
-    floors = array("d")
-    sized = list(map_standard._bounded(p.r, map_standard._reference(p, width, widths), widths,
-                                       floors))
-    assert len(sized) == len(floors)  # up to a bound that certifies nothing
+    sized, floors = bounded_run(p, width, widths)
     bits = width + 10
     report, = _compare_pairs([it.values], iter(sized), bits, 0.01)
     eb = report.per_step_abs_error
@@ -303,6 +315,10 @@ class TestTaperedReference:
         assert fixed == tapered
 
 
+with workprec(1100):
+    WIDE_SEED = mpf(1) / 200  # in [2^-8, 2^-7), 1,100 bits wide
+
+
 class TestSizedReference:
     """The reference of an iteration-only run from _SIZED_MIN_STEPS steps on at
     r other than 4 and -2, each step sized by the stretching still to come."""
@@ -352,26 +368,71 @@ class TestSizedReference:
         width = oracle_policy(n, 53, None).significand_bits
         widths = map_standard._sized_widths(p.r, iterate(p, n).values, width, 181)
         assert sum(map_standard._SQUARE_MIN_BITS <= w < width for w in widths) == 3474
-        floors = array("d")
-        for _ in map_standard._bounded(p.r, map_standard._reference(p, width, widths), widths,
-                                       floors):
-            pass
+        floors = bounded_run(p, width, widths)[1]
         assert len(floors) == n + 1
         assert (hashlib.sha256(repr(floors.tolist()).encode()).hexdigest()
                 == "3103990735b66e2f24ecf8e5253f3987587f57536ea889f29d083aefa26d2d67")
+
+    @pytest.mark.parametrize("p,bits,widths", [
+        # 1 - x0 rounds to 1 at 100 bits, x0 in [2^-103, 2^-102): the step's
+        # result r*x0 is narrow, yet it rounded
+        (MapParams(4.0, 2.0**-103), 100, [100] * 3),
+        # squared steps of exactly 1,000 bits: the result near 2^-6 lies far
+        # below the rounding of y^2 = (x0 - 1/2)^2, near 1/4
+        (MapParams(4.0, WIDE_SEED), 1100, [1000] * 3),
+    ], ids=["one-minus-x-rounds-to-1", "squared-at-1000-bits"])
+    def test_floors_lie_above_the_exact_error(self, p, bits, widths):
+        # every floor is at least 2^64 times its sample's distance from the
+        # exact orbit of sample 0, worked in rationals
+        pairs, floors = bounded_run(p, bits, widths)
+        assert len(floors) == len(widths) + 1
+        (m, e), r = pairs[0], Fraction(p.r)
+        exact, errors = Fraction(m) * Fraction(2) ** e, []
+        for m, e in pairs:
+            errors.append(abs(Fraction(m) * Fraction(2) ** e - exact))
+            exact = r * exact * (1 - exact)
+        assert errors[1] > 0  # the first step rounded
+        for k, (error, floor) in enumerate(zip(errors, floors)):
+            assert Fraction(floor) >= 2**map_standard._CERTIFIED_BITS * error, k
+
+    def test_a_result_of_w_minus_8_bits_counts_as_rounded(self):
+        # no rounding leaves fewer than w - 7 bits, so a step whose result is
+        # narrower is exact; the bound counts a step as rounded from w - 8 bits
+        p = MapParams(4.0, 0.3)
+        x1 = bounded_run(p, 200, [200])[0][1]  # 4*x0*(1 - x0), exactly
+        size = x1[0].bit_length()
+        for w, rounded in ((size + 8, True), (size + 9, False)):
+            pairs, floors = bounded_run(p, w, [w])
+            assert pairs[1] == x1
+            assert (floors[1] > 0) is rounded
+
+    def test_t_is_the_top_64_bits_of_a_sample_rounded_to_a_double(self):
+        # x1 has 65 bits, and its top 64 end in a tie below a double's last
+        # bit, which the 65th breaks: t rounds the 64 bits, to even
+        pairs, floors = bounded_run(MapParams(4.0, 0.5108238977900382), 65, [65, 65])
+        m, _ = pairs[1]
+        assert m.bit_length() == 65 and (m >> 1) & 0x7FF == 0x400 and m & 1
+        assert floors.tolist() == [0.0, 4.0, float.fromhex("0x1.ffc526f8867d8p+3")]
+
+    def test_pairs_stop_at_the_first_floor_above_twice_the_escape_bound(self, monkeypatch):
+        # a floor past every error of a bounded orbit certifies nothing
+        p, bits, n = MapParams(3.9, 0.183), 200, 600
+        _, floors = bounded_run(p, bits, repeat(bits, n))
+        k, cap = len(floors), 2 * map_standard.ESCAPE_BOUND
+        assert k <= n and floors[-1] <= cap
+        monkeypatch.setattr(map_standard, "ESCAPE_BOUND", 1e300)
+        _, further = bounded_run(p, bits, repeat(bits, k))
+        assert further[:k] == floors and further[k] > cap
 
     def test_an_uncertified_reference_falls_back(self, monkeypatch, calls):
         # steps a few bits wider than the stretching ahead: the bound soon
         # certifies nothing, and the run takes the tapered reference instead
         monkeypatch.setattr(map_standard, "_SIZED_MARGIN", 4)
         p = MapParams(3.9, 0.3)
-        floors = array("d")
         it = iterate(p, S)
         width = oracle_policy(S, 53, None).significand_bits
         widths = map_standard._sized_widths(p.r, it.values, width, 181)
-        pairs = list(map_standard._bounded(p.r, map_standard._reference(p, width, widths), widths,
-                                           floors))
-        assert len(pairs) == len(floors) < S + 1
+        assert len(bounded_run(p, width, widths)[1]) < S + 1
         calls.clear()
         reports = divergence_reports(p, S, 53, 0.01)
         assert calls == ["oracle", "sized", "oracle"]
@@ -396,9 +457,7 @@ class TestSizedReference:
         p, n = MapParams(-2.0, 1.5 - 2**-52), 400
         policy = budgeted_policy(n)
         bits = policy.significand_bits
-        floors = array("d")
-        pairs = list(map_standard._bounded(p.r, map_standard._reference(p, bits, repeat(bits, n)),
-                                           repeat(bits, n), floors))
+        pairs, floors = bounded_run(p, bits, repeat(bits, n))
         certified = map_standard._CERTIFIED_BITS - math.log2(floors[n])
         assert math.floor(certified) == 42
         true = oracle(p, n, PrecisionPolicy(2 * policy.significand_bits))
@@ -443,14 +502,18 @@ def sha256(text):
 class TestRouting:
     @pytest.mark.parametrize("r,x0", [("4", "0.3"), ("-2", "0.411148")])
     def test_phase_route_keeps_the_bytes(self, r, x0, calls, capsys):
-        assert main(compare_argv(r, x0, N)) == 0
-        routed = capsys.readouterr().out
-        assert calls == ["phase_oracle", "oracle"]  # the prefix, as in oracle()
-        # an explicit oracle of the same width takes the iterated route
-        assert main(compare_argv(r, x0, N, "--oracle-bits", str(N + 64))) == 0
-        assert calls == ["phase_oracle", "oracle", "oracle"]
-        assert sha256(capsys.readouterr().out) == sha256(routed)
-        assert json.loads(routed)["config"]["oracle_bits"] == N + 64
+        # from the crossover, and at the length of the benchmark's p90 jobs,
+        # 125 blocks of 64 steps
+        for steps in (N, 8000):
+            calls.clear()
+            assert main(compare_argv(r, x0, steps)) == 0
+            routed = capsys.readouterr().out
+            assert calls == ["phase_oracle", "oracle"]  # the prefix, as in oracle()
+            # an explicit oracle of the same width takes the iterated route
+            assert main(compare_argv(r, x0, steps, "--oracle-bits", str(steps + 64))) == 0
+            assert calls == ["phase_oracle", "oracle", "oracle"]
+            assert sha256(capsys.readouterr().out) == sha256(routed)
+            assert json.loads(routed)["config"]["oracle_bits"] == steps + 64
 
     @pytest.mark.parametrize("argv,route", [
         (compare_argv("4", "0.3", N, "--form", "r4"), ["oracle"]),

@@ -19,7 +19,6 @@ from logistic_exact import cli, continuous, map_riccati, map_standard, precision
 from logistic_exact.cli import RunConfig
 from logistic_exact.continuous import ContinuousParams, RiccatiShift
 from logistic_exact.errors import DomainError
-from logistic_exact.map_riccati import RiccatiCoefficients
 from logistic_exact.map_standard import MapParams
 from logistic_exact.precision import DOUBLE, DivergenceReport, PrecisionPolicy, Trajectory
 
@@ -48,10 +47,6 @@ FROZEN = {
     "RiccatiShift": (
         RiccatiShift(-0.25), "RiccatiShift(gamma=-0.25)", (-0.25,),
         lambda: RiccatiShift(gamma=-0.25)),
-    "RiccatiCoefficients": (
-        RiccatiCoefficients((1.5, 2.0), (0.25, -1.0)),
-        "RiccatiCoefficients(g=(1.5, 2.0), h=(0.25, -1.0))", ((1.5, 2.0), (0.25, -1.0)),
-        lambda: RiccatiCoefficients(h=(0.25, -1.0), g=(1.5, 2.0))),
 }
 FIELDS = {
     "PrecisionPolicy": ("significand_bits",),
@@ -60,7 +55,6 @@ FIELDS = {
     "MapParams": ("r", "x0"),
     "ContinuousParams": ("r", "x0"),
     "RiccatiShift": ("gamma",),
-    "RiccatiCoefficients": ("g", "h"),
 }
 
 
@@ -278,7 +272,6 @@ def test_float_producers_pack_their_columns():
      r"^initial value x0 must be finite$"),
     (lambda: RiccatiShift(0.0), DomainError, r"^gamma must be finite and nonzero$"),
     (lambda: RiccatiShift(math.inf), DomainError, r"^gamma must be finite and nonzero$"),
-    (lambda: RiccatiCoefficients((1.0,), ()), ValueError, r"^g and h must have equal length$"),
 ])
 def test_validation_errors(make, error, message):
     with pytest.raises(error, match=message):
@@ -313,7 +306,7 @@ def test_constructors_take_no_more_and_no_fewer_arguments():
                  lambda: Trajectory("t", (0,), (0.5,), DOUBLE, True),
                  lambda: DivergenceReport((0.1,)), lambda: RiccatiShift(),
                  lambda: ContinuousParams(r=1.0, x0=0.5, gamma=1.0),
-                 lambda: RiccatiCoefficients(g=()), lambda: RunConfig()):
+                 lambda: RunConfig()):
         with pytest.raises(TypeError):
             make()
 
