@@ -18,23 +18,35 @@ from mpmath.libmp import (
     mpf_abs,
     mpf_ge,
     mpf_gt,
+    mpf_div,
     mpf_mul,
+    mpf_neg,
     mpf_shift,
     mpf_sub,
+    from_int,
     round_nearest,
 )
-from mpmath.libmp.libelefun import cos_sin_basecase
+from mpmath.libmp.libelefun import cos_sin_basecase, mod_pi2
 
+from logistic_exact import map_standard
 from logistic_exact.errors import EscapeError
 from logistic_exact.map_standard import (
     ESCAPE_BOUND,
     ClosedForm,
+    _POINT_BITS,
     _SQUARE_MIN_BITS,
     MapParams,
+    _cos_bound,
     _cos_fixed,
+    _cos_sin,
+    _margins,
     _mpfs,
     _orbit,
+    _phase,
+    _pi,
     _raw_mpf,
+    _reduce_raw,
+    _turn,
     closed_form,
     closed_form_trajectory,
     compare_trajectories,
@@ -409,10 +421,32 @@ _COSINE_SEEDS = {
 
 
 @st.composite
+def reduced_angles(draw):
+    """(bits, m, e): a reduced angle m * 2^e below 8 with a significand of
+    ``bits`` bits, at widths where the pipeline's cosine takes each branch."""
+    bits = draw(st.integers(53, 370) | st.integers(371, 1460) | st.integers(1470, 1700))
+    m = draw(st.integers(1 << (bits - 1), (1 << bits) - 1))
+    return bits, m, draw(st.integers(-bits - 40, 3 - bits))
+
+
+@st.composite
 def cosine_form_cases(draw):
     variant = draw(st.sampled_from(sorted(_COSINE_SEEDS)))
     x0 = draw(st.floats(*_DOMAINS[variant]) | st.sampled_from(_COSINE_SEEDS[variant]))
     return MapParams(variant.required_r, x0), variant
+
+
+def counted_cos_fixed(monkeypatch) -> list:
+    """The argument tuples of every ``_cos_fixed`` call the sample loop makes
+    from now on: one per sample that takes the pipeline's cosine."""
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return _cos_fixed(*args)
+
+    monkeypatch.setattr(map_standard, "_cos_fixed", counting)
+    return calls
 
 
 class TestClosedFormKernel:
@@ -449,6 +483,11 @@ class TestClosedFormKernel:
     @example((MapParams(4.0, 1.0), ClosedForm.R4_COSINE), 3, PrecisionPolicy(55))
     @example((MapParams(-2.0, -0.5), ClosedForm.RM2_COMPOSED), 3, PrecisionPolicy(55))
     @example((MapParams(-2.0, 0.9), ClosedForm.RM2_COMPOSED), 1100, DOUBLE)
+    # each forcing one fallback of the recurrence (test_each_fallback_is_taken)
+    @example((MapParams(4.0, 0.049), ClosedForm.R4_COSINE), 30, DOUBLE)
+    @example((MapParams(4.0, 0.103), ClosedForm.R4_COSINE), 30, PrecisionPolicy(120))
+    @example((MapParams(-2.0, 0.5), ClosedForm.RM2_DIRECT), 1, PrecisionPolicy(120))
+    @example((MapParams(-2.0, 0.9), ClosedForm.RM2_COMPOSED), 60, DOUBLE)
     def test_double_samples_equal_the_libmp_pipeline(self, case, n, policy):
         # the sample loop against the mpf expression of each sample, whose
         # cosine is mp.cos of reduce_mod_2pi, at every width.  simple from x0 =
@@ -497,6 +536,159 @@ class TestClosedFormKernel:
         t = (top << w >> 61) >> shift
         c, sn = cos_sin_basecase(t, w)
         assert _cos_fixed(t, q, w) == (c, -sn, -c, sn)[q]
+
+    @settings(max_examples=150, deadline=None)
+    @given(reduced_angles())
+    @example((53, (1 << 52) + 1, -50))
+    @example((370, (1 << 370) - 1, -367))
+    @example((1500, (1 << 1499) + 3, -1500))
+    def test_pipeline_cosine_is_within_its_bound(self, angle):
+        # mod_pi2 and _cos_fixed at bits + 10, as the sample loop calls them,
+        # against the cosine at 2w + 64 bits: on the cache path (up to about
+        # 370 bits, so w <= 400), the two-sum series and, from w = 1,500, the
+        # u-sum; the seed of the recurrence, at bits + 94, likewise
+        bits, m, e = angle
+        mag = m.bit_length() + e
+        t, q, w = mod_pi2(m, e, mag, bits + 10)
+        c = _cos_fixed(t, q, w)
+        point = bits + _POINT_BITS
+        C, S, bound = _cos_sin(m, e, mag, point)
+        with workprec(2 * max(w, point + 40) + 64):
+            x = exact_mpf(m, e)
+            assert abs(exact_mpf(c, -w) - mp.cos(x)) <= exact_mpf(_cos_bound(w, sine=mag > 0), -w)
+            assert abs(mp.mpc(exact_mpf(C, -point), exact_mpf(S, -point))
+                       - mp.expj(x)) <= exact_mpf(bound, -point)
+
+    def test_bounds_are_the_proven_formulas(self):
+        # the pipeline's bound on each branch, and the recurrence's margins at
+        # 53, 120 and 1,564 bits, as the docstrings of _cos_bound and _margins
+        # derive them
+        # (at 1,503 bits 3w + 11 is a multiple of 8; at 2,632 and 2,634 bits
+        # the series' e0 + 1 is 1,023 and 1,024)
+        assert [(_cos_bound(w), _cos_bound(w, sine=False))
+                for w in (63, 83, 400, 401, 1499, 1500, 1503, 2000, 2632, 2634)] == [
+            (24, 24), (26, 26), (72, 72), (39, 5), (2962, 5), (3041, 5), (3066, 5),
+            (11406, 5), (46424, 5), (46627, 6)]
+        assert _margins(53) == (1 << 78, 1 << 122, 26 << 64, 24 << 84)
+        assert _margins(120) == (1 << 78, 1 << 166, 36 << 64, 33 << 84)
+        assert _margins(1564) == (1 << 78, 1 << 1129, _cos_bound(1594) << 64, 5 << 84)
+        assert _cos_sin(3 << 51, -51, 2, 53 + _POINT_BITS)[2] == 4  # 2 * (40 >> 30 + 2)
+
+    @pytest.mark.parametrize("size,tail", [(98, 1), (99, 2), (100, 16)])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_turn_is_its_floors_and_bound(self, size, tail, sign):
+        # at 147 bits a turn with |d| + 10 of size bits has a Taylor term
+        # 2^(3*size - 296) units, or 1 where that is below 1; |d| + 10 is a
+        # power of 2 here; table1 turns by -d
+        point = 53 + _POINT_BITS
+        C, S, _ = _cos_sin(3 << 51, -51, 2, point)
+        d, err = sign * ((1 << (size - 1)) - 10), 1 << 40
+        x, y = ((C - S) * (C + S)) >> point, (2 * C * S) >> point
+        h = (d * d) >> (point + 1)
+        assert _turn(C, S, err, d, point) == (
+            x - ((x * h + y * d) >> point), y + ((x * d - y * h) >> point),
+            2 * err + 256 + 15 + tail)
+
+    def test_cos_bound_scaled_never_grows(self):
+        # the loop bounds the pipeline at wc and wc + 20 bits for every wider w
+        for sine in (True, False):
+            bounds = [_cos_bound(w, sine) for w in range(60, 6000)]
+            assert all(b1 <= 2 * b0 for b0, b1 in zip(bounds, bounds[1:]))
+
+    @pytest.mark.parametrize("variant,x0,policy", [
+        (ClosedForm.R4_COSINE, 0.3, DOUBLE),
+        (ClosedForm.RM2_DIRECT, 0.9, DOUBLE),
+        (ClosedForm.RM2_DIRECT, 0.9, PrecisionPolicy(364)),
+        (ClosedForm.RM2_COMPOSED, 0.9, DOUBLE),
+        (ClosedForm.RM2_COMPOSED, 0.9, PrecisionPolicy(364)),
+    ])
+    def test_recurrence_stays_within_its_bound(self, variant, x0, policy, monkeypatch):
+        # every (C, S) of every block, seeded or turned, within its running
+        # bound err of exp(i*rho) for the sample's own reduced angle rho;
+        # table1's turn returns the pair before its sign change
+        events = []
+
+        def record(kind, real):
+            def call(*args):
+                out = real(*args)
+                events.append((kind, out))
+                return out
+            return call
+
+        monkeypatch.setattr(map_standard, "_cos_sin", record("seed", _cos_sin))
+        monkeypatch.setattr(map_standard, "_turn", record("turn", map_standard._turn))
+        p, n, bits = MapParams(variant.required_r, x0), 250, policy.significand_bits
+        closed_form_trajectory(p, n, variant, policy)
+        phase, rnd = _phase(p, variant, bits), round_nearest
+        point, k = bits + _POINT_BITS, 0
+        for kind, (C, S, err) in events:
+            k += kind == "turn"  # a seed restarts the recurrence at the same sample
+            angle = mpf_shift(phase, k)
+            if variant is ClosedForm.RM2_COMPOSED:
+                angle = mpf_div(mpf_sub(_pi(bits), angle if k % 2 == 0 else mpf_neg(angle),
+                                        bits, rnd), from_int(3), bits, rnd)
+                if kind == "turn":
+                    C = -C
+            with workprec(2 * point + 64):
+                z = mp.mpc(exact_mpf(C, -point), exact_mpf(S, -point))
+                assert abs(z - mp.expj(mp.make_mpf(_reduce_raw(angle, bits)))) <= \
+                    exact_mpf(err, -point), (kind, k)
+        # a whole block from one seed to the next, but at 53 bits table1's
+        # angle strays too far for the turn before its first block ends
+        seeds = sum(kind == "seed" for kind, _ in events)
+        if variant is not ClosedForm.RM2_COMPOSED:
+            assert seeds >= 2 and k == n
+        else:
+            assert (seeds, k < 40) == ((1, True) if policy == DOUBLE else (seeds, False))
+            assert policy == DOUBLE or seeds >= 2
+
+    @pytest.mark.parametrize("variant,x0,n,policy,fallbacks", [
+        # C -+ E straddles a rounding boundary at one sample inside the block
+        (ClosedForm.R4_COSINE, 0.049, 30, DOUBLE, 1),
+        (ClosedForm.R4_COSINE, 0.103, 30, PrecisionPolicy(120), 1),
+        # the angle pi/2 rounded: |c| < 2^(bits - w), so the significand would
+        # keep all its bits; then pi rounded, whose cosine's ends C -+ E lie in
+        # two binades around -1
+        (ClosedForm.RM2_DIRECT, 0.5, 1, PrecisionPolicy(120), 2),
+        # table1's cut-over: from step 30 its angle's rounding strays too far
+        (ClosedForm.RM2_COMPOSED, 0.9, 60, DOUBLE, 31),
+        # none: angles from 2^-148 up, below 2^(bits - F) for 54 steps, whose
+        # floor at F bits drops bits of the angle
+        (ClosedForm.R4_COSINE, 2.0**-300, 80, PrecisionPolicy(400), 0),
+    ], ids=["straddle", "straddle-mpf", "all-bits-kept", "table1-cut-over", "tiny-angles"])
+    def test_samples_that_take_the_pipeline(self, variant, x0, n, policy, fallbacks,
+                                            monkeypatch):
+        calls = counted_cos_fixed(monkeypatch)
+        p = MapParams(variant.required_r, x0)
+        got = closed_form_trajectory(p, n, variant, policy)
+        assert len(calls) == fallbacks
+        assert raw(zip(got.indices, got.values)) == raw(
+            reference_closed_form_trajectory(p, n, variant, policy))
+        # closed_form's one sample seeds nothing and takes the pipeline
+        calls.clear()
+        monkeypatch.setattr(map_standard, "_cos_sin", None)
+        assert closed_form(p, n, variant, policy)._mpf_ == raw([(n, got.values[-1])])[0][1]
+        assert len(calls) == 1
+
+    def test_most_samples_take_the_recurrence(self, monkeypatch):
+        # a bound that silently disables the fast path fails here: a 250-step
+        # r4 run at 53 bits takes mod_pi2 and _cos_fixed for under 10% of its
+        # samples (2 of 251 now)
+        calls = counted_cos_fixed(monkeypatch)
+        closed_form_trajectory(MapParams(4.0, 0.3), 250, ClosedForm.R4_COSINE, DOUBLE)
+        assert len(calls) <= 25
+
+    def test_one_runs_moduli_stay_cached(self):
+        # a second run of 1,500 steps finds every 2*pi of the reduction in the
+        # cache that the first filled, which stays bounded across runs
+        p = MapParams(-2.0, 0.9)
+        closed_form_trajectory(p, 1500, ClosedForm.RM2_DIRECT, DOUBLE)
+        before = _pi.cache_info()
+        closed_form_trajectory(p, 1500, ClosedForm.RM2_COMPOSED, DOUBLE)
+        closed_form_trajectory(p, 1500, ClosedForm.RM2_DIRECT, DOUBLE)
+        after = _pi.cache_info()
+        assert after.hits - before.hits >= 1501 and after.misses - before.misses <= 10
+        assert after.maxsize is not None
 
 
 # ------------------------------------------------------------- compare
