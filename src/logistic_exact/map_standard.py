@@ -805,10 +805,10 @@ def _cosine_samples(variant: ClosedForm, phase: tuple, n: int, bits: int, first:
     odd multiple of pi), at F bits.  ``_turn`` squares C + iS and turns it by
     delta in seven products at F bits, and bounds the result.  The sample is
     C wherever C - E and C + E, E = err plus the pipeline's bound at F bits,
-    round alike at ``bits`` (``float()`` at 53 bits, ``_nearest`` with both
-    ends in one binade elsewhere): c lies between them, and rounding is
-    monotone.  Where |c| < 2^(bits - w) the pipeline keeps every bit of c,
-    and the two ends, more than c's last place apart, never round alike.
+    round alike at ``bits`` (``float(int())`` at 53 bits, as the tail rounds,
+    ``_nearest`` with both ends in one binade elsewhere): c lies between
+    them, and rounding is monotone.  Where |c| < 2^(bits - w) the pipeline
+    keeps all of c; the ends, more than its last place apart, never round alike.
     The pipeline takes every other sample: one the test rejects, a zero
     angle or one below 2^-wc, and a loop's only sample (``closed_form``).
     ``_cos_sin`` seeds the pair at the first sample and again wherever err
@@ -898,7 +898,7 @@ def _cosine_samples(variant: ClosedForm, phase: tuple, n: int, bits: int, first:
                 E = err + (far if mag > 0 else near)
                 lo, hi = C - E, C + E
                 if double:
-                    decided = float(lo) == float(hi)
+                    decided = float(int(lo)) == float(int(hi))  # as the tail rounds c
                 else:
                     cut = hi.bit_length() - bits
                     decided = (cut > 0 and lo.bit_length() == hi.bit_length()

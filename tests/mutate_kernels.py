@@ -169,11 +169,6 @@ EQUIVALENT = {
     "_cosine_samples:113:26 < -> <=": _LIMIT,
     "_cosine_samples:117:49 >= -> >": _SHIFT_BY_0,
     "_cosine_samples:117:53 0 -> 1": _SHIFT_BY_0,
-    "_cosine_samples:121:23 + -> -":
-        "not proven: C -+ (err - far) spans the interval C -+ (far - err), narrower "
-        "than C -+ (err + far) by 2 * min(err, far) units of 2^-F, at most 2^-78 "
-        "of a 53-bit sample's 2^-53; a sample changes only where the pipeline's "
-        "cosine lies in that margin on the far side of a rounding boundary",
     "_cosine_samples:127:34 > -> >=":
         "not proven: the mutant calls _nearest with a cut of 0, which raises, only "
         "where C + E has exactly bits bits, a cosine in [2^-95, 2^-94) at F = bits "

@@ -436,6 +436,30 @@ def cosine_form_cases(draw):
     return MapParams(variant.required_r, x0), variant
 
 
+class TruncatingInt(int):
+    """An int whose arithmetic keeps its type, as gmpy2's mpz keeps its own,
+    and whose float() truncates, as mpz's need not round to nearest."""
+
+    def __float__(self):
+        n = int(self)
+        cut = abs(n).bit_length() - 53
+        return float(n if cut <= 0 else (abs(n) >> cut << cut) * (1 if n > 0 else -1))
+
+
+def _keeps_type(name):
+    def op(self, *args):
+        out = getattr(int, name)(self, *args)
+        return TruncatingInt(out) if type(out) is int else out
+    return op
+
+
+for _name in ("add", "sub", "mul", "floordiv", "mod", "lshift", "rshift", "and", "or"):
+    for _side in ("", "r"):
+        setattr(TruncatingInt, f"__{_side}{_name}__", _keeps_type(f"__{_side}{_name}__"))
+for _name in ("__neg__", "__pos__", "__abs__"):
+    setattr(TruncatingInt, _name, _keeps_type(_name))
+
+
 def counted_cos_fixed(monkeypatch) -> list:
     """The argument tuples of every ``_cos_fixed`` call the sample loop makes
     from now on: one per sample that takes the pipeline's cosine."""
@@ -670,6 +694,35 @@ class TestClosedFormKernel:
         assert closed_form(p, n, variant, policy)._mpf_ == raw([(n, got.values[-1])])[0][1]
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("variant,x0,policy", [
+        (ClosedForm.R4_COSINE, 0.3, DOUBLE),
+        (ClosedForm.RM2_DIRECT, 0.9, PrecisionPolicy(120)),
+    ])
+    def test_samples_hold_under_looser_bounds(self, variant, x0, policy, monkeypatch):
+        # Ziv's test must hold for any C within its bound err and any
+        # pipeline within its bound of the cosine, however loose.  Every seed
+        # here moves C up by D = 2^90 units of 2^-F, a sixteenth of the
+        # rounding step of a cosine in [1/2, 1), with err and the pipeline's
+        # bounds widened by D: err then passes limit at once, so every sample
+        # but the last is a seed, whose interval C -+ E holds the pipeline's
+        # cosine only if E is err plus the pipeline's bound.  With the true
+        # bounds, an E short of that sum shows only where a boundary lies
+        # within 2 * far units of C, at most 2^-24 of a rounding step at
+        # the width, and only then if the pipeline's own error reaches past
+        # it: too rarely for a real run to find
+        D = 1 << 90
+        margins = map_standard._margins
+        monkeypatch.setattr(map_standard, "_margins", lambda bits: tuple(
+            v + D * (i >= 2) for i, v in enumerate(margins(bits))))
+        monkeypatch.setattr(map_standard, "_cos_sin", lambda *args: tuple(
+            v + D * (i != 1) for i, v in enumerate(_cos_sin(*args))))
+        calls = counted_cos_fixed(monkeypatch)
+        p, n = MapParams(variant.required_r, x0), 250
+        got = closed_form_trajectory(p, n, variant, policy)
+        assert raw(zip(got.indices, got.values)) == raw(
+            reference_closed_form_trajectory(p, n, variant, policy))
+        assert 20 <= len(calls) <= n - 20  # both arms of the test, many times
+
     def test_most_samples_take_the_recurrence(self, monkeypatch):
         # a bound that silently disables the fast path fails here: a 250-step
         # r4 run at 53 bits takes mod_pi2 and _cos_fixed for under 10% of its
@@ -677,6 +730,29 @@ class TestClosedFormKernel:
         calls = counted_cos_fixed(monkeypatch)
         closed_form_trajectory(MapParams(4.0, 0.3), 250, ClosedForm.R4_COSINE, DOUBLE)
         assert len(calls) <= 25
+
+    @pytest.mark.parametrize("variant,x0", [
+        (ClosedForm.R4_COSINE, 0.569), (ClosedForm.RM2_DIRECT, 0.873)])
+    def test_samples_do_not_depend_on_the_int_type(self, variant, x0, monkeypatch):
+        # with gmpy2, libmp's fixed-point values are mpz, whose float() need
+        # not round to nearest: the 53-bit Ziv test must decide as the tail
+        # rounds, whichever int type the recurrence runs on.  Comparing the
+        # ends' float() as they are, r4 from 0.569 rounds its sample at step
+        # 20 to the other neighbour of the pipeline's, and simple from 0.873
+        # at step 239
+        p = MapParams(variant.required_r, x0)
+        want = closed_form_trajectory(p, 250, variant, DOUBLE).values
+        def as_mpz(real):
+            def call(*args):
+                out = real(*args)
+                if type(out) is int:
+                    return TruncatingInt(out)
+                return tuple(TruncatingInt(v) if type(v) is int else v for v in out)
+            return call
+
+        for name in ("pi_fixed", "cos_sin_basecase", "mod_pi2"):
+            monkeypatch.setattr(map_standard, name, as_mpz(getattr(map_standard, name)))
+        assert closed_form_trajectory(p, 250, variant, DOUBLE).values == want
 
     def test_one_runs_moduli_stay_cached(self):
         # a second run of 1,500 steps finds every 2*pi of the reduction in the
