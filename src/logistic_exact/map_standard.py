@@ -48,12 +48,11 @@ proven bound on the pipeline's own cosine (``_cos_bound``), round alike at
 the width, that rounding is the sample, and the pipeline runs anywhere else.
 Over 30 runs of 250 steps from random seeds, 99.5% of ``r4``'s and 99.3% of
 ``simple``'s samples took the recurrence at 53 bits, and 97.9% and 97.9% at
-364 bits; table1's rounded angle strays from the doubling by about 2^(k -
-bits) at step k, so it leaves the recurrence near step 30 at 53 bits.  The
-loop took 0.74 (``r4``), 0.73 (``simple``) and 1.00 (table1) of its former
-time at 53 bits over 250 steps, and 0.41, 0.39 and 0.61 at 364 bits over
-300 (bests of 7 alternating in-process runs of 10 seeds, shared 2-vCPU
-host).
+364 bits.  table1's rounded angle strays from pi less twice the last by
+about 2^(k - bits) at step k, so it leaves the recurrence near step 30 at
+53 bits; from near step bits + 2 the rounding of pi - (-2)^k*phase drops the
+pi, the angle is -2 times the last, and table1 takes the recurrence again:
+at 53 bits about 28 of a 250-step run's samples take the pipeline.
 
 A 53-bit policy is not a model of an IEEE double device evaluating the same
 formula with libm.  The pipeline rounds the reduced angle to 53 bits before
@@ -802,8 +801,10 @@ def _cosine_samples(variant: ClosedForm, phase: tuple, n: int, bits: int, first:
     2^-F.  rho_(k+1) is 2*rho_k + delta mod 2*pi (table1: pi - 2*rho_k +
     delta), delta being a few units of rho's last place: the exact
     difference of the two reduced angles, less a multiple of 2*pi (table1: an
-    odd multiple of pi), at F bits.  ``_turn`` squares C + iS and turns it by
-    delta in seven products at F bits, and bounds the result.  The sample is
+    odd multiple of pi), at F bits.  There, d is the angles' floors r and R
+    less up to three multiples of 2*pi's floor (and pi's), so within 3 + 6 +
+    1 units of delta.  ``_turn`` squares C + iS and turns it by delta in
+    seven products at F bits, and bounds the result.  The sample is
     C wherever C - E and C + E, E = err plus the pipeline's bound at F bits,
     round alike at ``bits`` (``float(int())`` at 53 bits, as the tail rounds,
     ``_nearest`` with both ends in one binade elsewhere): c lies between
@@ -813,9 +814,12 @@ def _cosine_samples(variant: ClosedForm, phase: tuple, n: int, bits: int, first:
     angle or one below 2^-wc, and a loop's only sample (``closed_form``).
     ``_cos_sin`` seeds the pair at the first sample and again wherever err
     reaches 2^(F - bits - 16), about every 63 samples.  table1's angle,
-    rounded from (-2)^k*phase, strays from the doubling by about 2^(k -
+    rounded from (-2)^k*phase, strays from pi - 2*rho_k by about 2^(k -
     bits), so once delta reaches about 2^(-(bits + 22)/3), near step 30 at
-    53 bits, the pipeline takes the rest of its samples.
+    53 bits, the pipeline takes its samples, until the rounding of pi -
+    (-2)^k*phase drops the pi, near step bits + 2: from there the angle is
+    -2 times the last one before the reduction, so rho_(k+1) = -2*rho_k +
+    delta, which ``_cos_sin`` seeds again and ``_turn`` takes from C - iS.
 
     The tail 1/2 + s*c is exact, s being -1/2, -1 or 1, and is rounded once.
     At 53 bits the samples are doubles in one array('d'), rounded by
@@ -839,7 +843,8 @@ def _cosine_samples(variant: ClosedForm, phase: tuple, n: int, bits: int, first:
     pi_f = pi_fixed(point)
     two_pi_f = pi_f << 1
     limit, reach, far, near = _margins(bits)
-    live, seeding = False, True
+    live, held = False, True  # held: d, from the last sample, is within reach
+    half = pi_f if composed else 0  # table1's pi, until its rounding drops it
     C = S = R = err = 0
     for k in range(first, n + 1):
         if not composed:
@@ -871,25 +876,28 @@ def _cosine_samples(variant: ClosedForm, phase: tuple, n: int, bits: int, first:
             else:  # below 2*pi's ulp at the reduction's width
                 m, e = _pair(_reduce_raw(from_man_exp(m, e), bits))
         mag = m.bit_length() + e
-        if live:  # this angle is 2*R (table1: pi - 2*R) plus d, mod 2*pi
+        if k > first:  # this angle is 2*R (table1: pi - 2*R, later -2*R) plus d, mod 2*pi
             r = m << (e + point) if e + point >= 0 else m >> (-e - point)
-            d = r + (R << 1) - pi_f if composed else r - (R << 1)
+            d = r + (R << 1) - half if composed else r - (R << 1)
             R = r
             while d > pi_f:
                 d -= two_pi_f
             while d < -pi_f:
                 d += two_pi_f
-            if abs(d) >= reach:  # table1's angle, rounded, strays ever further
-                live = seeding = False
-            elif composed:  # exp(i*(pi - 2*R + d)) = -conj(exp(i*(2*R - d)))
-                C, S, err = _turn(C, S, err, -d, point)
-                C = -C
-                live = err < limit
-            else:
+            held = abs(d) < reach
+            if not held:  # table1's angle, rounded, strays from pi - 2*R
+                live, half = False, 0  # until its rounding drops the pi
+            elif live and not composed:
                 C, S, err = _turn(C, S, err, d, point)
                 live = err < limit
+            elif live and half:  # exp(i*(pi - 2*R + d)) = -conj(exp(i*(2*R - d)))
+                C, S, err = _turn(C, S, err, -d, point)
+                C, live = -C, err < limit
+            elif live:  # exp(i*(-2*R + d)) = conj(exp(i*R))^2 * exp(i*d)
+                C, S, err = _turn(C, -S, err, d, point)
+                live = err < limit
         if m and mag >= -wc:
-            if not live and seeding and k < n:
+            if not live and held and k < n:
                 C, S, err = _cos_sin(m, e, mag, point)
                 R = m << (e + point) if e + point >= 0 else m >> (-e - point)
                 live = True

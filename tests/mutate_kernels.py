@@ -109,72 +109,77 @@ EQUIVALENT = {
         "not proven: one doubling more, only for an angle below about "
         "2^-(sqrt(w)/2), where the series keeps 30 or more guard bits; 4,000 "
         "random angles showed no difference",
-    "_cosine_samples:70:36 <= -> <":
+    "_cosine_samples:76:36 <= -> <":
         "table1's angle at 53 bits: the integer route rounds pi - (-2)^k*phase and "
         "its quotient by 3 as the two IEEE operations do, so it may take one more "
         "binade",
-    "_cosine_samples:70:40 1020 -> 1021":
+    "_cosine_samples:76:40 1020 -> 1021":
         "the two IEEE operations of table1's angle round as the integer route "
         "does while (-2)^k*phase is a finite double, below 2^1024, not only 2^1020",
-    "_cosine_samples:81:32 > -> >=":
+    "_cosine_samples:87:32 > -> >=":
         "where r = 0 the quotient is exact, and a sticky bit below it does not "
         "change its value rounded to bits (checked on 300,000 random "
         "significands); a zero difference becomes an angle below "
         "2^-(2*bits), whose cosine the loop takes as 1, as it takes that of 0",
-    "_cosine_samples:81:35 0 -> 1":
+    "_cosine_samples:87:35 0 -> 1":
         "the sticky bit decides a rounding only when the two quotient bits cut "
         "below it read 10, and m*2^(bits + 3)/3 ends in 10 only where r = 2 "
         "(checked on 300,000 random significands)",
-    "_cosine_samples:83:18 > -> >=":
+    "_cosine_samples:89:18 > -> >=":
         "the quotient and its sticky bit have at least bits + 3 bits, so the cut "
         "is at least 3, or the difference is 0 and nothing is cut",
-    "_cosine_samples:83:21 0 -> 1":
+    "_cosine_samples:89:21 0 -> 1":
         "the quotient and its sticky bit have at least bits + 3 bits, so the cut "
         "is at least 3, or the difference is 0 and nothing is cut",
-    "_cosine_samples:87:50 > -> >=":
+    "_cosine_samples:93:50 > -> >=":
         "at mag = 0 both arms take 2*pi at wr bits",
-    "_cosine_samples:87:53 0 -> 1":
+    "_cosine_samples:93:53 0 -> 1":
         "an angle below 2 is below 2*pi at any width, so its remainder is the "
         "angle itself, on either arm of the reduction",
-    "_cosine_samples:89:16 >= -> >":
+    "_cosine_samples:95:16 >= -> >":
         "at e = texp the angle takes _reduce_raw, whose branch there is the same "
         "exact remainder at the same width; it also takes a remainder carried up "
         "to 2*pi to 0, and the cosine of either rounds to 1",
-    "_cosine_samples:92:25 0 -> 1":
+    "_cosine_samples:98:25 0 -> 1":
         "not proven: a remainder of exactly bits + 1 bits reaches the cosine "
         "unrounded; that needs an angle within about 2^-16 of a multiple of 2*pi, "
         "where the extra bit moves the cosine by under 2^-33 of its ulp, so a "
         "sample changes about once in 2^50; no such input is known",
-    "_cosine_samples:114:20 >= -> >":
+    "_cosine_samples:123:20 >= -> >":
         "an angle in [2^-(wc + 1), 2^-wc) has a cosine within 2^-(2*wc + 1) of 1, "
         "whose significand rounds to 1 at bits, as the branch for smaller angles "
         "gives",
-    "_cosine_samples:141:17 0 -> 1":
+    "_cosine_samples:150:17 0 -> 1":
         "not proven: a cosine significand of exactly bits + 1 bits reaches the "
         "tail unrounded, so the tail rounds once where it rounded twice; the two "
         "differ only where the first rounding lands on a tie of the second, about "
         "once in 2^59 samples; no such input is known",
-    "_cosine_samples:66:22 0 -> 1":
-        "C, S, R and err are set by the seed before the loop reads them",
-    "_cosine_samples:98:45 >= -> >": _SHIFT_BY_0,
-    "_cosine_samples:98:49 0 -> 1": _SHIFT_BY_0,
-    "_cosine_samples:99:28 - -> +":
-        "table1's d + 2*pi_f: the loops that take 2*pi_f off d leave the same integer",
-    "_cosine_samples:101:19 > -> >=": _TURN_OF_PI,
-    "_cosine_samples:103:19 < -> <=": _TURN_OF_PI,
-    "_cosine_samples:105:21 >= -> >":
+    "_cosine_samples:71:33 0 -> 1": "r4 and simple never read half",
+    "_cosine_samples:72:22 0 -> 1":
+        "C, S and err are set by a seed before a turn reads them; R is read "
+        "before a seed only where the first sample's angle is 0 or below 2^-wc, "
+        "and then decides no more than whether the next sample seeds",
+    "_cosine_samples:104:45 >= -> >": _SHIFT_BY_0,
+    "_cosine_samples:104:49 0 -> 1": _SHIFT_BY_0,
+    "_cosine_samples:105:28 - -> +":
+        "table1's d + 2*half, half being pi_f or 0: the loops that take 2*pi_f "
+        "off d leave the same integer",
+    "_cosine_samples:107:19 > -> >=": _TURN_OF_PI,
+    "_cosine_samples:109:19 < -> <=": _TURN_OF_PI,
+    "_cosine_samples:111:25 < -> <=":
         "a d of exactly reach still meets the turn's |d| * 2^-F < 2^-14, and its "
         "Taylor term T is read off d itself, so the bound holds",
-    "_cosine_samples:110:26 < -> <=": _LIMIT,
-    "_cosine_samples:113:26 < -> <=": _LIMIT,
-    "_cosine_samples:117:49 >= -> >": _SHIFT_BY_0,
-    "_cosine_samples:117:53 0 -> 1": _SHIFT_BY_0,
-    "_cosine_samples:127:34 > -> >=":
+    "_cosine_samples:116:26 < -> <=": _LIMIT,
+    "_cosine_samples:119:33 < -> <=": _LIMIT,
+    "_cosine_samples:122:26 < -> <=": _LIMIT,
+    "_cosine_samples:126:49 >= -> >": _SHIFT_BY_0,
+    "_cosine_samples:126:53 0 -> 1": _SHIFT_BY_0,
+    "_cosine_samples:136:34 > -> >=":
         "not proven: the mutant calls _nearest with a cut of 0, which raises, only "
         "where C + E has exactly bits bits, a cosine in [2^-95, 2^-94) at F = bits "
         "+ 94; no input the tests know lands there (simple from x0 = 1/2 reaches "
         "a cut of 1 at 93 bits)",
-    "_cosine_samples:127:37 0 -> 1":
+    "_cosine_samples:136:37 0 -> 1":
         "at a cut of 1 the two ends C -+ E, at least 2^66 units apart, never round "
         "alike to a multiple of 2, so both arms take the pipeline",
     "_cos_sin:6:41 10 -> 11":

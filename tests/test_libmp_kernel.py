@@ -629,13 +629,13 @@ class TestClosedFormKernel:
     def test_recurrence_stays_within_its_bound(self, variant, x0, policy, monkeypatch):
         # every (C, S) of every block, seeded or turned, within its running
         # bound err of exp(i*rho) for the sample's own reduced angle rho;
-        # table1's turn returns the pair before its sign change
+        # table1's turn by pi - 2*R returns the pair before its sign change
         events = []
 
         def record(kind, real):
             def call(*args):
                 out = real(*args)
-                events.append((kind, out))
+                events.append((kind, args, out))
                 return out
             return call
 
@@ -644,27 +644,33 @@ class TestClosedFormKernel:
         p, n, bits = MapParams(variant.required_r, x0), 250, policy.significand_bits
         closed_form_trajectory(p, n, variant, policy)
         phase, rnd = _phase(p, variant, bits), round_nearest
-        point, k = bits + _POINT_BITS, 0
-        for kind, (C, S, err) in events:
-            k += kind == "turn"  # a seed restarts the recurrence at the same sample
+        angles = []
+        for k in range(n + 1):
             angle = mpf_shift(phase, k)
             if variant is ClosedForm.RM2_COMPOSED:
                 angle = mpf_div(mpf_sub(_pi(bits), angle if k % 2 == 0 else mpf_neg(angle),
                                         bits, rnd), from_int(3), bits, rnd)
-                if kind == "turn":
-                    C = -C
+            angles.append(_reduce_raw(angle, bits))
+        point, k, half = bits + _POINT_BITS, 0, variant is ClosedForm.RM2_COMPOSED
+        for kind, args, (C, S, err) in events:
+            if kind == "turn":
+                k += 1
+                C = -C if half else C
+            else:  # at the last turn's sample, or past table1's wait a later one
+                j = next(j for j in range(k, n + 1) if angles[j] == from_man_exp(*args[:2]))
+                k, half = j, half and j <= k + 1
             with workprec(2 * point + 64):
                 z = mp.mpc(exact_mpf(C, -point), exact_mpf(S, -point))
-                assert abs(z - mp.expj(mp.make_mpf(_reduce_raw(angle, bits)))) <= \
+                assert abs(z - mp.expj(mp.make_mpf(angles[k]))) <= \
                     exact_mpf(err, -point), (kind, k)
-        # a whole block from one seed to the next, but at 53 bits table1's
-        # angle strays too far for the turn before its first block ends
-        seeds = sum(kind == "seed" for kind, _ in events)
-        if variant is not ClosedForm.RM2_COMPOSED:
-            assert seeds >= 2 and k == n
+        # a whole block from one seed to the next.  table1 leaves pi - 2*R
+        # near step bits - 23, and at 53 bits takes -2*R from near step 55 on
+        seeds = sum(kind == "seed" for kind, _, _ in events)
+        assert seeds >= 2
+        if variant is ClosedForm.RM2_COMPOSED and policy != DOUBLE:
+            assert half and 40 <= k < n
         else:
-            assert (seeds, k < 40) == ((1, True) if policy == DOUBLE else (seeds, False))
-            assert policy == DOUBLE or seeds >= 2
+            assert not half and k == n
 
     @pytest.mark.parametrize("variant,x0,n,policy,fallbacks", [
         # C -+ E straddles a rounding boundary at one sample inside the block
@@ -675,7 +681,9 @@ class TestClosedFormKernel:
         # two binades around -1
         (ClosedForm.RM2_DIRECT, 0.5, 1, PrecisionPolicy(120), 2),
         # table1's cut-over: from step 30 its angle's rounding strays too far
-        (ClosedForm.RM2_COMPOSED, 0.9, 60, DOUBLE, 31),
+        # from pi - 2*R, and from step 55, where the rounding drops the pi,
+        # the angle is -2*R plus d and the pair is seeded again
+        (ClosedForm.RM2_COMPOSED, 0.9, 60, DOUBLE, 25),
         # none: angles from 2^-148 up, below 2^(bits - F) for 54 steps, whose
         # floor at F bits drops bits of the angle
         (ClosedForm.R4_COSINE, 2.0**-300, 80, PrecisionPolicy(400), 0),
